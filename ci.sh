@@ -9,11 +9,22 @@ go vet ./...
 go test -race ./...
 go test -run='^$' -bench=. -benchtime=1x -benchmem ./...
 
+# The benchmark of record is a module of its own, so the root
+# `go test ./...` never reaches its tests (every workload for two units,
+# untraced and traced, checked against BENCHMARK.json).
+(cd benchmark && go test -short ./...)
+
 # Fabric perf gates, outside the race detector (race instrumentation
 # allocates): steady-state fabric events must stay allocation-free, and
 # the fabric benchmarks must still run at every scale.
 go test -run='^TestSteadyStateFabricEventsDoNotAllocate$' -count=1 ./internal/netsim
 go test -run='^$' -bench='^BenchmarkFabricRing' -benchtime=1x -benchmem ./internal/netsim
+
+# Control-plane heartbeat gates (outside the race detector): a running
+# ticker's firings must allocate nothing, and a healthy cluster's
+# marginal allocations per heartbeat must stay at a small constant.
+go test -run='^TestTickerFiringAllocsZero$' -count=1 ./internal/simclock
+go test -run='^TestHeartbeatSteadyStateAllocs$' -count=1 ./internal/agent
 
 # Availability-kernel perf gates (outside the race detector): the
 # steady-state Monte-Carlo shard must allocate exactly 0 bytes per trial

@@ -305,20 +305,28 @@ func (s *System) Start() {
 }
 
 // scheduleSweep keeps lease expiry timely: the store expires lazily, so
-// the system arms an event at the next lease deadline.
+// the system arms an event at the next lease deadline. Every heartbeat
+// lands here, so the one sweep event is rearmed in place, never
+// reallocated.
 func (s *System) scheduleSweep() {
-	s.sweepEv.Cancel()
 	next := s.store.NextExpiry()
 	if next == simclock.Forever {
+		s.sweepEv.Cancel()
 		return
 	}
 	if next <= s.engine.Now() {
 		next = s.engine.Now()
 	}
-	s.sweepEv = s.engine.AtPriority(next, 5, func() {
-		s.store.Sweep()
-		s.scheduleSweep()
-	})
+	if s.sweepEv == (simclock.EventID{}) {
+		s.sweepEv = s.engine.AtPriority(next, 5, s.sweep)
+		return
+	}
+	s.engine.Rearm(s.sweepEv, next)
+}
+
+func (s *System) sweep() {
+	s.store.Sweep()
+	s.scheduleSweep()
 }
 
 func (s *System) startWorker(rank, incarnation int) {

@@ -78,6 +78,81 @@ type lease struct {
 	ttl     simclock.Duration
 	expires simclock.Time
 	keys    map[string]bool
+	index   int // slot in Store.expiry
+}
+
+// leaseHeap is the expiry index: a min-heap of every live lease by
+// deadline, so the next deadline is the root and a sweep with nothing
+// due costs one comparison. Every lease's index is its slot. Ties are
+// left in any order: a sweep re-sorts what it pops by id.
+type leaseHeap []*lease
+
+func (h *leaseHeap) push(l *lease) {
+	l.index = len(*h)
+	*h = append(*h, l)
+	h.up(l.index)
+}
+
+// pop removes and returns the lease with the earliest deadline.
+func (h *leaseHeap) pop() *lease {
+	old := *h
+	n := len(old) - 1
+	l := old[0]
+	old[0] = old[n]
+	old[0].index = 0
+	old[n] = nil
+	*h = old[:n]
+	if n > 0 {
+		h.down(0)
+	}
+	return l
+}
+
+// fix restores heap order after the lease at slot i changed its expiry.
+func (h leaseHeap) fix(i int) {
+	if !h.down(i) {
+		h.up(i)
+	}
+}
+
+func (h leaseHeap) up(i int) {
+	l := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if l.expires >= h[p].expires {
+			break
+		}
+		h[i] = h[p]
+		h[i].index = i
+		i = p
+	}
+	h[i] = l
+	l.index = i
+}
+
+// down sifts the lease at slot i toward the leaves and reports whether
+// it moved.
+func (h leaseHeap) down(i int) bool {
+	l := h[i]
+	start, n := i, len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].expires < h[c].expires {
+			c = r
+		}
+		if h[c].expires >= l.expires {
+			break
+		}
+		h[i] = h[c]
+		h[i].index = i
+		i = c
+	}
+	h[i] = l
+	l.index = i
+	return i > start
 }
 
 // Store is a revisioned, lease-aware key-value store.
@@ -87,6 +162,7 @@ type Store struct {
 	rev       int64
 	data      map[string]Entry
 	leases    map[LeaseID]*lease
+	expiry    leaseHeap // the same leases, by deadline
 	nextLease LeaseID
 	watchers  []*watcher
 	nextWatch WatchID
@@ -140,7 +216,9 @@ func (s *Store) SetAvailable(up bool) {
 	}
 	pause := s.now().Sub(s.downSince)
 	s.down = false
-	for _, l := range s.leases {
+	// Rounded addition is monotone, so shifting every deadline by the
+	// same pause keeps the expiry index in heap order.
+	for _, l := range s.expiry {
 		l.expires = l.expires.Add(pause)
 	}
 	s.sweepLocked()
@@ -181,17 +259,18 @@ func (s *Store) jitterLocked() simclock.Duration {
 // sweepLocked expires leases due at the current instant, deleting their
 // keys and emitting delete events. Callers hold s.mu.
 func (s *Store) sweepLocked() {
-	if s.down {
+	if s.down || len(s.expiry) == 0 {
 		return
 	}
 	t := s.now()
-	var expired []*lease
-	for _, l := range s.leases {
-		if l.expires <= t {
-			expired = append(expired, l)
-		}
+	if s.expiry[0].expires > t {
+		return
 	}
-	// Deterministic order for event delivery.
+	var expired []*lease
+	for len(s.expiry) > 0 && s.expiry[0].expires <= t {
+		expired = append(expired, s.expiry.pop())
+	}
+	// Deterministic order for event delivery: by id, whatever the deadlines.
 	sort.Slice(expired, func(i, j int) bool { return expired[i].id < expired[j].id })
 	for _, l := range expired {
 		delete(s.leases, l.id)
@@ -405,7 +484,9 @@ func (s *Store) Grant(ttl simclock.Duration) (LeaseID, error) {
 	s.sweepLocked()
 	s.nextLease++
 	id := s.nextLease
-	s.leases[id] = &lease{id: id, ttl: ttl, expires: s.now().Add(ttl + s.jitterLocked()), keys: make(map[string]bool)}
+	l := &lease{id: id, ttl: ttl, expires: s.now().Add(ttl + s.jitterLocked()), keys: make(map[string]bool)}
+	s.leases[id] = l
+	s.expiry.push(l)
 	return id, nil
 }
 
@@ -425,6 +506,7 @@ func (s *Store) KeepAlive(id LeaseID) error {
 		return fmt.Errorf("kvstore: lease %d not found (expired?)", id)
 	}
 	l.expires = s.now().Add(l.ttl + s.jitterLocked())
+	s.expiry.fix(l.index)
 	return nil
 }
 
@@ -441,6 +523,7 @@ func (s *Store) Revoke(id LeaseID) {
 		return
 	}
 	l.expires = s.now() // expire now
+	s.expiry.fix(l.index)
 	s.sweepLocked()
 }
 
@@ -463,16 +546,10 @@ func (s *Store) LeaseRemaining(id LeaseID) (simclock.Duration, bool) {
 func (s *Store) NextExpiry() simclock.Time {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.down {
+	if s.down || len(s.expiry) == 0 {
 		return simclock.Forever
 	}
-	earliest := simclock.Forever
-	for _, l := range s.leases {
-		if l.expires < earliest {
-			earliest = l.expires
-		}
-	}
-	return earliest
+	return s.expiry[0].expires
 }
 
 // Sweep expires due leases eagerly (delivering watch events); drivers

@@ -5,8 +5,20 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"time"
 
 	"gemini/internal/metrics"
+)
+
+// Connection limits. A client that stalls mid-request, or never reads
+// its response, loses the connection instead of holding it forever.
+// Writes get enough time for a default 30 s /debug/pprof/profile (the
+// handler rejects a profile that would outlast WriteTimeout).
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
+	writeTimeout      = 2 * time.Minute
+	idleTimeout       = time.Minute
 )
 
 // Server is the campaign observability endpoint: /metrics serves the
@@ -39,7 +51,13 @@ func NewServer(addr string, prog *Progress, reg *SyncRegistry) (*Server, error) 
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s.srv = &http.Server{Handler: mux}
+	s.srv = &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close.
 	return s, nil
 }

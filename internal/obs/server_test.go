@@ -3,9 +3,11 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 )
 
 func getBody(t *testing.T, url string) (int, string) {
@@ -67,6 +69,36 @@ func TestServerEndpoints(t *testing.T) {
 
 	if code, _ := getBody(t, base+"/debug/pprof/cmdline"); code != http.StatusOK {
 		t.Fatalf("/debug/pprof/cmdline status %d", code)
+	}
+}
+
+// A client that sends half a request header and then stalls must lose
+// its connection once the header deadline passes.
+func TestServerClosesStalledRequest(t *testing.T) {
+	t.Parallel()
+	srv, err := NewServer("127.0.0.1:0", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /metrics HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.ReadAll(conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("stalled request still open after %v", time.Since(start))
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, before the %v header timeout", waited, readHeaderTimeout)
 	}
 }
 

@@ -9,7 +9,6 @@
 package simclock
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -92,36 +91,91 @@ func (id EventID) Pending() bool {
 	return id.ev != nil && !id.ev.canceled && id.ev.index >= 0
 }
 
+// before reports whether a fires before b: (at, priority, seq) order.
+// seq is unique, so this is a strict total order and any correct heap
+// pops events in exactly the same sequence.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.priority != b.priority {
+		return a.priority < b.priority
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a binary min-heap of events with typed sift functions; it
+// avoids container/heap's interface dispatch on the engine's hottest path.
+// Every queued event's index is its slot.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	if h[i].priority != h[j].priority {
-		return h[i].priority < h[j].priority
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
+func (h *eventHeap) push(ev *event) {
 	ev.index = len(*h)
 	*h = append(*h, ev)
+	h.up(ev.index)
 }
-func (h *eventHeap) Pop() any {
+
+// pop removes and returns the earliest event, marking it unqueued.
+func (h *eventHeap) pop() *event {
 	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	ev := old[0]
+	old[0] = old[n]
+	old[0].index = 0
+	old[n] = nil
+	*h = old[:n]
+	if n > 0 {
+		h.down(0)
+	}
 	ev.index = -1
-	*h = old[:n-1]
 	return ev
+}
+
+// fix restores heap order after the event at slot i changed its key.
+func (h eventHeap) fix(i int) {
+	if !h.down(i) {
+		h.up(i)
+	}
+}
+
+func (h eventHeap) up(i int) {
+	ev := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].index = i
+		i = p
+	}
+	h[i] = ev
+	ev.index = i
+}
+
+// down sifts the event at slot i toward the leaves and reports whether
+// it moved.
+func (h eventHeap) down(i int) bool {
+	ev := h[i]
+	start, n := i, len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(ev) {
+			break
+		}
+		h[i] = h[c]
+		h[i].index = i
+		i = c
+	}
+	h[i] = ev
+	ev.index = i
+	return i > start
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable;
@@ -172,7 +226,7 @@ func (e *Engine) at(at Time, priority int, fn func()) EventID {
 	}
 	ev := &event{at: at, priority: priority, seq: e.seq, fn: fn}
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 	return EventID{ev}
 }
 
@@ -183,9 +237,9 @@ func (e *Engine) at(at Time, priority int, fn func()) EventID {
 // same-priority events it fires after those already queued. Like At,
 // rearming into the past panics.
 //
-// Rearm exists for long-lived periodic events (the netsim fabric's
-// completion and recompute events) that would otherwise allocate a fresh
-// event on every reschedule.
+// Rearm exists for long-lived periodic events (tickers, the agent's
+// lease sweep, the netsim fabric's completion and recompute events) that
+// would otherwise allocate a fresh event on every reschedule.
 func (e *Engine) Rearm(id EventID, at Time) {
 	ev := id.ev
 	if ev == nil {
@@ -199,9 +253,9 @@ func (e *Engine) Rearm(id EventID, at Time) {
 	ev.seq = e.seq
 	e.seq++
 	if ev.index >= 0 {
-		heap.Fix(&e.queue, ev.index)
+		e.queue.fix(ev.index)
 	} else {
-		heap.Push(&e.queue, ev)
+		e.queue.push(ev)
 	}
 }
 
@@ -224,13 +278,13 @@ func (e *Engine) Run(until Time) int {
 	for len(e.queue) > 0 && !e.stopped {
 		ev := e.queue[0]
 		if ev.canceled {
-			heap.Pop(&e.queue)
+			e.queue.pop()
 			continue
 		}
 		if ev.at > until {
 			break
 		}
-		heap.Pop(&e.queue)
+		e.queue.pop()
 		e.now = ev.at
 		ev.fn()
 		fired++
@@ -250,7 +304,7 @@ func (e *Engine) RunAll() int { return e.Run(Forever) }
 // event fired.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*event)
+		ev := e.queue.pop()
 		if ev.canceled {
 			continue
 		}
@@ -266,7 +320,7 @@ func (e *Engine) Step() bool {
 func (e *Engine) PeekTime() Time {
 	for len(e.queue) > 0 {
 		if e.queue[0].canceled {
-			heap.Pop(&e.queue)
+			e.queue.pop()
 			continue
 		}
 		return e.queue[0].at
