@@ -15,9 +15,12 @@ go test -run='^$' -bench=. -benchtime=1x -benchmem ./...
 (cd benchmark && go test -short ./...)
 
 # Fabric perf gates, outside the race detector (race instrumentation
-# allocates): steady-state fabric events must stay allocation-free, and
-# the fabric benchmarks must still run at every scale.
-go test -run='^TestSteadyStateFabricEventsDoNotAllocate$' -count=1 ./internal/netsim
+# allocates): steady-state fabric events and a warm flow's or copy's
+# whole start → complete → Release lifecycle must stay allocation-free,
+# the executor's marginal allocations per iteration must stay bounded,
+# and the fabric benchmarks must still run at every scale.
+go test -run='^TestSteadyStateFabricEventsDoNotAllocate$|^TestFlowLifecycleAllocsZero$' -count=1 ./internal/netsim
+go test -run='^TestExecuteIterationAllocs$' -count=1 ./internal/training
 go test -run='^$' -bench='^BenchmarkFabricRing' -benchtime=1x -benchmem ./internal/netsim
 
 # Control-plane heartbeat gates (outside the race detector): a running

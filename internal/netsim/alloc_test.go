@@ -13,7 +13,7 @@ import (
 // TestSteadyStateFabricEventsDoNotAllocate pins the engine's core
 // guarantee: once a fabric's scratch is warm, rate recomputation — settle,
 // component collection, waterfill, ETA-heap maintenance, and event
-// rearming — allocates nothing. Only flow creation allocates.
+// rearming — allocates nothing. A flow's own lifecycle is gated below.
 func TestSteadyStateFabricEventsDoNotAllocate(t *testing.T) {
 	e := simclock.NewEngine()
 	f := MustNewFabric(e, 32, Config{EgressBytesPerSec: 1e9})
@@ -36,5 +36,31 @@ func TestSteadyStateFabricEventsDoNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state fabric events allocate %v times/op, want 0", allocs)
+	}
+}
+
+// TestFlowLifecycleAllocsZero pins flow and copy recycling: once a
+// fabric and a copier hold released objects, StartFlow → complete →
+// Release and Submit → complete → Release reuse the objects and their
+// events, so a whole lifecycle allocates nothing.
+func TestFlowLifecycleAllocsZero(t *testing.T) {
+	e := simclock.NewEngine()
+	f := MustNewFabric(e, 4, Config{EgressBytesPerSec: 1e9, Alpha: 1e-6})
+	c := MustNewCopier(e, 1e9)
+	releaseFlow := func(fl *Flow) { fl.Release() }
+	releaseCopy := func(cp *Copy) { cp.Release() }
+	cycle := func() {
+		f.StartFlow(0, 1, 1e6, "flow", releaseFlow)
+		f.StartFlow(2, 1, 1e6, "flow", releaseFlow)
+		c.Submit(1e6, "copy", releaseCopy)
+		c.Submit(1e6, "copy", releaseCopy)
+		e.RunAll()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a warm flow and copy lifecycle allocates %v times/op, want 0", allocs)
+	}
+	if got := f.Stats().FlowsFinished; got != 2*102 {
+		t.Fatalf("%d flows finished, want %d", got, 2*102)
 	}
 }

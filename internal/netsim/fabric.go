@@ -38,14 +38,15 @@ type Config struct {
 	Alpha simclock.Duration
 }
 
+// The negated comparisons below also reject NaN.
 func (c Config) validate() error {
-	if c.EgressBytesPerSec <= 0 {
+	if !(c.EgressBytesPerSec > 0) {
 		return fmt.Errorf("netsim: egress bandwidth must be positive, got %v", c.EgressBytesPerSec)
 	}
-	if c.IngressBytesPerSec < 0 {
+	if !(c.IngressBytesPerSec >= 0) {
 		return fmt.Errorf("netsim: ingress bandwidth must be nonnegative, got %v", c.IngressBytesPerSec)
 	}
-	if c.Alpha < 0 {
+	if !(c.Alpha >= 0) {
 		return fmt.Errorf("netsim: alpha must be nonnegative, got %v", c.Alpha)
 	}
 	return nil
@@ -93,6 +94,11 @@ const (
 )
 
 // Flow is an in-flight point-to-point transfer.
+//
+// The handle StartFlow returns stays valid after the flow finishes until
+// its owner calls Release, which hands the memory back to the fabric for
+// a later StartFlow. Owners that never call Release keep a plain,
+// garbage-collected handle.
 type Flow struct {
 	Src, Dst int
 	Label    string
@@ -105,7 +111,12 @@ type Flow struct {
 	started   simclock.Time
 	finished  simclock.Time
 	onDone    func(*Flow)
-	startEv   simclock.EventID
+	released  bool // on the fabric's free list
+
+	// startFn and startEv are the flow's α-window event, bound once per
+	// Flow object and rearmed by every StartFlow that reuses it.
+	startFn func()
+	startEv simclock.EventID
 
 	seq        uint64        // global start order; the deterministic tie-break
 	lastUpdate simclock.Time // instant remaining was last settled to
@@ -162,6 +173,24 @@ func (f *Flow) Cancel() {
 	fb.armRecompute()
 }
 
+// Release returns a finished flow to its fabric, whose next StartFlow may
+// hand the same *Flow out again. The caller must drop every reference
+// first: a stale Cancel or accessor would reach the reused flow. Release
+// is typically the last thing a completion callback does with its flow.
+// Releasing a flow that is still starting or active, or releasing it
+// twice, panics.
+func (f *Flow) Release() {
+	if f.released {
+		panic(fmt.Sprintf("netsim: flow %q released twice", f.Label))
+	}
+	if f.state == FlowStarting || f.state == FlowActive {
+		panic(fmt.Sprintf("netsim: release of %v flow %q", f.state, f.Label))
+	}
+	f.released = true
+	f.Label = ""
+	f.fabric.free = append(f.fabric.free, f)
+}
+
 type node struct {
 	up         bool
 	egressCap  float64
@@ -205,6 +234,7 @@ type Fabric struct {
 	nodeFactor []float64
 
 	flowSeq uint64
+	free    []*Flow // released flows, reused by StartFlow
 
 	// Dirty set and pooled scratch, reused across events so steady-state
 	// flow traffic never allocates.
@@ -275,6 +305,9 @@ func (fb *Fabric) ActiveFlows() int { return len(fb.active) }
 // startup latency the flow competes for bandwidth under max-min fairness.
 // onDone fires exactly once when the flow reaches a terminal state.
 // A zero-byte flow completes after just the startup latency.
+//
+// The returned flow may be one an earlier owner released (see
+// Flow.Release); it is reset to a fresh flow either way.
 func (fb *Fabric) StartFlow(src, dst int, bytes float64, label string, onDone func(*Flow)) *Flow {
 	fb.checkNode(src)
 	fb.checkNode(dst)
@@ -284,40 +317,68 @@ func (fb *Fabric) StartFlow(src, dst int, bytes float64, label string, onDone fu
 	if src == dst {
 		panic("netsim: flow source and destination must differ")
 	}
-	fl := &Flow{
+	fl := fb.takeFlow()
+	*fl = Flow{
 		Src: src, Dst: dst, Label: label,
 		fabric: fb, bytes: bytes, remaining: bytes,
 		state: FlowStarting, started: fb.engine.Now(), onDone: onDone,
+		startFn: fl.startFn, startEv: fl.startEv,
 		seq: fb.flowSeq, outIdx: -1, inIdx: -1, activeIdx: -1, heapIdx: -1,
 	}
 	fb.flowSeq++
 	fb.stats.flowsStarted++
 	if !fb.nodes[src].up || !fb.nodes[dst].up || !fb.Reachable(src, dst) {
 		// Fail asynchronously so callers never observe a callback during
-		// StartFlow itself.
+		// StartFlow itself. By then the flow may have been canceled,
+		// released and reused; its sequence number tells.
+		seq := fl.seq
 		fb.engine.After(0, func() {
-			if fl.state == FlowStarting {
+			if fl.seq == seq && fl.state == FlowStarting {
 				fb.finishFlow(fl, FlowFailed)
 			}
 		})
 		return fl
 	}
-	fl.startEv = fb.engine.After(fb.cfg.Alpha, func() {
-		if fl.state != FlowStarting {
-			return
-		}
-		// An endpoint may have failed or been partitioned away during the
-		// startup window; such flows never carried a byte and fail here.
-		if !fb.nodes[fl.Src].up || !fb.nodes[fl.Dst].up || !fb.Reachable(fl.Src, fl.Dst) {
-			fb.finishFlow(fl, FlowFailed)
-			return
-		}
-		fl.state = FlowActive
-		fl.lastUpdate = fb.engine.Now()
-		fb.attachFlow(fl)
-		fb.armRecompute()
-	})
+	// A terminal flow's start event has fired or been canceled, so a
+	// reused flow can move its own event instead of allocating one.
+	if fl.startEv == (simclock.EventID{}) {
+		fl.startEv = fb.engine.After(fb.cfg.Alpha, fl.startFn)
+	} else {
+		fb.engine.Rearm(fl.startEv, fb.engine.Now().Add(fb.cfg.Alpha))
+	}
 	return fl
+}
+
+// takeFlow pops a released flow off the free list, or makes a new one
+// with its start callback bound once for all the lives it will have.
+func (fb *Fabric) takeFlow() *Flow {
+	if n := len(fb.free); n > 0 {
+		fl := fb.free[n-1]
+		fb.free[n-1] = nil
+		fb.free = fb.free[:n-1]
+		return fl
+	}
+	fl := &Flow{}
+	fl.startFn = fl.start
+	return fl
+}
+
+// start ends the α startup window: the flow joins the rate engine.
+func (fl *Flow) start() {
+	if fl.state != FlowStarting {
+		return
+	}
+	fb := fl.fabric
+	// An endpoint may have failed or been partitioned away during the
+	// startup window; such flows never carried a byte and fail here.
+	if !fb.nodes[fl.Src].up || !fb.nodes[fl.Dst].up || !fb.Reachable(fl.Src, fl.Dst) {
+		fb.finishFlow(fl, FlowFailed)
+		return
+	}
+	fl.state = FlowActive
+	fl.lastUpdate = fb.engine.Now()
+	fb.attachFlow(fl)
+	fb.armRecompute()
 }
 
 func (fb *Fabric) checkNode(i int) {
@@ -351,7 +412,7 @@ func (fb *Fabric) SetNodeUp(i int, up bool) {
 // storage traffic and training traffic contend realistically.
 func (fb *Fabric) SetNodeCapacity(i int, egressBytesPerSec, ingressBytesPerSec float64) {
 	fb.checkNode(i)
-	if egressBytesPerSec <= 0 || ingressBytesPerSec <= 0 {
+	if !(egressBytesPerSec > 0) || !(ingressBytesPerSec > 0) { // also rejects NaN
 		panic(fmt.Sprintf("netsim: node capacity must be positive, got %v/%v", egressBytesPerSec, ingressBytesPerSec))
 	}
 	fb.nodes[i].egressCap = egressBytesPerSec

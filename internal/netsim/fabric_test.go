@@ -1,8 +1,10 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -236,6 +238,61 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewFabric(e, 2, Config{EgressBytesPerSec: 1, IngressBytesPerSec: -2}); err == nil {
 		t.Error("negative ingress accepted")
+	}
+}
+
+// NaN slips past `x < 0` and `x <= 0` guards, and an infinite copy size
+// would schedule a completion at +Inf. Every size, capacity and
+// bandwidth entry point must reject them and name the value.
+func TestRejectsNaNAndInfInputs(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		want string // must appear in the panic or error
+		call func(e *simclock.Engine, f *Fabric, c *Copier) error
+	}{
+		{"Submit NaN", "NaN", func(_ *simclock.Engine, _ *Fabric, c *Copier) error { c.Submit(nan, "x", nil); return nil }},
+		{"Submit +Inf", "+Inf", func(_ *simclock.Engine, _ *Fabric, c *Copier) error { c.Submit(inf, "x", nil); return nil }},
+		{"Submit -Inf", "-Inf", func(_ *simclock.Engine, _ *Fabric, c *Copier) error { c.Submit(-inf, "x", nil); return nil }},
+		{"NewCopier NaN", "NaN", func(e *simclock.Engine, _ *Fabric, _ *Copier) error { _, err := NewCopier(e, nan); return err }},
+		{"SetNodeCapacity NaN egress", "NaN", func(_ *simclock.Engine, f *Fabric, _ *Copier) error { f.SetNodeCapacity(0, nan, 1); return nil }},
+		{"SetNodeCapacity NaN ingress", "NaN", func(_ *simclock.Engine, f *Fabric, _ *Copier) error { f.SetNodeCapacity(0, 1, nan); return nil }},
+		{"StartFlow NaN", "NaN", func(_ *simclock.Engine, f *Fabric, _ *Copier) error { f.StartFlow(0, 1, nan, "x", nil); return nil }},
+		{"NewFabric NaN egress", "NaN", func(e *simclock.Engine, _ *Fabric, _ *Copier) error {
+			_, err := NewFabric(e, 2, Config{EgressBytesPerSec: nan})
+			return err
+		}},
+		{"NewFabric NaN alpha", "NaN", func(e *simclock.Engine, _ *Fabric, _ *Copier) error {
+			_, err := NewFabric(e, 2, Config{EgressBytesPerSec: 1, Alpha: simclock.Duration(nan)})
+			return err
+		}},
+		{"StartRingRun NaN", "NaN", func(_ *simclock.Engine, f *Fabric, _ *Copier) error {
+			_, err := StartRingRun(f, AllGather, []int{0, 1}, nan, nil)
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e, f := newTestFabric(t, 2, Config{EgressBytesPerSec: 100})
+			c := MustNewCopier(e, 100)
+			var msg string
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						msg = fmt.Sprint(r)
+					}
+				}()
+				if err := tc.call(e, f, c); err != nil {
+					msg = err.Error()
+				}
+			}()
+			if !strings.Contains(msg, tc.want) {
+				t.Fatalf("got %q, want a panic or error naming %s", msg, tc.want)
+			}
+			if n := e.RunAll(); n != 0 || e.Now() != 0 {
+				t.Fatalf("rejected call left %d events and clock %v", n, e.Now())
+			}
+		})
 	}
 }
 

@@ -35,8 +35,8 @@ func StartRingRun(fabric *Fabric, kind CollectiveKind, participants []int,
 	if len(participants) < 1 {
 		return nil, fmt.Errorf("netsim: ring run needs participants")
 	}
-	if totalBytes < 0 {
-		return nil, fmt.Errorf("netsim: negative payload %v", totalBytes)
+	if !(totalBytes >= 0) { // also rejects NaN
+		return nil, fmt.Errorf("netsim: payload must be nonnegative, got %v", totalBytes)
 	}
 	seen := make(map[int]bool, len(participants))
 	for _, p := range participants {
@@ -91,11 +91,13 @@ func (r *RingRun) runStep() {
 	anyFailed := false
 	label := fmt.Sprintf("%v-step%d", r.kind, r.step)
 	// One label and one callback per round, shared by all n flows: the
-	// barrier state is per-round, not per-flow.
+	// barrier state is per-round, not per-flow. The run never hands its
+	// flows out, so each goes back to the fabric once read.
 	onDone := func(fl *Flow) {
 		if fl.State() != FlowDone {
 			anyFailed = true
 		}
+		fl.Release()
 		remaining--
 		if remaining > 0 {
 			return

@@ -201,7 +201,8 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Len() int { return len(e.queue) }
 
 // At schedules fn to run at the absolute virtual time at. Scheduling in
-// the past panics: it would silently reorder causality.
+// the past panics: it would silently reorder causality. So does a NaN
+// time, which has no place in the order at all.
 func (e *Engine) At(at Time, fn func()) EventID {
 	return e.at(at, 0, fn)
 }
@@ -218,8 +219,11 @@ func (e *Engine) After(d Duration, fn func()) EventID {
 }
 
 func (e *Engine) at(at Time, priority int, fn func()) EventID {
-	if at < e.now {
-		panic(fmt.Sprintf("simclock: scheduling event at %v before now %v", at, e.now))
+	// The negated comparison also rejects NaN, which compares false
+	// against everything and would otherwise fire last and leave the
+	// clock at NaN for the rest of the run.
+	if !(at >= e.now) {
+		e.badTime("scheduling", at)
 	}
 	if fn == nil {
 		panic("simclock: nil event function")
@@ -235,18 +239,19 @@ func (e *Engine) at(at Time, priority int, fn func()) EventID {
 // fired or canceled one is revived. The event keeps its callback and
 // priority but is sequenced as if newly scheduled, so among same-instant
 // same-priority events it fires after those already queued. Like At,
-// rearming into the past panics.
+// rearming into the past or at a NaN time panics.
 //
 // Rearm exists for long-lived periodic events (tickers, the agent's
-// lease sweep, the netsim fabric's completion and recompute events) that
-// would otherwise allocate a fresh event on every reschedule.
+// lease sweep, the netsim fabric's completion and recompute events, each
+// netsim flow's start event, each copier's completion event) that would
+// otherwise allocate a fresh event on every reschedule.
 func (e *Engine) Rearm(id EventID, at Time) {
 	ev := id.ev
 	if ev == nil {
 		panic("simclock: Rearm of zero EventID")
 	}
-	if at < e.now {
-		panic(fmt.Sprintf("simclock: rearming event at %v before now %v", at, e.now))
+	if !(at >= e.now) {
+		e.badTime("rearming", at)
 	}
 	ev.at = at
 	ev.canceled = false
@@ -257,6 +262,14 @@ func (e *Engine) Rearm(id EventID, at Time) {
 	} else {
 		e.queue.push(ev)
 	}
+}
+
+// badTime panics for an event time that is NaN or before now.
+func (e *Engine) badTime(op string, at Time) {
+	if math.IsNaN(float64(at)) {
+		panic(fmt.Sprintf("simclock: %s event at NaN time", op))
+	}
+	panic(fmt.Sprintf("simclock: %s event at %v before now %v", op, at, e.now))
 }
 
 // Stop makes the current Run call return after the in-flight event

@@ -1,8 +1,10 @@
 package simclock
 
 import (
+	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -80,6 +82,38 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		}
 	}()
 	e.At(5, func() {})
+}
+
+// A NaN time compares false against everything, so a plain `at < now`
+// guard lets it through; the event would fire last and leave the clock
+// at NaN. Every way of scheduling must refuse it and say why.
+func TestNaNTimePanics(t *testing.T) {
+	nan := Time(math.NaN())
+	cases := []struct {
+		name string
+		call func(e *Engine)
+	}{
+		{"At", func(e *Engine) { e.At(nan, func() {}) }},
+		{"AtPriority", func(e *Engine) { e.AtPriority(nan, 3, func() {}) }},
+		{"After", func(e *Engine) { e.After(Duration(math.NaN()), func() {}) }},
+		{"Rearm", func(e *Engine) { e.Rearm(e.At(1, func() {}), nan) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			e.Run(0.5)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "NaN") {
+					t.Fatalf("panic %q, want one naming the NaN time", msg)
+				}
+				if e.Now() != 0.5 {
+					t.Fatalf("clock at %v after the rejected call, want 0.5", e.Now())
+				}
+			}()
+			tc.call(e)
+		})
+	}
 }
 
 func TestNilEventPanics(t *testing.T) {

@@ -169,6 +169,7 @@ func (r *RemoteStore) Keys() []string {
 func (r *RemoteStore) Write(src int, obj Object, done func(ok bool)) {
 	r.fabric.StartFlow(src, r.node, obj.Bytes, "ckpt-upload:"+obj.Key, func(fl *netsim.Flow) {
 		ok := fl.State() == netsim.FlowDone
+		fl.Release()
 		if ok {
 			r.objects[obj.Key] = obj
 		}
@@ -188,7 +189,9 @@ func (r *RemoteStore) Read(key string, dst int, done func(Object, bool)) {
 		return
 	}
 	r.fabric.StartFlow(r.node, dst, obj.Bytes, "ckpt-download:"+key, func(fl *netsim.Flow) {
-		if fl.State() == netsim.FlowDone {
+		ok := fl.State() == netsim.FlowDone
+		fl.Release()
+		if ok {
 			done(obj, true)
 		} else {
 			done(Object{}, false)

@@ -9,6 +9,8 @@ import (
 
 	"gemini/internal/cluster"
 	"gemini/internal/model"
+	"gemini/internal/placement"
+	"gemini/internal/schedule"
 )
 
 // TestProfileWithJitterAllocationFlat pins the profiling loop's
@@ -35,6 +37,33 @@ func TestProfileWithJitterAllocationFlat(t *testing.T) {
 	if marginal > 12 {
 		t.Fatalf("profiling loop allocates %.1f times per marginal window iteration, want ≤ 12 "+
 			"(CommOps rebuilt inside the loop?)", marginal)
+	}
+}
+
+// TestExecuteIterationAllocs pins the executor's per-iteration cost on
+// the Fig. 7 run (GPT-2 100B / 16 × p4d, Gemini). An iteration starts
+// about 10.6k flows plus one GPU→CPU copy per checkpoint chunk; all of
+// them come back through Release, so what one more iteration allocates
+// is the executor's own per-collective and per-chunk closures and its
+// zero-delay chunk events. Measured: 20,474 allocations per extra
+// iteration (85,210 before flows and copies were recycled).
+func TestExecuteIterationAllocs(t *testing.T) {
+	cfg := MustNewConfig(model.MustByName("GPT-2 100B"), cluster.MustInstance("p4d.24xlarge"), 16)
+	tl := MustBuildTimeline(cfg)
+	prof, err := tl.Profile(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultExecOptions(placement.MustMixed(cfg.Machines, 2), schedule.SchemeGemini)
+	opts.Timeline, opts.Profile = tl, prof
+	allocsAt := func(iterations int) float64 {
+		opts.Iterations = iterations
+		return testing.AllocsPerRun(3, func() { MustExecute(cfg, opts) })
+	}
+	small, large := allocsAt(2), allocsAt(6)
+	if marginal := (large - small) / 4; marginal > 22000 {
+		t.Fatalf("executor allocates %.0f times per extra iteration, want ≤ 22000 "+
+			"(flows or copies no longer released?)", marginal)
 	}
 }
 

@@ -572,11 +572,13 @@ func (ex *executor) startIteration() {
 			observe = ex.observer.observe(label, ex.engine.Now())
 		}
 		// One callback shared by all n ring flows; machine 0's flow feeds
-		// the online profiler.
+		// the online profiler. Nothing else holds the flows, so each goes
+		// back to the fabric for the next collective to reuse.
 		onDone := func(fl *netsim.Flow) {
 			if observe != nil && fl.Src == 0 {
 				observe(fl)
 			}
+			fl.Release()
 			remaining--
 			if remaining == 0 {
 				done()
@@ -672,8 +674,10 @@ func (ex *executor) startCheckpoint() {
 			ex.ckptStart = ex.engine.Now()
 		}
 	}
-	copied := func(bytes float64) {
-		ex.copiedLeft -= bytes
+	// copied accounts a finished copy and releases it to its copier.
+	copied := func(cp *netsim.Copy) {
+		ex.copiedLeft -= cp.Bytes
+		cp.Release()
 		if ex.copiedLeft < 1e-6 {
 			ex.ckptDone = ex.engine.Now()
 			if ex.gateClosed {
@@ -697,7 +701,7 @@ func (ex *executor) startCheckpoint() {
 			remain -= sz
 			ex.engine.After(0, func() {
 				markActivity()
-				ex.copiers[machine].Submit(sz, "local-ckpt", func(cp *netsim.Copy) { copied(cp.Bytes) })
+				ex.copiers[machine].Submit(sz, "local-ckpt", copied)
 			})
 		}
 
@@ -725,8 +729,9 @@ func (ex *executor) startCheckpoint() {
 			dst := peers[job.replica%len(peers)]
 			markActivity()
 			ex.fabric.StartFlow(machine, dst, job.bytes, "ckpt-chunk", func(fl *netsim.Flow) {
+				fl.Release()
 				ex.copiers[dst].Submit(job.bytes, "remote-ckpt", func(cp *netsim.Copy) {
-					copied(cp.Bytes)
+					copied(cp)
 					if !ex.pipelined {
 						sendNext()
 					}
