@@ -11,10 +11,12 @@ import (
 	"testing"
 
 	"gemini/internal/baselines"
+	"gemini/internal/derive"
 	"gemini/internal/experiments"
 	"gemini/internal/failure"
 	"gemini/internal/parallel"
 	"gemini/internal/placement"
+	"gemini/internal/runsim"
 	"gemini/internal/schedule"
 	"gemini/internal/simclock"
 )
@@ -222,8 +224,8 @@ func BenchmarkFig16Interleaving(b *testing.B) {
 // scenario-campaign sweep where runs differ only in their failure
 // schedule. The warm sub-benchmark resolves every job through the
 // derivation cache (4 derivations total, 996 hits) and recycles the
-// runsim arenas; cold bypasses the cache (JobSpec.NoCache) and pays the
-// full derivation per run. warm/cold runs-per-second is the cache's
+// runsim arenas; cold runs each schedule on a private derive.Build and
+// pays the full derivation per run. warm/cold runs-per-second is the cache's
 // campaign speedup; results are bit-identical either way (asserted by
 // the determinism suite, and by the checksum metric matching across the
 // two sub-benchmarks).
@@ -245,19 +247,28 @@ func BenchmarkCampaign1000(b *testing.B) {
 		}
 		schedules[r] = fs
 	}
-	campaign := func(b *testing.B, noCache bool) {
+	warm := func(spec JobSpec, fs FailureSchedule) (*runsim.Result, error) {
+		job, err := NewJob(spec)
+		if err != nil {
+			return nil, err
+		}
+		return job.SimulateRun(job.GeminiSpec(), fs, horizon, 0)
+	}
+	cold := func(spec JobSpec, fs FailureSchedule) (*runsim.Result, error) {
+		art, err := derive.Build(spec.CacheKey())
+		if err != nil {
+			return nil, err
+		}
+		return runsim.Run(runsim.Config{Spec: art.Gemini, Placement: art.Placement,
+			Machines: spec.Machines, Failures: fs, Horizon: horizon})
+	}
+	campaign := func(b *testing.B, run func(JobSpec, FailureSchedule) (*runsim.Result, error)) {
 		var sum float64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sum = 0
 			for r := 0; r < runs; r++ {
-				spec := specs[r%len(specs)]
-				spec.NoCache = noCache
-				job, err := NewJob(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := job.SimulateRun(job.GeminiSpec(), schedules[r], horizon, 0)
+				res, err := run(specs[r%len(specs)], schedules[r])
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -268,13 +279,13 @@ func BenchmarkCampaign1000(b *testing.B) {
 		b.ReportMetric(float64(runs)*float64(b.N)/b.Elapsed().Seconds(), "runs/s")
 		b.ReportMetric(sum/runs, "mean-ratio")
 	}
-	b.Run("cold", func(b *testing.B) { campaign(b, true) })
+	b.Run("cold", func(b *testing.B) { campaign(b, cold) })
 	b.Run("warm", func(b *testing.B) {
 		// Prime the cache so every timed NewJob is a hit.
 		for _, s := range specs {
 			MustNewJob(s)
 		}
-		campaign(b, false)
+		campaign(b, warm)
 	})
 }
 

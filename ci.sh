@@ -14,38 +14,30 @@ go test -run='^$' -bench=. -benchtime=1x -benchmem ./...
 # untraced and traced, checked against BENCHMARK.json).
 (cd benchmark && go test -short ./...)
 
-# Fabric perf gates, outside the race detector (race instrumentation
-# allocates): steady-state fabric events and a warm flow's or copy's
-# whole start → complete → Release lifecycle must stay allocation-free,
-# the executor's marginal allocations per iteration must stay bounded,
-# and the fabric benchmarks must still run at every scale.
-go test -run='^TestSteadyStateFabricEventsDoNotAllocate$|^TestFlowLifecycleAllocsZero$' -count=1 ./internal/netsim
-go test -run='^TestExecuteIterationAllocs$' -count=1 ./internal/training
-go test -run='^$' -bench='^BenchmarkFabricRing' -benchtime=1x -benchmem ./internal/netsim
+# Allocation gates, outside the race detector (race instrumentation
+# allocates), in one anchored run of exactly these 15 tests:
+#   fabric: steady-state fabric events and a warm flow's or copy's whole
+#     start → complete → Release lifecycle allocate nothing, and the
+#     executor's marginal allocations per iteration stay bounded;
+#   control plane: a running ticker's firings allocate nothing, and a
+#     healthy cluster's marginal allocations per heartbeat stay at a
+#     small constant;
+#   availability kernel: the steady-state Monte-Carlo shard and the
+#     kernel probe allocate nothing, and the profiling loop stays
+#     allocation-flat (comm ops hoisted, labels interned);
+#   observability: disabled tracing, histogram observes and recorder
+#     samples allocate nothing;
+#   campaign engine: a warm-key NewJob stays fully cache-resident (≤ 2
+#     allocs — any accidental re-derivation blows through by three
+#     orders of magnitude);
+#   campaign observability: the disabled progress sink and the zero
+#     runsim Observer add no allocations to the hot paths.
+go test -count=1 -run '^(TestSteadyStateFabricEventsDoNotAllocate|TestFlowLifecycleAllocsZero|TestExecuteIterationAllocs|TestTickerFiringAllocsZero|TestHeartbeatSteadyStateAllocs|TestMonteCarloShardSteadyStateAllocsZero|TestSurvivesFailedAllocsZero|TestProfileWithJitterAllocationFlat|TestBuildTimelineSteadyStateAllocs|TestDisabledTracingAllocsZero|TestHistogramObserveAllocsZero|TestRecorderSampleAllocsZero|TestNewJobWarmKeyAllocs|TestProgressAllocsZero|TestRunZeroObserverAllocs)$' ./...
 
-# Control-plane heartbeat gates (outside the race detector): a running
-# ticker's firings must allocate nothing, and a healthy cluster's
-# marginal allocations per heartbeat must stay at a small constant.
-go test -run='^TestTickerFiringAllocsZero$' -count=1 ./internal/simclock
-go test -run='^TestHeartbeatSteadyStateAllocs$' -count=1 ./internal/agent
-
-# Availability-kernel perf gates (outside the race detector): the
-# steady-state Monte-Carlo shard must allocate exactly 0 bytes per trial
-# and the kernel probe itself must stay allocation-free, the 10k-machine
-# placement benchmark must still run, and the profiling loop must stay
-# allocation-flat (comm ops hoisted, labels interned).
-go test -run='^TestMonteCarloShardSteadyStateAllocsZero$|^TestSurvivesFailedAllocsZero$' -count=1 ./internal/placement
-go test -run='^$' -bench='^BenchmarkMonteCarloN10000$|^BenchmarkSurvivesFailed$' -benchtime=1x -benchmem ./internal/placement
-go test -run='^TestProfileWithJitterAllocationFlat$|^TestBuildTimelineSteadyStateAllocs$' -count=1 ./internal/training
-
-# Observability gates. Disabled tracing and metrics must stay
-# allocation-free (also outside the race detector), and the geminisim
-# -trace export must parse as Chrome trace JSON with events from at
-# least four subsystems — a refactor that silently unwires a
-# subsystem's tracing fails here instead of shipping an empty track.
-go test -run='^TestDisabledTracingAllocsZero$' -count=1 ./internal/trace
-go test -run='^TestHistogramObserveAllocsZero$' -count=1 ./internal/metrics
-go test -run='^TestRecorderSampleAllocsZero$' -count=1 ./internal/metrics
+# Observability gates: the geminisim -trace export must parse as Chrome
+# trace JSON with events from at least four subsystems — a refactor that
+# silently unwires a subsystem's tracing fails here instead of shipping
+# an empty track.
 TRACE_OUT="$(mktemp -t geminitrace.XXXXXX.json)"
 go run ./cmd/geminisim -days 1 -trace "$TRACE_OUT" > /dev/null
 go run ./cmd/tracelint -min-categories 4 -min-events 1000 "$TRACE_OUT"
@@ -72,15 +64,9 @@ if go run ./cmd/geminisim -days 1 -strategy no-such-strategy > /dev/null 2>&1; t
 	exit 1
 fi
 
-# Campaign-engine gates (outside the race detector): a warm-key NewJob
-# must stay fully cache-resident (≤ 2 allocs — any accidental
-# re-derivation blows through by three orders of magnitude), the
-# cold/warm campaign benchmark must still run, and benchdiff must parse
-# a checked-in snapshot and agree a snapshot equals itself at
-# threshold 0 (the derivation-cache race hammer already ran above,
-# inside `go test -race ./...`).
-go test -run='^TestNewJobWarmKeyAllocs$' -count=1 ./internal/core
-go test -run='^$' -bench='^BenchmarkCampaign1000$' -benchtime=1x -benchmem .
+# benchdiff must parse a checked-in snapshot and agree a snapshot equals
+# itself at threshold 0 (the derivation-cache race hammer already ran
+# above, inside `go test -race ./...`).
 BENCH_BASE="$(ls BENCH_*.json | sort | tail -1)"
 go run ./cmd/benchdiff -threshold 0 "$BENCH_BASE" "$BENCH_BASE" > /dev/null
 
@@ -103,16 +89,12 @@ cmp "$CAMP_DIR/w1.prom" "$CAMP_DIR/w8.prom"
 rm -rf "$CAMP_DIR"
 go run ./cmd/geminisim -scenario examples/scenarios/smoke-1k.yaml > /dev/null
 
-# Campaign-observability gates. The disabled progress sink and the zero
-# runsim Observer must add no allocations to the hot paths (outside the
-# race detector); the aggregated campaign exposition for the 1k smoke is
-# pinned by sha256 (any drift in the run.* instruments, the merge order,
-# or the histogram exposition fails here) and must satisfy promcheck's
-# histogram contract; and the flight recorder must replay the two worst
-# smoke runs to bit-equal outcomes with lint-clean traces and monotone
-# timelines.
-go test -run='^TestProgressAllocsZero$' -count=1 ./internal/obs
-go test -run='^TestRunZeroObserverAllocs$' -count=1 ./internal/runsim
+# Campaign-observability gates. The aggregated campaign exposition for
+# the 1k smoke is pinned by sha256 (any drift in the run.* instruments,
+# the merge order, or the histogram exposition fails here) and must
+# satisfy promcheck's histogram contract; and the flight recorder must
+# replay the two worst smoke runs to bit-equal outcomes with lint-clean
+# traces and monotone timelines.
 OBS_DIR="$(mktemp -d -t geminiobs.XXXXXX)"
 go run ./cmd/campaign -quiet -progress -aggregate -prom "$OBS_DIR/agg.prom" -json "$OBS_DIR/agg.json" examples/scenarios/smoke-1k.yaml 2> /dev/null
 echo "c3b35edc0d0e7f9f0422845ae678c066a11e9ae326c42b9bb58551c073fa1aea  $OBS_DIR/agg.prom" | sha256sum -c - > /dev/null
@@ -125,13 +107,9 @@ done
 rm -rf "$OBS_DIR"
 
 # Facade gates: the examples are the documented surface of the options
-# API (WithStrategy/WithTracer/WithMetrics) and must keep running, and
-# the deprecated observability shims must stay until their removal is
-# deliberate — callers migrate on their own schedule.
+# API (WithStrategy/WithTracer/WithMetrics) and must keep running.
 go run ./examples/quickstart > /dev/null
 EX_DIR="$(mktemp -d -t geminiex.XXXXXX)"
 go build -o "$EX_DIR/observability" ./examples/observability
 (cd "$EX_DIR" && ./observability > /dev/null)
 rm -rf "$EX_DIR"
-grep -q "func (j \*Job) ExecuteSchemeTraced" internal/core/core.go
-grep -q "func (j \*Job) ExecuteSchemeObserved" internal/core/core.go

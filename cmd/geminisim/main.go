@@ -83,9 +83,15 @@ func main() {
 	}
 
 	// One registry spans both runs: the executor fills training.*, the
-	// monitored control-plane run below fills health.*.
+	// monitored control-plane run below fills health.*. The key is warm,
+	// so the executor's job shares the sized job's derivation.
 	reg := gemini.NewMetricsRegistry()
-	if res, err := job.ExecuteSchemeObserved(gemini.SchemeGemini, nil, reg); err == nil && !res.OOM {
+	execJob, err := gemini.NewJob(job.Spec, gemini.WithMetrics(reg))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	if res, err := execJob.ExecuteScheme(gemini.SchemeGemini); err == nil && !res.OOM {
 		fmt.Printf("\nfluid executor (GEMINI schedule): iteration %.2f s, overhead %.1f%%\n",
 			res.IterationTime.Seconds(), res.Overhead()*100)
 		fmt.Printf("  idle utilization: %.3f of checkpoint bytes inside idle spans\n", res.IdleUtilization)
@@ -133,15 +139,15 @@ func main() {
 	if *traceOut != "" {
 		// job.Spec carries the validated strategy, so the traced
 		// control-plane run exercises the same policy as -strategy asked.
-		if err := writeTrace(job, job.Spec, *traceOut); err != nil {
+		if err := writeTrace(job, *traceOut); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	}
 
-	// Every NewJob above (the sized job, the monitored run, the traced
-	// run) resolved through the shared derivation cache; one spec means
-	// one miss and the rest hits.
+	// Every NewJob above (the sized job, the executor runs, the monitored
+	// and traced control-plane runs) resolved through the shared
+	// derivation cache; one spec means one miss and the rest hits.
 	cs := gemini.DerivationCacheStats()
 	fmt.Printf("\nderivation cache: %d hits, %d misses, %d evictions, %d entries (hit rate %.2f)\n",
 		cs.Hits, cs.Misses, cs.Evictions, cs.Entries, cs.HitRate())
@@ -156,17 +162,12 @@ func main() {
 // -metrics and -timeline additionally export the registry as Prometheus
 // text and the sampled timeline as CSV.
 func runHealth(job *gemini.Job, reg *gemini.MetricsRegistry, promPath, csvPath string) error {
-	spec := job.Spec
 	iter := gemini.Duration(job.Timeline.Iteration)
-	at := gemini.Time(3*iter + iter/2)
-	sched, err := gemini.Faults().
-		Crash(at, 1, gemini.SoftwareFailure).
-		Crash(at, 2%spec.Machines, gemini.HardwareFailure).
-		Build(spec.Machines)
+	sched, err := crashSchedule(job)
 	if err != nil {
 		return err
 	}
-	monitored, err := gemini.NewJob(spec, gemini.WithFaults(sched))
+	monitored, err := gemini.NewJob(job.Spec, gemini.WithFaults(sched))
 	if err != nil {
 		return err
 	}
@@ -225,9 +226,13 @@ func runHealth(job *gemini.Job, reg *gemini.MetricsRegistry, promPath, csvPath s
 // with a control-plane run where a seeded software + hardware failure
 // drives the full §6.2 recovery (chaos injection, kvstore election,
 // recovery phases).
-func writeTrace(job *gemini.Job, spec gemini.JobSpec, path string) error {
+func writeTrace(job *gemini.Job, path string) error {
 	execTr := gemini.NewTracer()
-	res, err := job.ExecuteSchemeTraced(gemini.SchemeGemini, execTr)
+	execJob, err := gemini.NewJob(job.Spec, gemini.WithTracer(execTr))
+	if err != nil {
+		return err
+	}
+	res, err := execJob.ExecuteScheme(gemini.SchemeGemini)
 	if err != nil {
 		return err
 	}
@@ -236,15 +241,11 @@ func writeTrace(job *gemini.Job, spec gemini.JobSpec, path string) error {
 	}
 
 	iter := gemini.Duration(job.Timeline.Iteration)
-	at := gemini.Time(3*iter + iter/2)
-	sched, err := gemini.Faults().
-		Crash(at, 1, gemini.SoftwareFailure).
-		Crash(at, 2%spec.Machines, gemini.HardwareFailure).
-		Build(spec.Machines)
+	sched, err := crashSchedule(job)
 	if err != nil {
 		return err
 	}
-	traced, err := gemini.NewJob(spec, gemini.WithFaults(sched))
+	traced, err := gemini.NewJob(job.Spec, gemini.WithFaults(sched))
 	if err != nil {
 		return err
 	}
@@ -281,6 +282,17 @@ func writeTrace(job *gemini.Job, spec gemini.JobSpec, path string) error {
 	fmt.Println(")")
 	fmt.Println("  load it at ui.perfetto.dev or chrome://tracing")
 	return nil
+}
+
+// crashSchedule is the seeded fault pair the health and trace runs
+// inject: a software and a hardware crash halfway through iteration 4.
+func crashSchedule(job *gemini.Job) (gemini.FaultSchedule, error) {
+	iter := gemini.Duration(job.Timeline.Iteration)
+	at := gemini.Time(3*iter + iter/2)
+	return gemini.Faults().
+		Crash(at, 1, gemini.SoftwareFailure).
+		Crash(at, 2%job.Spec.Machines, gemini.HardwareFailure).
+		Build(job.Spec.Machines)
 }
 
 // runScenario is the -scenario path: load, compile, and run the

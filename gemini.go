@@ -166,18 +166,6 @@ func WithMetrics(reg *MetricsRegistry) Option {
 	}
 }
 
-// WithoutDerivationCache makes this job derive its artifacts privately
-// instead of resolving them through the shared derivation cache. The
-// cached and uncached paths produce bit-identical jobs; opt out only to
-// isolate a job's artifacts (e.g. when deliberately mutating them in an
-// experiment) or to benchmark cold derivation itself.
-func WithoutDerivationCache() Option {
-	return func(s *JobSpec) error {
-		s.NoCache = true
-		return nil
-	}
-}
-
 // StrategyNames returns the registered checkpoint strategy names,
 // sorted — the valid arguments to WithStrategy.
 func StrategyNames() []string { return strategy.Names() }
@@ -434,7 +422,7 @@ type (
 )
 
 // NewTracer creates an empty tracer. The simulation installs its clock
-// when the tracer is attached (Job.ExecuteSchemeTraced, System.SetTracer,
+// when the tracer is attached (WithTracer, System.SetTracer,
 // Fabric.SetTracer).
 func NewTracer() *Tracer { return trace.NewTracer(nil) }
 
@@ -447,13 +435,12 @@ func WriteTrace(w io.Writer, tracers ...*Tracer) error { return trace.WriteJSON(
 func TraceStatsFromJSON(data []byte) (*TraceStats, error) { return trace.StatsFromJSON(data) }
 
 // Run health monitoring: live metric instruments, a sim-time series
-// recorder, and Prometheus / CSV export. Attach a registry to the
-// control plane with System.SetMetrics (health.* gauges, the Eq. 1
-// wasted-time histograms) or to the executor via
-// Job.ExecuteSchemeObserved (training.* instruments); a Recorder
-// samples watched instruments on a sim-time cadence for timeline
-// export. Monitoring is a pure observer — a monitored run replays
-// bit-identically.
+// recorder, and Prometheus / CSV export. Attach a registry to a job
+// with WithMetrics (training.* from the executor; health.* gauges and
+// the Eq. 1 wasted-time histograms from the control plane) or to one
+// control plane with System.SetMetrics; a Recorder samples watched
+// instruments on a sim-time cadence for timeline export. Monitoring is
+// a pure observer — a monitored run replays bit-identically.
 type (
 	// MetricsRegistry holds one run's named live instruments.
 	MetricsRegistry = metrics.Registry

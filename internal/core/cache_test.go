@@ -29,28 +29,37 @@ func TestNewJobSharesCachedArtifacts(t *testing.T) {
 	}
 }
 
-// NoCache builds privately owned artifacts.
-func TestNoCacheBuildsPrivateArtifacts(t *testing.T) {
+// The cache hands out the shared artifacts, equal to but distinct from
+// a private build.
+func TestSharedArtifactsMatchPrivateBuild(t *testing.T) {
 	cached := MustNewJob(cacheSpec())
-	spec := cacheSpec()
-	spec.NoCache = true
-	private := MustNewJob(spec)
+	private := privateJob(t)
 	if cached.Placement == private.Placement || cached.Timeline == private.Timeline ||
 		cached.Profile == private.Profile || cached.Plan == private.Plan {
-		t.Fatal("NoCache job shares artifacts with the cache")
+		t.Fatal("a private build shares artifacts with the cache")
 	}
 	if !reflect.DeepEqual(cached.Profile, private.Profile) || !reflect.DeepEqual(cached.Plan, private.Plan) {
-		t.Fatal("NoCache derivation differs from the cached one")
+		t.Fatal("private derivation differs from the cached one")
 	}
+}
+
+// privateJob is cacheSpec's job over a fresh derive.Build, bypassing the
+// shared cache.
+func privateJob(t *testing.T) *Job {
+	t.Helper()
+	spec := cacheSpec().withDefaults()
+	art, err := derive.Build(spec.CacheKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newJob(spec, art)
 }
 
 // Cached and uncached jobs must produce bit-identical run results — the
 // cache is a pure memoization, never a behavior change.
 func TestCachedRunsBitIdenticalToUncached(t *testing.T) {
 	cached := MustNewJob(cacheSpec())
-	spec := cacheSpec()
-	spec.NoCache = true
-	private := MustNewJob(spec)
+	private := privateJob(t)
 
 	for _, s := range []schedule.Scheme{schedule.SchemeGemini, schedule.SchemeBlocking} {
 		rc, err := cached.ExecuteScheme(s)

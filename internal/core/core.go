@@ -64,12 +64,6 @@ type JobSpec struct {
 	// from the executor, health.* and strategy.* from the control plane.
 	// Nil leaves monitoring disabled and free.
 	Metrics *metrics.Registry
-	// NoCache opts this job out of the shared derivation cache: every
-	// artifact (placement, timeline, profile, plan, baselines) is built
-	// fresh and privately owned. The escape hatch for callers that want
-	// isolation from cross-job sharing; results are bit-identical either
-	// way.
-	NoCache bool
 }
 
 func (j JobSpec) withDefaults() JobSpec {
@@ -96,8 +90,8 @@ type Job struct {
 }
 
 // CacheKey returns the derivation-cache key for a spec: exactly the
-// fields the derivation pipeline reads. Faults, strategy, observability
-// sinks, and NoCache configure runs, not derivations, so they do not
+// fields the derivation pipeline reads. Faults, strategy and
+// observability sinks configure runs, not derivations, so they do not
 // appear.
 func (j JobSpec) CacheKey() derive.Key {
 	j = j.withDefaults()
@@ -115,8 +109,7 @@ func (j JobSpec) CacheKey() derive.Key {
 // (placement, timeline, profile, plan, cost model, baseline specs) is a
 // pure function of the spec's CacheKey fields and is resolved through
 // the shared content-keyed cache: a warm key does zero derivation work
-// and the resulting artifacts are shared read-only across jobs. Set
-// JobSpec.NoCache to build privately instead.
+// and the resulting artifacts are shared read-only across jobs.
 func NewJob(spec JobSpec) (*Job, error) {
 	spec = spec.withDefaults()
 	if err := spec.Faults.Validate(spec.Machines); err != nil {
@@ -127,16 +120,15 @@ func NewJob(spec JobSpec) (*Job, error) {
 			return nil, err
 		}
 	}
-	var art *derive.Artifacts
-	var err error
-	if spec.NoCache {
-		art, err = derive.Build(spec.CacheKey())
-	} else {
-		art, err = derive.Shared().Get(spec.CacheKey())
-	}
+	art, err := derive.Shared().Get(spec.CacheKey())
 	if err != nil {
 		return nil, err
 	}
+	return newJob(spec, art), nil
+}
+
+// newJob wraps derived artifacts for a defaulted, validated spec.
+func newJob(spec JobSpec, art *derive.Artifacts) *Job {
 	return &Job{
 		Spec:         spec,
 		Config:       art.Config,
@@ -148,7 +140,7 @@ func NewJob(spec JobSpec) (*Job, error) {
 		specGemini:   art.Gemini,
 		specStrawman: art.Strawman,
 		specHighFreq: art.HighFreq,
-	}, nil
+	}
 }
 
 // MustNewJob is NewJob for known-good specs.
@@ -185,47 +177,37 @@ func (j *Job) RecoveryProbability(k int) float64 {
 // traffic pattern; for the other parallelisms use the analytic plan
 // (Job.Plan) instead.
 func (j *Job) ExecuteScheme(s schedule.Scheme) (*training.ExecResult, error) {
-	return j.executeScheme(s, j.Spec.Tracer, j.Spec.Metrics)
+	opts, err := j.execOptions(s)
+	if err != nil {
+		return nil, err
+	}
+	return training.Execute(j.Config, opts)
 }
 
-func (j *Job) executeScheme(s schedule.Scheme, tr *trace.Tracer, reg *metrics.Registry) (*training.ExecResult, error) {
+// ExecuteSchemeWithBuffers is ExecuteScheme with an explicit reserved
+// GPU buffer size R and sub-buffer count p — the pipeline-depth ablation.
+func (j *Job) ExecuteSchemeWithBuffers(s schedule.Scheme, bufferBytes float64, parts int) (*training.ExecResult, error) {
+	opts, err := j.execOptions(s)
+	if err != nil {
+		return nil, err
+	}
+	opts.BufferBytes = bufferBytes
+	opts.BufferParts = parts
+	return training.Execute(j.Config, opts)
+}
+
+// execOptions is the one path into the executor: the ZeRO-3 guard, the
+// job's cached timeline and profile, and the spec's sinks.
+func (j *Job) execOptions(s schedule.Scheme) (training.ExecOptions, error) {
 	if j.Spec.Parallelism != training.ZeRO3 {
-		return nil, fmt.Errorf("core: the interference executor supports ZeRO-3 only, job uses %v", j.Spec.Parallelism)
+		return training.ExecOptions{}, fmt.Errorf("core: the interference executor supports ZeRO-3 only, job uses %v", j.Spec.Parallelism)
 	}
 	opts := training.DefaultExecOptions(j.Placement, s)
 	opts.Timeline = j.Timeline
 	opts.Profile = j.Profile
-	opts.Tracer = tr
-	opts.Metrics = reg
-	return training.Execute(j.Config, opts)
-}
-
-// ExecuteSchemeTraced is ExecuteScheme with an explicit tracer.
-//
-// Deprecated: set the tracer on the job instead (gemini.WithTracer) and
-// call ExecuteScheme.
-func (j *Job) ExecuteSchemeTraced(s schedule.Scheme, tr *trace.Tracer) (*training.ExecResult, error) {
-	return j.executeScheme(s, tr, j.Spec.Metrics)
-}
-
-// ExecuteSchemeObserved is ExecuteScheme with an explicit tracer and
-// metrics registry.
-//
-// Deprecated: set both on the job instead (gemini.WithTracer,
-// gemini.WithMetrics) and call ExecuteScheme.
-func (j *Job) ExecuteSchemeObserved(s schedule.Scheme, tr *trace.Tracer, reg *metrics.Registry) (*training.ExecResult, error) {
-	return j.executeScheme(s, tr, reg)
-}
-
-// ExecuteSchemeWithBuffers runs the executor with an explicit reserved
-// GPU buffer size R and sub-buffer count p — the pipeline-depth ablation.
-func (j *Job) ExecuteSchemeWithBuffers(s schedule.Scheme, bufferBytes float64, parts int) (*training.ExecResult, error) {
-	opts := training.DefaultExecOptions(j.Placement, s)
-	opts.Timeline = j.Timeline
-	opts.Profile = j.Profile
-	opts.BufferBytes = bufferBytes
-	opts.BufferParts = parts
-	return training.Execute(j.Config, opts)
+	opts.Tracer = j.Spec.Tracer
+	opts.Metrics = j.Spec.Metrics
+	return opts, nil
 }
 
 // SimulateRun plays a failure schedule against a solution spec and

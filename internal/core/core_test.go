@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"gemini/internal/cloud"
@@ -11,6 +12,7 @@ import (
 	"gemini/internal/schedule"
 	"gemini/internal/simclock"
 	"gemini/internal/trace"
+	"gemini/internal/training"
 )
 
 func paperJob(t *testing.T) *Job {
@@ -169,18 +171,18 @@ func TestRecoverySystemEndToEnd(t *testing.T) {
 	}
 }
 
-// ExecuteSchemeObserved attaches both observability surfaces at once:
+// A job carrying both sinks in its spec attaches them to the executor:
 // the tracer records the run's spans, the registry fills with training.*
 // instruments, and the measured result matches the unobserved run.
-func TestExecuteSchemeObserved(t *testing.T) {
-	j := paperJob(t)
+func TestExecuteSchemeWithSpecSinks(t *testing.T) {
 	tr := trace.NewTracer(nil)
 	reg := metrics.NewRegistry()
-	res, err := j.ExecuteSchemeObserved(schedule.SchemeGemini, tr, reg)
+	j := MustNewJob(JobSpec{Model: "GPT-2 100B", Instance: "p4d.24xlarge", Machines: 16, Tracer: tr, Metrics: reg})
+	res, err := j.ExecuteScheme(schedule.SchemeGemini)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare, err := j.ExecuteScheme(schedule.SchemeGemini)
+	bare, err := paperJob(t).ExecuteScheme(schedule.SchemeGemini)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,8 +203,41 @@ func TestExecuteSchemeObserved(t *testing.T) {
 	if len(tr.Tracks()) == 0 {
 		t.Fatal("tracer recorded no tracks")
 	}
-	// Both nil is legal: plain execution.
-	if _, err := j.ExecuteSchemeObserved(schedule.SchemeGemini, nil, nil); err != nil {
-		t.Fatal(err)
+}
+
+// Both executor entry points apply the same ZeRO-3 guard and attach the
+// spec's tracer.
+func TestExecuteEntriesShareGuardAndSinks(t *testing.T) {
+	entries := []struct {
+		name string
+		run  func(*Job) (*training.ExecResult, error)
+	}{
+		{"ExecuteScheme", func(j *Job) (*training.ExecResult, error) {
+			return j.ExecuteScheme(schedule.SchemeGemini)
+		}},
+		{"ExecuteSchemeWithBuffers", func(j *Job) (*training.ExecResult, error) {
+			return j.ExecuteSchemeWithBuffers(schedule.SchemeGemini, 8*128e6, 2)
+		}},
+	}
+	base := JobSpec{Model: "GPT-2 40B", Instance: "p3dn.24xlarge", Machines: 16}
+	for _, e := range entries {
+		t.Run(e.name+"/data-parallel-rejected", func(t *testing.T) {
+			spec := base
+			spec.Parallelism = training.DataParallel
+			_, err := e.run(MustNewJob(spec))
+			if err == nil || !strings.Contains(err.Error(), "supports ZeRO-3 only") {
+				t.Fatalf("err = %v, want the ZeRO-3 guard", err)
+			}
+		})
+		t.Run(e.name+"/spec-tracer-attached", func(t *testing.T) {
+			spec := base
+			spec.Tracer = trace.NewTracer(nil)
+			if _, err := e.run(MustNewJob(spec)); err != nil {
+				t.Fatal(err)
+			}
+			if len(spec.Tracer.Tracks()) == 0 {
+				t.Fatal("spec tracer recorded no tracks")
+			}
+		})
 	}
 }

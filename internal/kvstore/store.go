@@ -4,9 +4,9 @@
 // with TTL expiry (heartbeats), prefix watches, and lease-based leader
 // election for promoting a new root machine.
 //
-// The store is safe for concurrent use, so the same implementation backs
-// both the in-process simulation (driven by a virtual clock) and the TCP
-// server in cmd/kvstored (driven by the wall clock).
+// The store runs in process, driven by the simulation's virtual clock.
+// It is safe for concurrent use: one mutex guards the state, and watch
+// events are delivered in revision order outside it.
 package kvstore
 
 import (
@@ -561,9 +561,10 @@ func (s *Store) Sweep() {
 	s.sweepLocked()
 }
 
-// Watch registers fn for events on keys with the given prefix. The
-// callback runs synchronously with the mutating operation; it must not
-// call back into the store from the same goroutine path that mutates.
+// Watch registers fn for events on keys with the given prefix. Events
+// are delivered one at a time in revision order, after the mutating
+// operation releases the store's mutex, so the callback may call back
+// into the store; events its own writes produce follow once it returns.
 func (s *Store) Watch(prefix string, fn func(Event)) WatchID {
 	if fn == nil {
 		panic("kvstore: nil watch callback")

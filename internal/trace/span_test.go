@@ -201,73 +201,15 @@ func TestSamplesExportAsCounters(t *testing.T) {
 	}
 }
 
-func TestLogRingCap(t *testing.T) {
-	now := simclock.Time(0)
-	l := NewLog(func() simclock.Time { return now })
-	l.SetCap(3)
-	for i := 0; i < 5; i++ {
-		now = simclock.Time(i)
-		l.Add("s", "tick", "n=%d", i)
-	}
-	if l.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", l.Len())
-	}
-	if l.Dropped() != 2 {
-		t.Fatalf("Dropped = %d, want 2", l.Dropped())
-	}
-	evs := l.Events()
-	for i, want := range []string{"n=2", "n=3", "n=4"} {
-		if evs[i].Detail != want {
-			t.Fatalf("Events[%d] = %+v, want detail %s (full: %+v)", i, evs[i], want, evs)
-		}
-	}
-	// Ordered iteration must hold for the other accessors too.
-	if got := l.Filter("tick"); len(got) != 3 || got[0].Detail != "n=2" {
-		t.Fatalf("Filter = %+v", got)
-	}
-	if last, ok := l.Last("tick"); !ok || last.Detail != "n=4" {
-		t.Fatalf("Last = %+v %v", last, ok)
-	}
-	var b strings.Builder
-	if _, err := l.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	if out := b.String(); strings.Index(out, "n=2") > strings.Index(out, "n=4") {
-		t.Fatalf("WriteTo out of order:\n%s", out)
-	}
-}
-
-func TestLogSetCapMidStream(t *testing.T) {
-	l := NewLog(nil)
-	for i := 0; i < 10; i++ {
-		l.Add("s", "tick", "n=%d", i)
-	}
-	l.SetCap(4) // drops the 6 oldest immediately
-	if l.Len() != 4 || l.Dropped() != 6 {
-		t.Fatalf("Len=%d Dropped=%d, want 4/6", l.Len(), l.Dropped())
-	}
-	if evs := l.Events(); evs[0].Detail != "n=6" || evs[3].Detail != "n=9" {
-		t.Fatalf("Events = %+v", evs)
-	}
-	// Growing the cap keeps retained events; shrinking to 0 unbounds.
-	l.SetCap(0)
-	for i := 10; i < 20; i++ {
-		l.Add("s", "tick", "n=%d", i)
-	}
-	if l.Len() != 14 || l.Dropped() != 6 {
-		t.Fatalf("after unbound: Len=%d Dropped=%d", l.Len(), l.Dropped())
-	}
-	if evs := l.Events(); evs[0].Detail != "n=6" || evs[13].Detail != "n=19" {
-		t.Fatalf("after unbound: Events = %+v", evs)
-	}
-}
-
 func TestLogUncappedUnchanged(t *testing.T) {
 	l := NewLog(nil)
 	for i := 0; i < 100; i++ {
 		l.Add("s", "tick", "n=%d", i)
 	}
-	if l.Len() != 100 || l.Dropped() != 0 {
-		t.Fatalf("unbounded log dropped events: Len=%d Dropped=%d", l.Len(), l.Dropped())
+	if l.Len() != 100 {
+		t.Fatalf("log dropped events: Len=%d, want 100", l.Len())
+	}
+	if evs := l.Events(); evs[0].Detail != "n=0" || evs[99].Detail != "n=99" {
+		t.Fatalf("Events out of order: first %+v, last %+v", evs[0], evs[99])
 	}
 }

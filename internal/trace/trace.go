@@ -25,18 +25,11 @@ func (e Event) String() string {
 }
 
 // Log accumulates events in order of insertion (the simulator fires
-// callbacks in time order, so insertion order is time order).
-//
-// By default the log is unbounded — the complete-account guarantee tests
-// rely on. Long soak runs (geminisim -days 365) can bound it with SetCap,
-// which turns the backing slice into a ring that keeps the newest events
-// and counts the evicted ones.
+// callbacks in time order, so insertion order is time order). It keeps
+// every event: tests rely on a complete account.
 type Log struct {
 	now    func() simclock.Time
 	events []Event
-	cap    int    // 0 = unbounded
-	head   int    // index of the oldest event once the ring has wrapped
-	dropped uint64
 }
 
 // NewLog creates a log reading timestamps from now; nil records zeros.
@@ -47,81 +40,27 @@ func NewLog(now func() simclock.Time) *Log {
 	return &Log{now: now}
 }
 
-// SetCap bounds the log at n events; once full, each Add evicts the
-// oldest event and bumps Dropped. n <= 0 restores the unbounded default.
-// If more than n events are already recorded, the oldest are dropped now.
-func (l *Log) SetCap(n int) {
-	// Normalize to a flat, oldest-first slice before changing geometry.
-	l.events = l.snapshot()
-	l.head = 0
-	if n <= 0 {
-		l.cap = 0
-		return
-	}
-	l.cap = n
-	if excess := len(l.events) - n; excess > 0 {
-		l.dropped += uint64(excess)
-		l.events = append(l.events[:0], l.events[excess:]...)
-	}
-}
-
-// Dropped returns how many events have been evicted by the cap.
-func (l *Log) Dropped() uint64 { return l.dropped }
-
 // Add records an event at the current time. Detail follows Sprintf rules.
 func (l *Log) Add(subject, kind, format string, args ...any) {
-	ev := Event{
+	l.events = append(l.events, Event{
 		At:      l.now(),
 		Subject: subject,
 		Kind:    kind,
 		Detail:  fmt.Sprintf(format, args...),
-	}
-	if l.cap > 0 && len(l.events) == l.cap {
-		l.events[l.head] = ev
-		l.head++
-		if l.head == l.cap {
-			l.head = 0
-		}
-		l.dropped++
-		return
-	}
-	l.events = append(l.events, ev)
+	})
 }
 
-// at returns the i-th oldest retained event.
-func (l *Log) at(i int) Event {
-	if l.head > 0 {
-		i += l.head
-		if i >= len(l.events) {
-			i -= len(l.events)
-		}
-	}
-	return l.events[i]
-}
+// Events returns all events, oldest first.
+func (l *Log) Events() []Event { return l.events }
 
-// snapshot returns the retained events oldest-first. When the ring has
-// wrapped this is a fresh copy; otherwise it is the backing slice.
-func (l *Log) snapshot() []Event {
-	if l.head == 0 {
-		return l.events
-	}
-	out := make([]Event, 0, len(l.events))
-	out = append(out, l.events[l.head:]...)
-	out = append(out, l.events[:l.head]...)
-	return out
-}
-
-// Events returns all retained events, oldest first.
-func (l *Log) Events() []Event { return l.snapshot() }
-
-// Len returns the number of retained events.
+// Len returns the number of events.
 func (l *Log) Len() int { return len(l.events) }
 
 // Filter returns events whose kind matches exactly.
 func (l *Log) Filter(kind string) []Event {
 	var out []Event
-	for i := 0; i < len(l.events); i++ {
-		if e := l.at(i); e.Kind == kind {
+	for _, e := range l.events {
+		if e.Kind == kind {
 			out = append(out, e)
 		}
 	}
@@ -131,7 +70,7 @@ func (l *Log) Filter(kind string) []Event {
 // Last returns the most recent event of the given kind, if any.
 func (l *Log) Last(kind string) (Event, bool) {
 	for i := len(l.events) - 1; i >= 0; i-- {
-		if e := l.at(i); e.Kind == kind {
+		if e := l.events[i]; e.Kind == kind {
 			return e, true
 		}
 	}
@@ -141,8 +80,8 @@ func (l *Log) Last(kind string) (Event, bool) {
 // WriteTo dumps the log in a human-readable table.
 func (l *Log) WriteTo(w io.Writer) (int64, error) {
 	var b strings.Builder
-	for i := 0; i < len(l.events); i++ {
-		b.WriteString(l.at(i).String())
+	for _, e := range l.events {
+		b.WriteString(e.String())
 		b.WriteByte('\n')
 	}
 	n, err := io.WriteString(w, b.String())
