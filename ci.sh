@@ -15,7 +15,7 @@ go test -run='^$' -bench=. -benchtime=1x -benchmem ./...
 (cd benchmark && go test -short ./...)
 
 # Allocation gates, outside the race detector (race instrumentation
-# allocates), in one anchored run of exactly these 15 tests:
+# allocates), in one anchored run of exactly these 17 tests:
 #   fabric: steady-state fabric events and a warm flow's or copy's whole
 #     start → complete → Release lifecycle allocate nothing, and the
 #     executor's marginal allocations per iteration stay bounded;
@@ -31,8 +31,12 @@ go test -run='^$' -bench=. -benchtime=1x -benchmem ./...
 #     allocs — any accidental re-derivation blows through by three
 #     orders of magnitude);
 #   campaign observability: the disabled progress sink and the zero
-#     runsim Observer add no allocations to the hot paths.
-go test -count=1 -run '^(TestSteadyStateFabricEventsDoNotAllocate|TestFlowLifecycleAllocsZero|TestExecuteIterationAllocs|TestTickerFiringAllocsZero|TestHeartbeatSteadyStateAllocs|TestMonteCarloShardSteadyStateAllocsZero|TestSurvivesFailedAllocsZero|TestProfileWithJitterAllocationFlat|TestBuildTimelineSteadyStateAllocs|TestDisabledTracingAllocsZero|TestHistogramObserveAllocsZero|TestRecorderSampleAllocsZero|TestNewJobWarmKeyAllocs|TestProgressAllocsZero|TestRunZeroObserverAllocs)$' ./...
+#     runsim Observer add no allocations to the hot paths;
+#   campaign hot path: a warm AppendGenerate into a buffer with room
+#     allocates nothing (pooled generator, no per-schedule seeding
+#     garbage), and a warm one-worker smoke campaign stays within its
+#     per-variation allocation budget (pooled schedule buffers).
+go test -count=1 -run '^(TestSteadyStateFabricEventsDoNotAllocate|TestFlowLifecycleAllocsZero|TestExecuteIterationAllocs|TestTickerFiringAllocsZero|TestHeartbeatSteadyStateAllocs|TestMonteCarloShardSteadyStateAllocsZero|TestSurvivesFailedAllocsZero|TestProfileWithJitterAllocationFlat|TestBuildTimelineSteadyStateAllocs|TestDisabledTracingAllocsZero|TestHistogramObserveAllocsZero|TestRecorderSampleAllocsZero|TestNewJobWarmKeyAllocs|TestProgressAllocsZero|TestRunZeroObserverAllocs|TestAppendGenerateWarmAllocsZero|TestCampaignWarmAllocsPerVariation)$' ./...
 
 # Observability gates: the geminisim -trace export must parse as Chrome
 # trace JSON with events from at least four subsystems — a refactor that

@@ -7,10 +7,12 @@
 package failure
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"sync"
 
 	"gemini/internal/cluster"
 	"gemini/internal/simclock"
@@ -69,10 +71,11 @@ type Model struct {
 
 // Validate checks the model parameters.
 func (m Model) Validate() error {
-	if m.PerInstancePerDay < 0 || m.PerInstancePerDay > 1 {
+	// Negated comparisons, so NaN is out of range too.
+	if !(m.PerInstancePerDay >= 0 && m.PerInstancePerDay <= 1) {
 		return fmt.Errorf("failure: per-instance daily rate %v out of [0,1]", m.PerInstancePerDay)
 	}
-	if m.HardwareFraction < 0 || m.HardwareFraction > 1 {
+	if !(m.HardwareFraction >= 0 && m.HardwareFraction <= 1) {
 		return fmt.Errorf("failure: hardware fraction %v out of [0,1]", m.HardwareFraction)
 	}
 	return nil
@@ -89,35 +92,118 @@ func (m Model) ClusterFailuresPerDay(machines int) float64 {
 	return m.PerInstancePerDay * float64(machines)
 }
 
+// MaxExpectedEvents bounds the expected size of one generated schedule:
+// machines × per-instance daily rate × days for Generate, failures per
+// day × days for FixedRate. It is six orders of magnitude above any
+// shipped scenario (a 10k-machine, 30-day campaign at the OPT-175B rate
+// expects 4,500 events) and keeps a single hostile input from asking
+// for billions of events, or an endless horizon from never ending.
+const MaxExpectedEvents = 1e7
+
+// presizeCap caps the events a fresh AppendGenerate buffer reserves up
+// front; longer schedules grow by append.
+const presizeCap = 1 << 16
+
+// ExpectedEvents returns the mean size of a schedule Generate draws:
+// machines × PerInstancePerDay × horizon in days.
+func (m Model) ExpectedEvents(machines int, horizon simclock.Duration) float64 {
+	return m.ClusterFailuresPerDay(machines) * days(horizon)
+}
+
+// CheckSize rejects a Generate schedule whose expected event count
+// exceeds MaxExpectedEvents (or is not a number), naming the three
+// factors. A zero rate draws nothing and always passes.
+func (m Model) CheckSize(machines int, horizon simclock.Duration) error {
+	if m.PerInstancePerDay == 0 {
+		return nil
+	}
+	if mean := m.ExpectedEvents(machines, horizon); !(mean <= MaxExpectedEvents) {
+		return fmt.Errorf("failure: %d machines × %v failures per instance per day × %v days expects %g events, above the limit of %g",
+			machines, m.PerInstancePerDay, days(horizon), mean, float64(MaxExpectedEvents))
+	}
+	return nil
+}
+
+// CheckFixedRateSize is CheckSize for FixedRate, whose schedule holds
+// failuresPerDay × days events (rounded to the nearest count).
+func CheckFixedRateSize(failuresPerDay float64, horizon simclock.Duration) error {
+	if failuresPerDay == 0 {
+		return nil
+	}
+	if count := failuresPerDay * days(horizon); !(count <= MaxExpectedEvents) {
+		return fmt.Errorf("failure: %v failures per day × %v days is %g events, above the limit of %g",
+			failuresPerDay, days(horizon), count, float64(MaxExpectedEvents))
+	}
+	return nil
+}
+
+func days(d simclock.Duration) float64 { return d.Seconds() / simclock.Day.Seconds() }
+
+// generator is a pooled math/rand-compatible stream: a rand.Rand over
+// the cheap-to-seed source, re-seeded for every schedule.
+type generator struct {
+	src source
+	rng *rand.Rand
+}
+
+var generators = sync.Pool{New: func() any {
+	g := new(generator)
+	g.rng = rand.New(&g.src)
+	return g
+}}
+
 // Generate draws a Poisson failure schedule over [0, horizon) for a
-// cluster of n machines. The schedule is deterministic for a fixed seed.
+// cluster of n machines. The schedule is deterministic for a fixed seed:
+// it is the one rand.New(rand.NewSource(seed)) draws.
 func (m Model) Generate(n int, horizon simclock.Duration, seed int64) (Schedule, error) {
+	return m.AppendGenerate(nil, n, horizon, seed)
+}
+
+// AppendGenerate is Generate appending to dst, so a caller drawing many
+// schedules can reuse one buffer. A buffer with no capacity is first
+// sized to the mean plus four standard deviations of the event count;
+// when nothing is drawn, dst is returned as is.
+func (m Model) AppendGenerate(dst Schedule, n int, horizon simclock.Duration, seed int64) (Schedule, error) {
 	if err := m.Validate(); err != nil {
-		return nil, err
+		return dst, err
 	}
 	if n <= 0 {
-		return nil, fmt.Errorf("failure: need at least one machine, got %d", n)
+		return dst, fmt.Errorf("failure: need at least one machine, got %d", n)
 	}
 	if horizon < 0 {
-		return nil, fmt.Errorf("failure: negative horizon %v", horizon)
+		return dst, fmt.Errorf("failure: negative horizon %v", horizon)
+	}
+	if err := m.CheckSize(n, horizon); err != nil {
+		return dst, err
 	}
 	rate := m.ClusterFailuresPerDay(n) / simclock.Day.Seconds() // events per second
-	rng := rand.New(rand.NewSource(seed))
-	var out Schedule
-	if rate > 0 {
-		t := simclock.Time(0)
-		for {
-			// Exponential inter-arrival times.
-			t = t.Add(simclock.Duration(rng.ExpFloat64() / rate))
-			if t >= simclock.Time(horizon) {
-				break
-			}
-			kind := cluster.SoftwareFailed
-			if rng.Float64() < m.HardwareFraction {
-				kind = cluster.HardwareFailed
-			}
-			out = append(out, Event{At: t, Rank: rng.Intn(n), Kind: kind})
+	if rate <= 0 {
+		return dst, nil
+	}
+	out := dst
+	if cap(out) == 0 {
+		mean := m.ExpectedEvents(n, horizon)
+		out = make(Schedule, 0, int(min(math.Ceil(mean+4*math.Sqrt(mean)), presizeCap)))
+	}
+	g := generators.Get().(*generator)
+	g.rng.Seed(seed)
+	rng := g.rng
+	t := simclock.Time(0)
+	for {
+		// Exponential inter-arrival times.
+		t = t.Add(simclock.Duration(rng.ExpFloat64() / rate))
+		if t >= simclock.Time(horizon) {
+			break
 		}
+		kind := cluster.SoftwareFailed
+		if rng.Float64() < m.HardwareFraction {
+			kind = cluster.HardwareFailed
+		}
+		out = append(out, Event{At: t, Rank: rng.Intn(n), Kind: kind})
+	}
+	generators.Put(g)
+	if len(out) == len(dst) {
+		return dst, nil // nothing drawn: a nil dst stays nil
 	}
 	return out, nil
 }
@@ -145,11 +231,13 @@ func FixedRate(n int, failuresPerDay float64, hwFraction float64, horizon simclo
 	if failuresPerDay == 0 || horizon <= 0 {
 		return nil, nil
 	}
+	if err := CheckFixedRateSize(failuresPerDay, horizon); err != nil {
+		return nil, err
+	}
 	// Event i is inside [0, horizon) iff i + 0.5 < failuresPerDay·days,
 	// i.e. i < X with X = failuresPerDay·days − 0.5; the count is ⌈X⌉
 	// for both integer and fractional X.
-	days := horizon.Seconds() / simclock.Day.Seconds()
-	count := int(math.Ceil(failuresPerDay*days - 0.5))
+	count := int(math.Ceil(failuresPerDay*days(horizon) - 0.5))
 	if count <= 0 {
 		return nil, nil
 	}
@@ -253,29 +341,59 @@ func (m Model) ExpectedSimultaneousProbability(machines int, repairWindow simclo
 // appears twice at the same instant, the events are collapsed to one and
 // HardwareFailed wins — a machine that lost its hardware is down
 // regardless of what its software did at the same moment.
+//
+// Inputs already in that order (the common case: generated schedules
+// and compiled chaos) are merged in one linear pass; an input out of
+// order is sorted as a copy first, so no argument is modified.
 func Merge(schedules ...Schedule) Schedule {
-	var out Schedule
+	total := 0
 	for _, s := range schedules {
-		out = append(out, s...)
+		total += len(s)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At < out[j].At
+	if total == 0 {
+		return nil
+	}
+	heads := make([]Schedule, 0, len(schedules))
+	for _, s := range schedules {
+		if len(s) == 0 {
+			continue
 		}
-		if out[i].Rank != out[j].Rank {
-			return out[i].Rank < out[j].Rank
+		if !slices.IsSortedFunc(s, compareEvents) {
+			s = slices.Clone(s)
+			slices.SortFunc(s, compareEvents)
 		}
-		return out[i].Kind < out[j].Kind
-	})
-	dedup := out[:0]
-	for _, ev := range out {
-		if n := len(dedup); n > 0 && dedup[n-1].At == ev.At && dedup[n-1].Rank == ev.Rank {
+		heads = append(heads, s)
+	}
+	out := make(Schedule, 0, total)
+	for len(heads) > 0 {
+		k := 0
+		for h := 1; h < len(heads); h++ {
+			if compareEvents(heads[h][0], heads[k][0]) < 0 {
+				k = h
+			}
+		}
+		ev := heads[k][0]
+		if heads[k] = heads[k][1:]; len(heads[k]) == 0 {
+			heads = slices.Delete(heads, k, k+1)
+		}
+		if n := len(out); n > 0 && out[n-1].At == ev.At && out[n-1].Rank == ev.Rank {
 			if ev.Kind == cluster.HardwareFailed {
-				dedup[n-1].Kind = cluster.HardwareFailed
+				out[n-1].Kind = cluster.HardwareFailed
 			}
 			continue
 		}
-		dedup = append(dedup, ev)
+		out = append(out, ev)
 	}
-	return dedup
+	return out
+}
+
+// compareEvents orders events by time, then rank, then kind.
+func compareEvents(a, b Event) int {
+	if c := cmp.Compare(a.At, b.At); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Rank, b.Rank); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Kind, b.Kind)
 }

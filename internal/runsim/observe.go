@@ -40,9 +40,11 @@ type Observer struct {
 }
 
 // runTaps holds the resolved per-run instruments. Resolving them once
-// up front keeps the walk free of map lookups; on a disabled observer
-// every field is nil and every call below no-ops without allocating.
+// up front keeps the walk free of map lookups. on is false for the zero
+// Observer, and the walk then skips every tap call; the calls below
+// also no-op without allocating on a nil instrument.
 type runTaps struct {
+	on    bool
 	track *trace.Track
 	reg   *metrics.Registry
 
@@ -55,8 +57,12 @@ type runTaps struct {
 }
 
 func (o Observer) taps() runTaps {
+	if o == (Observer{}) {
+		return runTaps{}
+	}
 	reg := o.Metrics
 	return runTaps{
+		on:           true,
 		track:        o.Tracer.Track("run", "recovery"),
 		reg:          reg,
 		failures:     reg.Counter("run.failures"),

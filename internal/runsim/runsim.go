@@ -63,7 +63,7 @@ type Config struct {
 	Obs Observer
 }
 
-func (c Config) validate() error {
+func (c *Config) validate() error {
 	if err := c.Spec.Validate(); err != nil {
 		return err
 	}
@@ -166,12 +166,15 @@ func Run(cfg Config) (*Result, error) {
 	recoveries := 0
 
 	// advanceUptime accrues progress over [resume, until) and fires
-	// remote-tier checkpoints on their grid.
+	// remote-tier checkpoints on their grid. Only a CPU-memory solution
+	// ever rolls back to lastRemoteProgress (its FromRemote branch
+	// below), so the grid is stepped for those alone; the progress and
+	// stall arithmetic is the same either way.
 	advanceUptime := func(until simclock.Time) {
 		if until <= resume {
 			return
 		}
-		for nextRemote < until {
+		for s.UsesCPUMemory && nextRemote < until {
 			if nextRemote >= resume {
 				lastRemoteProgress = progress + float64(nextRemote.Sub(resume))*phi
 			}
@@ -199,6 +202,10 @@ func Run(cfg Config) (*Result, error) {
 		}
 		hwSet = sc.hwSet[:words]
 	}
+	window := cfg.SimultaneityWindow
+	if window == 0 {
+		window = s.RecoveryDowntime(baselines.FromPeer, cfg.ReplacementDelay)
+	}
 	for i < len(events) {
 		if events[i].At >= horizon {
 			break
@@ -207,10 +214,6 @@ func Run(cfg Config) (*Result, error) {
 		// group's first event and never chains — failure.GroupEnd is the
 		// shared definition, so the analyzer's SimultaneousGroups counts
 		// and this walk always agree on the Corollary 1 k.
-		window := cfg.SimultaneityWindow
-		if window == 0 {
-			window = s.RecoveryDowntime(baselines.FromPeer, cfg.ReplacementDelay)
-		}
 		j := events.GroupEnd(i, window)
 		for _, r := range hwRanks {
 			hwSet.Clear(r)
@@ -226,7 +229,9 @@ func Run(cfg Config) (*Result, error) {
 				}
 			}
 			res.Failures++
-			taps.failure(ev)
+			if taps.on {
+				taps.failure(ev)
+			}
 		}
 		at := events[i].At
 		if at < resume {
@@ -285,7 +290,9 @@ func Run(cfg Config) (*Result, error) {
 		res.TotalDowntime += down
 		res.WastedSamples = append(res.WastedSamples, wasted.Seconds())
 		resume = at.Add(down)
-		taps.recovery(src, at, resume, rollback, down, progress)
+		if taps.on {
+			taps.recovery(src, at, resume, rollback, down, progress)
+		}
 		recoveries++
 		i = j
 	}
@@ -303,7 +310,9 @@ func Run(cfg Config) (*Result, error) {
 	if recoveries > 0 {
 		res.MeanWasted = res.TotalWasted / simclock.Duration(recoveries)
 	}
-	taps.finish(res)
+	if taps.on {
+		taps.finish(res)
+	}
 	return res, nil
 }
 

@@ -7,7 +7,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 
+	"gemini/internal/failure"
 	"gemini/internal/metrics"
 	"gemini/internal/obs"
 	"gemini/internal/parallel"
@@ -198,6 +200,11 @@ type variationResult struct {
 	regs    []*metrics.Registry
 }
 
+// schedules holds campaign workers' failure-schedule buffers: each
+// variation draws its schedule into one and hands it back when its runs
+// are done (no run keeps the schedule past its Result).
+var schedules = sync.Pool{New: func() any { return new(failure.Schedule) }}
+
 // RunCampaign expands the compiled scenario into its seeded variations,
 // fans them across workers, and aggregates. Variation v uses failure
 // seed Seed+v; results are collected into slot v and reduced in
@@ -232,10 +239,13 @@ func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Repor
 		}
 	}
 	err := parallel.ForEachErrHooks(ctx, opts.Workers, variations, hooks, func(v int) error {
-		fs, err := c.FailureSchedule(v)
+		buf := schedules.Get().(*failure.Schedule)
+		defer schedules.Put(buf)
+		fs, err := c.appendFailureSchedule((*buf)[:0], v)
 		if err != nil {
 			return err
 		}
+		*buf = fs
 		vr := variationResult{
 			ratio:  make([]float64, nspecs),
 			wasted: make([]simclock.Duration, nspecs),

@@ -128,12 +128,19 @@ func (s *Scenario) Compile() (*Compiled, error) {
 // collapses a rank hit by both at the same instant to one failure with
 // HardwareFailed winning.
 func (c *Compiled) FailureSchedule(v int) (failure.Schedule, error) {
+	return c.appendFailureSchedule(nil, v)
+}
+
+// appendFailureSchedule is FailureSchedule drawing the Poisson
+// background into dst, so a campaign worker reuses one buffer across its
+// variations. The result may alias dst.
+func (c *Compiled) appendFailureSchedule(dst failure.Schedule, v int) (failure.Schedule, error) {
 	s := c.Scenario
-	var base failure.Schedule
+	base := dst
 	var err error
 	switch s.Failures.Kind {
 	case "poisson":
-		base, err = c.Model.Generate(s.Job.Machines, s.Horizon, s.Seed+int64(v))
+		base, err = c.Model.AppendGenerate(dst, s.Job.Machines, s.Horizon, s.Seed+int64(v))
 	case "fixed":
 		base, err = failure.FixedRate(s.Job.Machines, s.Failures.PerDay, s.Failures.HardwareFraction, s.Horizon)
 	}

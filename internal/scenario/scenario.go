@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"gemini/internal/cluster"
+	"gemini/internal/failure"
 	"gemini/internal/model"
 	"gemini/internal/simclock"
 	"gemini/internal/strategy"
@@ -191,7 +192,7 @@ func (s *Scenario) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: name is required")
 	}
-	if s.Horizon <= 0 {
+	if !(s.Horizon > 0) { // NaN fails too
 		return fmt.Errorf("scenario: horizon must be positive, got %v", s.Horizon)
 	}
 	if s.Variations < 1 {
@@ -208,12 +209,33 @@ func (s *Scenario) Validate() error {
 	if err := s.Failures.validate(); err != nil {
 		return err
 	}
+	if err := s.checkScheduleSize(); err != nil {
+		return err
+	}
 	for i, c := range s.Chaos {
 		if err := c.validate(i, s.Fleet); err != nil {
 			return err
 		}
 	}
 	return s.Run.validate()
+}
+
+// checkScheduleSize rejects a background failure model whose schedule
+// would exceed failure.MaxExpectedEvents per variation, naming the
+// fields that multiply into it.
+func (s *Scenario) checkScheduleSize() error {
+	switch s.Failures.Kind {
+	case "poisson":
+		m := failure.Model{PerInstancePerDay: s.Failures.PerInstancePerDay}
+		if err := m.CheckSize(s.Job.Machines, s.Horizon); err != nil {
+			return fmt.Errorf("scenario: job.machines × failures.per_instance_per_day × horizon is too large: %w", err)
+		}
+	case "fixed":
+		if err := failure.CheckFixedRateSize(s.Failures.PerDay, s.Horizon); err != nil {
+			return fmt.Errorf("scenario: failures.per_day × horizon is too large: %w", err)
+		}
+	}
+	return nil
 }
 
 func (j JobConfig) validate(fleet *FleetConfig) error {
@@ -284,20 +306,20 @@ func (f FailureConfig) validate() error {
 		if f.PerDay != 0 {
 			return fmt.Errorf("scenario: failures.per_day belongs to kind: fixed (poisson takes per_instance_per_day)")
 		}
-		if f.PerInstancePerDay < 0 || f.PerInstancePerDay > 1 {
+		if !(f.PerInstancePerDay >= 0 && f.PerInstancePerDay <= 1) { // NaN fails too
 			return fmt.Errorf("scenario: failures.per_instance_per_day %v out of [0,1]", f.PerInstancePerDay)
 		}
 	case "fixed":
 		if f.PerInstancePerDay != 0 {
 			return fmt.Errorf("scenario: failures.per_instance_per_day belongs to kind: poisson (fixed takes per_day)")
 		}
-		if f.PerDay < 0 {
+		if !(f.PerDay >= 0) {
 			return fmt.Errorf("scenario: failures.per_day must be ≥ 0, got %v", f.PerDay)
 		}
 	default:
 		return fmt.Errorf("scenario: failures.kind %q unknown (poisson or fixed)", f.Kind)
 	}
-	if f.HardwareFraction < 0 || f.HardwareFraction > 1 {
+	if !(f.HardwareFraction >= 0 && f.HardwareFraction <= 1) {
 		return fmt.Errorf("scenario: failures.hardware_fraction %v out of [0,1]", f.HardwareFraction)
 	}
 	return nil

@@ -142,6 +142,56 @@ func TestParseRejections(t *testing.T) {
 	}
 }
 
+// One scenario line must not be able to ask a variation for billions of
+// failures: Validate rejects a background model whose schedule would
+// exceed failure.MaxExpectedEvents and names every field in the product.
+func TestScheduleSizeLimit(t *testing.T) {
+	fixed := strings.Replace(smallYAML, "kind: poisson", "kind: fixed", 1)
+	cases := []struct {
+		name, src string
+		want      []string // nil: accepted
+	}{
+		{"shipped rates", smallYAML, nil},
+		{"at the limit", strings.NewReplacer("machines: 16", "machines: 100000", "per_instance_per_day: 0.25", "per_instance_per_day: 1", "horizon: 2d", "horizon: 100d").Replace(smallYAML), nil},
+		{"poisson machines", strings.Replace(smallYAML, "machines: 16", "machines: 100000000", 1),
+			[]string{"job.machines", "failures.per_instance_per_day", "horizon", "limit"}},
+		{"poisson horizon", strings.Replace(smallYAML, "horizon: 2d", "horizon: 10000000d", 1),
+			[]string{"job.machines", "failures.per_instance_per_day", "horizon", "limit"}},
+		{"fixed rate", strings.Replace(fixed, "per_instance_per_day: 0.25", "per_day: 1e9", 1),
+			[]string{"failures.per_day", "horizon", "limit"}},
+		// NaN fails every range comparison, so it must be rejected by
+		// name rather than slip past as an empty schedule.
+		{"poisson NaN rate", strings.Replace(smallYAML, "per_instance_per_day: 0.25", "per_instance_per_day: NaN", 1),
+			[]string{"failures.per_instance_per_day", "NaN"}},
+		{"fixed NaN rate", strings.Replace(fixed, "per_instance_per_day: 0.25", "per_day: NaN", 1),
+			[]string{"failures.per_day", "NaN"}},
+		{"fixed infinite rate", strings.Replace(fixed, "per_instance_per_day: 0.25", "per_day: +Inf", 1),
+			[]string{"failures.per_day", "horizon", "limit"}},
+		{"NaN hardware fraction", strings.Replace(smallYAML, "hardware_fraction: 0.5", "hardware_fraction: NaN", 1),
+			[]string{"failures.hardware_fraction", "NaN"}},
+		{"NaN horizon", strings.Replace(smallYAML, "horizon: 2d", "horizon: NaN", 1),
+			[]string{"horizon", "NaN"}},
+	}
+	for _, tc := range cases {
+		_, err := Parse([]byte(tc.src))
+		if tc.want == nil {
+			if err != nil {
+				t.Errorf("%s: rejected: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not name %s", tc.name, err, w)
+			}
+		}
+	}
+}
+
 func TestChaosValidation(t *testing.T) {
 	withChaos := func(entry string) string {
 		return smallYAML + "\nchaos:\n" + entry
