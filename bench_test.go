@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"gemini/internal/baselines"
+	"gemini/internal/core"
 	"gemini/internal/derive"
 	"gemini/internal/experiments"
 	"gemini/internal/failure"
@@ -71,7 +72,7 @@ func BenchmarkAllTables(b *testing.B) {
 // BenchmarkFig7IterationTime measures the iteration-time overhead of
 // per-iteration GEMINI checkpointing on the 100B models (paper: none).
 func BenchmarkFig7IterationTime(b *testing.B) {
-	job := MustNewJob(JobSpec{Model: "GPT-2 100B", Instance: "p4d.24xlarge", Machines: 16})
+	job := core.MustNewJob(JobSpec{Model: "GPT-2 100B", Instance: "p4d.24xlarge", Machines: 16})
 	var overhead float64
 	for i := 0; i < b.N; i++ {
 		res, err := job.ExecuteScheme(SchemeGemini)
@@ -86,7 +87,7 @@ func BenchmarkFig7IterationTime(b *testing.B) {
 // BenchmarkFig8NetworkIdle measures the network idle time left after
 // checkpoint insertion (paper: still positive).
 func BenchmarkFig8NetworkIdle(b *testing.B) {
-	job := MustNewJob(JobSpec{Model: "GPT-2 100B", Instance: "p4d.24xlarge", Machines: 16})
+	job := core.MustNewJob(JobSpec{Model: "GPT-2 100B", Instance: "p4d.24xlarge", Machines: 16})
 	var idle, ckpt simclock.Duration
 	for i := 0; i < b.N; i++ {
 		res, err := job.ExecuteScheme(SchemeGemini)
@@ -105,10 +106,10 @@ func BenchmarkFig9RecoveryProbability(b *testing.B) {
 	var p2, p3 float64
 	for i := 0; i < b.N; i++ {
 		var err error
-		if p2, err = Corollary1(16, 2, 2); err != nil {
+		if p2, err = placement.Corollary1(16, 2, 2); err != nil {
 			b.Fatal(err)
 		}
-		if p3, err = Corollary1(16, 2, 3); err != nil {
+		if p3, err = placement.Corollary1(16, 2, 3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -119,7 +120,7 @@ func BenchmarkFig9RecoveryProbability(b *testing.B) {
 // BenchmarkFig10WastedTime computes the average wasted time per failure
 // (paper: GEMINI >13× better than HighFreq).
 func BenchmarkFig10WastedTime(b *testing.B) {
-	job := MustNewJob(JobSpec{Model: "GPT-2 100B", Instance: "p4d.24xlarge", Machines: 16})
+	job := core.MustNewJob(JobSpec{Model: "GPT-2 100B", Instance: "p4d.24xlarge", Machines: 16})
 	var ratio float64
 	for i := 0; i < b.N; i++ {
 		gem := job.GeminiSpec().AverageWasted(FromPeerCPU)
@@ -132,7 +133,7 @@ func BenchmarkFig10WastedTime(b *testing.B) {
 // BenchmarkFig11CheckpointTimeReduction computes GEMINI's checkpoint-time
 // reduction at 16 machines / 400 Gbps (paper: >250×).
 func BenchmarkFig11CheckpointTimeReduction(b *testing.B) {
-	job := MustNewJob(JobSpec{Model: "GPT-2 100B", Instance: "p4d.24xlarge", Machines: 16})
+	job := core.MustNewJob(JobSpec{Model: "GPT-2 100B", Instance: "p4d.24xlarge", Machines: 16})
 	var reduction float64
 	for i := 0; i < b.N; i++ {
 		reduction = job.StrawmanSpec().CheckpointTime.Seconds() / job.GeminiSpec().CheckpointTime.Seconds()
@@ -143,7 +144,7 @@ func BenchmarkFig11CheckpointTimeReduction(b *testing.B) {
 // BenchmarkFig12CheckpointFrequency computes the frequency ratios
 // (paper: 8× over HighFreq, >170× over Strawman).
 func BenchmarkFig12CheckpointFrequency(b *testing.B) {
-	job := MustNewJob(JobSpec{Model: "GPT-2 100B", Instance: "p4d.24xlarge", Machines: 16})
+	job := core.MustNewJob(JobSpec{Model: "GPT-2 100B", Instance: "p4d.24xlarge", Machines: 16})
 	var vsHigh, vsStraw float64
 	for i := 0; i < b.N; i++ {
 		vsHigh = baselines.FrequencyRatio(job.GeminiSpec(), job.HighFreqSpec())
@@ -160,7 +161,7 @@ func BenchmarkFig13P3dn(b *testing.B) { benchExperiment(b, "fig13") }
 // hardware failure and reports the end-to-end recovery time
 // (paper: ≈12 minutes without standby machines).
 func BenchmarkFig14RecoveryTimeline(b *testing.B) {
-	job := MustNewJob(JobSpec{Model: "GPT-2 100B", Instance: "p4d.24xlarge", Machines: 16})
+	job := core.MustNewJob(JobSpec{Model: "GPT-2 100B", Instance: "p4d.24xlarge", Machines: 16})
 	var recovery simclock.Duration
 	for i := 0; i < b.N; i++ {
 		engine, sys, err := job.RecoverySystem(DefaultCloudConfig())
@@ -187,7 +188,7 @@ func BenchmarkFig15aFailureRates(b *testing.B) { benchExperiment(b, "fig15a") }
 // BenchmarkFig15bScaling runs the cluster-size sweep and reports GEMINI's
 // ratio at 1000 instances (paper: ≈0.91).
 func BenchmarkFig15bScaling(b *testing.B) {
-	job := MustNewJob(JobSpec{Model: "GPT-2 100B", Instance: "p4d.24xlarge", Machines: 16})
+	job := core.MustNewJob(JobSpec{Model: "GPT-2 100B", Instance: "p4d.24xlarge", Machines: 16})
 	horizon := 10 * Day
 	var ratio float64
 	for i := 0; i < b.N; i++ {
@@ -207,7 +208,7 @@ func BenchmarkFig15bScaling(b *testing.B) {
 // BenchmarkFig16Interleaving runs the §7.4 scheme ablation and reports
 // the blocking scheme's overhead (paper: ≈10%).
 func BenchmarkFig16Interleaving(b *testing.B) {
-	job := MustNewJob(JobSpec{Model: "GPT-2 40B", Instance: "p3dn.24xlarge", Machines: 16})
+	job := core.MustNewJob(JobSpec{Model: "GPT-2 40B", Instance: "p3dn.24xlarge", Machines: 16})
 	var blocking float64
 	for i := 0; i < b.N; i++ {
 		res, err := job.ExecuteScheme(SchemeBlocking)
@@ -283,7 +284,7 @@ func BenchmarkCampaign1000(b *testing.B) {
 	b.Run("warm", func(b *testing.B) {
 		// Prime the cache so every timed NewJob is a hit.
 		for _, s := range specs {
-			MustNewJob(s)
+			core.MustNewJob(s)
 		}
 		campaign(b, warm)
 	})
@@ -310,7 +311,7 @@ func BenchmarkAblationPlacementStrategies(b *testing.B) {
 
 // BenchmarkAblationPipelineDepth sweeps the sub-buffer count p.
 func BenchmarkAblationPipelineDepth(b *testing.B) {
-	job := MustNewJob(JobSpec{Model: "GPT-2 40B", Instance: "p3dn.24xlarge", Machines: 16})
+	job := core.MustNewJob(JobSpec{Model: "GPT-2 40B", Instance: "p3dn.24xlarge", Machines: 16})
 	for _, p := range []int{1, 2, 4, 8} {
 		p := p
 		b.Run(benchName("p", p), func(b *testing.B) {
@@ -346,7 +347,7 @@ func BenchmarkAblationReplicaCount(b *testing.B) {
 
 // BenchmarkAblationGamma sweeps Algorithm 2's safety coefficient.
 func BenchmarkAblationGamma(b *testing.B) {
-	job := MustNewJob(JobSpec{Model: "GPT-2 100B", Instance: "p4d.24xlarge", Machines: 16})
+	job := core.MustNewJob(JobSpec{Model: "GPT-2 100B", Instance: "p4d.24xlarge", Machines: 16})
 	for _, gamma := range []float64{0.5, 0.7, 0.9, 1.0} {
 		gamma := gamma
 		b.Run(benchName("gamma-x100", int(gamma*100)), func(b *testing.B) {
@@ -378,7 +379,7 @@ func BenchmarkAblationGamma(b *testing.B) {
 
 // BenchmarkAblationStandbyMachines quantifies the standby-pool ablation.
 func BenchmarkAblationStandbyMachines(b *testing.B) {
-	job := MustNewJob(JobSpec{Model: "GPT-2 100B", Instance: "p4d.24xlarge", Machines: 16})
+	job := core.MustNewJob(JobSpec{Model: "GPT-2 100B", Instance: "p4d.24xlarge", Machines: 16})
 	horizon := 5 * Day
 	fs, err := FixedFailureRate(16, 6, 1, horizon)
 	if err != nil {

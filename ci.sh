@@ -36,7 +36,19 @@ go test -run='^$' -bench=. -benchtime=1x -benchmem ./...
 #     allocates nothing (pooled generator, no per-schedule seeding
 #     garbage), and a warm one-worker smoke campaign stays within its
 #     per-variation allocation budget (pooled schedule buffers).
-go test -count=1 -run '^(TestSteadyStateFabricEventsDoNotAllocate|TestFlowLifecycleAllocsZero|TestExecuteIterationAllocs|TestTickerFiringAllocsZero|TestHeartbeatSteadyStateAllocs|TestMonteCarloShardSteadyStateAllocsZero|TestSurvivesFailedAllocsZero|TestProfileWithJitterAllocationFlat|TestBuildTimelineSteadyStateAllocs|TestDisabledTracingAllocsZero|TestHistogramObserveAllocsZero|TestRecorderSampleAllocsZero|TestNewJobWarmKeyAllocs|TestProgressAllocsZero|TestRunZeroObserverAllocs|TestAppendGenerateWarmAllocsZero|TestCampaignWarmAllocsPerVariation)$' ./...
+# A listed test that is renamed or deleted would match nothing and pass
+# silently, so the step fails unless exactly 17 tests report PASS.
+ALLOC_LOG="$(mktemp -t geminialloc.XXXXXX.log)"
+if ! go test -count=1 -v -run '^(TestSteadyStateFabricEventsDoNotAllocate|TestFlowLifecycleAllocsZero|TestExecuteIterationAllocs|TestTickerFiringAllocsZero|TestHeartbeatSteadyStateAllocs|TestMonteCarloShardSteadyStateAllocsZero|TestSurvivesFailedAllocsZero|TestProfileWithJitterAllocationFlat|TestBuildTimelineSteadyStateAllocs|TestDisabledTracingAllocsZero|TestHistogramObserveAllocsZero|TestRecorderSampleAllocsZero|TestNewJobWarmKeyAllocs|TestProgressAllocsZero|TestRunZeroObserverAllocs|TestAppendGenerateWarmAllocsZero|TestCampaignWarmAllocsPerVariation)$' ./... > "$ALLOC_LOG" 2>&1; then
+	cat "$ALLOC_LOG"
+	exit 1
+fi
+ALLOC_PASSES="$(grep -c '^--- PASS: ' "$ALLOC_LOG" || true)"
+rm -f "$ALLOC_LOG"
+if [ "$ALLOC_PASSES" -ne 17 ]; then
+	echo "allocation gates: $ALLOC_PASSES tests passed, want exactly 17" >&2
+	exit 1
+fi
 
 # Observability gates: the geminisim -trace export must parse as Chrome
 # trace JSON with events from at least four subsystems — a refactor that

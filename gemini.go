@@ -6,10 +6,11 @@
 // idle timespans — so failure recovery takes seconds instead of tens of
 // minutes.
 //
-// The package exposes the whole system the paper describes:
+// The module reproduces the whole system the paper describes; this
+// package is the surface its examples and commands use:
 //
-//   - Placement (Algorithm 1): group/ring/mixed checkpoint placement with
-//     the Theorem 1 optimality analysis and Corollary 1 probabilities.
+//   - Placement (Algorithm 1): group/mixed and rack-aware checkpoint
+//     placement with exact recovery probabilities.
 //   - Traffic scheduling (Algorithm 2): partition checkpoints into the
 //     profiled idle spans of the ZeRO-3 iteration timeline and pipeline
 //     them through GPU sub-buffers.
@@ -43,7 +44,6 @@ import (
 	"fmt"
 	"io"
 
-	"gemini/internal/agent"
 	"gemini/internal/baselines"
 	"gemini/internal/chaos"
 	"gemini/internal/cloud"
@@ -52,16 +52,13 @@ import (
 	"gemini/internal/derive"
 	"gemini/internal/failure"
 	"gemini/internal/metrics"
-	"gemini/internal/model"
 	"gemini/internal/obs"
 	"gemini/internal/placement"
-	"gemini/internal/runsim"
 	"gemini/internal/scenario"
 	"gemini/internal/schedule"
 	"gemini/internal/simclock"
 	"gemini/internal/strategy"
 	"gemini/internal/trace"
-	"gemini/internal/training"
 )
 
 // Core job API.
@@ -76,10 +73,11 @@ type (
 
 // Option tweaks a JobSpec before derivation. Options override the
 // corresponding JobSpec fields, so a spec can stay a three-field literal
-// (model, instance, machines) with everything else supplied here. An
-// option's argument is validated when NewJob applies it, so a bad value
-// fails job construction with a descriptive error instead of
-// misbehaving deep inside a run.
+// (model, instance, machines) with the replica count, fault schedule,
+// strategy and observability sinks supplied here. An option's argument
+// is validated when NewJob applies it, so a bad value fails job
+// construction with a descriptive error instead of misbehaving deep
+// inside a run.
 type Option func(*JobSpec) error
 
 // WithReplicas sets the checkpoint replica count m (default 2).
@@ -89,26 +87,6 @@ func WithReplicas(m int) Option {
 			return fmt.Errorf("gemini: WithReplicas(%d): replica count must be ≥ 1", m)
 		}
 		s.Replicas = m
-		return nil
-	}
-}
-
-// WithRemoteBandwidth sets the persistent store's aggregate bandwidth in
-// bytes per second (default 20 Gbps, the paper's FSx setup).
-func WithRemoteBandwidth(bytesPerSec float64) Option {
-	return func(s *JobSpec) error {
-		if bytesPerSec <= 0 {
-			return fmt.Errorf("gemini: WithRemoteBandwidth(%v): bandwidth must be positive", bytesPerSec)
-		}
-		s.RemoteBandwidth = bytesPerSec
-		return nil
-	}
-}
-
-// WithParallelism selects the distribution strategy (default ZeRO-3).
-func WithParallelism(p Parallelism) Option {
-	return func(s *JobSpec) error {
-		s.Parallelism = p
 		return nil
 	}
 }
@@ -182,15 +160,6 @@ func NewJob(spec JobSpec, opts ...Option) (*Job, error) {
 	return core.NewJob(spec)
 }
 
-// MustNewJob is NewJob for known-good specs.
-func MustNewJob(spec JobSpec, opts ...Option) *Job {
-	j, err := NewJob(spec, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return j
-}
-
 // Virtual time.
 type (
 	// Time is virtual seconds since simulation start.
@@ -211,23 +180,9 @@ const (
 // Checkpoint placement (Algorithm 1 and its analysis).
 type Placement = placement.Placement
 
-// FailSet is the bitset failure-set representation of the availability
-// kernel: callers that evaluate many failure scenarios (stress
-// campaigns, custom estimators) keep one FailSet plus a failed-rank
-// list and call Placement.SurvivesFailed — O(k·m) per check instead of
-// the map-accepting Survives wrapper's conversion. See DESIGN.md §11.
-type FailSet = placement.FailSet
-
-// NewFailSet returns an empty failure bitset for ranks 0..n-1.
-func NewFailSet(n int) FailSet { return placement.NewFailSet(n) }
-
 // NewPlacement is Algorithm 1: group placement when m | N, otherwise
 // group + trailing ring.
 func NewPlacement(n, m int) (*Placement, error) { return placement.Mixed(n, m) }
-
-// NewRingPlacement is the pure ring strategy the paper compares against
-// in Figure 9.
-func NewRingPlacement(n, m int) (*Placement, error) { return placement.Ring(n, m) }
 
 // NewRackAwarePlacement spreads every replica group across m racks of
 // rackSize machines each, so no single-rack failure can wipe a whole
@@ -241,28 +196,10 @@ func NewRackAwarePlacement(n, m, rackSize int) (*Placement, error) {
 // CorrelatedRecoveryProbability.
 func Racks(n, rackSize int) ([][]int, error) { return placement.Racks(n, rackSize) }
 
-// Corollary1 is the closed-form CPU-memory recovery probability for the
-// group strategy.
-func Corollary1(n, m, k int) (float64, error) { return placement.Corollary1(n, m, k) }
-
 // RecoveryProbabilityExact enumerates a placement's recovery probability
 // under k simultaneous independent failures (N ≤ 31).
 func RecoveryProbabilityExact(p *Placement, k int) float64 {
 	return placement.BitmaskProbability(p, k)
-}
-
-// RecoveryProbabilityMonteCarlo estimates it for large clusters. Trials
-// run sharded across GOMAXPROCS workers; the estimate depends only on
-// (p, k, trials, seed), never on the worker count.
-func RecoveryProbabilityMonteCarlo(p *Placement, k, trials int, seed int64) float64 {
-	return placement.MonteCarlo(p, k, trials, seed)
-}
-
-// RecoveryProbabilityMonteCarloWorkers is RecoveryProbabilityMonteCarlo
-// with an explicit worker count (≤ 0 means GOMAXPROCS); any worker count
-// yields the identical estimate.
-func RecoveryProbabilityMonteCarloWorkers(p *Placement, k, trials int, seed int64, workers int) float64 {
-	return placement.MonteCarloWorkers(p, k, trials, seed, workers)
 }
 
 // CorrelatedRecoveryProbability is the rack-level analogue of
@@ -285,31 +222,14 @@ const (
 	SchemeGemini     = schedule.SchemeGemini
 )
 
-// ExecResult is what the interference executor measures for a scheme.
-type ExecResult = training.ExecResult
-
-// Parallelism selects the distribution strategy (§9 extension).
-type Parallelism = training.Parallelism
-
-// Parallelism values.
-const (
-	ParallelismZeRO3    = training.ZeRO3
-	ParallelismData     = training.DataParallel
-	ParallelismPipeline = training.PipelineParallel
-)
-
 // Checkpointing solutions (§7.1) and failure economics (§7.3).
 type (
 	// Spec describes one checkpointing solution's behavior.
 	Spec = baselines.Spec
-	// RunResult is the long-run effective-training-time accounting.
-	RunResult = runsim.Result
 	// FailureSchedule is a time-ordered list of injected failures.
 	FailureSchedule = failure.Schedule
 	// FailureModel is a stochastic per-instance failure-rate model.
 	FailureModel = failure.Model
-	// FailureEvent is one injected failure.
-	FailureEvent = failure.Event
 )
 
 // Failure kinds (§6.1).
@@ -323,9 +243,9 @@ type RecoverySource = baselines.RecoverySource
 
 // Recovery sources, fastest first (§3.1's hierarchy).
 const (
-	FromLocalCPU         = baselines.FromLocal
-	FromPeerCPU          = baselines.FromPeer
-	FromPersistentRemote = baselines.FromRemote
+	FromLocalCPU         RecoverySource = baselines.FromLocal
+	FromPeerCPU          RecoverySource = baselines.FromPeer
+	FromPersistentRemote RecoverySource = baselines.FromRemote
 )
 
 // OPTFailureModel is the OPT-175B logbook rate: 1.5% of instances fail
@@ -345,20 +265,6 @@ type CloudConfig = cloud.Config
 // (4–7 minute provisioning).
 func DefaultCloudConfig() CloudConfig { return cloud.DefaultConfig() }
 
-// Catalog entries.
-type (
-	// ModelConfig is one Table 2 model configuration.
-	ModelConfig = model.Config
-	// InstanceType is one Table 1 machine type.
-	InstanceType = cluster.InstanceType
-)
-
-// Models returns the Table 2 model configurations.
-func Models() []ModelConfig { return model.Table2() }
-
-// Instances returns the Table 1 instance catalog.
-func Instances() []InstanceType { return cluster.Table1() }
-
 // Fault injection (the chaos engine). A FaultSchedule is a declarative,
 // deterministic list of faults — crashes, correlated rack failures,
 // network partitions, stragglers, key-value store outages, lease jitter
@@ -369,7 +275,7 @@ func Instances() []InstanceType { return cluster.Table1() }
 //		Partition(190*gemini.Second, 4*gemini.Minute, 3, 5).
 //		CrashGroup(190*gemini.Second, gemini.HardwareFailure, 2, 4).
 //		MustBuild(16)
-//	job := gemini.MustNewJob(spec, gemini.WithFaults(sched))
+//	job, _ := gemini.NewJob(spec, gemini.WithFaults(sched))
 //	engine, sys, _ := job.RecoverySystem(gemini.DefaultCloudConfig())
 //	sys.Start()
 //	engine.Run(2 * gemini.Hour)
@@ -377,38 +283,12 @@ func Instances() []InstanceType { return cluster.Table1() }
 type (
 	// FaultSchedule is a sorted, validated chaos schedule.
 	FaultSchedule = chaos.Schedule
-	// FaultEvent is one scheduled fault.
-	FaultEvent = chaos.Event
-	// FaultKind enumerates fault event kinds.
-	FaultKind = chaos.Kind
 	// FaultBuilder composes fault schedules fluently.
 	FaultBuilder = chaos.Builder
 )
 
-// Fault kinds, for hand-built FaultEvent values; the builder is the
-// usual way to produce them.
-const (
-	FaultPartitionHeal   = chaos.KindPartitionHeal
-	FaultKVRestore       = chaos.KindKVRestore
-	FaultStragglerEnd    = chaos.KindStragglerEnd
-	FaultPartitionStart  = chaos.KindPartitionStart
-	FaultKVOutage        = chaos.KindKVOutage
-	FaultStragglerStart  = chaos.KindStragglerStart
-	FaultLeaseJitter     = chaos.KindLeaseJitter
-	FaultCrash           = chaos.KindCrash
-	FaultCorrelatedCrash = chaos.KindCorrelatedCrash
-)
-
 // Faults starts a fluent fault-schedule builder.
 func Faults() *FaultBuilder { return chaos.NewBuilder() }
-
-// Trace events (what recovery systems log).
-type (
-	// TraceLog is the append-only simulation event log.
-	TraceLog = trace.Log
-	// TraceEvent is one logged event.
-	TraceEvent = trace.Event
-)
 
 // Structured observability: span tracing with Chrome trace-event
 // (Perfetto-loadable) export.
@@ -446,13 +326,6 @@ type (
 	MetricsRegistry = metrics.Registry
 	// MetricsRecorder samples watched instruments into sim-time series.
 	MetricsRecorder = metrics.Recorder
-	// MetricsSeries is one instrument's sampled timeline (a ring buffer).
-	MetricsSeries = metrics.Series
-	// MetricsSnapshot is a finished, ordered name=value rendering.
-	MetricsSnapshot = metrics.CounterSet
-	// HealthEvent is one failure's Eq. 1 wasted-time record, from
-	// System.WastedEvents.
-	HealthEvent = agent.WastedEvent
 )
 
 // NewMetricsRegistry creates an empty metrics registry.
@@ -526,8 +399,6 @@ type (
 	// CampaignProgress counts campaign work live; safe for any number of
 	// concurrent writers and readers, nil-disabled.
 	CampaignProgress = obs.Progress
-	// ProgressSnapshot is a point-in-time view of campaign progress.
-	ProgressSnapshot = obs.Snapshot
 	// LiveRegistry is a mutex-guarded registry workers merge per-run
 	// results into, for serving while a campaign runs. Arrival-order —
 	// use the report's deterministic rollup for goldens.
@@ -559,9 +430,6 @@ func ServeObservability(addr string, prog *CampaignProgress, live *LiveRegistry)
 	return obs.NewServer(addr, prog, live)
 }
 
-// FlightKeys lists the badness rankings CampaignOutliers accepts.
-func FlightKeys() []string { return append([]string(nil), scenario.FlightKeys...) }
-
 // CampaignOutliers ranks a report's recorded runs (RecordRuns must have
 // been set) by the given key and returns the worst k.
 func CampaignOutliers(rep *CampaignReport, key string, k int) ([]RunRecord, error) {
@@ -577,6 +445,3 @@ func ReplayRun(c *CompiledScenario, rec RunRecord) (*FlightRun, error) { return 
 // defects: unbalanced begin/end span nesting and counter samples on
 // unnamed tracks. Traces written by WriteTrace always lint clean.
 func LintTrace(data []byte) ([]TraceLintIssue, error) { return trace.Lint(data) }
-
-// WriteCampaignHTML renders the report as a self-contained HTML page.
-func WriteCampaignHTML(w io.Writer, r *CampaignReport) error { return scenario.WriteHTML(w, r) }

@@ -3,6 +3,12 @@ package gemini
 import (
 	"math"
 	"testing"
+
+	"gemini/internal/chaos"
+	"gemini/internal/cluster"
+	"gemini/internal/model"
+	"gemini/internal/placement"
+	"gemini/internal/training"
 )
 
 // The facade tests exercise the README quickstart path end to end.
@@ -27,12 +33,13 @@ func TestQuickstartPath(t *testing.T) {
 	}
 }
 
+// JobSpec.Model and JobSpec.Instance name rows of these catalogs.
 func TestCatalogsExposed(t *testing.T) {
-	if len(Models()) != 8 {
-		t.Fatalf("Models() has %d rows, want 8 (Table 2)", len(Models()))
+	if n := len(model.Table2()); n != 8 {
+		t.Fatalf("Table 2 has %d rows, want 8", n)
 	}
-	if len(Instances()) != 7 {
-		t.Fatalf("Instances() has %d rows, want 7 (Table 1)", len(Instances()))
+	if n := len(cluster.Table1()); n != 7 {
+		t.Fatalf("Table 1 has %d rows, want 7", n)
 	}
 }
 
@@ -41,7 +48,7 @@ func TestPlacementHelpersExposed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRingPlacement(16, 2)
+	r, err := placement.Ring(16, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,14 +57,14 @@ func TestPlacementHelpersExposed(t *testing.T) {
 	if pg <= pr {
 		t.Fatalf("group %v should beat ring %v", pg, pr)
 	}
-	c, err := Corollary1(16, 2, 3)
+	c, err := placement.Corollary1(16, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(c-0.8) > 1e-9 {
 		t.Fatalf("Corollary1 = %v, want 0.8", c)
 	}
-	if mc := RecoveryProbabilityMonteCarlo(p, 3, 50_000, 1); math.Abs(mc-pg) > 0.02 {
+	if mc := placement.MonteCarlo(p, 3, 50_000, 1); math.Abs(mc-pg) > 0.02 {
 		t.Fatalf("Monte Carlo %v far from exact %v", mc, pg)
 	}
 }
@@ -65,7 +72,7 @@ func TestPlacementHelpersExposed(t *testing.T) {
 func TestParallelismExtensionExposed(t *testing.T) {
 	job, err := NewJob(JobSpec{
 		Model: "GPT-2 40B", Instance: "p3dn.24xlarge", Machines: 16,
-		Parallelism: ParallelismData,
+		Parallelism: training.DataParallel,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -80,15 +87,14 @@ func TestParallelismExtensionExposed(t *testing.T) {
 }
 
 func TestOptionsOverrideSpecFields(t *testing.T) {
-	job, err := NewJob(JobSpec{Model: "GPT-2 40B", Instance: "p3dn.24xlarge", Machines: 16},
-		WithReplicas(3),
-		WithRemoteBandwidth(5e9),
-		WithParallelism(ParallelismData),
-	)
+	job, err := NewJob(JobSpec{
+		Model: "GPT-2 40B", Instance: "p3dn.24xlarge", Machines: 16,
+		Replicas: 2, RemoteBandwidth: 5e9, Parallelism: training.DataParallel,
+	}, WithReplicas(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.Spec.Replicas != 3 || job.Spec.RemoteBandwidth != 5e9 || job.Spec.Parallelism != ParallelismData {
+	if job.Spec.Replicas != 3 || job.Spec.RemoteBandwidth != 5e9 || job.Spec.Parallelism != training.DataParallel {
 		t.Fatalf("options not applied: %+v", job.Spec)
 	}
 	if job.Placement.M != 3 {
@@ -97,13 +103,13 @@ func TestOptionsOverrideSpecFields(t *testing.T) {
 }
 
 func TestFaultScheduleValidatedAtJobConstruction(t *testing.T) {
-	bad := FaultSchedule{{At: 10, Kind: FaultPartitionHeal}} // heal with no open partition
+	bad := FaultSchedule{{At: 10, Kind: chaos.KindPartitionHeal}} // heal with no open partition
 	if _, err := NewJob(JobSpec{Model: "GPT-2 40B", Instance: "p3dn.24xlarge", Machines: 16},
 		WithFaults(bad)); err == nil {
 		t.Fatal("invalid fault schedule accepted")
 	}
 	// Out-of-range rank for this cluster size.
-	oob := FaultSchedule{{At: 0, Kind: FaultCrash, Ranks: []int{99}, Machine: HardwareFailure}}
+	oob := FaultSchedule{{At: 0, Kind: chaos.KindCrash, Ranks: []int{99}, Machine: HardwareFailure}}
 	if _, err := NewJob(JobSpec{Model: "GPT-2 40B", Instance: "p3dn.24xlarge", Machines: 16},
 		WithFaults(oob)); err == nil {
 		t.Fatal("out-of-range fault rank accepted")
@@ -197,7 +203,7 @@ func TestFailSetKernelExposed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := NewFailSet(16)
+	set := placement.NewFailSet(16)
 	// Ranks 0 and 1 form a group under Algorithm 1 at N=16, m=2: losing
 	// both erases their shards; losing 0 and 2 does not.
 	set.Set(0)

@@ -75,12 +75,6 @@ func (s *System) HealPartition() {
 	s.scheduleSweep()
 }
 
-// Partitioned reports whether a rank is currently cut off.
-func (s *System) Partitioned(rank int) bool {
-	s.checkRank(rank)
-	return s.partitioned[rank]
-}
-
 // Reachable reports whether two ranks can currently communicate: both on
 // the same side of the partition (the non-partitioned majority counts as
 // one side; all partitioned ranks are treated as isolated together).

@@ -99,7 +99,7 @@ func serializeStall(cfg training.Config, costs tensor.CostModel) simclock.Durati
 
 // Strawman builds the three-hourly remote-storage baseline.
 func Strawman(cfg training.Config, remoteBW float64, costs tensor.CostModel) (Spec, error) {
-	if remoteBW <= 0 {
+	if !(remoteBW > 0) { // also rejects NaN
 		return Spec{}, fmt.Errorf("baselines: remote bandwidth must be positive, got %v", remoteBW)
 	}
 	tCkpt := remoteCheckpointTime(cfg, remoteBW)
@@ -122,7 +122,7 @@ func Strawman(cfg training.Config, remoteBW float64, costs tensor.CostModel) (Sp
 // job's actual iteration timeline — under an alternative parallelism
 // the cadence follows that parallelism's iteration, not ZeRO-3's.
 func HighFreq(cfg training.Config, tl *training.Timeline, remoteBW float64, costs tensor.CostModel) (Spec, error) {
-	if remoteBW <= 0 {
+	if !(remoteBW > 0) { // also rejects NaN
 		return Spec{}, fmt.Errorf("baselines: remote bandwidth must be positive, got %v", remoteBW)
 	}
 	if tl == nil {
@@ -154,7 +154,7 @@ func Gemini(cfg training.Config, tl *training.Timeline, replicas int, remoteBW f
 	if replicas < 1 {
 		return Spec{}, fmt.Errorf("baselines: GEMINI needs at least one replica, got %d", replicas)
 	}
-	if remoteBW <= 0 {
+	if !(remoteBW > 0) { // also rejects NaN
 		return Spec{}, fmt.Errorf("baselines: remote bandwidth must be positive, got %v", remoteBW)
 	}
 	if tl == nil {

@@ -2,10 +2,9 @@
 // discrete-event substrate: it turns a declarative schedule of faults —
 // crashes, correlated (rack-level) crashes, network partitions,
 // stragglers, key-value store outages, lease jitter — into timed
-// injections against the agent control plane (and, for traffic
-// experiments, the netsim fabric). The paper's fail-stop independent
-// model (§6) is the easy case; this package exists to exercise the
-// recovery paths that model hides.
+// injections against the agent control plane. The paper's fail-stop
+// independent model (§6) is the easy case; this package exists to
+// exercise the recovery paths that model hides.
 package chaos
 
 import (
@@ -15,7 +14,6 @@ import (
 	"gemini/internal/agent"
 	"gemini/internal/cluster"
 	"gemini/internal/failure"
-	"gemini/internal/netsim"
 	"gemini/internal/simclock"
 )
 
@@ -263,37 +261,6 @@ func Arm(engine *simclock.Engine, sys *agent.System, s Schedule) {
 				sys.SetKVAvailable(true)
 			case KindLeaseJitter:
 				sys.SetLeaseJitter(ev.Jitter)
-			}
-		})
-	}
-}
-
-// ArmFabric schedules the network-visible subset of the schedule against
-// a netsim fabric, for traffic experiments that bypass the control
-// plane: crashes take nodes down, partitions split the fabric,
-// stragglers scale node bandwidth. KV and jitter events do not touch the
-// fabric.
-func ArmFabric(engine *simclock.Engine, fb *netsim.Fabric, s Schedule) {
-	for _, ev := range s {
-		ev := ev
-		engine.At(ev.At, func() {
-			switch ev.Kind {
-			case KindCrash, KindCorrelatedCrash:
-				for _, r := range ev.Ranks {
-					fb.SetNodeUp(r, false)
-				}
-			case KindPartitionStart:
-				fb.SetPartition(ev.Ranks)
-			case KindPartitionHeal:
-				fb.ClearPartition()
-			case KindStragglerStart:
-				for _, r := range ev.Ranks {
-					fb.SetNodeFactor(r, ev.Factor)
-				}
-			case KindStragglerEnd:
-				for _, r := range ev.Ranks {
-					fb.SetNodeFactor(r, 1)
-				}
 			}
 		})
 	}

@@ -166,46 +166,6 @@ func TestFailWithHealthyStatePanics(t *testing.T) {
 	c.Fail(0, Healthy)
 }
 
-func TestCPUMemAccounting(t *testing.T) {
-	_, c := newTestCluster(t, 1)
-	m := c.Machine(0)
-	total := m.Type.CPUMemBytes
-	if err := m.ReserveCPUMem(total / 2); err != nil {
-		t.Fatalf("reserve half: %v", err)
-	}
-	if m.CPUMemUsed() != total/2 || m.CPUMemFree() != total-total/2 {
-		t.Fatalf("used=%d free=%d", m.CPUMemUsed(), m.CPUMemFree())
-	}
-	if err := m.ReserveCPUMem(total); err == nil {
-		t.Fatal("over-reservation accepted")
-	}
-	if err := m.ReserveCPUMem(-1); err == nil {
-		t.Fatal("negative reservation accepted")
-	}
-	m.ReleaseCPUMem(total / 2)
-	if m.CPUMemUsed() != 0 {
-		t.Fatalf("used %d after release, want 0", m.CPUMemUsed())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("over-release did not panic")
-		}
-	}()
-	m.ReleaseCPUMem(1)
-}
-
-func TestReplacementClearsMemory(t *testing.T) {
-	_, c := newTestCluster(t, 1)
-	if err := c.Machine(0).ReserveCPUMem(1 << 30); err != nil {
-		t.Fatal(err)
-	}
-	c.Fail(0, HardwareFailed)
-	fresh := c.Replace(0)
-	if fresh.CPUMemUsed() != 0 {
-		t.Fatalf("replacement has %d bytes reserved, want 0", fresh.CPUMemUsed())
-	}
-}
-
 func TestClusterConstructorErrors(t *testing.T) {
 	if _, err := New(0, MustInstance("p4d.24xlarge"), nil); err == nil {
 		t.Error("zero machines accepted")

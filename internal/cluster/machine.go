@@ -42,8 +42,6 @@ type Machine struct {
 	Type        InstanceType
 	state       MachineState
 	stateSince  simclock.Time
-
-	cpuMemUsed int64
 }
 
 // State returns the machine's health state.
@@ -54,34 +52,6 @@ func (m *Machine) StateSince() simclock.Time { return m.stateSince }
 
 // Healthy reports whether the machine is training normally.
 func (m *Machine) Healthy() bool { return m.state == Healthy }
-
-// CPUMemUsed returns bytes of host memory reserved through ReserveCPUMem.
-func (m *Machine) CPUMemUsed() int64 { return m.cpuMemUsed }
-
-// CPUMemFree returns the remaining host memory.
-func (m *Machine) CPUMemFree() int64 { return m.Type.CPUMemBytes - m.cpuMemUsed }
-
-// ReserveCPUMem claims bytes of host memory (for checkpoint buffers),
-// failing if the machine does not have that much free.
-func (m *Machine) ReserveCPUMem(bytes int64) error {
-	if bytes < 0 {
-		return fmt.Errorf("cluster: negative reservation %d", bytes)
-	}
-	if m.cpuMemUsed+bytes > m.Type.CPUMemBytes {
-		return fmt.Errorf("cluster: rank %d out of CPU memory: want %d, free %d",
-			m.Rank, bytes, m.CPUMemFree())
-	}
-	m.cpuMemUsed += bytes
-	return nil
-}
-
-// ReleaseCPUMem returns previously reserved host memory.
-func (m *Machine) ReleaseCPUMem(bytes int64) {
-	if bytes < 0 || bytes > m.cpuMemUsed {
-		panic(fmt.Sprintf("cluster: rank %d releasing %d of %d reserved bytes", m.Rank, bytes, m.cpuMemUsed))
-	}
-	m.cpuMemUsed -= bytes
-}
 
 // Cluster is a fixed-size set of rank slots, each occupied by a machine.
 // GEMINI targets static synchronous training, so the slot count never

@@ -69,6 +69,17 @@ func TestNewJobValidatesResources(t *testing.T) {
 	MustNewJob(JobSpec{Model: "nope", Instance: "p4d.24xlarge", Machines: 16})
 }
 
+// A remote bandwidth that is not positive fails job construction; the
+// range check is negated so NaN fails it too. Zero means the default.
+func TestNewJobRejectsBadRemoteBandwidth(t *testing.T) {
+	for _, bw := range []float64{math.NaN(), -1e9} {
+		_, err := NewJob(JobSpec{Model: "GPT-2 100B", Instance: "p4d.24xlarge", Machines: 16, RemoteBandwidth: bw})
+		if err == nil || !strings.Contains(err.Error(), "remote bandwidth") {
+			t.Errorf("RemoteBandwidth %v: error %v, want a remote bandwidth error", bw, err)
+		}
+	}
+}
+
 func TestRecoveryProbabilityMatchesCorollary(t *testing.T) {
 	j := paperJob(t)
 	if got := j.RecoveryProbability(2); math.Abs(got-0.9333) > 1e-3 {

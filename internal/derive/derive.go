@@ -172,6 +172,11 @@ func Shared() *Cache { return shared }
 // nothing. The returned Artifacts is shared: callers must treat it as
 // read-only.
 func (c *Cache) Get(k Key) (*Artifacts, error) {
+	if k != k {
+		// A NaN field: the key could never hit, and a map slot under it
+		// could never be deleted. Build rejects it.
+		return Build(k)
+	}
 	c.mu.Lock()
 	if e, ok := c.entries[k]; ok {
 		c.hits++

@@ -1,6 +1,7 @@
 package derive
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -81,6 +82,20 @@ func TestErrorsAreNotCached(t *testing.T) {
 	}
 	if s := c.Stats(); s.Misses != 2 || s.Hits != 0 {
 		t.Fatalf("stats = %+v, want 2 misses / 0 hits", s)
+	}
+}
+
+// NaN never equals itself, so a NaN-keyed map slot can be neither hit
+// nor deleted: such a key must fail without touching the cache.
+func TestNaNKeyRejectedOutsideCache(t *testing.T) {
+	c := NewCache(8)
+	k := validKey()
+	k.RemoteBandwidth = math.NaN()
+	if _, err := c.Get(k); err == nil {
+		t.Fatal("NaN remote bandwidth accepted")
+	}
+	if s := c.Stats(); s.Entries != 0 {
+		t.Fatalf("NaN key left %d entries in the cache", s.Entries)
 	}
 }
 

@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-
 	"gemini/internal/core"
 	"gemini/internal/schedule"
-	"gemini/internal/training"
 )
 
 // the 16-machine testbeds of §7.1.
@@ -102,15 +99,3 @@ func Fig16() (string, error) {
 	}
 	return t.String(), nil
 }
-
-// SchemeResult exposes one scheme's executor result for the ablation
-// benchmarks.
-func SchemeResult(modelName, instance string, s schedule.Scheme) (*training.ExecResult, error) {
-	job, err := jobFor(modelName, instance)
-	if err != nil {
-		return nil, err
-	}
-	return job.ExecuteScheme(s)
-}
-
-var _ = fmt.Sprintf

@@ -51,12 +51,3 @@ func (e *Election) Leader() (string, bool) {
 	}
 	return cur.Value, true
 }
-
-// Resign releases leadership if the candidate currently holds it.
-func (e *Election) Resign(candidate string) bool {
-	cur, ok := e.store.Get(e.key)
-	if !ok || cur.Value != candidate {
-		return false
-	}
-	return e.store.Delete(e.key)
-}

@@ -122,16 +122,6 @@ func (r *refStore) keepAlive(id LeaseID) bool {
 	return true
 }
 
-func (r *refStore) revoke(id LeaseID) {
-	if r.down {
-		return
-	}
-	if l := r.leases[id]; l != nil {
-		l.expires = r.now()
-		r.sweep()
-	}
-}
-
 func (r *refStore) put(key, value string, id LeaseID) (int64, bool) {
 	if r.down {
 		return 0, false
@@ -193,7 +183,7 @@ func TestLeaseIndexMatchesLinearScan(t *testing.T) {
 		lease := func() LeaseID { return LeaseID(rng.Intn(int(ref.nextLease) + 2)) }
 		for step := 0; step < 400; step++ {
 			var op string
-			switch rng.Intn(11) {
+			switch rng.Intn(10) {
 			case 0, 1:
 				d := steps[rng.Intn(len(steps))]
 				op = fmt.Sprintf("advance %v", d)
@@ -213,11 +203,6 @@ func TestLeaseIndexMatchesLinearScan(t *testing.T) {
 					t.Fatalf("seed %d step %d %s: err %v disagrees with the model", seed, step, op, err)
 				}
 			case 4:
-				id := lease()
-				op = fmt.Sprintf("Revoke(%d)", id)
-				s.Revoke(id)
-				ref.revoke(id)
-			case 5:
 				key, id := fmt.Sprintf("k%d", rng.Intn(8)), lease()
 				op = fmt.Sprintf("Put(%s, %d)", key, id)
 				rev, err := s.Put(key, op, id)
@@ -225,27 +210,27 @@ func TestLeaseIndexMatchesLinearScan(t *testing.T) {
 				if rev != wantRev || (err == nil) != ok {
 					t.Fatalf("seed %d step %d %s: got %d/%v, want %d/%v", seed, step, op, rev, err, wantRev, ok)
 				}
-			case 6:
+			case 5:
 				key := fmt.Sprintf("k%d", rng.Intn(8))
 				op = fmt.Sprintf("Delete(%s)", key)
 				if s.Delete(key) != ref.delete(key) {
 					t.Fatalf("seed %d step %d %s: existence disagrees with the model", seed, step, op)
 				}
-			case 7:
+			case 6:
 				up := rng.Intn(3) != 0
 				op = fmt.Sprintf("SetAvailable(%v)", up)
 				s.SetAvailable(up)
 				ref.setAvailable(up)
-			case 8:
+			case 7:
 				max := jitters[rng.Intn(len(jitters))]
 				op = fmt.Sprintf("SetLeaseJitter(%v)", max)
 				s.SetLeaseJitter(max, seed)
 				ref.jitterMax, ref.jitterState = max, uint64(seed)
-			case 9:
+			case 8:
 				op = "Sweep"
 				s.Sweep()
 				ref.sweep()
-			case 10:
+			case 9:
 				op = "Rev"
 				ref.sweep()
 				if got := s.Rev(); got != ref.rev {

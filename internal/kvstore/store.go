@@ -64,11 +64,7 @@ type Event struct {
 	Entry Entry
 }
 
-// WatchID identifies a registered watch.
-type WatchID int64
-
 type watcher struct {
-	id     WatchID
 	prefix string
 	fn     func(Event)
 }
@@ -165,7 +161,6 @@ type Store struct {
 	expiry    leaseHeap // the same leases, by deadline
 	nextLease LeaseID
 	watchers  []*watcher
-	nextWatch WatchID
 
 	// Watch events are queued under the mutex and delivered after it is
 	// released, so callbacks may freely call back into the store.
@@ -510,23 +505,6 @@ func (s *Store) KeepAlive(id LeaseID) error {
 	return nil
 }
 
-// Revoke drops a lease immediately, deleting its keys.
-func (s *Store) Revoke(id LeaseID) {
-	defer s.flush()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.down {
-		return
-	}
-	l := s.leases[id]
-	if l == nil {
-		return
-	}
-	l.expires = s.now() // expire now
-	s.expiry.fix(l.index)
-	s.sweepLocked()
-}
-
 // LeaseRemaining returns the time until a lease expires, and whether the
 // lease exists.
 func (s *Store) LeaseRemaining(id LeaseID) (simclock.Duration, bool) {
@@ -565,25 +543,11 @@ func (s *Store) Sweep() {
 // are delivered one at a time in revision order, after the mutating
 // operation releases the store's mutex, so the callback may call back
 // into the store; events its own writes produce follow once it returns.
-func (s *Store) Watch(prefix string, fn func(Event)) WatchID {
+func (s *Store) Watch(prefix string, fn func(Event)) {
 	if fn == nil {
 		panic("kvstore: nil watch callback")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.nextWatch++
-	s.watchers = append(s.watchers, &watcher{id: s.nextWatch, prefix: prefix, fn: fn})
-	return s.nextWatch
-}
-
-// Unwatch cancels a watch.
-func (s *Store) Unwatch(id WatchID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, w := range s.watchers {
-		if w.id == id {
-			s.watchers = append(s.watchers[:i], s.watchers[i+1:]...)
-			return
-		}
-	}
+	s.watchers = append(s.watchers, &watcher{prefix: prefix, fn: fn})
 }

@@ -292,9 +292,6 @@ func MustNewFabric(engine *simclock.Engine, n int, cfg Config) *Fabric {
 	return f
 }
 
-// Nodes returns the number of endpoints.
-func (fb *Fabric) Nodes() int { return len(fb.nodes) }
-
 // Config returns the fabric configuration.
 func (fb *Fabric) Config() Config { return fb.cfg }
 
@@ -404,27 +401,6 @@ func (fb *Fabric) SetNodeUp(i int, up bool) {
 		fb.failFlows(doomed)
 	}
 	fb.armRecompute()
-}
-
-// SetNodeCapacity overrides one endpoint's egress and ingress bandwidth.
-// This is how a remote persistent storage service (whose ~20 Gbps
-// aggregate is far below the training NICs) joins the same fabric, so
-// storage traffic and training traffic contend realistically.
-func (fb *Fabric) SetNodeCapacity(i int, egressBytesPerSec, ingressBytesPerSec float64) {
-	fb.checkNode(i)
-	if !(egressBytesPerSec > 0) || !(ingressBytesPerSec > 0) { // also rejects NaN
-		panic(fmt.Sprintf("netsim: node capacity must be positive, got %v/%v", egressBytesPerSec, ingressBytesPerSec))
-	}
-	fb.nodes[i].egressCap = egressBytesPerSec
-	fb.nodes[i].ingressCap = ingressBytesPerSec
-	fb.markDirty(i)
-	fb.armRecompute()
-}
-
-// NodeCapacity returns endpoint i's (egress, ingress) bandwidth.
-func (fb *Fabric) NodeCapacity(i int) (egress, ingress float64) {
-	fb.checkNode(i)
-	return fb.nodes[i].egressCap, fb.nodes[i].ingressCap
 }
 
 // NodeUp reports whether endpoint i is healthy.

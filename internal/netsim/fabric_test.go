@@ -255,8 +255,6 @@ func TestRejectsNaNAndInfInputs(t *testing.T) {
 		{"Submit +Inf", "+Inf", func(_ *simclock.Engine, _ *Fabric, c *Copier) error { c.Submit(inf, "x", nil); return nil }},
 		{"Submit -Inf", "-Inf", func(_ *simclock.Engine, _ *Fabric, c *Copier) error { c.Submit(-inf, "x", nil); return nil }},
 		{"NewCopier NaN", "NaN", func(e *simclock.Engine, _ *Fabric, _ *Copier) error { _, err := NewCopier(e, nan); return err }},
-		{"SetNodeCapacity NaN egress", "NaN", func(_ *simclock.Engine, f *Fabric, _ *Copier) error { f.SetNodeCapacity(0, nan, 1); return nil }},
-		{"SetNodeCapacity NaN ingress", "NaN", func(_ *simclock.Engine, f *Fabric, _ *Copier) error { f.SetNodeCapacity(0, 1, nan); return nil }},
 		{"StartFlow NaN", "NaN", func(_ *simclock.Engine, f *Fabric, _ *Copier) error { f.StartFlow(0, 1, nan, "x", nil); return nil }},
 		{"NewFabric NaN egress", "NaN", func(e *simclock.Engine, _ *Fabric, _ *Copier) error {
 			_, err := NewFabric(e, 2, Config{EgressBytesPerSec: nan})

@@ -18,8 +18,8 @@ import (
 // replicas of any shard.
 const KindRackAware Kind = "rack-aware"
 
-// Racks partitions ranks [0,n) into contiguous racks of rackSize, the
-// same layout cluster.Topology uses. rackSize must divide n.
+// Racks partitions ranks [0,n) into contiguous racks of rackSize: rack r
+// holds ranks r·rackSize … (r+1)·rackSize−1. rackSize must divide n.
 func Racks(n, rackSize int) ([][]int, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("placement: need at least one machine, got %d", n)

@@ -35,14 +35,27 @@ func TestRackAwareStructure(t *testing.T) {
 
 func TestRackAwareErrors(t *testing.T) {
 	for _, tc := range []struct{ n, m, size int }{
-		{8, 2, 3},  // rack size does not divide n
-		{8, 3, 2},  // m does not divide rack count
-		{8, 2, 0},  // zero rack size
-		{0, 2, 2},  // no machines
-		{8, 9, 2},  // m > n
+		{8, 2, 3}, // rack size does not divide n
+		{8, 3, 2}, // m does not divide rack count
+		{8, 2, 0}, // zero rack size
+		{0, 2, 2}, // no machines
+		{8, 9, 2}, // m > n
 	} {
 		if _, err := RackAware(tc.n, tc.m, tc.size); err == nil {
 			t.Errorf("RackAware(%d,%d,%d) accepted", tc.n, tc.m, tc.size)
+		}
+	}
+}
+
+func TestRacksErrors(t *testing.T) {
+	for _, tc := range []struct{ n, size int }{
+		{0, 2}, // no machines
+		{8, 0}, // zero rack size
+		{8, -2},
+		{8, 3}, // rack size does not divide n
+	} {
+		if _, err := Racks(tc.n, tc.size); err == nil {
+			t.Errorf("Racks(%d,%d) accepted", tc.n, tc.size)
 		}
 	}
 }

@@ -76,11 +76,9 @@ type Report struct {
 	// the campaign's deterministic fingerprint.
 	Hash string `json:"hash"`
 
-	// Merged live registries behind Aggregates (campaign-wide, then one
-	// per spec in spec order). Unexported: they serve WriteAggregatedProm
-	// and never enter the JSON or the hash.
-	agg      *metrics.Registry
-	specAggs []*metrics.Registry
+	// Merged campaign-wide live registry behind Aggregates. Unexported:
+	// it serves WriteAggregatedProm and never enters the JSON or the hash.
+	agg *metrics.Registry
 }
 
 // AggregateReport is the cross-run metric rollup: one table for the
@@ -136,21 +134,12 @@ func aggregateRows(reg *metrics.Registry) []AggregateRow {
 // WriteAggregatedProm renders the campaign-wide merged registry in
 // Prometheus text exposition format — byte-stable at any worker count.
 // It errors when the campaign did not run with Aggregate (or the report
-// was loaded from JSON, which does not carry the live registries).
+// was loaded from JSON, which does not carry the live registry).
 func (r *Report) WriteAggregatedProm(w io.Writer) error {
 	if r.agg == nil {
 		return fmt.Errorf("scenario: report has no aggregated registry (run the campaign with Aggregate)")
 	}
 	return metrics.WriteProm(w, r.agg)
-}
-
-// SpecRegistry returns the merged per-solution registry for spec index
-// si; nil when aggregation was off or the index is out of range.
-func (r *Report) SpecRegistry(si int) *metrics.Registry {
-	if si < 0 || si >= len(r.specAggs) {
-		return nil
-	}
-	return r.specAggs[si]
 }
 
 // SpecReport aggregates one solution across all variations.
@@ -214,6 +203,9 @@ func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Repor
 	variations := s.Variations
 	if opts.Variations > 0 {
 		variations = opts.Variations
+	}
+	if variations > MaxVariations {
+		return nil, fmt.Errorf("scenario: variations %d exceeds the limit of %d", variations, MaxVariations)
 	}
 	nspecs := len(c.Specs)
 	if nspecs == 0 {
@@ -353,19 +345,19 @@ func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Repor
 		// resulting registration order, and therefore every rendering,
 		// is independent of the worker count.
 		rep.agg = metrics.NewRegistry()
-		rep.specAggs = make([]*metrics.Registry, nspecs)
+		specAggs := make([]*metrics.Registry, nspecs)
 		for si := range c.Specs {
-			rep.specAggs[si] = metrics.NewRegistry()
+			specAggs[si] = metrics.NewRegistry()
 		}
 		for v := range slots {
 			for si, reg := range slots[v].regs {
 				rep.agg.Merge(reg)
-				rep.specAggs[si].Merge(reg)
+				specAggs[si].Merge(reg)
 			}
 		}
 		ar := &AggregateReport{Campaign: aggregateRows(rep.agg)}
 		for si, spec := range c.Specs {
-			ar.Specs = append(ar.Specs, SpecAggregate{Name: spec.Name, Rows: aggregateRows(rep.specAggs[si])})
+			ar.Specs = append(ar.Specs, SpecAggregate{Name: spec.Name, Rows: aggregateRows(specAggs[si])})
 		}
 		rep.Aggregates = ar
 	}

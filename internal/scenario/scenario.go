@@ -136,6 +136,19 @@ type ReportConfig struct {
 	HTML string
 }
 
+// Size limits, so that one scenario line cannot tie up a campaign for
+// hours (runsim's remote-checkpoint grid walks the horizon linearly) or
+// allocate per-machine and per-variation state without bound.
+const (
+	// MaxHorizon caps the simulated duration of one variation.
+	MaxHorizon = 3650 * simclock.Day
+	// MaxMachines caps job.machines.
+	MaxMachines = 100_000
+	// MaxVariations caps the campaign width, the scenario's own and a
+	// CampaignOptions.Variations override alike.
+	MaxVariations = 1_000_000
+)
+
 // scenarioKinds is the chaos vocabulary the compiler accepts.
 var scenarioKinds = map[string]bool{
 	"crash": true, "correlated-crash": true, "partition": true,
@@ -186,8 +199,9 @@ func Parse(data []byte) (*Scenario, error) {
 }
 
 // Validate checks everything checkable without compiling: names resolve
-// against the catalogs, weights and rates are in range, chaos entries
-// carry the fields their kind needs.
+// against the catalogs, weights and rates are in range (every range
+// check is a negated comparison, so NaN fails it), sizes are within
+// their limits, chaos entries carry the fields their kind needs.
 func (s *Scenario) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: name is required")
@@ -210,6 +224,9 @@ func (s *Scenario) Validate() error {
 		return err
 	}
 	if err := s.checkScheduleSize(); err != nil {
+		return err
+	}
+	if err := s.checkLimits(); err != nil {
 		return err
 	}
 	for i, c := range s.Chaos {
@@ -238,6 +255,23 @@ func (s *Scenario) checkScheduleSize() error {
 	return nil
 }
 
+// checkLimits rejects a scenario past the size limits. It runs after
+// checkScheduleSize, so a failure model too large for its horizon is
+// reported with every field of its product.
+func (s *Scenario) checkLimits() error {
+	if s.Horizon > MaxHorizon {
+		return fmt.Errorf("scenario: horizon %gd exceeds the limit of %gd",
+			float64(s.Horizon/simclock.Day), float64(MaxHorizon/simclock.Day))
+	}
+	if s.Job.Machines > MaxMachines {
+		return fmt.Errorf("scenario: job.machines %d exceeds the limit of %d", s.Job.Machines, MaxMachines)
+	}
+	if s.Variations > MaxVariations {
+		return fmt.Errorf("scenario: variations %d exceeds the limit of %d", s.Variations, MaxVariations)
+	}
+	return nil
+}
+
 func (j JobConfig) validate(fleet *FleetConfig) error {
 	if j.Model == "" {
 		return fmt.Errorf("scenario: job.model is required")
@@ -259,7 +293,7 @@ func (j JobConfig) validate(fleet *FleetConfig) error {
 	if j.Replicas < 0 {
 		return fmt.Errorf("scenario: job.replicas must be ≥ 0, got %d", j.Replicas)
 	}
-	if j.RemoteGbps < 0 {
+	if !(j.RemoteGbps >= 0) {
 		return fmt.Errorf("scenario: job.remote_gbps must be ≥ 0, got %v", j.RemoteGbps)
 	}
 	if j.Strategy != "" {
@@ -278,7 +312,7 @@ func (f *FleetConfig) validate() error {
 		if _, err := cluster.InstanceByName(t.Instance); err != nil {
 			return fmt.Errorf("scenario: fleet.templates[%d]: %w", i, err)
 		}
-		if t.Weight <= 0 {
+		if !(t.Weight > 0) {
 			return fmt.Errorf("scenario: fleet.templates[%d] (%s) weight must be positive, got %v", i, t.Instance, t.Weight)
 		}
 	}
@@ -287,7 +321,7 @@ func (f *FleetConfig) validate() error {
 		ws   []Weight
 	}{{"regions", f.Regions}, {"providers", f.Providers}} {
 		for _, w := range group.ws {
-			if w.Weight <= 0 {
+			if !(w.Weight > 0) {
 				return fmt.Errorf("scenario: fleet.%s[%s] weight must be positive, got %v", group.name, w.Name, w.Weight)
 			}
 		}
@@ -332,7 +366,7 @@ func (c ChaosConfig) validate(i int, fleet *FleetConfig) error {
 	if !scenarioKinds[c.Kind] {
 		return fmt.Errorf("scenario: chaos[%d] kind %q unknown", i, c.Kind)
 	}
-	if c.At < 0 {
+	if !(c.At >= 0) {
 		return bad("at must be ≥ 0, got %v", c.At)
 	}
 	if c.MaxRanks < 0 {
@@ -363,25 +397,25 @@ func (c ChaosConfig) validate(i int, fleet *FleetConfig) error {
 		if targets == 0 {
 			return bad("needs ranks")
 		}
-		if c.Duration <= 0 {
+		if !(c.Duration > 0) {
 			return bad("needs a positive duration, got %v", c.Duration)
 		}
 	case "straggler":
 		if targets == 0 {
 			return bad("needs ranks")
 		}
-		if c.Factor <= 0 || c.Factor > 1 {
+		if !(c.Factor > 0 && c.Factor <= 1) {
 			return bad("factor %v out of (0,1]", c.Factor)
 		}
-		if c.Duration <= 0 {
+		if !(c.Duration > 0) {
 			return bad("needs a positive duration, got %v", c.Duration)
 		}
 	case "kv-outage":
-		if c.Duration <= 0 {
+		if !(c.Duration > 0) {
 			return bad("needs a positive duration, got %v", c.Duration)
 		}
 	case "lease-jitter":
-		if c.Jitter < 0 {
+		if !(c.Jitter >= 0) {
 			return bad("jitter must be ≥ 0, got %v", c.Jitter)
 		}
 	case "region-outage", "provider-outage":
@@ -424,10 +458,10 @@ func (r RunConfig) validate() error {
 			return fmt.Errorf("scenario: run.specs entry %q unknown (gemini, highfreq, strawman)", name)
 		}
 	}
-	if r.ReplacementDelay < 0 {
+	if !(r.ReplacementDelay >= 0) {
 		return fmt.Errorf("scenario: run.replacement_delay must be ≥ 0, got %v", r.ReplacementDelay)
 	}
-	if r.SimultaneityWindow < 0 {
+	if !(r.SimultaneityWindow >= 0) {
 		return fmt.Errorf("scenario: run.simultaneity_window must be ≥ 0, got %v", r.SimultaneityWindow)
 	}
 	return nil

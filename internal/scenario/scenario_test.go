@@ -192,6 +192,101 @@ func TestScheduleSizeLimit(t *testing.T) {
 	}
 }
 
+// NaN fails every ordered comparison, so a range check written as
+// `x < 0` lets it through. Each numeric field must reject NaN by name.
+func TestNaNFieldsRejected(t *testing.T) {
+	fleet := smallYAML + `
+fleet:
+  templates:
+    - instance: p4d.24xlarge
+      weight: 1
+  regions:
+    us-east-1: 1
+  providers:
+    aws: 1
+`
+	withChaos := func(entry string) string { return smallYAML + "\nchaos:\n" + entry }
+	cases := []struct{ name, src, want string }{
+		{"job.remote_gbps", strings.Replace(smallYAML, "replicas: 2", "replicas: 2\n  remote_gbps: NaN", 1), "job.remote_gbps"},
+		{"fleet template weight", strings.Replace(fleet, "weight: 1", "weight: NaN", 1), "fleet.templates[0]"},
+		{"fleet region weight", strings.Replace(fleet, "us-east-1: 1", "us-east-1: NaN", 1), "fleet.regions[us-east-1]"},
+		{"fleet provider weight", strings.Replace(fleet, "aws: 1", "aws: NaN", 1), "fleet.providers[aws]"},
+		{"chaos at", withChaos("  - at: NaN\n    kind: kv-outage\n    duration: 1m\n"), "at must be"},
+		{"chaos duration", withChaos("  - at: 1h\n    kind: kv-outage\n    duration: NaN\n"), "duration"},
+		{"chaos factor", withChaos("  - at: 1h\n    kind: straggler\n    ranks: [1]\n    factor: NaN\n    duration: 5m\n"), "factor"},
+		{"chaos jitter", withChaos("  - at: 1h\n    kind: lease-jitter\n    jitter: NaN\n"), "jitter"},
+		{"run.replacement_delay", strings.Replace(smallYAML, "simultaneity_window: 10s", "simultaneity_window: 10s\n  replacement_delay: NaN", 1), "run.replacement_delay"},
+		{"run.simultaneity_window", strings.Replace(smallYAML, "simultaneity_window: 10s", "simultaneity_window: NaN", 1), "run.simultaneity_window"},
+	}
+	if _, err := Parse([]byte(fleet)); err != nil {
+		t.Fatalf("fleet base scenario rejected: %v", err)
+	}
+	for _, tc := range cases {
+		_, err := Parse([]byte(tc.src))
+		if err == nil {
+			t.Errorf("%s: NaN accepted", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "NaN") {
+			t.Errorf("%s: error %q does not name %s and NaN", tc.name, err, tc.want)
+		}
+	}
+}
+
+// Size limits: each error names its field and its limit. runsim walks
+// the horizon linearly, so a zero-rate 16-machine scenario at 1e9 days
+// would validate and then run for minutes per variation.
+func TestSizeLimits(t *testing.T) {
+	zeroRate := strings.Replace(smallYAML, "kind: poisson\n  per_instance_per_day: 0.25   # 4/day cluster-wide\n  hardware_fraction: 0.5", "hardware_fraction: 0.5", 1)
+	cases := []struct {
+		name, src string
+		want      []string // nil: accepted
+	}{
+		{"horizon at the limit", strings.Replace(zeroRate, "horizon: 2d", "horizon: 3650d", 1), nil},
+		{"horizon past the limit", strings.Replace(zeroRate, "horizon: 2d", "horizon: 3651d", 1), []string{"horizon", "3650d"}},
+		{"horizon 1e9 days", strings.Replace(zeroRate, "horizon: 2d", "horizon: 1000000000d", 1), []string{"horizon", "3650d"}},
+		{"machines at the limit", strings.Replace(zeroRate, "machines: 16", "machines: 100000", 1), nil},
+		{"machines past the limit", strings.Replace(zeroRate, "machines: 16", "machines: 100001", 1), []string{"job.machines", "100000"}},
+		{"variations at the limit", strings.Replace(zeroRate, "variations: 4", "variations: 1000000", 1), nil},
+		{"variations past the limit", strings.Replace(zeroRate, "variations: 4", "variations: 1000001", 1), []string{"variations", "1000000"}},
+	}
+	if zeroRate == smallYAML {
+		t.Fatal("zero-rate scenario still carries the failure model")
+	}
+	for _, tc := range cases {
+		_, err := Parse([]byte(tc.src))
+		if tc.want == nil {
+			if err != nil {
+				t.Errorf("%s: rejected: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not name %s", tc.name, err, w)
+			}
+		}
+	}
+
+	// The campaign width override is held to the same limit.
+	s, err := Parse([]byte(smallYAML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = RunCampaign(context.Background(), c, CampaignOptions{Variations: MaxVariations + 1})
+	if err == nil || !strings.Contains(err.Error(), "variations") || !strings.Contains(err.Error(), "1000000") {
+		t.Fatalf("variations override past the limit: error %v", err)
+	}
+}
+
 func TestChaosValidation(t *testing.T) {
 	withChaos := func(entry string) string {
 		return smallYAML + "\nchaos:\n" + entry

@@ -1,16 +1,15 @@
-// Package storage provides the two checkpoint destinations below the
-// training machines' own CPU memory: the remote persistent store (the
-// FSx-like filesystem whose ~20 Gbps aggregate bandwidth is what limits
-// existing checkpointing solutions, §2.2) and the per-machine CPU-memory
-// stores GEMINI writes its recovery checkpoints into.
+// Package storage provides the per-machine CPU-memory stores GEMINI
+// writes its recovery checkpoints into. The remote persistent tier (the
+// FSx-like filesystem whose ~20 Gbps aggregate bandwidth limits existing
+// checkpointing solutions, §2.2) lives elsewhere: baselines turns its
+// bandwidth into checkpoint and retrieval times, and statemgr keeps the
+// shard bytes it holds.
 package storage
 
 import (
 	"fmt"
 	"sort"
 
-	"gemini/internal/netsim"
-	"gemini/internal/simclock"
 	"gemini/internal/tensor"
 )
 
@@ -109,95 +108,3 @@ func (s *MemoryStore) Wipe() {
 	s.objects = make(map[string]Object)
 	s.used = 0
 }
-
-// RemoteStore is the remote persistent storage service. All machines'
-// reads and writes share its aggregate bandwidth; transfers are carried
-// as flows on the cluster fabric, to and from a dedicated storage node,
-// so they contend with any concurrent training traffic on the machines'
-// NICs as well.
-type RemoteStore struct {
-	engine  *simclock.Engine
-	fabric  *netsim.Fabric
-	node    int // the storage endpoint on the fabric
-	objects map[string]Object
-}
-
-// NewRemoteStore attaches a persistent store to fabric endpoint node with
-// the given aggregate bandwidth in bytes/sec.
-func NewRemoteStore(engine *simclock.Engine, fabric *netsim.Fabric, node int, aggBytesPerSec float64) (*RemoteStore, error) {
-	if aggBytesPerSec <= 0 {
-		return nil, fmt.Errorf("storage: aggregate bandwidth must be positive, got %v", aggBytesPerSec)
-	}
-	fabric.SetNodeCapacity(node, aggBytesPerSec, aggBytesPerSec)
-	return &RemoteStore{
-		engine:  engine,
-		fabric:  fabric,
-		node:    node,
-		objects: make(map[string]Object),
-	}, nil
-}
-
-// Node returns the fabric endpoint the store occupies.
-func (r *RemoteStore) Node() int { return r.node }
-
-// Has reports whether an object exists under key.
-func (r *RemoteStore) Has(key string) bool {
-	_, ok := r.objects[key]
-	return ok
-}
-
-// Lookup returns the object's metadata without transferring it.
-func (r *RemoteStore) Lookup(key string) (Object, bool) {
-	obj, ok := r.objects[key]
-	return obj, ok
-}
-
-// Keys returns all keys in sorted order.
-func (r *RemoteStore) Keys() []string {
-	out := make([]string, 0, len(r.objects))
-	for k := range r.objects {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Write uploads an object from machine node src. done fires when the
-// upload completes (ok) or the source fails mid-transfer (!ok). The
-// object becomes visible only on completion — a failure mid-upload leaves
-// the previous version intact, never a torn object.
-func (r *RemoteStore) Write(src int, obj Object, done func(ok bool)) {
-	r.fabric.StartFlow(src, r.node, obj.Bytes, "ckpt-upload:"+obj.Key, func(fl *netsim.Flow) {
-		ok := fl.State() == netsim.FlowDone
-		fl.Release()
-		if ok {
-			r.objects[obj.Key] = obj
-		}
-		if done != nil {
-			done(ok)
-		}
-	})
-}
-
-// Read downloads the object under key to machine node dst. done receives
-// the object and ok=true on success; a missing key or failed transfer
-// reports ok=false.
-func (r *RemoteStore) Read(key string, dst int, done func(Object, bool)) {
-	obj, ok := r.objects[key]
-	if !ok {
-		r.engine.After(0, func() { done(Object{}, false) })
-		return
-	}
-	r.fabric.StartFlow(r.node, dst, obj.Bytes, "ckpt-download:"+key, func(fl *netsim.Flow) {
-		ok := fl.State() == netsim.FlowDone
-		fl.Release()
-		if ok {
-			done(obj, true)
-		} else {
-			done(Object{}, false)
-		}
-	})
-}
-
-// Delete removes an object.
-func (r *RemoteStore) Delete(key string) { delete(r.objects, key) }

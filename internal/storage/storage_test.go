@@ -4,12 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"gemini/internal/netsim"
-	"gemini/internal/simclock"
 )
-
-const gbps = 1e9 / 8
 
 func TestMemoryStorePutGetDelete(t *testing.T) {
 	s := MustNewMemoryStore(1000)
@@ -83,128 +78,6 @@ func TestMemoryStoreKeysSorted(t *testing.T) {
 func TestNewMemoryStoreRejectsNegative(t *testing.T) {
 	if _, err := NewMemoryStore(-1); err == nil {
 		t.Fatal("negative capacity accepted")
-	}
-}
-
-// remoteFixture builds 2 machines + storage node fabric with fast NICs
-// and a slow store, the shape of the paper's testbed.
-func remoteFixture(t *testing.T) (*simclock.Engine, *netsim.Fabric, *RemoteStore) {
-	t.Helper()
-	e := simclock.NewEngine()
-	fab := netsim.MustNewFabric(e, 3, netsim.Config{EgressBytesPerSec: 400 * gbps})
-	rs, err := NewRemoteStore(e, fab, 2, 20*gbps)
-	if err != nil {
-		t.Fatalf("NewRemoteStore: %v", err)
-	}
-	return e, fab, rs
-}
-
-func TestRemoteStoreWriteReadTiming(t *testing.T) {
-	e, _, rs := remoteFixture(t)
-	const size = 25e9 // 25 GB at 20 Gbps = 10 s
-	var wrote simclock.Time
-	rs.Write(0, Object{Key: "ckpt/1", Bytes: size, Iteration: 1}, func(ok bool) {
-		if !ok {
-			t.Error("write failed")
-		}
-		wrote = e.Now()
-	})
-	e.RunAll()
-	if want := size / (20 * gbps); math.Abs(float64(wrote)-want) > 1e-6 {
-		t.Fatalf("write finished at %v, want %v", wrote, want)
-	}
-	if !rs.Has("ckpt/1") {
-		t.Fatal("object missing after write")
-	}
-	var read simclock.Time
-	rs.Read("ckpt/1", 1, func(obj Object, ok bool) {
-		if !ok || obj.Iteration != 1 {
-			t.Errorf("read got %+v, %v", obj, ok)
-		}
-		read = e.Now()
-	})
-	e.RunAll()
-	if want := float64(wrote) + size/(20*gbps); math.Abs(float64(read)-want) > 1e-6 {
-		t.Fatalf("read finished at %v, want %v", read, want)
-	}
-}
-
-func TestRemoteStoreAggregateBandwidthShared(t *testing.T) {
-	// Two machines upload simultaneously: the 20 Gbps store ingress is the
-	// bottleneck, so each upload takes twice as long as alone.
-	e, _, rs := remoteFixture(t)
-	const size = 25e9
-	var done []simclock.Time
-	for src := 0; src < 2; src++ {
-		rs.Write(src, Object{Key: "k" + string(rune('0'+src)), Bytes: size}, func(bool) {
-			done = append(done, e.Now())
-		})
-	}
-	e.RunAll()
-	want := 2 * size / (20 * gbps)
-	for _, d := range done {
-		if math.Abs(float64(d)-want) > 1e-3 {
-			t.Fatalf("shared upload finished at %v, want %v", d, want)
-		}
-	}
-}
-
-func TestRemoteStoreReadMissingKey(t *testing.T) {
-	e, _, rs := remoteFixture(t)
-	called := false
-	rs.Read("absent", 0, func(_ Object, ok bool) {
-		called = true
-		if ok {
-			t.Error("missing key read ok")
-		}
-	})
-	e.RunAll()
-	if !called {
-		t.Fatal("callback for missing key never fired")
-	}
-}
-
-func TestRemoteStoreFailedUploadLeavesOldVersion(t *testing.T) {
-	e, fab, rs := remoteFixture(t)
-	rs.Write(0, Object{Key: "ckpt", Bytes: 1e9, Iteration: 1}, nil)
-	e.RunAll()
-	// Second upload dies when the source machine fails mid-transfer.
-	var failed bool
-	rs.Write(0, Object{Key: "ckpt", Bytes: 50e9, Iteration: 2}, func(ok bool) { failed = !ok })
-	e.At(e.Now().Add(1), func() { fab.SetNodeUp(0, false) })
-	e.RunAll()
-	if !failed {
-		t.Fatal("interrupted upload reported success")
-	}
-	obj, ok := rs.Lookup("ckpt")
-	if !ok || obj.Iteration != 1 {
-		t.Fatalf("store holds %+v, want intact iteration-1 object", obj)
-	}
-}
-
-func TestRemoteStoreDeleteAndKeys(t *testing.T) {
-	e, _, rs := remoteFixture(t)
-	rs.Write(0, Object{Key: "b", Bytes: 1}, nil)
-	rs.Write(0, Object{Key: "a", Bytes: 1}, nil)
-	e.RunAll()
-	keys := rs.Keys()
-	if len(keys) != 2 || keys[0] != "a" {
-		t.Fatalf("Keys = %v", keys)
-	}
-	rs.Delete("a")
-	if rs.Has("a") {
-		t.Fatal("deleted key still present")
-	}
-	if rs.Node() != 2 {
-		t.Fatalf("Node = %d, want 2", rs.Node())
-	}
-}
-
-func TestNewRemoteStoreRejectsBadBandwidth(t *testing.T) {
-	e := simclock.NewEngine()
-	fab := netsim.MustNewFabric(e, 2, netsim.Config{EgressBytesPerSec: 1})
-	if _, err := NewRemoteStore(e, fab, 1, 0); err == nil {
-		t.Fatal("zero bandwidth accepted")
 	}
 }
 

@@ -18,8 +18,6 @@ func TestOptionArgumentsValidatedAtNewJob(t *testing.T) {
 	}{
 		{"replicas zero", WithReplicas(0), "WithReplicas(0)"},
 		{"replicas negative", WithReplicas(-2), "WithReplicas(-2)"},
-		{"remote bandwidth zero", WithRemoteBandwidth(0), "WithRemoteBandwidth"},
-		{"remote bandwidth negative", WithRemoteBandwidth(-1e9), "WithRemoteBandwidth"},
 		{"nil faults", WithFaults(nil), "WithFaults(nil)"},
 		{"unknown strategy", WithStrategy("raid0"), `unknown strategy "raid0"`},
 		{"empty strategy", WithStrategy(""), "unknown strategy"},
