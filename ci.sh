@@ -50,6 +50,17 @@ if [ "$ALLOC_PASSES" -ne 17 ]; then
 	exit 1
 fi
 
+# Figure gate: the full `benchtables -ablations` text — every paper table
+# and figure plus the design studies, Figs. 7, 8, 13 and 16 among them on
+# the fluid network model — must match its checked-in golden byte for
+# byte, so any change to a simulated figure shows up as a reviewed golden
+# diff. Regenerate with
+#   go run ./cmd/benchtables -ablations > cmd/benchtables/testdata/ablations.golden
+ABL_OUT="$(mktemp -t geminiabl.XXXXXX.txt)"
+go run ./cmd/benchtables -ablations > "$ABL_OUT"
+cmp "$ABL_OUT" cmd/benchtables/testdata/ablations.golden
+rm -f "$ABL_OUT"
+
 # Observability gates: the geminisim -trace export must parse as Chrome
 # trace JSON with events from at least four subsystems — a refactor that
 # silently unwires a subsystem's tracing fails here instead of shipping

@@ -15,27 +15,48 @@ import (
 // component collection, waterfill, ETA-heap maintenance, and event
 // rearming — allocates nothing. A flow's own lifecycle is gated below.
 func TestSteadyStateFabricEventsDoNotAllocate(t *testing.T) {
+	const n = 32
 	e := simclock.NewEngine()
-	f := MustNewFabric(e, 32, Config{EgressBytesPerSec: 1e9})
-	for i := 0; i < 32; i++ {
-		f.StartFlow(i, (i+1)%32, 1e15, "bg", nil)
+	f := MustNewFabric(e, n, Config{EgressBytesPerSec: 1e9})
+	for i := 0; i < n; i++ {
+		f.StartFlow(i, (i+1)%n, 1e15, "bg", nil)
 	}
 	e.Run(1)
-	// Each toggle dirties node 1, re-collects its component (the whole
-	// ring), re-waterfills 32 flows, fixes their heap ETAs, and rearms
-	// both persistent events — the full steady-state event path.
-	toggle := func(factor float64) {
-		f.SetNodeFactor(1, factor)
-		e.Run(e.Now())
+	// Each op starts a warm, released flow through node 1 and runs it to
+	// completion. Its start and its finish each dirty node 1, re-collect
+	// its component (the whole ring), re-waterfill every flow in it, fix
+	// their heap ETAs, and rearm both persistent events — the full
+	// steady-state event path.
+	release := func(fl *Flow) { fl.Release() }
+	op := func() {
+		f.StartFlow(1, 1+n/2, 1e6, "probe", release)
+		e.Run(e.Now().Add(1))
 	}
-	toggle(0.5)
-	toggle(1)
-	allocs := testing.AllocsPerRun(50, func() {
-		toggle(0.5)
-		toggle(1)
-	})
+	op()
+	before := f.Stats()
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, op)
 	if allocs != 0 {
 		t.Fatalf("steady-state fabric events allocate %v times/op, want 0", allocs)
+	}
+	// AllocsPerRun makes one warm-up call on top of runs. Per op: one
+	// recompute at the start (n ring flows + the probe) and one at the
+	// finish (the n ring flows), each over the whole component.
+	after := f.Stats()
+	ops := uint64(runs + 1)
+	if got := after.FlowsFinished - before.FlowsFinished; got != ops {
+		t.Fatalf("%d probe flows finished, want %d", got, ops)
+	}
+	if got := after.Recomputes - before.Recomputes; got != 2*ops {
+		t.Fatalf("%d recomputes, want %d", got, 2*ops)
+	}
+	if got := after.Waterfills - before.Waterfills; got != 2*ops {
+		t.Fatalf("%d waterfills, want %d", got, 2*ops)
+	}
+	recomputed := after.FlowsRecomputed - before.FlowsRecomputed
+	active := after.ActiveFlowSum - before.ActiveFlowSum
+	if recomputed != (2*n+1)*ops || active != recomputed {
+		t.Fatalf("recomputes touched %d of %d active flows, want all %d", recomputed, active, (2*n+1)*ops)
 	}
 }
 

@@ -8,33 +8,36 @@ import (
 	"gemini/internal/simclock"
 )
 
-// runContendedFabric drives a fabric through simultaneous completions, a
-// node failure, and a partition, recording every callback. The engine
-// promises the exact same sequence on every run: completions fire in
-// (ETA, flow-sequence) order and failures in flow-start order, never in
-// Go map-iteration order.
+// runContendedFabric drives a fabric through a contended mix of
+// staggered flows — a ring, cross traffic joining one by one, and a burst
+// of equal flows that drain together — recording every callback. The
+// engine promises the exact same sequence on every run: completions fire
+// in (ETA, flow-sequence) order, never in Go map-iteration order.
 func runContendedFabric() []string {
 	e := simclock.NewEngine()
 	f := MustNewFabric(e, 8, Config{EgressBytesPerSec: 1000, Alpha: 0.01})
 	var order []string
-	for i := 0; i < 8; i++ {
-		i := i
-		record := func(fl *Flow) {
-			order = append(order, fmt.Sprintf("%s:%v@%v", fl.Label, fl.State(), e.Now()))
-		}
-		f.StartFlow(i, (i+1)%8, 5000, fmt.Sprintf("ring%d", i), record)
-		f.StartFlow(i, (i+4)%8, 5000, fmt.Sprintf("cross%d", i), record)
+	record := func(fl *Flow) {
+		order = append(order, fmt.Sprintf("%s:%v@%v", fl.Label, fl.State(), e.Now()))
 	}
-	e.At(2, func() { f.SetNodeUp(3, false) })
-	e.At(4, func() { f.SetPartition([]int{0, 1, 2}) })
+	for i := 0; i < 8; i++ {
+		f.StartFlow(i, (i+1)%8, 5000, fmt.Sprintf("ring%d", i), record)
+		src, bytes, label := i, 2000+500*float64(i%3), fmt.Sprintf("cross%d", i)
+		e.At(simclock.Time(0.5*float64(i)), func() { f.StartFlow(src, (src+4)%8, bytes, label, record) })
+	}
+	e.At(3, func() {
+		for d := 1; d <= 4; d++ {
+			f.StartFlow(0, d, 1000, fmt.Sprintf("burst%d", d), record)
+		}
+	})
 	e.RunAll()
 	return order
 }
 
 func TestCompletionOrderDeterministic(t *testing.T) {
 	first := runContendedFabric()
-	if len(first) != 16 {
-		t.Fatalf("got %d callbacks, want 16 (every flow terminal)", len(first))
+	if len(first) != 20 {
+		t.Fatalf("got %d callbacks, want 20 (every flow done)", len(first))
 	}
 	for run := 0; run < 3; run++ {
 		again := runContendedFabric()
@@ -69,97 +72,31 @@ func TestSameInstantCompletionsFireInStartOrder(t *testing.T) {
 	}
 }
 
-func TestCancelDuringStartupWindow(t *testing.T) {
-	e, f := newTestFabric(t, 2, Config{EgressBytesPerSec: 100, Alpha: 1})
-	var state FlowState = -1
-	fl := f.StartFlow(0, 1, 1000, "t", func(fl *Flow) { state = fl.State() })
-	e.At(0.5, func() { fl.Cancel() })
-	e.RunAll()
-	if state != FlowCanceled {
-		t.Fatalf("flow canceled mid-startup ended %v, want canceled", state)
-	}
-	if fl.FinishedAt() != 0.5 {
-		t.Fatalf("finished at %v, want 0.5", fl.FinishedAt())
-	}
-	if fl.Remaining() != 1000 {
-		t.Fatalf("remaining %v, want 1000 (never carried a byte)", fl.Remaining())
-	}
-	if f.ActiveFlows() != 0 {
-		t.Fatalf("ActiveFlows %d, want 0", f.ActiveFlows())
-	}
-	if bt := f.BusyTime(0); bt != 0 {
-		t.Fatalf("busy time %v, want 0 (flow never activated)", bt)
-	}
-}
-
-// A completion and an endpoint failure landing at the same instant: the
-// completion (priority −10) fires before the user event, and the failure
-// settles the victim's bytes before failing it.
-func TestEndpointFailureAtCompletionInstant(t *testing.T) {
+// A completion and a user event landing at the same instant: the
+// completion (priority −10) fires first, so the user event sees the flow
+// done and a concurrent flow's bytes settled to that instant.
+func TestCompletionFiresBeforeSameInstantUserEvent(t *testing.T) {
 	e, f := newTestFabric(t, 4, Config{EgressBytesPerSec: 100})
 	var order []string
-	a := f.StartFlow(0, 1, 1000, "a", func(fl *Flow) {
+	var a, b *Flow
+	// Scheduled before either flow starts, so only the priority layout
+	// can put the completion first.
+	e.At(10, func() {
+		order = append(order, fmt.Sprintf("user:a=%v", a.State()))
+		if rem := b.Remaining(); math.Abs(rem-9000) > 1e-6 {
+			t.Errorf("concurrent flow remaining %v at t=10, want 9000", rem)
+		}
+	})
+	a = f.StartFlow(0, 1, 1000, "a", func(fl *Flow) {
 		order = append(order, fmt.Sprintf("a:%v", fl.State()))
 	})
-	b := f.StartFlow(2, 3, 10000, "b", func(fl *Flow) {
-		order = append(order, fmt.Sprintf("b:%v", fl.State()))
-	})
-	e.At(10, func() { f.SetNodeUp(3, false) })
+	b = f.StartFlow(2, 3, 10000, "b", nil)
 	e.RunAll()
-	if len(order) != 2 || order[0] != "a:done" || order[1] != "b:failed" {
-		t.Fatalf("callback order %v, want [a:done b:failed]", order)
+	if len(order) != 2 || order[0] != "a:done" || order[1] != "user:a=done" {
+		t.Fatalf("callback order %v, want [a:done user:a=done]", order)
 	}
-	if a.FinishedAt() != 10 || b.FinishedAt() != 10 {
-		t.Fatalf("finish times %v/%v, want 10/10", a.FinishedAt(), b.FinishedAt())
-	}
-	if rem := b.Remaining(); math.Abs(rem-9000) > 1e-6 {
-		t.Fatalf("failed flow remaining %v, want 9000", rem)
-	}
-}
-
-func TestZeroBandwidthNodeParksFlows(t *testing.T) {
-	e, f := newTestFabric(t, 3, Config{EgressBytesPerSec: 100})
-	var done simclock.Time
-	fl := f.StartFlow(0, 1, 1000, "parked", func(*Flow) { done = e.Now() })
-	e.At(5, func() { f.SetNodeFactor(1, 0) })
-	e.At(8, func() { f.SetNodeFactor(1, 1) })
-	e.Run(6)
-	if fl.State() != FlowActive || fl.Rate() != 0 {
-		t.Fatalf("parked flow state %v rate %v, want active at rate 0", fl.State(), fl.Rate())
-	}
-	if rem := fl.Remaining(); math.Abs(rem-500) > 1e-6 {
-		t.Fatalf("parked flow remaining %v, want 500", rem)
-	}
-	// A parked flow must not spin the event loop: nothing fires while the
-	// node stays at zero bandwidth.
-	if fired := e.Run(7.9); fired != 0 {
-		t.Fatalf("event loop fired %d events while parked, want 0", fired)
-	}
-	e.RunAll()
-	// 5 s at 100 B/s, 3 s parked, then the remaining 500 bytes.
-	if math.Abs(float64(done)-13) > 1e-6 {
-		t.Fatalf("flow finished at %v, want 13", done)
-	}
-}
-
-func TestFlowIntoZeroBandwidthNodeParksImmediately(t *testing.T) {
-	e, f := newTestFabric(t, 2, Config{EgressBytesPerSec: 100})
-	f.SetNodeFactor(1, 0)
-	fl := f.StartFlow(0, 1, 1000, "t", nil)
-	fired := e.RunAll()
-	if fl.State() != FlowActive || fl.Rate() != 0 || fl.Remaining() != 1000 {
-		t.Fatalf("flow state %v rate %v remaining %v, want parked active", fl.State(), fl.Rate(), fl.Remaining())
-	}
-	if fired > 4 {
-		t.Fatalf("event loop fired %d events for a parked flow, want a handful", fired)
-	}
-	if e.Now() != 0 {
-		t.Fatalf("clock advanced to %v for a parked flow", e.Now())
-	}
-	f.SetNodeFactor(1, 1)
-	e.RunAll()
-	if fl.State() != FlowDone || fl.FinishedAt() != 10 {
-		t.Fatalf("unparked flow state %v finished %v, want done at 10", fl.State(), fl.FinishedAt())
+	if a.FinishedAt() != 10 || b.FinishedAt() != 100 {
+		t.Fatalf("finish times %v/%v, want 10/100", a.FinishedAt(), b.FinishedAt())
 	}
 }
 

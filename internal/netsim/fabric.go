@@ -12,10 +12,13 @@
 // The rate engine is incremental and allocation-free in steady state:
 // flows live in persistent per-node lists, completions come off an
 // indexed min-heap of ETAs ordered by (ETA, flow sequence), and a flow
-// start/finish/failure marks only its endpoints dirty — one coalesced
+// start or finish marks only its endpoints dirty — one coalesced
 // recompute per simulated instant then re-waterfills just the connected
 // component those nodes belong to. See DESIGN.md for the full data
 // structures and the determinism guarantees.
+//
+// The fabric carries no faults: every flow runs starting (α window) →
+// active → done. Fault injection lives in the agent control plane.
 package netsim
 
 import (
@@ -52,7 +55,8 @@ func (c Config) validate() error {
 	return nil
 }
 
-// FlowState is the lifecycle state of a flow.
+// FlowState is the lifecycle state of a flow: starting, then active, then
+// done.
 type FlowState int
 
 const (
@@ -62,10 +66,6 @@ const (
 	FlowActive
 	// FlowDone means all bytes were delivered.
 	FlowDone
-	// FlowFailed means an endpoint went down before completion.
-	FlowFailed
-	// FlowCanceled means the flow was canceled by its owner.
-	FlowCanceled
 )
 
 func (s FlowState) String() string {
@@ -76,10 +76,6 @@ func (s FlowState) String() string {
 		return "active"
 	case FlowDone:
 		return "done"
-	case FlowFailed:
-		return "failed"
-	case FlowCanceled:
-		return "canceled"
 	default:
 		return fmt.Sprintf("FlowState(%d)", int(s))
 	}
@@ -124,7 +120,7 @@ type Flow struct {
 	outIdx     int32         // position in nodes[Src].out
 	inIdx      int32         // position in nodes[Dst].in
 	activeIdx  int32         // position in fabric.active
-	heapIdx    int32         // position in fabric.byETA; -1 when parked
+	heapIdx    int32         // position in fabric.byETA; -1 when not in it
 	visited    uint64        // component-collection generation mark
 	frozen     bool          // waterfill scratch
 }
@@ -139,7 +135,7 @@ func (f *Flow) Bytes() float64 { return f.bytes }
 // current instant.
 func (f *Flow) Remaining() float64 {
 	rem := f.remaining
-	if f.state == FlowActive && f.rate > 0 {
+	if f.state == FlowActive {
 		rem -= f.rate * f.fabric.engine.Now().Sub(f.lastUpdate).Seconds()
 		if rem < 0 {
 			rem = 0
@@ -154,28 +150,13 @@ func (f *Flow) Rate() float64 { return f.rate }
 // StartedAt returns when the flow was submitted.
 func (f *Flow) StartedAt() simclock.Time { return f.started }
 
-// FinishedAt returns when the flow reached a terminal state; it is zero
-// for flows still in flight.
+// FinishedAt returns when the flow was done; it is zero for flows still
+// in flight.
 func (f *Flow) FinishedAt() simclock.Time { return f.finished }
-
-// Cancel removes the flow from the fabric without delivering remaining
-// bytes. The completion callback fires with state FlowCanceled.
-func (f *Flow) Cancel() {
-	if f.state == FlowDone || f.state == FlowFailed || f.state == FlowCanceled {
-		return
-	}
-	f.startEv.Cancel()
-	fb := f.fabric
-	if f.state == FlowActive {
-		fb.settleFlow(f, fb.engine.Now())
-	}
-	fb.finishFlow(f, FlowCanceled)
-	fb.armRecompute()
-}
 
 // Release returns a finished flow to its fabric, whose next StartFlow may
 // hand the same *Flow out again. The caller must drop every reference
-// first: a stale Cancel or accessor would reach the reused flow. Release
+// first: a stale accessor would reach the reused flow. Release
 // is typically the last thing a completion callback does with its flow.
 // Releasing a flow that is still starting or active, or releasing it
 // twice, panics.
@@ -183,7 +164,7 @@ func (f *Flow) Release() {
 	if f.released {
 		panic(fmt.Sprintf("netsim: flow %q released twice", f.Label))
 	}
-	if f.state == FlowStarting || f.state == FlowActive {
+	if f.state != FlowDone {
 		panic(fmt.Sprintf("netsim: release of %v flow %q", f.state, f.Label))
 	}
 	f.released = true
@@ -192,7 +173,6 @@ func (f *Flow) Release() {
 }
 
 type node struct {
-	up         bool
 	egressCap  float64
 	ingressCap float64
 
@@ -221,17 +201,7 @@ type Fabric struct {
 	nodes  []node
 
 	active []*Flow // all FlowActive flows
-	byETA  []*Flow // indexed min-heap on (eta, seq); active flows with rate > 0
-
-	// partition assigns each node a partition id; nil means fully
-	// connected. Flows may only cross between nodes with equal ids.
-	partition []int
-	// linkFactor caps a directed link at a fraction of its endpoints'
-	// NIC bandwidth; absent links are undegraded.
-	linkFactor map[[2]int]float64
-	// nodeFactor scales a node's effective NIC bandwidth (straggler
-	// injection); nil means every node runs at full speed.
-	nodeFactor []float64
+	byETA  []*Flow // indexed min-heap on (eta, seq) of rated active flows
 
 	flowSeq uint64
 	free    []*Flow // released flows, reused by StartFlow
@@ -278,7 +248,7 @@ func NewFabric(engine *simclock.Engine, n int, cfg Config) (*Fabric, error) {
 		visitGen: 1,
 	}
 	for i := range f.nodes {
-		f.nodes[i] = node{up: true, egressCap: cfg.EgressBytesPerSec, ingressCap: cfg.IngressBytesPerSec}
+		f.nodes[i] = node{egressCap: cfg.EgressBytesPerSec, ingressCap: cfg.IngressBytesPerSec}
 	}
 	return f, nil
 }
@@ -295,13 +265,15 @@ func MustNewFabric(engine *simclock.Engine, n int, cfg Config) *Fabric {
 // Config returns the fabric configuration.
 func (fb *Fabric) Config() Config { return fb.cfg }
 
-// ActiveFlows returns the number of flows not yet in a terminal state.
+// ActiveFlows returns the number of flows past their α window and not yet
+// done.
 func (fb *Fabric) ActiveFlows() int { return len(fb.active) }
 
 // StartFlow submits a transfer of size bytes from src to dst. After the α
 // startup latency the flow competes for bandwidth under max-min fairness.
-// onDone fires exactly once when the flow reaches a terminal state.
-// A zero-byte flow completes after just the startup latency.
+// onDone fires exactly once, when the last byte is delivered; it never
+// runs during StartFlow itself. A zero-byte flow completes after just the
+// startup latency.
 //
 // The returned flow may be one an earlier owner released (see
 // Flow.Release); it is reset to a fresh flow either way.
@@ -324,20 +296,8 @@ func (fb *Fabric) StartFlow(src, dst int, bytes float64, label string, onDone fu
 	}
 	fb.flowSeq++
 	fb.stats.flowsStarted++
-	if !fb.nodes[src].up || !fb.nodes[dst].up || !fb.Reachable(src, dst) {
-		// Fail asynchronously so callers never observe a callback during
-		// StartFlow itself. By then the flow may have been canceled,
-		// released and reused; its sequence number tells.
-		seq := fl.seq
-		fb.engine.After(0, func() {
-			if fl.seq == seq && fl.state == FlowStarting {
-				fb.finishFlow(fl, FlowFailed)
-			}
-		})
-		return fl
-	}
-	// A terminal flow's start event has fired or been canceled, so a
-	// reused flow can move its own event instead of allocating one.
+	// A done flow's start event has fired, so a reused flow can move its
+	// own event instead of allocating one.
 	if fl.startEv == (simclock.EventID{}) {
 		fl.startEv = fb.engine.After(fb.cfg.Alpha, fl.startFn)
 	} else {
@@ -362,16 +322,7 @@ func (fb *Fabric) takeFlow() *Flow {
 
 // start ends the α startup window: the flow joins the rate engine.
 func (fl *Flow) start() {
-	if fl.state != FlowStarting {
-		return
-	}
 	fb := fl.fabric
-	// An endpoint may have failed or been partitioned away during the
-	// startup window; such flows never carried a byte and fail here.
-	if !fb.nodes[fl.Src].up || !fb.nodes[fl.Dst].up || !fb.Reachable(fl.Src, fl.Dst) {
-		fb.finishFlow(fl, FlowFailed)
-		return
-	}
 	fl.state = FlowActive
 	fl.lastUpdate = fb.engine.Now()
 	fb.attachFlow(fl)
@@ -382,173 +333,6 @@ func (fb *Fabric) checkNode(i int) {
 	if i < 0 || i >= len(fb.nodes) {
 		panic(fmt.Sprintf("netsim: node %d out of range [0,%d)", i, len(fb.nodes)))
 	}
-}
-
-// SetNodeUp marks an endpoint healthy or failed. Taking a node down fails
-// every flow that touches it, in flow-start order.
-func (fb *Fabric) SetNodeUp(i int, up bool) {
-	fb.checkNode(i)
-	n := &fb.nodes[i]
-	if n.up == up {
-		return
-	}
-	n.up = up
-	if !up {
-		// Snapshot into a fresh slice: callbacks may fail further nodes.
-		doomed := make([]*Flow, 0, len(n.out)+len(n.in))
-		doomed = append(doomed, n.out...)
-		doomed = append(doomed, n.in...)
-		fb.failFlows(doomed)
-	}
-	fb.armRecompute()
-}
-
-// NodeUp reports whether endpoint i is healthy.
-func (fb *Fabric) NodeUp(i int) bool {
-	fb.checkNode(i)
-	return fb.nodes[i].up
-}
-
-// SetPartition splits the fabric: each listed group can only talk within
-// itself, and all unlisted nodes form one residual component. Active
-// flows crossing a partition boundary fail immediately, in flow-start
-// order; flows in their startup window fail when the window elapses. A
-// later call replaces the previous partition wholesale.
-func (fb *Fabric) SetPartition(groups ...[]int) {
-	part := make([]int, len(fb.nodes))
-	for gi, group := range groups {
-		for _, i := range group {
-			fb.checkNode(i)
-			if part[i] != 0 {
-				panic(fmt.Sprintf("netsim: node %d listed in two partition groups", i))
-			}
-			part[i] = gi + 1
-		}
-	}
-	fb.partition = part
-	var doomed []*Flow
-	for _, fl := range fb.active {
-		if !fb.Reachable(fl.Src, fl.Dst) {
-			doomed = append(doomed, fl)
-		}
-	}
-	fb.failFlows(doomed)
-	fb.armRecompute()
-}
-
-// failFlows settles and fails the given flows in flow-start order.
-// Callbacks run synchronously and may mutate the fabric further; flows a
-// callback already finished are skipped.
-func (fb *Fabric) failFlows(doomed []*Flow) {
-	slices.SortFunc(doomed, func(a, b *Flow) int {
-		switch {
-		case a.seq < b.seq:
-			return -1
-		case a.seq > b.seq:
-			return 1
-		default:
-			return 0
-		}
-	})
-	now := fb.engine.Now()
-	for _, fl := range doomed {
-		if fl.state != FlowActive {
-			continue
-		}
-		fb.settleFlow(fl, now)
-		fb.finishFlow(fl, FlowFailed)
-	}
-}
-
-// ClearPartition heals all partitions.
-func (fb *Fabric) ClearPartition() {
-	fb.partition = nil
-}
-
-// Reachable reports whether two endpoints can currently exchange bytes,
-// considering only partitions (not node health).
-func (fb *Fabric) Reachable(i, j int) bool {
-	fb.checkNode(i)
-	fb.checkNode(j)
-	if fb.partition == nil {
-		return true
-	}
-	return fb.partition[i] == fb.partition[j]
-}
-
-// SetLinkFactor degrades the directed link src→dst to the given fraction
-// of its endpoints' NIC bandwidth. factor must be in (0, 1]; 1 removes
-// the degradation.
-func (fb *Fabric) SetLinkFactor(src, dst int, factor float64) {
-	fb.checkNode(src)
-	fb.checkNode(dst)
-	if factor <= 0 || factor > 1 || math.IsNaN(factor) {
-		panic(fmt.Sprintf("netsim: link factor must be in (0,1], got %v", factor))
-	}
-	if factor == 1 {
-		delete(fb.linkFactor, [2]int{src, dst})
-	} else {
-		if fb.linkFactor == nil {
-			fb.linkFactor = make(map[[2]int]float64)
-		}
-		fb.linkFactor[[2]int{src, dst}] = factor
-	}
-	fb.markDirty(src)
-	fb.markDirty(dst)
-	fb.armRecompute()
-}
-
-// SetNodeFactor scales endpoint i's effective NIC bandwidth — straggler
-// injection. factor must be in [0, 1]; 1 restores full speed, and 0
-// parks the node's flows at rate zero until bandwidth returns.
-func (fb *Fabric) SetNodeFactor(i int, factor float64) {
-	fb.checkNode(i)
-	if factor < 0 || factor > 1 || math.IsNaN(factor) {
-		panic(fmt.Sprintf("netsim: node factor must be in [0,1], got %v", factor))
-	}
-	if fb.nodeFactor == nil {
-		if factor == 1 {
-			return
-		}
-		fb.nodeFactor = make([]float64, len(fb.nodes))
-		for j := range fb.nodeFactor {
-			fb.nodeFactor[j] = 1
-		}
-	}
-	fb.nodeFactor[i] = factor
-	fb.markDirty(i)
-	fb.armRecompute()
-}
-
-// NodeFactor returns endpoint i's current bandwidth scale.
-func (fb *Fabric) NodeFactor(i int) float64 {
-	fb.checkNode(i)
-	if fb.nodeFactor == nil {
-		return 1
-	}
-	return fb.nodeFactor[i]
-}
-
-// nodeScale is NodeFactor without the bounds re-check, for hot paths.
-func (fb *Fabric) nodeScale(i int) float64 {
-	if fb.nodeFactor == nil {
-		return 1
-	}
-	return fb.nodeFactor[i]
-}
-
-// flowCap returns the per-flow rate ceiling imposed by link degradation,
-// or +Inf when the flow's link is undegraded.
-func (fb *Fabric) flowCap(fl *Flow) float64 {
-	f, ok := fb.linkFactor[[2]int{fl.Src, fl.Dst}]
-	if !ok {
-		return math.Inf(1)
-	}
-	eff := math.Min(
-		fb.nodes[fl.Src].egressCap*fb.nodeScale(fl.Src),
-		fb.nodes[fl.Dst].ingressCap*fb.nodeScale(fl.Dst),
-	)
-	return f * eff
 }
 
 // BusyTime returns how long endpoint i has had at least one active flow
@@ -598,10 +382,10 @@ func (fb *Fabric) nodeDeactivate(i int) {
 
 // settleFlow advances one flow's remaining bytes to now at its current
 // rate. Rates only change at recompute instants, so per-flow settling is
-// exact; flows at rate zero only refresh their settle point.
+// exact. A flow gets its first rate in the instant it turns active, so a
+// flow at rate zero is always settled to now already.
 func (fb *Fabric) settleFlow(fl *Flow, now simclock.Time) {
-	if fl.rate == 0 || fl.lastUpdate == now {
-		fl.lastUpdate = now
+	if fl.lastUpdate == now {
 		return
 	}
 	fb.stats.settleOps++
@@ -670,25 +454,17 @@ func (fb *Fabric) detachFlow(fl *Flow) {
 	fb.markDirty(fl.Dst)
 }
 
-func (fb *Fabric) finishFlow(fl *Flow, state FlowState) {
-	if fl.state == FlowActive {
-		fb.detachFlow(fl)
-	}
-	fl.state = state
+// finishFlow completes an active flow: it leaves the rate engine, is
+// traced, and its callback runs.
+func (fb *Fabric) finishFlow(fl *Flow) {
+	fb.detachFlow(fl)
+	fl.state = FlowDone
 	fl.rate = 0
 	fl.finished = fb.engine.Now()
 	fb.stats.flowsFinished++
 	if fb.nicTracks != nil {
-		// Constant arg strings: the traced path may allocate (appends),
-		// but never formats.
-		switch state {
-		case FlowDone:
-			fb.nicTracks[fl.Src].Span(trace.CatNetsim, fl.Label, fl.started, fl.finished)
-		case FlowFailed:
-			fb.nicTracks[fl.Src].SpanArgs(trace.CatNetsim, fl.Label, fl.started, fl.finished, "state=failed")
-		case FlowCanceled:
-			fb.nicTracks[fl.Src].SpanArgs(trace.CatNetsim, fl.Label, fl.started, fl.finished, "state=canceled")
-		}
+		// The traced path may allocate (appends), but never formats.
+		fb.nicTracks[fl.Src].Span(trace.CatNetsim, fl.Label, fl.started, fl.finished)
 	}
 	if fl.onDone != nil {
 		cb := fl.onDone
@@ -737,19 +513,16 @@ func (fb *Fabric) recompute() {
 		fb.collectComponent(now)
 		if len(fb.drained) > 0 {
 			// Completion callbacks fire in (ETA, flow-sequence) order and
-			// may mutate the fabric, so collect again afterwards.
+			// may start flows, so collect again afterwards. No callback can
+			// end another flow, so every drained flow is still active.
 			slices.SortFunc(fb.drained, flowETACmp)
 			for _, fl := range fb.drained {
-				if fl.state == FlowActive {
-					fb.finishFlow(fl, FlowDone)
-				}
+				fb.finishFlow(fl)
 			}
 			continue
 		}
 		fb.waterfill()
-		if fb.updateETAs(now) {
-			continue
-		}
+		fb.updateETAs(now)
 	}
 	fb.inRecompute = false
 	fb.armCompletion()
@@ -821,14 +594,12 @@ func (fb *Fabric) waterfill() {
 	}
 	for _, ni := range fb.compNodes {
 		n := &fb.nodes[ni]
-		sc := fb.nodeScale(ni)
-		n.egRem = n.egressCap * sc
-		n.inRem = n.ingressCap * sc
+		n.egRem = n.egressCap
+		n.inRem = n.ingressCap
 		n.egN = int32(len(n.out))
 		n.inN = int32(len(n.in))
 	}
 	unfrozen := len(flows)
-	linked := len(fb.linkFactor) > 0
 	eps := 1e-6 * fb.cfg.EgressBytesPerSec
 	freeze := func(fl *Flow) {
 		fl.frozen = true
@@ -839,8 +610,10 @@ func (fb *Fabric) waterfill() {
 	for unfrozen > 0 {
 		fb.stats.waterfillRounds++
 		// Find the tightest constraint: min over node caps of
-		// remaining/unfrozen, and min over unfrozen flows of headroom to
-		// their link cap.
+		// remaining/unfrozen. Every unfrozen flow counts at both of its
+		// endpoints, and a node with unfrozen flows has capacity left
+		// (its configured capacity in the first round, more than eps
+		// after), so limit is finite and positive.
 		limit := math.Inf(1)
 		for _, ni := range fb.compNodes {
 			n := &fb.nodes[ni]
@@ -855,23 +628,8 @@ func (fb *Fabric) waterfill() {
 				}
 			}
 		}
-		if linked {
-			for _, fl := range flows {
-				if !fl.frozen {
-					if head := fb.flowCap(fl) - fl.rate; head < limit {
-						limit = head
-					}
-				}
-			}
-		}
-		if math.IsInf(limit, 1) {
-			break
-		}
-		if limit < 0 {
-			limit = 0
-		}
 		// Raise every unfrozen flow by limit, then freeze flows on any
-		// capacity that is now exhausted and flows that hit their link cap.
+		// capacity that is now exhausted.
 		for _, fl := range flows {
 			if !fl.frozen {
 				fl.rate += limit
@@ -902,36 +660,21 @@ func (fb *Fabric) waterfill() {
 				}
 			}
 		}
-		if linked {
-			for _, fl := range flows {
-				if !fl.frozen && fl.rate >= fb.flowCap(fl)-eps {
-					freeze(fl)
-					froze = true
-				}
-			}
-		}
 		if !froze {
 			break
 		}
 	}
 }
 
-// updateETAs refreshes the completion heap for the component's flows. A
-// flow whose residual transfer time is below the clock's resolution at
-// this timestamp finishes immediately — exactly one per pass, lowest
-// (ETA, sequence) first, so callbacks stay deterministic; it reports
-// whether it finished one (the recompute loop then runs again).
-func (fb *Fabric) updateETAs(now simclock.Time) bool {
+// updateETAs refreshes the completion heap for the component's flows,
+// which the waterfill just gave positive rates. A flow whose residual
+// transfer time is below the clock's resolution at this timestamp
+// finishes immediately — exactly one per pass, lowest (ETA, sequence)
+// first, so callbacks stay deterministic. Finishing it dirties its
+// endpoints, so the recompute loop runs again.
+func (fb *Fabric) updateETAs(now simclock.Time) {
 	var forced *Flow
 	for _, fl := range fb.compFlows {
-		if fl.state != FlowActive {
-			continue
-		}
-		if fl.rate <= 0 {
-			// Parked (zero-bandwidth endpoint): no ETA, no event-loop spin.
-			fb.heapRemove(fl)
-			continue
-		}
 		fl.eta = now.Add(simclock.Duration(fl.remaining / fl.rate))
 		fb.heapFix(fl)
 		if fl.eta <= now && (forced == nil || flowETACmp(fl, forced) < 0) {
@@ -940,14 +683,12 @@ func (fb *Fabric) updateETAs(now simclock.Time) bool {
 	}
 	if forced != nil {
 		forced.remaining = 0
-		fb.finishFlow(forced, FlowDone)
-		return true
+		fb.finishFlow(forced)
 	}
-	return false
 }
 
 // armCompletion re-aims the persistent completion event at the heap's
-// earliest ETA, or parks it when no flow is progressing.
+// earliest ETA, or cancels it when no flow is active.
 func (fb *Fabric) armCompletion() {
 	if len(fb.byETA) == 0 {
 		fb.completion.Cancel()
@@ -974,7 +715,7 @@ func (fb *Fabric) onCompletion() {
 		fl := fb.byETA[0]
 		fb.settleFlow(fl, now)
 		fl.remaining = 0
-		fb.finishFlow(fl, FlowDone)
+		fb.finishFlow(fl)
 	}
 	if len(fb.dirty) > 0 {
 		fb.armRecompute()

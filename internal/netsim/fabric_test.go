@@ -133,69 +133,6 @@ func TestMaxMinUnevenShares(t *testing.T) {
 	}
 }
 
-func TestFlowToDownNodeFails(t *testing.T) {
-	e, f := newTestFabric(t, 2, Config{EgressBytesPerSec: 100})
-	f.SetNodeUp(1, false)
-	var state FlowState = -1
-	f.StartFlow(0, 1, 1000, "t", func(fl *Flow) { state = fl.State() })
-	e.RunAll()
-	if state != FlowFailed {
-		t.Fatalf("flow to down node ended %v, want failed", state)
-	}
-}
-
-func TestNodeFailureKillsInFlightFlows(t *testing.T) {
-	e, f := newTestFabric(t, 3, Config{EgressBytesPerSec: 100})
-	var states []FlowState
-	f.StartFlow(0, 1, 10000, "dies", func(fl *Flow) { states = append(states, fl.State()) })
-	f.StartFlow(0, 2, 10000, "survives", func(fl *Flow) { states = append(states, fl.State()) })
-	e.At(10, func() { f.SetNodeUp(1, false) })
-	e.RunAll()
-	if len(states) != 2 {
-		t.Fatalf("got %d completions, want 2", len(states))
-	}
-	if states[0] != FlowFailed {
-		t.Fatalf("first completion %v, want failed", states[0])
-	}
-	if states[1] != FlowDone {
-		t.Fatalf("second completion %v, want done", states[1])
-	}
-	if !f.NodeUp(0) || f.NodeUp(1) {
-		t.Fatal("node up/down state wrong")
-	}
-}
-
-func TestSurvivorSpeedsUpAfterPeerFailure(t *testing.T) {
-	// Two flows share node-0 egress at 50 B/s each. At t=10 the first
-	// flow's destination dies; the survivor should finish at
-	// 10 + (2000-500)/100 = 25.
-	e, f := newTestFabric(t, 3, Config{EgressBytesPerSec: 100})
-	var tDone simclock.Time
-	f.StartFlow(0, 1, 10000, "dies", nil)
-	f.StartFlow(0, 2, 2000, "survives", func(*Flow) { tDone = e.Now() })
-	e.At(10, func() { f.SetNodeUp(1, false) })
-	e.RunAll()
-	if math.Abs(float64(tDone)-25) > 1e-6 {
-		t.Fatalf("survivor finished at %v, want 25", tDone)
-	}
-}
-
-func TestCancelStopsFlow(t *testing.T) {
-	e, f := newTestFabric(t, 2, Config{EgressBytesPerSec: 100})
-	var state FlowState = -1
-	fl := f.StartFlow(0, 1, 10000, "t", func(fl *Flow) { state = fl.State() })
-	e.At(5, func() { fl.Cancel() })
-	e.RunAll()
-	if state != FlowCanceled {
-		t.Fatalf("canceled flow ended %v, want canceled", state)
-	}
-	if rem := fl.Remaining(); math.Abs(rem-9500) > 1e-6 {
-		t.Fatalf("canceled flow remaining %v, want 9500", rem)
-	}
-	// Cancel again is a no-op.
-	fl.Cancel()
-}
-
 func TestBusyTimeAccounting(t *testing.T) {
 	e, f := newTestFabric(t, 2, Config{EgressBytesPerSec: 100})
 	f.StartFlow(0, 1, 1000, "t", nil)
@@ -333,7 +270,7 @@ func TestFlowAccessors(t *testing.T) {
 func TestFlowStateString(t *testing.T) {
 	names := map[FlowState]string{
 		FlowStarting: "starting", FlowActive: "active", FlowDone: "done",
-		FlowFailed: "failed", FlowCanceled: "canceled", FlowState(99): "FlowState(99)",
+		FlowState(99): "FlowState(99)",
 	}
 	for s, want := range names {
 		if s.String() != want {

@@ -24,12 +24,10 @@ type RingRun struct {
 	finished simclock.Time
 	step     int
 	steps    int
-	failed   bool
 }
 
 // StartRingRun launches the collective over the given participant nodes.
-// onDone fires once, when the last step's slowest flow completes or a
-// participant fails mid-collective.
+// onDone fires once, when the last step's slowest flow completes.
 func StartRingRun(fabric *Fabric, kind CollectiveKind, participants []int,
 	totalBytes float64, onDone func(*RingRun)) (*RingRun, error) {
 	if len(participants) < 1 {
@@ -59,7 +57,7 @@ func StartRingRun(fabric *Fabric, kind CollectiveKind, participants []int,
 		steps:        steps,
 	}
 	if steps == 0 || totalBytes == 0 {
-		fabric.engine.After(0, func() { r.finish(false) })
+		fabric.engine.After(0, r.finish)
 		return r, nil
 	}
 	r.runStep()
@@ -69,11 +67,7 @@ func StartRingRun(fabric *Fabric, kind CollectiveKind, participants []int,
 // Elapsed returns the collective's duration; valid after completion.
 func (r *RingRun) Elapsed() simclock.Duration { return r.finished.Sub(r.started) }
 
-// Failed reports whether a participant died mid-collective.
-func (r *RingRun) Failed() bool { return r.failed }
-
-func (r *RingRun) finish(failed bool) {
-	r.failed = failed
+func (r *RingRun) finish() {
 	r.finished = r.fabric.engine.Now()
 	if r.onDone != nil {
 		cb := r.onDone
@@ -88,27 +82,19 @@ func (r *RingRun) runStep() {
 	n := len(r.participants)
 	slice := r.totalBytes / float64(n)
 	remaining := n
-	anyFailed := false
 	label := fmt.Sprintf("%v-step%d", r.kind, r.step)
 	// One label and one callback per round, shared by all n flows: the
 	// barrier state is per-round, not per-flow. The run never hands its
 	// flows out, so each goes back to the fabric once read.
 	onDone := func(fl *Flow) {
-		if fl.State() != FlowDone {
-			anyFailed = true
-		}
 		fl.Release()
 		remaining--
 		if remaining > 0 {
 			return
 		}
-		if anyFailed {
-			r.finish(true)
-			return
-		}
 		r.step++
 		if r.step >= r.steps {
-			r.finish(false)
+			r.finish()
 			return
 		}
 		r.runStep()

@@ -13,8 +13,8 @@ import (
 )
 
 // SetTracer attaches per-machine NIC tracks: every flow that finishes
-// (done, failed, or canceled) becomes a span labeled with the flow label
-// on its source machine's "machine-<i>/nic" track. Nil disables.
+// becomes a span labeled with the flow label on its source machine's
+// "machine-<i>/nic" track. Nil disables.
 func (fb *Fabric) SetTracer(tr *trace.Tracer) {
 	if tr == nil {
 		fb.nicTracks = nil

@@ -1,6 +1,9 @@
 package runsim
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"gemini/internal/baselines"
@@ -294,32 +297,81 @@ func TestRunValidation(t *testing.T) {
 // TotalLost and TotalDowntime are Eq. 1's two terms; they must always
 // reconstruct TotalWasted exactly, and both must be exercised by a
 // failure schedule.
+// checkEq1 asserts Eq. 1's invariants on one run: lost + downtime =
+// wasted (the sums accumulate independently, so within float association
+// noise, relative), every term nonnegative, and the ratio in [0, 1].
+func checkEq1(t *testing.T, what string, res *Result) {
+	t.Helper()
+	sum := res.TotalLost + res.TotalDowntime
+	if diff := math.Abs((sum - res.TotalWasted).Seconds()); diff > 1e-9*res.TotalWasted.Seconds() {
+		t.Fatalf("%s: TotalLost %v + TotalDowntime %v != TotalWasted %v",
+			what, res.TotalLost, res.TotalDowntime, res.TotalWasted)
+	}
+	if res.TotalLost < 0 || res.TotalDowntime < 0 || res.TotalWasted < 0 {
+		t.Fatalf("%s: negative term: lost %v, downtime %v, wasted %v",
+			what, res.TotalLost, res.TotalDowntime, res.TotalWasted)
+	}
+	if !(res.EffectiveRatio >= 0 && res.EffectiveRatio <= 1) {
+		t.Fatalf("%s: effective ratio %v out of [0,1]", what, res.EffectiveRatio)
+	}
+}
+
 func TestWastedBreakdownSumsToTotal(t *testing.T) {
-	_, _, gem := specs(t, 16)
+	straw, high, gem := specs(t, 16)
 	horizon := 10 * simclock.Day
 	fs := softwareFailures(t, 16, 8, horizon)
 	res := run(t, gem, 16, fs, horizon)
 	if res.Failures == 0 {
 		t.Fatal("schedule produced no failures")
 	}
-	// The three sums accumulate independently, so allow float association
-	// noise — relative, not exact.
-	sum := res.TotalLost + res.TotalDowntime
-	if diff := (sum - res.TotalWasted).Seconds(); diff > 1e-6*res.TotalWasted.Seconds() || -diff > 1e-6*res.TotalWasted.Seconds() {
-		t.Fatalf("TotalLost %v + TotalDowntime %v != TotalWasted %v",
-			res.TotalLost, res.TotalDowntime, res.TotalWasted)
-	}
+	checkEq1(t, "fixed-rate gemini", res)
 	if res.TotalDowntime <= 0 {
 		t.Fatal("failures happened but no downtime accrued")
-	}
-	if res.TotalLost < 0 {
-		t.Fatalf("negative lost progress %v", res.TotalLost)
 	}
 	// Without failures both terms are zero.
 	clean := run(t, gem, 16, nil, horizon)
 	if clean.TotalLost != 0 || clean.TotalDowntime != 0 || clean.TotalWasted != 0 {
 		t.Fatalf("clean run wasted %v/%v/%v, want zeros",
 			clean.TotalLost, clean.TotalDowntime, clean.TotalWasted)
+	}
+
+	// The invariants hold on every run, not just one schedule: seeded
+	// Poisson schedules over rates, hardware fractions, simultaneity
+	// windows and replacement delays, for all three specs.
+	rng := rand.New(rand.NewSource(17))
+	pl := placement.MustMixed(16, 2)
+	failed := 0
+	for k := 0; k < 40; k++ {
+		m := failure.Model{PerInstancePerDay: 0.5 * rng.Float64(), HardwareFraction: rng.Float64()}
+		h := simclock.Duration(1+rng.Intn(5)) * simclock.Day
+		fs, err := m.Generate(16, h, rng.Int63())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{
+			Machines:           16,
+			Failures:           fs,
+			Horizon:            h,
+			ReplacementDelay:   simclock.Duration(rng.Float64()) * 30 * simclock.Minute,
+			SimultaneityWindow: simclock.Duration(rng.Intn(3)) * simclock.Duration(rng.Float64()) * simclock.Minute,
+		}
+		for _, spec := range []baselines.Spec{gem, high, straw} {
+			cfg.Spec = spec
+			cfg.Placement = nil
+			if spec.UsesCPUMemory {
+				cfg.Placement = pl
+			}
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkEq1(t, fmt.Sprintf("schedule %d (%+v, %d events) %s", k, m, len(fs), spec.Name), res)
+			failed += res.Failures
+		}
+	}
+	t.Logf("%d failures across the random runs", failed)
+	if failed == 0 {
+		t.Fatal("random schedules produced no failures")
 	}
 }
 

@@ -230,7 +230,7 @@ func (s *Scenario) Validate() error {
 		return err
 	}
 	for i, c := range s.Chaos {
-		if err := c.validate(i, s.Fleet); err != nil {
+		if err := c.validate(i, s.Horizon, s.Fleet); err != nil {
 			return err
 		}
 	}
@@ -359,15 +359,17 @@ func (f FailureConfig) validate() error {
 	return nil
 }
 
-func (c ChaosConfig) validate(i int, fleet *FleetConfig) error {
+func (c ChaosConfig) validate(i int, horizon simclock.Duration, fleet *FleetConfig) error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("scenario: chaos[%d] (%s): %s", i, c.Kind, fmt.Sprintf(format, args...))
 	}
 	if !scenarioKinds[c.Kind] {
 		return fmt.Errorf("scenario: chaos[%d] kind %q unknown", i, c.Kind)
 	}
-	if !(c.At >= 0) {
-		return bad("at must be ≥ 0, got %v", c.At)
+	// An event at or past the horizon would never fire, yet would still
+	// count in the report's chaos_events.
+	if !(c.At >= 0 && c.At < horizon) {
+		return fmt.Errorf("scenario: chaos[%d].at must be in [0, horizon %v), got %v", i, horizon, c.At)
 	}
 	if c.MaxRanks < 0 {
 		return bad("max_ranks must be ≥ 0, got %d", c.MaxRanks)

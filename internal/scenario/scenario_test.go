@@ -3,10 +3,13 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"gemini/internal/obs"
 	"gemini/internal/simclock"
 )
 
@@ -300,6 +303,13 @@ func TestChaosValidation(t *testing.T) {
 		{"straggler factor", "  - at: 1h\n    kind: straggler\n    ranks: [1]\n    factor: 2\n    duration: 5m\n", "factor"},
 		{"region without fleet", "  - at: 1h\n    kind: region-outage\n    region: mars\n    state: hardware\n", "not in the fleet"},
 		{"rank out of range compiles", "  - at: 1h\n    kind: crash\n    rank: 99\n    state: software\n", ""},
+		// An event at or past the horizon would never fire but would
+		// still count in chaos_events; the negated check rejects +Inf too.
+		{"at past horizon", "  - at: 3d\n    kind: crash\n    rank: 1\n    state: software\n", "chaos[0].at must be in [0, horizon 48.00h), got 72.00h"},
+		{"at the horizon", "  - at: 2d\n    kind: crash\n    rank: 1\n    state: software\n", "chaos[0].at must be in [0, horizon 48.00h)"},
+		{"at +Inf", "  - at: +Inf\n    kind: kv-outage\n    duration: 1m\n", "chaos[0].at"},
+		{"negative at", "  - at: -1h\n    kind: kv-outage\n    duration: 1m\n", "chaos[0].at"},
+		{"second entry past horizon", "  - at: 1h\n    kind: kv-outage\n    duration: 1m\n  - at: 5d\n    kind: kv-outage\n    duration: 1m\n", "chaos[1].at"},
 	}
 	for _, tc := range cases {
 		s, err := Parse([]byte(withChaos(tc.entry)))
@@ -318,6 +328,9 @@ func TestChaosValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.want)
 		}
+	}
+	if _, err := Parse([]byte(withChaos("  - at: 47h59m\n    kind: crash\n    rank: 1\n    state: software\n"))); err != nil {
+		t.Errorf("chaos event just before the horizon rejected: %v", err)
 	}
 }
 
@@ -507,6 +520,74 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if r1.Specs[0].EffectiveRatio.Mean <= 0 || r1.Specs[0].EffectiveRatio.Mean > 1 {
 		t.Errorf("GEMINI ratio %v out of (0,1]", r1.Specs[0].EffectiveRatio.Mean)
+	}
+}
+
+// smokeHash is the report hash of examples/scenarios/smoke-1k.yaml at its
+// own width and seed; ci.sh pins the same value on the campaign CLI.
+const smokeHash = "352980d25448928c30d66858cac44f4644e059fff2148565f8e6b55ca9739727"
+
+// Cancelling a campaign stops it after the variations in flight, returns
+// context.Canceled, and leaves the schedule and run pools clean: the
+// next run of the same Compiled still reproduces the pinned report.
+func TestCampaignCancel(t *testing.T) {
+	s, err := Load("../../examples/scenarios/smoke-1k.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wide = 20000
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	prog := obs.NewProgress()
+	type outcome struct {
+		rep *Report
+		err error
+	}
+	out := make(chan outcome, 1)
+	go func() {
+		rep, err := RunCampaign(ctx, c, CampaignOptions{Workers: 2, Variations: wide, Progress: prog})
+		out <- outcome{rep, err}
+	}()
+	for prog.Snapshot().DoneRuns == 0 {
+		select {
+		case got := <-out:
+			t.Fatalf("campaign returned before any run finished: %v", got.err)
+		case <-time.After(100 * time.Microsecond):
+		}
+	}
+	cancel()
+	canceledAt := time.Now()
+	var got outcome
+	select {
+	case got = <-out:
+	case <-time.After(time.Minute):
+		t.Fatal("cancelled campaign did not return within a minute")
+	}
+	latency := time.Since(canceledAt)
+	if !errors.Is(got.err, context.Canceled) || got.rep != nil {
+		t.Fatalf("cancelled campaign returned report %v, error %v; want context.Canceled", got.rep != nil, got.err)
+	}
+	done := prog.Snapshot().DoneRuns
+	if done >= wide/2 {
+		t.Fatalf("cancelled campaign finished %d of %d variations", done, wide)
+	}
+
+	start := time.Now()
+	rep, err := RunCampaign(context.Background(), c, CampaignOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := time.Since(start) * wide / time.Duration(s.Variations)
+	if rep.Hash != smokeHash {
+		t.Fatalf("report hash after a cancelled run %s, want %s", rep.Hash, smokeHash)
+	}
+	t.Logf("cancel returned in %v after %d variations; the uncancelled run would take about %v", latency, done, full)
+	if latency > full/10 {
+		t.Fatalf("cancel took %v, not well before the uncancelled run time of about %v", latency, full)
 	}
 }
 
