@@ -10,7 +10,6 @@ package agent
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"gemini/internal/ckpt"
 	"gemini/internal/cloud"
@@ -100,9 +99,17 @@ func (o Options) validate() error {
 type worker struct {
 	rank        int
 	incarnation int
+	hbKey       string // the worker's heartbeat key, built once per start
 	lease       kvstore.LeaseID
-	ticker      *simclock.Ticker
 	alive       bool
+}
+
+// cohort is a batch of workers started together — at Start, by one
+// recovery's restarts, or by one partition heal — in start order. They
+// share a heartbeat phase, so one ticker renews all their leases.
+type cohort struct {
+	members []*worker
+	ticker  *simclock.Ticker
 }
 
 // System wires the whole failure-recovery control plane together on one
@@ -293,9 +300,11 @@ func (s *System) Recoveries() int { return s.recoveries }
 // training at iteration 0.
 func (s *System) Start() {
 	s.workers = make([]*worker, s.cluster.Size())
+	batch := make([]*worker, len(s.workers))
 	for rank := range s.workers {
-		s.startWorker(rank, 0)
+		batch[rank] = s.startWorker(rank, 0)
 	}
+	s.heartbeat(batch)
 	s.promoteRoot()
 	s.WatchRootFailover()
 	s.training = true
@@ -329,22 +338,69 @@ func (s *System) sweep() {
 	s.scheduleSweep()
 }
 
-func (s *System) startWorker(rank, incarnation int) {
-	w := &worker{rank: rank, incarnation: incarnation, alive: true}
+// startWorker boots the agent on rank and publishes its heartbeat. The
+// caller adds it to the cohort of workers it starts in the same batch.
+func (s *System) startWorker(rank, incarnation int) *worker {
+	w := &worker{rank: rank, incarnation: incarnation, hbKey: hbKey(rank), alive: true}
 	s.workers[rank] = w
 	// The store may be unavailable (chaos): leave the lease at zero and
 	// let the heartbeat ticker repair it once the store returns.
 	s.refreshLease(w)
-	w.ticker = simclock.NewTicker(s.engine, s.opts.HeartbeatInterval, func(simclock.Time) {
-		if !w.alive || s.partitioned[w.rank] {
+	return w
+}
+
+// heartbeat starts one ticker for a batch of workers started together,
+// taking ownership of the batch. Each tick renews the members' leases
+// in start order and then rearms the lease sweep once.
+//
+// This is exactly what one ticker per worker would do. Workers started
+// in one batch share a phase, so their tickers would fire back to back
+// in start order at every tick: Rearm sequences them in firing order,
+// and a renewal schedules nothing at priority 0 that could cut in. The
+// sweep runs at priority 5, after every renewal due at the instant, and
+// it lands at the same deadline whether it is rearmed after each
+// renewal or once after all of them. So the cohort makes the same
+// KeepAlives and the same jitter draws, in the same order.
+func (s *System) heartbeat(batch []*worker) {
+	if len(batch) == 0 {
+		return
+	}
+	c := &cohort{members: batch}
+	c.ticker = simclock.NewTicker(s.engine, s.opts.HeartbeatInterval, func(simclock.Time) {
+		s.beat(c)
+	})
+}
+
+// beat is one tick of a cohort: it drops members whose machines died,
+// renews the rest, and stops the ticker once nobody is left.
+func (s *System) beat(c *cohort) {
+	live := c.members[:0]
+	renewed := false
+	for _, w := range c.members {
+		if !w.alive {
+			continue
+		}
+		live = append(live, w)
+		if s.partitioned[w.rank] {
 			// A partitioned agent is running but cannot reach the store;
 			// its lease expires and the root declares it failed — exactly
 			// the ambiguity real partitions create.
-			return
+			continue
 		}
 		s.refreshLease(w)
+		renewed = true
+	}
+	clear(c.members[len(live):])
+	c.members = live
+	if len(live) == 0 {
+		c.ticker.Stop()
+		return
+	}
+	// A tick that renewed nobody leaves the sweep alone, as the
+	// per-worker tickers of partitioned members did.
+	if renewed {
 		s.scheduleSweep()
-	})
+	}
 }
 
 // refreshLease renews w's heartbeat lease, re-granting it (and
@@ -362,7 +418,7 @@ func (s *System) refreshLease(w *worker) bool {
 		return false
 	}
 	w.lease = lease
-	if _, err := s.store.Put(hbKey(w.rank), strconv.Itoa(w.incarnation), lease); err != nil {
+	if _, err := s.store.Put(w.hbKey, strconv.Itoa(w.incarnation), lease); err != nil {
 		w.lease = 0
 		return false
 	}
@@ -414,7 +470,6 @@ func (s *System) InjectFailure(rank int, kind cluster.MachineState) {
 		return
 	}
 	w.alive = false
-	w.ticker.Stop()
 	s.cluster.Fail(rank, kind)
 	if kind == cluster.HardwareFailed {
 		s.ckpt.Wipe(rank)
@@ -459,18 +514,9 @@ func (s *System) rootCheck() {
 		// and another machine takes over.
 		return
 	}
-	entries := s.store.Range(hbPrefix)
-	seen := make(map[int]bool, len(entries))
-	for _, e := range entries {
-		rank, err := strconv.Atoi(strings.TrimPrefix(e.Key, hbPrefix))
-		if err != nil {
-			continue
-		}
-		seen[rank] = true
-	}
 	var failed []int
-	for rank := range s.workers {
-		if !seen[rank] {
+	for rank, w := range s.workers {
+		if _, ok := s.store.Get(w.hbKey); !ok {
 			failed = append(failed, rank)
 		}
 	}

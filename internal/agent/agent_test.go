@@ -24,7 +24,7 @@ type fixture struct {
 	log    *trace.Log
 }
 
-func newFixture(t *testing.T, n, m int, cloudCfg cloud.Config) *fixture {
+func newFixture(t testing.TB, n, m int, cloudCfg cloud.Config) *fixture {
 	t.Helper()
 	engine := simclock.NewEngine()
 	clus := cluster.MustNew(n, cluster.MustInstance("p4d.24xlarge"), engine.Now)

@@ -15,8 +15,8 @@ import (
 // heartbeat on a healthy 16-machine cluster. It runs the same windows at
 // two heartbeat intervals: the root health checks and iteration commits
 // are the same in both, so the difference divided by the extra renewals
-// is the cost of a heartbeat alone — a lease renewal plus rearming the
-// worker's ticker and the lease sweep.
+// is the cost of a heartbeat alone — a lease renewal plus its share of
+// rearming the cohort's ticker and the lease sweep.
 func TestHeartbeatSteadyStateAllocs(t *testing.T) {
 	const (
 		machines = 16
@@ -45,5 +45,22 @@ func TestHeartbeatSteadyStateAllocs(t *testing.T) {
 		perBeat, slowAllocs, slowBeats, fastAllocs, fastBeats)
 	if perBeat > bound {
 		t.Fatalf("%.2f allocations per heartbeat, want ≤ %v", perBeat, bound)
+	}
+}
+
+// TestRootCheckAllocsZero: the root agent's health poll on a healthy
+// 16-machine cluster looks up each worker's cached heartbeat key and
+// allocates nothing. Listing the heartbeat prefix, sorting it and
+// parsing ranks back out of the keys allocated on every poll.
+func TestRootCheckAllocsZero(t *testing.T) {
+	f := newFixture(t, 16, 2, cloud.DefaultConfig())
+	f.sys.Start()
+	f.engine.Run(simclock.Time(2 * iterTime))
+	allocs := testing.AllocsPerRun(100, f.sys.rootCheck)
+	if f.sys.recovering || f.sys.RootRank() != 0 {
+		t.Fatalf("healthy poll: recovering=%v root=%d, want false and 0", f.sys.recovering, f.sys.RootRank())
+	}
+	if allocs != 0 {
+		t.Fatalf("%v allocations per root poll, want 0", allocs)
 	}
 }

@@ -50,6 +50,7 @@ func (s *System) HealPartition() {
 	if s.chaosTrack.Enabled() {
 		s.chaosTrack.InstantArgs(trace.CatChaos, "partition-heal", fmt.Sprintf("ranks=%v", healed))
 	}
+	var rejoined []*worker
 	for _, rank := range healed {
 		w := s.workers[rank]
 		switch {
@@ -63,9 +64,10 @@ func (s *System) HealPartition() {
 		case !s.recovering && s.cluster.Machine(rank).Healthy():
 			// It was declared failed and replaced/restarted while
 			// unreachable, and no recovery is in flight: rejoin.
-			s.startWorker(rank, w.incarnation)
+			rejoined = append(rejoined, s.startWorker(rank, w.incarnation))
 		}
 	}
+	s.heartbeat(rejoined)
 	// The root itself may have been partitioned away and deposed.
 	s.engine.After(0, func() {
 		if _, ok := s.election.Leader(); !ok {

@@ -393,6 +393,7 @@ func (s *System) attemptRetrieval(failed []int, hardware map[int]bool, attempt i
 				s.ckpt.RollbackTo(version)
 			}
 			s.iteration = version
+			var restarted []*worker
 			for _, rank := range failed {
 				if s.partitioned[rank] {
 					// Still unreachable: it rejoins when the partition
@@ -410,8 +411,9 @@ func (s *System) attemptRetrieval(failed []int, hardware map[int]bool, attempt i
 				if hardware[rank] {
 					inc++
 				}
-				s.startWorker(rank, inc)
+				restarted = append(restarted, s.startWorker(rank, inc))
 			}
+			s.heartbeat(restarted)
 			s.recovering = false
 			s.recoveries++
 			s.recordRecovery(failed, source, version, lostIters)

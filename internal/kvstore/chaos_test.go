@@ -37,9 +37,6 @@ func TestUnavailableWindow(t *testing.T) {
 	if _, ok := s.Get("a"); ok {
 		t.Fatal("Get served data while down")
 	}
-	if got := s.Range(""); got != nil {
-		t.Fatalf("Range while down returned %v", got)
-	}
 	if s.Delete("a") {
 		t.Fatal("Delete succeeded while down")
 	}
@@ -69,6 +66,10 @@ func TestOutageFreezesLeases(t *testing.T) {
 
 	clk.t = 7 // 3s of TTL left
 	s.SetAvailable(false)
+	clk.t = 50 // mid-outage: the lease clock stands still
+	if rem, ok := s.LeaseRemaining(lid); !ok || rem != 3 {
+		t.Fatalf("lease remaining mid-outage = %v/%v, want 3/true", rem, ok)
+	}
 	clk.t = 100 // outage lasts 93s, far past the TTL
 	s.SetAvailable(true)
 

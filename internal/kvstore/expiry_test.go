@@ -240,11 +240,8 @@ func TestLeaseIndexMatchesLinearScan(t *testing.T) {
 			if got, want := s.NextExpiry(), ref.nextExpiry(); got != want {
 				t.Fatalf("seed %d step %d after %s: NextExpiry %v, want %v", seed, step, op, got, want)
 			}
-			s.mu.Lock()
-			rev := s.rev
-			s.mu.Unlock()
-			if rev != ref.rev {
-				t.Fatalf("seed %d step %d after %s: rev %d, want %d", seed, step, op, rev, ref.rev)
+			if s.rev != ref.rev {
+				t.Fatalf("seed %d step %d after %s: rev %d, want %d", seed, step, op, s.rev, ref.rev)
 			}
 			if !reflect.DeepEqual(got, ref.events) {
 				t.Fatalf("seed %d step %d after %s: events\n%+v\nwant\n%+v", seed, step, op, got, ref.events)

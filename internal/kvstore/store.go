@@ -5,8 +5,10 @@
 // election for promoting a new root machine.
 //
 // The store runs in process, driven by the simulation's virtual clock.
-// It is safe for concurrent use: one mutex guards the state, and watch
-// events are delivered in revision order outside it.
+// Like the simclock.Engine it runs on, a Store belongs to one goroutine
+// and takes no locks. Watch events are delivered in revision order once
+// the operation that produced them has finished, so a callback may call
+// back into the store.
 package kvstore
 
 import (
@@ -14,7 +16,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"gemini/internal/simclock"
 )
@@ -153,7 +154,6 @@ func (h leaseHeap) down(i int) bool {
 
 // Store is a revisioned, lease-aware key-value store.
 type Store struct {
-	mu        sync.Mutex
 	now       func() simclock.Time
 	rev       int64
 	data      map[string]Entry
@@ -162,11 +162,12 @@ type Store struct {
 	nextLease LeaseID
 	watchers  []*watcher
 
-	// Watch events are queued under the mutex and delivered after it is
-	// released, so callbacks may freely call back into the store.
+	// Watch events are queued as operations produce them and delivered
+	// once the operation is done, so callbacks may call back into the
+	// store; delivering marks a drain in progress, so events a callback's
+	// own writes produce wait until it returns.
 	pending    []Event
 	delivering bool
-	deliverMu  sync.Mutex
 
 	// Chaos controls. While down, every operation fails (reads return
 	// nothing, writes return ErrUnavailable) and lease TTLs are frozen:
@@ -199,8 +200,6 @@ func New(now func() simclock.Time) *Store {
 // still has 3s left when it ends.
 func (s *Store) SetAvailable(up bool) {
 	defer s.flush()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if up == !s.down {
 		return
 	}
@@ -216,13 +215,11 @@ func (s *Store) SetAvailable(up bool) {
 	for _, l := range s.expiry {
 		l.expires = l.expires.Add(pause)
 	}
-	s.sweepLocked()
+	s.expire()
 }
 
 // Available reports whether the store is currently serving requests.
 func (s *Store) Available() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return !s.down
 }
 
@@ -231,14 +228,12 @@ func (s *Store) Available() bool {
 // disables jitter. The seed fixes the pseudo-random sequence so chaos
 // runs are reproducible.
 func (s *Store) SetLeaseJitter(max simclock.Duration, seed int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.jitterMax = max
 	s.jitterState = uint64(seed)
 }
 
-// jitterLocked draws the next jitter amount (SplitMix64). Callers hold s.mu.
-func (s *Store) jitterLocked() simclock.Duration {
+// nextJitter draws the next jitter amount (SplitMix64).
+func (s *Store) nextJitter() simclock.Duration {
 	if s.jitterMax <= 0 {
 		return 0
 	}
@@ -251,9 +246,9 @@ func (s *Store) jitterLocked() simclock.Duration {
 	return simclock.Duration(float64(s.jitterMax) * frac)
 }
 
-// sweepLocked expires leases due at the current instant, deleting their
-// keys and emitting delete events. Callers hold s.mu.
-func (s *Store) sweepLocked() {
+// expire expires leases due at the current instant, deleting their
+// keys and queueing delete events.
+func (s *Store) expire() {
 	if s.down || len(s.expiry) == 0 {
 		return
 	}
@@ -278,66 +273,43 @@ func (s *Store) sweepLocked() {
 			if e, ok := s.data[k]; ok && e.Lease == l.id {
 				delete(s.data, k)
 				s.rev++
-				s.notifyLocked(Event{Type: EventDelete, Entry: Entry{Key: k, Rev: s.rev, Lease: l.id}})
+				s.notify(Event{Type: EventDelete, Entry: Entry{Key: k, Rev: s.rev, Lease: l.id}})
 			}
 		}
 	}
 }
 
-func (s *Store) notifyLocked(ev Event) {
+func (s *Store) notify(ev Event) {
 	s.pending = append(s.pending, ev)
 }
 
-// flush delivers queued events in revision order. It must be called
-// without s.mu held. A single flusher drains everything, including events
-// produced by the callbacks themselves, preserving order; deliverMu
-// serializes flushers from different goroutines.
+// flush delivers queued events in revision order, including the events
+// the callbacks' own writes queue. Every operation that can queue an
+// event flushes on return; one made from inside a callback finds a drain
+// in progress and leaves its events to it, so they follow once the
+// callback returns.
 func (s *Store) flush() {
-	s.deliverMu.Lock()
-	if s.delivering {
-		s.deliverMu.Unlock()
+	if s.delivering || len(s.pending) == 0 {
 		return
 	}
 	s.delivering = true
-	s.deliverMu.Unlock()
-	for {
-		s.mu.Lock()
-		if len(s.pending) == 0 {
-			s.mu.Unlock()
-			break
-		}
-		ev := s.pending[0]
-		s.pending = s.pending[1:]
-		ws := append([]*watcher(nil), s.watchers...)
-		s.mu.Unlock()
-		for _, w := range ws {
+	for i := 0; i < len(s.pending); i++ {
+		ev := s.pending[i]
+		for _, w := range s.watchers {
 			if strings.HasPrefix(ev.Entry.Key, w.prefix) {
 				w.fn(ev)
 			}
 		}
 	}
-	s.deliverMu.Lock()
+	clear(s.pending)
+	s.pending = s.pending[:0]
 	s.delivering = false
-	s.deliverMu.Unlock()
-	// Close the race where another goroutine queued an event and bounced
-	// off the delivering flag just as this flusher drained: re-check.
-	s.mu.Lock()
-	again := len(s.pending) > 0
-	s.mu.Unlock()
-	if again {
-		s.flush()
-	}
 }
-
-// mutators and sweeping readers call flush via defer, after the mutex
-// defer releases — defers run LIFO, so the lock is dropped first.
 
 // Rev returns the store's current revision.
 func (s *Store) Rev() int64 {
 	defer s.flush()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sweepLocked()
+	s.expire()
 	return s.rev
 }
 
@@ -348,16 +320,14 @@ func (s *Store) Put(key, value string, leaseID LeaseID) (int64, error) {
 		return 0, fmt.Errorf("kvstore: empty key")
 	}
 	defer s.flush()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.down {
 		return 0, ErrUnavailable
 	}
-	s.sweepLocked()
-	return s.putLocked(key, value, leaseID)
+	s.expire()
+	return s.put(key, value, leaseID)
 }
 
-func (s *Store) putLocked(key, value string, leaseID LeaseID) (int64, error) {
+func (s *Store) put(key, value string, leaseID LeaseID) (int64, error) {
 	var l *lease
 	if leaseID != 0 {
 		l = s.leases[leaseID]
@@ -376,19 +346,17 @@ func (s *Store) putLocked(key, value string, leaseID LeaseID) (int64, error) {
 	if l != nil {
 		l.keys[key] = true
 	}
-	s.notifyLocked(Event{Type: EventPut, Entry: e})
+	s.notify(Event{Type: EventPut, Entry: e})
 	return s.rev, nil
 }
 
 // Get returns the entry under key.
 func (s *Store) Get(key string) (Entry, bool) {
 	defer s.flush()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.down {
 		return Entry{}, false
 	}
-	s.sweepLocked()
+	s.expire()
 	e, ok := s.data[key]
 	return e, ok
 }
@@ -396,12 +364,10 @@ func (s *Store) Get(key string) (Entry, bool) {
 // Delete removes key, reporting whether it existed.
 func (s *Store) Delete(key string) bool {
 	defer s.flush()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.down {
 		return false
 	}
-	s.sweepLocked()
+	s.expire()
 	e, ok := s.data[key]
 	if !ok {
 		return false
@@ -413,7 +379,7 @@ func (s *Store) Delete(key string) bool {
 	}
 	delete(s.data, key)
 	s.rev++
-	s.notifyLocked(Event{Type: EventDelete, Entry: Entry{Key: key, Rev: s.rev, Lease: e.Lease}})
+	s.notify(Event{Type: EventDelete, Entry: Entry{Key: key, Rev: s.rev, Lease: e.Lease}})
 	return true
 }
 
@@ -425,12 +391,10 @@ func (s *Store) CompareAndSwap(key string, expectRev int64, value string, leaseI
 		return 0, false, fmt.Errorf("kvstore: empty key")
 	}
 	defer s.flush()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.down {
 		return 0, false, ErrUnavailable
 	}
-	s.sweepLocked()
+	s.expire()
 	cur, exists := s.data[key]
 	if expectRev == 0 {
 		if exists {
@@ -439,30 +403,11 @@ func (s *Store) CompareAndSwap(key string, expectRev int64, value string, leaseI
 	} else if !exists || cur.Rev != expectRev {
 		return 0, false, nil
 	}
-	rev, err := s.putLocked(key, value, leaseID)
+	rev, err := s.put(key, value, leaseID)
 	if err != nil {
 		return 0, false, err
 	}
 	return rev, true, nil
-}
-
-// Range returns all entries whose key has the given prefix, sorted by key.
-func (s *Store) Range(prefix string) []Entry {
-	defer s.flush()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.down {
-		return nil
-	}
-	s.sweepLocked()
-	var out []Entry
-	for k, e := range s.data {
-		if strings.HasPrefix(k, prefix) {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
 }
 
 // Grant creates a lease with the given TTL.
@@ -471,15 +416,13 @@ func (s *Store) Grant(ttl simclock.Duration) (LeaseID, error) {
 		return 0, fmt.Errorf("kvstore: lease TTL must be positive, got %v", ttl)
 	}
 	defer s.flush()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.down {
 		return 0, ErrUnavailable
 	}
-	s.sweepLocked()
+	s.expire()
 	s.nextLease++
 	id := s.nextLease
-	l := &lease{id: id, ttl: ttl, expires: s.now().Add(ttl + s.jitterLocked()), keys: make(map[string]bool)}
+	l := &lease{id: id, ttl: ttl, expires: s.now().Add(ttl + s.nextJitter()), keys: make(map[string]bool)}
 	s.leases[id] = l
 	s.expiry.push(l)
 	return id, nil
@@ -490,40 +433,39 @@ func (s *Store) Grant(ttl simclock.Duration) (LeaseID, error) {
 // re-grant and re-put its keys.
 func (s *Store) KeepAlive(id LeaseID) error {
 	defer s.flush()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.down {
 		return ErrUnavailable
 	}
-	s.sweepLocked()
+	s.expire()
 	l := s.leases[id]
 	if l == nil {
 		return fmt.Errorf("kvstore: lease %d not found (expired?)", id)
 	}
-	l.expires = s.now().Add(l.ttl + s.jitterLocked())
+	l.expires = s.now().Add(l.ttl + s.nextJitter())
 	s.expiry.fix(l.index)
 	return nil
 }
 
 // LeaseRemaining returns the time until a lease expires, and whether the
-// lease exists.
+// lease exists. During an outage lease clocks are frozen, so it reports
+// what was left when the store went down.
 func (s *Store) LeaseRemaining(id LeaseID) (simclock.Duration, bool) {
 	defer s.flush()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sweepLocked()
+	s.expire()
 	l := s.leases[id]
 	if l == nil {
 		return 0, false
 	}
-	return l.expires.Sub(s.now()), true
+	now := s.now()
+	if s.down {
+		now = s.downSince
+	}
+	return l.expires.Sub(now), true
 }
 
 // NextExpiry returns the earliest lease expiry time, or simclock.Forever
 // when no leases exist. Simulation drivers schedule a sweep then.
 func (s *Store) NextExpiry() simclock.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.down || len(s.expiry) == 0 {
 		return simclock.Forever
 	}
@@ -534,20 +476,16 @@ func (s *Store) NextExpiry() simclock.Time {
 // call it from a scheduled event at NextExpiry.
 func (s *Store) Sweep() {
 	defer s.flush()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sweepLocked()
+	s.expire()
 }
 
 // Watch registers fn for events on keys with the given prefix. Events
 // are delivered one at a time in revision order, after the mutating
-// operation releases the store's mutex, so the callback may call back
-// into the store; events its own writes produce follow once it returns.
+// operation finishes, so the callback may call back into the store;
+// events its own writes produce follow once it returns.
 func (s *Store) Watch(prefix string, fn func(Event)) {
 	if fn == nil {
 		panic("kvstore: nil watch callback")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.watchers = append(s.watchers, &watcher{prefix: prefix, fn: fn})
 }

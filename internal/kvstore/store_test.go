@@ -1,9 +1,6 @@
 package kvstore
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"gemini/internal/simclock"
@@ -67,22 +64,6 @@ func TestCompareAndSwap(t *testing.T) {
 	}
 	if got, _ := s.Get("k"); got.Value != "v3" {
 		t.Fatalf("value %q, want v3", got.Value)
-	}
-}
-
-func TestRangeSortedByKey(t *testing.T) {
-	s := New(nil)
-	for _, k := range []string{"m/2", "m/10", "m/1", "other"} {
-		if _, err := s.Put(k, "x", 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := s.Range("m/")
-	if len(got) != 3 || got[0].Key != "m/1" || got[1].Key != "m/10" || got[2].Key != "m/2" {
-		t.Fatalf("Range = %+v", got)
-	}
-	if all := s.Range(""); len(all) != 4 {
-		t.Fatalf("full range has %d entries", len(all))
 	}
 }
 
@@ -232,86 +213,6 @@ func TestWatchCallbackMayReenterStore(t *testing.T) {
 	}
 	if e, ok := s.Get("reaction"); !ok || e.Value != "done" {
 		t.Fatalf("reentrant write missing: %+v %v", e, ok)
-	}
-}
-
-// The store is safe for concurrent use: goroutines mixing writes,
-// reads, contended CAS and lease traffic under a registered prefix
-// watch leave one revision per successful write, and the watch sees
-// every write under its prefix exactly once, in strictly increasing
-// revision order. Run it under -race.
-func TestStoreConcurrentClients(t *testing.T) {
-	s := New(nil)       // lease clock frozen at 0: no expiry deletes
-	var watched []int64 // no lock: the store serializes deliveries
-	s.Watch("w/", func(ev Event) { watched = append(watched, ev.Entry.Rev) })
-
-	const clients, perClient = 8, 50
-	var writes, prefixWrites atomic.Int64
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			errs <- func() error {
-				for i := 0; i < perClient; i++ {
-					lease, err := s.Grant(100)
-					if err != nil {
-						return err
-					}
-					key := fmt.Sprintf("w/c%d/k%d", c, i)
-					if _, err := s.Put(key, "v1", lease); err != nil {
-						return err
-					}
-					e, ok := s.Get(key)
-					if !ok || e.Value != "v1" {
-						return fmt.Errorf("get %s: %+v %v", key, e, ok)
-					}
-					// Nobody else writes this key, so the guarded update wins.
-					if _, won, err := s.CompareAndSwap(key, e.Rev, "v2", lease); err != nil || !won {
-						return fmt.Errorf("CAS %s: won=%v err=%v", key, won, err)
-					}
-					// Every client races on one shared key; some CAS lose.
-					cur, _ := s.Get("w/shared")
-					_, won, err := s.CompareAndSwap("w/shared", cur.Rev, key, 0)
-					if err != nil {
-						return err
-					}
-					if err := s.KeepAlive(lease); err != nil {
-						return err
-					}
-					if _, err := s.Put(fmt.Sprintf("other/c%d/k%d", c, i), "x", 0); err != nil {
-						return err
-					}
-					n := int64(2) // Put + owned CAS under w/
-					if won {
-						n++
-					}
-					prefixWrites.Add(n)
-					writes.Add(n + 1) // + the Put outside the prefix
-				}
-				return nil
-			}()
-		}(c)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	if got, want := s.Rev(), writes.Load(); got != want {
-		t.Fatalf("final revision %d, want %d successful writes", got, want)
-	}
-	if got, want := int64(len(watched)), prefixWrites.Load(); got != want {
-		t.Fatalf("watch saw %d events, want %d writes under w/", got, want)
-	}
-	for i := 1; i < len(watched); i++ {
-		if watched[i] <= watched[i-1] {
-			t.Fatalf("watch event %d has rev %d after rev %d", i, watched[i], watched[i-1])
-		}
 	}
 }
 

@@ -45,17 +45,19 @@ func (d Duration) String() string { return formatSeconds(float64(d)) }
 // Seconds returns the duration as a float64 number of seconds.
 func (d Duration) Seconds() float64 { return float64(d) }
 
+// formatSeconds picks the unit from the magnitude and keeps the sign.
 func formatSeconds(s float64) string {
+	a := math.Abs(s)
 	switch {
 	case s == math.MaxFloat64:
 		return "forever"
-	case s >= 3600:
+	case a >= 3600:
 		return fmt.Sprintf("%.2fh", s/3600)
-	case s >= 60:
+	case a >= 60:
 		return fmt.Sprintf("%.2fm", s/60)
-	case s >= 1:
+	case a >= 1:
 		return fmt.Sprintf("%.3fs", s)
-	case s >= 1e-3:
+	case a >= 1e-3:
 		return fmt.Sprintf("%.3fms", s*1e3)
 	default:
 		return fmt.Sprintf("%.3fus", s*1e6)

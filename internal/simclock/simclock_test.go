@@ -330,24 +330,33 @@ func TestPropertyEventOrdering(t *testing.T) {
 	}
 }
 
+// Times and durations print in the unit of their magnitude; negative
+// ones (a lease past its deadline, a clock difference) keep the sign.
 func TestDurationFormatting(t *testing.T) {
 	cases := []struct {
 		d    Duration
 		want string
 	}{
 		{7200, "2.00h"},
+		{-7200, "-2.00h"},
 		{90, "1.50m"},
+		{40, "40.000s"},
+		{-40, "-40.000s"},
 		{1.5, "1.500s"},
 		{0.25, "250.000ms"},
+		{0.5e-3, "500.000us"},
+		{-0.5e-3, "-500.000us"},
 		{5e-6, "5.000us"},
+		{0, "0.000us"},
+		{Duration(Forever), "forever"},
 	}
 	for _, c := range cases {
 		if got := c.d.String(); got != c.want {
 			t.Errorf("Duration(%v).String() = %q, want %q", float64(c.d), got, c.want)
 		}
-	}
-	if Forever.String() != "forever" {
-		t.Errorf("Forever.String() = %q", Forever.String())
+		if got := Time(c.d).String(); got != c.want {
+			t.Errorf("Time(%v).String() = %q, want %q", float64(c.d), got, c.want)
+		}
 	}
 }
 
