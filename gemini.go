@@ -431,7 +431,9 @@ func ServeObservability(addr string, prog *CampaignProgress, live *LiveRegistry)
 }
 
 // CampaignOutliers ranks a report's recorded runs (RecordRuns must have
-// been set) by the given key and returns the worst k.
+// been set) by the given key ("wasted", "ratio" or "wasted-vs-spec")
+// and returns the worst k. It errors on a negative k, an unknown key and
+// a report without records.
 func CampaignOutliers(rep *CampaignReport, key string, k int) ([]RunRecord, error) {
 	return scenario.Outliers(rep, key, k)
 }

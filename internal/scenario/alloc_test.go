@@ -7,6 +7,7 @@ package scenario
 
 import (
 	"context"
+	"runtime"
 	"testing"
 )
 
@@ -37,5 +38,47 @@ func TestCampaignWarmAllocsPerVariation(t *testing.T) {
 	t.Logf("%.2f allocs per variation", got)
 	if got > perVariation {
 		t.Fatalf("warm campaign allocates %.2f per variation, want ≤ %v", got, perVariation)
+	}
+}
+
+// A warm ComputeHash on an observed report (aggregates and run records
+// included) encodes into a pooled buffer and hashes it in place: at
+// most the hex digest's allocations and well under 1 KiB per call,
+// where a copy of the encoded report per call would be tens of KiB.
+// Gated in ci.sh.
+func TestReportHashAllocs(t *testing.T) {
+	const (
+		maxAllocs = 2
+		maxBytes  = 1024
+		calls     = 100
+	)
+	s, err := Load("../../examples/scenarios/smoke-1k.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RunCampaign(context.Background(), c, CampaignOptions{Workers: 1, Aggregate: true, RecordRuns: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ComputeHash() != rep.Hash {
+		t.Fatal("hash does not verify")
+	}
+	if got := testing.AllocsPerRun(calls, func() { rep.ComputeHash() }); got > maxAllocs {
+		t.Fatalf("warm ComputeHash makes %.1f allocations, want ≤ %d", got, maxAllocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		rep.ComputeHash()
+	}
+	runtime.ReadMemStats(&after)
+	perCall := float64(after.TotalAlloc-before.TotalAlloc) / calls
+	t.Logf("%.0f B allocated per ComputeHash", perCall)
+	if perCall >= maxBytes {
+		t.Fatalf("warm ComputeHash allocates %.0f B per call, want < %d", perCall, maxBytes)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -370,7 +369,10 @@ func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Repor
 func (r *Report) ComputeHash() string {
 	clone := *r
 	clone.Hash = ""
-	data, err := json.Marshal(&clone)
+	buf := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(buf)
+	data, err := clone.encode((*buf)[:0], false)
+	*buf = data
 	if err != nil {
 		// Report marshalling cannot fail: all fields are plain data.
 		panic(fmt.Sprintf("scenario: report marshal: %v", err))
@@ -381,5 +383,14 @@ func (r *Report) ComputeHash() string {
 
 // JSON marshals the report indented, ready to write to disk.
 func (r *Report) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
+	buf := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(buf)
+	data, err := r.encode((*buf)[:0], true)
+	*buf = data
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(data))
+	copy(out, data)
+	return out, nil
 }

@@ -12,7 +12,6 @@ package scenario
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"gemini/internal/metrics"
 	"gemini/internal/runsim"
@@ -63,16 +62,23 @@ var FlightKeys = []string{"wasted", "ratio", "wasted-vs-spec"}
 // Outliers ranks the report's recorded runs by key and returns the
 // worst k (all of them when k exceeds the record count). Ties break by
 // (variation, spec) so the ranking is fully deterministic. It errors on
-// an unknown key or a report without records.
+// a negative k, an unknown key or a report without records.
+//
+// The ranking is a selection, not a sort: one pass keeps the k worst
+// records in order, O(n·k) comparisons — each returned run is replayed,
+// which costs far more than a pass over the records.
 func Outliers(rep *Report, key string, k int) ([]RunRecord, error) {
+	if k < 0 {
+		return nil, fmt.Errorf("scenario: outlier count k=%d is negative", k)
+	}
 	if len(rep.Runs) == 0 {
 		return nil, fmt.Errorf("scenario: report has no run records (run the campaign with RecordRuns)")
 	}
-	badness := func(r RunRecord) float64 { return r.WastedSeconds }
+	badness := func(r *RunRecord) float64 { return r.WastedSeconds }
 	switch key {
 	case "wasted":
 	case "ratio":
-		badness = func(r RunRecord) float64 { return -r.EffectiveRatio }
+		badness = func(r *RunRecord) float64 { return -r.EffectiveRatio }
 	case "wasted-vs-spec":
 		type acc struct {
 			sum float64
@@ -85,28 +91,48 @@ func Outliers(rep *Report, key string, k int) ([]RunRecord, error) {
 			a.n++
 			means[r.Spec] = a
 		}
-		badness = func(r RunRecord) float64 {
+		badness = func(r *RunRecord) float64 {
 			a := means[r.Spec]
 			return r.WastedSeconds - a.sum/float64(a.n)
 		}
 	default:
 		return nil, fmt.Errorf("scenario: unknown flight key %q (have %v)", key, FlightKeys)
 	}
-	ranked := append([]RunRecord(nil), rep.Runs...)
-	sort.SliceStable(ranked, func(i, j int) bool {
-		bi, bj := badness(ranked[i]), badness(ranked[j])
-		if bi != bj {
-			return bi > bj
+	k = min(k, len(rep.Runs))
+	worst := make([]RunRecord, 0, k)
+	bad := make([]float64, 0, k) // badness of worst[i]
+	// ranksBefore reports whether a run of badness ba ranks strictly
+	// before worst[j].
+	ranksBefore := func(a *RunRecord, ba float64, j int) bool {
+		if ba != bad[j] {
+			return ba > bad[j]
 		}
-		if ranked[i].Variation != ranked[j].Variation {
-			return ranked[i].Variation < ranked[j].Variation
+		if a.Variation != worst[j].Variation {
+			return a.Variation < worst[j].Variation
 		}
-		return ranked[i].Spec < ranked[j].Spec
-	})
-	if k < len(ranked) {
-		ranked = ranked[:k]
+		return a.Spec < worst[j].Spec
 	}
-	return ranked, nil
+	for i := range rep.Runs {
+		r := &rep.Runs[i]
+		b := badness(r)
+		if len(worst) == k && (k == 0 || !ranksBefore(r, b, k-1)) {
+			continue
+		}
+		// Insert after every kept record that r does not rank before, so
+		// equal records keep their report order as a stable sort would.
+		j := len(worst)
+		for j > 0 && ranksBefore(r, b, j-1) {
+			j--
+		}
+		if len(worst) < k {
+			worst = append(worst, RunRecord{})
+			bad = append(bad, 0)
+		}
+		copy(worst[j+1:], worst[j:])
+		copy(bad[j+1:], bad[j:])
+		worst[j], bad[j] = *r, b
+	}
+	return worst, nil
 }
 
 // FlightRun is one outlier re-executed with full observability.

@@ -3,6 +3,8 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -193,6 +195,78 @@ func TestOutliersRanking(t *testing.T) {
 	if err != nil || len(all) != 4 {
 		t.Fatalf("k=99: %d records, err=%v", len(all), err)
 	}
+}
+
+// Outliers selects the k worst records in one pass; the result must
+// equal a full stable sort's prefix for every k and key, including on
+// badness ties and on duplicate records.
+func TestOutliersSelectionMatchesSort(t *testing.T) {
+	var runs []RunRecord
+	for i := 0; i < 40; i++ {
+		spec := []string{"A", "B", "C"}[i%3]
+		runs = append(runs, RunRecord{
+			Variation:      (i * 7) % 13,
+			Spec:           spec,
+			WastedSeconds:  float64((i * 5) % 4 * 100),
+			EffectiveRatio: 0.9 + float64(i%3)/100,
+			Failures:       i, // tells duplicates apart
+		})
+	}
+	runs = append(runs, runs[3], runs[3])
+	rep := &Report{Runs: runs}
+	for _, key := range FlightKeys {
+		full, err := Outliers(rep, key, len(runs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := sortedRuns(runs, key)
+		if !reflect.DeepEqual(full, want) {
+			t.Fatalf("%s: selection of all %d records differs from the stable sort", key, len(runs))
+		}
+		for k := 0; k <= len(runs)+1; k++ {
+			got, err := Outliers(rep, key, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := min(k, len(runs)); !reflect.DeepEqual(got, want[:n]) {
+				t.Fatalf("%s k=%d: got %+v, want %+v", key, k, got, want[:n])
+			}
+		}
+	}
+	if _, err := Outliers(rep, "wasted", -1); err == nil || !strings.Contains(err.Error(), "k=-1") {
+		t.Fatalf("negative k: err = %v, want an error naming k", err)
+	}
+}
+
+// sortedRuns is the reference ranking: a copy of runs stable-sorted by
+// key's badness (descending), then variation, then spec.
+func sortedRuns(runs []RunRecord, key string) []RunRecord {
+	means := map[string][2]float64{}
+	for _, r := range runs {
+		m := means[r.Spec]
+		means[r.Spec] = [2]float64{m[0] + r.WastedSeconds, m[1] + 1}
+	}
+	badness := func(r RunRecord) float64 {
+		switch key {
+		case "ratio":
+			return -r.EffectiveRatio
+		case "wasted-vs-spec":
+			return r.WastedSeconds - means[r.Spec][0]/means[r.Spec][1]
+		}
+		return r.WastedSeconds
+	}
+	ranked := append([]RunRecord(nil), runs...)
+	sort.SliceStable(ranked, func(i, j int) bool {
+		bi, bj := badness(ranked[i]), badness(ranked[j])
+		if bi != bj {
+			return bi > bj
+		}
+		if ranked[i].Variation != ranked[j].Variation {
+			return ranked[i].Variation < ranked[j].Variation
+		}
+		return ranked[i].Spec < ranked[j].Spec
+	})
+	return ranked
 }
 
 // The flight-recorder replay contract: re-execution reproduces the
