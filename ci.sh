@@ -54,6 +54,11 @@ if [ "$ALLOC_PASSES" -ne 19 ]; then
 	exit 1
 fi
 
+# Scenario parser fuzz: arbitrary bytes through the YAML subset and the
+# binder must never panic, and a small accepted scenario must compile
+# without panicking (a non-finite weight once hung Compile).
+go test -run='^$' -fuzz=FuzzParseScenario -fuzztime=10s ./internal/scenario
+
 # Figure gate: the full `benchtables -ablations` text — every paper table
 # and figure plus the design studies, Figs. 7, 8, 13 and 16 among them on
 # the fluid network model — must match its checked-in golden byte for

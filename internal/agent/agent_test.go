@@ -27,15 +27,14 @@ type fixture struct {
 func newFixture(t testing.TB, n, m int, cloudCfg cloud.Config) *fixture {
 	t.Helper()
 	engine := simclock.NewEngine()
-	clus := cluster.MustNew(n, cluster.MustInstance("p4d.24xlarge"), engine.Now)
+	clus := cluster.MustNew(n, cluster.MustInstance("p4d.24xlarge"))
 	ck := ckpt.MustNewEngine(placement.MustMixed(n, m), 75e9)
 	op := cloud.MustNewOperator(engine, cloudCfg)
-	log := trace.NewLog(engine.Now)
-	sys, err := NewSystem(engine, clus, ck, op, DefaultOptions(iterTime), log)
+	sys, err := NewSystem(engine, clus, ck, op, DefaultOptions(iterTime))
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
-	return &fixture{engine: engine, clus: clus, ck: ck, op: op, sys: sys, log: log}
+	return &fixture{engine: engine, clus: clus, ck: ck, op: op, sys: sys, log: sys.Log()}
 }
 
 func allHealthy(f *fixture) func(int) bool {
@@ -318,7 +317,7 @@ func TestSimultaneousFailuresGroupIntoOneRecovery(t *testing.T) {
 
 func TestOptionsValidation(t *testing.T) {
 	engine := simclock.NewEngine()
-	clus := cluster.MustNew(4, cluster.MustInstance("p4d.24xlarge"), engine.Now)
+	clus := cluster.MustNew(4, cluster.MustInstance("p4d.24xlarge"))
 	ck := ckpt.MustNewEngine(placement.MustMixed(4, 2), 1)
 	op := cloud.MustNewOperator(engine, cloud.DefaultConfig())
 	bad := []func(*Options){
@@ -334,16 +333,16 @@ func TestOptionsValidation(t *testing.T) {
 	for i, mutate := range bad {
 		opts := DefaultOptions(iterTime)
 		mutate(&opts)
-		if _, err := NewSystem(engine, clus, ck, op, opts, nil); err == nil {
+		if _, err := NewSystem(engine, clus, ck, op, opts); err == nil {
 			t.Errorf("bad options %d accepted", i)
 		}
 	}
 	// Mismatched sizes rejected.
 	small := ckpt.MustNewEngine(placement.MustMixed(3, 1), 1)
-	if _, err := NewSystem(engine, clus, small, op, DefaultOptions(iterTime), nil); err == nil {
+	if _, err := NewSystem(engine, clus, small, op, DefaultOptions(iterTime)); err == nil {
 		t.Error("mismatched cluster/placement accepted")
 	}
-	sys, err := NewSystem(engine, clus, ck, op, DefaultOptions(iterTime), nil)
+	sys, err := NewSystem(engine, clus, ck, op, DefaultOptions(iterTime))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,15 +77,6 @@ func (s *System) HealPartition() {
 	s.scheduleSweep()
 }
 
-// Reachable reports whether two ranks can currently communicate: both on
-// the same side of the partition (the non-partitioned majority counts as
-// one side; all partitioned ranks are treated as isolated together).
-func (s *System) Reachable(a, b int) bool {
-	s.checkRank(a)
-	s.checkRank(b)
-	return s.partitioned[a] == s.partitioned[b]
-}
-
 // SetStraggler degrades a rank's effective network bandwidth to the
 // given factor in (0, 1]; factor 1 restores full speed. Peer checkpoint
 // retrieval served by a straggler slows proportionally.

@@ -9,7 +9,6 @@ import (
 	"gemini/internal/placement"
 	"gemini/internal/simclock"
 	"gemini/internal/statemgr"
-	"gemini/internal/trace"
 )
 
 // Data-plane integration: the live control plane moves real shard bytes
@@ -22,17 +21,16 @@ const dpShard = 4096
 func newDataPlaneFixture(t *testing.T, n, m int) *fixture {
 	t.Helper()
 	engine := simclock.NewEngine()
-	clus := cluster.MustNew(n, cluster.MustInstance("p4d.24xlarge"), engine.Now)
+	clus := cluster.MustNew(n, cluster.MustInstance("p4d.24xlarge"))
 	p := placement.MustMixed(n, m)
 	ck := ckpt.MustNewEngine(p, dpShard)
 	op := cloud.MustNewOperator(engine, cloud.DefaultConfig())
-	log := trace.NewLog(engine.Now)
-	sys, err := NewSystem(engine, clus, ck, op, DefaultOptions(iterTime), log)
+	sys, err := NewSystem(engine, clus, ck, op, DefaultOptions(iterTime))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys.SetDataPlane(statemgr.MustNew(p, dpShard, 77))
-	return &fixture{engine: engine, clus: clus, ck: ck, op: op, sys: sys, log: log}
+	return &fixture{engine: engine, clus: clus, ck: ck, op: op, sys: sys, log: sys.Log()}
 }
 
 func TestDataPlaneHealthyTraining(t *testing.T) {

@@ -18,20 +18,19 @@ const iterTime = 60 * simclock.Second
 func newSystem(t *testing.T, n, m int) (*simclock.Engine, *agent.System, *trace.Log) {
 	t.Helper()
 	engine := simclock.NewEngine()
-	clus := cluster.MustNew(n, cluster.MustInstance("p4d.24xlarge"), engine.Now)
+	clus := cluster.MustNew(n, cluster.MustInstance("p4d.24xlarge"))
 	ck := ckpt.MustNewEngine(placement.MustMixed(n, m), 75e9)
 	op := cloud.MustNewOperator(engine, cloud.Config{Standby: n, StandbyActivation: 10 * simclock.Second})
-	log := trace.NewLog(engine.Now)
 	opts := agent.DefaultOptions(iterTime)
 	opts.SerializeTime = 10 * simclock.Second
 	opts.WarmupTime = 30 * simclock.Second
 	opts.RetryBase = 2 * simclock.Second
 	opts.RetryMax = 3
-	sys, err := agent.NewSystem(engine, clus, ck, op, opts, log)
+	sys, err := agent.NewSystem(engine, clus, ck, op, opts)
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
-	return engine, sys, log
+	return engine, sys, sys.Log()
 }
 
 // kindsInOrder returns, for each requested kind, the index of its first

@@ -125,13 +125,6 @@ func (e *Engine) Placement() *placement.Placement { return e.placement }
 // ShardBytes returns the per-machine shard size.
 func (e *Engine) ShardBytes() float64 { return e.shardSize }
 
-// CPUMemoryRequiredPerMachine returns the host memory each machine must
-// reserve: two buffers (completed + in-progress) for each of the m shards
-// it stores.
-func (e *Engine) CPUMemoryRequiredPerMachine() float64 {
-	return 2 * float64(e.placement.M) * e.shardSize
-}
-
 func (e *Engine) store(rank int) *machineStore {
 	if rank < 0 || rank >= e.n {
 		panic(fmt.Sprintf("ckpt: rank %d out of range [0,%d)", rank, e.n))
@@ -269,16 +262,6 @@ func (e *Engine) Commit(holder, owner int, iteration int64, fingerprint uint32) 
 	sl.newest = sl.inProgress
 	sl.inProgress = nil
 	sl.received = 0
-}
-
-// Abort discards the in-progress shard, leaving the completed buffer
-// untouched — what happens when a sender dies mid-checkpoint.
-func (e *Engine) Abort(holder, owner int, iteration int64) {
-	sl := e.slotFor(holder, owner)
-	if sl.inProgress != nil && sl.inProgress.Iteration == iteration {
-		sl.inProgress = nil
-		sl.received = 0
-	}
 }
 
 // Completed returns the newest committed shard of owner held by holder.

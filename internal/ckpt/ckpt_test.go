@@ -72,23 +72,6 @@ func TestCommitRequiresAllBytes(t *testing.T) {
 	e.Commit(0, 0, 1, 0)
 }
 
-func TestAbortDiscardsOnlyInProgress(t *testing.T) {
-	e := newEngine(t, 4, 2)
-	checkpointAll(e, 5)
-	e.Begin(0, 0, 6)
-	e.Receive(0, 0, 6, 10)
-	e.Abort(0, 0, 6)
-	sh, ok := e.Completed(0, 0)
-	if !ok || sh.Iteration != 5 {
-		t.Fatalf("completed shard %+v/%v, want iteration 5 intact", sh, ok)
-	}
-	// Abort of a non-matching iteration is a no-op.
-	e.Begin(0, 0, 7)
-	e.Abort(0, 0, 99)
-	e.Receive(0, 0, 7, shardSize)
-	e.Commit(0, 0, 7, 0)
-}
-
 func TestMisroutedShardPanics(t *testing.T) {
 	e := newEngine(t, 4, 2) // groups {0,1}, {2,3}
 	defer func() {
@@ -302,11 +285,23 @@ func TestPersistentPlan(t *testing.T) {
 	}
 }
 
+// Each machine's CPU memory holds two buffers (completed + previous
+// generation) for each of the m shards it stores.
 func TestCPUMemoryRequirement(t *testing.T) {
 	e := newEngine(t, 4, 2)
-	// Two buffers × m shards.
-	if got := e.CPUMemoryRequiredPerMachine(); got != 2*2*shardSize {
-		t.Fatalf("CPU requirement %v, want %v", got, 2*2*shardSize)
+	for it := int64(1); it <= 3; it++ {
+		checkpointAll(e, it)
+	}
+	for holder := 0; holder < 4; holder++ {
+		var bytes float64
+		for owner := 0; owner < 4; owner++ {
+			for _, sh := range e.CompletedVersions(holder, owner) {
+				bytes += sh.Bytes
+			}
+		}
+		if bytes != 2*2*shardSize {
+			t.Fatalf("machine %d holds %v bytes, want %v (2 buffers × m=2 shards)", holder, bytes, 2*2*shardSize)
+		}
 	}
 }
 

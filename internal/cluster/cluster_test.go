@@ -89,7 +89,7 @@ func TestInstanceValidate(t *testing.T) {
 func newTestCluster(t *testing.T, n int) (*simclock.Engine, *Cluster) {
 	t.Helper()
 	e := simclock.NewEngine()
-	c, err := New(n, MustInstance("p4d.24xlarge"), e.Now)
+	c, err := New(n, MustInstance("p4d.24xlarge"))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -98,22 +98,18 @@ func newTestCluster(t *testing.T, n int) (*simclock.Engine, *Cluster) {
 
 func TestClusterLifecycle(t *testing.T) {
 	e, c := newTestCluster(t, 4)
-	if c.Size() != 4 || c.HealthyCount() != 4 {
-		t.Fatalf("fresh cluster size=%d healthy=%d", c.Size(), c.HealthyCount())
+	if c.Size() != 4 || !allHealthy(c) {
+		t.Fatalf("fresh cluster size=%d, want 4 healthy", c.Size())
 	}
 	e.At(100, func() {
 		c.Fail(1, SoftwareFailed)
 		c.Fail(2, HardwareFailed)
 	})
 	e.RunAll()
-	if got := c.FailedRanks(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("failed ranks %v, want [1 2]", got)
-	}
-	if got := c.HealthyRanks(); len(got) != 2 || got[0] != 0 || got[1] != 3 {
-		t.Fatalf("healthy ranks %v, want [0 3]", got)
-	}
-	if c.Machine(1).StateSince() != 100 {
-		t.Fatalf("state timestamp %v, want 100", c.Machine(1).StateSince())
+	for rank, want := range []MachineState{Healthy, SoftwareFailed, HardwareFailed, Healthy} {
+		if got := c.Machine(rank).State(); got != want {
+			t.Fatalf("rank %d is %v, want %v", rank, got, want)
+		}
 	}
 
 	// Software failure restarts in place.
@@ -135,9 +131,18 @@ func TestClusterLifecycle(t *testing.T) {
 	if c.Machine(2) != fresh {
 		t.Fatal("slot does not hold the replacement")
 	}
-	if c.HealthyCount() != 4 {
-		t.Fatalf("healthy count %d after recovery, want 4", c.HealthyCount())
+	if !allHealthy(c) {
+		t.Fatal("cluster not fully healthy after recovery")
 	}
+}
+
+func allHealthy(c *Cluster) bool {
+	for rank := 0; rank < c.Size(); rank++ {
+		if !c.Machine(rank).Healthy() {
+			return false
+		}
+	}
+	return true
 }
 
 func TestHardwareFailureDominatesSoftware(t *testing.T) {
@@ -167,16 +172,13 @@ func TestFailWithHealthyStatePanics(t *testing.T) {
 }
 
 func TestClusterConstructorErrors(t *testing.T) {
-	if _, err := New(0, MustInstance("p4d.24xlarge"), nil); err == nil {
+	if _, err := New(0, MustInstance("p4d.24xlarge")); err == nil {
 		t.Error("zero machines accepted")
 	}
-	if _, err := New(2, InstanceType{}, nil); err == nil {
+	if _, err := New(2, InstanceType{}); err == nil {
 		t.Error("invalid instance type accepted")
 	}
-	c := MustNew(2, MustInstance("p4d.24xlarge"), nil)
-	if c.Machine(0).StateSince() != 0 {
-		t.Error("nil clock should timestamp zero")
-	}
+	c := MustNew(2, MustInstance("p4d.24xlarge"))
 	defer func() {
 		if recover() == nil {
 			t.Error("out-of-range rank did not panic")
@@ -190,7 +192,7 @@ func TestClusterConstructorErrors(t *testing.T) {
 // rank, and incarnations never decrease.
 func TestPropertyLifecycleInvariants(t *testing.T) {
 	f := func(ops []uint8) bool {
-		c := MustNew(4, MustInstance("p3dn.24xlarge"), nil)
+		c := MustNew(4, MustInstance("p3dn.24xlarge"))
 		inc := make([]int, 4)
 		for _, op := range ops {
 			rank := int(op) % 4

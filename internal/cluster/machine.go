@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-
-	"gemini/internal/simclock"
-)
+import "fmt"
 
 // MachineState is a machine's health.
 type MachineState int
@@ -41,14 +37,10 @@ type Machine struct {
 	Incarnation int
 	Type        InstanceType
 	state       MachineState
-	stateSince  simclock.Time
 }
 
 // State returns the machine's health state.
 func (m *Machine) State() MachineState { return m.state }
-
-// StateSince returns when the machine entered its current state.
-func (m *Machine) StateSince() simclock.Time { return m.stateSince }
 
 // Healthy reports whether the machine is training normally.
 func (m *Machine) Healthy() bool { return m.state == Healthy }
@@ -59,23 +51,17 @@ func (m *Machine) Healthy() bool { return m.state == Healthy }
 type Cluster struct {
 	machines []*Machine
 	itype    InstanceType
-	now      func() simclock.Time
 }
 
-// New creates a cluster of n machines of the given type. The now function
-// supplies the virtual clock for state-change timestamps; nil means all
-// timestamps are zero.
-func New(n int, itype InstanceType, now func() simclock.Time) (*Cluster, error) {
+// New creates a cluster of n machines of the given type.
+func New(n int, itype InstanceType) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one machine, got %d", n)
 	}
 	if err := itype.Validate(); err != nil {
 		return nil, err
 	}
-	if now == nil {
-		now = func() simclock.Time { return 0 }
-	}
-	c := &Cluster{machines: make([]*Machine, n), itype: itype, now: now}
+	c := &Cluster{machines: make([]*Machine, n), itype: itype}
 	for i := range c.machines {
 		c.machines[i] = &Machine{Rank: i, Type: itype, state: Healthy}
 	}
@@ -83,8 +69,8 @@ func New(n int, itype InstanceType, now func() simclock.Time) (*Cluster, error) 
 }
 
 // MustNew is New for statically-known-good parameters.
-func MustNew(n int, itype InstanceType, now func() simclock.Time) *Cluster {
-	c, err := New(n, itype, now)
+func MustNew(n int, itype InstanceType) *Cluster {
+	c, err := New(n, itype)
 	if err != nil {
 		panic(err)
 	}
@@ -94,48 +80,12 @@ func MustNew(n int, itype InstanceType, now func() simclock.Time) *Cluster {
 // Size returns the number of rank slots.
 func (c *Cluster) Size() int { return len(c.machines) }
 
-// InstanceType returns the machine model used by the cluster.
-func (c *Cluster) InstanceType() InstanceType { return c.itype }
-
 // Machine returns the machine currently occupying the given rank slot.
 func (c *Cluster) Machine(rank int) *Machine {
 	if rank < 0 || rank >= len(c.machines) {
 		panic(fmt.Sprintf("cluster: rank %d out of range [0,%d)", rank, len(c.machines)))
 	}
 	return c.machines[rank]
-}
-
-// HealthyCount returns the number of healthy machines.
-func (c *Cluster) HealthyCount() int {
-	n := 0
-	for _, m := range c.machines {
-		if m.Healthy() {
-			n++
-		}
-	}
-	return n
-}
-
-// HealthyRanks returns the ranks of healthy machines in ascending order.
-func (c *Cluster) HealthyRanks() []int {
-	var out []int
-	for _, m := range c.machines {
-		if m.Healthy() {
-			out = append(out, m.Rank)
-		}
-	}
-	return out
-}
-
-// FailedRanks returns the ranks of machines in either failed state.
-func (c *Cluster) FailedRanks() []int {
-	var out []int
-	for _, m := range c.machines {
-		if !m.Healthy() {
-			out = append(out, m.Rank)
-		}
-	}
-	return out
 }
 
 // Fail transitions a machine into the given failed state.
@@ -150,7 +100,6 @@ func (c *Cluster) Fail(rank int, state MachineState) {
 		return
 	}
 	m.state = state
-	m.stateSince = c.now()
 }
 
 // Restart clears a software failure: the same machine resumes training.
@@ -160,7 +109,6 @@ func (c *Cluster) Restart(rank int) error {
 	switch m.state {
 	case SoftwareFailed:
 		m.state = Healthy
-		m.stateSince = c.now()
 		return nil
 	case Healthy:
 		return nil
@@ -179,7 +127,6 @@ func (c *Cluster) Replace(rank int) *Machine {
 		Incarnation: old.Incarnation + 1,
 		Type:        c.itype,
 		state:       Healthy,
-		stateSince:  c.now(),
 	}
 	c.machines[rank] = fresh
 	return fresh

@@ -250,7 +250,7 @@ func (j *Job) SimulateRunScaled(spec baselines.Spec, machines int, fs failure.Sc
 // against the system before the engine runs.
 func (j *Job) RecoverySystem(cloudCfg cloud.Config) (*simclock.Engine, *agent.System, error) {
 	engine := simclock.NewEngine()
-	clus, err := cluster.New(j.Spec.Machines, j.Config.Instance, engine.Now)
+	clus, err := cluster.New(j.Spec.Machines, j.Config.Instance)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -266,8 +266,7 @@ func (j *Job) RecoverySystem(cloudCfg cloud.Config) (*simclock.Engine, *agent.Sy
 	opts.RetrievalPeerBandwidth = j.Config.Instance.NetworkBytesPerSec
 	opts.RetrievalRemoteBandwidth = j.Spec.RemoteBandwidth
 	opts.SerializeTime = j.Costs.SerializeTime(2 * j.Config.ShardBytesPerMachine())
-	log := trace.NewLog(engine.Now)
-	sys, err := agent.NewSystem(engine, clus, ck, op, opts, log)
+	sys, err := agent.NewSystem(engine, clus, ck, op, opts)
 	if err != nil {
 		return nil, nil, err
 	}

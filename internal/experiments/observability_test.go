@@ -67,8 +67,8 @@ func TestRunAllPerRunSinksUnderRace(t *testing.T) {
 			t.Fatalf("run %d: gauge %v, want %d", i, got, i)
 		}
 		h := regs[i].Histogram("work")
-		if h.Count() != 100 || h.Min() != float64(i*1000) {
-			t.Fatalf("run %d: histogram count=%d min=%v", i, h.Count(), h.Min())
+		if h.Count() != 100 || h.Sum() != float64(i*100000+4950) {
+			t.Fatalf("run %d: histogram count=%d sum=%v", i, h.Count(), h.Sum())
 		}
 	}
 	var buf bytes.Buffer

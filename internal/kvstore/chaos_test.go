@@ -66,19 +66,12 @@ func TestOutageFreezesLeases(t *testing.T) {
 
 	clk.t = 7 // 3s of TTL left
 	s.SetAvailable(false)
-	clk.t = 50 // mid-outage: the lease clock stands still
-	if rem, ok := s.LeaseRemaining(lid); !ok || rem != 3 {
-		t.Fatalf("lease remaining mid-outage = %v/%v, want 3/true", rem, ok)
-	}
 	clk.t = 100 // outage lasts 93s, far past the TTL
 	s.SetAvailable(true)
 
-	rem, ok := s.LeaseRemaining(lid)
-	if !ok {
-		t.Fatal("lease expired across the outage; TTL should have frozen")
-	}
-	if rem != 3 {
-		t.Fatalf("lease remaining after restore = %v, want 3", rem)
+	// The 3s left when the store went down now run from the restore.
+	if got := s.NextExpiry(); got != 103 {
+		t.Fatalf("lease expiry after restore = %v, want 103 (TTL frozen across the outage)", got)
 	}
 	if _, ok := s.Get("hb"); !ok {
 		t.Fatal("leased key lost across the outage")
@@ -125,18 +118,21 @@ func TestLeaseExpiryRacesCAS(t *testing.T) {
 }
 
 func TestLeaseJitterDeterministic(t *testing.T) {
-	expiries := func(seed int64) []simclock.Time {
+	// Each lease is granted alone and swept at its expiry, so
+	// NextExpiry reads its jittered deadline.
+	expiries := func(seed int64) []simclock.Duration {
 		clk := &fakeClock{}
 		s := New(clk.now)
 		s.SetLeaseJitter(5, seed)
-		var out []simclock.Time
+		var out []simclock.Duration
 		for i := 0; i < 4; i++ {
-			lid, err := s.Grant(10)
-			if err != nil {
+			if _, err := s.Grant(10); err != nil {
 				t.Fatalf("Grant: %v", err)
 			}
-			rem, _ := s.LeaseRemaining(lid)
-			out = append(out, clk.now().Add(rem))
+			next := s.NextExpiry()
+			out = append(out, next.Sub(clk.now()))
+			clk.t = next
+			s.Sweep()
 		}
 		return out
 	}
@@ -146,7 +142,7 @@ func TestLeaseJitterDeterministic(t *testing.T) {
 			t.Fatalf("same seed diverged at %d: %v vs %v", i, a[i], b[i])
 		}
 		if a[i] < 10 || a[i] >= 15 {
-			t.Fatalf("expiry %v outside [TTL, TTL+max)", a[i])
+			t.Fatalf("lease lifetime %v outside [TTL, TTL+max)", a[i])
 		}
 	}
 	c := expiries(2)

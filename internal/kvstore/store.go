@@ -446,23 +446,6 @@ func (s *Store) KeepAlive(id LeaseID) error {
 	return nil
 }
 
-// LeaseRemaining returns the time until a lease expires, and whether the
-// lease exists. During an outage lease clocks are frozen, so it reports
-// what was left when the store went down.
-func (s *Store) LeaseRemaining(id LeaseID) (simclock.Duration, bool) {
-	defer s.flush()
-	s.expire()
-	l := s.leases[id]
-	if l == nil {
-		return 0, false
-	}
-	now := s.now()
-	if s.down {
-		now = s.downSince
-	}
-	return l.expires.Sub(now), true
-}
-
 // NextExpiry returns the earliest lease expiry time, or simclock.Forever
 // when no leases exist. Simulation drivers schedule a sweep then.
 func (s *Store) NextExpiry() simclock.Time {

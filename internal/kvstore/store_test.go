@@ -85,8 +85,8 @@ func TestLeaseExpiryDeletesKeys(t *testing.T) {
 	if _, ok := s.Get("hb/1"); ok {
 		t.Fatal("key survived lease expiry")
 	}
-	if _, ok := s.LeaseRemaining(id); ok {
-		t.Fatal("expired lease still exists")
+	if err := s.KeepAlive(id); err == nil {
+		t.Fatal("KeepAlive on an expired lease accepted")
 	}
 	// Writing under the expired lease fails.
 	if _, err := s.Put("hb/1", "again", id); err == nil {

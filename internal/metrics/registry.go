@@ -69,11 +69,9 @@ const (
 // O(1), allocation-free, and keeps exact count/sum/min/max alongside
 // bucket counts for approximate quantiles (≤ one octave of error,
 // clamped to the observed [min, max]). Zero and negative observations
-// land in the lowest bucket; NaN observations are counted and ignored.
-// Nil no-ops.
+// land in the lowest bucket; NaN observations are ignored. Nil no-ops.
 type Histogram struct {
 	count    uint64
-	nans     uint64
 	sum      float64
 	min, max float64
 	buckets  [histBuckets]uint64
@@ -99,7 +97,6 @@ func (h *Histogram) Observe(v float64) {
 		return
 	}
 	if math.IsNaN(v) {
-		h.nans++
 		return
 	}
 	if h.count == 0 || v < h.min {
@@ -121,14 +118,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
-// NaNs returns the number of ignored NaN observations.
-func (h *Histogram) NaNs() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.nans
-}
-
 // Sum returns the sum of observations; 0 for nil or empty.
 func (h *Histogram) Sum() float64 {
 	if h == nil {
@@ -145,14 +134,6 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.count)
 }
 
-// Min returns the smallest observation; 0 for nil or empty.
-func (h *Histogram) Min() float64 {
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
 // Max returns the largest observation; 0 for nil or empty.
 func (h *Histogram) Max() float64 {
 	if h == nil || h.count == 0 {
@@ -161,30 +142,27 @@ func (h *Histogram) Max() float64 {
 	return h.max
 }
 
-// Merge folds src's observations into h: counts, sums, NaN counts and
-// bucket counts add; min/max combine. Merging the same histograms in
+// Merge folds src's observations into h: counts, sums and bucket
+// counts add; min/max combine. Merging the same histograms in
 // the same order always produces the identical result, which is what
 // makes campaign rollups worker-count independent (the campaign merges
 // per-run histograms in variation order, after the parallel fan-out).
 // Nil receiver or nil src no-ops.
 func (h *Histogram) Merge(src *Histogram) {
-	if h == nil || src == nil {
+	if h == nil || src == nil || src.count == 0 {
 		return
 	}
-	if src.count > 0 {
-		if h.count == 0 || src.min < h.min {
-			h.min = src.min
-		}
-		if h.count == 0 || src.max > h.max {
-			h.max = src.max
-		}
-		h.count += src.count
-		h.sum += src.sum
-		for i, n := range src.buckets {
-			h.buckets[i] += n
-		}
+	if h.count == 0 || src.min < h.min {
+		h.min = src.min
 	}
-	h.nans += src.nans
+	if h.count == 0 || src.max > h.max {
+		h.max = src.max
+	}
+	h.count += src.count
+	h.sum += src.sum
+	for i, n := range src.buckets {
+		h.buckets[i] += n
+	}
 }
 
 // Quantile returns the approximate p-quantile (p in [0, 1]): the

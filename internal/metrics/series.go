@@ -22,14 +22,12 @@ type Point struct {
 }
 
 // Series is a fixed-capacity ring buffer of sim-time samples. When full,
-// Append overwrites the oldest point and counts it as dropped — a bounded
-// monitor must never grow without bound on a long horizon. A nil *Series
+// Append overwrites the oldest point — a bounded monitor must never grow without bound on a long horizon. A nil *Series
 // is disabled: Append no-ops, accessors return zeros.
 type Series struct {
-	name    string
-	points  []Point
-	head    int // index of the oldest live point
-	dropped int
+	name   string
+	points []Point
+	head   int // index of the oldest live point
 }
 
 // NewSeries creates a series holding at most capacity points.
@@ -59,7 +57,6 @@ func (s *Series) Append(at simclock.Time, v float64) {
 	}
 	s.points[s.head] = Point{At: at, Value: v}
 	s.head = (s.head + 1) % len(s.points)
-	s.dropped++
 }
 
 // Len returns the number of live points.
@@ -76,22 +73,6 @@ func (s *Series) Point(i int) Point {
 		panic(fmt.Sprintf("metrics: series point %d out of range [0,%d)", i, s.Len()))
 	}
 	return s.points[(s.head+i)%len(s.points)]
-}
-
-// Last returns the most recent point, if any.
-func (s *Series) Last() (Point, bool) {
-	if s == nil || len(s.points) == 0 {
-		return Point{}, false
-	}
-	return s.Point(len(s.points) - 1), true
-}
-
-// Dropped returns how many points eviction has discarded.
-func (s *Series) Dropped() int {
-	if s == nil {
-		return 0
-	}
-	return s.dropped
 }
 
 // column is one watched instrument and the series recording it.

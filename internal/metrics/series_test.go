@@ -8,11 +8,8 @@ import (
 
 func TestSeriesRingEviction(t *testing.T) {
 	s := NewSeries("x", 3)
-	if s.Len() != 0 || s.Dropped() != 0 {
-		t.Fatalf("fresh series: len=%d dropped=%d", s.Len(), s.Dropped())
-	}
-	if _, ok := s.Last(); ok {
-		t.Fatal("Last on empty series reported a point")
+	if s.Len() != 0 {
+		t.Fatalf("fresh series: len=%d", s.Len())
 	}
 	for i := 0; i < 5; i++ {
 		s.Append(simclock.Time(i), float64(i*10))
@@ -20,17 +17,10 @@ func TestSeriesRingEviction(t *testing.T) {
 	if s.Len() != 3 {
 		t.Fatalf("len %d after 5 appends at capacity 3, want 3", s.Len())
 	}
-	if s.Dropped() != 2 {
-		t.Fatalf("dropped %d, want 2", s.Dropped())
-	}
 	for i, want := range []Point{{2, 20}, {3, 30}, {4, 40}} {
 		if got := s.Point(i); got != want {
 			t.Errorf("point %d = %+v, want %+v", i, got, want)
 		}
-	}
-	last, ok := s.Last()
-	if !ok || last != (Point{4, 40}) {
-		t.Fatalf("Last = %+v/%v, want {4 40}", last, ok)
 	}
 }
 
@@ -48,11 +38,8 @@ func TestSeriesPointOutOfRangePanics(t *testing.T) {
 func TestNilSeriesIsDisabled(t *testing.T) {
 	var s *Series
 	s.Append(1, 2) // must not panic
-	if s.Len() != 0 || s.Dropped() != 0 || s.Name() != "" {
+	if s.Len() != 0 || s.Name() != "" {
 		t.Fatal("nil series not inert")
-	}
-	if _, ok := s.Last(); ok {
-		t.Fatal("nil series has a last point")
 	}
 }
 
@@ -197,47 +184,37 @@ func TestRecorderSampleAllocsZero(t *testing.T) {
 	}
 }
 
-// Ring-drop counting at exact capacity boundaries: filling to exactly
-// capacity drops nothing, the very next append drops exactly one, and a
-// capacity-1 ring degenerates to "keep last, drop the rest".
+// Eviction at exact capacity boundaries: filling to exactly capacity
+// evicts nothing, the very next append evicts exactly the oldest point,
+// and a capacity-1 ring degenerates to "keep the last point".
 func TestSeriesDropCountAtCapacityBoundary(t *testing.T) {
 	s := NewSeries("x", 4)
 	for i := 0; i < 4; i++ {
 		s.Append(simclock.Time(i), float64(i))
-		if s.Dropped() != 0 {
-			t.Fatalf("dropped %d after %d appends at capacity 4, want 0", s.Dropped(), i+1)
+		if s.Len() != i+1 || s.Point(0) != (Point{0, 0}) {
+			t.Fatalf("after %d appends at capacity 4: len=%d oldest=%+v, want %d/{0 0}", i+1, s.Len(), s.Point(0), i+1)
 		}
 	}
-	if s.Len() != 4 {
-		t.Fatalf("len %d at exact capacity, want 4", s.Len())
-	}
-	if got := s.Point(0); got != (Point{0, 0}) {
-		t.Fatalf("oldest point %+v at exact capacity, want {0 0}", got)
-	}
 	s.Append(4, 4)
-	if s.Len() != 4 || s.Dropped() != 1 {
-		t.Fatalf("len=%d dropped=%d one past capacity, want 4/1", s.Len(), s.Dropped())
+	if s.Len() != 4 {
+		t.Fatalf("len=%d one past capacity, want 4", s.Len())
 	}
 	if got := s.Point(0); got != (Point{1, 1}) {
 		t.Fatalf("oldest point %+v after first eviction, want {1 1}", got)
 	}
 	s.Append(5, 5)
-	if s.Dropped() != 2 {
-		t.Fatalf("dropped %d after second eviction, want 2", s.Dropped())
+	if got := s.Point(0); got != (Point{2, 2}) {
+		t.Fatalf("oldest point %+v after second eviction, want {2 2}", got)
+	}
+	if got := s.Point(3); got != (Point{5, 5}) {
+		t.Fatalf("newest point %+v after second eviction, want {5 5}", got)
 	}
 
 	one := NewSeries("y", 1)
-	one.Append(1, 10)
-	if one.Len() != 1 || one.Dropped() != 0 {
-		t.Fatalf("capacity-1 fresh: len=%d dropped=%d", one.Len(), one.Dropped())
-	}
-	for i := 2; i <= 5; i++ {
+	for i := 1; i <= 5; i++ {
 		one.Append(simclock.Time(i), float64(i*10))
-	}
-	if one.Len() != 1 || one.Dropped() != 4 {
-		t.Fatalf("capacity-1 after 5 appends: len=%d dropped=%d, want 1/4", one.Len(), one.Dropped())
-	}
-	if last, ok := one.Last(); !ok || last != (Point{5, 50}) {
-		t.Fatalf("capacity-1 last = %+v/%v, want {5 50}", last, ok)
+		if one.Len() != 1 || one.Point(0) != (Point{simclock.Time(i), float64(i * 10)}) {
+			t.Fatalf("capacity-1 after %d appends: len=%d point=%+v", i, one.Len(), one.Point(0))
+		}
 	}
 }

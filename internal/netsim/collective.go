@@ -70,17 +70,3 @@ func CollectiveTime(kind CollectiveKind, n int, totalBytes, bandwidthBytesPerSec
 		panic(fmt.Sprintf("netsim: unknown collective kind %d", int(kind)))
 	}
 }
-
-// BusyFraction estimates the fraction of a collective's duration during
-// which a participant's NIC is actually transmitting (the bandwidth term
-// over the total). Scheduling in §5 treats latency gaps inside collectives
-// as unavailable, so only whole-op boundaries yield usable idle spans;
-// this helper supports idle-time accounting in the profiler.
-func BusyFraction(kind CollectiveKind, n int, totalBytes, bandwidthBytesPerSec float64, alpha simclock.Duration) float64 {
-	total := CollectiveTime(kind, n, totalBytes, bandwidthBytesPerSec, alpha)
-	if total <= 0 {
-		return 0
-	}
-	latency := total - CollectiveTime(kind, n, totalBytes, bandwidthBytesPerSec, 0)
-	return float64((total - latency) / total)
-}

@@ -63,17 +63,6 @@ func TestCollectivePanicsOnBadInput(t *testing.T) {
 	}
 }
 
-func TestBusyFraction(t *testing.T) {
-	// With α=0 the NIC is busy the whole time.
-	if got := BusyFraction(AllGather, 8, 1e6, 1000, 0); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("busy fraction with zero alpha = %v, want 1", got)
-	}
-	// With huge α the fraction tends to zero.
-	if got := BusyFraction(AllGather, 8, 1, 1e12, 10); got > 0.01 {
-		t.Fatalf("busy fraction with huge alpha = %v, want ≈0", got)
-	}
-}
-
 func TestCollectiveKindString(t *testing.T) {
 	cases := map[CollectiveKind]string{
 		AllGather: "all-gather", ReduceScatter: "reduce-scatter",

@@ -823,13 +823,8 @@ func (fb *Fabric) heapDown(i int) {
 	fl.heapIdx = int32(i)
 }
 
-// TransferTime returns the α + s/B point-to-point time for a transfer of
-// size bytes on an otherwise idle network — the f(s) of Algorithm 2.
-func (fb *Fabric) TransferTime(bytes float64) simclock.Duration {
-	return TransferTime(bytes, fb.cfg.EgressBytesPerSec, fb.cfg.Alpha)
-}
-
-// TransferTime is the α + s/B model as a pure function.
+// TransferTime is the α + s/B point-to-point time for a transfer of size
+// bytes on an otherwise idle network — the f(s) of Algorithm 2.
 func TransferTime(bytes, bandwidthBytesPerSec float64, alpha simclock.Duration) simclock.Duration {
 	return alpha + simclock.Duration(bytes/bandwidthBytesPerSec)
 }

@@ -46,7 +46,7 @@ func TestTransferTimeMatchesFlow(t *testing.T) {
 	var done simclock.Time
 	f.StartFlow(0, 1, 5000, "t", func(*Flow) { done = e.Now() })
 	e.RunAll()
-	if got := f.TransferTime(5000); math.Abs(float64(done)-got.Seconds()) > 1e-9 {
+	if got := TransferTime(5000, 250, 0.01); math.Abs(float64(done)-got.Seconds()) > 1e-9 {
 		t.Fatalf("TransferTime %v but flow finished at %v", got, done)
 	}
 }

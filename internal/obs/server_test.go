@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"gemini/internal/metrics"
 )
 
 func getBody(t *testing.T, url string) (int, string) {
@@ -30,7 +32,9 @@ func TestServerEndpoints(t *testing.T) {
 	prog.RunStarted()
 	prog.RunDone(4, 1000)
 	reg := NewSyncRegistry()
-	reg.Observe("campaign.wasted_seconds", 300)
+	run := metrics.NewRegistry()
+	run.Histogram("campaign.wasted_seconds").Observe(300)
+	reg.Merge(run)
 
 	srv, err := NewServer("127.0.0.1:0", prog, reg)
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 )
 
 // SyncRegistry wraps a metrics.Registry with a mutex so many goroutines
-// can observe and merge while a reader snapshots or serves /metrics.
+// can merge finished runs while a reader snapshots or serves /metrics.
 // metrics.Registry itself stays lock-free by design (it is a per-run
 // sink on the hot path); SyncRegistry is the shared aggregation point
 // the campaign server hangs off. A nil *SyncRegistry is disabled.
@@ -26,36 +26,6 @@ type SyncRegistry struct {
 // NewSyncRegistry returns an enabled, empty registry.
 func NewSyncRegistry() *SyncRegistry {
 	return &SyncRegistry{r: metrics.NewRegistry()}
-}
-
-// Add increases the named counter by delta.
-func (s *SyncRegistry) Add(name string, delta float64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.r.Counter(name).Add(delta)
-	s.mu.Unlock()
-}
-
-// Set records the named gauge's current value.
-func (s *SyncRegistry) Set(name string, v float64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.r.Gauge(name).Set(v)
-	s.mu.Unlock()
-}
-
-// Observe records one histogram observation under name.
-func (s *SyncRegistry) Observe(name string, v float64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.r.Histogram(name).Observe(v)
-	s.mu.Unlock()
 }
 
 // Merge folds a finished run's registry in (counters add, histograms

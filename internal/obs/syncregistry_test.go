@@ -9,8 +9,8 @@ import (
 	"gemini/internal/metrics"
 )
 
-// The -race satellite: workers observe and merge concurrently while a
-// reader snapshots and serves /metrics-style expositions.
+// The -race satellite: workers merge runs concurrently while a reader
+// snapshots and serves /metrics-style expositions.
 func TestSyncRegistryConcurrentObserveSnapshotMerge(t *testing.T) {
 	s := NewSyncRegistry()
 	var wg sync.WaitGroup
@@ -19,12 +19,11 @@ func TestSyncRegistryConcurrentObserveSnapshotMerge(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				s.Add("runs", 1)
-				s.Set("coverage", float64(w))
-				s.Observe("wasted", float64(i))
 				run := metrics.NewRegistry()
-				run.Counter("merged").Inc()
+				run.Counter("runs").Inc()
+				run.Gauge("coverage").Set(float64(w))
 				run.Histogram("wasted").Observe(float64(i))
+				run.Histogram("wasted").Observe(float64(i + 50))
 				s.Merge(run)
 			}
 		}(w)
@@ -46,18 +45,20 @@ func TestSyncRegistryConcurrentObserveSnapshotMerge(t *testing.T) {
 	if v, ok := cs.Get("runs"); !ok || v != 200 {
 		t.Fatalf("runs = %v/%v, want 200", v, ok)
 	}
-	if v, ok := cs.Get("merged"); !ok || v != 200 {
-		t.Fatalf("merged = %v/%v, want 200", v, ok)
-	}
 	if v, ok := cs.Get("wasted.count"); !ok || v != 400 {
-		t.Fatalf("wasted.count = %v/%v, want 400 (200 direct + 200 merged)", v, ok)
+		t.Fatalf("wasted.count = %v/%v, want 400 (two per merged run)", v, ok)
+	}
+	if v, ok := cs.Get("coverage"); !ok || v < 0 || v > 3 {
+		t.Fatalf("coverage = %v/%v, want some worker's last value", v, ok)
 	}
 }
 
 func TestSyncRegistryWriteProm(t *testing.T) {
 	s := NewSyncRegistry()
-	s.Add("campaign.runs", 3)
-	s.Observe("campaign.wasted", 100)
+	run := metrics.NewRegistry()
+	run.Counter("campaign.runs").Add(3)
+	run.Histogram("campaign.wasted").Observe(100)
+	s.Merge(run)
 	var buf bytes.Buffer
 	if err := s.WriteProm(&buf); err != nil {
 		t.Fatal(err)
@@ -76,9 +77,6 @@ func TestSyncRegistryWriteProm(t *testing.T) {
 
 func TestNilSyncRegistryIsDisabled(t *testing.T) {
 	var s *SyncRegistry
-	s.Add("x", 1)
-	s.Set("y", 2)
-	s.Observe("z", 3)
 	s.Merge(metrics.NewRegistry())
 	if s.Snapshot() != nil {
 		t.Fatal("nil SyncRegistry snapshot not nil")

@@ -79,42 +79,12 @@ func ForEach(workers, n int, fn func(i int)) {
 	}
 }
 
-// RunHooks observes pool lifecycle without influencing it: Started
-// fires just before fn(i) runs, Done just after it returns nil. Either
-// hook may be nil. Hooks are called from worker goroutines, so they
-// must be concurrency-safe (obs.Progress is the intended sink); they
-// carry no values out of fn, keeping the determinism contract intact —
-// the hooks can count and time work, never reorder it.
-type RunHooks struct {
-	Started func(i int)
-	Done    func(i int)
-}
-
-func (h RunHooks) started(i int) {
-	if h.Started != nil {
-		h.Started(i)
-	}
-}
-
-func (h RunHooks) done(i int) {
-	if h.Done != nil {
-		h.Done(i)
-	}
-}
-
 // ForEachErr is ForEach with context cancellation and error propagation:
 // it stops handing out new indices once the context is done or any fn
 // has failed, waits for in-flight calls, and returns the error of the
 // lowest-numbered failing index (so the reported error is deterministic
 // regardless of scheduling), or the context's error if it fired first.
 func ForEachErr(ctx context.Context, workers, n int, fn func(i int) error) error {
-	return ForEachErrHooks(ctx, workers, n, RunHooks{}, fn)
-}
-
-// ForEachErrHooks is ForEachErr with lifecycle hooks — the campaign
-// runner threads its live progress sink through here. The zero RunHooks
-// adds no calls and no allocations to the inline (workers == 1) path.
-func ForEachErrHooks(ctx context.Context, workers, n int, hooks RunHooks, fn func(i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
@@ -129,11 +99,9 @@ func ForEachErrHooks(ctx context.Context, workers, n int, hooks RunHooks, fn fun
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			hooks.started(i)
 			if err := fn(i); err != nil {
 				return err
 			}
-			hooks.done(i)
 		}
 		return nil
 	}
@@ -158,7 +126,6 @@ func ForEachErrHooks(ctx context.Context, workers, n int, hooks RunHooks, fn fun
 				if i >= n {
 					return
 				}
-				hooks.started(i)
 				if err := fn(i); err != nil {
 					mu.Lock()
 					if errIdx < 0 || i < errIdx {
@@ -168,7 +135,6 @@ func ForEachErrHooks(ctx context.Context, workers, n int, hooks RunHooks, fn fun
 					halted.Store(true)
 					return
 				}
-				hooks.done(i)
 			}
 		}()
 	}

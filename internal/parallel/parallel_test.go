@@ -107,62 +107,3 @@ func TestWorkersPositive(t *testing.T) {
 		t.Fatalf("Workers() = %d", Workers())
 	}
 }
-
-// Hooks observe every successfully completed index exactly once, from
-// any worker count, and Done never fires for a failed index.
-func TestForEachErrHooksCountCompletions(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		var started, done atomic.Int64
-		hooks := RunHooks{
-			Started: func(int) { started.Add(1) },
-			Done:    func(int) { done.Add(1) },
-		}
-		err := ForEachErrHooks(context.Background(), workers, 40, hooks, func(i int) error {
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if started.Load() != 40 || done.Load() != 40 {
-			t.Fatalf("workers=%d: started=%d done=%d, want 40/40", workers, started.Load(), done.Load())
-		}
-	}
-}
-
-func TestForEachErrHooksSkipDoneOnError(t *testing.T) {
-	boom := errors.New("boom")
-	var done atomic.Int64
-	var doneFailing atomic.Bool
-	hooks := RunHooks{Done: func(i int) {
-		done.Add(1)
-		if i == 7 {
-			doneFailing.Store(true)
-		}
-	}}
-	err := ForEachErrHooks(context.Background(), 4, 20, hooks, func(i int) error {
-		if i == 7 {
-			return boom
-		}
-		return nil
-	})
-	if err != boom {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if doneFailing.Load() {
-		t.Fatal("Done fired for the failing index")
-	}
-	if done.Load() >= 20 {
-		t.Fatalf("done=%d, want < 20 (failing index must not be counted)", done.Load())
-	}
-}
-
-// The zero RunHooks must not change ForEachErr behaviour or cost.
-func TestForEachErrZeroHooksInline(t *testing.T) {
-	var calls int
-	if err := ForEachErrHooks(context.Background(), 1, 5, RunHooks{}, func(i int) error {
-		calls++
-		return nil
-	}); err != nil || calls != 5 {
-		t.Fatalf("err=%v calls=%d", err, calls)
-	}
-}

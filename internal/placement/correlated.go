@@ -145,50 +145,3 @@ func CorrelatedProbability(p *Placement, racks [][]int, k int) (float64, error) 
 	})
 	return float64(survived) / float64(len(failureSets)), nil
 }
-
-// WorstCorrelatedK returns the smallest number of simultaneous rack
-// failures that can make recovery impossible for some choice of racks
-// (i.e. the first k with CorrelatedProbability < 1), or 0 if even losing
-// every rack is survivable (only possible for trivial placements).
-func WorstCorrelatedK(p *Placement, racks [][]int) (int, error) {
-	for k := 1; k <= len(racks); k++ {
-		prob, err := CorrelatedProbability(p, racks, k)
-		if err != nil {
-			return 0, err
-		}
-		if prob < 1 {
-			return k, nil
-		}
-	}
-	return 0, nil
-}
-
-// RackSpan returns, for diagnostics, the minimum and maximum number of
-// distinct racks any single checkpoint group spans. A min span of 1
-// means some group can be erased by one rack failure.
-func RackSpan(p *Placement, racks [][]int) (minSpan, maxSpan int) {
-	rackOf := make(map[int]int)
-	for ri, rack := range racks {
-		for _, rank := range rack {
-			rackOf[rank] = ri
-		}
-	}
-	minSpan, maxSpan = -1, 0
-	for rank := 0; rank < p.N; rank++ {
-		set := map[int]bool{}
-		for _, r := range p.Replicas(rank) {
-			set[rackOf[r]] = true
-		}
-		span := len(set)
-		if minSpan < 0 || span < minSpan {
-			minSpan = span
-		}
-		if span > maxSpan {
-			maxSpan = span
-		}
-	}
-	if minSpan < 0 {
-		minSpan = 0
-	}
-	return minSpan, maxSpan
-}

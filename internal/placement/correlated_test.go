@@ -2,6 +2,7 @@ package placement
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -20,17 +21,34 @@ func TestRackAwareStructure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Racks: %v", err)
 	}
-	minSpan, maxSpan := RackSpan(p, racks)
-	if minSpan != 2 || maxSpan != 2 {
-		t.Fatalf("rack span %d..%d, want every group spanning exactly m=2 racks", minSpan, maxSpan)
+	// Every replica set holds one rank from each of m=2 distinct racks.
+	for rank := 0; rank < p.N; rank++ {
+		if span := racksSpanned(p.Replicas(rank), racks); span != 2 {
+			t.Fatalf("rank %d's replicas %v span %d racks, want m=2", rank, p.Replicas(rank), span)
+		}
 	}
 	// Contrast: an aligned Mixed group placement co-locates each group in
 	// one rack.
 	g := MustMixed(8, 2)
-	minSpan, _ = RackSpan(g, racks)
-	if minSpan != 1 {
-		t.Fatalf("aligned group placement min span %d, want 1", minSpan)
+	for rank := 0; rank < g.N; rank++ {
+		if span := racksSpanned(g.Replicas(rank), racks); span != 1 {
+			t.Fatalf("aligned rank %d's replicas %v span %d racks, want 1", rank, g.Replicas(rank), span)
+		}
 	}
+}
+
+// racksSpanned counts the distinct racks the given ranks sit in.
+func racksSpanned(ranks []int, racks [][]int) int {
+	n := 0
+	for _, rack := range racks {
+		for _, r := range rack {
+			if slices.Contains(ranks, r) {
+				n++
+				break
+			}
+		}
+	}
+	return n
 }
 
 func TestRackAwareErrors(t *testing.T) {
@@ -91,13 +109,6 @@ func TestCorrelatedProbabilityAlignedVsRackAware(t *testing.T) {
 	}
 	if math.Abs(pAware2-4.0/6.0) > 1e-12 {
 		t.Fatalf("rack-aware k=2 probability %v, want 4/6", pAware2)
-	}
-
-	if k, _ := WorstCorrelatedK(aligned, racks); k != 1 {
-		t.Fatalf("aligned worst k = %d, want 1", k)
-	}
-	if k, _ := WorstCorrelatedK(aware, racks); k != 2 {
-		t.Fatalf("rack-aware worst k = %d, want 2", k)
 	}
 }
 

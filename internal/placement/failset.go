@@ -1,7 +1,5 @@
 package placement
 
-import "math/bits"
-
 // FailSet is a bitset over machine ranks, the allocation-free failure-set
 // representation used by the availability kernel. A FailSet for N ranks
 // has ⌈N/64⌉ words; rank i lives at bit i&63 of word i>>6.
@@ -28,28 +26,6 @@ func (s FailSet) Reset() {
 	for i := range s {
 		s[i] = 0
 	}
-}
-
-// Count returns the number of failed ranks.
-func (s FailSet) Count() int {
-	n := 0
-	for _, w := range s {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// AppendRanks appends the failed ranks to dst in ascending order and
-// returns the extended slice. With a pre-sized dst this is alloc-free.
-func (s FailSet) AppendRanks(dst []int) []int {
-	for wi, w := range s {
-		base := wi << 6
-		for w != 0 {
-			dst = append(dst, base+bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
-	return dst
 }
 
 // failSetOf converts a map-based failure set into (failed-rank list,

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -48,9 +49,9 @@ func kernelPlacements(t *testing.T, n, m, rackSize int) []*Placement {
 
 // TestKernelAgreesWithMapReference is the bitset-kernel property test:
 // on randomized Group/Ring/Mixed/RackAware placements and randomized
-// failure sets of every size, Survives (map wrapper), SurvivesFailed
-// (list+bitset kernel), and SurvivesSet (bitset-only kernel) must all
-// agree with the seed's map-based reference implementation.
+// failure sets of every size, Survives (map wrapper) and SurvivesFailed
+// (list+bitset kernel) must both agree with the seed's map-based
+// reference implementation.
 func TestKernelAgreesWithMapReference(t *testing.T) {
 	rng := newSplitMix(0xC0FFEE)
 	for _, dims := range []struct{ n, m, rackSize int }{
@@ -77,9 +78,6 @@ func TestKernelAgreesWithMapReference(t *testing.T) {
 				}
 				if got := p.SurvivesFailed(failed, set); got != want {
 					t.Fatalf("%s N=%d m=%d k=%d: SurvivesFailed=%v, reference=%v", p.Kind, p.N, p.M, k, got, want)
-				}
-				if got := p.SurvivesSet(set); got != want {
-					t.Fatalf("%s N=%d m=%d k=%d: SurvivesSet=%v, reference=%v", p.Kind, p.N, p.M, k, got, want)
 				}
 			}
 		}
@@ -116,26 +114,25 @@ func TestFailSetOperations(t *testing.T) {
 			t.Fatalf("Set(%d) not visible", i)
 		}
 	}
-	if got := s.Count(); got != 6 {
-		t.Fatalf("Count = %d, want 6", got)
-	}
-	got := s.AppendRanks(nil)
-	want := []int{0, 63, 64, 127, 128, 129}
-	if len(got) != len(want) {
-		t.Fatalf("AppendRanks = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AppendRanks = %v, want %v", got, want)
+	ranks := func() []int {
+		var out []int
+		for i := 0; i < 130; i++ {
+			if s.Has(i) {
+				out = append(out, i)
+			}
 		}
+		return out
+	}
+	if got, want := ranks(), []int{0, 63, 64, 127, 128, 129}; !slices.Equal(got, want) {
+		t.Fatalf("set holds %v, want %v", got, want)
 	}
 	s.Clear(64)
-	if s.Has(64) || s.Count() != 5 {
-		t.Fatalf("Clear(64) left %v", s.AppendRanks(nil))
+	if got, want := ranks(), []int{0, 63, 127, 128, 129}; !slices.Equal(got, want) {
+		t.Fatalf("Clear(64) left %v, want %v", got, want)
 	}
 	s.Reset()
-	if s.Count() != 0 {
-		t.Fatalf("Reset left %d bits", s.Count())
+	if got := ranks(); len(got) != 0 {
+		t.Fatalf("Reset left %v", got)
 	}
 }
 

@@ -14,7 +14,6 @@ package placement
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 	"sync"
 
@@ -72,25 +71,6 @@ func (p *Placement) Replicas(rank int) []int {
 		panic(fmt.Sprintf("placement: rank %d out of range [0,%d)", rank, p.N))
 	}
 	return p.flat[rank*p.M : (rank+1)*p.M : (rank+1)*p.M]
-}
-
-// Stores returns the ranks whose checkpoints machine rank holds (the
-// inverse of Replicas), in ascending order.
-func (p *Placement) Stores(rank int) []int {
-	if rank < 0 || rank >= p.N {
-		panic(fmt.Sprintf("placement: rank %d out of range [0,%d)", rank, p.N))
-	}
-	var out []int
-	for owner := 0; owner < p.N; owner++ {
-		for _, r := range p.replicaSet(owner) {
-			if r == rank {
-				out = append(out, owner)
-				break
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // PeersOf returns the remote ranks machine rank must send its checkpoint
@@ -174,31 +154,6 @@ func (p *Placement) SurvivesFailed(failed []int, set FailSet) bool {
 		}
 		if !alive {
 			return false
-		}
-	}
-	return true
-}
-
-// SurvivesSet is SurvivesFailed for callers who hold only the bitset: it
-// walks the set's words to recover the failed ranks, costing an extra
-// O(N/64) sweep on top of the O(k·m) probes.
-func (p *Placement) SurvivesSet(set FailSet) bool {
-	m := p.M
-	for wi, w := range set {
-		base := wi << 6
-		for w != 0 {
-			rank := base + bits.TrailingZeros64(w)
-			w &= w - 1
-			alive := false
-			for _, r := range p.flat[rank*m : (rank+1)*m] {
-				if !set.Has(r) {
-					alive = true
-					break
-				}
-			}
-			if !alive {
-				return false
-			}
 		}
 	}
 	return true

@@ -2,6 +2,7 @@ package placement
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -94,20 +95,19 @@ func TestEveryStrategySendsExactlyMMinus1Copies(t *testing.T) {
 	}
 }
 
+// The shards each machine stores (the inverse of Replicas) are what
+// CPUMemoryPerMachine counts, including on the mixed ring tail.
 func TestStoresIsInverseOfReplicas(t *testing.T) {
 	p := MustMixed(7, 3)
-	for holder := 0; holder < p.N; holder++ {
-		for _, owner := range p.Stores(holder) {
-			found := false
-			for _, r := range p.Replicas(owner) {
-				if r == holder {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("Stores(%d) lists %d but Replicas(%d) lacks %d", holder, owner, owner, holder)
-			}
+	stores := make([]int, p.N)
+	for owner := 0; owner < p.N; owner++ {
+		for _, holder := range p.Replicas(owner) {
+			stores[holder]++
 		}
+	}
+	lo, hi := p.CPUMemoryPerMachine()
+	if lo != slices.Min(stores) || hi != slices.Max(stores) {
+		t.Fatalf("CPUMemoryPerMachine = [%d,%d], inverse of Replicas stores %v", lo, hi, stores)
 	}
 }
 
@@ -409,7 +409,6 @@ func TestReplicasPanicsOutOfRange(t *testing.T) {
 	for _, fn := range []func(){
 		func() { p.Replicas(-1) },
 		func() { p.Replicas(4) },
-		func() { p.Stores(9) },
 		func() { ExactProbability(p, 5) },
 		func() { MonteCarlo(p, -1, 10, 1) },
 	} {

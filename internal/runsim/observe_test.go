@@ -129,7 +129,7 @@ func TestObserverTraceAndTimeline(t *testing.T) {
 			t.Fatalf("cumulative wasted decreased at %d", i)
 		}
 	}
-	if last, ok := wasted.Last(); !ok || last.Value != res.TotalWasted.Seconds() {
+	if last := wasted.Point(wasted.Len() - 1); last.Value != res.TotalWasted.Seconds() {
 		t.Fatalf("final cumulative wasted %v, want %v", last.Value, res.TotalWasted.Seconds())
 	}
 }

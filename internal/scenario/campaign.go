@@ -216,20 +216,8 @@ func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Repor
 	opts.Progress.Begin(variations, simPerRun)
 
 	slots := make([]variationResult, variations)
-	hooks := parallel.RunHooks{}
-	if opts.Progress != nil {
-		hooks.Started = func(int) { opts.Progress.RunStarted() }
-		// Done fires after fn stored slots[v], so the failure totals are
-		// ready to read.
-		hooks.Done = func(v int) {
-			fails := 0
-			for _, n := range slots[v].fails {
-				fails += n
-			}
-			opts.Progress.RunDone(fails, simPerRun)
-		}
-	}
-	err := parallel.ForEachErrHooks(ctx, opts.Workers, variations, hooks, func(v int) error {
+	err := parallel.ForEachErr(ctx, opts.Workers, variations, func(v int) error {
+		opts.Progress.RunStarted()
 		buf := schedules.Get().(*failure.Schedule)
 		defer schedules.Put(buf)
 		fs, err := c.appendFailureSchedule((*buf)[:0], v)
@@ -251,6 +239,7 @@ func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Repor
 		if collectRegs {
 			vr.regs = make([]*metrics.Registry, nspecs)
 		}
+		fails := 0
 		for si, spec := range c.Specs {
 			cfg := runsim.Config{
 				Spec:               spec,
@@ -275,6 +264,7 @@ func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Repor
 			vr.ratio[si] = res.EffectiveRatio
 			vr.wasted[si] = res.TotalWasted
 			vr.fails[si] = res.Failures
+			fails += res.Failures
 			vr.local[si] = res.FromLocal
 			vr.peer[si] = res.FromPeer
 			vr.remote[si] = res.FromRemote
@@ -288,6 +278,9 @@ func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Repor
 			res.Release()
 		}
 		slots[v] = vr
+		// RunDone follows the store into slots[v] and never fires for a
+		// failed variation.
+		opts.Progress.RunDone(fails, simPerRun)
 		return nil
 	})
 	if err != nil {

@@ -77,7 +77,6 @@ func (s *Scenario) Compile() (*Compiled, error) {
 		Machines:        s.Job.Machines,
 		Replicas:        s.Job.Replicas,
 		RemoteBandwidth: s.Job.RemoteGbps,
-		Strategy:        s.Job.Strategy,
 		Parallelism:     parallelismByName(s.Job.Parallelism),
 	})
 	if err != nil {

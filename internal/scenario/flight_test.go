@@ -154,6 +154,25 @@ func TestCampaignProgressSink(t *testing.T) {
 	}
 }
 
+// A variation that fails is counted as started but never as done, at
+// any worker count.
+func TestCampaignProgressSkipsDoneOnError(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		c := compiledSmall(t)
+		c.Scenario.Failures.Kind = "fixed"
+		c.Scenario.Failures.PerDay = -1 // every variation's schedule fails
+		prog := obs.NewProgress()
+		rep, err := RunCampaign(context.Background(), c, CampaignOptions{Workers: workers, Progress: prog})
+		if err == nil || rep != nil {
+			t.Fatalf("workers=%d: campaign with failing variations returned %v, %v", workers, rep != nil, err)
+		}
+		snap := prog.Snapshot()
+		if snap.StartedRuns == 0 || snap.DoneRuns != 0 || snap.SimSecondsDone != 0 {
+			t.Fatalf("workers=%d: progress %+v, want runs started and none done", workers, snap)
+		}
+	}
+}
+
 func TestOutliersRanking(t *testing.T) {
 	rep := &Report{Runs: []RunRecord{
 		{Variation: 0, Spec: "A", WastedSeconds: 100, EffectiveRatio: 0.99},

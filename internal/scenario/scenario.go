@@ -13,6 +13,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -22,7 +23,6 @@ import (
 	"gemini/internal/failure"
 	"gemini/internal/model"
 	"gemini/internal/simclock"
-	"gemini/internal/strategy"
 )
 
 // Scenario is one parsed scenario file.
@@ -60,8 +60,6 @@ type JobConfig struct {
 	Replicas int
 	// RemoteGbps is the persistent store bandwidth (0 = default).
 	RemoteGbps float64
-	// Strategy names the checkpoint strategy (default gemini).
-	Strategy string
 	// Parallelism is zero-3, data-parallel, or pipeline-parallel.
 	Parallelism string
 }
@@ -295,11 +293,6 @@ func (j JobConfig) validate(fleet *FleetConfig) error {
 	}
 	if !(j.RemoteGbps >= 0) {
 		return fmt.Errorf("scenario: job.remote_gbps must be ≥ 0, got %v", j.RemoteGbps)
-	}
-	if j.Strategy != "" {
-		if _, err := strategy.New(j.Strategy); err != nil {
-			return fmt.Errorf("scenario: job.strategy: %w", err)
-		}
 	}
 	if !parallelisms[j.Parallelism] {
 		return fmt.Errorf("scenario: job.parallelism %q unknown (zero-3, data-parallel, pipeline-parallel)", j.Parallelism)
@@ -561,7 +554,20 @@ func (n *node) float(key string, into *float64) error {
 	if !ok {
 		return fmt.Errorf("scenario: %s.%s must be a number, got %s", n.path, key, typeName(v))
 	}
+	if err := finite(n.path+"."+key, f); err != nil {
+		return err
+	}
 	*into = f
+	return nil
+}
+
+// finite rejects the infinities and NaN that YAML scalars such as inf
+// and nan parse to: an infinite weight or rate passes every range check
+// and then poisons the arithmetic downstream.
+func finite(name string, f float64) error {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return fmt.Errorf("scenario: %s must be a finite number, got %v", name, f)
+	}
 	return nil
 }
 
@@ -574,12 +580,18 @@ func (n *node) duration(key string, into *simclock.Duration) error {
 	}
 	switch x := v.(type) {
 	case float64:
+		if err := finite(n.path+"."+key, x); err != nil {
+			return err
+		}
 		*into = simclock.Duration(x)
 		return nil
 	case string:
 		d, err := parseDuration(x)
 		if err != nil {
 			return fmt.Errorf("scenario: %s.%s: %w", n.path, key, err)
+		}
+		if err := finite(n.path+"."+key, d.Seconds()); err != nil {
+			return err
 		}
 		*into = d
 		return nil
@@ -685,6 +697,9 @@ func (n *node) weights(key string, into *[]Weight) error {
 		if !ok {
 			return fmt.Errorf("scenario: %s.%s[%s] must be a number, got %s", n.path, key, name, typeName(wv))
 		}
+		if err := finite(fmt.Sprintf("%s.%s[%s]", n.path, key, name), f); err != nil {
+			return err
+		}
 		out = append(out, Weight{Name: name, Weight: f})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -748,7 +763,6 @@ func bindJob(root *node, j *JobConfig) error {
 		func() error { return n.integer("machines", &j.Machines) },
 		func() error { return n.integer("replicas", &j.Replicas) },
 		func() error { return n.float("remote_gbps", &j.RemoteGbps) },
-		func() error { return n.str("strategy", &j.Strategy) },
 		func() error { return n.str("parallelism", &j.Parallelism) },
 	} {
 		if err := step(); err != nil {

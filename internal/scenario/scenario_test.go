@@ -126,6 +126,9 @@ func TestParseRejections(t *testing.T) {
 	cases := []struct{ name, src, want string }{
 		{"unknown top key", base("bogus: 1\n"), `unknown key "bogus"`},
 		{"unknown job key", strings.Replace(smallYAML, "machines: 16", "machines: 16\n  gpus: 8", 1), `unknown key "gpus"`},
+		// Campaigns walk only the runsim specs, so a strategy would change
+		// no report number.
+		{"job strategy", strings.Replace(smallYAML, "machines: 16", "machines: 16\n  strategy: adaptive", 1), `unknown key "strategy"`},
 		{"bad model", strings.Replace(smallYAML, "GPT-2 100B", "GPT-9", 1), "job.model"},
 		{"bad instance", strings.Replace(smallYAML, "p4d.24xlarge", "x1.enormous", 1), "job.instance"},
 		{"zero machines", strings.Replace(smallYAML, "machines: 16", "machines: 0", 1), "machines"},
@@ -168,8 +171,10 @@ func TestScheduleSizeLimit(t *testing.T) {
 			[]string{"failures.per_instance_per_day", "NaN"}},
 		{"fixed NaN rate", strings.Replace(fixed, "per_instance_per_day: 0.25", "per_day: NaN", 1),
 			[]string{"failures.per_day", "NaN"}},
+		// An infinite rate is rejected where it is read, before the size
+		// check could see it.
 		{"fixed infinite rate", strings.Replace(fixed, "per_instance_per_day: 0.25", "per_day: +Inf", 1),
-			[]string{"failures.per_day", "horizon", "limit"}},
+			[]string{"failures.per_day", "finite", "+Inf"}},
 		{"NaN hardware fraction", strings.Replace(smallYAML, "hardware_fraction: 0.5", "hardware_fraction: NaN", 1),
 			[]string{"failures.hardware_fraction", "NaN"}},
 		{"NaN horizon", strings.Replace(smallYAML, "horizon: 2d", "horizon: NaN", 1),
@@ -232,6 +237,44 @@ fleet:
 		}
 		if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "NaN") {
 			t.Errorf("%s: error %q does not name %s and NaN", tc.name, err, tc.want)
+		}
+	}
+}
+
+// YAML's inf parses to +Inf, which passes every "> 0" check; an
+// infinite region weight once sent Compile's quota loop spinning. Each
+// must be rejected by name, and promptly.
+func TestInfiniteNumbersRejected(t *testing.T) {
+	fleet := smallYAML + `
+fleet:
+  templates:
+    - instance: p4d.24xlarge
+      weight: 1
+  regions:
+    us-east-1: 1
+    us-west-2: 1
+`
+	cases := []struct{ name, src, want string }{
+		{"region weight", strings.Replace(fleet, "us-east-1: 1", "us-east-1: inf", 1), "fleet.regions[us-east-1]"},
+		{"template weight", strings.Replace(fleet, "weight: 1", "weight: inf", 1), "fleet.templates[0].weight"},
+		{"remote_gbps", strings.Replace(smallYAML, "replicas: 2", "replicas: 2\n  remote_gbps: inf", 1), "job.remote_gbps"},
+	}
+	for _, tc := range cases {
+		done := make(chan error, 1)
+		go func() {
+			s, err := Parse([]byte(tc.src))
+			if err == nil {
+				_, err = s.Compile()
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "+Inf") {
+				t.Errorf("%s: error %v, want one naming %s and +Inf", tc.name, err, tc.want)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%s: no error within 1s", tc.name)
 		}
 	}
 }

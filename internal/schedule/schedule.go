@@ -130,17 +130,6 @@ func (pl *Plan) IdleUtilization() float64 {
 	return (total - pl.OverflowBytes) / total
 }
 
-// ChunksInSpan returns the chunks scheduled into span index i.
-func (pl *Plan) ChunksInSpan(i int) []Chunk {
-	var out []Chunk
-	for _, c := range pl.Chunks {
-		if c.Span == i {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Partition is Algorithm 2: it packs the m−1 remote checkpoint replicas
 // into the idle spans, chunk by chunk, never exceeding the sub-buffer
 // size R/p, and spills whatever remains into a virtual unbounded span

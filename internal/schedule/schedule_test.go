@@ -61,8 +61,10 @@ func TestPartitionChunksFitTheirSpans(t *testing.T) {
 	plan := MustPartition(p)
 	for i, span := range p.Spans {
 		var used simclock.Duration
-		for _, c := range plan.ChunksInSpan(i) {
-			used += p.transferTime(c.Bytes)
+		for _, c := range plan.Chunks {
+			if c.Span == i {
+				used += p.transferTime(c.Bytes)
+			}
 		}
 		if used > simclock.Duration(p.Gamma)*span.Length+1e-9 {
 			t.Fatalf("span %d holds %v of traffic, capacity %v", i, used, span.Length)
@@ -84,12 +86,11 @@ func TestPartitionOverflowsIntoVirtualSpan(t *testing.T) {
 		t.Fatalf("scheduled %v bytes, want all 10000", got)
 	}
 	// Overflow chunks live in the virtual span past the last profiled one.
-	overflow := plan.ChunksInSpan(len(p.Spans))
-	if len(overflow) == 0 {
-		t.Fatal("no chunks in the virtual span")
-	}
 	var ofBytes float64
-	for _, c := range overflow {
+	for _, c := range plan.Chunks {
+		if c.Span != len(p.Spans) {
+			continue
+		}
 		ofBytes += c.Bytes
 	}
 	if math.Abs(ofBytes-plan.OverflowBytes) > 1e-9 {

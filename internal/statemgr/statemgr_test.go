@@ -199,12 +199,15 @@ func TestDoubleBufferKeysRotate(t *testing.T) {
 	f := newFixture(t, 4, 2)
 	f.train(t, 1, 20)
 	store := f.mgr.cpu[0]
-	// Machine 0 holds shards of its group {0,1}: 2 owners × 2 generations.
-	if got := store.Len(); got != 4 {
-		t.Fatalf("CPU store holds %d objects, want 4 (2 owners × 2 generations)", got)
-	}
-	if store.Used() > store.Capacity() {
-		t.Fatal("store over capacity")
+	// Machine 0 holds shards of its group {0,1}: 2 owners × 2 generations,
+	// the newest two iterations.
+	for owner := 0; owner < 4; owner++ {
+		for _, iter := range []int64{19, 20} {
+			obj, ok := store.Get(ckptKey(owner, iter))
+			if want := owner < 2; ok != want || ok && obj.Iteration != iter {
+				t.Fatalf("machine 0 holds owner %d iteration %d: %+v/%v, want %v", owner, iter, obj, ok, want)
+			}
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 
 	"gemini/internal/tensor"
 )
@@ -50,15 +49,6 @@ func MustNewMemoryStore(capacity float64) *MemoryStore {
 	return s
 }
 
-// Capacity returns the store's byte capacity.
-func (s *MemoryStore) Capacity() float64 { return s.capacity }
-
-// Used returns the bytes currently stored.
-func (s *MemoryStore) Used() float64 { return s.used }
-
-// Len returns the number of stored objects.
-func (s *MemoryStore) Len() int { return len(s.objects) }
-
 // Put stores an object, replacing any object under the same key. It fails
 // if the store would exceed capacity.
 func (s *MemoryStore) Put(obj Object) error {
@@ -82,24 +72,6 @@ func (s *MemoryStore) Put(obj Object) error {
 func (s *MemoryStore) Get(key string) (Object, bool) {
 	obj, ok := s.objects[key]
 	return obj, ok
-}
-
-// Delete removes the object under key, if present.
-func (s *MemoryStore) Delete(key string) {
-	if obj, ok := s.objects[key]; ok {
-		s.used -= obj.Bytes
-		delete(s.objects, key)
-	}
-}
-
-// Keys returns all keys in sorted order.
-func (s *MemoryStore) Keys() []string {
-	out := make([]string, 0, len(s.objects))
-	for k := range s.objects {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Wipe drops everything — what a hardware failure does to a machine's

@@ -201,11 +201,11 @@ type Strategy interface {
 // unbound instances — strategies are stateful and single-run.
 var registry = map[string]func() Strategy{}
 
-// Register adds a named strategy factory. Registering a duplicate name
+// register adds a named strategy factory. Registering a duplicate name
 // panics — names are a public API surface.
-func Register(name string, factory func() Strategy) {
+func register(name string, factory func() Strategy) {
 	if name == "" || factory == nil {
-		panic("strategy: Register needs a name and a factory")
+		panic("strategy: register needs a name and a factory")
 	}
 	if _, dup := registry[name]; dup {
 		panic(fmt.Sprintf("strategy: duplicate registration of %q", name))
@@ -253,8 +253,8 @@ func Index(name string) int {
 }
 
 func init() {
-	Register("gemini", func() Strategy { return NewGemini() })
-	Register("tiered", func() Strategy { return NewTiered() })
-	Register("sparse", func() Strategy { return NewSparse() })
-	Register("adaptive", func() Strategy { return NewAdaptive() })
+	register("gemini", func() Strategy { return NewGemini() })
+	register("tiered", func() Strategy { return NewTiered() })
+	register("sparse", func() Strategy { return NewSparse() })
+	register("adaptive", func() Strategy { return NewAdaptive() })
 }

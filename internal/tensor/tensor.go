@@ -151,16 +151,6 @@ func (s *State) Fingerprint() uint32 {
 	return h.Sum32()
 }
 
-// Find returns the tensor with the given name, or nil.
-func (s *State) Find(name string) *Tensor {
-	for i := range s.Tensors {
-		if s.Tensors[i].Name == name {
-			return &s.Tensors[i]
-		}
-	}
-	return nil
-}
-
 // Clone returns a deep copy of the state.
 func (s *State) Clone() *State {
 	out := &State{Iteration: s.Iteration, Shard: s.Shard, Tensors: make([]Tensor, len(s.Tensors))}

@@ -63,7 +63,7 @@ func TestWriteJSONLintsClean(t *testing.T) {
 	tk := tr.Track("run", "recovery")
 	tk.Span("recovery", "peer", 10, 40)
 	tk.Span("recovery", "local", 20, 30) // overlapping: forces a second lane
-	tk.InstantAt("failure", "hardware-failed", 10)
+	tk.InstantArgsAt("failure", "hardware-failed", 10, "")
 	tk.SampleAt("wasted_seconds", 40, 120)
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, tr); err != nil {

@@ -198,17 +198,9 @@ func (tk *Track) InstantArgs(cat, name, args string) {
 	tk.instants = append(tk.instants, Instant{Name: name, Cat: cat, At: tk.tracer.now(), Args: args})
 }
 
-// InstantAt records a point event with an explicit timestamp — for
-// producers that walk precomputed event lists (runsim) rather than a
-// live clock.
-func (tk *Track) InstantAt(cat, name string, at simclock.Time) {
-	if tk == nil {
-		return
-	}
-	tk.instants = append(tk.instants, Instant{Name: name, Cat: cat, At: at})
-}
-
-// InstantArgsAt is InstantAt with a preformatted argument string.
+// InstantArgsAt records a point event with an explicit timestamp and a
+// preformatted argument string — for producers that walk precomputed
+// event lists (runsim) rather than a live clock.
 func (tk *Track) InstantArgsAt(cat, name string, at simclock.Time, args string) {
 	if tk == nil {
 		return

@@ -101,8 +101,10 @@ func TestPropertyAutoGammaSurvivesShrunkenSpans(t *testing.T) {
 		shrink := 1 - prof.NormalizedStdDev
 		for i, span := range prof.Spans {
 			var need simclock.Duration
-			for _, c := range plan.ChunksInSpan(i) {
-				need += params.Alpha + simclock.Duration(c.Bytes/params.BandwidthBytesPerSec)
+			for _, c := range plan.Chunks {
+				if c.Span == i {
+					need += params.Alpha + simclock.Duration(c.Bytes/params.BandwidthBytesPerSec)
+				}
 			}
 			realized := simclock.Duration(float64(span.Length) * shrink)
 			if need > realized+1e-9 {
