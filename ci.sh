@@ -17,8 +17,8 @@ go test -run='^$' -bench=. -benchtime=1x -benchmem ./...
 # Allocation gates, outside the race detector (race instrumentation
 # allocates), in one anchored run of exactly these 19 tests:
 #   fabric: steady-state fabric events and a warm flow's or copy's whole
-#     start → complete → Release lifecycle allocate nothing, and the
-#     executor's marginal allocations per iteration stay bounded;
+#     start → complete → Release lifecycle allocate nothing, and one more
+#     executor iteration allocates nothing (Gemini, NoPipeline, Blocking);
 #   control plane: a running ticker's firings allocate nothing, a
 #     healthy cluster's marginal allocations per heartbeat (a lease
 #     renewal inside its start batch's one ticker) stay at a small
@@ -58,6 +58,11 @@ fi
 # binder must never panic, and a small accepted scenario must compile
 # without panicking (a non-finite weight once hung Compile).
 go test -run='^$' -fuzz=FuzzParseScenario -fuzztime=10s ./internal/scenario
+
+# Trace linter fuzz: arbitrary bytes through trace.Lint must never panic
+# and must lint the same way twice; a traced executor run's export seeds
+# the corpus and must lint clean.
+go test -run='^$' -fuzz=FuzzLint -fuzztime=10s ./internal/trace
 
 # Figure gate: the full `benchtables -ablations` text — every paper table
 # and figure plus the design studies, Figs. 7, 8, 13 and 16 among them on

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -184,7 +185,7 @@ func TestRecoverySystemEndToEnd(t *testing.T) {
 
 // A job carrying both sinks in its spec attaches them to the executor:
 // the tracer records the run's spans, the registry fills with training.*
-// instruments, and the measured result matches the unobserved run.
+// instruments, and the whole measured result matches the unobserved run.
 func TestExecuteSchemeWithSpecSinks(t *testing.T) {
 	tr := trace.NewTracer(nil)
 	reg := metrics.NewRegistry()
@@ -197,9 +198,8 @@ func TestExecuteSchemeWithSpecSinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.IterationTime != bare.IterationTime {
-		t.Fatalf("observed run measured %v, bare run %v — observation perturbed the sim",
-			res.IterationTime, bare.IterationTime)
+	if !reflect.DeepEqual(res, bare) {
+		t.Fatalf("observed run measured %+v, bare run %+v — observation perturbed the sim", *res, *bare)
 	}
 	if res.IdleUtilization != 1 {
 		t.Fatalf("idle utilization %v, want 1 (plan fits for the flagship config)", res.IdleUtilization)

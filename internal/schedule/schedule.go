@@ -40,25 +40,27 @@ type Params struct {
 }
 
 func (p Params) validate() error {
+	// Every check is negated so that NaN, which compares false against
+	// everything, fails it too; the MaxFloat64 bounds reject ±Inf.
 	switch {
-	case p.CheckpointBytes < 0:
-		return fmt.Errorf("schedule: negative checkpoint size %v", p.CheckpointBytes)
+	case !(p.CheckpointBytes >= 0 && p.CheckpointBytes <= math.MaxFloat64):
+		return fmt.Errorf("schedule: checkpoint size must be finite and non-negative, got %v", p.CheckpointBytes)
 	case p.Replicas < 1:
 		return fmt.Errorf("schedule: replicas must be ≥ 1, got %d", p.Replicas)
-	case p.BufferBytes <= 0:
-		return fmt.Errorf("schedule: buffer size must be positive, got %v", p.BufferBytes)
+	case !(p.BufferBytes > 0 && p.BufferBytes <= math.MaxFloat64):
+		return fmt.Errorf("schedule: buffer size must be positive and finite, got %v", p.BufferBytes)
 	case p.BufferParts < 1:
 		return fmt.Errorf("schedule: buffer parts must be ≥ 1, got %d", p.BufferParts)
-	case p.BandwidthBytesPerSec <= 0:
-		return fmt.Errorf("schedule: bandwidth must be positive, got %v", p.BandwidthBytesPerSec)
-	case p.Alpha < 0:
-		return fmt.Errorf("schedule: negative alpha %v", p.Alpha)
-	case p.Gamma <= 0 || p.Gamma > 1:
+	case !(p.BandwidthBytesPerSec > 0 && p.BandwidthBytesPerSec <= math.MaxFloat64):
+		return fmt.Errorf("schedule: bandwidth must be positive and finite, got %v", p.BandwidthBytesPerSec)
+	case !(p.Alpha >= 0 && p.Alpha <= math.MaxFloat64):
+		return fmt.Errorf("schedule: alpha must be finite and non-negative, got %v", p.Alpha)
+	case !(p.Gamma > 0 && p.Gamma <= 1):
 		return fmt.Errorf("schedule: gamma must be in (0,1], got %v", p.Gamma)
 	}
 	for i, s := range p.Spans {
-		if s.Length < 0 {
-			return fmt.Errorf("schedule: span %d has negative length", i)
+		if !(s.Length >= 0 && s.Length <= math.MaxFloat64) {
+			return fmt.Errorf("schedule: span %d length must be finite and non-negative, got %v", i, s.Length)
 		}
 	}
 	return nil
@@ -267,8 +269,11 @@ func AnalyzeScheme(s Scheme, p Params, availGPUBytes, copyBandwidth float64) (Sc
 	if err := p.validate(); err != nil {
 		return SchemeAnalysis{}, err
 	}
-	if availGPUBytes < 0 || copyBandwidth <= 0 {
-		return SchemeAnalysis{}, fmt.Errorf("schedule: bad GPU budget %v / copy bandwidth %v", availGPUBytes, copyBandwidth)
+	if !(availGPUBytes >= 0 && availGPUBytes <= math.MaxFloat64) {
+		return SchemeAnalysis{}, fmt.Errorf("schedule: GPU budget must be finite and non-negative, got %v", availGPUBytes)
+	}
+	if !(copyBandwidth > 0 && copyBandwidth <= math.MaxFloat64) {
+		return SchemeAnalysis{}, fmt.Errorf("schedule: copy bandwidth must be positive and finite, got %v", copyBandwidth)
 	}
 	out := SchemeAnalysis{Scheme: s}
 	remote := float64(p.Replicas-1) * p.CheckpointBytes

@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -266,6 +267,34 @@ func TestAnalyzeValidation(t *testing.T) {
 	p.Gamma = -1
 	if _, err := AnalyzeScheme(SchemeBaseline, p, 100, 100); err == nil {
 		t.Error("invalid params accepted")
+	}
+}
+
+// Every float parameter is checked with a negated comparison, so NaN
+// and ±Inf fail validation with an error naming the parameter.
+func TestAnalyzeRejectsNonFinite(t *testing.T) {
+	cases := []struct {
+		name string
+		set  func(p *Params, budget, copyBW *float64, v float64)
+	}{
+		{"checkpoint size", func(p *Params, _, _ *float64, v float64) { p.CheckpointBytes = v }},
+		{"buffer size", func(p *Params, _, _ *float64, v float64) { p.BufferBytes = v }},
+		{"bandwidth", func(p *Params, _, _ *float64, v float64) { p.BandwidthBytesPerSec = v }},
+		{"alpha", func(p *Params, _, _ *float64, v float64) { p.Alpha = simclock.Duration(v) }},
+		{"gamma", func(p *Params, _, _ *float64, v float64) { p.Gamma = v }},
+		{"span 1 length", func(p *Params, _, _ *float64, v float64) { p.Spans[1].Length = simclock.Duration(v) }},
+		{"GPU budget", func(_ *Params, budget, _ *float64, v float64) { *budget = v }},
+		{"copy bandwidth", func(_ *Params, _, copyBW *float64, v float64) { *copyBW = v }},
+	}
+	for _, c := range cases {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p, budget, copyBW := baseParams(), 1000.0, 100.0
+			c.set(&p, &budget, &copyBW, v)
+			_, err := AnalyzeScheme(SchemeGemini, p, budget, copyBW)
+			if err == nil || !strings.Contains(err.Error(), c.name) {
+				t.Errorf("%s = %v: error %v, want one naming %s", c.name, v, err, c.name)
+			}
+		}
 	}
 }
 

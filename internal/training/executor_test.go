@@ -2,6 +2,7 @@ package training
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"gemini/internal/metrics"
@@ -143,6 +144,45 @@ func TestExecutorValidation(t *testing.T) {
 		}
 	}()
 	MustExecute(bad, DefaultExecOptions(placement.MustMixed(16, 2), schedule.SchemeGemini))
+}
+
+// A NaN or infinite float option fails Execute with an error that names
+// it, under every scheme, instead of panicking deep in the fabric (NaN
+// buffer size, NaN gamma) or silently disabling a check (a NaN GPU
+// budget once let Naive run where it must report OOM).
+func TestExecutorRejectsNonFiniteOptions(t *testing.T) {
+	cfg := cfg40Bp3dn(t)
+	fields := []struct {
+		name string // what the error must mention
+		set  func(*ExecOptions, float64)
+	}{
+		{"buffer size", func(o *ExecOptions, v float64) { o.BufferBytes = v }},
+		{"gamma", func(o *ExecOptions, v float64) { o.Gamma = v }},
+		{"GPU budget", func(o *ExecOptions, v float64) { o.GPUBudgetBytes = v }},
+	}
+	schemes := []schedule.Scheme{schedule.SchemeBaseline, schedule.SchemeBlocking,
+		schedule.SchemeNaive, schedule.SchemeNoPipeline, schedule.SchemeGemini}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for _, scheme := range schemes {
+				opts := DefaultExecOptions(placement.MustMixed(cfg.Machines, 2), scheme)
+				opts.Iterations = 1
+				f.set(&opts, v)
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%s = %v under %v: panic %v", f.name, v, scheme, r)
+						}
+					}()
+					res, err := Execute(cfg, opts)
+					if err == nil || !strings.Contains(err.Error(), f.name) {
+						t.Errorf("%s = %v under %v: result %+v, error %v; want an error naming %s",
+							f.name, v, scheme, res, err, f.name)
+					}
+				}()
+			}
+		}
+	}
 }
 
 func TestExecutorThreeReplicas(t *testing.T) {

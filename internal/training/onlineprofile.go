@@ -3,9 +3,7 @@ package training
 import (
 	"fmt"
 
-	"gemini/internal/netsim"
 	"gemini/internal/profile"
-	"gemini/internal/simclock"
 )
 
 // ProfileFromExecution performs §5.4's online profiling the way the real
@@ -13,6 +11,12 @@ import (
 // network simulator, timestamp every communication operation observed on
 // a machine's NIC, and build the averaged idle-span profile. It validates
 // (and in tests is validated against) the analytic Timeline.Profile path.
+//
+// The executor records each collective's [start, completion] interval
+// from machine 0's ring flow, under the collective's label. (The plain
+// executor measures idle time through the fabric's busy counters, which
+// cannot attribute intervals to labeled ops; profiling needs the op
+// boundaries.)
 func ProfileFromExecution(cfg Config, window int) (*profile.Profile, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -25,60 +29,12 @@ func ProfileFromExecution(cfg Config, window int) (*profile.Profile, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	engine := simclock.NewEngine()
-	fabric := netsim.MustNewFabric(engine, cfg.Machines, netsim.Config{
-		EgressBytesPerSec: cfg.Instance.NetworkBytesPerSec,
-		Alpha:             cfg.Calib.CollectiveAlpha,
-	})
-	copiers := make([]*netsim.Copier, cfg.Machines)
-	for i := range copiers {
-		copiers[i] = netsim.MustNewCopier(engine, cfg.Instance.GPUToCPUBytesPerSec)
-	}
-	obs := &flowObserver{engine: engine, rec: rec}
-	sc := execScratchPool.Get().(*execScratch)
-	defer execScratchPool.Put(sc)
-	ex := &executor{
-		cfg:      cfg,
-		opts:     ExecOptions{Placement: nil},
-		shard:    cfg.ShardBytesPerMachine(),
-		enabled:  false,
-		engine:   engine,
-		fabric:   fabric,
-		copiers:  copiers,
-		observer: obs,
-		scratch:  sc,
-	}
+	ex := &executor{cfg: cfg, shard: cfg.ShardBytesPerMachine(), rec: rec}
+	ex.setup()
 	for iter := 0; iter < window; iter++ {
-		start := engine.Now()
-		rec.BeginIteration(start)
-		obs.armed = true
-		ex.iterStart = start
-		ex.startIteration()
-		engine.RunAll()
-		obs.armed = false
-		rec.EndIteration(engine.Now())
+		rec.BeginIteration(ex.engine.Now())
+		ex.iterate()
+		rec.EndIteration(ex.engine.Now())
 	}
 	return rec.Build()
-}
-
-// flowObserver records node-0 communication intervals into the profiler.
-type flowObserver struct {
-	engine *simclock.Engine
-	rec    *profile.Recorder
-	armed  bool
-}
-
-// observe returns a completion hook recording the [start, completion]
-// interval of machine 0's flow for one labeled collective. (The plain
-// executor measures idle time through the fabric's busy counters, which
-// cannot attribute intervals to labeled ops; profiling needs the op
-// boundaries.)
-func (o *flowObserver) observe(label string, start simclock.Time) func(*netsim.Flow) {
-	return func(fl *netsim.Flow) {
-		if !o.armed {
-			return
-		}
-		o.rec.RecordOp(start, o.engine.Now(), label)
-	}
 }
