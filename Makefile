@@ -20,10 +20,9 @@ race:
 ci:
 	./ci.sh
 
-# Full benchmark suite (3 repetitions, allocation stats); the raw JSON
-# event stream lands in BENCH_<date>.json for later comparison.
+# The benchmark of record: every workload in turn (see benchmark/README.md).
 bench:
-	./bench.sh
+	bash benchmark/run.sh
 
 # One iteration of every benchmark — a fast CI smoke test that the
 # benchmarks themselves still run.

@@ -13,7 +13,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -46,17 +45,8 @@ func main() {
 		traceOut    = flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) of a small traced run to this file")
 		metricsOut  = flag.String("metrics", "", "write the run's metrics in Prometheus text exposition format to this file")
 		timelineOut = flag.String("timeline", "", "write the sampled health-gauge timeline as CSV to this file")
-		scenPath    = flag.String("scenario", "", "run a declarative scenario file as a campaign instead (see cmd/campaign for full control)")
 	)
 	flag.Parse()
-
-	if *scenPath != "" {
-		if err := runScenario(*scenPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	job, err := gemini.NewJob(gemini.JobSpec{
 		Model: *modelName, Instance: *instance, Machines: *machines, Replicas: *replicas,
@@ -293,34 +283,4 @@ func crashSchedule(job *gemini.Job) (gemini.FaultSchedule, error) {
 		Crash(at, 1, gemini.SoftwareFailure).
 		Crash(at, 2%job.Spec.Machines, gemini.HardwareFailure).
 		Build(job.Spec.Machines)
-}
-
-// runScenario is the -scenario path: load, compile, and run the
-// campaign with default options, printing the aggregate comparison.
-// cmd/campaign is the full-featured front end (worker/seed overrides,
-// JSON + HTML reports); this entry point keeps one-file scenarios
-// reachable from the main simulator binary.
-func runScenario(path string) error {
-	s, err := gemini.LoadScenario(path)
-	if err != nil {
-		return err
-	}
-	c, err := s.Compile()
-	if err != nil {
-		return err
-	}
-	rep, err := gemini.RunCampaign(context.Background(), c, gemini.CampaignOptions{})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("campaign %q: %s on %d× %s, %.3g-day horizon × %d variations (seed %d)\n",
-		rep.Scenario, rep.Model, rep.Machines, rep.Instance, rep.HorizonDays, rep.Variations, rep.Seed)
-	fmt.Printf("\n%-10s %-10s %-12s %-10s %-20s\n", "solution", "ratio", "wasted h", "failures", "recoveries (l/p/r)")
-	for _, sp := range rep.Specs {
-		fmt.Printf("%-10s %-10.4f %-12.2f %-10d %d/%d/%d\n",
-			sp.Name, sp.EffectiveRatio.Mean, sp.WastedHours.Mean, sp.Failures,
-			sp.FromLocal, sp.FromPeer, sp.FromRemote)
-	}
-	fmt.Printf("\nreport hash: %s\n", rep.Hash)
-	return nil
 }

@@ -18,6 +18,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"regexp"
@@ -43,17 +44,27 @@ func main() {
 		os.Exit(2)
 	}
 	if *promPath != "" {
-		if err := checkProm(*promPath, *minFamilies); err != nil {
-			fmt.Fprintf(os.Stderr, "promcheck: %s: %v\n", *promPath, err)
-			os.Exit(1)
-		}
+		checkFile(*promPath, func(r io.Reader) (string, error) { return checkProm(r, *minFamilies) })
 	}
 	if *csvPath != "" {
-		if err := checkCSV(*csvPath, *minRows); err != nil {
-			fmt.Fprintf(os.Stderr, "promcheck: %s: %v\n", *csvPath, err)
-			os.Exit(1)
-		}
+		checkFile(*csvPath, func(r io.Reader) (string, error) { return checkCSV(r, *minRows) })
 	}
+}
+
+// checkFile runs check over the file at path and prints its summary, or
+// exits 1 naming the file when it cannot be read or fails the check.
+func checkFile(path string, check func(io.Reader) (string, error)) {
+	f, err := os.Open(path)
+	var summary string
+	if err == nil {
+		summary, err = check(f)
+		f.Close()
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "promcheck: %s: %v\n", path, err)
+		os.Exit(1)
+	}
+	fmt.Printf("%s: %s\n", path, summary)
 }
 
 // sample is one parsed exposition line, kept for the post-pass
@@ -69,16 +80,15 @@ type sample struct {
 // every non-comment line is `name[{labels}] value` with a parseable
 // float, every # TYPE names a valid family with a known kind, at least
 // minFamilies families appear, and every histogram family is internally
-// consistent (see checkHistogram).
-func checkProm(path string, minFamilies int) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
+// consistent (see checkHistogram). Families are checked in declaration
+// order, so the same bytes always get the same verdict.
+func checkProm(r io.Reader, minFamilies int) (string, error) {
 	families := map[string]string{}
-	var samples []sample
-	sc := bufio.NewScanner(f)
+	var (
+		declared []string
+		samples  []sample
+	)
+	sc := bufio.NewScanner(r)
 	for line := 1; sc.Scan(); line++ {
 		text := sc.Text()
 		switch {
@@ -87,56 +97,56 @@ func checkProm(path string, minFamilies int) error {
 		case strings.HasPrefix(text, "# TYPE "):
 			fields := strings.Fields(text)
 			if len(fields) != 4 {
-				return fmt.Errorf("line %d: malformed TYPE comment %q", line, text)
+				return "", fmt.Errorf("line %d: malformed TYPE comment %q", line, text)
 			}
 			name, kind := fields[2], fields[3]
 			if !nameRe.MatchString(name) {
-				return fmt.Errorf("line %d: invalid family name %q", line, name)
+				return "", fmt.Errorf("line %d: invalid family name %q", line, name)
 			}
 			switch kind {
 			case "counter", "gauge", "summary", "histogram", "untyped":
 			default:
-				return fmt.Errorf("line %d: unknown family kind %q", line, kind)
+				return "", fmt.Errorf("line %d: unknown family kind %q", line, kind)
 			}
 			if prev, dup := families[name]; dup {
-				return fmt.Errorf("line %d: family %q declared twice (%s, %s)", line, name, prev, kind)
+				return "", fmt.Errorf("line %d: family %q declared twice (%s, %s)", line, name, prev, kind)
 			}
 			families[name] = kind
+			declared = append(declared, name)
 		case strings.HasPrefix(text, "#"):
 			continue // HELP or free comment
 		default:
 			m := sampleRe.FindStringSubmatch(text)
 			if m == nil {
-				return fmt.Errorf("line %d: malformed sample %q", line, text)
+				return "", fmt.Errorf("line %d: malformed sample %q", line, text)
 			}
 			v, err := strconv.ParseFloat(m[3], 64)
 			if err != nil {
-				return fmt.Errorf("line %d: sample %s has non-float value %q", line, m[1], m[3])
+				return "", fmt.Errorf("line %d: sample %s has non-float value %q", line, m[1], m[3])
 			}
 			samples = append(samples, sample{name: m[1], labels: m[2], value: v, line: line})
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return err
+		return "", err
 	}
 	if len(samples) == 0 {
-		return fmt.Errorf("no samples")
+		return "", fmt.Errorf("no samples")
 	}
 	if len(families) < minFamilies {
-		return fmt.Errorf("%d metric families, want ≥ %d", len(families), minFamilies)
+		return "", fmt.Errorf("%d metric families, want ≥ %d", len(families), minFamilies)
 	}
 	histograms := 0
-	for name, kind := range families {
-		if kind != "histogram" {
+	for _, name := range declared {
+		if families[name] != "histogram" {
 			continue
 		}
 		histograms++
 		if err := checkHistogram(name, samples); err != nil {
-			return err
+			return "", err
 		}
 	}
-	fmt.Printf("%s: %d families (%d histograms), %d samples\n", path, len(families), histograms, len(samples))
-	return nil
+	return fmt.Sprintf("%d families (%d histograms), %d samples", len(families), histograms, len(samples)), nil
 }
 
 // leValue extracts the le label from a _bucket sample's label block.
@@ -163,6 +173,8 @@ func leValue(labels string) (float64, error) {
 // strictly increasing le bounds ending at +Inf, cumulative
 // (monotonically non-decreasing) bucket counts, and a +Inf bucket that
 // equals _count — the invariant scrapers rely on to compute quantiles.
+// The ordering checks are negated comparisons, so a NaN bound or count
+// fails them instead of slipping through.
 func checkHistogram(name string, samples []sample) error {
 	var (
 		prevLE    = math.Inf(-1)
@@ -180,10 +192,10 @@ func checkHistogram(name string, samples []sample) error {
 			if err != nil {
 				return fmt.Errorf("line %d: histogram %s: %v", s.line, name, err)
 			}
-			if le <= prevLE {
+			if !(le > prevLE) {
 				return fmt.Errorf("line %d: histogram %s: le bound %v not above previous %v", s.line, name, le, prevLE)
 			}
-			if s.value < prevCount {
+			if !(s.value >= prevCount) {
 				return fmt.Errorf("line %d: histogram %s: bucket count %v below previous %v (buckets must be cumulative)",
 					s.line, name, s.value, prevCount)
 			}
@@ -215,39 +227,34 @@ func checkHistogram(name string, samples []sample) error {
 
 // checkCSV enforces the recorder timeline's shape: a header whose first
 // column is "time", uniform column counts, all-float cells, strictly
-// increasing time, and at least minRows data rows.
-func checkCSV(path string, minRows int) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
+// increasing time (a NaN time fails it), and at least minRows data rows.
+func checkCSV(r io.Reader, minRows int) (string, error) {
+	sc := bufio.NewScanner(r)
 	if !sc.Scan() {
-		return fmt.Errorf("empty file")
+		return "", fmt.Errorf("empty file")
 	}
 	header := strings.Split(sc.Text(), ",")
 	if header[0] != "time" {
-		return fmt.Errorf("header starts with %q, want \"time\"", header[0])
+		return "", fmt.Errorf("header starts with %q, want \"time\"", header[0])
 	}
 	if len(header) < 2 {
-		return fmt.Errorf("header has no watched columns")
+		return "", fmt.Errorf("header has no watched columns")
 	}
 	rows := 0
 	prev := -1.0
 	for line := 2; sc.Scan(); line++ {
 		cells := strings.Split(sc.Text(), ",")
 		if len(cells) != len(header) {
-			return fmt.Errorf("line %d: %d columns, header has %d", line, len(cells), len(header))
+			return "", fmt.Errorf("line %d: %d columns, header has %d", line, len(cells), len(header))
 		}
 		for i, cell := range cells {
 			v, err := strconv.ParseFloat(cell, 64)
 			if err != nil {
-				return fmt.Errorf("line %d: column %q has non-float cell %q", line, header[i], cell)
+				return "", fmt.Errorf("line %d: column %q has non-float cell %q", line, header[i], cell)
 			}
 			if i == 0 {
-				if v <= prev {
-					return fmt.Errorf("line %d: time %v not after %v", line, v, prev)
+				if !(v > prev) {
+					return "", fmt.Errorf("line %d: time %v not after %v", line, v, prev)
 				}
 				prev = v
 			}
@@ -255,11 +262,10 @@ func checkCSV(path string, minRows int) error {
 		rows++
 	}
 	if err := sc.Err(); err != nil {
-		return err
+		return "", err
 	}
 	if rows < minRows {
-		return fmt.Errorf("%d data rows, want ≥ %d", rows, minRows)
+		return "", fmt.Errorf("%d data rows, want ≥ %d", rows, minRows)
 	}
-	fmt.Printf("%s: %d columns, %d rows\n", path, len(header), rows)
-	return nil
+	return fmt.Sprintf("%d columns, %d rows", len(header), rows), nil
 }

@@ -377,11 +377,8 @@ type (
 	CampaignReport = scenario.Report
 )
 
-// LoadScenario reads and validates a scenario file (YAML or JSON,
+// ParseScenario decodes and validates scenario bytes (YAML or JSON,
 // sniffed by content).
-func LoadScenario(path string) (*Scenario, error) { return scenario.Load(path) }
-
-// ParseScenario decodes and validates scenario bytes.
 func ParseScenario(data []byte) (*Scenario, error) { return scenario.Parse(data) }
 
 // RunCampaign expands a compiled scenario (Scenario.Compile) into its

@@ -338,14 +338,44 @@ func TestBitmaskProbabilityBoundaries(t *testing.T) {
 	BitmaskProbability(MustMixed(32, 2), 2)
 }
 
+// TestMonteCarloAgreesWithExact checks the estimator against exact
+// enumeration over N ∈ {8, 12, 16, 24}, m ∈ {2, 3}, k ∈ 1..m+2, for the
+// Mixed and Ring placements. An estimate from n trials is a binomial
+// proportion with σ = √(p(1−p)/n), so each case must land within 5σ of
+// the exact p (a chance miss somewhere in the table is below 1e-4); at
+// p ∈ {0, 1} that bound is exact equality. The two exact enumerators
+// must agree bit for bit.
 func TestMonteCarloAgreesWithExact(t *testing.T) {
-	p := MustMixed(16, 2)
-	exact := BitmaskProbability(p, 3)
-	est := MonteCarlo(p, 3, 200_000, 42)
-	if math.Abs(est-exact) > 0.01 {
-		t.Errorf("Monte Carlo %v vs exact %v", est, exact)
+	const trials = 50_000
+	builders := []struct {
+		name  string
+		build func(n, m int) (*Placement, error)
+	}{{"mixed", Mixed}, {"ring", Ring}}
+	seed := int64(0)
+	for _, b := range builders {
+		for _, n := range []int{8, 12, 16, 24} {
+			for _, m := range []int{2, 3} {
+				p, err := b.build(n, m)
+				if err != nil {
+					t.Fatalf("%s(%d,%d): %v", b.name, n, m, err)
+				}
+				for k := 1; k <= m+2; k++ {
+					seed++
+					exact := ExactProbability(p, k)
+					if bm := BitmaskProbability(p, k); bm != exact {
+						t.Errorf("%s N=%d m=%d k=%d: bitmask %v, exact %v", b.name, n, m, k, bm, exact)
+					}
+					est := MonteCarlo(p, k, trials, seed)
+					sigma := math.Sqrt(exact * (1 - exact) / trials)
+					if dev := math.Abs(est - exact); dev > 5*sigma {
+						t.Errorf("%s N=%d m=%d k=%d seed %d: Monte Carlo %v vs exact %v (|Δ| = %.3g > 5σ = %.3g)",
+							b.name, n, m, k, seed, est, exact, dev, 5*sigma)
+					}
+				}
+			}
+		}
 	}
-	if MonteCarlo(p, 0, 100, 1) != 1 {
+	if MonteCarlo(MustMixed(16, 2), 0, 100, 1) != 1 {
 		t.Error("k=0 should always recover")
 	}
 }

@@ -174,17 +174,9 @@ func Load(path string) (*Scenario, error) {
 
 // Parse decodes a scenario from YAML or JSON and validates it.
 func Parse(data []byte) (*Scenario, error) {
-	trimmed := strings.TrimLeft(string(data), " \t\r\n")
-	var raw any
-	if strings.HasPrefix(trimmed, "{") {
-		if err := json.Unmarshal(data, &raw); err != nil {
-			return nil, fmt.Errorf("scenario: json: %w", err)
-		}
-	} else {
-		var err error
-		if raw, err = parseYAML(data); err != nil {
-			return nil, err
-		}
+	raw, err := decode(data)
+	if err != nil {
+		return nil, err
 	}
 	s, err := bindScenario(raw)
 	if err != nil {
@@ -194,6 +186,19 @@ func Parse(data []byte) (*Scenario, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// decode returns the raw value tree of a scenario: content whose first
+// non-space byte is '{' is JSON, everything else YAML.
+func decode(data []byte) (any, error) {
+	if strings.HasPrefix(strings.TrimLeft(string(data), " \t\r\n"), "{") {
+		var raw any
+		if err := json.Unmarshal(data, &raw); err != nil {
+			return nil, fmt.Errorf("scenario: json: %w", err)
+		}
+		return raw, nil
+	}
+	return parseYAML(data)
 }
 
 // Validate checks everything checkable without compiling: names resolve
