@@ -15,7 +15,7 @@ go test -run='^$' -bench=. -benchtime=1x -benchmem ./...
 (cd benchmark && go test -short ./...)
 
 # Allocation gates, outside the race detector (race instrumentation
-# allocates), in one anchored run of exactly these 19 tests:
+# allocates), in one anchored run of exactly these 20 tests:
 #   fabric: steady-state fabric events and a warm flow's or copy's whole
 #     start → complete → Release lifecycle allocate nothing, and one more
 #     executor iteration allocates nothing (Gemini, NoPipeline, Blocking);
@@ -39,18 +39,21 @@ go test -run='^$' -bench=. -benchtime=1x -benchmem ./...
 #     per-variation allocation budget (pooled schedule buffers);
 #   campaign report: a warm ComputeHash on an observed report encodes
 #     into a pooled buffer and allocates only its hex digest (≤ 2
-#     allocs, under 1 KiB per call).
+#     allocs, under 1 KiB per call);
+#   checkpoint codec: Encode stays within 4 allocs per state and an
+#     encode + decode round trip within 12 (the original codec: 20 and
+#     63).
 # A listed test that is renamed or deleted would match nothing and pass
-# silently, so the step fails unless exactly 19 tests report PASS.
+# silently, so the step fails unless exactly 20 tests report PASS.
 ALLOC_LOG="$(mktemp -t geminialloc.XXXXXX.log)"
-if ! go test -count=1 -v -run '^(TestSteadyStateFabricEventsDoNotAllocate|TestFlowLifecycleAllocsZero|TestExecuteIterationAllocs|TestTickerFiringAllocsZero|TestHeartbeatSteadyStateAllocs|TestRootCheckAllocsZero|TestMonteCarloShardSteadyStateAllocsZero|TestSurvivesFailedAllocsZero|TestProfileWithJitterAllocationFlat|TestBuildTimelineSteadyStateAllocs|TestDisabledTracingAllocsZero|TestHistogramObserveAllocsZero|TestRecorderSampleAllocsZero|TestNewJobWarmKeyAllocs|TestProgressAllocsZero|TestRunZeroObserverAllocs|TestAppendGenerateWarmAllocsZero|TestCampaignWarmAllocsPerVariation|TestReportHashAllocs)$' ./... > "$ALLOC_LOG" 2>&1; then
+if ! go test -count=1 -v -run '^(TestSteadyStateFabricEventsDoNotAllocate|TestFlowLifecycleAllocsZero|TestExecuteIterationAllocs|TestTickerFiringAllocsZero|TestHeartbeatSteadyStateAllocs|TestRootCheckAllocsZero|TestMonteCarloShardSteadyStateAllocsZero|TestSurvivesFailedAllocsZero|TestProfileWithJitterAllocationFlat|TestBuildTimelineSteadyStateAllocs|TestDisabledTracingAllocsZero|TestHistogramObserveAllocsZero|TestRecorderSampleAllocsZero|TestNewJobWarmKeyAllocs|TestProgressAllocsZero|TestRunZeroObserverAllocs|TestAppendGenerateWarmAllocsZero|TestCampaignWarmAllocsPerVariation|TestReportHashAllocs|TestCodecAllocations)$' ./... > "$ALLOC_LOG" 2>&1; then
 	cat "$ALLOC_LOG"
 	exit 1
 fi
 ALLOC_PASSES="$(grep -c '^--- PASS: ' "$ALLOC_LOG" || true)"
 rm -f "$ALLOC_LOG"
-if [ "$ALLOC_PASSES" -ne 19 ]; then
-	echo "allocation gates: $ALLOC_PASSES tests passed, want exactly 19" >&2
+if [ "$ALLOC_PASSES" -ne 20 ]; then
+	echo "allocation gates: $ALLOC_PASSES tests passed, want exactly 20" >&2
 	exit 1
 fi
 
@@ -144,8 +147,11 @@ done
 rm -rf "$OBS_DIR"
 
 # Facade gates: the examples are the documented surface of the options
-# API (WithStrategy/WithTracer/WithMetrics) and must keep running.
+# API (WithStrategy/WithTracer/WithMetrics) and must keep running. The
+# integrity example moves real shard bytes through the checkpoint codec
+# and exits non-zero on any failed byte verification.
 go run ./examples/quickstart > /dev/null
+go run ./examples/integrity > /dev/null
 EX_DIR="$(mktemp -d -t geminiex.XXXXXX)"
 go build -o "$EX_DIR/observability" ./examples/observability
 (cd "$EX_DIR" && ./observability > /dev/null)

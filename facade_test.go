@@ -2,8 +2,11 @@ package gemini
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
@@ -124,138 +127,261 @@ func TestFacadeNamesHaveCallers(t *testing.T) {
 }
 
 // TestInternalFuncsHaveCallers keeps internal/ trimmed to its callers.
-// Every exported function or method declared under internal/ must be
-// referenced by some non-test file of the module (the root package,
-// cmd/, examples/, internal/) or of the benchmark module, outside its
-// own declaration. A function counts as referenced when its package
-// names it bare or another file selects it through the package's
-// import; a method counts when any selector that is not a package
-// qualifier names it. MustX is exempt while X is referenced, and each
-// keepInternal entry says why it stays without a non-test caller.
+// It type-checks every non-test package of the module (the root
+// package, cmd/, examples/, internal/) and of the benchmark module, and
+// requires each exported function or method declared under internal/ to
+// be reached from them outside its own declaration. References resolve
+// through go/types, so a call reaches exactly the function or method it
+// names, never another that shares its name. A method also counts as
+// reached when its type satisfies an interface the program can use that
+// declares it: error, an interface declared in a program package or in
+// a package one imports, or an interface an expression has as its type.
+// MustX is exempt while X is reached. Each keepInternal entry says why
+// it stays unreached; an entry that names no exported internal func, or
+// one that is reached, fails the test.
 func TestInternalFuncsHaveCallers(t *testing.T) {
-	type fn struct {
-		key  string // "<dir>.<Name>" or "<dir>.<Recv>.<Name>"
-		dir  string
-		recv string
-		name string
-		decl *ast.FuncDecl
+	prog, err := loadProgram()
+	if err != nil {
+		t.Fatal(err)
 	}
-	type ref struct {
-		dir string // package of a function reference; "" for a method
-		in  *ast.FuncDecl
-	}
-	var funcs []fn
-	refs := map[string][]ref{} // by referenced name
 
-	fset := token.NewFileSet()
-	parse := func(path string) error {
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		pkgs := map[string]string{} // import name → module dir, "" outside the module
-		for _, imp := range f.Imports {
-			p := strings.Trim(imp.Path.Value, `"`)
-			name := p[strings.LastIndex(p, "/")+1:]
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			pkgs[name] = ""
-			if rest, ok := strings.CutPrefix(p, "gemini/"); ok {
-				pkgs[name] = rest
-			}
-		}
-		for _, d := range f.Decls {
-			fd, _ := d.(*ast.FuncDecl)
-			if fd != nil && fd.Name.IsExported() && strings.HasPrefix(dir, "internal/") {
-				recv := ""
-				if fd.Recv != nil {
-					typ := fd.Recv.List[0].Type
-					if star, ok := typ.(*ast.StarExpr); ok {
-						typ = star.X
-					}
-					if idx, ok := typ.(*ast.IndexExpr); ok {
-						typ = idx.X
-					}
-					recv = typ.(*ast.Ident).Name + "."
+	// Exported internal funcs by "<pkg>.<Name>" or "<pkg>.<Recv>.<Name>",
+	// and every func's declaration.
+	byKey := map[string]*types.Func{}
+	decls := map[*types.Func]ast.Node{}
+	for _, p := range prog {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok {
+					continue
 				}
-				funcs = append(funcs, fn{filepath.Base(dir) + "." + recv + fd.Name.Name, dir, recv, fd.Name.Name, fd})
-			}
-			sels := map[*ast.Ident]bool{}
-			ast.Inspect(d, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					sels[n.Sel] = true
-					if x, ok := n.X.(*ast.Ident); ok {
-						if pdir, ok := pkgs[x.Name]; ok {
-							refs[n.Sel.Name] = append(refs[n.Sel.Name], ref{pdir, fd})
-							return true
-						}
-					}
-					refs[n.Sel.Name] = append(refs[n.Sel.Name], ref{"", fd})
-				case *ast.Ident:
-					if !sels[n] && (fd == nil || n != fd.Name) {
-						refs[n.Name] = append(refs[n.Name], ref{dir, fd})
-					}
+				obj := p.info.Defs[fd.Name].(*types.Func)
+				decls[obj] = fd
+				if !strings.HasPrefix(p.dir, "internal/") || !fd.Name.IsExported() {
+					continue
 				}
-				return true
-			})
-		}
-		return nil
-	}
-	for _, root := range []string{".", "cmd", "examples", "internal", "benchmark"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() {
-				if path != root && (root == "." || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-					return filepath.SkipDir
+				key := p.pkg.Name() + "."
+				if named := recvNamed(obj); named != nil {
+					key += named.Obj().Name() + "."
 				}
-				return nil
+				byKey[key+obj.Name()] = obj
 			}
-			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			return parse(path)
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 	}
 
-	referenced := func(f fn) bool {
-		for _, r := range refs[f.name] {
-			if r.in != f.decl && (f.recv != "" && r.dir == "" || f.recv == "" && r.dir == f.dir) {
+	// A func is called when an identifier outside its own declaration
+	// resolves to it (or to an instance of it).
+	called := map[*types.Func]bool{}
+	for _, p := range prog {
+		for id, obj := range p.info.Uses {
+			f, ok := obj.(*types.Func)
+			if !ok {
+				continue
+			}
+			f = f.Origin()
+			if d := decls[f]; d != nil && d.Pos() <= id.Pos() && id.Pos() < d.End() {
+				continue
+			}
+			called[f] = true
+		}
+	}
+	ifaces := programInterfaces(prog)
+	reached := func(f *types.Func) bool {
+		if called[f] {
+			return true
+		}
+		named := recvNamed(f)
+		if named == nil || named.TypeParams().Len() > 0 {
+			return false
+		}
+		for _, iface := range ifaces {
+			if declaresMethod(iface, f.Name()) &&
+				(types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface)) {
 				return true
 			}
 		}
 		return false
 	}
-	declared := map[string]bool{}
-	for _, f := range funcs {
-		declared[f.key] = true
-	}
+
 	for key := range keepInternal {
-		if !declared[key] {
+		if f, ok := byKey[key]; !ok {
 			t.Errorf("keepInternal lists %s, which is not an exported internal func", key)
+		} else if reached(f) {
+			t.Errorf("keepInternal lists %s, which non-test code reaches", key)
 		}
 	}
 	var dead []string
-	for _, f := range funcs {
-		if _, ok := keepInternal[f.key]; ok || referenced(f) {
+	for key, f := range byKey {
+		if _, ok := keepInternal[key]; ok || reached(f) {
 			continue
 		}
-		if x, ok := strings.CutPrefix(f.name, "Must"); ok && referenced(fn{dir: f.dir, recv: f.recv, name: x}) {
-			continue
+		dot := strings.LastIndex(key, ".") + 1
+		if x, ok := strings.CutPrefix(key[dot:], "Must"); ok {
+			if base := byKey[key[:dot]+x]; base != nil && reached(base) {
+				continue
+			}
 		}
-		dead = append(dead, f.key)
+		dead = append(dead, key)
 	}
 	sort.Strings(dead)
 	if len(dead) > 0 {
 		t.Fatalf("%d exported internal funcs have no non-test caller: %s", len(dead), strings.Join(dead, ", "))
 	}
+}
+
+// srcPkg is one type-checked non-test package.
+type srcPkg struct {
+	dir   string // slash path from the repo root
+	pkg   *types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+// loadProgram type-checks from source every non-test package under the
+// root package, cmd/, examples/, internal/ and benchmark/, resolving
+// gemini/... imports to the repo's directories and the standard library
+// through the gc compiler's export data.
+func loadProgram() ([]*srcPkg, error) {
+	fset := token.NewFileSet()
+	std := importer.ForCompiler(fset, "gc", nil)
+	loaded := map[string]*srcPkg{}
+	var prog []*srcPkg
+	var load func(dir string) (*srcPkg, error)
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if path != "gemini" && !strings.HasPrefix(path, "gemini/") {
+			return std.Import(path)
+		}
+		dir := "."
+		if path != "gemini" {
+			dir = strings.TrimPrefix(path, "gemini/")
+		}
+		p, err := load(dir)
+		if err != nil {
+			return nil, err
+		}
+		return p.pkg, nil
+	})
+	load = func(dir string) (*srcPkg, error) {
+		if p, ok := loaded[dir]; ok {
+			return p, nil
+		}
+		bp, err := build.ImportDir(dir, 0)
+		if err != nil {
+			return nil, err
+		}
+		p := &srcPkg{dir: dir, info: &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+		}}
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
+			if err != nil {
+				return nil, err
+			}
+			p.files = append(p.files, f)
+		}
+		path := "gemini"
+		if dir != "." {
+			path += "/" + dir
+		}
+		conf := types.Config{Importer: imp}
+		if p.pkg, err = conf.Check(path, fset, p.files, p.info); err != nil {
+			return nil, err
+		}
+		loaded[dir] = p
+		prog = append(prog, p)
+		return p, nil
+	}
+	if _, err := load("."); err != nil {
+		return nil, err
+	}
+	for _, root := range []string{"cmd", "examples", "internal", "benchmark"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			if _, err := load(filepath.ToSlash(path)); err != nil {
+				if _, ok := err.(*build.NoGoError); !ok {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return prog, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// programInterfaces lists the interfaces with methods that the program
+// can use: error, every interface type declared in a program package or
+// in a package one imports, and every interface type of an expression.
+func programInterfaces(prog []*srcPkg) []*types.Interface {
+	var out []*types.Interface
+	seen := map[*types.Interface]bool{}
+	add := func(typ types.Type) {
+		if named, ok := typ.(*types.Named); ok && named.TypeParams().Len() > 0 {
+			return
+		}
+		if it, ok := typ.Underlying().(*types.Interface); ok && it.NumMethods() > 0 && !seen[it] {
+			seen[it] = true
+			out = append(out, it)
+		}
+	}
+	add(types.Universe.Lookup("error").Type())
+	scanned := map[*types.Package]bool{}
+	for _, p := range prog {
+		for _, pkg := range append(p.pkg.Imports(), p.pkg) {
+			if scanned[pkg] {
+				continue
+			}
+			scanned[pkg] = true
+			for _, name := range pkg.Scope().Names() {
+				if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+					add(tn.Type())
+				}
+			}
+		}
+		for _, tv := range p.info.Types {
+			if tv.Type != nil {
+				add(tv.Type)
+			}
+		}
+	}
+	return out
+}
+
+func declaresMethod(iface *types.Interface, name string) bool {
+	for i := 0; i < iface.NumMethods(); i++ {
+		if iface.Method(i).Name() == name {
+			return true
+		}
+	}
+	return false
+}
+
+// recvNamed returns a method's receiver type, or nil for a function.
+func recvNamed(f *types.Func) *types.Named {
+	recv := f.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	typ := recv.Type()
+	if ptr, ok := typ.(*types.Pointer); ok {
+		typ = ptr.Elem()
+	}
+	named, _ := typ.(*types.Named)
+	return named
 }
 
 // Reasons an exported internal func stays without a non-test caller.
@@ -277,8 +403,7 @@ var keepInternal = map[string]string{
 	"failure.Schedule.SimultaneousHardwareGroups": keepReference,
 	"training.ProfileFromExecution":               keepReference,
 	"netsim.StartRingRun":                         keepReference,
-
-	"failure.source.Int63": "math/rand.Source interface method",
+	"schedule.Plan.IdleUtilization":               keepReference,
 
 	"simclock.Engine.Step":     keepStep,
 	"simclock.Engine.PeekTime": keepStep,
@@ -286,6 +411,13 @@ var keepInternal = map[string]string{
 	"agent.System.SetDataPlane": "byte-level data plane the integrity tests drive",
 
 	"netsim.Copier.Bandwidth":                 keepObserve,
+	"netsim.Copier.BusyTime":                  keepObserve,
+	"netsim.Copy.State":                       keepObserve,
+	"netsim.Flow.State":                       keepObserve,
+	"obs.SyncRegistry.Snapshot":               keepObserve,
+	"profile.Recorder.Iterations":             keepObserve,
+	"simclock.Engine.Len":                     keepObserve,
+	"statemgr.Manager.Live":                   keepObserve,
 	"netsim.Copier.QueueLen":                  keepObserve,
 	"netsim.Fabric.ActiveFlows":               keepObserve,
 	"netsim.Flow.FinishedAt":                  keepObserve,
@@ -303,6 +435,7 @@ var keepInternal = map[string]string{
 
 	"metrics.EffectiveRatio":                        keepPaper,
 	"metrics.WastedTimeModel.Best":                  keepPaper,
+	"metrics.WastedTimeModel.Validate":              keepPaper,
 	"metrics.WastedTimeModel.Worst":                 keepPaper,
 	"model.Config.DerivedParams":                    keepPaper,
 	"model.Config.FLOPsPerIteration":                keepPaper,

@@ -9,11 +9,9 @@
 package ckpt
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
-	"gemini/internal/parallel"
 	"gemini/internal/placement"
 )
 
@@ -427,30 +425,19 @@ func (e *Engine) Coverage(alive func(int) bool) (covered, minReplicas int) {
 	return covered, minReplicas
 }
 
-// planParallelRanks gates parallel recovery planning: below this many
-// ranks the per-rank lookups are too cheap to amortize goroutine
-// startup, so planning stays inline.
-const planParallelRanks = 512
-
 // PlanRecovery produces each rank's retrieval instruction for recovering
-// at version v (as returned by ConsistentVersion). Machines whose local
-// slot has the shard read locally; others fetch from the lowest-ranked
-// alive peer holding it. An error means v is not actually consistent.
-//
-// Each rank's instruction depends only on the engine's committed state
-// (read-only here), so large clusters plan ranks concurrently; results
-// stay in rank order and the reported error is the lowest failing rank,
-// identical to the serial plan.
+// at version v (as returned by ConsistentVersion), in rank order.
+// Machines whose local slot has the shard read locally; others fetch
+// from the lowest-ranked alive peer holding it. An error means v is not
+// actually consistent: it names the lowest rank with no alive holder.
 func (e *Engine) PlanRecovery(v int64, alive func(int) bool) ([]Retrieval, error) {
-	workers := 1
-	if e.n >= planParallelRanks {
-		workers = 0 // GOMAXPROCS
-	}
-	plan, err := parallel.Map(context.Background(), workers, e.n, func(rank int) (Retrieval, error) {
-		return e.planRank(rank, v, alive)
-	})
-	if err != nil {
-		return nil, err
+	plan := make([]Retrieval, e.n)
+	for rank := range plan {
+		r, err := e.planRank(rank, v, alive)
+		if err != nil {
+			return nil, err
+		}
+		plan[rank] = r
 	}
 	return plan, nil
 }

@@ -34,14 +34,15 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. Its comparisons are negated so that
+// NaN fails them too.
 func (c Config) Validate() error {
 	switch {
-	case c.ProvisionMin < 0 || c.ProvisionMax < c.ProvisionMin:
+	case !(c.ProvisionMin >= 0) || !(c.ProvisionMax >= c.ProvisionMin):
 		return fmt.Errorf("cloud: bad provisioning window [%v, %v]", c.ProvisionMin, c.ProvisionMax)
 	case c.Standby < 0:
 		return fmt.Errorf("cloud: negative standby count %d", c.Standby)
-	case c.StandbyActivation < 0:
+	case !(c.StandbyActivation >= 0):
 		return fmt.Errorf("cloud: negative standby activation %v", c.StandbyActivation)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"math"
 	"testing"
 
 	"gemini/internal/simclock"
@@ -118,11 +119,15 @@ func TestFixedDelayWindow(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	e := simclock.NewEngine()
+	nan := simclock.Duration(math.NaN())
 	bad := []Config{
 		{ProvisionMin: -1, ProvisionMax: 0},
 		{ProvisionMin: 10, ProvisionMax: 5},
 		{Standby: -1},
 		{StandbyActivation: -1},
+		{ProvisionMin: nan, ProvisionMax: 5},
+		{ProvisionMin: 1, ProvisionMax: nan},
+		{ProvisionMin: 1, ProvisionMax: 5, StandbyActivation: nan},
 	}
 	for i, cfg := range bad {
 		if _, err := NewOperator(e, cfg); err == nil {

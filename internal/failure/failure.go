@@ -225,7 +225,9 @@ func FixedRate(n int, failuresPerDay float64, hwFraction float64, horizon simclo
 	if n <= 0 {
 		return nil, fmt.Errorf("failure: need at least one machine, got %d", n)
 	}
-	if failuresPerDay < 0 || hwFraction < 0 || hwFraction > 1 {
+	// The fraction's comparison is negated so that NaN fails it too; a
+	// NaN rate fails the size limit below, which names it.
+	if failuresPerDay < 0 || !(hwFraction >= 0 && hwFraction <= 1) {
 		return nil, fmt.Errorf("failure: bad rate %v / fraction %v", failuresPerDay, hwFraction)
 	}
 	if failuresPerDay == 0 || horizon <= 0 {

@@ -133,11 +133,22 @@ func TestFixedRateZero(t *testing.T) {
 	if err != nil || s != nil {
 		t.Fatalf("zero rate: %v events, err %v", len(s), err)
 	}
-	if _, err := FixedRate(0, 1, 0.5, simclock.Day); err == nil {
-		t.Error("zero machines accepted")
+	bad := []struct {
+		name           string
+		n              int
+		perDay, hwFrac float64
+	}{
+		{"zero machines", 0, 1, 0.5},
+		{"negative rate", 4, -1, 0.5},
+		{"NaN rate", 4, math.NaN(), 0.5},
+		{"negative fraction", 4, 1, -0.5},
+		{"fraction above one", 4, 1, 1.5},
+		{"NaN fraction", 4, 1, math.NaN()},
 	}
-	if _, err := FixedRate(4, -1, 0.5, simclock.Day); err == nil {
-		t.Error("negative rate accepted")
+	for _, c := range bad {
+		if _, err := FixedRate(c.n, c.perDay, c.hwFrac, simclock.Day); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }
 

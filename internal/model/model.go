@@ -136,14 +136,6 @@ type Sharding struct {
 	GPUsPerNode int
 }
 
-// Validate checks the sharding shape.
-func (s Sharding) Validate() error {
-	if s.Machines <= 0 || s.GPUsPerNode <= 0 {
-		return fmt.Errorf("model: sharding needs positive machines and GPUs, got %d×%d", s.Machines, s.GPUsPerNode)
-	}
-	return nil
-}
-
 // GPUs returns the world size.
 func (s Sharding) GPUs() int { return s.Machines * s.GPUsPerNode }
 

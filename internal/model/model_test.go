@@ -117,18 +117,6 @@ func TestShardingMath(t *testing.T) {
 	}
 }
 
-func TestShardingValidate(t *testing.T) {
-	if err := (Sharding{Machines: 0, GPUsPerNode: 8}).Validate(); err == nil {
-		t.Error("zero machines accepted")
-	}
-	if err := (Sharding{Machines: 2, GPUsPerNode: 0}).Validate(); err == nil {
-		t.Error("zero GPUs accepted")
-	}
-	if err := (Sharding{Machines: 16, GPUsPerNode: 8}).Validate(); err != nil {
-		t.Errorf("valid sharding rejected: %v", err)
-	}
-}
-
 func TestValidateCatchesBadConfigs(t *testing.T) {
 	good := MustByName("GPT-2 10B")
 	mutations := []func(*Config){

@@ -262,9 +262,6 @@ func MustNewFabric(engine *simclock.Engine, n int, cfg Config) *Fabric {
 	return f
 }
 
-// Config returns the fabric configuration.
-func (fb *Fabric) Config() Config { return fb.cfg }
-
 // ActiveFlows returns the number of flows past their α window and not yet
 // done.
 func (fb *Fabric) ActiveFlows() int { return len(fb.active) }

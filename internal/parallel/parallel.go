@@ -1,8 +1,8 @@
 // Package parallel is the repository's deterministic parallel execution
 // layer: a bounded, context-aware, panic-safe worker pool used by the
 // Monte-Carlo estimators (internal/placement), the §7 experiment runner
-// (internal/experiments, cmd/benchtables), and the checkpoint codec
-// (internal/tensor).
+// (internal/experiments, cmd/benchtables) and the campaign engine
+// (internal/scenario).
 //
 // Determinism discipline: callers shard their work by a scheme that does
 // not depend on the worker count (fixed shard sizes, per-shard PRNG seeds
@@ -143,23 +143,6 @@ func ForEachErr(ctx context.Context, workers, n int, fn func(i int) error) error
 		return errV
 	}
 	return ctx.Err()
-}
-
-// Map runs fn over [0,n) with bounded workers and returns the results in
-// index order. Like ForEachErr it stops early on the first error or
-// context cancellation and reports the lowest failing index's error; on
-// error the partial results are still returned for slots that completed.
-func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForEachErr(ctx, workers, n, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	return out, err
 }
 
 // SumInt64 evaluates fn over [0,n) with bounded workers and returns the

@@ -76,22 +76,6 @@ func TestForEachErrContextCancel(t *testing.T) {
 	}
 }
 
-func TestMapOrdered(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		out, err := Map(context.Background(), workers, 64, func(i int) (int, error) {
-			return i * i, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range out {
-			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)
-			}
-		}
-	}
-}
-
 func TestSumInt64DeterministicAcrossWorkerCounts(t *testing.T) {
 	fn := func(i int) int64 { return int64(i)*7 + 3 }
 	want := SumInt64(1, 1000, fn)

@@ -67,10 +67,11 @@ func (c *Config) validate() error {
 	if err := c.Spec.Validate(); err != nil {
 		return err
 	}
-	if c.Horizon <= 0 {
+	// Negated comparisons so that NaN fails them too.
+	if !(c.Horizon > 0) {
 		return fmt.Errorf("runsim: horizon %v must be positive", c.Horizon)
 	}
-	if c.ReplacementDelay < 0 || c.SimultaneityWindow < 0 {
+	if !(c.ReplacementDelay >= 0) || !(c.SimultaneityWindow >= 0) {
 		return fmt.Errorf("runsim: negative delays")
 	}
 	if c.Spec.UsesCPUMemory && c.Placement == nil {

@@ -273,9 +273,21 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{Spec: gem, Placement: placement.MustMixed(16, 2), Horizon: 0}); err == nil {
 		t.Error("zero horizon accepted")
 	}
-	bad := Config{Spec: gem, Placement: placement.MustMixed(16, 2), Horizon: simclock.Day, ReplacementDelay: -1}
-	if _, err := Run(bad); err == nil {
-		t.Error("negative replacement delay accepted")
+	nan := simclock.Duration(math.NaN())
+	for _, c := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"negative replacement delay", func(c *Config) { c.ReplacementDelay = -1 }},
+		{"NaN horizon", func(c *Config) { c.Horizon = nan }},
+		{"NaN replacement delay", func(c *Config) { c.ReplacementDelay = nan }},
+		{"NaN simultaneity window", func(c *Config) { c.SimultaneityWindow = nan }},
+	} {
+		bad := Config{Spec: gem, Placement: placement.MustMixed(16, 2), Horizon: simclock.Day}
+		c.edit(&bad)
+		if _, err := Run(bad); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 	outOfRange := Config{
 		Spec:      gem,
@@ -525,5 +537,77 @@ func TestMachinesValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Spec: gem, Machines: 16, Placement: placement.MustMixed(16, 2), Horizon: simclock.Day}); err != nil {
 		t.Errorf("agreeing Machines and placement rejected: %v", err)
+	}
+}
+
+// Adding a failure can raise the ratio: an earlier failure's recovery
+// can absorb a later one and roll back less than the later one alone
+// would. The property that holds is narrower: a failure appended after
+// the schedule's last recovery has finished never raises the ratio, for
+// every spec. The appended failure lands past the last failure plus the
+// simultaneity window, so it starts a recovery of its own, and past
+// every possible resumption: each recovery starts at its failure or at
+// the previous resumption, whichever is later, so the last one ends
+// within one maximal downtime per failure of the last failure.
+func TestAppendedFailureNeverRaisesRatio(t *testing.T) {
+	straw, high, gem := specs(t, 16)
+	pl := placement.MustMixed(16, 2)
+	rng := rand.New(rand.NewSource(23))
+	const horizon = 5 * simclock.Day
+	checked := 0
+	for k := 0; k < 100; k++ {
+		m := failure.Model{PerInstancePerDay: 0.3 * rng.Float64(), HardwareFraction: rng.Float64()}
+		fs, err := m.Generate(16, horizon/2, rng.Int63())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var last simclock.Time
+		if len(fs) > 0 {
+			last = fs[len(fs)-1].At
+		}
+		window := simclock.Duration(1+9*rng.Float64()) * simclock.Minute
+		for _, delay := range []simclock.Duration{0, 5 * simclock.Minute} {
+			for _, spec := range []baselines.Spec{straw, high, gem} {
+				var maxDown simclock.Duration
+				for _, src := range []baselines.RecoverySource{baselines.FromLocal, baselines.FromPeer, baselines.FromRemote} {
+					maxDown = max(maxDown, spec.RecoveryDowntime(src, delay))
+				}
+				earliest := last.Add(window + simclock.Duration(len(fs))*maxDown)
+				if earliest >= simclock.Time(horizon) {
+					continue
+				}
+				kind := cluster.SoftwareFailed
+				if rng.Intn(2) == 0 {
+					kind = cluster.HardwareFailed
+				}
+				extra := failure.Event{
+					At:   earliest.Add(simclock.Duration(rng.Float64()) * simclock.Time(horizon).Sub(earliest)),
+					Rank: rng.Intn(16),
+					Kind: kind,
+				}
+				cfg := Config{
+					Spec:               spec,
+					Machines:           16,
+					Failures:           fs,
+					Horizon:            horizon,
+					ReplacementDelay:   delay,
+					SimultaneityWindow: window,
+				}
+				if spec.UsesCPUMemory {
+					cfg.Placement = pl
+				}
+				before := MustRun(cfg).EffectiveRatio
+				cfg.Failures = append(fs[:len(fs):len(fs)], extra)
+				after := MustRun(cfg).EffectiveRatio
+				if after > before {
+					t.Errorf("schedule %d (%d events, window %v, delay %v) %s: appending %+v raised the ratio %.6f → %.6f",
+						k, len(fs), window, delay, spec.Name, extra, before, after)
+				}
+				checked++
+			}
+		}
+	}
+	if checked < 500 {
+		t.Fatalf("only %d of 600 comparisons placed the appended failure inside the horizon", checked)
 	}
 }

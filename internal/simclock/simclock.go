@@ -187,7 +187,6 @@ type Engine struct {
 	queue   eventHeap
 	seq     uint64
 	running bool
-	stopped bool
 }
 
 // NewEngine returns an engine whose clock starts at time zero.
@@ -274,10 +273,6 @@ func (e *Engine) badTime(op string, at Time) {
 	panic(fmt.Sprintf("simclock: %s event at %v before now %v", op, at, e.now))
 }
 
-// Stop makes the current Run call return after the in-flight event
-// completes. Pending events remain queued.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Run executes events in order until the queue empties or the clock would
 // pass until. It returns the number of events fired. Events scheduled
 // exactly at until still fire.
@@ -286,11 +281,10 @@ func (e *Engine) Run(until Time) int {
 		panic("simclock: Run called reentrantly")
 	}
 	e.running = true
-	e.stopped = false
 	defer func() { e.running = false }()
 
 	fired := 0
-	for len(e.queue) > 0 && !e.stopped {
+	for len(e.queue) > 0 {
 		ev := e.queue[0]
 		if ev.canceled {
 			e.queue.pop()

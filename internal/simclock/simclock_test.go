@@ -172,25 +172,6 @@ func TestRunBoundedByHorizon(t *testing.T) {
 	}
 }
 
-func TestStopHaltsRun(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.At(Time(i), func() {
-			count++
-			if count == 4 {
-				e.Stop()
-			}
-		})
-	}
-	if n := e.Run(Forever); n != 4 {
-		t.Fatalf("run fired %d, want 4", n)
-	}
-	if e.Len() != 6 {
-		t.Fatalf("%d events left, want 6", e.Len())
-	}
-}
-
 func TestStepFiresOneEvent(t *testing.T) {
 	e := NewEngine()
 	count := 0

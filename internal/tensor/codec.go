@@ -10,8 +10,6 @@ import (
 	"math"
 	"strings"
 	"sync"
-
-	"gemini/internal/parallel"
 )
 
 // Binary checkpoint format, the stand-in for torch.save/torch.load:
@@ -29,12 +27,10 @@ import (
 // truncated or corrupted checkpoint is detected rather than misread —
 // GEMINI must never resume training from a half-written checkpoint.
 //
-// The codec is pooled and allocation-free on its hot path: encodings are
-// assembled in a sync.Pool-backed buffer pre-sized by EncodedSize and
-// written to w in a single call, per-tensor CRC32Cs are computed
-// concurrently for large states, and decodes reuse pooled bufio.Readers.
-// The wire format is byte-identical to the original streaming encoder
-// (pinned by TestEncodeGoldenBytes).
+// The encoder writes each tensor's header and data straight to w, so the
+// payload is copied once, and folds the footer CRC as it goes. Decodes
+// reuse pooled readers and scratch state. The wire format is pinned by
+// TestEncodeGoldenBytes.
 
 var magic = [8]byte{'G', 'E', 'M', 'C', 'K', 'P', 'T', '1'}
 
@@ -44,42 +40,19 @@ const (
 	maxDims       = 16
 	maxTensorData = int64(1) << 40
 
-	// streamBufSize is the bufio buffer size for the streaming fallback
-	// paths (encodings too large to pool).
-	streamBufSize = 1 << 16
-	// maxPooledEncodeBytes caps the output buffers the encoder retains in
-	// its pool; larger encodings stream through a pooled bufio.Writer
-	// instead of holding tens of megabytes in the pool.
-	maxPooledEncodeBytes = 1 << 26
-	// concurrentCRCBytes is the payload size at which per-tensor CRCs are
-	// computed across goroutines rather than inline.
-	concurrentCRCBytes = 1 << 20
+	// readBufSize is the decoder's bufio buffer size.
+	readBufSize = 1 << 16
+	// maxHeaderLen bounds one tensor's header: name length, name, dtype,
+	// ndim, dims and data length.
+	maxHeaderLen = 2 + maxNameLen + 2 + 8*maxDims + 8
 )
 
 // ErrCorrupt is wrapped by all decode failures caused by damaged input.
 var ErrCorrupt = errors.New("tensor: corrupt checkpoint")
 
-var (
-	encBufPool = sync.Pool{New: func() any { b := make([]byte, 0, streamBufSize); return &b }}
-	crcPool    = sync.Pool{New: func() any { c := make([]uint32, 0, 16); return &c }}
-	writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(io.Discard, streamBufSize) }}
-)
-
 // drained is the placeholder source pooled readers are parked on so they
 // never retain a caller's reader.
 var drained = strings.NewReader("")
-
-// tensorChecksums fills crcs[i] with tensor i's data CRC32C, hashing
-// concurrently when the payload is large enough to amortize the workers.
-func tensorChecksums(s *State, crcs []uint32) {
-	workers := 1
-	if len(s.Tensors) > 1 && s.Bytes() >= concurrentCRCBytes {
-		workers = 0 // GOMAXPROCS
-	}
-	parallel.ForEach(workers, len(s.Tensors), func(i int) {
-		crcs[i] = crc32.Checksum(s.Tensors[i].Data, castagnoli)
-	})
-}
 
 // checkEncodeLimits rejects states the wire format cannot represent,
 // before a single byte is written.
@@ -96,11 +69,9 @@ func checkEncodeLimits(s *State) error {
 	return nil
 }
 
-// Encode serializes the state to w. Small and medium states (up to
-// maxPooledEncodeBytes) are assembled in a pooled buffer sized exactly by
-// EncodedSize and handed to w in one Write — nothing reaches w unless the
-// whole encoding succeeded; larger states stream through a pooled
-// bufio.Writer.
+// Encode serializes the state to w. The state is validated in full
+// before the first byte is written, so a partial encoding reaches w only
+// when w.Write itself fails.
 func Encode(w io.Writer, s *State) error {
 	if err := s.Validate(); err != nil {
 		return err
@@ -108,129 +79,47 @@ func Encode(w io.Writer, s *State) error {
 	if err := checkEncodeLimits(s); err != nil {
 		return err
 	}
-	cp := crcPool.Get().(*[]uint32)
-	crcs := *cp
-	if cap(crcs) < len(s.Tensors) {
-		crcs = make([]uint32, len(s.Tensors))
-	} else {
-		crcs = crcs[:len(s.Tensors)]
-	}
-	defer func() {
-		*cp = crcs[:0]
-		crcPool.Put(cp)
-	}()
-	tensorChecksums(s, crcs)
-	if size := EncodedSize(s); size <= maxPooledEncodeBytes {
-		return encodeBuffered(w, s, int(size), crcs)
-	}
-	return encodeStreaming(w, s, crcs)
-}
-
-// encodeBuffered writes the entire encoding into a pooled buffer of the
-// exact final size and flushes it with a single w.Write.
-func encodeBuffered(w io.Writer, s *State, size int, crcs []uint32) error {
-	bp := encBufPool.Get().(*[]byte)
-	buf := *bp
-	if cap(buf) < size {
-		buf = make([]byte, size)
-	} else {
-		buf = buf[:size]
-	}
-	defer func() {
-		*bp = buf[:0]
-		encBufPool.Put(bp)
-	}()
-
-	copy(buf, magic[:])
-	off := len(magic)
-	binary.LittleEndian.PutUint64(buf[off:], uint64(s.Iteration))
-	binary.LittleEndian.PutUint64(buf[off+8:], uint64(s.Shard))
-	binary.LittleEndian.PutUint32(buf[off+16:], uint32(len(s.Tensors)))
-	off += 20
-	for i := range s.Tensors {
-		t := &s.Tensors[i]
-		binary.LittleEndian.PutUint16(buf[off:], uint16(len(t.Name)))
-		off += 2
-		off += copy(buf[off:], t.Name)
-		buf[off] = byte(t.DType)
-		buf[off+1] = byte(len(t.Shape))
-		off += 2
-		for _, d := range t.Shape {
-			binary.LittleEndian.PutUint64(buf[off:], uint64(d))
-			off += 8
-		}
-		binary.LittleEndian.PutUint64(buf[off:], uint64(len(t.Data)))
-		off += 8
-		off += copy(buf[off:], t.Data)
-		binary.LittleEndian.PutUint32(buf[off:], crcs[i])
-		off += 4
-	}
-	// Footer: CRC of everything after the magic, per-tensor CRCs included.
-	binary.LittleEndian.PutUint32(buf[off:], crc32.Checksum(buf[len(magic):off], castagnoli))
-	_, err := w.Write(buf)
-	return err
-}
-
-// crcWriter folds everything written through it into a running CRC32C.
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
-	return n, err
-}
-
-// encodeStreaming handles encodings too large to pool, streaming through
-// a pooled bufio.Writer.
-func encodeStreaming(w io.Writer, s *State, crcs []uint32) error {
 	if _, err := w.Write(magic[:]); err != nil {
 		return err
 	}
-	cw := &crcWriter{w: w}
-	bw := writerPool.Get().(*bufio.Writer)
-	bw.Reset(cw)
-	defer func() {
-		bw.Reset(io.Discard)
-		writerPool.Put(bw)
-	}()
-
-	var scratch [8]byte
-	writeU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:], v)
-		bw.Write(scratch[:8])
-	}
-	writeU32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		bw.Write(scratch[:4])
-	}
-
-	writeU64(uint64(s.Iteration))
-	writeU64(uint64(s.Shard))
-	writeU32(uint32(len(s.Tensors)))
+	e := &encoder{w: w}
+	h := binary.LittleEndian.AppendUint64(e.hdr[:0], uint64(s.Iteration))
+	h = binary.LittleEndian.AppendUint64(h, uint64(s.Shard))
+	e.write(binary.LittleEndian.AppendUint32(h, uint32(len(s.Tensors))))
 	for i := range s.Tensors {
 		t := &s.Tensors[i]
-		binary.LittleEndian.PutUint16(scratch[:2], uint16(len(t.Name)))
-		bw.Write(scratch[:2])
-		bw.WriteString(t.Name)
-		bw.WriteByte(byte(t.DType))
-		bw.WriteByte(byte(len(t.Shape)))
+		h := binary.LittleEndian.AppendUint16(e.hdr[:0], uint16(len(t.Name)))
+		h = append(h, t.Name...)
+		h = append(h, byte(t.DType), byte(len(t.Shape)))
 		for _, d := range t.Shape {
-			writeU64(uint64(d))
+			h = binary.LittleEndian.AppendUint64(h, uint64(d))
 		}
-		writeU64(uint64(len(t.Data)))
-		bw.Write(t.Data)
-		writeU32(crcs[i])
+		e.write(binary.LittleEndian.AppendUint64(h, uint64(len(t.Data))))
+		e.write(t.Data)
+		e.write(binary.LittleEndian.AppendUint32(e.hdr[:0], crc32.Checksum(t.Data, castagnoli)))
 	}
-	if err := bw.Flush(); err != nil {
-		return err
+	if e.err != nil {
+		return e.err
 	}
-	var foot [4]byte
-	binary.LittleEndian.PutUint32(foot[:], cw.crc)
-	_, err := w.Write(foot[:])
+	// Footer: CRC of everything after the magic, per-tensor CRCs included.
+	_, err := w.Write(binary.LittleEndian.AppendUint32(e.hdr[:0], e.crc))
 	return err
+}
+
+// encoder writes to w, folding every byte into a running CRC32C. The
+// first write error sticks and turns later writes into no-ops.
+type encoder struct {
+	w   io.Writer
+	crc uint32
+	err error
+	hdr [maxHeaderLen]byte
+}
+
+func (e *encoder) write(p []byte) {
+	if e.err == nil {
+		e.crc = crc32.Update(e.crc, castagnoli, p)
+		_, e.err = e.w.Write(p)
+	}
 }
 
 // decoder bundles every piece of decode scratch state — the buffered
@@ -242,11 +131,10 @@ type decoder struct {
 	scratch [8]byte
 	nameBuf [maxNameLen]byte
 	crcs    []uint32
-	bad     []bool
 }
 
 var decoderPool = sync.Pool{New: func() any {
-	return &decoder{br: bufio.NewReaderSize(drained, streamBufSize)}
+	return &decoder{br: bufio.NewReaderSize(drained, readBufSize)}
 }}
 
 func (d *decoder) readU64() (uint64, error) {
@@ -272,8 +160,7 @@ func (d *decoder) readU16() (uint16, error) {
 
 // Decode reads a state from r, verifying all checksums. All scratch
 // state — the buffered reader, read buffers, CRC bookkeeping — comes
-// from a pooled decoder, and per-tensor CRC verification runs
-// concurrently for large states.
+// from a pooled decoder.
 func Decode(r io.Reader) (*State, error) {
 	d := decoderPool.Get().(*decoder)
 	d.br.Reset(r)
@@ -431,37 +318,18 @@ func readData(br *bufio.Reader, length uint64) ([]byte, error) {
 }
 
 // verifyChecksums recomputes every tensor's data CRC against the stored
-// d.crcs — concurrently for large payloads — and returns the lowest
-// mismatching tensor index or -1. Scanning the mismatch slice serially
-// keeps the reported tensor deterministic under any worker count.
+// d.crcs and returns the lowest mismatching tensor index or -1.
 func (d *decoder) verifyChecksums(s *State) int {
-	if len(s.Tensors) < 2 || s.Bytes() < concurrentCRCBytes {
-		for i := range s.Tensors {
-			if crc32.Checksum(s.Tensors[i].Data, castagnoli) != d.crcs[i] {
-				return i
-			}
-		}
-		return -1
-	}
-	if cap(d.bad) < len(s.Tensors) {
-		d.bad = make([]bool, len(s.Tensors))
-	}
-	bad := d.bad[:len(s.Tensors)]
-	crcs := d.crcs
-	parallel.ForEach(0, len(s.Tensors), func(i int) {
-		bad[i] = crc32.Checksum(s.Tensors[i].Data, castagnoli) != crcs[i]
-	})
-	for i, b := range bad {
-		if b {
+	for i := range s.Tensors {
+		if crc32.Checksum(s.Tensors[i].Data, castagnoli) != d.crcs[i] {
 			return i
 		}
 	}
 	return -1
 }
 
-// EncodedSize returns the exact number of bytes Encode will produce — the
-// accounting pass that lets the encoder pre-size its output buffer and
-// callers pre-grow their destinations.
+// EncodedSize returns the exact number of bytes Encode will produce, so
+// callers can pre-grow their destinations.
 func EncodedSize(s *State) int64 {
 	n := int64(len(magic)) + 8 + 8 + 4 + 4 // magic, iter, shard, count, footer
 	for i := range s.Tensors {

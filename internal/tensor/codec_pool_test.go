@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// The pooled encoder must produce byte-identical output to the original
-// streaming encoder. These (length, CRC32) pairs were captured from the
-// pre-pool serial implementation; any drift is a wire-format break that
-// would orphan every checkpoint already written.
+// The encoder's output is pinned byte for byte. These (length, CRC32)
+// pairs were captured from the original serial implementation; any drift
+// is a wire-format break that would orphan every checkpoint already
+// written.
 func TestEncodeGoldenBytes(t *testing.T) {
 	cases := []struct {
 		iter    int64
@@ -40,8 +40,8 @@ func TestEncodeGoldenBytes(t *testing.T) {
 	}
 }
 
-// Repeated encodes through the pool must be stable: same bytes every
-// time, including when interleaved with decodes that share the pools.
+// Repeated encodes must be stable: same bytes every time, including when
+// interleaved with decodes that reuse the pooled decoder.
 func TestEncodePooledStability(t *testing.T) {
 	big := NewSyntheticState(5, 3, 1<<16, 7)
 	small := NewSyntheticState(6, 1, 256, 8)
@@ -67,9 +67,9 @@ func TestEncodePooledStability(t *testing.T) {
 	}
 }
 
-// The perf contract of the pooled zero-copy pipeline. The pre-pool codec
-// measured 20 allocs/op for Encode and 43 for Decode (63 per round trip)
-// on this state shape; the pooled codec must stay at least 5× below that.
+// The codec's allocation contract. The original codec measured 20
+// allocs/op for Encode and 43 for Decode (63 per round trip) on this
+// state shape; the codec must stay at least 5× below that.
 func TestCodecAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector bookkeeping inflates allocation counts")
@@ -104,47 +104,6 @@ func TestCodecAllocations(t *testing.T) {
 	// Old codec: 63 allocs per round trip. 5× reduction bound: 12.
 	if rtAllocs > 12 {
 		t.Errorf("round trip allocates %.1f times per op, want ≤ 12 (old codec: 63)", rtAllocs)
-	}
-}
-
-// The streaming fallback (encodings larger than the pool cap) and the
-// buffered path must agree byte for byte. Exercised by comparing a state
-// right at the boundary against a forced streaming encode.
-func TestEncodeStreamingMatchesBuffered(t *testing.T) {
-	s := NewSyntheticState(9, 4, 1<<20, 31)
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	crcs := make([]uint32, len(s.Tensors))
-	tensorChecksums(s, crcs)
-
-	var buffered bytes.Buffer
-	if err := encodeBuffered(&buffered, s, int(EncodedSize(s)), crcs); err != nil {
-		t.Fatal(err)
-	}
-	var streamed bytes.Buffer
-	if err := encodeStreaming(&streamed, s, crcs); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buffered.Bytes(), streamed.Bytes()) {
-		t.Fatal("buffered and streaming encoders disagree")
-	}
-	if _, err := Decode(bytes.NewReader(streamed.Bytes())); err != nil {
-		t.Fatalf("streamed encoding does not decode: %v", err)
-	}
-}
-
-func BenchmarkEncodePooled(b *testing.B) {
-	s := NewSyntheticState(1, 0, 1<<20, 42)
-	var buf bytes.Buffer
-	buf.Grow(int(EncodedSize(s)))
-	b.SetBytes(s.Bytes())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := Encode(&buf, s); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -25,7 +25,7 @@ func FuzzDecode(f *testing.F) {
 	flipped[10] ^= 0xFF
 	f.Add(flipped)
 
-	// Corpus for the pooled/concurrent-CRC codec paths: footers truncated
+	// Corpus for the decoder's checksum paths: footers truncated
 	// mid-u32 (the incremental body CRC must report corruption, not
 	// misread), a corrupted per-tensor CRC field (last tensor's stored
 	// checksum sits in the 4 bytes before the footer), and a zeroed
@@ -75,7 +75,7 @@ func FuzzDecode(f *testing.F) {
 func BenchmarkEncode(b *testing.B) {
 	s := NewSyntheticState(1, 0, 1<<20, 42) // 1 MiB shard
 	var buf bytes.Buffer
-	b.SetBytes(s.Bytes())
+	b.SetBytes(EncodedSize(s))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
@@ -103,7 +103,7 @@ func BenchmarkDecode(b *testing.B) {
 
 func BenchmarkFingerprint(b *testing.B) {
 	s := NewSyntheticState(1, 0, 1<<20, 42)
-	b.SetBytes(s.Bytes())
+	b.SetBytes(EncodedSize(s))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = s.Fingerprint()

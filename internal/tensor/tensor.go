@@ -103,15 +103,6 @@ type State struct {
 	Tensors   []Tensor
 }
 
-// Bytes returns the total data payload in bytes (excluding metadata).
-func (s *State) Bytes() int64 {
-	var n int64
-	for i := range s.Tensors {
-		n += int64(len(s.Tensors[i].Data))
-	}
-	return n
-}
-
 // Validate checks every tensor and that names are unique.
 func (s *State) Validate() error {
 	seen := make(map[string]bool, len(s.Tensors))

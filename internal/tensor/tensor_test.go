@@ -67,10 +67,21 @@ func TestStateValidateRejectsDuplicates(t *testing.T) {
 	}
 }
 
+// A state's bytes on the wire: 56 bytes of data plus the framing, 32
+// bytes of magic, header and footer and, per tensor, 16 bytes plus its
+// name and 8 bytes per dimension.
 func TestStateBytes(t *testing.T) {
 	s := sampleState()
-	if got := s.Bytes(); got != 32+16+8 {
-		t.Fatalf("Bytes = %d, want 56", got)
+	want := 56 + 32 + (16 + 14 + 16) + (16 + 12 + 8) + (16 + 4 + 8)
+	if got := EncodedSize(s); got != int64(want) {
+		t.Fatalf("EncodedSize = %d, want %d", got, want)
+	}
+	var buf bytes.Buffer
+	if err := Encode(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() != want {
+		t.Fatalf("encoded %d bytes, want %d", buf.Len(), want)
 	}
 }
 
@@ -209,8 +220,12 @@ func TestSyntheticStateDeterministic(t *testing.T) {
 	if err := a.Validate(); err != nil {
 		t.Fatalf("synthetic state invalid: %v", err)
 	}
-	if a.Bytes() == 0 || a.Bytes() > 1<<16 {
-		t.Fatalf("synthetic state %d bytes, want (0, %d]", a.Bytes(), 1<<16)
+	payload := 0
+	for _, tn := range a.Tensors {
+		payload += len(tn.Data)
+	}
+	if payload == 0 || payload > 1<<16 {
+		t.Fatalf("synthetic state %d bytes, want (0, %d]", payload, 1<<16)
 	}
 	if len(a.Tensors) != 3 {
 		t.Fatalf("synthetic state has %d tensors, want 3 (params + 2 moments)", len(a.Tensors))

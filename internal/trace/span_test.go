@@ -206,8 +206,8 @@ func TestLogUncappedUnchanged(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		l.Add("s", "tick", "n=%d", i)
 	}
-	if l.Len() != 100 {
-		t.Fatalf("log dropped events: Len=%d, want 100", l.Len())
+	if len(l.Events()) != 100 {
+		t.Fatalf("log dropped events: Len=%d, want 100", len(l.Events()))
 	}
 	if evs := l.Events(); evs[0].Detail != "n=0" || evs[99].Detail != "n=99" {
 		t.Fatalf("Events out of order: first %+v, last %+v", evs[0], evs[99])

@@ -53,9 +53,6 @@ func (l *Log) Add(subject, kind, format string, args ...any) {
 // Events returns all events, oldest first.
 func (l *Log) Events() []Event { return l.events }
 
-// Len returns the number of events.
-func (l *Log) Len() int { return len(l.events) }
-
 // Filter returns events whose kind matches exactly.
 func (l *Log) Filter(kind string) []Event {
 	var out []Event

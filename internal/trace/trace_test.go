@@ -15,8 +15,8 @@ func TestLogRecordsInOrder(t *testing.T) {
 	l.Add("b", "step", "middle")
 	now = 9
 	l.Add("a", "start", "begin %d", 2)
-	if l.Len() != 3 {
-		t.Fatalf("len %d, want 3", l.Len())
+	if len(l.Events()) != 3 {
+		t.Fatalf("len %d, want 3", len(l.Events()))
 	}
 	starts := l.Filter("start")
 	if len(starts) != 2 || starts[0].Detail != "begin 1" || starts[1].Detail != "begin 2" {

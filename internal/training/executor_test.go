@@ -7,6 +7,7 @@ import (
 
 	"gemini/internal/metrics"
 	"gemini/internal/placement"
+	"gemini/internal/profile"
 	"gemini/internal/schedule"
 )
 
@@ -267,5 +268,34 @@ func TestExecutorMetricsAndIdleUtilization(t *testing.T) {
 	// Baseline takes no checkpoints: the checkpoint histogram stays empty.
 	if v, _ := reg.Snapshot().Get("training.ckpt_wall_seconds.count"); v != 0 {
 		t.Errorf("baseline ckpt_wall_seconds.count = %v, want 0", v)
+	}
+}
+
+// The executor's realized idle utilization mirrors Algorithm 2's own
+// accounting: on the plan it executes, fitting or overflowing, it must
+// equal schedule.Plan.IdleUtilization.
+func TestIdleUtilizationMatchesPlan(t *testing.T) {
+	params := schedule.Params{
+		Spans:                []profile.Span{{Offset: 0, Length: 1}, {Offset: 5, Length: 2}, {Offset: 10, Length: 0.5}},
+		Replicas:             2,
+		BufferBytes:          128,
+		BufferParts:          4,
+		BandwidthBytesPerSec: 100,
+		Gamma:                1,
+	}
+	for _, bytes := range []float64{200, 10_000} {
+		params.CheckpointBytes = bytes
+		jobs, _, _, err := buildChunkJobs(schedule.SchemeGemini, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := idleUtilization(schedule.SchemeGemini, jobs, params)
+		want := schedule.MustPartition(params).IdleUtilization()
+		if math.Abs(got-want) > 1e-12 {
+			t.Errorf("%.0f checkpoint bytes: executor utilization %v, plan %v", bytes, got, want)
+		}
+		if bytes > 200 && got >= 1 {
+			t.Errorf("%.0f checkpoint bytes: utilization %v, want an overflowing plan", bytes, got)
+		}
 	}
 }

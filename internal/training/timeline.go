@@ -50,9 +50,6 @@ type TimedOp struct {
 	Bytes float64
 }
 
-// Duration returns the op's length.
-func (op TimedOp) Duration() simclock.Duration { return op.End - op.Start }
-
 // Timeline is the analytic per-iteration schedule of one machine. All
 // machines run the same timeline (static synchronous training).
 type Timeline struct {
@@ -130,9 +127,9 @@ func BuildTimeline(cfg Config) (*Timeline, error) {
 
 	labels := labelsFor(layers)
 	type step struct {
-		label   string // interned compute label
-		agLabel string // interned all-gather label
-		rsLabel string // interned reduce-scatter label (backward only)
+		label   string            // interned compute label
+		agLabel string            // interned all-gather label
+		rsLabel string            // interned reduce-scatter label (backward only)
 		comm    simclock.Duration // pre-compute all-gather
 		compute simclock.Duration
 		post    simclock.Duration // post-compute reduce-scatter (backward only)

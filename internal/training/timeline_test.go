@@ -114,7 +114,7 @@ func TestTimelineUpdatePhaseIsNetworkIdle(t *testing.T) {
 			upd = op
 		}
 	}
-	if upd.Duration() <= 0 {
+	if upd.End <= upd.Start {
 		t.Fatal("update phase missing or empty")
 	}
 	for _, op := range tl.CommOps() {
