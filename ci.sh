@@ -24,8 +24,10 @@ go test -run='^$' -bench=. -benchtime=1x -benchmem ./...
 #     renewal inside its start batch's one ticker) stay at a small
 #     constant, and the root agent's health poll allocates nothing;
 #   availability kernel: the steady-state Monte-Carlo shard and the
-#     kernel probe allocate nothing, and the profiling loop stays
-#     allocation-flat (comm ops hoisted, labels interned);
+#     kernel probe allocate nothing, one more profiled iteration
+#     allocates nothing (comm ops hoisted, idle spans folded into
+#     running sums), and a timeline build's allocations do not grow with
+#     its op count (ZeRO-3 labels interned, other labels one string);
 #   observability: disabled tracing, histogram observes and recorder
 #     samples allocate nothing;
 #   campaign engine: a warm-key NewJob stays fully cache-resident (≤ 2

@@ -6,9 +6,10 @@
 package profile
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"gemini/internal/simclock"
 )
@@ -30,60 +31,66 @@ type IterationTrace struct {
 // the complement of the union of op intervals within [0, Duration].
 // Zero-length gaps are dropped.
 func (it *IterationTrace) IdleSpans() []Span {
-	merged := mergeOps(it.Ops, it.Duration)
-	var spans []Span
-	cursor := simclock.Duration(0)
-	for _, iv := range merged {
-		if iv.start > cursor {
-			spans = append(spans, Span{Offset: cursor, Length: iv.start - cursor})
-		}
-		if iv.end > cursor {
-			cursor = iv.end
-		}
-	}
-	if it.Duration > cursor {
-		spans = append(spans, Span{Offset: cursor, Length: it.Duration - cursor})
-	}
+	spans, _ := walkIdle(nil, it.intervals(), it.Duration)
 	return spans
 }
 
 // BusyTime returns the total time the network is occupied in the trace.
 func (it *IterationTrace) BusyTime() simclock.Duration {
-	var busy simclock.Duration
-	for _, iv := range mergeOps(it.Ops, it.Duration) {
-		busy += iv.end - iv.start
-	}
+	_, busy := walkIdle(nil, it.intervals(), it.Duration)
 	return busy
+}
+
+// intervals copies the trace's op times into start order.
+func (it *IterationTrace) intervals() []interval {
+	ivs := make([]interval, len(it.Ops))
+	for i, op := range it.Ops {
+		ivs[i] = interval{op.Start, op.End}
+	}
+	sortByStart(ivs)
+	return ivs
 }
 
 type interval struct{ start, end simclock.Duration }
 
-func mergeOps(ops []Op, limit simclock.Duration) []interval {
-	ivs := make([]interval, 0, len(ops))
+func sortByStart(ivs []interval) {
+	slices.SortFunc(ivs, func(a, b interval) int { return cmp.Compare(a.start, b.start) })
+}
+
+// walkIdle is the one pass behind every idle-span derivation. It takes
+// ops in start order, clips each to [0, limit], drops the empty ones,
+// and merges touching or overlapping ops into busy runs as it goes. It
+// appends each gap before a run, and the tail gap after the last one,
+// to dst, and returns them with the summed length of the busy runs.
+// Ties in start order do not change the result.
+func walkIdle(dst []Span, ops []interval, limit simclock.Duration) ([]Span, simclock.Duration) {
+	// The walk starts in an empty run at 0, which adds nothing to busy.
+	var busy, runStart, runEnd simclock.Duration
 	for _, op := range ops {
-		s, e := op.Start, op.End
+		s, e := op.start, op.end
 		if e > limit {
 			e = limit
 		}
 		if s < 0 {
 			s = 0
 		}
-		if e > s {
-			ivs = append(ivs, interval{s, e})
-		}
-	}
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].start < ivs[j].start })
-	var merged []interval
-	for _, iv := range ivs {
-		if n := len(merged); n > 0 && iv.start <= merged[n-1].end {
-			if iv.end > merged[n-1].end {
-				merged[n-1].end = iv.end
-			}
+		if !(e > s) {
 			continue
 		}
-		merged = append(merged, iv)
+		if s > runEnd {
+			busy += runEnd - runStart
+			dst = append(dst, Span{Offset: runEnd, Length: s - runEnd})
+			runStart = s
+		}
+		if e > runEnd {
+			runEnd = e
+		}
 	}
-	return merged
+	busy += runEnd - runStart
+	if limit > runEnd {
+		dst = append(dst, Span{Offset: runEnd, Length: limit - runEnd})
+	}
+	return dst, busy
 }
 
 // Span is one network idle timespan within an iteration.
@@ -121,14 +128,30 @@ func (p *Profile) TotalIdle() simclock.Duration {
 	return total
 }
 
-// Recorder accumulates iteration traces during the profiling window.
+// Recorder streams the profiling window: each iteration's ops go into
+// a scratch buffer reused across iterations, and EndIteration folds that
+// iteration's idle spans into a running sum for its span count. No
+// per-iteration trace is kept.
 type Recorder struct {
 	window int
-	traces []IterationTrace
+	iters  int // complete iterations folded in
 
 	iterStart simclock.Time
-	ops       []Op
 	inIter    bool
+	ops       []interval // this iteration's ops, relative to iterStart
+	unsorted  bool       // an op started before its predecessor
+	spans     []Span     // scratch for this iteration's idle spans
+	// shapes holds one running sum per distinct span count, in order of
+	// first appearance.
+	shapes []shape
+}
+
+// shape sums the idle spans of every recorded iteration with the same
+// span count, in recording order.
+type shape struct {
+	iters                  int
+	iterSum                simclock.Duration
+	offsets, lengths, sqrs []float64 // per span index, in seconds
 }
 
 // NewRecorder profiles up to window iterations; further iterations are
@@ -137,7 +160,7 @@ func NewRecorder(window int) (*Recorder, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("profile: window must be positive, got %d", window)
 	}
-	return &Recorder{window: window, traces: make([]IterationTrace, 0, window)}, nil
+	return &Recorder{window: window}, nil
 }
 
 // MustNewRecorder is NewRecorder for known-good windows.
@@ -150,10 +173,10 @@ func MustNewRecorder(window int) *Recorder {
 }
 
 // Done reports whether the profiling window is full.
-func (r *Recorder) Done() bool { return len(r.traces) >= r.window }
+func (r *Recorder) Done() bool { return r.iters >= r.window }
 
 // Iterations returns how many complete iterations have been recorded.
-func (r *Recorder) Iterations() int { return len(r.traces) }
+func (r *Recorder) Iterations() int { return r.iters }
 
 // BeginIteration marks an iteration start at absolute time t.
 func (r *Recorder) BeginIteration(t simclock.Time) {
@@ -163,9 +186,11 @@ func (r *Recorder) BeginIteration(t simclock.Time) {
 	r.inIter = true
 	r.iterStart = t
 	r.ops = r.ops[:0]
+	r.unsorted = false
 }
 
-// RecordOp logs a communication op by absolute start/end times.
+// RecordOp logs a communication op by absolute start/end times. The
+// label only names the op in the panic for a backwards interval.
 func (r *Recorder) RecordOp(start, end simclock.Time, label string) {
 	if !r.inIter {
 		panic("profile: RecordOp outside an iteration")
@@ -173,14 +198,15 @@ func (r *Recorder) RecordOp(start, end simclock.Time, label string) {
 	if end < start {
 		panic(fmt.Sprintf("profile: op %q ends %v before it starts %v", label, end, start))
 	}
-	r.ops = append(r.ops, Op{
-		Start: start.Sub(r.iterStart),
-		End:   end.Sub(r.iterStart),
-		Label: label,
-	})
+	op := interval{start.Sub(r.iterStart), end.Sub(r.iterStart)}
+	if n := len(r.ops); n > 0 && op.start < r.ops[n-1].start {
+		r.unsorted = true
+	}
+	r.ops = append(r.ops, op)
 }
 
-// EndIteration closes the current iteration at absolute time t.
+// EndIteration closes the current iteration at absolute time t and folds
+// its idle spans into the running sum for its span count.
 func (r *Recorder) EndIteration(t simclock.Time) {
 	if !r.inIter {
 		panic("profile: EndIteration without BeginIteration")
@@ -189,80 +215,67 @@ func (r *Recorder) EndIteration(t simclock.Time) {
 	if r.Done() {
 		return
 	}
-	r.traces = append(r.traces, IterationTrace{
-		Duration: t.Sub(r.iterStart),
-		Ops:      append([]Op(nil), r.ops...),
-	})
+	r.iters++
+	if r.unsorted {
+		sortByStart(r.ops)
+	}
+	dur := t.Sub(r.iterStart)
+	r.spans, _ = walkIdle(r.spans[:0], r.ops, dur)
+	sh := r.shapeFor(len(r.spans))
+	sh.iters++
+	sh.iterSum += dur
+	for i, sp := range r.spans {
+		sh.offsets[i] += sp.Offset.Seconds()
+		sh.lengths[i] += sp.Length.Seconds()
+		sh.sqrs[i] += sp.Length.Seconds() * sp.Length.Seconds()
+	}
 }
 
-// Build averages the recorded traces into a Profile. It requires at least
-// one complete iteration. Iterations are assumed to share the same
+// shapeFor returns the running sum for iterations with n idle spans,
+// adding an empty one on first sight.
+func (r *Recorder) shapeFor(n int) *shape {
+	for i := range r.shapes {
+		if len(r.shapes[i].lengths) == n {
+			return &r.shapes[i]
+		}
+	}
+	r.shapes = append(r.shapes, shape{
+		offsets: make([]float64, n),
+		lengths: make([]float64, n),
+		sqrs:    make([]float64, n),
+	})
+	return &r.shapes[len(r.shapes)-1]
+}
+
+// Build averages the recorded iterations into a Profile. It requires at
+// least one complete iteration. Iterations are assumed to share the same
 // communication shape (§5.4 observes the timeline is nearly constant);
-// spans are matched by index, and iterations with a differing span count
-// from the majority are discarded as outliers.
+// spans are matched by index, and iterations whose span count differs
+// from the most common one are discarded as outliers. A tie between
+// span counts keeps the larger count.
 func (r *Recorder) Build() (*Profile, error) {
-	if len(r.traces) == 0 {
+	if r.iters == 0 {
 		return nil, fmt.Errorf("profile: no complete iterations recorded")
 	}
-	// Derive each trace's idle spans once (IdleSpans sorts and merges per
-	// call — computing it three times per trace dominated Build).
-	spans := make([][]Span, len(r.traces))
-	for i := range r.traces {
-		spans[i] = r.traces[i].IdleSpans()
-	}
-	// Find the modal span count.
-	counts := make(map[int]int)
-	for i := range spans {
-		counts[len(spans[i])]++
-	}
-	modal, best := 0, 0
-	for c, n := range counts {
-		if n > best || (n == best && c > modal) {
-			modal, best = c, n
+	modal := &r.shapes[0]
+	for i := range r.shapes {
+		sh := &r.shapes[i]
+		if sh.iters > modal.iters || (sh.iters == modal.iters && len(sh.lengths) > len(modal.lengths)) {
+			modal = sh
 		}
 	}
-	used := 0
-	for i := range spans {
-		if len(spans[i]) == modal {
-			used++
-		}
-	}
-	prof := &Profile{Iterations: used, Discarded: len(r.traces) - used}
-	if modal == 0 {
-		var iterSum simclock.Duration
-		for i, tr := range r.traces {
-			if len(spans[i]) == modal {
-				iterSum += tr.Duration
-			}
-		}
-		prof.IterationTime = iterSum / simclock.Duration(used)
-		return prof, nil
-	}
-	offsets := make([]float64, modal)
-	lengths := make([]float64, modal)
-	sq := make([]float64, modal)
-	var iterSum simclock.Duration
-	for ti, tr := range r.traces {
-		if len(spans[ti]) != modal {
-			continue
-		}
-		iterSum += tr.Duration
-		for i, s := range spans[ti] {
-			offsets[i] += s.Offset.Seconds()
-			lengths[i] += s.Length.Seconds()
-			sq[i] += s.Length.Seconds() * s.Length.Seconds()
-		}
-	}
+	used := modal.iters
+	prof := &Profile{Iterations: used, Discarded: r.iters - used}
 	n := float64(used)
-	prof.IterationTime = iterSum / simclock.Duration(n)
-	for i := 0; i < modal; i++ {
-		mean := lengths[i] / n
+	prof.IterationTime = modal.iterSum / simclock.Duration(n)
+	for i := range modal.lengths {
+		mean := modal.lengths[i] / n
 		prof.Spans = append(prof.Spans, Span{
-			Offset: simclock.Duration(offsets[i] / n),
+			Offset: simclock.Duration(modal.offsets[i] / n),
 			Length: simclock.Duration(mean),
 		})
 		if mean > 0 && n > 1 {
-			variance := math.Max(0, sq[i]/n-mean*mean)
+			variance := math.Max(0, modal.sqrs[i]/n-mean*mean)
 			if cv := math.Sqrt(variance) / mean; cv > prof.NormalizedStdDev {
 				prof.NormalizedStdDev = cv
 			}

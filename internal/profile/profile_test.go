@@ -2,6 +2,9 @@ package profile
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -297,5 +300,206 @@ func TestPropertySpansDisjointOrdered(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refRecorder is the profiler as first written: it stores every
+// iteration's trace, derives each trace's idle spans by sorting and
+// merging its ops, and averages the traces with the modal span count.
+// TestPropertyRecorderMatchesReference holds the streaming Recorder to
+// it bit for bit.
+type refRecorder struct {
+	window    int
+	traces    []IterationTrace
+	iterStart simclock.Time
+	ops       []Op
+}
+
+func (r *refRecorder) begin(t simclock.Time) { r.iterStart, r.ops = t, nil }
+
+func (r *refRecorder) record(start, end simclock.Time) {
+	r.ops = append(r.ops, Op{Start: start.Sub(r.iterStart), End: end.Sub(r.iterStart)})
+}
+
+func (r *refRecorder) end(t simclock.Time) {
+	if len(r.traces) < r.window {
+		r.traces = append(r.traces, IterationTrace{Duration: t.Sub(r.iterStart), Ops: r.ops})
+	}
+}
+
+func refMerge(ops []Op, limit simclock.Duration) []interval {
+	var ivs []interval
+	for _, op := range ops {
+		s, e := op.Start, op.End
+		if e > limit {
+			e = limit
+		}
+		if s < 0 {
+			s = 0
+		}
+		if e > s {
+			ivs = append(ivs, interval{s, e})
+		}
+	}
+	sort.Slice(ivs, func(i, j int) bool { return ivs[i].start < ivs[j].start })
+	var merged []interval
+	for _, iv := range ivs {
+		if n := len(merged); n > 0 && iv.start <= merged[n-1].end {
+			if iv.end > merged[n-1].end {
+				merged[n-1].end = iv.end
+			}
+			continue
+		}
+		merged = append(merged, iv)
+	}
+	return merged
+}
+
+func refIdleSpans(it IterationTrace) []Span {
+	var spans []Span
+	cursor := simclock.Duration(0)
+	for _, iv := range refMerge(it.Ops, it.Duration) {
+		if iv.start > cursor {
+			spans = append(spans, Span{Offset: cursor, Length: iv.start - cursor})
+		}
+		if iv.end > cursor {
+			cursor = iv.end
+		}
+	}
+	if it.Duration > cursor {
+		spans = append(spans, Span{Offset: cursor, Length: it.Duration - cursor})
+	}
+	return spans
+}
+
+func refBusyTime(it IterationTrace) simclock.Duration {
+	var busy simclock.Duration
+	for _, iv := range refMerge(it.Ops, it.Duration) {
+		busy += iv.end - iv.start
+	}
+	return busy
+}
+
+func (r *refRecorder) build() *Profile {
+	spans := make([][]Span, len(r.traces))
+	counts := make(map[int]int)
+	for i := range r.traces {
+		spans[i] = refIdleSpans(r.traces[i])
+		counts[len(spans[i])]++
+	}
+	modal, best := 0, 0
+	for c, n := range counts {
+		if n > best || (n == best && c > modal) {
+			modal, best = c, n
+		}
+	}
+	offsets := make([]float64, modal)
+	lengths := make([]float64, modal)
+	sq := make([]float64, modal)
+	var iterSum simclock.Duration
+	used := 0
+	for ti, tr := range r.traces {
+		if len(spans[ti]) != modal {
+			continue
+		}
+		used++
+		iterSum += tr.Duration
+		for i, s := range spans[ti] {
+			offsets[i] += s.Offset.Seconds()
+			lengths[i] += s.Length.Seconds()
+			sq[i] += s.Length.Seconds() * s.Length.Seconds()
+		}
+	}
+	prof := &Profile{Iterations: used, Discarded: len(r.traces) - used}
+	n := float64(used)
+	prof.IterationTime = iterSum / simclock.Duration(n)
+	for i := 0; i < modal; i++ {
+		mean := lengths[i] / n
+		prof.Spans = append(prof.Spans, Span{Offset: simclock.Duration(offsets[i] / n), Length: simclock.Duration(mean)})
+		if mean > 0 && n > 1 {
+			variance := math.Max(0, sq[i]/n-mean*mean)
+			if cv := math.Sqrt(variance) / mean; cv > prof.NormalizedStdDev {
+				prof.NormalizedStdDev = cv
+			}
+		}
+	}
+	return prof
+}
+
+// randomOps draws an iteration's ops relative to its start: unsorted,
+// overlapping, touching, zero-length, starting before the iteration or
+// ending past it.
+func randomOps(rng *rand.Rand, dur float64) []Op {
+	ops := make([]Op, rng.Intn(12))
+	for i := range ops {
+		s := rng.Float64()*(dur+10) - 5
+		l := rng.Float64() * dur / 4
+		switch rng.Intn(6) {
+		case 0:
+			l = 0
+		case 1:
+			if i > 0 { // touch the previous op
+				s = ops[i-1].End.Seconds()
+			}
+		}
+		ops[i] = Op{Start: simclock.Duration(s), End: simclock.Duration(s + l)}
+	}
+	return ops
+}
+
+// Property: the streaming Recorder builds exactly the profile the
+// store-every-trace reference builds, float for float, and a trace's
+// IdleSpans and BusyTime match the reference's sort-and-merge.
+func TestPropertyRecorderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		window := 1 + rng.Intn(25)
+		rec, ref := MustNewRecorder(window), &refRecorder{window: window}
+		// Most iterations replay one shape at a jittered pace, so the
+		// modal shape averages several iterations; the rest are drawn
+		// fresh and usually differ in span count.
+		baseDur := 1 + rng.Float64()*100
+		shape := randomOps(rng, baseDur)
+		t0 := simclock.Time(rng.Float64() * 1000)
+		for it := 0; it < window+rng.Intn(4); it++ {
+			stretch := 1 + 0.2*(rng.Float64()-0.5)
+			dur := baseDur * stretch
+			ops := make([]Op, len(shape))
+			for i, op := range shape {
+				ops[i] = Op{Start: simclock.Duration(op.Start.Seconds() * stretch), End: simclock.Duration(op.End.Seconds() * stretch)}
+			}
+			if rng.Intn(3) == 0 {
+				dur = 1 + rng.Float64()*100
+				ops = randomOps(rng, dur)
+			}
+			if rng.Intn(2) == 0 {
+				sort.Slice(ops, func(i, j int) bool { return ops[i].Start < ops[j].Start })
+			}
+			rec.BeginIteration(t0)
+			ref.begin(t0)
+			for _, op := range ops {
+				rec.RecordOp(t0.Add(op.Start), t0.Add(op.End), "op")
+				ref.record(t0.Add(op.Start), t0.Add(op.End))
+			}
+			t0 = t0.Add(simclock.Duration(dur))
+			rec.EndIteration(t0)
+			ref.end(t0)
+
+			tr := IterationTrace{Duration: simclock.Duration(dur), Ops: ops}
+			if got, want := tr.IdleSpans(), refIdleSpans(tr); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: IdleSpans %v, reference %v", trial, got, want)
+			}
+			if got, want := tr.BusyTime(), refBusyTime(tr); got != want {
+				t.Fatalf("trial %d: BusyTime %v, reference %v", trial, got, want)
+			}
+		}
+		got, err := rec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// DeepEqual compares every float with ==.
+		if want := ref.build(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: Build %#v, reference %#v", trial, got, want)
+		}
 	}
 }

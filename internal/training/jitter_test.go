@@ -39,14 +39,21 @@ func TestJitteredProfileMeasuresVariance(t *testing.T) {
 
 func TestProfileWithJitterValidation(t *testing.T) {
 	tl := MustBuildTimeline(cfg40Bp3dn(t))
-	if _, err := tl.ProfileWithJitter(5, -0.1, 1); err == nil {
-		t.Error("negative jitter accepted")
-	}
-	if _, err := tl.ProfileWithJitter(5, 1.0, 1); err == nil {
-		t.Error("jitter ≥ 1 accepted")
-	}
-	if _, err := tl.ProfileWithJitter(0, 0.1, 1); err == nil {
-		t.Error("zero window accepted")
+	for _, tc := range []struct {
+		name   string
+		window int
+		frac   float64
+	}{
+		{"negative jitter", 5, -0.1},
+		{"jitter of one", 5, 1.0},
+		{"NaN jitter", 5, math.NaN()},
+		{"+Inf jitter", 5, math.Inf(1)},
+		{"-Inf jitter", 5, math.Inf(-1)},
+		{"zero window", 0, 0.1},
+	} {
+		if prof, err := tl.ProfileWithJitter(tc.window, tc.frac, 1); err == nil {
+			t.Errorf("%s: accepted, profile %+v", tc.name, prof)
+		}
 	}
 }
 

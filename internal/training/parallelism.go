@@ -2,6 +2,8 @@ package training
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"gemini/internal/netsim"
 	"gemini/internal/simclock"
@@ -75,22 +77,25 @@ func buildDataParallelTimeline(cfg Config) (*Timeline, error) {
 	fwd := simclock.Duration(2 * float64(m.NominalParams) / float64(L) * tokens / gpuRate)
 	bwd := 2 * fwd // no recomputation: replicas hold activations
 
-	tl := &Timeline{Config: cfg}
+	// L forward computes, L backward computes and L all-reduces, then the
+	// update.
+	tl := &Timeline{Config: cfg, Ops: make([]TimedOp, 0, 3*L+1)}
+	labels := newLabelText(3*L, len("ar-bwd"), L-1)
 	var compFree, commFree simclock.Duration
 	for l := 0; l < L; l++ {
 		tl.Ops = append(tl.Ops, TimedOp{Kind: OpCompute, Start: compFree, End: compFree + fwd,
-			Label: fmt.Sprintf("fwd%d", l)})
+			Label: labels.add("fwd", l)})
 		compFree += fwd
 	}
 	for l := L - 1; l >= 0; l-- {
 		tl.Ops = append(tl.Ops, TimedOp{Kind: OpCompute, Start: compFree, End: compFree + bwd,
-			Label: fmt.Sprintf("bwd%d", l)})
+			Label: labels.add("bwd", l)})
 		compFree += bwd
 		// The layer's gradient bucket all-reduces as soon as its backward
 		// completes, on the in-order comm stream.
 		start := maxDur(commFree, compFree)
 		tl.Ops = append(tl.Ops, TimedOp{Kind: OpReduceScatter, Start: start, End: start + arTime,
-			Label: fmt.Sprintf("ar-bwd%d", l), Bytes: layerBytes})
+			Label: labels.add("ar-bwd", l), Bytes: layerBytes})
 		commFree = start + arTime
 	}
 	updStart := maxDur(compFree, commFree)
@@ -123,7 +128,9 @@ func buildPipelineTimeline(cfg Config) (*Timeline, error) {
 	boundaryBytes := float64(m.MicroBatch) / float64(micro) * float64(m.SeqLen) * float64(m.HiddenSize) * 2
 	sendTime := netsim.TransferTime(boundaryBytes, cfg.Instance.NetworkBytesPerSec, cfg.Calib.CollectiveAlpha)
 
-	tl := &Timeline{Config: cfg}
+	// Three ops per microbatch, then the update.
+	tl := &Timeline{Config: cfg, Ops: make([]TimedOp, 0, 3*micro+1)}
+	labels := newLabelText(3*micro, len("send-grad"), micro-1)
 	var t simclock.Duration
 	// Warmup bubble: the stage idles while the pipeline fills.
 	t += simclock.Duration(stages-1) * (stageFwd + sendTime)
@@ -131,13 +138,13 @@ func buildPipelineTimeline(cfg Config) (*Timeline, error) {
 	// two boundary transfers.
 	for i := 0; i < micro; i++ {
 		tl.Ops = append(tl.Ops, TimedOp{Kind: OpAllGather, Start: t, End: t + sendTime,
-			Label: fmt.Sprintf("recv-act%d", i), Bytes: boundaryBytes})
+			Label: labels.add("recv-act", i), Bytes: boundaryBytes})
 		t += sendTime
 		tl.Ops = append(tl.Ops, TimedOp{Kind: OpCompute, Start: t, End: t + stageFwd + stageBwd,
-			Label: fmt.Sprintf("stage%d", i)})
+			Label: labels.add("stage", i)})
 		t += stageFwd + stageBwd
 		tl.Ops = append(tl.Ops, TimedOp{Kind: OpReduceScatter, Start: t, End: t + sendTime,
-			Label: fmt.Sprintf("send-grad%d", i), Bytes: boundaryBytes})
+			Label: labels.add("send-grad", i), Bytes: boundaryBytes})
 		t += sendTime
 	}
 	// Drain bubble, then the optimizer update.
@@ -146,4 +153,27 @@ func buildPipelineTimeline(cfg Config) (*Timeline, error) {
 	tl.Ops = append(tl.Ops, TimedOp{Kind: OpUpdate, Start: t, End: t + upd, Label: "update"})
 	tl.Iteration = t + upd
 	return tl, nil
+}
+
+// labelText formats a timeline's indexed op labels ("fwd3", "send-grad17")
+// into one backing string and slices each label from it, so a timeline of
+// n labeled ops costs one allocation for its labels instead of n.
+type labelText struct{ b strings.Builder }
+
+// newLabelText sizes the text for n labels, none with a prefix longer
+// than maxPrefix or an index above maxIndex, so it never regrows.
+func newLabelText(n, maxPrefix, maxIndex int) *labelText {
+	lt := &labelText{}
+	lt.b.Grow(n * (maxPrefix + len(strconv.Itoa(maxIndex))))
+	return lt
+}
+
+// add appends prefix+index and returns it. Bytes already written never
+// change, so earlier labels stay valid even if the text regrows.
+func (lt *labelText) add(prefix string, index int) string {
+	from := lt.b.Len()
+	lt.b.WriteString(prefix)
+	var digits [20]byte
+	lt.b.Write(strconv.AppendInt(digits[:0], int64(index), 10))
+	return lt.b.String()[from:]
 }

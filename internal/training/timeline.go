@@ -267,7 +267,7 @@ func (tl *Timeline) Profile(window int) (*profile.Profile, error) {
 // the cross-iteration variance §5.4 measures (<10% normalized standard
 // deviation) and Algorithm 2's γ coefficient guards against.
 func (tl *Timeline) ProfileWithJitter(window int, frac float64, seed int64) (*profile.Profile, error) {
-	if frac < 0 || frac >= 1 {
+	if !(frac >= 0 && frac < 1) { // NaN fails too
 		return nil, fmt.Errorf("training: jitter fraction %v out of [0,1)", frac)
 	}
 	rec, err := profile.NewRecorder(window)
