@@ -210,9 +210,9 @@ func (s Schedule) Validate(n int) error {
 // and correlated crashes — into a failure.Schedule for the long-run
 // simulator. Partitions, stragglers, KV outages, and lease jitter have
 // no analogue in runsim's §7.3 accounting and are dropped. The result
-// is ordered and deduplicated through failure.Merge, so a rank hit by a
-// software and a hardware crash at the same instant collapses to one
-// hardware failure.
+// is ordered and deduplicated through failure.AppendMerge, so a rank
+// hit by a software and a hardware crash at the same instant collapses
+// to one hardware failure.
 func (s Schedule) Failures() failure.Schedule {
 	var out failure.Schedule
 	for _, ev := range s {
@@ -226,7 +226,7 @@ func (s Schedule) Failures() failure.Schedule {
 	if out == nil {
 		return nil
 	}
-	return failure.Merge(out)
+	return failure.AppendMerge(nil, out)
 }
 
 // Arm schedules every event in the schedule against the agent control

@@ -8,6 +8,7 @@ package failure
 import (
 	"testing"
 
+	"gemini/internal/cluster"
 	"gemini/internal/simclock"
 )
 
@@ -31,5 +32,22 @@ func TestAppendGenerateWarmAllocsZero(t *testing.T) {
 	}
 	if cap(buf) != 1024 {
 		t.Fatalf("buffer regrown to %d events", cap(buf))
+	}
+}
+
+// A warm AppendMerge of ordered inputs into a buffer with room
+// allocates nothing: the merge heads live on the stack.
+func TestAppendMergeWarmAllocsZero(t *testing.T) {
+	base, err := OPTModel().Generate(1000, 10*simclock.Day, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chaos := Schedule{{At: base[0].At, Rank: base[0].Rank, Kind: cluster.HardwareFailed}, {At: simclock.Time(simclock.Day), Rank: 3}}
+	buf := make(Schedule, 0, len(base)+len(chaos))
+	if n := testing.AllocsPerRun(100, func() { buf = AppendMerge(buf[:0], base, chaos) }); n != 0 {
+		t.Fatalf("warm AppendMerge allocates %.2f/op, want 0", n)
+	}
+	if len(buf) != len(base)+1 {
+		t.Fatalf("merged %d events, want %d (one same-instant pair collapsed)", len(buf), len(base)+1)
 	}
 }

@@ -337,25 +337,30 @@ func (m Model) ExpectedSimultaneousProbability(machines int, repairWindow simclo
 	return 1 - math.Exp(-lambda) - lambda*math.Exp(-lambda)
 }
 
-// Merge combines schedules into one deterministically ordered schedule:
-// by time, then rank, then kind. The result is independent of both the
-// argument order and the ordering within each input. When the same rank
-// appears twice at the same instant, the events are collapsed to one and
-// HardwareFailed wins — a machine that lost its hardware is down
-// regardless of what its software did at the same moment.
+// AppendMerge combines schedules into one deterministically ordered
+// schedule appended to dst: by time, then rank, then kind. The result
+// is independent of both the argument order and the ordering within
+// each input. When the same rank appears twice at the same instant, the
+// events are collapsed to one and HardwareFailed wins — a machine that
+// lost its hardware is down regardless of what its software did at the
+// same moment. Events already in dst are left alone; dst must not
+// overlap any input. All-empty input returns dst unchanged (nil stays
+// nil).
 //
 // Inputs already in that order (the common case: generated schedules
-// and compiled chaos) are merged in one linear pass; an input out of
-// order is sorted as a copy first, so no argument is modified.
-func Merge(schedules ...Schedule) Schedule {
+// and compiled chaos) are merged in one linear pass, allocation-free
+// into a dst with room for up to four inputs; an input out of order is
+// sorted as a copy first, so no argument is modified.
+func AppendMerge(dst Schedule, schedules ...Schedule) Schedule {
 	total := 0
 	for _, s := range schedules {
 		total += len(s)
 	}
 	if total == 0 {
-		return nil
+		return dst
 	}
-	heads := make([]Schedule, 0, len(schedules))
+	var stack [4]Schedule
+	heads := stack[:0]
 	for _, s := range schedules {
 		if len(s) == 0 {
 			continue
@@ -366,7 +371,8 @@ func Merge(schedules ...Schedule) Schedule {
 		}
 		heads = append(heads, s)
 	}
-	out := make(Schedule, 0, total)
+	out := slices.Grow(dst, total)
+	start := len(out)
 	for len(heads) > 0 {
 		k := 0
 		for h := 1; h < len(heads); h++ {
@@ -378,7 +384,7 @@ func Merge(schedules ...Schedule) Schedule {
 		if heads[k] = heads[k][1:]; len(heads[k]) == 0 {
 			heads = slices.Delete(heads, k, k+1)
 		}
-		if n := len(out); n > 0 && out[n-1].At == ev.At && out[n-1].Rank == ev.Rank {
+		if n := len(out); n > start && out[n-1].At == ev.At && out[n-1].Rank == ev.Rank {
 			if ev.Kind == cluster.HardwareFailed {
 				out[n-1].Kind = cluster.HardwareFailed
 			}

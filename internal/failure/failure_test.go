@@ -213,7 +213,7 @@ func TestExpectedSimultaneousProbabilitySmall(t *testing.T) {
 func TestMergeOrders(t *testing.T) {
 	a := Schedule{{At: 5, Rank: 0, Kind: cluster.SoftwareFailed}}
 	b := Schedule{{At: 1, Rank: 1, Kind: cluster.HardwareFailed}, {At: 9, Rank: 2, Kind: cluster.SoftwareFailed}}
-	merged := Merge(a, b)
+	merged := AppendMerge(nil, a, b)
 	if len(merged) != 3 || merged[0].At != 1 || merged[1].At != 5 || merged[2].At != 9 {
 		t.Fatalf("merged %v", merged)
 	}
@@ -228,8 +228,8 @@ func TestMergeOrders(t *testing.T) {
 func TestMergeDeterministicTies(t *testing.T) {
 	a := Schedule{{At: 5, Rank: 3, Kind: cluster.SoftwareFailed}, {At: 5, Rank: 3, Kind: cluster.HardwareFailed}}
 	b := Schedule{{At: 5, Rank: 1, Kind: cluster.SoftwareFailed}}
-	m1 := Merge(a, b)
-	m2 := Merge(b, a)
+	m1 := AppendMerge(nil, a, b)
+	m2 := AppendMerge(nil, b, a)
 	if len(m1) != 2 || len(m2) != 2 {
 		t.Fatalf("merged lengths %d/%d, want 2 (duplicates collapsed)", len(m1), len(m2))
 	}

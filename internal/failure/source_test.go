@@ -220,8 +220,9 @@ func referenceMerge(schedules ...Schedule) Schedule {
 
 // Property: the linear merge equals the sort-then-dedup reference on
 // any input — unsorted, sorted, with equal-time ties, mixed kinds on one
-// rank, empty and nil inputs, and up to five inputs — and leaves its
-// arguments untouched.
+// rank, empty and nil inputs, and up to five inputs — leaves its
+// arguments untouched, and appended after a prefix leaves the prefix
+// alone (no collapse across it, even with an equal first event).
 func TestMergeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	kinds := []cluster.MachineState{cluster.Healthy, cluster.SoftwareFailed, cluster.HardwareFailed}
@@ -251,12 +252,16 @@ func TestMergeMatchesReference(t *testing.T) {
 			cloned[i] = slices.Clone(s)
 		}
 		want := referenceMerge(cloned...)
-		got := Merge(inputs...)
+		got := AppendMerge(nil, inputs...)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: Merge(%v) = %v, reference %v", trial, before, got, want)
 		}
 		if !reflect.DeepEqual(inputs, before) {
 			t.Fatalf("trial %d: Merge modified its inputs: %v, was %v", trial, inputs, before)
+		}
+		prefix := Schedule{{At: 0, Rank: 0, Kind: cluster.SoftwareFailed}}
+		if got, want := AppendMerge(slices.Clone(prefix), inputs...), append(prefix, want...); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: AppendMerge after %v = %v, want %v", trial, prefix, got, want)
 		}
 	}
 }

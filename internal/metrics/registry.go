@@ -77,11 +77,15 @@ type Histogram struct {
 	buckets  [histBuckets]uint64
 }
 
+// bucketIndex reads v's binary exponent straight from its bits. That
+// equals math.Ilogb for every normal v; a subnormal reads as -1023 where
+// Ilogb would go lower, and both clamp to bucket 0. +Inf and NaN read as
+// 1024 (Ilogb: MaxInt32) and clamp to the top bucket.
 func bucketIndex(v float64) int {
 	if v <= 0 {
 		return 0
 	}
-	i := math.Ilogb(v) + histOffset
+	i := int(math.Float64bits(v)>>52&0x7ff) - 1023 + histOffset
 	if i < 0 {
 		return 0
 	}
@@ -146,7 +150,7 @@ func (h *Histogram) Max() float64 {
 // counts add; min/max combine. Merging the same histograms in
 // the same order always produces the identical result, which is what
 // makes campaign rollups worker-count independent (the campaign merges
-// per-run histograms in variation order, after the parallel fan-out).
+// per-run histograms in variation order as that prefix completes).
 // Nil receiver or nil src no-ops.
 func (h *Histogram) Merge(src *Histogram) {
 	if h == nil || src == nil || src.count == 0 {
@@ -277,6 +281,27 @@ func (r *Registry) Histogram(name string) *Histogram {
 	h := &Histogram{}
 	r.add(instrument{name: name, kind: kindHistogram, h: h})
 	return h
+}
+
+// Reset zeroes every instrument and keeps its registrations, so a
+// recycled registry resolves the same names by lookup without
+// allocating and renders, merges and snapshots exactly like a fresh
+// registry that registered the same names in the same order. Nil
+// no-ops.
+func (r *Registry) Reset() {
+	if r == nil {
+		return
+	}
+	for _, in := range r.order {
+		switch in.kind {
+		case kindCounter:
+			*in.c = CounterVar{}
+		case kindGauge:
+			*in.g = Gauge{}
+		case kindHistogram:
+			*in.h = Histogram{}
+		}
+	}
 }
 
 // Merge folds src into r: counters add, histograms merge bucket-wise,

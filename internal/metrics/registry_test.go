@@ -427,3 +427,92 @@ func TestRegistryMergeKindClashPanics(t *testing.T) {
 	}()
 	dst.Merge(src)
 }
+
+// A Reset registry is indistinguishable from a fresh one that
+// registered the same names in the same order: merging either into an
+// aggregate renders the same bytes, Reset keeps every registration, and
+// re-resolving a name after Reset allocates nothing. Nil Reset no-ops.
+func TestRegistryResetMergesLikeFresh(t *testing.T) {
+	fill := func(r *Registry, seed float64) {
+		r.Counter("run.failures").Add(seed)
+		r.Gauge("run.level").Set(seed / 2)
+		h := r.Histogram("run.wasted_seconds")
+		for i := 0.0; i < seed+2; i++ {
+			h.Observe(30*i + seed)
+		}
+		r.Histogram("run.untouched")
+	}
+	render := func(runs ...*Registry) string {
+		agg := NewRegistry()
+		for _, r := range runs {
+			agg.Merge(r)
+		}
+		var buf strings.Builder
+		if err := WriteProm(&buf, agg); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+
+	recycled := NewRegistry()
+	fill(recycled, 9)
+	recycled.Histogram("run.wasted_seconds").Observe(math.Inf(1))
+	recycled.Reset()
+	if got := render(recycled); got != render(func() *Registry {
+		r := NewRegistry()
+		fill(r, 0)
+		r.Reset()
+		return r
+	}()) {
+		t.Fatalf("a reset registry does not render like a reset fresh one:\n%s", got)
+	}
+	var names []string
+	recycled.Visit(func(name string, c *CounterVar, g *Gauge, h *Histogram) {
+		names = append(names, name)
+		if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 {
+			t.Errorf("%s not zeroed by Reset", name)
+		}
+	})
+	if want := "run.failures run.level run.wasted_seconds run.untouched"; strings.Join(names, " ") != want {
+		t.Fatalf("Reset registrations %v, want %s", names, want)
+	}
+	if n := testing.AllocsPerRun(10, func() { recycled.Histogram("run.wasted_seconds") }); n != 0 {
+		t.Fatalf("re-resolving a registered name after Reset allocates %v", n)
+	}
+
+	fresh := NewRegistry()
+	fill(fresh, 3)
+	fill(recycled, 3)
+	other := NewRegistry()
+	fill(other, 5)
+	if a, b := render(fresh, other), render(recycled, other); a != b {
+		t.Fatalf("a Reset registry merges differently from a fresh one:\n%s\nvs:\n%s", b, a)
+	}
+
+	var nilR *Registry
+	nilR.Reset()
+}
+
+// bucketIndex reads the exponent bits; it must place every value where
+// the math.Ilogb formulation it replaced does.
+func TestBucketIndexMatchesIlogb(t *testing.T) {
+	ref := func(v float64) int {
+		if v <= 0 {
+			return 0
+		}
+		return min(max(math.Ilogb(v)+histOffset, 0), histBuckets-1)
+	}
+	lo, hi := math.Ldexp(1, -histOffset), math.Ldexp(1, histBuckets-histOffset-1)
+	for _, v := range []float64{
+		0, math.Copysign(0, -1), -1, -math.MaxFloat64, math.Inf(-1),
+		math.SmallestNonzeroFloat64, 0x1p-1060, math.Nextafter(0x1p-1022, 0), 0x1p-1022,
+		math.Nextafter(lo, 0), lo, math.Nextafter(lo, 1),
+		0.1, 0.5, 1, 1.5, 2, 3, 1e6,
+		math.Nextafter(hi, 0), hi, math.Nextafter(hi, math.Inf(1)), 2 * hi,
+		math.MaxFloat64, math.Inf(1), math.NaN(),
+	} {
+		if got, want := bucketIndex(v), ref(v); got != want {
+			t.Errorf("bucketIndex(%g) = %d, want %d", v, got, want)
+		}
+	}
+}

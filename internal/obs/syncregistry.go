@@ -14,10 +14,10 @@ import (
 // the campaign server hangs off. A nil *SyncRegistry is disabled.
 //
 // Note the determinism split: the campaign's *reported* aggregates are
-// merged post-barrier in variation order (see scenario.RunCampaign) and
-// are byte-identical at any worker count; a SyncRegistry merged live
-// from workers reflects arrival order and is for serving, not for
-// golden files.
+// merged in variation order (see scenario.RunCampaign) and are
+// byte-identical at any worker count; a SyncRegistry merged live from
+// workers reflects arrival order and is for serving, not for golden
+// files.
 type SyncRegistry struct {
 	mu sync.Mutex
 	r  *metrics.Registry

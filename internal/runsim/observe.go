@@ -46,11 +46,11 @@ type Observer struct {
 type runTaps struct {
 	on    bool
 	track *trace.Track
-	reg   *metrics.Registry
 
 	failures, recoveries            *metrics.CounterVar
 	fromLocal, fromPeer, fromRemote *metrics.CounterVar
 	wastedH, lostH, downH           *metrics.Histogram
+	ratioH, stallH                  *metrics.Histogram
 
 	wastedSeries, ratioSeries *metrics.Series
 	cumWasted                 float64
@@ -64,7 +64,6 @@ func (o Observer) taps() runTaps {
 	return runTaps{
 		on:           true,
 		track:        o.Tracer.Track("run", "recovery"),
-		reg:          reg,
 		failures:     reg.Counter("run.failures"),
 		recoveries:   reg.Counter("run.recoveries"),
 		fromLocal:    reg.Counter("run.from_local"),
@@ -73,6 +72,8 @@ func (o Observer) taps() runTaps {
 		wastedH:      reg.Histogram("run.wasted_seconds"),
 		lostH:        reg.Histogram("run.lost_seconds"),
 		downH:        reg.Histogram("run.downtime_seconds"),
+		ratioH:       reg.Histogram("run.effective_ratio"),
+		stallH:       reg.Histogram("run.stall_seconds"),
 		wastedSeries: o.Wasted,
 		ratioSeries:  o.Ratio,
 	}
@@ -115,6 +116,6 @@ func (t *runTaps) recovery(src baselines.RecoverySource, start, resume simclock.
 // single observation (not gauges) so that merging many runs' registries
 // yields their cross-run distribution instead of last-merged-wins.
 func (t *runTaps) finish(res *Result) {
-	t.reg.Histogram("run.effective_ratio").Observe(res.EffectiveRatio)
-	t.reg.Histogram("run.stall_seconds").Observe(res.StallTime.Seconds())
+	t.ratioH.Observe(res.EffectiveRatio)
+	t.stallH.Observe(res.StallTime.Seconds())
 }

@@ -41,6 +41,37 @@ func TestCampaignWarmAllocsPerVariation(t *testing.T) {
 	}
 }
 
+// A warm one-worker observed campaign (Aggregate and RecordRuns) over
+// the 120-variation chaos scenario stays within a fixed allocation
+// budget per variation: the plain campaign's slices and pooled results
+// plus the run record slice, about 14. Per-run registries come from a
+// pool and are recycled as the rollup merges them, and the chaos merge
+// lands in a pooled buffer; a fresh registry per run adds about twenty
+// allocations per spec (80 per variation in all), a fresh merged
+// schedule one per variation. Gated in ci.sh.
+func TestObservedCampaignWarmAllocsPerVariation(t *testing.T) {
+	const perVariation = 15
+	s, err := Load("../../examples/scenarios/chaos-10k.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, err := RunCampaign(context.Background(), c, CampaignOptions{Workers: 1, Aggregate: true, RecordRuns: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	got := testing.AllocsPerRun(5, run) / float64(s.Variations)
+	t.Logf("%.2f allocs per variation", got)
+	if got > perVariation {
+		t.Fatalf("warm observed campaign allocates %.2f per variation, want ≤ %v", got, perVariation)
+	}
+}
+
 // A warm ComputeHash on an observed report (aggregates and run records
 // included) encodes into a pooled buffer and hashes it in place: at
 // most the hex digest's allocations and well under 1 KiB per call,

@@ -29,8 +29,8 @@ type CampaignOptions struct {
 	// nothing; the sink is updated from worker goroutines.
 	Progress *obs.Progress
 	// Aggregate collects each (variation, spec) run's health registry
-	// and merges them — post-barrier, in variation order — into
-	// per-solution and campaign-wide rollups (Report.Aggregates, plus
+	// and merges them — in variation order, as that prefix completes —
+	// into per-solution and campaign-wide rollups (Report.Aggregates, plus
 	// the live registries behind Report.WriteAggregatedProm). Off by
 	// default: the extra fields would change the report bytes existing
 	// golden hashes pin.
@@ -83,7 +83,7 @@ type Report struct {
 // AggregateReport is the cross-run metric rollup: one table for the
 // whole campaign and one per solution. Tables render every merged
 // instrument in registration order — deterministic because the merge
-// happens post-barrier in variation order.
+// runs in (variation, spec) order at any worker count.
 type AggregateReport struct {
 	Campaign []AggregateRow  `json:"campaign"`
 	Specs    []SpecAggregate `json:"specs"`
@@ -183,15 +183,84 @@ type variationResult struct {
 	local  []int
 	peer   []int
 	remote []int
-	// records and regs are populated only under RecordRuns/Aggregate.
+	// records is populated only under RecordRuns.
 	records []RunRecord
-	regs    []*metrics.Registry
 }
 
-// schedules holds campaign workers' failure-schedule buffers: each
-// variation draws its schedule into one and hands it back when its runs
-// are done (no run keeps the schedule past its Result).
-var schedules = sync.Pool{New: func() any { return new(failure.Schedule) }}
+// scheduleBufs is a pair of failure-schedule buffers: the background
+// draw and, when the scenario has chaos, the merged schedule.
+type scheduleBufs struct{ base, merged failure.Schedule }
+
+// schedules holds campaign workers' schedule buffers: each variation
+// draws its schedule into one pair and hands it back when its runs are
+// done (no run keeps the schedule past its Result).
+var schedules = sync.Pool{New: func() any { return new(scheduleBufs) }}
+
+// registries recycles per-run health registries. The rollup resets each
+// one after merging it; every registry here holds exactly the run.*
+// instruments runsim's taps register, in tap order, so a recycled one
+// renders and merges like a fresh one.
+var registries = sync.Pool{New: func() any { return metrics.NewRegistry() }}
+
+// rollup streams per-run registries into the campaign's deterministic
+// aggregates. Variations finish in any order; their registries are
+// merged strictly in (variation, spec) order as the completed prefix
+// grows, by one worker at a time and outside the slot lock, then reset
+// and recycled. The merge order, and so every rendering of the
+// aggregates, is the same at any worker count.
+type rollup struct {
+	mu    sync.Mutex
+	slots []variationResult
+	done  []bool
+	// regs holds run (v, si)'s registry at v*len(specs)+si.
+	regs []*metrics.Registry
+	// next is the first variation not yet merged; merging is set while
+	// a worker drains the prefix.
+	next    int
+	merging bool
+	// agg and specs are the campaign-wide and per-spec rollups, nil
+	// (so Merge no-ops) when the campaign does not Aggregate.
+	agg   *metrics.Registry
+	specs []*metrics.Registry
+}
+
+// store files variation v's result and reports whether the caller
+// became the merger and must drain: never without registries, and only
+// for v == next, the one variation that can extend the prefix (a merger
+// that stopped did so because next had not finished).
+func (r *rollup) store(v int, vr variationResult) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.slots[v] = vr
+	r.done[v] = true
+	if r.regs == nil || r.merging || v != r.next {
+		return false
+	}
+	r.merging = true
+	return true
+}
+
+// drain merges the completed prefix. The lock is dropped around each
+// variation's merges; merging stays set meanwhile, so variations that
+// finish then are left for this merger to pick up.
+func (r *rollup) drain() {
+	nspecs := len(r.specs)
+	r.mu.Lock()
+	for r.next < len(r.done) && r.done[r.next] {
+		v := r.next
+		r.next++
+		r.mu.Unlock()
+		for si, reg := range r.regs[v*nspecs : (v+1)*nspecs] {
+			r.agg.Merge(reg)
+			r.specs[si].Merge(reg)
+			reg.Reset()
+			registries.Put(reg)
+		}
+		r.mu.Lock()
+	}
+	r.merging = false
+	r.mu.Unlock()
+}
 
 // RunCampaign expands the compiled scenario into its seeded variations,
 // fans them across workers, and aggregates. Variation v uses failure
@@ -215,16 +284,28 @@ func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Repor
 	simPerRun := s.Horizon.Seconds() * float64(nspecs)
 	opts.Progress.Begin(variations, simPerRun)
 
-	slots := make([]variationResult, variations)
+	roll := &rollup{
+		slots: make([]variationResult, variations),
+		done:  make([]bool, variations),
+		specs: make([]*metrics.Registry, nspecs),
+	}
+	if collectRegs {
+		roll.regs = make([]*metrics.Registry, variations*nspecs)
+	}
+	if opts.Aggregate {
+		roll.agg = metrics.NewRegistry()
+		for si := range roll.specs {
+			roll.specs[si] = metrics.NewRegistry()
+		}
+	}
 	err := parallel.ForEachErr(ctx, opts.Workers, variations, func(v int) error {
 		opts.Progress.RunStarted()
-		buf := schedules.Get().(*failure.Schedule)
-		defer schedules.Put(buf)
-		fs, err := c.appendFailureSchedule((*buf)[:0], v)
+		bufs := schedules.Get().(*scheduleBufs)
+		defer schedules.Put(bufs)
+		fs, err := c.appendFailureSchedule(bufs, v)
 		if err != nil {
 			return err
 		}
-		*buf = fs
 		vr := variationResult{
 			ratio:  make([]float64, nspecs),
 			wasted: make([]simclock.Duration, nspecs),
@@ -235,9 +316,6 @@ func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Repor
 		}
 		if opts.RecordRuns {
 			vr.records = make([]RunRecord, nspecs)
-		}
-		if collectRegs {
-			vr.regs = make([]*metrics.Registry, nspecs)
 		}
 		fails := 0
 		for si, spec := range c.Specs {
@@ -254,7 +332,7 @@ func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Repor
 			}
 			var reg *metrics.Registry
 			if collectRegs {
-				reg = metrics.NewRegistry()
+				reg = registries.Get().(*metrics.Registry)
 				cfg.Obs.Metrics = reg
 			}
 			res, err := runsim.Run(cfg)
@@ -272,15 +350,18 @@ func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Repor
 				vr.records[si] = makeRecord(v, spec.Name, res)
 			}
 			if collectRegs {
-				vr.regs[si] = reg
+				roll.regs[v*nspecs+si] = reg
 				opts.Live.Merge(reg)
 			}
 			res.Release()
 		}
-		slots[v] = vr
-		// RunDone follows the store into slots[v] and never fires for a
+		merge := roll.store(v, vr)
+		// RunDone follows the store into slot v and never fires for a
 		// failed variation.
 		opts.Progress.RunDone(fails, simPerRun)
+		if merge {
+			roll.drain()
+		}
 		return nil
 	})
 	if err != nil {
@@ -306,6 +387,7 @@ func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Repor
 		rep.FailuresPerDay = s.Failures.PerDay
 	}
 
+	slots := roll.slots
 	ratios := make([]float64, variations)
 	wastedH := make([]float64, variations)
 	for si, spec := range c.Specs {
@@ -332,24 +414,10 @@ func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Repor
 		}
 	}
 	if opts.Aggregate {
-		// Deterministic rollup: merge per-run registries strictly in
-		// (variation, spec) order, after the parallel barrier — the
-		// resulting registration order, and therefore every rendering,
-		// is independent of the worker count.
-		rep.agg = metrics.NewRegistry()
-		specAggs := make([]*metrics.Registry, nspecs)
-		for si := range c.Specs {
-			specAggs[si] = metrics.NewRegistry()
-		}
-		for v := range slots {
-			for si, reg := range slots[v].regs {
-				rep.agg.Merge(reg)
-				specAggs[si].Merge(reg)
-			}
-		}
+		rep.agg = roll.agg
 		ar := &AggregateReport{Campaign: aggregateRows(rep.agg)}
 		for si, spec := range c.Specs {
-			ar.Specs = append(ar.Specs, SpecAggregate{Name: spec.Name, Rows: aggregateRows(specAggs[si])})
+			ar.Specs = append(ar.Specs, SpecAggregate{Name: spec.Name, Rows: aggregateRows(roll.specs[si])})
 		}
 		rep.Aggregates = ar
 	}

@@ -123,23 +123,25 @@ func (s *Scenario) Compile() (*Compiled, error) {
 
 // FailureSchedule builds variation v's full failure schedule: the
 // background distribution (seeded with Seed+v for Poisson; FixedRate is
-// seed-free) merged with the chaos schedule's crash events. Merge
+// seed-free) merged with the chaos schedule's crash events. The merge
 // collapses a rank hit by both at the same instant to one failure with
 // HardwareFailed winning.
 func (c *Compiled) FailureSchedule(v int) (failure.Schedule, error) {
-	return c.appendFailureSchedule(nil, v)
+	return c.appendFailureSchedule(new(scheduleBufs), v)
 }
 
 // appendFailureSchedule is FailureSchedule drawing the Poisson
-// background into dst, so a campaign worker reuses one buffer across its
-// variations. The result may alias dst.
-func (c *Compiled) appendFailureSchedule(dst failure.Schedule, v int) (failure.Schedule, error) {
+// background into bufs.base and merging chaos into bufs.merged, so a
+// campaign worker reuses both buffers across its variations. The result
+// aliases one of them.
+func (c *Compiled) appendFailureSchedule(bufs *scheduleBufs, v int) (failure.Schedule, error) {
 	s := c.Scenario
-	base := dst
+	var base failure.Schedule
 	var err error
 	switch s.Failures.Kind {
 	case "poisson":
-		base, err = c.Model.AppendGenerate(dst, s.Job.Machines, s.Horizon, s.Seed+int64(v))
+		base, err = c.Model.AppendGenerate(bufs.base[:0], s.Job.Machines, s.Horizon, s.Seed+int64(v))
+		bufs.base = base
 	case "fixed":
 		base, err = failure.FixedRate(s.Job.Machines, s.Failures.PerDay, s.Failures.HardwareFraction, s.Horizon)
 	}
@@ -149,7 +151,8 @@ func (c *Compiled) appendFailureSchedule(dst failure.Schedule, v int) (failure.S
 	if len(c.ChaosFailures) == 0 {
 		return base, nil
 	}
-	return failure.Merge(base, c.ChaosFailures), nil
+	bufs.merged = failure.AppendMerge(bufs.merged[:0], base, c.ChaosFailures)
+	return bufs.merged, nil
 }
 
 // heaviestTemplate picks the job-sizing instance from a fleet: the

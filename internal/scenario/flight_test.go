@@ -148,9 +148,29 @@ func TestCampaignProgressSink(t *testing.T) {
 	if snap.SimSecondsDone != snap.SimSecondsTotal || snap.SimSecondsDone == 0 {
 		t.Errorf("sim seconds %v/%v, want all done", snap.SimSecondsDone, snap.SimSecondsTotal)
 	}
-	// The live registry saw every run, whatever the arrival order.
-	if v, ok := live.Snapshot().Get("run.effective_ratio.count"); !ok || v != float64(rep.Variations*3) {
-		t.Errorf("live ratio count %v/%v, want %d", v, ok, rep.Variations*3)
+	// The live registry (Live alone, no Aggregate) saw every run,
+	// whatever the arrival order: its run.* counters and histogram
+	// counts equal the Aggregate rollup's campaign rows.
+	agg, err := RunCampaign(context.Background(), c, CampaignOptions{Workers: 1, Aggregate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveSnap := live.Snapshot()
+	rows := agg.Aggregates.Campaign
+	if len(rows) != 10 {
+		t.Fatalf("aggregate has %d campaign rows, want the 10 run.* instruments", len(rows))
+	}
+	for _, row := range rows {
+		name, want := row.Name, row.Value
+		if row.Kind == "histogram" {
+			name, want = row.Name+".count", float64(row.Count)
+		}
+		if got, ok := liveSnap.Get(name); !ok || got != want {
+			t.Errorf("live %s = %v (present %v), aggregate has %v", name, got, ok, want)
+		}
+	}
+	if v, _ := liveSnap.Get("run.effective_ratio.count"); v != float64(rep.Variations*3) {
+		t.Errorf("live ratio count %v, want %d", v, rep.Variations*3)
 	}
 }
 

@@ -571,73 +571,111 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 const smokeHash = "352980d25448928c30d66858cac44f4644e059fff2148565f8e6b55ca9739727"
 
 // Cancelling a campaign stops it after the variations in flight, returns
-// context.Canceled, and leaves the schedule and run pools clean: the
-// next run of the same Compiled still reproduces the pinned report.
+// context.Canceled, and leaves the schedule, run and registry pools
+// clean: the next run of the same Compiled still reproduces the pinned
+// report, and an observed run still reproduces a fresh Compiled's JSON
+// and aggregated Prometheus bytes, after a cancelled observed run (some
+// registries merged and recycled, some abandoned mid-variation) and
+// after a run whose spec fails validation.
 func TestCampaignCancel(t *testing.T) {
-	s, err := Load("../../examples/scenarios/smoke-1k.yaml")
-	if err != nil {
-		t.Fatal(err)
+	load := func() *Compiled {
+		s, err := Load("../../examples/scenarios/smoke-1k.yaml")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := s.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
-	c, err := s.Compile()
-	if err != nil {
-		t.Fatal(err)
+	observed := CampaignOptions{Workers: 2, Aggregate: true, RecordRuns: true}
+	observedBytes := func(c *Compiled) string {
+		rep, err := RunCampaign(context.Background(), c, observed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, err := rep.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prom bytes.Buffer
+		if err := rep.WriteAggregatedProm(&prom); err != nil {
+			t.Fatal(err)
+		}
+		return string(js) + prom.String()
 	}
+	want := observedBytes(load())
+	c := load()
+
 	const wide = 20000
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	prog := obs.NewProgress()
-	type outcome struct {
-		rep *Report
-		err error
-	}
-	out := make(chan outcome, 1)
-	go func() {
-		rep, err := RunCampaign(ctx, c, CampaignOptions{Workers: 2, Variations: wide, Progress: prog})
-		out <- outcome{rep, err}
-	}()
-	for prog.Snapshot().DoneRuns == 0 {
+	for _, opts := range []CampaignOptions{{Workers: 2}, observed} {
+		ctx, cancel := context.WithCancel(context.Background())
+		prog := obs.NewProgress()
+		type outcome struct {
+			rep *Report
+			err error
+		}
+		out := make(chan outcome, 1)
+		go func() {
+			wideOpts := opts
+			wideOpts.Variations, wideOpts.Progress = wide, prog
+			rep, err := RunCampaign(ctx, c, wideOpts)
+			out <- outcome{rep, err}
+		}()
+		for prog.Snapshot().DoneRuns == 0 {
+			select {
+			case got := <-out:
+				t.Fatalf("aggregate=%v: campaign returned before any run finished: %v", opts.Aggregate, got.err)
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
+		cancel()
+		canceledAt := time.Now()
+		var got outcome
 		select {
-		case got := <-out:
-			t.Fatalf("campaign returned before any run finished: %v", got.err)
-		case <-time.After(100 * time.Microsecond):
+		case got = <-out:
+		case <-time.After(time.Minute):
+			t.Fatalf("aggregate=%v: cancelled campaign did not return within a minute", opts.Aggregate)
+		}
+		latency := time.Since(canceledAt)
+		if !errors.Is(got.err, context.Canceled) || got.rep != nil {
+			t.Fatalf("aggregate=%v: cancelled campaign returned report %v, error %v; want context.Canceled", opts.Aggregate, got.rep != nil, got.err)
+		}
+		done := prog.Snapshot().DoneRuns
+		if done >= wide/2 {
+			t.Fatalf("aggregate=%v: cancelled campaign finished %d of %d variations", opts.Aggregate, done, wide)
+		}
+
+		start := time.Now()
+		rep, err := RunCampaign(context.Background(), c, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := time.Since(start) * wide / time.Duration(c.Scenario.Variations)
+		if !opts.Aggregate && rep.Hash != smokeHash {
+			t.Fatalf("report hash after a cancelled run %s, want %s", rep.Hash, smokeHash)
+		}
+		if opts.Aggregate && observedBytes(c) != want {
+			t.Fatal("observed report or aggregated exposition after a cancelled observed run differs from a fresh Compiled's")
+		}
+		t.Logf("aggregate=%v: cancel returned in %v after %d variations; the uncancelled run would take about %v", opts.Aggregate, latency, done, full)
+		if latency > full/10 {
+			t.Fatalf("aggregate=%v: cancel took %v, not well before the uncancelled run time of about %v", opts.Aggregate, latency, full)
 		}
 	}
-	cancel()
-	canceledAt := time.Now()
-	var got outcome
-	select {
-	case got = <-out:
-	case <-time.After(time.Minute):
-		t.Fatal("cancelled campaign did not return within a minute")
-	}
-	latency := time.Since(canceledAt)
-	if !errors.Is(got.err, context.Canceled) || got.rep != nil {
-		t.Fatalf("cancelled campaign returned report %v, error %v; want context.Canceled", got.rep != nil, got.err)
-	}
-	done := prog.Snapshot().DoneRuns
-	if done >= wide/2 {
-		t.Fatalf("cancelled campaign finished %d of %d variations", done, wide)
-	}
 
-	start := time.Now()
-	rep, err := RunCampaign(context.Background(), c, CampaignOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+	spec := c.Specs[1]
+	c.Specs[1].Interval = -1
+	if _, err := RunCampaign(context.Background(), c, observed); err == nil || !strings.Contains(err.Error(), "interval") {
+		t.Fatalf("campaign with an invalid spec returned %v, want the spec's interval error", err)
 	}
-	full := time.Since(start) * wide / time.Duration(s.Variations)
-	if rep.Hash != smokeHash {
-		t.Fatalf("report hash after a cancelled run %s, want %s", rep.Hash, smokeHash)
-	}
-	t.Logf("cancel returned in %v after %d variations; the uncancelled run would take about %v", latency, done, full)
-	if latency > full/10 {
-		t.Fatalf("cancel took %v, not well before the uncancelled run time of about %v", latency, full)
+	c.Specs[1] = spec
+	if observedBytes(c) != want {
+		t.Fatal("observed report or aggregated exposition after a failed run differs from a fresh Compiled's")
 	}
 }
 
-// TestParallelismReachesSpecs pins the baselines fix: the checkpoint
-// cadence must follow the scenario's parallelism, not an assumed ZeRO-3
-// timeline (pipeline iterations are much shorter at scale, so GEMINI's
-// per-iteration interval shrinks with them).
 func TestParallelismReachesSpecs(t *testing.T) {
 	build := func(par string) *Compiled {
 		t.Helper()
