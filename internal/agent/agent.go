@@ -129,6 +129,21 @@ type System struct {
 	rootRank int
 	rootTick *simclock.Ticker
 
+	// present[rank] reports whether rank's heartbeat key is in the
+	// store, and missing counts the ranks whose key is not. A watch on
+	// hbPrefix keeps both current, so the root poll reads them instead
+	// of the store.
+	present []bool
+	missing int
+	// renewIDs and renewAt are a cohort tick's scratch: the leases it
+	// renews, in start order, and their members' places in the cohort.
+	renewIDs []kvstore.LeaseID
+	renewAt  []int
+	// onPoll, when set, runs in every root poll that reads the presence
+	// table, just after the poll's sweep. Tests use it to check the
+	// table against the store.
+	onPoll func()
+
 	iteration        int64
 	remoteEveryIters int64
 	// lastRemoteCommitted is the newest iteration actually written to the
@@ -191,9 +206,12 @@ func NewSystem(engine *simclock.Engine, cl *cluster.Cluster, ck *ckpt.Engine,
 		opts:        opts,
 		log:         trace.NewLog(engine.Now),
 		rootRank:    -1,
+		present:     make([]bool, cl.Size()),
+		missing:     cl.Size(),
 		partitioned: make(map[int]bool),
 		stragglers:  make(map[int]float64),
 	}
+	s.store.Watch(hbPrefix, s.trackHeartbeat)
 	el, err := kvstore.NewElection(s.store, leaderKey)
 	if err != nil {
 		return nil, err
@@ -370,32 +388,45 @@ func (s *System) heartbeat(batch []*worker) {
 
 // beat is one tick of a cohort: it drops members whose machines died,
 // renews the rest, and stops the ticker once nobody is left.
+//
+// The renewals go to the store as one KeepAliveAll, which renews in
+// start order and stops at the first lease it cannot renew. That
+// member re-grants its lease, as refreshLease would after the failed
+// KeepAlive, and the batch resumes with the next member, so the store
+// sees the same operations in the same order as one refreshLease per
+// member.
 func (s *System) beat(c *cohort) {
+	ids, at := s.renewIDs[:0], s.renewAt[:0]
 	live := c.members[:0]
-	renewed := false
 	for _, w := range c.members {
 		if !w.alive {
 			continue
 		}
-		live = append(live, w)
-		if s.partitioned[w.rank] {
-			// A partitioned agent is running but cannot reach the store;
-			// its lease expires and the root declares it failed — exactly
-			// the ambiguity real partitions create.
-			continue
+		// A partitioned agent is running but cannot reach the store;
+		// its lease expires and the root declares it failed — exactly
+		// the ambiguity real partitions create.
+		if !s.partitioned[w.rank] {
+			ids = append(ids, w.lease)
+			at = append(at, len(live))
 		}
-		s.refreshLease(w)
-		renewed = true
+		live = append(live, w)
 	}
 	clear(c.members[len(live):])
 	c.members = live
+	for i := 0; i < len(ids); i++ {
+		n, _ := s.store.KeepAliveAll(ids[i:])
+		if i += n; i < len(ids) {
+			s.grantLease(live[at[i]])
+		}
+	}
+	s.renewIDs, s.renewAt = ids[:0], at[:0]
 	if len(live) == 0 {
 		c.ticker.Stop()
 		return
 	}
 	// A tick that renewed nobody leaves the sweep alone, as the
 	// per-worker tickers of partitioned members did.
-	if renewed {
+	if len(ids) > 0 {
 		s.scheduleSweep()
 	}
 }
@@ -404,11 +435,15 @@ func (s *System) beat(c *cohort) {
 // re-publishing the heartbeat key) if it was lost to expiry or a store
 // outage. It reports whether the worker holds a live lease afterwards.
 func (s *System) refreshLease(w *worker) bool {
-	if w.lease != 0 {
-		if err := s.store.KeepAlive(w.lease); err == nil {
-			return true
-		}
+	if w.lease != 0 && s.store.KeepAlive(w.lease) == nil {
+		return true
 	}
+	return s.grantLease(w)
+}
+
+// grantLease grants w a fresh lease and publishes its heartbeat key
+// under it. It reports whether both succeeded.
+func (s *System) grantLease(w *worker) bool {
 	lease, err := s.store.Grant(s.opts.LeaseTTL)
 	if err != nil {
 		w.lease = 0
@@ -420,6 +455,24 @@ func (s *System) refreshLease(w *worker) bool {
 		return false
 	}
 	return true
+}
+
+// trackHeartbeat keeps the presence table in step with the heartbeat
+// keys: a put marks its rank present, a delete (expiry) marks it
+// missing.
+func (s *System) trackHeartbeat(ev kvstore.Event) {
+	rank, err := strconv.Atoi(ev.Entry.Key[len(hbPrefix):])
+	if err != nil {
+		panic(fmt.Sprintf("agent: malformed heartbeat key %q", ev.Entry.Key))
+	}
+	if up := ev.Type == kvstore.EventPut; s.present[rank] != up {
+		s.present[rank] = up
+		if up {
+			s.missing--
+		} else {
+			s.missing++
+		}
+	}
 }
 
 func hbKey(rank int) string { return hbPrefix + fmt.Sprintf("%04d", rank) }
@@ -493,6 +546,11 @@ func (s *System) InjectFailure(rank int, kind cluster.MachineState) {
 // rootCheck is the root agent's periodic health poll: every expected
 // heartbeat must be present; a missing one starts recovery. The root also
 // verifies its own machine is alive — a dead root's ticker dies with it.
+//
+// The poll expires what is due now and then reads the presence table,
+// which the heartbeat watch has brought up to date: rootCheck runs from
+// its ticker or a scheduled failover, never inside a watch delivery, so
+// no event is left undelivered once the sweep returns.
 func (s *System) rootCheck() {
 	if s.rootRank < 0 || s.recovering {
 		return
@@ -511,14 +569,12 @@ func (s *System) rootCheck() {
 		// and another machine takes over.
 		return
 	}
-	var failed []int
-	for rank, w := range s.workers {
-		if _, ok := s.store.Get(w.hbKey); !ok {
-			failed = append(failed, rank)
-		}
+	s.store.Sweep()
+	if s.onPoll != nil {
+		s.onPoll()
 	}
-	if len(failed) > 0 {
-		s.beginRecovery(failed)
+	if s.missing > 0 {
+		s.beginRecovery(s.missingRanks())
 	} else {
 		// Heartbeats are healthy; check for a vanished root key (lease
 		// hiccup) and re-campaign.
@@ -526,6 +582,18 @@ func (s *System) rootCheck() {
 			s.promoteRoot()
 		}
 	}
+}
+
+// missingRanks lists the ranks whose heartbeat key is absent, in
+// ascending order.
+func (s *System) missingRanks() []int {
+	failed := make([]int, 0, s.missing)
+	for rank, ok := range s.present {
+		if !ok {
+			failed = append(failed, rank)
+		}
+	}
+	return failed
 }
 
 // watchRootFailover arms every worker to notice the root key vanishing

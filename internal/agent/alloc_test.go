@@ -49,9 +49,10 @@ func TestHeartbeatSteadyStateAllocs(t *testing.T) {
 }
 
 // TestRootCheckAllocsZero: the root agent's health poll on a healthy
-// 16-machine cluster looks up each worker's cached heartbeat key and
-// allocates nothing. Listing the heartbeat prefix, sorting it and
-// parsing ranks back out of the keys allocated on every poll.
+// 16-machine cluster sweeps the store and reads the watch-fed missing
+// count, and allocates nothing. With one rank's heartbeat gone, listing
+// the missing ranks allocates exactly the list the poll hands to
+// recovery.
 func TestRootCheckAllocsZero(t *testing.T) {
 	f := newFixture(t, 16, 2, cloud.DefaultConfig())
 	f.sys.Start()
@@ -62,5 +63,15 @@ func TestRootCheckAllocsZero(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("%v allocations per root poll, want 0", allocs)
+	}
+
+	f.sys.Store().Delete(hbKey(5))
+	var missing []int
+	allocs = testing.AllocsPerRun(100, func() { missing = f.sys.missingRanks() })
+	if len(missing) != 1 || missing[0] != 5 {
+		t.Fatalf("missing ranks %v, want [5]", missing)
+	}
+	if allocs != 1 {
+		t.Fatalf("%v allocations listing one missing rank, want 1", allocs)
 	}
 }

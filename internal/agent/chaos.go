@@ -82,7 +82,7 @@ func (s *System) HealPartition() {
 // retrieval served by a straggler slows proportionally.
 func (s *System) SetStraggler(rank int, factor float64) {
 	s.checkRank(rank)
-	if factor <= 0 || factor > 1 {
+	if !(factor > 0 && factor <= 1) {
 		panic(fmt.Sprintf("agent: straggler factor must be in (0,1], got %v", factor))
 	}
 	if factor == 1 {

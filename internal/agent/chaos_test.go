@@ -1,6 +1,8 @@
 package agent
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -348,5 +350,61 @@ func TestLeaseJitterHarmless(t *testing.T) {
 	}
 	if got := f.sys.Iteration(); got != 10 {
 		t.Fatalf("iteration %d, want 10", got)
+	}
+}
+
+// TestChaosSettersRejectNonFinite: a NaN fails every ordered
+// comparison, so a check written as "reject if out of range" lets it
+// through. Each setter must panic with a message naming its parameter.
+func TestChaosSettersRejectNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name, param string
+		set         func(s *System)
+	}{
+		{"NaN factor", "factor", func(s *System) { s.SetStraggler(0, nan) }},
+		{"+Inf factor", "factor", func(s *System) { s.SetStraggler(0, inf) }},
+		{"-Inf factor", "factor", func(s *System) { s.SetStraggler(0, -inf) }},
+		{"NaN jitter", "jitter", func(s *System) { s.SetLeaseJitter(simclock.Duration(nan)) }},
+		{"+Inf jitter", "jitter", func(s *System) { s.SetLeaseJitter(simclock.Duration(inf)) }},
+		{"-Inf jitter", "jitter", func(s *System) { s.SetLeaseJitter(simclock.Duration(-inf)) }},
+	}
+	for _, tc := range cases {
+		f := newChaosFixture(t, 4, 2, chaosOpts(), cloud.DefaultConfig())
+		f.sys.Start()
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, tc.param) {
+					t.Errorf("%s: panic %q, want one naming the %s", tc.name, msg, tc.param)
+				}
+			}()
+			tc.set(f.sys)
+		}()
+	}
+}
+
+// TestBeatRegrantsTheMemberItStopsAt: a cohort tick renews its members'
+// leases in one batch that stops at the first lease it cannot renew.
+// The member holding that lease re-grants, not a partitioned member
+// ahead of it in the cohort, and the batch goes on after it.
+func TestBeatRegrantsTheMemberItStopsAt(t *testing.T) {
+	f := newChaosFixture(t, 4, 2, chaosOpts(), cloud.DefaultConfig())
+	f.sys.Start()
+	f.sys.StartPartition(1)
+	cut, lapsed := f.sys.workers[1], f.sys.workers[2]
+	cutLease := cut.lease
+	lapsed.lease = 0 // lost to an outage: the next tick must re-grant
+	before := f.sys.workers[3].lease
+	f.engine.Run(simclock.Time(f.sys.opts.HeartbeatInterval))
+	if cut.lease != cutLease {
+		t.Fatalf("partitioned rank 1 moved from lease %d to %d", cutLease, cut.lease)
+	}
+	e, ok := f.sys.Store().Get(lapsed.hbKey)
+	if lapsed.lease == 0 || !ok || e.Lease != lapsed.lease {
+		t.Fatalf("rank 2 holds lease %d, heartbeat key %+v (present %v), want a fresh lease under its key", lapsed.lease, e, ok)
+	}
+	if w := f.sys.workers[3]; w.lease != before {
+		t.Fatalf("rank 3 re-granted (lease %d → %d) instead of renewing", before, w.lease)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -104,9 +105,13 @@ func g(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 // writeOutcome runs one scenario under one strategy and appends every
 // simulated result to buf: the trace log, the Eq. 1 ledger, the final
 // iteration, revision and traffic, and the full KV event stream.
-func writeOutcome(t *testing.T, buf *bytes.Buffer, sc outcomeScenario, name string) {
+// A non-nil onPoll is installed as the system's root-poll hook.
+func writeOutcome(t *testing.T, buf *bytes.Buffer, sc outcomeScenario, name string, onPoll func(*System)) {
 	t.Helper()
 	f := newChaosFixture(t, 16, 2, sc.opts, sc.cloud)
+	if onPoll != nil {
+		f.sys.onPoll = func() { onPoll(f.sys) }
+	}
 	st, err := strategy.New(name)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +155,7 @@ func TestControlPlaneOutcomesGolden(t *testing.T) {
 	var buf bytes.Buffer
 	for _, sc := range outcomeScenarios() {
 		for _, name := range []string{"gemini", "tiered", "sparse", "adaptive"} {
-			writeOutcome(t, &buf, sc, name)
+			writeOutcome(t, &buf, sc, name, nil)
 		}
 	}
 	golden := filepath.Join("testdata", "controlplane_outcomes.golden")
@@ -173,5 +178,41 @@ func TestControlPlaneOutcomesGolden(t *testing.T) {
 			}
 		}
 		t.Fatalf("outcomes differ from %s in length: %d lines, want %d", golden, len(got), len(exp))
+	}
+}
+
+// TestPollPresenceMatchesStore runs the outcome golden's scenarios under
+// every strategy and, at every root poll, compares the missing ranks the
+// presence table gives with a Get of every worker's heartbeat key, the
+// poll the table replaced. The scenarios cover partitions, KV outages,
+// restarts and root failover. The Gets run right after the poll's
+// sweep, at the same instant, so they expire nothing and deliver no
+// event: the runs are the golden's.
+func TestPollPresenceMatchesStore(t *testing.T) {
+	polls, missing := 0, 0
+	check := func(s *System) {
+		polls++
+		var want []int
+		for rank, w := range s.workers {
+			if _, ok := s.store.Get(w.hbKey); !ok {
+				want = append(want, rank)
+			}
+		}
+		if len(want) > 0 {
+			missing++
+		}
+		if got := s.missingRanks(); s.missing != len(want) || !slices.Equal(got, want) {
+			t.Errorf("poll at %v: presence table has %v missing (count %d), Get per worker finds %v",
+				s.engine.Now(), got, s.missing, want)
+		}
+	}
+	for _, sc := range outcomeScenarios() {
+		for _, name := range []string{"gemini", "tiered", "sparse", "adaptive"} {
+			writeOutcome(t, new(bytes.Buffer), sc, name, check)
+		}
+	}
+	t.Logf("%d polls, %d with missing ranks", polls, missing)
+	if missing == 0 {
+		t.Fatal("no poll found a missing rank")
 	}
 }

@@ -43,9 +43,10 @@ func TestHeartbeatEventsScaleWithCohorts(t *testing.T) {
 }
 
 // BenchmarkControlPlaneHealthyDay is one failure-free simulated day of
-// the control plane: heartbeats, root polls and iteration commits.
+// the control plane: heartbeats, root polls and iteration commits, up
+// to the 1000-machine scale of a control-plane campaign.
 func BenchmarkControlPlaneHealthyDay(b *testing.B) {
-	for _, machines := range []int{16, 128} {
+	for _, machines := range []int{16, 128, 1000} {
 		b.Run(fmt.Sprint(machines), func(b *testing.B) {
 			var fired int
 			for i := 0; i < b.N; i++ {

@@ -9,6 +9,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"gemini/internal/agent"
@@ -163,7 +164,7 @@ func (s Schedule) Validate(n int) error {
 			if len(ev.Ranks) == 0 {
 				return fmt.Errorf("chaos: event %d straggler has no ranks", i)
 			}
-			if ev.Factor <= 0 || ev.Factor > 1 {
+			if !(ev.Factor > 0 && ev.Factor <= 1) {
 				return fmt.Errorf("chaos: event %d straggler factor %v out of (0,1]", i, ev.Factor)
 			}
 			for _, r := range ev.Ranks {
@@ -196,8 +197,8 @@ func (s Schedule) Validate(n int) error {
 			}
 			kvDown = false
 		case KindLeaseJitter:
-			if ev.Jitter < 0 {
-				return fmt.Errorf("chaos: event %d negative jitter %v", i, ev.Jitter)
+			if !(ev.Jitter >= 0) || math.IsInf(float64(ev.Jitter), 1) {
+				return fmt.Errorf("chaos: event %d lease jitter %v must be finite and non-negative", i, ev.Jitter)
 			}
 		default:
 			return fmt.Errorf("chaos: event %d has unknown kind %v", i, ev.Kind)

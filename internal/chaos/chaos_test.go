@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -248,6 +249,35 @@ func TestBuildValidationEdges(t *testing.T) {
 	// t=10); closers sorting before openers makes that legal.
 	if _, err := NewBuilder().Partition(0, 10, 1).Partition(10, 10, 2).Build(8); err != nil {
 		t.Errorf("back-to-back windows rejected: %v", err)
+	}
+}
+
+// TestBuildRejectsNonFiniteParameters: a NaN fails every ordered
+// comparison, so the parameter checks are negated comparisons, and the
+// error names the parameter. A NaN or infinite jitter would leave a
+// dead worker's lease unexpired forever.
+func TestBuildRejectsNonFiniteParameters(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name, param string
+		b           *Builder
+	}{
+		{"NaN factor", "factor", NewBuilder().Straggler(0, 10, 1, nan)},
+		{"+Inf factor", "factor", NewBuilder().Straggler(0, 10, 1, inf)},
+		{"-Inf factor", "factor", NewBuilder().Straggler(0, 10, 1, -inf)},
+		{"NaN jitter", "jitter", NewBuilder().LeaseJitter(0, simclock.Duration(nan))},
+		{"+Inf jitter", "jitter", NewBuilder().LeaseJitter(0, simclock.Duration(inf))},
+		{"-Inf jitter", "jitter", NewBuilder().LeaseJitter(0, simclock.Duration(-inf))},
+		{"negative jitter", "jitter", NewBuilder().LeaseJitter(0, -1)},
+	}
+	for _, tc := range cases {
+		_, err := tc.b.Build(4)
+		if err == nil || !strings.Contains(err.Error(), tc.param) {
+			t.Errorf("%s: got %v, want an error naming the %s", tc.name, err, tc.param)
+		}
+	}
+	if _, err := NewBuilder().Straggler(0, 10, 1, 1).LeaseJitter(0, 0).Build(4); err != nil {
+		t.Errorf("factor 1 and jitter 0 rejected: %v", err)
 	}
 }
 

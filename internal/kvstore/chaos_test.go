@@ -2,6 +2,9 @@ package kvstore
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"gemini/internal/simclock"
@@ -154,5 +157,23 @@ func TestLeaseJitterDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical jitter sequences")
+	}
+}
+
+// TestSetLeaseJitterRejectsNonFinite: with a NaN jitter every later
+// deadline is NaN, which no sweep ever reaches, so a dead worker's lease
+// would never expire. A NaN, infinite or negative jitter panics, naming
+// the jitter.
+func TestSetLeaseJitterRejectsNonFinite(t *testing.T) {
+	for _, max := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "jitter") {
+					t.Errorf("SetLeaseJitter(%v): panic %q, want one naming the jitter", max, msg)
+				}
+			}()
+			New(nil).SetLeaseJitter(simclock.Duration(max), 1)
+		}()
 	}
 }

@@ -11,12 +11,13 @@ import (
 )
 
 // refStore is the lease model the expiry index must reproduce: the same
-// semantics as Store, but every sweep and NextExpiry scans all leases.
+// semantics as Store, but every sweep and NextExpiry scans all leases,
+// and a batch renewal is a run of single renewals.
 type refStore struct {
 	now         func() simclock.Time
 	rev         int64
 	data        map[string]Entry
-	leases      map[LeaseID]*lease
+	leases      map[LeaseID]*refLease
 	nextLease   LeaseID
 	down        bool
 	downSince   simclock.Time
@@ -25,8 +26,16 @@ type refStore struct {
 	events      []Event
 }
 
+// refLease is a model lease, deadline included.
+type refLease struct {
+	id      LeaseID
+	ttl     simclock.Duration
+	expires simclock.Time
+	keys    map[string]bool
+}
+
 func newRefStore(now func() simclock.Time) *refStore {
-	return &refStore{now: now, data: map[string]Entry{}, leases: map[LeaseID]*lease{}}
+	return &refStore{now: now, data: map[string]Entry{}, leases: map[LeaseID]*refLease{}}
 }
 
 func (r *refStore) jitter() simclock.Duration {
@@ -46,7 +55,7 @@ func (r *refStore) sweep() {
 		return
 	}
 	t := r.now()
-	var expired []*lease
+	var expired []*refLease
 	for _, l := range r.leases {
 		if l.expires <= t {
 			expired = append(expired, l)
@@ -105,7 +114,7 @@ func (r *refStore) grant(ttl simclock.Duration) (LeaseID, bool) {
 	}
 	r.sweep()
 	r.nextLease++
-	r.leases[r.nextLease] = &lease{id: r.nextLease, ttl: ttl, expires: r.now().Add(ttl + r.jitter()), keys: map[string]bool{}}
+	r.leases[r.nextLease] = &refLease{id: r.nextLease, ttl: ttl, expires: r.now().Add(ttl + r.jitter()), keys: map[string]bool{}}
 	return r.nextLease, true
 }
 
@@ -120,6 +129,16 @@ func (r *refStore) keepAlive(id LeaseID) bool {
 	}
 	l.expires = r.now().Add(l.ttl + r.jitter())
 	return true
+}
+
+// keepAliveAll renews ids one at a time and stops at the first failure.
+func (r *refStore) keepAliveAll(ids []LeaseID) int {
+	for n, id := range ids {
+		if !r.keepAlive(id) {
+			return n
+		}
+	}
+	return len(ids)
 }
 
 func (r *refStore) put(key, value string, id LeaseID) (int64, bool) {
@@ -164,12 +183,41 @@ func (r *refStore) delete(key string) bool {
 	return true
 }
 
+// checkIndex requires the expiry index to be a valid heap over exactly
+// the live leases, with every lease's index naming its slot.
+func checkIndex(s *Store) error {
+	live := 0
+	for i, l := range s.leases {
+		if l == nil {
+			continue
+		}
+		live++
+		if l.id != LeaseID(i+1) {
+			return fmt.Errorf("lease %d stored under id %d", l.id, i+1)
+		}
+		if l.index >= len(s.expiry) || s.expiry[l.index].l != l {
+			return fmt.Errorf("lease %d: index %d does not hold it", l.id, l.index)
+		}
+	}
+	if live != len(s.expiry) {
+		return fmt.Errorf("%d live leases, %d expiry slots", live, len(s.expiry))
+	}
+	for i := 1; i < len(s.expiry); i++ {
+		if p := (i - 1) / 2; s.expiry[p].expires > s.expiry[i].expires {
+			return fmt.Errorf("slot %d (%v) is later than its child %d (%v)", p, s.expiry[p].expires, i, s.expiry[i].expires)
+		}
+	}
+	return nil
+}
+
 // TestLeaseIndexMatchesLinearScan drives the store and the linear-scan
 // model through the same seeded operation sequences and requires the
-// same NextExpiry, revision and event stream after every step. Times
-// and TTLs come from small sets, so many leases fall due at one
-// instant and the id tie-break decides the delete order; fractional
-// steps make the outage shift round.
+// same NextExpiry, revision and event stream after every step, and a
+// valid expiry index. Times and TTLs come from small sets, so many
+// leases fall due at one instant and the id tie-break decides the
+// delete order; fractional steps make the outage shift round. Batch
+// renewals mix live ids with zero, unknown and expired ones, in lists
+// short and long enough to take both of the index's repair paths.
 func TestLeaseIndexMatchesLinearScan(t *testing.T) {
 	steps := []simclock.Duration{0, 0.1, 1.0 / 3, 0.5, 1, 2.5, 5}
 	ttls := []simclock.Duration{1, 2, 3, 5, 7.5}
@@ -181,9 +229,20 @@ func TestLeaseIndexMatchesLinearScan(t *testing.T) {
 		var got []Event
 		s.Watch("", func(ev Event) { got = append(got, ev) })
 		lease := func() LeaseID { return LeaseID(rng.Intn(int(ref.nextLease) + 2)) }
+		liveLease := func() LeaseID {
+			ids := make([]LeaseID, 0, len(ref.leases))
+			for id := range ref.leases {
+				ids = append(ids, id)
+			}
+			if len(ids) == 0 {
+				return lease()
+			}
+			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+			return ids[rng.Intn(len(ids))]
+		}
 		for step := 0; step < 400; step++ {
 			var op string
-			switch rng.Intn(10) {
+			switch rng.Intn(11) {
 			case 0, 1:
 				d := steps[rng.Intn(len(steps))]
 				op = fmt.Sprintf("advance %v", d)
@@ -236,6 +295,21 @@ func TestLeaseIndexMatchesLinearScan(t *testing.T) {
 				if got := s.Rev(); got != ref.rev {
 					t.Fatalf("seed %d step %d: Rev %d, want %d", seed, step, got, ref.rev)
 				}
+			case 10:
+				ids := make([]LeaseID, rng.Intn(13))
+				for i := range ids {
+					if rng.Intn(4) == 0 {
+						ids[i] = lease()
+					} else {
+						ids[i] = liveLease()
+					}
+				}
+				op = fmt.Sprintf("KeepAliveAll(%v)", ids)
+				n, err := s.KeepAliveAll(ids)
+				want := ref.keepAliveAll(ids)
+				if n != want || (err == nil) != (n == len(ids)) {
+					t.Fatalf("seed %d step %d %s: renewed %d (err %v), want %d", seed, step, op, n, err, want)
+				}
 			}
 			if got, want := s.NextExpiry(), ref.nextExpiry(); got != want {
 				t.Fatalf("seed %d step %d after %s: NextExpiry %v, want %v", seed, step, op, got, want)
@@ -246,6 +320,42 @@ func TestLeaseIndexMatchesLinearScan(t *testing.T) {
 			if !reflect.DeepEqual(got, ref.events) {
 				t.Fatalf("seed %d step %d after %s: events\n%+v\nwant\n%+v", seed, step, op, got, ref.events)
 			}
+			if err := checkIndex(s); err != nil {
+				t.Fatalf("seed %d step %d after %s: %v", seed, step, op, err)
+			}
+		}
+	}
+}
+
+// TestOutageShiftKeepsHeapOrder: restoring the store adds the pause to
+// every inline deadline, and rounded addition is monotone, so the index
+// stays a heap with no repair. Deadlines spread over many magnitudes
+// and a fractional pause make the additions round, some into ties.
+func TestOutageShiftKeepsHeapOrder(t *testing.T) {
+	clk := &fakeClock{}
+	s := New(clk.now)
+	s.SetLeaseJitter(0.7, 3)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		clk.t = simclock.Time(rng.Float64() * 1e-3)
+		if _, err := s.Grant(simclock.Duration(1 + rng.Float64()*float64(int64(1)<<uint(rng.Intn(40))))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := make(map[LeaseID]simclock.Time, len(s.expiry))
+	for _, sl := range s.expiry {
+		before[sl.l.id] = sl.expires
+	}
+	s.SetAvailable(false)
+	clk.t = clk.t.Add(1.0 / 3)
+	pause := clk.t.Sub(s.downSince)
+	s.SetAvailable(true)
+	if err := checkIndex(s); err != nil {
+		t.Fatal(err)
+	}
+	for _, sl := range s.expiry {
+		if want := before[sl.l.id].Add(pause); sl.expires != want {
+			t.Fatalf("lease %d: deadline %v after the outage, want %v", sl.l.id, sl.expires, want)
 		}
 	}
 }

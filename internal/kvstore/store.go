@@ -14,6 +14,8 @@ package kvstore
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -71,33 +73,40 @@ type watcher struct {
 }
 
 type lease struct {
-	id      LeaseID
-	ttl     simclock.Duration
+	id    LeaseID
+	ttl   simclock.Duration
+	keys  map[string]bool
+	index int // slot in Store.expiry
+}
+
+// leaseSlot is one entry of the expiry index. The slot holds the
+// lease's deadline itself, so a sift compares deadlines without loading
+// the leases; it is the only copy of the deadline.
+type leaseSlot struct {
 	expires simclock.Time
-	keys    map[string]bool
-	index   int // slot in Store.expiry
+	l       *lease
 }
 
 // leaseHeap is the expiry index: a min-heap of every live lease by
 // deadline, so the next deadline is the root and a sweep with nothing
 // due costs one comparison. Every lease's index is its slot. Ties are
 // left in any order: a sweep re-sorts what it pops by id.
-type leaseHeap []*lease
+type leaseHeap []leaseSlot
 
-func (h *leaseHeap) push(l *lease) {
-	l.index = len(*h)
-	*h = append(*h, l)
-	h.up(l.index)
+func (h *leaseHeap) push(sl leaseSlot) {
+	sl.l.index = len(*h)
+	*h = append(*h, sl)
+	h.up(sl.l.index)
 }
 
 // pop removes and returns the lease with the earliest deadline.
 func (h *leaseHeap) pop() *lease {
 	old := *h
 	n := len(old) - 1
-	l := old[0]
+	l := old[0].l
 	old[0] = old[n]
-	old[0].index = 0
-	old[n] = nil
+	old[0].l.index = 0
+	old[n] = leaseSlot{}
 	*h = old[:n]
 	if n > 0 {
 		h.down(0)
@@ -105,32 +114,40 @@ func (h *leaseHeap) pop() *lease {
 	return l
 }
 
-// fix restores heap order after the lease at slot i changed its expiry.
+// fix restores heap order after the deadline at slot i changed.
 func (h leaseHeap) fix(i int) {
 	if !h.down(i) {
 		h.up(i)
 	}
 }
 
+// heapify restores heap order after any number of deadlines changed in
+// place, bottom-up in O(n).
+func (h leaseHeap) heapify() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
 func (h leaseHeap) up(i int) {
-	l := h[i]
+	sl := h[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		if l.expires >= h[p].expires {
+		if sl.expires >= h[p].expires {
 			break
 		}
 		h[i] = h[p]
-		h[i].index = i
+		h[i].l.index = i
 		i = p
 	}
-	h[i] = l
-	l.index = i
+	h[i] = sl
+	sl.l.index = i
 }
 
-// down sifts the lease at slot i toward the leaves and reports whether
-// it moved.
+// down sifts the slot at i toward the leaves and reports whether it
+// moved.
 func (h leaseHeap) down(i int) bool {
-	l := h[i]
+	sl := h[i]
 	start, n := i, len(h)
 	for {
 		c := 2*i + 1
@@ -140,15 +157,15 @@ func (h leaseHeap) down(i int) bool {
 		if r := c + 1; r < n && h[r].expires < h[c].expires {
 			c = r
 		}
-		if h[c].expires >= l.expires {
+		if h[c].expires >= sl.expires {
 			break
 		}
 		h[i] = h[c]
-		h[i].index = i
+		h[i].l.index = i
 		i = c
 	}
-	h[i] = l
-	l.index = i
+	h[i] = sl
+	sl.l.index = i
 	return i > start
 }
 
@@ -157,8 +174,8 @@ type Store struct {
 	now       func() simclock.Time
 	rev       int64
 	data      map[string]Entry
-	leases    map[LeaseID]*lease
-	expiry    leaseHeap // the same leases, by deadline
+	leases    []*lease  // by id - 1; nil once expired
+	expiry    leaseHeap // the live leases, by deadline
 	nextLease LeaseID
 	watchers  []*watcher
 
@@ -187,9 +204,8 @@ func New(now func() simclock.Time) *Store {
 		now = func() simclock.Time { return 0 }
 	}
 	return &Store{
-		now:    now,
-		data:   make(map[string]Entry),
-		leases: make(map[LeaseID]*lease),
+		now:  now,
+		data: make(map[string]Entry),
 	}
 }
 
@@ -212,8 +228,8 @@ func (s *Store) SetAvailable(up bool) {
 	s.down = false
 	// Rounded addition is monotone, so shifting every deadline by the
 	// same pause keeps the expiry index in heap order.
-	for _, l := range s.expiry {
-		l.expires = l.expires.Add(pause)
+	for i := range s.expiry {
+		s.expiry[i].expires = s.expiry[i].expires.Add(pause)
 	}
 	s.expire()
 }
@@ -226,8 +242,12 @@ func (s *Store) Available() bool {
 // SetLeaseJitter makes Grant and KeepAlive extend each computed lease
 // expiry by a deterministic pseudo-random duration in [0, max). Zero max
 // disables jitter. The seed fixes the pseudo-random sequence so chaos
-// runs are reproducible.
+// runs are reproducible. A negative or non-finite max panics: a NaN
+// jitter would give every later lease a deadline no sweep ever reaches.
 func (s *Store) SetLeaseJitter(max simclock.Duration, seed int64) {
+	if !(max >= 0) || math.IsInf(float64(max), 1) {
+		panic(fmt.Sprintf("kvstore: lease jitter must be finite and non-negative, got %v", max))
+	}
 	s.jitterMax = max
 	s.jitterState = uint64(seed)
 }
@@ -263,7 +283,7 @@ func (s *Store) expire() {
 	// Deterministic order for event delivery: by id, whatever the deadlines.
 	sort.Slice(expired, func(i, j int) bool { return expired[i].id < expired[j].id })
 	for _, l := range expired {
-		delete(s.leases, l.id)
+		s.leases[l.id-1] = nil
 		keys := make([]string, 0, len(l.keys))
 		for k := range l.keys {
 			keys = append(keys, k)
@@ -330,13 +350,13 @@ func (s *Store) Put(key, value string, leaseID LeaseID) (int64, error) {
 func (s *Store) put(key, value string, leaseID LeaseID) (int64, error) {
 	var l *lease
 	if leaseID != 0 {
-		l = s.leases[leaseID]
+		l = s.live(leaseID)
 		if l == nil {
 			return 0, fmt.Errorf("kvstore: lease %d not found", leaseID)
 		}
 	}
 	if old, ok := s.data[key]; ok && old.Lease != 0 && old.Lease != leaseID {
-		if prev := s.leases[old.Lease]; prev != nil {
+		if prev := s.live(old.Lease); prev != nil {
 			delete(prev.keys, key)
 		}
 	}
@@ -373,7 +393,7 @@ func (s *Store) Delete(key string) bool {
 		return false
 	}
 	if e.Lease != 0 {
-		if l := s.leases[e.Lease]; l != nil {
+		if l := s.live(e.Lease); l != nil {
 			delete(l.keys, key)
 		}
 	}
@@ -422,28 +442,68 @@ func (s *Store) Grant(ttl simclock.Duration) (LeaseID, error) {
 	s.expire()
 	s.nextLease++
 	id := s.nextLease
-	l := &lease{id: id, ttl: ttl, expires: s.now().Add(ttl + s.nextJitter()), keys: make(map[string]bool)}
-	s.leases[id] = l
-	s.expiry.push(l)
+	l := &lease{id: id, ttl: ttl, keys: make(map[string]bool)}
+	s.leases = append(s.leases, l)
+	s.expiry.push(leaseSlot{expires: s.now().Add(ttl + s.nextJitter()), l: l})
 	return id, nil
+}
+
+// live returns the unexpired lease with the given id, or nil.
+func (s *Store) live(id LeaseID) *lease {
+	if id <= 0 || id > LeaseID(len(s.leases)) {
+		return nil
+	}
+	return s.leases[id-1]
 }
 
 // KeepAlive renews a lease's TTL — the heartbeat primitive. Renewing an
 // expired or unknown lease fails, exactly like etcd: the client must
 // re-grant and re-put its keys.
 func (s *Store) KeepAlive(id LeaseID) error {
+	_, err := s.KeepAliveAll([]LeaseID{id})
+	return err
+}
+
+// KeepAliveAll renews the given leases in order and stops at the first
+// it cannot renew, returning how many it renewed and, if it stopped
+// short, the error KeepAlive(ids[n]) returns. It is exactly that run of
+// KeepAlives: they share one instant, and once the first has expired
+// what was due nothing else falls due, so the batch checks the store,
+// expires and flushes once, draws the jitter in list order, and repairs
+// the expiry index once.
+func (s *Store) KeepAliveAll(ids []LeaseID) (int, error) {
+	if len(ids) == 0 {
+		return 0, nil
+	}
 	defer s.flush()
 	if s.down {
-		return ErrUnavailable
+		return 0, ErrUnavailable
 	}
 	s.expire()
-	l := s.leases[id]
-	if l == nil {
-		return fmt.Errorf("kvstore: lease %d not found (expired?)", id)
+	now := s.now()
+	// Repairing k renewed slots of n costs up to k·log₂n steps as sifts,
+	// one per renewal, and O(n) as one bottom-up heapify after the loop.
+	// A sift repairs one changed slot at a time, so the choice is made
+	// before the first renewal, from the k requested.
+	heapify := len(ids)*bits.Len(uint(len(s.expiry))) >= len(s.expiry)
+	n := 0
+	for ; n < len(ids); n++ {
+		l := s.live(ids[n])
+		if l == nil {
+			break
+		}
+		s.expiry[l.index].expires = now.Add(l.ttl + s.nextJitter())
+		if !heapify {
+			s.expiry.fix(l.index)
+		}
 	}
-	l.expires = s.now().Add(l.ttl + s.nextJitter())
-	s.expiry.fix(l.index)
-	return nil
+	if heapify && n > 0 {
+		s.expiry.heapify()
+	}
+	if n < len(ids) {
+		return n, fmt.Errorf("kvstore: lease %d not found (expired?)", ids[n])
+	}
+	return n, nil
 }
 
 // NextExpiry returns the earliest lease expiry time, or simclock.Forever
