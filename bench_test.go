@@ -196,7 +196,7 @@ func BenchmarkFig15bScaling(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := job.SimulateRunScaled(job.GeminiSpec(), 1000, fs, horizon, 0)
+		res, err := job.SimulateRun(job.GeminiSpec(), 1000, fs, horizon, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func BenchmarkCampaign1000(b *testing.B) {
 		if err != nil {
 			return nil, err
 		}
-		return job.SimulateRun(job.GeminiSpec(), fs, horizon, 0)
+		return job.SimulateRun(job.GeminiSpec(), spec.Machines, fs, horizon, 0)
 	}
 	cold := func(spec JobSpec, fs FailureSchedule) (*runsim.Result, error) {
 		art, err := derive.Build(spec.CacheKey())
@@ -387,11 +387,11 @@ func BenchmarkAblationStandbyMachines(b *testing.B) {
 	}
 	var standby, onDemand float64
 	for i := 0; i < b.N; i++ {
-		a, err := job.SimulateRun(job.GeminiSpec(), fs, horizon, 0)
+		a, err := job.SimulateRun(job.GeminiSpec(), 16, fs, horizon, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		c, err := job.SimulateRun(job.GeminiSpec(), fs, horizon, Duration(5.5*60))
+		c, err := job.SimulateRun(job.GeminiSpec(), 16, fs, horizon, Duration(5.5*60))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -115,6 +115,14 @@ if go run ./cmd/geminisim -days 1 -strategy no-such-strategy > /dev/null 2>&1; t
 	echo "geminisim accepted an unknown strategy name" >&2
 	exit 1
 fi
+# The long-run inputs are validated as a scenario before anything runs:
+# a negative horizon and one past the scenario horizon limit both fail.
+for days in -1 4000; do
+	if go run ./cmd/geminisim -days "$days" > /dev/null 2>&1; then
+		echo "geminisim accepted -days $days" >&2
+		exit 1
+	fi
+done
 
 # Scenario-engine gates: both checked-in scenarios must parse and
 # compile, the 1k smoke must reproduce its pinned aggregate hash for

@@ -13,33 +13,24 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
 
 	"gemini"
-	"gemini/internal/baselines"
-	"gemini/internal/failure"
-	"gemini/internal/runsim"
+	"gemini/internal/scenario"
 	"gemini/internal/simclock"
 	"gemini/internal/training"
 )
 
 func main() {
+	longRun := longRunFlags(flag.CommandLine)
 	var (
-		modelName   = flag.String("model", "GPT-2 100B", "Table 2 model name")
-		instance    = flag.String("instance", "p4d.24xlarge", "Table 1 instance type")
-		machines    = flag.Int("machines", 16, "number of training machines")
-		replicas    = flag.Int("replicas", 2, "checkpoint replicas m")
-		days        = flag.Float64("days", 10, "simulated horizon in days")
-		perDay      = flag.Float64("failures-per-day", 4, "cluster failure rate")
-		hwFraction  = flag.Float64("hardware", 0.5, "fraction of failures needing replacement")
-		seed        = flag.Int64("seed", 1, "failure-schedule seed (Poisson mode)")
-		poisson     = flag.Bool("poisson", false, "Poisson failure arrivals instead of fixed spacing")
-		replacement = flag.Duration("replacement", 0, "machine replacement delay (0 = standby machines)")
-		stratName   = flag.String("strategy", "gemini",
+		stratName = flag.String("strategy", "gemini",
 			"checkpoint strategy for the monitored control-plane run (one of: "+strings.Join(gemini.StrategyNames(), ", ")+")")
 		renderTL    = flag.Bool("render-timeline", false, "render the iteration timeline with the checkpoint plan")
 		traceOut    = flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) of a small traced run to this file")
@@ -48,8 +39,15 @@ func main() {
 	)
 	flag.Parse()
 
+	// The long-run inputs are checked before anything prints, against
+	// the scenario's field names and size limits.
+	sc := longRun()
+	if err := sc.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	job, err := gemini.NewJob(gemini.JobSpec{
-		Model: *modelName, Instance: *instance, Machines: *machines, Replicas: *replicas,
+		Model: sc.Job.Model, Instance: sc.Job.Instance, Machines: sc.Job.Machines, Replicas: sc.Job.Replicas,
 	}, gemini.WithStrategy(*stratName))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -57,13 +55,13 @@ func main() {
 	}
 
 	fmt.Printf("job: %s on %d× %s, m=%d replicas, %s checkpoint strategy\n",
-		*modelName, *machines, *instance, *replicas, *stratName)
+		sc.Job.Model, sc.Job.Machines, sc.Job.Instance, sc.Job.Replicas, *stratName)
 	fmt.Printf("  checkpoint: %.1f GB total, %.1f GB/machine shard\n",
 		job.Config.Model.CheckpointBytes()/1e9, job.Config.ShardBytesPerMachine()/1e9)
 	fmt.Printf("  iteration: %.1f s (%.1f s network idle)\n",
 		job.Timeline.Iteration.Seconds(), job.Timeline.IdleTime().Seconds())
 	fmt.Printf("  plan: %d chunks, fits in idle spans: %v\n", len(job.Plan.Chunks), job.Plan.Fits)
-	for k := 1; k <= 4 && k <= *machines; k++ {
+	for k := 1; k <= 4 && k <= sc.Job.Machines; k++ {
 		fmt.Printf("  P(recover from CPU memory | %d simultaneous failures) = %.3f\n",
 			k, job.RecoveryProbability(k))
 	}
@@ -92,38 +90,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-
-	horizon := simclock.Duration(*days) * simclock.Day
-	var fs failure.Schedule
-	if *poisson {
-		m := failure.Model{PerInstancePerDay: *perDay / float64(*machines), HardwareFraction: *hwFraction}
-		fs, err = m.Generate(*machines, horizon, *seed)
-	} else {
-		fs, err = failure.FixedRate(*machines, *perDay, *hwFraction, horizon)
-	}
-	if err != nil {
+	if err := writeLongRun(os.Stdout, sc); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-	fmt.Printf("\nfailure schedule: %d failures over %.0f days\n", len(fs), *days)
-
-	fmt.Printf("\n%-10s %-10s %-12s %-12s %-22s\n", "solution", "ratio", "mean wasted", "total wasted", "recoveries (l/p/r)")
-	for _, spec := range []baselines.Spec{job.GeminiSpec(), job.HighFreqSpec(), job.StrawmanSpec()} {
-		cfg := runsim.Config{
-			Spec: spec, Machines: *machines, Failures: fs, Horizon: horizon,
-			ReplacementDelay: simclock.Duration(replacement.Seconds()),
-		}
-		if spec.UsesCPUMemory {
-			cfg.Placement = job.Placement
-		}
-		res, err := runsim.Run(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("%-10s %-10.3f %-12s %-12s %d/%d/%d\n",
-			spec.Name, res.EffectiveRatio, res.MeanWasted, res.TotalWasted,
-			res.FromLocal, res.FromPeer, res.FromRemote)
 	}
 
 	if *traceOut != "" {
@@ -135,12 +104,68 @@ func main() {
 		}
 	}
 
-	// Every NewJob above (the sized job, the executor runs, the monitored
-	// and traced control-plane runs) resolved through the shared
-	// derivation cache; one spec means one miss and the rest hits.
+	// Every job above (the sized job, the executor runs, the monitored
+	// and traced control-plane runs, the long-run scenario's compile)
+	// resolved through the shared derivation cache; one spec means one
+	// miss and the rest hits.
 	cs := gemini.DerivationCacheStats()
 	fmt.Printf("\nderivation cache: %d hits, %d misses, %d evictions, %d entries (hit rate %.2f)\n",
 		cs.Hits, cs.Misses, cs.Evictions, cs.Entries, cs.HitRate())
+}
+
+// longRunFlags registers the job and long-run flags on fs. After
+// parsing, the returned function builds the one-variation scenario
+// behind the long-run table: the flags' job, horizon and failure model,
+// with all three solutions.
+func longRunFlags(fs *flag.FlagSet) func() *scenario.Scenario {
+	s := &scenario.Scenario{Name: "geminisim", Variations: 1}
+	s.Run.Specs = []string{"gemini", "highfreq", "strawman"}
+	fs.StringVar(&s.Job.Model, "model", "GPT-2 100B", "Table 2 model name")
+	fs.StringVar(&s.Job.Instance, "instance", "p4d.24xlarge", "Table 1 instance type")
+	fs.IntVar(&s.Job.Machines, "machines", 16, "number of training machines")
+	fs.IntVar(&s.Job.Replicas, "replicas", 2, "checkpoint replicas m")
+	days := fs.Float64("days", 10, "simulated horizon in days")
+	perDay := fs.Float64("failures-per-day", 4, "cluster failure rate")
+	fs.Float64Var(&s.Failures.HardwareFraction, "hardware", 0.5, "fraction of failures needing replacement")
+	fs.Int64Var(&s.Seed, "seed", 1, "failure-schedule seed (Poisson mode)")
+	poisson := fs.Bool("poisson", false, "Poisson failure arrivals instead of fixed spacing")
+	replacement := fs.Duration("replacement", 0, "machine replacement delay (0 = standby machines)")
+	return func() *scenario.Scenario {
+		s.Horizon = simclock.Duration(*days) * simclock.Day
+		s.Run.ReplacementDelay = simclock.Duration(replacement.Seconds())
+		s.Failures.Kind, s.Failures.PerDay = "fixed", *perDay
+		if *poisson {
+			s.Failures.Kind, s.Failures.PerDay = "poisson", 0
+			s.Failures.PerInstancePerDay = *perDay / float64(s.Job.Machines)
+		}
+		return s
+	}
+}
+
+// writeLongRun runs a validated one-variation scenario as a campaign
+// and writes the long-run table: each solution's ratio, mean and total
+// wasted time, and recoveries by source.
+func writeLongRun(w io.Writer, s *scenario.Scenario) error {
+	c, err := s.Compile()
+	if err != nil {
+		return err
+	}
+	rep, err := scenario.RunCampaign(context.Background(), c, scenario.CampaignOptions{Workers: 1, RecordRuns: true})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "\nfailure schedule: %d failures over %.0f days\n", rep.Runs[0].Failures, rep.HorizonDays)
+	fmt.Fprintf(w, "\n%-10s %-10s %-12s %-12s %-22s\n", "solution", "ratio", "mean wasted", "total wasted", "recoveries (l/p/r)")
+	for _, r := range rep.Runs {
+		wasted := simclock.Duration(r.WastedSeconds)
+		var mean simclock.Duration
+		if n := r.FromLocal + r.FromPeer + r.FromRemote; n > 0 {
+			mean = wasted / simclock.Duration(n)
+		}
+		fmt.Fprintf(w, "%-10s %-10.3f %-12s %-12s %d/%d/%d\n",
+			r.Spec, r.EffectiveRatio, mean, wasted, r.FromLocal, r.FromPeer, r.FromRemote)
+	}
+	return nil
 }
 
 // runHealth runs a small deterministic monitored control-plane

@@ -35,7 +35,7 @@ func main() {
 		}
 		fmt.Printf("%-14.0f", perDay)
 		for _, spec := range specs {
-			res, err := job.SimulateRun(spec, fs, horizon, 0)
+			res, err := job.SimulateRun(spec, 16, fs, horizon, 0)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -55,7 +55,7 @@ func main() {
 		}
 		fmt.Printf("%-11d %-13.1f", n, perDay)
 		for _, spec := range specs {
-			res, err := job.SimulateRunScaled(spec, n, fs, horizon, 0)
+			res, err := job.SimulateRun(spec, n, fs, horizon, 0)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -69,11 +69,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	withStandby, err := job.SimulateRun(job.GeminiSpec(), fs, horizon, 0)
+	withStandby, err := job.SimulateRun(job.GeminiSpec(), 16, fs, horizon, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	onDemand, err := job.SimulateRun(job.GeminiSpec(), fs, horizon, gemini.Duration(5.5*60))
+	onDemand, err := job.SimulateRun(job.GeminiSpec(), 16, fs, horizon, gemini.Duration(5.5*60))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -210,37 +210,44 @@ func (j *Job) execOptions(s schedule.Scheme) (training.ExecOptions, error) {
 	return opts, nil
 }
 
-// SimulateRun plays a failure schedule against a solution spec and
-// returns the effective-training-time accounting of §7.3.
-func (j *Job) SimulateRun(spec baselines.Spec, fs failure.Schedule, horizon simclock.Duration,
-	replacementDelay simclock.Duration) (*runsim.Result, error) {
-	return runsim.Run(runsim.Config{
-		Spec:             spec,
-		Placement:        j.Placement,
-		Machines:         j.Spec.Machines,
-		Failures:         fs,
-		Horizon:          horizon,
-		ReplacementDelay: replacementDelay,
-	})
+// RunConfig is the one way a (job, spec, failure schedule) becomes a
+// long-run simulation. Only CPU-memory specs get a placement: the job's
+// own at the job's size, or one rebuilt over the given size otherwise —
+// the Fig. 15b methodology, where the testbed's measured overheads are
+// kept while the failure frequency scales with N. A zero window groups
+// failures by the recovery downtime.
+func (j *Job) RunConfig(spec baselines.Spec, machines int, fs failure.Schedule,
+	horizon, replacementDelay, window simclock.Duration) (runsim.Config, error) {
+	cfg := runsim.Config{
+		Spec:               spec,
+		Machines:           machines,
+		Failures:           fs,
+		Horizon:            horizon,
+		ReplacementDelay:   replacementDelay,
+		SimultaneityWindow: window,
+	}
+	switch {
+	case !spec.UsesCPUMemory:
+	case machines == j.Spec.Machines:
+		cfg.Placement = j.Placement
+	default:
+		var err error
+		cfg.Placement, err = placement.Mixed(machines, j.Spec.Replicas)
+		return cfg, err
+	}
+	return cfg, nil
 }
 
-// SimulateRunScaled is SimulateRun with the placement rebuilt over a
-// different cluster size — the Fig. 15b methodology, where the testbed's
-// measured overheads are kept while the failure frequency scales with N.
-func (j *Job) SimulateRunScaled(spec baselines.Spec, machines int, fs failure.Schedule,
-	horizon simclock.Duration, replacementDelay simclock.Duration) (*runsim.Result, error) {
-	plc, err := placement.Mixed(machines, j.Spec.Replicas)
+// SimulateRun plays a failure schedule over a cluster of the given size
+// against a solution spec and returns the effective-training-time
+// accounting of §7.3.
+func (j *Job) SimulateRun(spec baselines.Spec, machines int, fs failure.Schedule,
+	horizon, replacementDelay simclock.Duration) (*runsim.Result, error) {
+	cfg, err := j.RunConfig(spec, machines, fs, horizon, replacementDelay, 0)
 	if err != nil {
 		return nil, err
 	}
-	return runsim.Run(runsim.Config{
-		Spec:             spec,
-		Placement:        plc,
-		Machines:         machines,
-		Failures:         fs,
-		Horizon:          horizon,
-		ReplacementDelay: replacementDelay,
-	})
+	return runsim.Run(cfg)
 }
 
 // RecoverySystem assembles the live agent-based control plane for the

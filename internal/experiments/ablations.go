@@ -134,7 +134,7 @@ func AblationStandby() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		res, err := job.SimulateRun(job.GeminiSpec(), fs, horizon, row.delay)
+		res, err := job.SimulateRun(job.GeminiSpec(), testbedMachines, fs, horizon, row.delay)
 		if err != nil {
 			return "", err
 		}

@@ -8,8 +8,6 @@ import (
 	"gemini/internal/cloud"
 	"gemini/internal/cluster"
 	"gemini/internal/failure"
-	"gemini/internal/placement"
-	"gemini/internal/runsim"
 	"gemini/internal/simclock"
 )
 
@@ -47,67 +45,50 @@ func Fig14() (string, error) {
 	return b.String(), nil
 }
 
-// fig15Specs builds the three solutions for the §7.3 simulations using
-// the 16-machine testbed overheads, per the paper's methodology.
-func fig15Specs() (straw, high, gem baselines.Spec, err error) {
+// simulateRatios returns the effective ratios of Strawman, HighFreq and
+// GEMINI on n machines, each averaged over several Poisson failure
+// schedules (fixed seeds, so output stays deterministic) to avoid phase
+// aliasing between failure spacing and checkpoint intervals. The specs
+// keep the 16-machine testbed overheads at every n, per the paper's
+// methodology.
+func simulateRatios(n int, failuresPerDay float64, horizon simclock.Duration) ([3]float64, error) {
+	const seeds = 5
+	var sums [3]float64
 	job, err := jobFor("GPT-2 100B", "p4d.24xlarge")
 	if err != nil {
-		return
+		return sums, err
 	}
-	return job.StrawmanSpec(), job.HighFreqSpec(), job.GeminiSpec(), nil
-}
-
-// simulateRatio averages the effective ratio over several Poisson
-// failure schedules (fixed seeds, so output stays deterministic) to avoid
-// phase aliasing between failure spacing and checkpoint intervals.
-func simulateRatio(spec baselines.Spec, n int, failuresPerDay float64, horizon simclock.Duration) (float64, error) {
-	const seeds = 5
-	var plc *placement.Placement
-	if spec.UsesCPUMemory {
-		var err error
-		if plc, err = placement.Mixed(n, 2); err != nil {
-			return 0, err
-		}
-	}
+	specs := [3]baselines.Spec{job.StrawmanSpec(), job.HighFreqSpec(), job.GeminiSpec()}
 	m := failure.Model{PerInstancePerDay: failuresPerDay / float64(n)}
-	var sum float64
 	for seed := int64(1); seed <= seeds; seed++ {
 		fs, err := m.Generate(n, horizon, seed)
 		if err != nil {
-			return 0, err
+			return sums, err
 		}
-		res, err := runsim.Run(runsim.Config{Spec: spec, Placement: plc, Machines: n, Failures: fs, Horizon: horizon})
-		if err != nil {
-			return 0, err
+		for i, spec := range specs {
+			res, err := job.SimulateRun(spec, n, fs, horizon, 0)
+			if err != nil {
+				return sums, err
+			}
+			sums[i] += res.EffectiveRatio
 		}
-		sum += res.EffectiveRatio
 	}
-	return sum / seeds, nil
+	for i := range sums {
+		sums[i] /= seeds
+	}
+	return sums, nil
 }
 
 // Fig15a sweeps the failure rate (software failures, standby machines
 // assumed for hardware per §7.3) at 16 instances.
 func Fig15a() (string, error) {
-	straw, high, gem, err := fig15Specs()
-	if err != nil {
-		return "", err
-	}
-	horizon := 10 * simclock.Day
 	t := newTable("Failures/day", "Strawman", "HighFreq", "GEMINI")
 	for _, perDay := range []float64{0, 2, 4, 6, 8} {
-		s, err := simulateRatio(straw, testbedMachines, perDay, horizon)
+		r, err := simulateRatios(testbedMachines, perDay, 10*simclock.Day)
 		if err != nil {
 			return "", err
 		}
-		h, err := simulateRatio(high, testbedMachines, perDay, horizon)
-		if err != nil {
-			return "", err
-		}
-		g, err := simulateRatio(gem, testbedMachines, perDay, horizon)
-		if err != nil {
-			return "", err
-		}
-		t.addf("%.0f|%.3f|%.3f|%.3f", perDay, s, h, g)
+		t.addf("%.0f|%.3f|%.3f|%.3f", perDay, r[0], r[1], r[2])
 	}
 	return t.String(), nil
 }
@@ -115,28 +96,15 @@ func Fig15a() (string, error) {
 // Fig15b sweeps the cluster size with the OPT-175B failure rate (1.5% of
 // instances per day).
 func Fig15b() (string, error) {
-	straw, high, gem, err := fig15Specs()
-	if err != nil {
-		return "", err
-	}
-	horizon := 10 * simclock.Day
 	rate := failure.OPTModel()
 	t := newTable("Instances", "Failures/day", "Strawman", "HighFreq", "GEMINI")
 	for _, n := range []int{16, 100, 200, 400, 600, 800, 1000} {
 		perDay := rate.ClusterFailuresPerDay(n)
-		s, err := simulateRatio(straw, n, perDay, horizon)
+		r, err := simulateRatios(n, perDay, 10*simclock.Day)
 		if err != nil {
 			return "", err
 		}
-		h, err := simulateRatio(high, n, perDay, horizon)
-		if err != nil {
-			return "", err
-		}
-		g, err := simulateRatio(gem, n, perDay, horizon)
-		if err != nil {
-			return "", err
-		}
-		t.addf("%d|%.1f|%.3f|%.3f|%.3f", n, perDay, s, h, g)
+		t.addf("%d|%.1f|%.3f|%.3f|%.3f", n, perDay, r[0], r[1], r[2])
 	}
 	return t.String(), nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"gemini/internal/baselines"
@@ -377,8 +378,21 @@ func TestWastedBreakdownSumsToTotal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkEq1(t, fmt.Sprintf("schedule %d (%+v, %d events) %s", k, m, len(fs), spec.Name), res)
+			what := fmt.Sprintf("schedule %d (%+v, %d events) %s", k, m, len(fs), spec.Name)
+			checkEq1(t, what, res)
 			failed += res.Failures
+			// A remote-storage run reads the placement only for its
+			// size check, so attaching one changes nothing.
+			if !spec.UsesCPUMemory {
+				cfg.Placement = pl
+				with, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(with, res) {
+					t.Fatalf("%s: attaching a placement moved the result:\nwithout %+v\nwith    %+v", what, res, with)
+				}
+			}
 		}
 	}
 	t.Logf("%d failures across the random runs", failed)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"sync"
 
+	"gemini/internal/baselines"
 	"gemini/internal/failure"
 	"gemini/internal/metrics"
 	"gemini/internal/obs"
@@ -262,6 +263,14 @@ func (r *rollup) drain() {
 	r.mu.Unlock()
 }
 
+// runConfig is the run of one spec against one variation's failure
+// schedule, shared by the campaign and Replay so a replay cannot drift
+// from the run it reproduces.
+func (c *Compiled) runConfig(spec baselines.Spec, fs failure.Schedule) (runsim.Config, error) {
+	s := c.Scenario
+	return c.Job.RunConfig(spec, s.Job.Machines, fs, s.Horizon, s.Run.ReplacementDelay, s.Run.SimultaneityWindow)
+}
+
 // RunCampaign expands the compiled scenario into its seeded variations,
 // fans them across workers, and aggregates. Variation v uses failure
 // seed Seed+v; results are collected into slot v and reduced in
@@ -319,16 +328,9 @@ func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Repor
 		}
 		fails := 0
 		for si, spec := range c.Specs {
-			cfg := runsim.Config{
-				Spec:               spec,
-				Machines:           s.Job.Machines,
-				Failures:           fs,
-				Horizon:            s.Horizon,
-				ReplacementDelay:   s.Run.ReplacementDelay,
-				SimultaneityWindow: s.Run.SimultaneityWindow,
-			}
-			if spec.UsesCPUMemory {
-				cfg.Placement = c.Job.Placement
+			cfg, err := c.runConfig(spec, fs)
+			if err != nil {
+				return fmt.Errorf("scenario: variation %d spec %s: %w", v, spec.Name, err)
 			}
 			var reg *metrics.Registry
 			if collectRegs {

@@ -152,7 +152,6 @@ type FlightRun struct {
 // warning, because it falsifies the determinism contract every report
 // hash in this repo rests on.
 func (c *Compiled) Replay(rec RunRecord) (*FlightRun, error) {
-	s := c.Scenario
 	var spec int = -1
 	for si := range c.Specs {
 		if c.Specs[si].Name == rec.Spec {
@@ -175,22 +174,15 @@ func (c *Compiled) Replay(rec RunRecord) (*FlightRun, error) {
 		Wasted:   metrics.NewSeries("wasted_seconds", capacity),
 		Ratio:    metrics.NewSeries("effective_ratio", capacity),
 	}
-	cfg := runsim.Config{
-		Spec:               c.Specs[spec],
-		Machines:           s.Job.Machines,
-		Failures:           fs,
-		Horizon:            s.Horizon,
-		ReplacementDelay:   s.Run.ReplacementDelay,
-		SimultaneityWindow: s.Run.SimultaneityWindow,
-		Obs: runsim.Observer{
-			Tracer:  fr.Tracer,
-			Metrics: fr.Registry,
-			Wasted:  fr.Wasted,
-			Ratio:   fr.Ratio,
-		},
+	cfg, err := c.runConfig(c.Specs[spec], fs)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: flight replay: %w", err)
 	}
-	if cfg.Spec.UsesCPUMemory {
-		cfg.Placement = c.Job.Placement
+	cfg.Obs = runsim.Observer{
+		Tracer:  fr.Tracer,
+		Metrics: fr.Registry,
+		Wasted:  fr.Wasted,
+		Ratio:   fr.Ratio,
 	}
 	res, err := runsim.Run(cfg)
 	if err != nil {
