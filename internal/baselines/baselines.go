@@ -69,19 +69,37 @@ type Spec struct {
 	RemoteInterval simclock.Duration
 }
 
-// Validate checks internal consistency.
+// Validate checks internal consistency: every duration is finite, the
+// two intervals are positive, and every cost and retrieval time is
+// nonnegative. An error names the offending field.
 func (s Spec) Validate() error {
-	switch {
-	case s.Name == "":
+	if s.Name == "" {
 		return fmt.Errorf("baselines: spec needs a name")
-	case s.Interval <= 0:
-		return fmt.Errorf("baselines: %s interval %v must be positive", s.Name, s.Interval)
-	case s.CheckpointTime < 0 || s.CompletionLag < 0 || s.PerCheckpointStall < 0 || s.SerializeOnRecovery < 0:
-		return fmt.Errorf("baselines: %s has negative cost", s.Name)
-	case s.RetrievalLocal < 0 || s.RetrievalPeer < 0 || s.RetrievalRemote < 0:
-		return fmt.Errorf("baselines: %s has negative retrieval time", s.Name)
-	case s.RemoteInterval <= 0:
-		return fmt.Errorf("baselines: %s remote interval %v must be positive", s.Name, s.RemoteInterval)
+	}
+	durations := [...]struct {
+		field    string
+		v        simclock.Duration
+		positive bool
+	}{
+		{"interval", s.Interval, true},
+		{"checkpoint time", s.CheckpointTime, false},
+		{"completion lag", s.CompletionLag, false},
+		{"per-checkpoint stall", s.PerCheckpointStall, false},
+		{"serialize-on-recovery stall", s.SerializeOnRecovery, false},
+		{"local retrieval time", s.RetrievalLocal, false},
+		{"peer retrieval time", s.RetrievalPeer, false},
+		{"remote retrieval time", s.RetrievalRemote, false},
+		{"remote interval", s.RemoteInterval, true},
+	}
+	for _, d := range durations {
+		// The lower bounds are comparisons that NaN fails.
+		bound, ok := "nonnegative", d.v >= 0
+		if d.positive {
+			bound, ok = "positive", d.v > 0
+		}
+		if !ok || d.v > math.MaxFloat64 {
+			return fmt.Errorf("baselines: %s %s is %v, want finite and %s", s.Name, d.field, d.v, bound)
+		}
 	}
 	return nil
 }

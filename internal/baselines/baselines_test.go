@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"gemini/internal/cluster"
@@ -187,6 +188,54 @@ func TestSpecValidation(t *testing.T) {
 	bad = Spec{Name: "x", Interval: -1, RemoteInterval: 1}
 	if err := bad.Validate(); err == nil {
 		t.Error("negative interval accepted")
+	}
+}
+
+// Every duration field must be finite and in range, and a bad one is
+// rejected by name: NaN fails no plain comparison, so it once passed
+// Validate and ran as NaN ratios and wasted times.
+func TestSpecValidateRejectsBadDurations(t *testing.T) {
+	_, _, gem := allSpecs(t)
+	if err := gem.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := simclock.Duration(math.NaN()), simclock.Duration(math.Inf(1))
+	fields := []struct {
+		name     string
+		field    func(*Spec) *simclock.Duration
+		positive bool
+	}{
+		{"interval", func(s *Spec) *simclock.Duration { return &s.Interval }, true},
+		{"checkpoint time", func(s *Spec) *simclock.Duration { return &s.CheckpointTime }, false},
+		{"completion lag", func(s *Spec) *simclock.Duration { return &s.CompletionLag }, false},
+		{"per-checkpoint stall", func(s *Spec) *simclock.Duration { return &s.PerCheckpointStall }, false},
+		{"serialize-on-recovery stall", func(s *Spec) *simclock.Duration { return &s.SerializeOnRecovery }, false},
+		{"local retrieval time", func(s *Spec) *simclock.Duration { return &s.RetrievalLocal }, false},
+		{"peer retrieval time", func(s *Spec) *simclock.Duration { return &s.RetrievalPeer }, false},
+		{"remote retrieval time", func(s *Spec) *simclock.Duration { return &s.RetrievalRemote }, false},
+		{"remote interval", func(s *Spec) *simclock.Duration { return &s.RemoteInterval }, true},
+	}
+	for _, f := range fields {
+		bad := []simclock.Duration{nan, inf, -inf, -1}
+		if f.positive {
+			bad = append(bad, 0)
+		} else {
+			zero := gem
+			*f.field(&zero) = 0
+			if err := zero.Validate(); err != nil {
+				t.Errorf("%s = 0 rejected: %v", f.name, err)
+			}
+		}
+		for _, v := range bad {
+			s := gem
+			*f.field(&s) = v
+			err := s.Validate()
+			if err == nil {
+				t.Errorf("%s = %v accepted", f.name, v)
+			} else if !strings.Contains(err.Error(), gem.Name+" "+f.name+" is ") {
+				t.Errorf("%s = %v: error %q does not name the field", f.name, v, err)
+			}
+		}
 	}
 }
 

@@ -28,12 +28,17 @@ type Event struct {
 // Schedule is a time-ordered list of failure events.
 type Schedule []Event
 
-// Validate checks ordering and event sanity. Same-timestamp events must
-// be in ascending rank order and a rank may fail at most once per
+// Validate checks ordering and event sanity. Every event time must be
+// finite and nonnegative. Same-timestamp events must be in ascending
+// rank order and a rank may fail at most once per
 // instant, so injection order — and therefore the simulation — is fully
 // determined by the schedule's contents.
 func (s Schedule) Validate(n int) error {
 	for i, ev := range s {
+		// A negated comparison, so NaN is rejected too.
+		if !(ev.At >= 0 && ev.At <= math.MaxFloat64) {
+			return fmt.Errorf("failure: event %d time %v must be finite and nonnegative", i, ev.At)
+		}
 		if ev.Rank < 0 || ev.Rank >= n {
 			return fmt.Errorf("failure: event %d rank %d out of range [0,%d)", i, ev.Rank, n)
 		}

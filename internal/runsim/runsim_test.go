@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gemini/internal/baselines"
@@ -283,11 +284,27 @@ func TestRunValidation(t *testing.T) {
 		{"NaN horizon", func(c *Config) { c.Horizon = nan }},
 		{"NaN replacement delay", func(c *Config) { c.ReplacementDelay = nan }},
 		{"NaN simultaneity window", func(c *Config) { c.SimultaneityWindow = nan }},
+		{"NaN spec interval", func(c *Config) { c.Spec.Interval = nan }},
+		{"NaN remote retrieval", func(c *Config) { c.Spec.RetrievalRemote = nan }},
 	} {
 		bad := Config{Spec: gem, Placement: placement.MustMixed(16, 2), Horizon: simclock.Day}
 		c.edit(&bad)
 		if _, err := Run(bad); err == nil {
 			t.Errorf("%s accepted", c.name)
+		}
+	}
+	// A failure time that is NaN, infinite or negative is rejected by
+	// its event index; NaN once ran as a NaN ratio and a negative time
+	// as a recovery before the run began.
+	for _, at := range []simclock.Time{simclock.Time(nan), simclock.Time(math.Inf(1)),
+		simclock.Time(math.Inf(-1)), -50 * simclock.Time(simclock.Second)} {
+		bad := Config{Spec: gem, Placement: placement.MustMixed(16, 2), Horizon: simclock.Day,
+			Failures: failure.Schedule{
+				{At: 10, Rank: 1, Kind: cluster.SoftwareFailed},
+				{At: at, Rank: 2, Kind: cluster.HardwareFailed},
+			}}
+		if _, err := Run(bad); err == nil || !strings.Contains(err.Error(), "event 1 time") {
+			t.Errorf("failure at %v: got error %v, want one naming event 1's time", at, err)
 		}
 	}
 	outOfRange := Config{

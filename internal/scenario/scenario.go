@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -451,11 +452,14 @@ func hasWeight(ws []Weight, name string) bool {
 }
 
 func (r RunConfig) validate() error {
-	for _, name := range r.Specs {
+	for i, name := range r.Specs {
 		switch name {
 		case "gemini", "highfreq", "strawman":
 		default:
 			return fmt.Errorf("scenario: run.specs entry %q unknown (gemini, highfreq, strawman)", name)
+		}
+		if slices.Contains(r.Specs[:i], name) {
+			return fmt.Errorf("scenario: run.specs lists %q twice", name)
 		}
 	}
 	if !(r.ReplacementDelay >= 0) {

@@ -133,6 +133,7 @@ func TestParseRejections(t *testing.T) {
 		{"bad instance", strings.Replace(smallYAML, "p4d.24xlarge", "x1.enormous", 1), "job.instance"},
 		{"zero machines", strings.Replace(smallYAML, "machines: 16", "machines: 0", 1), "machines"},
 		{"bad spec name", strings.Replace(smallYAML, "strawman", "vaporware", 1), "vaporware"},
+		{"duplicate spec", strings.Replace(smallYAML, "strawman]", "strawman, gemini]", 1), `run.specs lists "gemini" twice`},
 		{"bad kind", strings.Replace(smallYAML, "kind: poisson", "kind: weibull", 1), "failures.kind"},
 		{"rate for wrong kind", strings.Replace(smallYAML, "per_instance_per_day: 0.25", "per_day: 4", 1), "per_day"},
 		{"negative horizon", strings.Replace(smallYAML, "horizon: 2d", "horizon: -1d", 1), "horizon"},
