@@ -158,13 +158,21 @@ for k in 0 1; do
 done
 rm -rf "$OBS_DIR"
 
-# Facade gates: the examples are the documented surface of the options
-# API (WithStrategy/WithTracer/WithMetrics) and must keep running. The
-# integrity example moves real shard bytes through the checkpoint codec
-# and exits non-zero on any failed byte verification.
+# Facade gates: the examples are the documented surface of the public
+# gemini package — jobs configured through JobSpec fields (Replicas,
+# Faults, Strategy, Tracer, Metrics) — and must keep running. Each
+# asserts its own outcome and exits non-zero when a check fails: the
+# integrity example on any failed byte verification, the chaos example
+# when a recovery goes missing. The observability and campaignobs
+# examples write trace and timeline files into their working
+# directory, so they run in a temporary one.
 go run ./examples/quickstart > /dev/null
 go run ./examples/integrity > /dev/null
+for ex in chaos failover interleaving scaling; do
+	go run "./examples/$ex" > /dev/null
+done
 EX_DIR="$(mktemp -d -t geminiex.XXXXXX)"
 go build -o "$EX_DIR/observability" ./examples/observability
-(cd "$EX_DIR" && ./observability > /dev/null)
+go build -o "$EX_DIR/campaignobs" ./examples/campaignobs
+(cd "$EX_DIR" && ./observability > /dev/null && ./campaignobs > /dev/null)
 rm -rf "$EX_DIR"

@@ -48,7 +48,8 @@ func main() {
 	}
 	job, err := gemini.NewJob(gemini.JobSpec{
 		Model: sc.Job.Model, Instance: sc.Job.Instance, Machines: sc.Job.Machines, Replicas: sc.Job.Replicas,
-	}, gemini.WithStrategy(*stratName))
+		Strategy: *stratName,
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -74,7 +75,9 @@ func main() {
 	// monitored control-plane run below fills health.*. The key is warm,
 	// so the executor's job shares the sized job's derivation.
 	reg := gemini.NewMetricsRegistry()
-	execJob, err := gemini.NewJob(job.Spec, gemini.WithMetrics(reg))
+	execSpec := job.Spec
+	execSpec.Metrics = reg
+	execJob, err := gemini.NewJob(execSpec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -182,7 +185,9 @@ func runHealth(job *gemini.Job, reg *gemini.MetricsRegistry, promPath, csvPath s
 	if err != nil {
 		return err
 	}
-	monitored, err := gemini.NewJob(job.Spec, gemini.WithFaults(sched))
+	spec := job.Spec
+	spec.Faults, spec.Metrics = sched, reg
+	monitored, err := gemini.NewJob(spec)
 	if err != nil {
 		return err
 	}
@@ -190,7 +195,6 @@ func runHealth(job *gemini.Job, reg *gemini.MetricsRegistry, promPath, csvPath s
 	if err != nil {
 		return err
 	}
-	sys.SetMetrics(reg)
 	sys.SetRemoteEvery(10)
 	rec := gemini.NewMetricsRecorder(reg, 4096)
 	rec.Watch("health.iteration", "health.replica_coverage", "health.min_replicas",
@@ -243,7 +247,9 @@ func runHealth(job *gemini.Job, reg *gemini.MetricsRegistry, promPath, csvPath s
 // recovery phases).
 func writeTrace(job *gemini.Job, path string) error {
 	execTr := gemini.NewTracer()
-	execJob, err := gemini.NewJob(job.Spec, gemini.WithTracer(execTr))
+	execSpec := job.Spec
+	execSpec.Tracer = execTr
+	execJob, err := gemini.NewJob(execSpec)
 	if err != nil {
 		return err
 	}
@@ -260,7 +266,10 @@ func writeTrace(job *gemini.Job, path string) error {
 	if err != nil {
 		return err
 	}
-	traced, err := gemini.NewJob(job.Spec, gemini.WithFaults(sched))
+	ctl := gemini.NewTracer()
+	spec := job.Spec
+	spec.Faults, spec.Tracer = sched, ctl
+	traced, err := gemini.NewJob(spec)
 	if err != nil {
 		return err
 	}
@@ -268,8 +277,6 @@ func writeTrace(job *gemini.Job, path string) error {
 	if err != nil {
 		return err
 	}
-	ctl := gemini.NewTracer()
-	sys.SetTracer(ctl)
 	sys.SetRemoteEvery(10)
 	sys.Start()
 	engine.Run(gemini.Time(25 * iter))

@@ -51,7 +51,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	job, err := gemini.NewJob(spec, gemini.WithFaults(sched))
+	spec.Faults = sched
+	job, err := gemini.NewJob(spec)
 	if err != nil {
 		log.Fatal(err)
 	}

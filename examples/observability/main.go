@@ -40,7 +40,9 @@ func main() {
 	// Run 1: the executor with a tracer attached. Same simulation as an
 	// untraced ExecuteScheme — the tracer only watches.
 	execTr := gemini.NewTracer()
-	job, err := gemini.NewJob(spec, gemini.WithTracer(execTr))
+	execSpec := spec
+	execSpec.Tracer = execTr
+	job, err := gemini.NewJob(execSpec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,8 +67,9 @@ func main() {
 	// at job construction; RecoverySystem wires them into the run.
 	ctl := gemini.NewTracer()
 	reg := gemini.NewMetricsRegistry()
-	faulty, err := gemini.NewJob(spec,
-		gemini.WithFaults(sched), gemini.WithTracer(ctl), gemini.WithMetrics(reg))
+	faultySpec := spec
+	faultySpec.Faults, faultySpec.Tracer, faultySpec.Metrics = sched, ctl, reg
+	faulty, err := gemini.NewJob(faultySpec)
 	if err != nil {
 		log.Fatal(err)
 	}

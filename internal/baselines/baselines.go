@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 
+	"gemini/internal/schedule"
 	"gemini/internal/simclock"
 	"gemini/internal/tensor"
 	"gemini/internal/training"
@@ -182,7 +183,7 @@ func Gemini(cfg training.Config, tl *training.Timeline, replicas int, remoteBW f
 	s := Spec{
 		Name:           "GEMINI",
 		Interval:       tl.Iteration, // every iteration
-		CheckpointTime: training.StandaloneCheckpointTime(cfg, replicas, 8*128e6, 4),
+		CheckpointTime: training.StandaloneCheckpointTime(cfg, replicas, schedule.DefaultBufferBytes, schedule.DefaultBufferParts),
 		CompletionLag:  tl.Iteration, // interleaved across the next iteration
 		// Serialization of the two resident checkpoint generations with
 		// torch.save when a failure occurs (§7.3 measures 162 s).

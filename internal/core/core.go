@@ -272,7 +272,7 @@ func (j *Job) RecoverySystem(cloudCfg cloud.Config) (*simclock.Engine, *agent.Sy
 	opts := agent.DefaultOptions(j.Timeline.Iteration)
 	opts.RetrievalPeerBandwidth = j.Config.Instance.NetworkBytesPerSec
 	opts.RetrievalRemoteBandwidth = j.Spec.RemoteBandwidth
-	opts.SerializeTime = j.Costs.SerializeTime(2 * j.Config.ShardBytesPerMachine())
+	opts.SerializeTime = j.specGemini.SerializeOnRecovery
 	sys, err := agent.NewSystem(engine, clus, ck, op, opts)
 	if err != nil {
 		return nil, nil, err

@@ -92,7 +92,7 @@ func Build(k Key) (*Artifacts, error) {
 	if err != nil {
 		return nil, err
 	}
-	prof, err := tl.Profile(20)
+	prof, err := tl.Profile(schedule.DefaultProfileWindow)
 	if err != nil {
 		return nil, err
 	}
@@ -100,11 +100,11 @@ func Build(k Key) (*Artifacts, error) {
 		Spans:                prof.Spans,
 		CheckpointBytes:      cfg.ShardBytesPerMachine(),
 		Replicas:             k.Replicas,
-		BufferBytes:          8 * 128e6,
-		BufferParts:          4,
+		BufferBytes:          schedule.DefaultBufferBytes,
+		BufferParts:          schedule.DefaultBufferParts,
 		BandwidthBytesPerSec: it.NetworkBytesPerSec,
 		Alpha:                cfg.Calib.CollectiveAlpha,
-		Gamma:                0.9,
+		Gamma:                schedule.DefaultGamma,
 	})
 	if err != nil {
 		return nil, err

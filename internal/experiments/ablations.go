@@ -77,12 +77,12 @@ func AblationPipeline() (string, error) {
 	}
 	t := newTable("p", "Iteration time", "Overhead", "Chunk size")
 	for _, p := range []int{1, 2, 4, 8, 16} {
-		res, err := job.ExecuteSchemeWithBuffers(schedule.SchemeGemini, 8*128e6, p)
+		res, err := job.ExecuteSchemeWithBuffers(schedule.SchemeGemini, schedule.DefaultBufferBytes, p)
 		if err != nil {
 			return "", err
 		}
 		t.addf("%d|%.2f s|%+.2f%%|%.0f MB", p,
-			res.IterationTime.Seconds(), res.Overhead()*100, 8*128e6/float64(p)/1e6)
+			res.IterationTime.Seconds(), res.Overhead()*100, schedule.DefaultBufferBytes/float64(p)/1e6)
 	}
 	return t.String(), nil
 }
@@ -100,8 +100,8 @@ func AblationGamma() (string, error) {
 			Spans:                job.Profile.Spans,
 			CheckpointBytes:      job.Config.ShardBytesPerMachine(),
 			Replicas:             job.Spec.Replicas,
-			BufferBytes:          8 * 128e6,
-			BufferParts:          4,
+			BufferBytes:          schedule.DefaultBufferBytes,
+			BufferParts:          schedule.DefaultBufferParts,
 			BandwidthBytesPerSec: job.Config.Instance.NetworkBytesPerSec,
 			Alpha:                job.Config.Calib.CollectiveAlpha,
 			Gamma:                gamma,

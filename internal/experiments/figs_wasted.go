@@ -6,6 +6,7 @@ import (
 	"gemini/internal/baselines"
 	"gemini/internal/cluster"
 	"gemini/internal/model"
+	"gemini/internal/schedule"
 	"gemini/internal/simclock"
 	"gemini/internal/training"
 )
@@ -52,7 +53,7 @@ func Fig11() (string, error) {
 				return "", err
 			}
 			remote := remoteCkptTime(cfg)
-			gem := training.StandaloneCheckpointTime(cfg, 2, 8*128e6, 4)
+			gem := training.StandaloneCheckpointTime(cfg, 2, schedule.DefaultBufferBytes, schedule.DefaultBufferParts)
 			cells = append(cells, fmtTimes(remote.Seconds()/gem.Seconds()))
 		}
 		t.addf("%d|%s|%s|%s", n, cells[0], cells[1], cells[2])

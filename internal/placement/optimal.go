@@ -73,10 +73,14 @@ func survivalFraction(replicas []uint32, failureSets []uint32) float64 {
 // BitmaskProbability computes the recovery probability of a Placement
 // under k failures using bitmask enumeration — the same result as
 // ExactProbability but considerably faster, for n ≤ 31 (the subset
-// generator works in uint32 space).
+// generator works in uint32 space). Like ExactProbability it panics on
+// k outside [0, n].
 func BitmaskProbability(p *Placement, k int) float64 {
 	if p.N > 31 {
 		panic(fmt.Sprintf("placement: bitmask enumeration needs n ≤ 31, got %d", p.N))
+	}
+	if k < 0 || k > p.N {
+		panic(fmt.Sprintf("placement: k=%d out of range [0,%d]", k, p.N))
 	}
 	replicas := make([]uint32, p.N)
 	for i := 0; i < p.N; i++ {

@@ -441,6 +441,10 @@ func TestReplicasPanicsOutOfRange(t *testing.T) {
 		func() { p.Replicas(4) },
 		func() { ExactProbability(p, 5) },
 		func() { MonteCarlo(p, -1, 10, 1) },
+		// The bitmask path rejects k like the other estimators instead
+		// of enumerating no subsets and returning 0/0 = NaN.
+		func() { BitmaskProbability(p, -1) },
+		func() { BitmaskProbability(p, 5) },
 	} {
 		func() {
 			defer func() {

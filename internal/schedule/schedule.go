@@ -14,6 +14,24 @@ import (
 	"gemini/internal/simclock"
 )
 
+// The paper's implementation parameters (§5, §7.1), declared once for
+// the derivation, the baseline specs, the executor and the ablations.
+const (
+	// DefaultBufferBytes is R: 128 MB of reserved GPU memory per GPU,
+	// eight GPUs per machine.
+	DefaultBufferBytes = 8 * 128e6
+	// DefaultBufferParts is p, the pipeline sub-buffer count.
+	DefaultBufferParts = 4
+	// DefaultGamma is γ, the idle-span safety coefficient.
+	DefaultGamma = 0.9
+	// DefaultProfileWindow is the §5.4 online-profiling window in
+	// iterations.
+	DefaultProfileWindow = 20
+	// DefaultGPUBudgetBytes is the GPU memory available for checkpoint
+	// buffers: 256 MB per GPU, eight GPUs per machine.
+	DefaultGPUBudgetBytes = 8 * 256e6
+)
+
 // Params configures Algorithm 2.
 type Params struct {
 	// Spans are the profiled network idle timespans of one iteration,

@@ -59,12 +59,12 @@ func DefaultExecOptions(p *placement.Placement, scheme schedule.Scheme) ExecOpti
 	return ExecOptions{
 		Placement:      p,
 		Scheme:         scheme,
-		BufferBytes:    8 * 128e6, // 128 MB per GPU × 8 GPUs
-		BufferParts:    4,
-		GPUBudgetBytes: 8 * 256e6,
-		Gamma:          0.9,
+		BufferBytes:    schedule.DefaultBufferBytes,
+		BufferParts:    schedule.DefaultBufferParts,
+		GPUBudgetBytes: schedule.DefaultGPUBudgetBytes,
+		Gamma:          schedule.DefaultGamma,
 		Iterations:     3,
-		ProfileWindow:  20,
+		ProfileWindow:  schedule.DefaultProfileWindow,
 	}
 }
 

@@ -4,29 +4,32 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"gemini/internal/chaos"
 )
 
-// Option arguments are validated when NewJob applies them: a bad value
-// must fail job construction with a descriptive error naming the
-// option, never misbehave deep inside a run.
+// The JobSpec fields that configure a run are validated when NewJob
+// derives the job: a bad value must fail job construction with a
+// descriptive error, never misbehave deep inside a run. A zero field
+// means the default or off, so only values that are wrong in the field
+// itself have a case here.
 func TestOptionArgumentsValidatedAtNewJob(t *testing.T) {
-	spec := JobSpec{Model: "GPT-2 40B", Instance: "p3dn.24xlarge", Machines: 16}
 	cases := []struct {
 		name string
-		opt  Option
+		edit func(*JobSpec)
 		want string // substring the error must carry
 	}{
-		{"replicas zero", WithReplicas(0), "WithReplicas(0)"},
-		{"replicas negative", WithReplicas(-2), "WithReplicas(-2)"},
-		{"nil faults", WithFaults(nil), "WithFaults(nil)"},
-		{"unknown strategy", WithStrategy("raid0"), `unknown strategy "raid0"`},
-		{"empty strategy", WithStrategy(""), "unknown strategy"},
-		{"nil tracer", WithTracer(nil), "WithTracer(nil)"},
-		{"nil metrics", WithMetrics(nil), "WithMetrics(nil)"},
+		{"unknown strategy", func(s *JobSpec) { s.Strategy = "raid0" }, `unknown strategy "raid0"`},
+		{"replicas negative", func(s *JobSpec) { s.Replicas = -2 }, "replicas m=-2 out of range"},
+		{"fault rank out of range", func(s *JobSpec) {
+			s.Faults = FaultSchedule{{At: 0, Kind: chaos.KindCrash, Ranks: []int{16}, Machine: HardwareFailure}}
+		}, "rank 16 out of range"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := NewJob(spec, tc.opt)
+			spec := JobSpec{Model: "GPT-2 40B", Instance: "p3dn.24xlarge", Machines: 16}
+			tc.edit(&spec)
+			_, err := NewJob(spec)
 			if err == nil {
 				t.Fatalf("NewJob accepted %s", tc.name)
 			}
@@ -45,13 +48,13 @@ func TestStrategyNamesExposed(t *testing.T) {
 }
 
 // Every registered strategy name must survive the full facade path:
-// option validation, job derivation, and control-plane assembly.
+// name validation, job derivation, and control-plane assembly.
 func TestWithStrategyReachesRecoverySystem(t *testing.T) {
 	for _, name := range StrategyNames() {
-		job, err := NewJob(JobSpec{Model: "GPT-2 40B", Instance: "p3dn.24xlarge", Machines: 16},
-			WithStrategy(name))
+		job, err := NewJob(JobSpec{Model: "GPT-2 40B", Instance: "p3dn.24xlarge", Machines: 16,
+			Strategy: name})
 		if err != nil {
-			t.Fatalf("NewJob(WithStrategy(%q)): %v", name, err)
+			t.Fatalf("NewJob(Strategy %q): %v", name, err)
 		}
 		if job.Spec.Strategy != name {
 			t.Fatalf("spec carries strategy %q, want %q", job.Spec.Strategy, name)
@@ -106,13 +109,13 @@ func TestDerivationCacheStatsSurface(t *testing.T) {
 	}
 }
 
-// WithTracer/WithMetrics attach through the spec: RecoverySystem wires
-// them in and ExecuteScheme picks them up.
+// JobSpec.Tracer and JobSpec.Metrics attach through the spec:
+// RecoverySystem wires them in and ExecuteScheme picks them up.
 func TestObservabilityOptionsAttach(t *testing.T) {
 	tr := NewTracer()
 	reg := NewMetricsRegistry()
-	job, err := NewJob(JobSpec{Model: "GPT-2 40B", Instance: "p3dn.24xlarge", Machines: 16},
-		WithTracer(tr), WithMetrics(reg))
+	job, err := NewJob(JobSpec{Model: "GPT-2 40B", Instance: "p3dn.24xlarge", Machines: 16,
+		Tracer: tr, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +127,7 @@ func TestObservabilityOptionsAttach(t *testing.T) {
 	engine.Run(Time(3 * job.Timeline.Iteration))
 	snap := reg.Snapshot()
 	if len(snap) == 0 {
-		t.Fatal("WithMetrics registry stayed empty after a monitored run")
+		t.Fatal("JobSpec.Metrics registry stayed empty after a monitored run")
 	}
 	found := false
 	for _, kv := range snap {
