@@ -85,3 +85,28 @@ func TestFlowLifecycleAllocsZero(t *testing.T) {
 		t.Fatalf("%d flows finished, want %d", got, 2*102)
 	}
 }
+
+// TestSplitFlowBatchesAllocZero: flow starts with other events sequenced
+// between them open one batch each, and every fired batch hands its
+// engine event back to the fabric, so a warm cycle of split batches
+// allocates nothing either.
+func TestSplitFlowBatchesAllocZero(t *testing.T) {
+	e := simclock.NewEngine()
+	f := MustNewFabric(e, 4, Config{EgressBytesPerSec: 1e9, Alpha: 1e-6})
+	release := func(fl *Flow) { fl.Release() }
+	between := e.At(0, func() {})
+	cycle := func() {
+		for src := range 3 {
+			f.StartFlow(src, 3, 1e6, "flow", release)
+			e.Rearm(between, e.Now())
+		}
+		e.RunAll()
+	}
+	cycle()
+	if got := len(f.batchEvs); got != 3 {
+		t.Fatalf("%d batch events returned after three split starts, want 3", got)
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a warm cycle of split flow batches allocates %v times/op, want 0", allocs)
+	}
+}

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 
 	"gemini/internal/simclock"
 )
@@ -51,8 +52,16 @@ func CollectiveTime(kind CollectiveKind, n int, totalBytes, bandwidthBytesPerSec
 	if n <= 0 {
 		panic(fmt.Sprintf("netsim: collective over %d participants", n))
 	}
-	if totalBytes < 0 || bandwidthBytesPerSec <= 0 {
-		panic(fmt.Sprintf("netsim: invalid collective parameters bytes=%v bw=%v", totalBytes, bandwidthBytesPerSec))
+	// The negated comparisons also reject NaN. An infinite bandwidth
+	// would drop the payload term and leave only the α steps.
+	if !(totalBytes >= 0) {
+		panic(fmt.Sprintf("netsim: collective payload must be nonnegative, got %v", totalBytes))
+	}
+	if !(bandwidthBytesPerSec > 0) || math.IsInf(bandwidthBytesPerSec, 1) {
+		panic(fmt.Sprintf("netsim: collective bandwidth must be positive and finite, got %v", bandwidthBytesPerSec))
+	}
+	if !(alpha >= 0) {
+		panic(fmt.Sprintf("netsim: collective alpha must be nonnegative, got %v", float64(alpha)))
 	}
 	if n == 1 {
 		return 0

@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -46,19 +48,32 @@ func TestBroadcastPipelined(t *testing.T) {
 }
 
 func TestCollectivePanicsOnBadInput(t *testing.T) {
-	for _, fn := range []func(){
-		func() { CollectiveTime(AllGather, 0, 1, 1, 0) },
-		func() { CollectiveTime(AllGather, 2, -1, 1, 0) },
-		func() { CollectiveTime(AllGather, 2, 1, 0, 0) },
-		func() { CollectiveTime(CollectiveKind(42), 2, 1, 1, 0) },
+	nan := math.NaN()
+	for _, c := range []struct {
+		name string
+		fn   func()
+		want string // the panic must name the bad input
+	}{
+		{"no participants", func() { CollectiveTime(AllGather, 0, 1, 1, 0) }, "participants"},
+		{"negative payload", func() { CollectiveTime(AllGather, 2, -1, 1, 0) }, "payload"},
+		{"NaN payload", func() { CollectiveTime(AllGather, 2, nan, 1, 0) }, "payload"},
+		{"zero bandwidth", func() { CollectiveTime(AllGather, 2, 1, 0, 0) }, "bandwidth"},
+		{"NaN bandwidth", func() { CollectiveTime(AllGather, 2, 1, nan, 0) }, "bandwidth"},
+		{"infinite bandwidth", func() { CollectiveTime(AllGather, 2, 1, math.Inf(1), 0) }, "bandwidth"},
+		{"negative alpha", func() { CollectiveTime(AllGather, 2, 1, 1, -1) }, "alpha"},
+		{"NaN alpha", func() { CollectiveTime(AllGather, 2, 1, 1, simclock.Duration(nan)) }, "alpha"},
+		{"unknown kind", func() { CollectiveTime(CollectiveKind(42), 2, 1, 1, 0) }, "kind"},
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Error("bad collective input did not panic")
+				r := recover()
+				if r == nil {
+					t.Errorf("%s: did not panic", c.name)
+				} else if msg := fmt.Sprint(r); !strings.Contains(msg, c.want) {
+					t.Errorf("%s: panic %q does not name %q", c.name, msg, c.want)
 				}
 			}()
-			fn()
+			c.fn()
 		}()
 	}
 }

@@ -127,3 +127,148 @@ func TestFabricStatsCounters(t *testing.T) {
 		t.Fatal("dirty_hit_rate counter missing")
 	}
 }
+
+// TestFlowStartsKeepEngineOrder holds the batched α-window events to the
+// per-flow contract: a flow turns active in an event at (start + α,
+// priority 0) that is sequenced when StartFlow is called. User events
+// armed between StartFlow calls — at a window's end instant on either
+// side of priority 0, and at other times — must see exactly the flows
+// whose per-flow event would have fired before theirs, through State(),
+// ActiveFlows() and BusyTime().
+func TestFlowStartsKeepEngineOrder(t *testing.T) {
+	for _, alpha := range []simclock.Duration{0.5, 0} {
+		t.Run(fmt.Sprintf("alpha=%v", float64(alpha)), func(t *testing.T) {
+			checkFlowStartOrder(t, alpha)
+		})
+	}
+}
+
+func checkFlowStartOrder(t *testing.T, alpha simclock.Duration) {
+	const n = 6
+	e, f := newTestFabric(t, n, Config{EgressBytesPerSec: 1000, Alpha: alpha})
+	// key is an event's place in the engine's (time, priority, seq)
+	// order; ord counts the test's StartFlow and scheduling calls, which
+	// a per-flow engine would sequence in the same order.
+	type key struct {
+		at   simclock.Time
+		prio int
+		ord  int
+	}
+	before := func(a, b key) bool {
+		if a.at != b.at {
+			return a.at < b.at
+		}
+		if a.prio != b.prio {
+			return a.prio < b.prio
+		}
+		return a.ord < b.ord
+	}
+	type started struct {
+		fl  *Flow
+		win key // the flow's per-flow α-window event
+	}
+	var flows []started
+	ord := 0
+	// No flow finishes during the test, so a node stays busy from its
+	// first flow's activation on.
+	start := func(src int) {
+		ord++
+		fl := f.StartFlow(src, (src+1)%n, 1e9, fmt.Sprintf("f%d", len(flows)), nil)
+		flows = append(flows, started{fl, key{e.Now().Add(alpha), 0, ord}})
+	}
+	armed, fired := 0, 0
+	observe := func(at simclock.Time, prio int, then func()) {
+		ord++
+		armed++
+		k := key{at, prio, ord}
+		e.AtPriority(at, prio, func() {
+			fired++
+			active := 0
+			busySince := make([]simclock.Time, n)
+			busy := make([]bool, n)
+			for _, s := range flows {
+				want := FlowStarting
+				if before(s.win, k) {
+					want = FlowActive
+					active++
+					for _, node := range []int{s.fl.Src, s.fl.Dst} {
+						if !busy[node] || s.win.at < busySince[node] {
+							busy[node], busySince[node] = true, s.win.at
+						}
+					}
+				}
+				if got := s.fl.State(); got != want {
+					t.Errorf("event %+v: flow %s (window %+v) is %v, want %v", k, s.fl.Label, s.win, got, want)
+				}
+			}
+			if got := f.ActiveFlows(); got != active {
+				t.Errorf("event %+v: %d active flows, want %d", k, got, active)
+			}
+			for i := range n {
+				var want simclock.Duration
+				if busy[i] {
+					want = e.Now().Sub(busySince[i])
+				}
+				if got := f.BusyTime(i); got != want {
+					t.Errorf("event %+v: node %d busy %v, want %v", k, i, got, want)
+				}
+			}
+			if then != nil {
+				then()
+			}
+		})
+	}
+	w := simclock.Time(0).Add(alpha) // the first windows' end
+	start(0)
+	observe(w, 0, nil) // between two same-instant starts
+	start(1)
+	start(2)
+	observe(w, -1, nil) // before every start at w
+	observe(w, 1, nil)  // after every start at w
+	observe(0.25, 0, func() {
+		start(3)
+		observe(simclock.Time(0.25).Add(alpha), 0, nil)
+		start(4)
+		start(5)
+	})
+	start(4)
+	observe(w, 0, func() {
+		// Starts in the instant other batches fire.
+		start(2)
+		observe(w.Add(alpha), 0, nil)
+		start(3)
+	})
+	observe(2.8, 0, func() {
+		// Priority 1 fires after the starts at 2.8 + α, yet is armed
+		// before them and so leaves start(1) last in the sequence.
+		observe(simclock.Time(2.8).Add(alpha), 1, nil)
+		start(1)
+	})
+	e.Run(3)
+	// The clock moved to 3 with nothing sequenced since the start at 2.8,
+	// so only the start instant tells this flow's batch from that one.
+	start(5)
+	observe(simclock.Time(3).Add(alpha), 0, nil)
+	observe(5, 0, nil)
+	e.Run(5)
+	if fired != armed {
+		t.Fatalf("%d of %d observations fired", fired, armed)
+	}
+}
+
+// TestSameInstantFlowsShareOneStartEvent: a ring round's flows start at
+// one instant with nothing sequenced between them, so one engine event
+// ends all their α windows.
+func TestSameInstantFlowsShareOneStartEvent(t *testing.T) {
+	const n = 16
+	e, f := newTestFabric(t, n, Config{EgressBytesPerSec: 1000, Alpha: 0.5})
+	for i := range n {
+		f.StartFlow(i, (i+1)%n, 1000, "ring", nil)
+	}
+	if got := e.Run(0.5); got != 2 {
+		t.Fatalf("%d same-instant starts fired %d events through their window, want 2 (one start batch, one recompute)", n, got)
+	}
+	if got := f.ActiveFlows(); got != n {
+		t.Fatalf("%d active flows, want %d", got, n)
+	}
+}

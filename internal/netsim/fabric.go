@@ -14,8 +14,10 @@
 // indexed min-heap of ETAs ordered by (ETA, flow sequence), and a flow
 // start or finish marks only its endpoints dirty — one coalesced
 // recompute per simulated instant then re-waterfills just the connected
-// component those nodes belong to. See DESIGN.md for the full data
-// structures and the determinism guarantees.
+// component those nodes belong to. Flows that start at one instant with
+// nothing else sequenced on the engine between them share one α-window
+// event, which fires exactly where their per-flow events would have. See
+// DESIGN.md for the full data structures and the determinism guarantees.
 //
 // The fabric carries no faults: every flow runs starting (α window) →
 // active → done. Fault injection lives in the agent control plane.
@@ -109,11 +111,6 @@ type Flow struct {
 	onDone    func(*Flow)
 	released  bool // on the fabric's free list
 
-	// startFn and startEv are the flow's α-window event, bound once per
-	// Flow object and rearmed by every StartFlow that reuses it.
-	startFn func()
-	startEv simclock.EventID
-
 	seq        uint64        // global start order; the deterministic tie-break
 	lastUpdate simclock.Time // instant remaining was last settled to
 	eta        simclock.Time // projected completion; valid while heapIdx >= 0
@@ -206,6 +203,14 @@ type Fabric struct {
 	flowSeq uint64
 	free    []*Flow // released flows, reused by StartFlow
 
+	// Flows in their α window, in start order, and the batches that
+	// start them: each batch is the next n flows of starting and owns one
+	// engine event. Fired batch events wait in batchEvs for reuse.
+	starting fifo[*Flow]
+	batches  fifo[flowBatch]
+	batchEvs []simclock.EventID
+	batchFn  func() // startBatch, bound once so a new batch event allocates no closure
+
 	// Dirty set and pooled scratch, reused across events so steady-state
 	// flow traffic never allocates.
 	dirty     []int
@@ -250,6 +255,7 @@ func NewFabric(engine *simclock.Engine, n int, cfg Config) (*Fabric, error) {
 	for i := range f.nodes {
 		f.nodes[i] = node{egressCap: cfg.EgressBytesPerSec, ingressCap: cfg.IngressBytesPerSec}
 	}
+	f.batchFn = f.startBatch
 	return f, nil
 }
 
@@ -283,28 +289,23 @@ func (fb *Fabric) StartFlow(src, dst int, bytes float64, label string, onDone fu
 	if src == dst {
 		panic("netsim: flow source and destination must differ")
 	}
+	now := fb.engine.Now()
 	fl := fb.takeFlow()
-	*fl = Flow{
-		Src: src, Dst: dst, Label: label,
-		fabric: fb, bytes: bytes, remaining: bytes,
-		state: FlowStarting, started: fb.engine.Now(), onDone: onDone,
-		startFn: fl.startFn, startEv: fl.startEv,
-		seq: fb.flowSeq, outIdx: -1, inIdx: -1, activeIdx: -1, heapIdx: -1,
-	}
+	fl.Src, fl.Dst, fl.Label = src, dst, label
+	fl.bytes, fl.remaining, fl.rate = bytes, bytes, 0
+	fl.state, fl.started, fl.finished = FlowStarting, now, 0
+	fl.onDone, fl.released = onDone, false
+	fl.seq = fb.flowSeq
 	fb.flowSeq++
 	fb.stats.flowsStarted++
-	// A done flow's start event has fired, so a reused flow can move its
-	// own event instead of allocating one.
-	if fl.startEv == (simclock.EventID{}) {
-		fl.startEv = fb.engine.After(fb.cfg.Alpha, fl.startFn)
-	} else {
-		fb.engine.Rearm(fl.startEv, fb.engine.Now().Add(fb.cfg.Alpha))
-	}
+	fb.starting.push(fl)
+	fb.joinBatch(now)
 	return fl
 }
 
-// takeFlow pops a released flow off the free list, or makes a new one
-// with its start callback bound once for all the lives it will have.
+// takeFlow pops a released flow off the free list, or makes a new one.
+// A released flow is done, so it has already left every engine index;
+// its other engine fields are rewritten before they are next read.
 func (fb *Fabric) takeFlow() *Flow {
 	if n := len(fb.free); n > 0 {
 		fl := fb.free[n-1]
@@ -312,17 +313,54 @@ func (fb *Fabric) takeFlow() *Flow {
 		fb.free = fb.free[:n-1]
 		return fl
 	}
-	fl := &Flow{}
-	fl.startFn = fl.start
-	return fl
+	return &Flow{fabric: fb, outIdx: -1, inIdx: -1, activeIdx: -1, heapIdx: -1}
 }
 
-// start ends the α startup window: the flow joins the rate engine.
-func (fl *Flow) start() {
-	fb := fl.fabric
-	fl.state = FlowActive
-	fl.lastUpdate = fb.engine.Now()
-	fb.attachFlow(fl)
+// flowBatch is the run of starting flows one engine event turns active.
+type flowBatch struct {
+	n   int              // flows, taken from the head of Fabric.starting
+	ev  simclock.EventID // the batch's α-window event
+	at  simclock.Time    // the instant its flows started
+	seq uint64           // the engine's NextSeq just after ev was armed
+}
+
+// joinBatch adds the flow StartFlow just queued to the newest pending
+// batch, or arms a new batch for it. Per-flow α-window events would all
+// share time, priority 0 and consecutive sequence numbers as long as the
+// flows start at one instant and the engine sequences nothing between
+// them, so one event firing the whole batch keeps the engine's order.
+// Any other event sequenced in between might fire between two per-flow
+// events, so it closes the batch.
+func (fb *Fabric) joinBatch(now simclock.Time) {
+	if b := fb.batches.last(); b != nil && b.at == now && b.seq == fb.engine.NextSeq() {
+		b.n++
+		return
+	}
+	at := now.Add(fb.cfg.Alpha)
+	var ev simclock.EventID
+	if n := len(fb.batchEvs); n > 0 {
+		ev = fb.batchEvs[n-1]
+		fb.batchEvs = fb.batchEvs[:n-1]
+		fb.engine.Rearm(ev, at)
+	} else {
+		ev = fb.engine.At(at, fb.batchFn)
+	}
+	fb.batches.push(flowBatch{n: 1, ev: ev, at: now, seq: fb.engine.NextSeq()})
+}
+
+// startBatch ends the α window of the oldest pending batch: its flows
+// join the rate engine in start order. α is fixed and time never runs
+// backwards, so batch events fire in the order they were armed.
+func (fb *Fabric) startBatch() {
+	b := fb.batches.pop()
+	now := fb.engine.Now()
+	for range b.n {
+		fl := fb.starting.pop()
+		fl.state = FlowActive
+		fl.lastUpdate = now
+		fb.attachFlow(fl)
+	}
+	fb.batchEvs = append(fb.batchEvs, b.ev)
 	fb.armRecompute()
 }
 
@@ -818,6 +856,45 @@ func (fb *Fabric) heapDown(i int) {
 	}
 	h[i] = fl
 	fl.heapIdx = int32(i)
+}
+
+// fifo is a first-in, first-out queue that keeps its backing array: it
+// rewinds when it drains, and a push into a full array first slides the
+// live items to the front, so it grows only past its deepest backlog.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) push(v T) {
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items = q.items[:n]
+		q.head = 0
+	}
+	q.items = append(q.items, v)
+}
+
+// pop removes and returns the oldest item; the queue must not be empty.
+func (q *fifo[T]) pop() T {
+	v := q.items[q.head]
+	var zero T
+	q.items[q.head] = zero
+	q.head++
+	if q.head == len(q.items) {
+		q.items = q.items[:0]
+		q.head = 0
+	}
+	return v
+}
+
+// last returns the newest item, or nil when the queue is empty.
+func (q *fifo[T]) last() *T {
+	if q.head == len(q.items) {
+		return nil
+	}
+	return &q.items[len(q.items)-1]
 }
 
 // TransferTime is the α + s/B point-to-point time for a transfer of size

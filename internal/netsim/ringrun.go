@@ -38,6 +38,9 @@ func StartRingRun(fabric *Fabric, kind CollectiveKind, participants []int,
 	}
 	seen := make(map[int]bool, len(participants))
 	for _, p := range participants {
+		if p < 0 || p >= len(fabric.nodes) {
+			return nil, fmt.Errorf("netsim: participant node %d out of range [0,%d)", p, len(fabric.nodes))
+		}
 		if seen[p] {
 			return nil, fmt.Errorf("netsim: duplicate participant %d", p)
 		}

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"gemini/internal/simclock"
@@ -94,6 +95,17 @@ func TestRingRunValidation(t *testing.T) {
 	}
 	if _, err := StartRingRun(f, AllGather, []int{0, 1}, -1, nil); err == nil {
 		t.Error("negative payload accepted")
+	}
+	// An out-of-range node is an error before any flow of the first
+	// round starts, and the error names the node.
+	if _, err := StartRingRun(f, AllGather, []int{0, 1, 7}, 100, nil); err == nil || !strings.Contains(err.Error(), "node 7") {
+		t.Errorf("out-of-range participant: err = %v, want one naming node 7", err)
+	}
+	if _, err := StartRingRun(f, AllGather, []int{-1, 0}, 100, nil); err == nil || !strings.Contains(err.Error(), "node -1") {
+		t.Errorf("negative participant: err = %v, want one naming node -1", err)
+	}
+	if got := f.Stats().FlowsStarted; got != 0 {
+		t.Errorf("rejected ring runs started %d flows", got)
 	}
 }
 

@@ -197,6 +197,11 @@ func NewEngine() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
+// NextSeq returns the sequence number the next At, AtPriority, After or
+// Rearm call will give its event. Callers compare two readings to learn
+// whether anything was sequenced in between.
+func (e *Engine) NextSeq() uint64 { return e.seq }
+
 // Len returns the number of pending events (including canceled ones that
 // have not yet been discarded).
 func (e *Engine) Len() int { return len(e.queue) }
@@ -243,8 +248,8 @@ func (e *Engine) at(at Time, priority int, fn func()) EventID {
 // rearming into the past or at a NaN time panics.
 //
 // Rearm exists for long-lived periodic events (tickers, the agent's
-// lease sweep, the netsim fabric's completion and recompute events, each
-// netsim flow's start event, each copier's completion event) that would
+// lease sweep, the netsim fabric's completion, recompute and flow-start
+// batch events, each copier's completion event) that would
 // otherwise allocate a fresh event on every reschedule.
 func (e *Engine) Rearm(id EventID, at Time) {
 	ev := id.ev

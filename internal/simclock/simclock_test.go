@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -272,6 +273,25 @@ func TestTickerZeroPeriodPanics(t *testing.T) {
 		}
 	}()
 	NewTicker(e, 0, func(Time) {})
+}
+
+// A NaN period would only fail later, inside the engine, and an infinite
+// one would arm an event that never fires; both are rejected up front,
+// by name.
+func TestTickerNonFinitePeriodPanics(t *testing.T) {
+	for _, period := range []Duration{Duration(math.NaN()), Duration(math.Inf(1))} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Errorf("ticker period %v did not panic", float64(period))
+				} else if msg := fmt.Sprint(r); !strings.Contains(msg, "ticker period") {
+					t.Errorf("ticker period %v: panic %q does not name the period", float64(period), msg)
+				}
+			}()
+			NewTicker(NewEngine(), period, func(Time) {})
+		}()
+	}
 }
 
 // Property: for any random batch of event times, the engine fires them in

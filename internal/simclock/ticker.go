@@ -1,5 +1,10 @@
 package simclock
 
+import (
+	"fmt"
+	"math"
+)
+
 // Ticker fires a callback at a fixed period until stopped, mirroring the
 // heartbeat loops that GEMINI agents run against the key-value store.
 // It owns one event for its whole life and rearms it after each firing,
@@ -15,8 +20,10 @@ type Ticker struct {
 // NewTicker schedules fn to run every period, with the first firing one
 // period from now. The callback receives the firing time.
 func NewTicker(e *Engine, period Duration, fn func(Time)) *Ticker {
-	if period <= 0 {
-		panic("simclock: ticker period must be positive")
+	// The negated comparison also rejects NaN; an infinite period would
+	// arm an event that never fires.
+	if !(period > 0) || math.IsInf(float64(period), 1) {
+		panic(fmt.Sprintf("simclock: ticker period must be positive and finite, got %v s", float64(period)))
 	}
 	t := &Ticker{engine: e, period: period, fn: fn}
 	t.next = e.After(period, t.fire)
