@@ -15,7 +15,7 @@ go test -run='^$' -bench=. -benchtime=1x -benchmem ./...
 (cd benchmark && go test -short ./...)
 
 # Allocation gates, outside the race detector (race instrumentation
-# allocates), in one anchored run of exactly these 21 tests:
+# allocates), in one anchored run of exactly these 22 tests:
 #   fabric: steady-state fabric events and a warm flow's or copy's whole
 #     start → complete → Release lifecycle allocate nothing, and one more
 #     executor iteration allocates nothing (Gemini, NoPipeline, Blocking);
@@ -46,18 +46,21 @@ go test -run='^$' -bench=. -benchtime=1x -benchmem ./...
 #     allocs, under 1 KiB per call);
 #   checkpoint codec: Encode stays within 4 allocs per state and an
 #     encode + decode round trip within 12 (the original codec: 20 and
-#     63).
+#     63);
+#   checkpoint engine: once every slot exists, a round of full commits,
+#     one of delta commits and one of refreshes allocate nothing (each
+#     commit rewrites its slot's two generations in place).
 # A listed test that is renamed or deleted would match nothing and pass
-# silently, so the step fails unless exactly 21 tests report PASS.
+# silently, so the step fails unless exactly 22 tests report PASS.
 ALLOC_LOG="$(mktemp -t geminialloc.XXXXXX.log)"
-if ! go test -count=1 -v -run '^(TestSteadyStateFabricEventsDoNotAllocate|TestFlowLifecycleAllocsZero|TestExecuteIterationAllocs|TestTickerFiringAllocsZero|TestHeartbeatSteadyStateAllocs|TestRootCheckAllocsZero|TestMonteCarloShardSteadyStateAllocsZero|TestSurvivesFailedAllocsZero|TestProfileWithJitterAllocationFlat|TestBuildTimelineSteadyStateAllocs|TestDisabledTracingAllocsZero|TestHistogramObserveAllocsZero|TestRecorderSampleAllocsZero|TestNewJobWarmKeyAllocs|TestProgressAllocsZero|TestRunZeroObserverAllocs|TestAppendGenerateWarmAllocsZero|TestCampaignWarmAllocsPerVariation|TestObservedCampaignWarmAllocsPerVariation|TestReportHashAllocs|TestCodecAllocations)$' ./... > "$ALLOC_LOG" 2>&1; then
+if ! go test -count=1 -v -run '^(TestSteadyStateFabricEventsDoNotAllocate|TestFlowLifecycleAllocsZero|TestExecuteIterationAllocs|TestTickerFiringAllocsZero|TestHeartbeatSteadyStateAllocs|TestRootCheckAllocsZero|TestMonteCarloShardSteadyStateAllocsZero|TestSurvivesFailedAllocsZero|TestProfileWithJitterAllocationFlat|TestBuildTimelineSteadyStateAllocs|TestDisabledTracingAllocsZero|TestHistogramObserveAllocsZero|TestRecorderSampleAllocsZero|TestNewJobWarmKeyAllocs|TestProgressAllocsZero|TestRunZeroObserverAllocs|TestAppendGenerateWarmAllocsZero|TestCampaignWarmAllocsPerVariation|TestObservedCampaignWarmAllocsPerVariation|TestReportHashAllocs|TestCodecAllocations|TestCommitRoundAllocsZero)$' ./... > "$ALLOC_LOG" 2>&1; then
 	cat "$ALLOC_LOG"
 	exit 1
 fi
 ALLOC_PASSES="$(grep -c '^--- PASS: ' "$ALLOC_LOG" || true)"
 rm -f "$ALLOC_LOG"
-if [ "$ALLOC_PASSES" -ne 21 ]; then
-	echo "allocation gates: $ALLOC_PASSES tests passed, want exactly 21" >&2
+if [ "$ALLOC_PASSES" -ne 22 ]; then
+	echo "allocation gates: $ALLOC_PASSES tests passed, want exactly 22" >&2
 	exit 1
 fi
 

@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"reflect"
 	"testing"
 
 	"gemini/internal/ckpt"
@@ -9,6 +10,7 @@ import (
 	"gemini/internal/placement"
 	"gemini/internal/simclock"
 	"gemini/internal/statemgr"
+	"gemini/internal/tensor"
 )
 
 // Data-plane integration: the live control plane moves real shard bytes
@@ -20,17 +22,134 @@ const dpShard = 4096
 
 func newDataPlaneFixture(t *testing.T, n, m int) *fixture {
 	t.Helper()
+	return newDPShardFixture(t, n, m, DefaultOptions(iterTime), cloud.DefaultConfig(), true)
+}
+
+// newDPShardFixture builds a system whose checkpoint engine tracks
+// dpShard-byte shards, with the data plane attached when dataPlane is
+// set, so runs with and without it are otherwise identical.
+func newDPShardFixture(t *testing.T, n, m int, opts Options, cloudCfg cloud.Config, dataPlane bool) *fixture {
+	t.Helper()
 	engine := simclock.NewEngine()
 	clus := cluster.MustNew(n, cluster.MustInstance("p4d.24xlarge"))
 	p := placement.MustMixed(n, m)
 	ck := ckpt.MustNewEngine(p, dpShard)
-	op := cloud.MustNewOperator(engine, cloud.DefaultConfig())
-	sys, err := NewSystem(engine, clus, ck, op, DefaultOptions(iterTime))
+	op := cloud.MustNewOperator(engine, cloudCfg)
+	sys, err := NewSystem(engine, clus, ck, op, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.SetDataPlane(statemgr.MustNew(p, dpShard, 77))
+	if dataPlane {
+		sys.SetDataPlane(statemgr.MustNew(p, dpShard, 77))
+	}
 	return &fixture{engine: engine, clus: clus, ck: ck, op: op, sys: sys, log: sys.Log()}
+}
+
+// runUntilRecovered steps the run until its first recovery completes —
+// before the next iteration commits over the restored replicas.
+func runUntilRecovered(t *testing.T, f *fixture) {
+	t.Helper()
+	for f.sys.Recoveries() == 0 {
+		if !f.engine.Step() {
+			t.Fatal("run ended before a recovery completed")
+		}
+	}
+}
+
+// checkStoredFingerprints checks every committed shard the tracker
+// holds: its fingerprint is nonzero and is that of the canonical content
+// at its iteration, and the holder's CPU store has those bytes (a
+// recovery through that replica verifies). The recoveries rewrite live
+// state, so this ends the run.
+func checkStoredFingerprints(t *testing.T, f *fixture) {
+	t.Helper()
+	p := f.ck.Placement()
+	checked := 0
+	for owner := 0; owner < p.N; owner++ {
+		for _, holder := range p.Replicas(owner) {
+			for _, sh := range f.ck.CompletedVersions(holder, owner) {
+				want := tensor.NewSyntheticState(sh.Iteration, owner, dpShard, 77).Fingerprint()
+				if sh.Fingerprint == 0 || sh.Fingerprint != want {
+					t.Errorf("machine %d's shard of rank %d at iteration %d records fingerprint %#x, want %#x",
+						holder, owner, sh.Iteration, sh.Fingerprint, want)
+				}
+				r := ckpt.Retrieval{Rank: owner, Source: ckpt.SourceLocal}
+				if holder != owner {
+					r = ckpt.Retrieval{Rank: owner, Source: ckpt.SourceRemoteCPU, Peer: holder}
+				}
+				if err := f.sys.data.Recover(f.ck, []ckpt.Retrieval{r}, sh.Iteration); err != nil {
+					t.Errorf("stored replica %+v at iteration %d: %v", r, sh.Iteration, err)
+				}
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("tracker holds no committed shard")
+	}
+}
+
+// Replicas a recovery reseeds carry the fingerprint of the bytes the
+// data plane stored for them, after a peer retrieval and after a
+// remote fallback alike.
+func TestDataPlaneReseededReplicasCarryFingerprints(t *testing.T) {
+	t.Run("hardware", func(t *testing.T) {
+		f := newDataPlaneFixture(t, 4, 2)
+		f.sys.Start()
+		f.engine.At(simclock.Time(4*iterTime+10), func() {
+			f.sys.InjectFailure(1, cluster.HardwareFailed)
+		})
+		runUntilRecovered(t, f)
+		if ev := f.sys.WastedEvents()[0]; ev.Source != "peer" {
+			t.Fatalf("recovered from %s, want peer", ev.Source)
+		}
+		checkStoredFingerprints(t, f)
+	})
+	t.Run("whole-group", func(t *testing.T) {
+		f := newDataPlaneFixture(t, 4, 2)
+		f.sys.SetRemoteEvery(10)
+		f.sys.Start()
+		f.engine.At(simclock.Time(25*iterTime+10), func() {
+			f.sys.InjectFailure(2, cluster.HardwareFailed)
+			f.sys.InjectFailure(3, cluster.HardwareFailed)
+		})
+		runUntilRecovered(t, f)
+		if ev := f.sys.WastedEvents()[0]; ev.Source != "remote" {
+			t.Fatalf("recovered from %s, want remote", ev.Source)
+		}
+		checkStoredFingerprints(t, f)
+	})
+}
+
+// Attaching the data plane changes no control-plane decision: the
+// outcome golden's fault ladder under gemini gives the same run log,
+// wasted-time ledger and traffic with and without it.
+func TestDataPlaneLeavesDecisionsUnchanged(t *testing.T) {
+	sc := outcomeScenarios()[0]
+	run := func(dataPlane bool) *fixture {
+		f := newDPShardFixture(t, 16, 2, sc.opts, sc.cloud, dataPlane)
+		f.sys.SetRemoteEvery(10)
+		sc.arm(f)
+		f.sys.Start()
+		f.engine.Run(sc.horizon)
+		return f
+	}
+	plain, data := run(false), run(true)
+	if plain.sys.Recoveries() == 0 {
+		t.Fatal("the ladder ran no recovery")
+	}
+	if !reflect.DeepEqual(plain.log.Events(), data.log.Events()) {
+		t.Error("run logs differ with the data plane attached")
+	}
+	if !reflect.DeepEqual(plain.sys.WastedEvents(), data.sys.WastedEvents()) {
+		t.Errorf("wasted events differ:\n%+v\n%+v", plain.sys.WastedEvents(), data.sys.WastedEvents())
+	}
+	if plain.sys.Traffic() != data.sys.Traffic() {
+		t.Errorf("traffic %+v without the data plane, %+v with it", plain.sys.Traffic(), data.sys.Traffic())
+	}
+	if err := data.sys.data.VerifyConsistent(data.sys.Iteration()); err != nil {
+		t.Errorf("data plane after the ladder: %v", err)
+	}
 }
 
 func TestDataPlaneHealthyTraining(t *testing.T) {

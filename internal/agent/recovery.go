@@ -43,39 +43,26 @@ func (s *System) completeIteration() {
 	s.iteration++
 	iter := s.iteration
 	healthy := func(rank int) bool { return s.cluster.Machine(rank).Healthy() }
-	var remote bool
 	if s.data != nil {
-		// Byte-level path: move real payloads; statemgr registers the
-		// commits with the version tracker itself (gemini semantics).
 		s.data.Step(iter, healthy)
-		if err := s.data.Checkpoint(s.ckpt, iter, healthy); err != nil {
-			panic(fmt.Sprintf("agent: data-plane checkpoint: %v", err))
+	}
+	plan := s.strategy.PlanCommit(iter, healthy)
+	for _, c := range plan.Commits {
+		switch c.Kind {
+		case strategy.CommitFull:
+			s.commitFull(c.Holder, c.Owner, iter)
+		case strategy.CommitDelta:
+			s.ckpt.CommitDelta(c.Holder, c.Owner, iter, c.Bytes)
+		case strategy.CommitRefresh:
+			s.ckpt.Refresh(c.Holder, c.Owner, iter)
+		default:
+			panic(fmt.Sprintf("agent: unknown commit kind %d", c.Kind))
 		}
-		remote = iter%s.remoteEvery() == 0
-	} else {
-		plan := s.strategy.PlanCommit(iter, healthy)
-		for _, c := range plan.Commits {
-			switch c.Kind {
-			case strategy.CommitFull:
-				s.ckpt.Begin(c.Holder, c.Owner, iter)
-				s.ckpt.Receive(c.Holder, c.Owner, iter, s.ckpt.ShardBytes())
-				s.ckpt.Commit(c.Holder, c.Owner, iter, 0)
-			case strategy.CommitDelta:
-				s.ckpt.BeginDelta(c.Holder, c.Owner, iter, c.Bytes)
-				s.ckpt.Receive(c.Holder, c.Owner, iter, c.Bytes)
-				s.ckpt.Commit(c.Holder, c.Owner, iter, 0)
-			case strategy.CommitRefresh:
-				s.ckpt.Refresh(c.Holder, c.Owner, iter)
-			default:
-				panic(fmt.Sprintf("agent: unknown commit kind %d", c.Kind))
-			}
-		}
-		remote = plan.Remote
 	}
 	// The remote persistent tier commits on its own cadence; the commit is
 	// recorded so recovery reads what was actually written, not what the
 	// current cadence implies (SetRemoteEvery may have changed it since).
-	if remote {
+	if plan.Remote {
 		if s.data != nil {
 			if err := s.data.CheckpointRemote(iter); err != nil {
 				panic(fmt.Sprintf("agent: remote checkpoint: %v", err))
@@ -89,6 +76,21 @@ func (s *System) completeIteration() {
 	// behind; recovery reads versions from the checkpoint engine, not here.
 	_, _ = s.store.Put(iterationKey, strconv.FormatInt(iter, 10), 0)
 	s.observeHealth()
+}
+
+// commitFull commits owner's whole shard at iteration on holder. With a
+// data plane attached, statemgr first writes the replica's bytes into
+// holder's CPU memory and the commit records their fingerprint, so a
+// later recovery can verify exactly what was stored.
+func (s *System) commitFull(holder, owner int, iteration int64) {
+	var fp uint32
+	if s.data != nil {
+		var err error
+		if fp, err = s.data.Replicate(holder, owner, iteration); err != nil {
+			panic(fmt.Sprintf("agent: data-plane replication: %v", err))
+		}
+	}
+	s.ckpt.Commit(holder, owner, iteration, fp)
 }
 
 // remoteEvery returns the remote-tier cadence in iterations.
@@ -325,9 +327,7 @@ func (s *System) attemptRetrieval(failed []int, hardware map[int]bool, attempt i
 		}
 		for _, r := range plan {
 			if r.Source == ckpt.SourceRemoteCPU {
-				s.ckpt.Begin(r.Rank, r.Rank, version)
-				s.ckpt.Receive(r.Rank, r.Rank, version, s.ckpt.ShardBytes())
-				s.ckpt.Commit(r.Rank, r.Rank, version, 0)
+				s.commitFull(r.Rank, r.Rank, version)
 			}
 		}
 	default:
@@ -364,9 +364,7 @@ func (s *System) attemptRetrieval(failed []int, hardware map[int]bool, attempt i
 				continue
 			}
 			if _, ok := s.ckpt.Completed(rank, rank); !ok {
-				s.ckpt.Begin(rank, rank, version)
-				s.ckpt.Receive(rank, rank, version, s.ckpt.ShardBytes())
-				s.ckpt.Commit(rank, rank, version, 0)
+				s.commitFull(rank, rank, version)
 			}
 		}
 	}

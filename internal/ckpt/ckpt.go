@@ -1,15 +1,26 @@
 // Package ckpt is GEMINI's checkpoint engine: it tracks which machine's
 // CPU memory holds which checkpoint shards at which training iteration,
-// enforces the double-buffer discipline (one buffer for the completed
-// checkpoint, one for the in-progress one, §7.1) so a crash mid-write
-// never corrupts the recoverable version, and answers the recovery
-// queries — what is the newest globally consistent version, and from
-// where should each machine fetch its shard (§3.1's hierarchy: local CPU
-// memory, then remote CPU memory, then remote persistent storage).
+// keeps the double buffer of §7.1 (two resident generations per shard,
+// so the recoverable version survives while the next one lands), and
+// answers the recovery queries — what is the newest globally consistent
+// version, and from where should each machine fetch its shard (§3.1's
+// hierarchy: local CPU memory, then remote CPU memory, then remote
+// persistent storage).
+//
+// Commits are atomic: Commit, CommitDelta and Refresh each move a slot
+// straight from one committed state to the next, so the engine keeps no
+// in-progress state. No crash point falls inside a commit in this model:
+// the control plane runs on a discrete-event engine and makes every
+// commit inside a single event (the one ending an iteration, or a
+// recovery step), and a failure is an event of its own, so it lands
+// before or after a commit, never within one. The transfer time a real
+// in-progress buffer covers is charged by the training executor, not
+// here.
 package ckpt
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"gemini/internal/placement"
@@ -25,19 +36,27 @@ type Shard struct {
 	Fingerprint uint32
 }
 
-// slot is the double buffer holding one owner's shards on one machine.
-// The two physical buffers cycle through three logical roles: newest
-// complete shard, previous complete shard, and in-progress shard. Between
-// Commit(v+1) and Begin(v+2), both v and v+1 are complete and resident —
-// that overlap is what guarantees a globally consistent version always
-// exists while machines commit at slightly different instants within an
-// iteration. Begin(v+2) reclaims the buffer holding v.
+// slot is the double buffer holding one owner's shards on one machine:
+// gens[0] is the newest committed generation and gens[1] the previous
+// one, and the first n are resident. After the commit of v+1, both v and
+// v+1 are resident until the commit of v+2 reclaims v's buffer — that
+// overlap is what guarantees a globally consistent version always exists
+// while machines commit at slightly different instants within an
+// iteration.
 type slot struct {
-	newest     *Shard // latest committed shard
-	prev       *Shard // previously committed shard, until the next Begin
-	inProgress *Shard
-	received   float64 // bytes of inProgress received so far
-	expect     float64 // bytes inProgress needs before Commit (shard or delta)
+	gens [2]Shard
+	n    int
+}
+
+// newest returns the slot's newest committed generation.
+func (sl *slot) newest() (Shard, bool) { return sl.gens[0], sl.n > 0 }
+
+// push commits sh as the newest generation; the old newest becomes the
+// previous one.
+func (sl *slot) push(sh Shard) {
+	sl.gens[1] = sl.gens[0]
+	sl.gens[0] = sh
+	sl.n = min(sl.n+1, 2)
 }
 
 // machineStore is the checkpoint area of one machine's CPU memory.
@@ -89,7 +108,7 @@ type Engine struct {
 	placement *placement.Placement
 	machines  []*machineStore
 	shardSize float64
-	traffic   float64 // cumulative bytes accepted by Receive
+	traffic   float64 // cumulative bytes committed
 }
 
 // NewEngine creates an engine for the given placement; shardBytes is the
@@ -98,8 +117,8 @@ func NewEngine(p *placement.Placement, shardBytes float64) (*Engine, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if shardBytes < 0 {
-		return nil, fmt.Errorf("ckpt: negative shard size %v", shardBytes)
+	if !(shardBytes >= 0 && shardBytes <= math.MaxFloat64) {
+		return nil, fmt.Errorf("ckpt: shard size %v must be finite and non-negative", shardBytes)
 	}
 	e := &Engine{n: p.N, placement: p, machines: make([]*machineStore, p.N), shardSize: shardBytes}
 	for i := range e.machines {
@@ -130,69 +149,61 @@ func (e *Engine) store(rank int) *machineStore {
 	return e.machines[rank]
 }
 
+// slotFor returns holder's slot for owner's shard, creating it on first
+// use. It panics unless holder is in owner's replica set — misrouted
+// shards indicate an agent bug, not a runtime condition.
 func (e *Engine) slotFor(holder, owner int) *slot {
 	ms := e.store(holder)
-	sl := ms.slots[owner]
-	if sl == nil {
-		sl = &slot{}
-		ms.slots[owner] = sl
+	if sl := ms.slots[owner]; sl != nil {
+		return sl
 	}
-	return sl
-}
-
-// checkPlacementPair panics unless holder is in owner's replica set —
-// misrouted shards indicate an agent bug, not a runtime condition.
-func (e *Engine) checkPlacementPair(holder, owner int) {
 	for _, r := range e.placement.Replicas(owner) {
 		if r == holder {
-			return
+			sl := &slot{}
+			ms.slots[owner] = sl
+			return sl
 		}
 	}
 	panic(fmt.Sprintf("ckpt: machine %d is not a replica holder for rank %d", holder, owner))
 }
 
-// Begin opens the in-progress buffer on holder for owner's shard at the
-// given iteration, reclaiming the buffer that held the previous complete
-// generation. An unfinished shard in the slot is discarded — only
-// complete checkpoints ever become recoverable. Iterations must be
-// monotonically increasing per slot.
-func (e *Engine) Begin(holder, owner int, iteration int64) {
-	e.checkPlacementPair(holder, owner)
+// Commit lands owner's full shard at iteration on holder in one step:
+// the whole shard's bytes count as received, the shard becomes the
+// newest committed generation, the old newest stays resident as the
+// previous one, and the generation before that is reclaimed.
+// Iterations must increase per slot. fingerprint may be zero in
+// timing-only simulations.
+func (e *Engine) Commit(holder, owner int, iteration int64, fingerprint uint32) {
 	sl := e.slotFor(holder, owner)
-	if sl.newest != nil && iteration <= sl.newest.Iteration {
-		panic(fmt.Sprintf("ckpt: machine %d beginning iteration %d but already completed %d for rank %d",
-			holder, iteration, sl.newest.Iteration, owner))
+	if sh, ok := sl.newest(); ok && iteration <= sh.Iteration {
+		panic(fmt.Sprintf("ckpt: machine %d committing iteration %d but already completed %d for rank %d",
+			holder, iteration, sh.Iteration, owner))
 	}
-	sl.prev = nil // its buffer now holds the new in-progress shard
-	sl.inProgress = &Shard{Owner: owner, Iteration: iteration, Bytes: e.shardSize}
-	sl.received = 0
-	sl.expect = e.shardSize
+	e.traffic += e.shardSize
+	sl.push(Shard{Owner: owner, Iteration: iteration, Bytes: e.shardSize, Fingerprint: fingerprint})
 }
 
-// BeginDelta opens the in-progress buffer for a delta commit: only
-// deltaBytes need arrive, applied on top of the holder's newest
-// committed copy of the immediately previous iteration, and the result
-// is a full logical shard at the new iteration. The base requirement is
-// what makes delta chains recoverable — a delta on a stale base would
-// commit a shard that never existed.
-func (e *Engine) BeginDelta(holder, owner int, iteration int64, deltaBytes float64) {
-	e.checkPlacementPair(holder, owner)
+// CommitDelta is Commit for a delta: only deltaBytes arrive, applied on
+// top of the holder's newest committed copy of the immediately previous
+// iteration, and the result is a full logical shard at the new
+// iteration. The base requirement is what makes delta chains
+// recoverable — a delta on a stale base would commit a shard that never
+// existed.
+func (e *Engine) CommitDelta(holder, owner int, iteration int64, deltaBytes float64) {
 	sl := e.slotFor(holder, owner)
-	if sl.newest == nil || sl.newest.Iteration != iteration-1 {
+	if sh, ok := sl.newest(); !ok || sh.Iteration != iteration-1 {
 		base := int64(-1)
-		if sl.newest != nil {
-			base = sl.newest.Iteration
+		if ok {
+			base = sh.Iteration
 		}
 		panic(fmt.Sprintf("ckpt: machine %d delta to iteration %d for rank %d needs base %d, has %d",
 			holder, iteration, owner, iteration-1, base))
 	}
-	if deltaBytes < 0 || deltaBytes > e.shardSize*(1+1e-9) {
+	if !(deltaBytes >= 0 && deltaBytes <= e.shardSize*(1+1e-9)) {
 		panic(fmt.Sprintf("ckpt: delta size %v outside [0, shard %v]", deltaBytes, e.shardSize))
 	}
-	sl.prev = nil
-	sl.inProgress = &Shard{Owner: owner, Iteration: iteration, Bytes: e.shardSize}
-	sl.received = 0
-	sl.expect = deltaBytes
+	e.traffic += deltaBytes
+	sl.push(Shard{Owner: owner, Iteration: iteration, Bytes: e.shardSize})
 }
 
 // Refresh re-stamps the holder's newest committed copy at a new, later
@@ -200,75 +211,30 @@ func (e *Engine) BeginDelta(holder, owner int, iteration int64, deltaBytes float
 // resident buffer IS the new version. The old stamp survives in the
 // previous-generation role, preserving the double-buffer overlap.
 func (e *Engine) Refresh(holder, owner int, iteration int64) {
-	e.checkPlacementPair(holder, owner)
 	sl := e.slotFor(holder, owner)
-	if sl.newest == nil {
+	sh, ok := sl.newest()
+	if !ok {
 		panic(fmt.Sprintf("ckpt: machine %d refreshing rank %d with no committed shard", holder, owner))
 	}
-	if iteration <= sl.newest.Iteration {
+	if iteration <= sh.Iteration {
 		panic(fmt.Sprintf("ckpt: machine %d refreshing rank %d to iteration %d but already at %d",
-			holder, owner, iteration, sl.newest.Iteration))
+			holder, owner, iteration, sh.Iteration))
 	}
-	old := *sl.newest
-	fresh := old
-	fresh.Iteration = iteration
-	sl.prev = &old
-	sl.newest = &fresh
-	sl.inProgress = nil
-	sl.received = 0
-	sl.expect = 0
+	sh.Iteration = iteration
+	sl.push(sh)
 }
 
-// BytesReceived returns the cumulative replication traffic the engine
-// has accepted through Receive — the bytes-moved side of a strategy's
-// cost, read by the experiments harness.
+// BytesReceived returns the cumulative replication traffic of every
+// Commit and CommitDelta — the bytes-moved side of a strategy's cost,
+// read by the experiments harness.
 func (e *Engine) BytesReceived() float64 { return e.traffic }
-
-// Receive records bytes of the in-progress shard arriving at holder.
-func (e *Engine) Receive(holder, owner int, iteration int64, bytes float64) {
-	sl := e.slotFor(holder, owner)
-	if sl.inProgress == nil || sl.inProgress.Iteration != iteration {
-		panic(fmt.Sprintf("ckpt: machine %d receiving iteration %d for rank %d without matching Begin",
-			holder, iteration, owner))
-	}
-	if bytes < 0 {
-		panic(fmt.Sprintf("ckpt: negative receive %v", bytes))
-	}
-	sl.received += bytes
-	e.traffic += bytes
-	if sl.received > sl.expect*(1+1e-9) {
-		panic(fmt.Sprintf("ckpt: machine %d over-received shard of rank %d: %v of %v bytes",
-			holder, owner, sl.received, sl.expect))
-	}
-}
-
-// Commit atomically promotes the in-progress shard to the completed
-// buffer. It requires all bytes to have arrived. fingerprint may be zero
-// in timing-only simulations.
-func (e *Engine) Commit(holder, owner int, iteration int64, fingerprint uint32) {
-	sl := e.slotFor(holder, owner)
-	if sl.inProgress == nil || sl.inProgress.Iteration != iteration {
-		panic(fmt.Sprintf("ckpt: machine %d committing iteration %d for rank %d without matching Begin",
-			holder, iteration, owner))
-	}
-	if sl.received < sl.expect*(1-1e-9) {
-		panic(fmt.Sprintf("ckpt: machine %d committing incomplete shard of rank %d: %v of %v bytes",
-			holder, owner, sl.received, sl.expect))
-	}
-	sl.inProgress.Fingerprint = fingerprint
-	sl.prev = sl.newest
-	sl.newest = sl.inProgress
-	sl.inProgress = nil
-	sl.received = 0
-}
 
 // Completed returns the newest committed shard of owner held by holder.
 func (e *Engine) Completed(holder, owner int) (Shard, bool) {
-	sl := e.store(holder).slots[owner]
-	if sl == nil || sl.newest == nil {
-		return Shard{}, false
+	if sl := e.store(holder).slots[owner]; sl != nil {
+		return sl.newest()
 	}
-	return *sl.newest, true
+	return Shard{}, false
 }
 
 // CompletedVersions returns every committed generation of owner's shard
@@ -278,14 +244,7 @@ func (e *Engine) CompletedVersions(holder, owner int) []Shard {
 	if sl == nil {
 		return nil
 	}
-	var out []Shard
-	if sl.newest != nil {
-		out = append(out, *sl.newest)
-	}
-	if sl.prev != nil {
-		out = append(out, *sl.prev)
-	}
-	return out
+	return append([]Shard(nil), sl.gens[:sl.n]...)
 }
 
 // hasVersion reports whether holder has a committed copy of owner's shard
@@ -300,24 +259,20 @@ func (e *Engine) hasVersion(holder, owner int, v int64) bool {
 }
 
 // RollbackTo drops every shard generation newer than the given iteration
-// on all machines, plus any in-progress shards. Recovery calls this after
-// choosing the rollback version so the whole cluster's checkpoint state
-// is consistent with the resumed training position.
+// on all machines. Recovery calls this after choosing the rollback
+// version so the whole cluster's checkpoint state is consistent with the
+// resumed training position.
 func (e *Engine) RollbackTo(iteration int64) {
 	for _, ms := range e.machines {
 		for _, sl := range ms.slots {
-			if sl.newest != nil && sl.newest.Iteration > iteration {
-				sl.newest = sl.prev
-				sl.prev = nil
+			kept := 0
+			for _, sh := range sl.gens[:sl.n] {
+				if sh.Iteration <= iteration {
+					sl.gens[kept] = sh
+					kept++
+				}
 			}
-			if sl.newest != nil && sl.newest.Iteration > iteration {
-				sl.newest = nil
-			}
-			if sl.prev != nil && sl.prev.Iteration > iteration {
-				sl.prev = nil
-			}
-			sl.inProgress = nil
-			sl.received = 0
+			sl.n = kept
 		}
 	}
 }
@@ -409,7 +364,7 @@ func (e *Engine) Coverage(alive func(int) bool) (covered, minReplicas int) {
 			holders++
 			if !hasData {
 				sl := e.store(holder).slots[owner]
-				hasData = sl != nil && sl.newest != nil
+				hasData = sl != nil && sl.n > 0
 			}
 		}
 		if hasData {

@@ -20,8 +20,6 @@ func checkpointAll(e *Engine, iteration int64) {
 	p := e.Placement()
 	for owner := 0; owner < p.N; owner++ {
 		for _, holder := range p.Replicas(owner) {
-			e.Begin(holder, owner, iteration)
-			e.Receive(holder, owner, iteration, e.ShardBytes())
 			e.Commit(holder, owner, iteration, 0)
 		}
 	}
@@ -43,75 +41,35 @@ func TestCheckpointCommitAndConsistency(t *testing.T) {
 	}
 }
 
-func TestInProgressNeverVisible(t *testing.T) {
-	e := newEngine(t, 4, 2)
-	checkpointAll(e, 100)
-	// Start iteration 101 everywhere but commit nowhere.
-	p := e.Placement()
-	for owner := 0; owner < p.N; owner++ {
-		for _, holder := range p.Replicas(owner) {
-			e.Begin(holder, owner, 101)
-			e.Receive(holder, owner, 101, shardSize/2)
-		}
-	}
-	v, ok := e.ConsistentVersion(allAlive)
-	if !ok || v != 100 {
-		t.Fatalf("half-written checkpoint leaked: version %d/%v, want 100", v, ok)
-	}
-}
-
-func TestCommitRequiresAllBytes(t *testing.T) {
-	e := newEngine(t, 4, 2)
-	e.Begin(0, 0, 1)
-	e.Receive(0, 0, 1, shardSize/2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("incomplete commit did not panic")
-		}
-	}()
-	e.Commit(0, 0, 1, 0)
-}
-
 func TestMisroutedShardPanics(t *testing.T) {
 	e := newEngine(t, 4, 2) // groups {0,1}, {2,3}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("misrouted Begin did not panic")
-		}
-	}()
-	e.Begin(2, 0, 1) // machine 2 does not hold rank 0's shard
+	checkpointAll(e, 1)
+	// Machine 2 does not hold rank 0's shard, under any commit kind.
+	for name, commit := range map[string]func(){
+		"Commit":      func() { e.Commit(2, 0, 2, 0) },
+		"CommitDelta": func() { e.CommitDelta(2, 0, 2, shardSize/4) },
+		"Refresh":     func() { e.Refresh(2, 0, 2) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("misrouted %s did not panic", name)
+				}
+			}()
+			commit()
+		}()
+	}
 }
 
-func TestStaleBeginPanics(t *testing.T) {
+func TestStaleCommitPanics(t *testing.T) {
 	e := newEngine(t, 4, 2)
 	checkpointAll(e, 10)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Begin at an old iteration did not panic")
+			t.Fatal("Commit at an old iteration did not panic")
 		}
 	}()
-	e.Begin(0, 0, 10)
-}
-
-func TestOverReceivePanics(t *testing.T) {
-	e := newEngine(t, 4, 2)
-	e.Begin(0, 0, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("over-receive did not panic")
-		}
-	}()
-	e.Receive(0, 0, 1, shardSize*2)
-}
-
-func TestReceiveWithoutBeginPanics(t *testing.T) {
-	e := newEngine(t, 4, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Receive without Begin did not panic")
-		}
-	}()
-	e.Receive(0, 0, 1, 10)
+	e.Commit(0, 0, 10, 0)
 }
 
 func TestWipeLosesShards(t *testing.T) {
@@ -141,8 +99,6 @@ func TestConsistencyRequiresSameIterationEverywhere(t *testing.T) {
 	// Advance only rank 0/1's group to 101.
 	for _, owner := range []int{0, 1} {
 		for _, holder := range e.Placement().Replicas(owner) {
-			e.Begin(holder, owner, 101)
-			e.Receive(holder, owner, 101, shardSize)
 			e.Commit(holder, owner, 101, 0)
 		}
 	}
@@ -170,35 +126,29 @@ func TestConsistentVersionWithDeadMachines(t *testing.T) {
 	}
 }
 
-func TestDoubleBufferHoldsTwoGenerationsUntilNextBegin(t *testing.T) {
+func TestDoubleBufferHoldsTwoGenerationsUntilNextCommit(t *testing.T) {
 	e := newEngine(t, 4, 2)
 	checkpointAll(e, 1)
 	checkpointAll(e, 2)
-	// Between Commit(2) and Begin(3), both generations are resident.
+	// Between Commit(2) and Commit(3), both generations are resident.
 	versions := e.CompletedVersions(0, 0)
 	if len(versions) != 2 || versions[0].Iteration != 2 || versions[1].Iteration != 1 {
 		t.Fatalf("resident versions %+v, want [2 1]", versions)
 	}
-	// Begin(3) reclaims the buffer holding generation 1.
-	e.Begin(0, 0, 3)
+	// Commit(3) reclaims the buffer holding generation 1.
+	e.Commit(0, 0, 3, 0)
 	versions = e.CompletedVersions(0, 0)
-	if len(versions) != 1 || versions[0].Iteration != 2 {
-		t.Fatalf("after Begin(3) versions %+v, want [2]", versions)
+	if len(versions) != 2 || versions[0].Iteration != 3 || versions[1].Iteration != 2 {
+		t.Fatalf("after Commit(3) versions %+v, want [3 2]", versions)
 	}
 }
 
 func TestConsistentVersionDuringStaggeredCommits(t *testing.T) {
 	// The window the double buffer exists for: half the cluster has
-	// committed v+1, half is still mid-transfer. A consistent version (v)
-	// must still exist.
+	// committed v+1, half has not yet. A consistent version (v) must
+	// still exist.
 	e := newEngine(t, 4, 2)
 	checkpointAll(e, 10)
-	for owner := 0; owner < 4; owner++ {
-		for _, holder := range e.Placement().Replicas(owner) {
-			e.Begin(holder, owner, 11)
-			e.Receive(holder, owner, 11, shardSize)
-		}
-	}
 	// Only group {0,1} commits 11.
 	for _, owner := range []int{0, 1} {
 		for _, holder := range e.Placement().Replicas(owner) {
@@ -425,11 +375,8 @@ func TestCoverageReactsToFailures(t *testing.T) {
 
 func TestCoverageSeesOnlyCommittedData(t *testing.T) {
 	e := newEngine(t, 4, 2)
-	// In-progress bytes are not coverage.
-	e.Begin(0, 0, 1)
-	e.Receive(0, 0, 1, shardSize)
 	if covered, _ := e.Coverage(allAlive); covered != 0 {
-		t.Fatalf("uncommitted shard counted as coverage: covered=%d", covered)
+		t.Fatalf("fresh engine: covered=%d, want 0", covered)
 	}
 	e.Commit(0, 0, 1, 0)
 	if covered, _ := e.Coverage(allAlive); covered != 1 {
@@ -454,8 +401,6 @@ func TestNewestCommitted(t *testing.T) {
 		t.Fatalf("NewestCommitted = %d/%v, want 100/true", v, ok)
 	}
 	// Commit 101 only on holder 1; the owner-wide newest advances.
-	e.Begin(1, 0, 101)
-	e.Receive(1, 0, 101, shardSize)
 	e.Commit(1, 0, 101, 0)
 	if v, ok := e.NewestCommitted(0, allAlive); !ok || v != 101 {
 		t.Fatalf("after partial 101: NewestCommitted = %d/%v, want 101/true", v, ok)

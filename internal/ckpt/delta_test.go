@@ -1,14 +1,23 @@
 package ckpt
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"gemini/internal/placement"
+)
 
 func TestDeltaCommitNeedsOnlyDeltaBytes(t *testing.T) {
 	e := newEngine(t, 4, 2)
 	checkpointAll(e, 1)
+	moved := e.BytesReceived()
 	delta := shardSize / 4
-	e.BeginDelta(0, 0, 2, delta)
-	e.Receive(0, 0, 2, delta)
-	e.Commit(0, 0, 2, 0)
+	e.CommitDelta(0, 0, 2, delta)
+	if got := e.BytesReceived() - moved; got != delta {
+		t.Errorf("delta commit moved %v bytes, want %v", got, delta)
+	}
 	sh, ok := e.Completed(0, 0)
 	if !ok || sh.Iteration != 2 {
 		t.Fatalf("delta commit landed as %+v/%v, want iteration 2", sh, ok)
@@ -16,19 +25,6 @@ func TestDeltaCommitNeedsOnlyDeltaBytes(t *testing.T) {
 	if sh.Bytes != shardSize {
 		t.Errorf("delta-committed shard reports %v bytes, want the full logical size %v", sh.Bytes, shardSize)
 	}
-}
-
-func TestDeltaCommitStillRequiresItsBytes(t *testing.T) {
-	e := newEngine(t, 4, 2)
-	checkpointAll(e, 1)
-	e.BeginDelta(0, 0, 2, shardSize/4)
-	e.Receive(0, 0, 2, shardSize/8)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("half-received delta committed without panic")
-		}
-	}()
-	e.Commit(0, 0, 2, 0)
 }
 
 func TestDeltaRequiresImmediatelyPreviousBase(t *testing.T) {
@@ -40,7 +36,38 @@ func TestDeltaRequiresImmediatelyPreviousBase(t *testing.T) {
 			t.Fatal("delta on a stale base did not panic")
 		}
 	}()
-	e.BeginDelta(0, 0, 3, shardSize/4)
+	e.CommitDelta(0, 0, 3, shardSize/4)
+}
+
+// A shard or delta size that is NaN, infinite, negative or (for a delta)
+// larger than the shard is rejected with a message naming the input,
+// and a rejected delta leaves the slot and the traffic untouched.
+func TestNonFiniteSizesRejected(t *testing.T) {
+	for _, size := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		_, err := NewEngine(placement.MustMixed(4, 2), size)
+		if err == nil || !strings.Contains(err.Error(), "shard size") {
+			t.Errorf("NewEngine(%v): err %v, want one naming the shard size", size, err)
+		}
+	}
+	for _, delta := range []float64{math.NaN(), math.Inf(1), -1, 2 * shardSize} {
+		t.Run(fmt.Sprint(delta), func(t *testing.T) {
+			e := newEngine(t, 4, 2)
+			checkpointAll(e, 1)
+			moved := e.BytesReceived()
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, "delta size") {
+						t.Errorf("CommitDelta(%v) panicked with %q, want one naming the delta size", delta, msg)
+					}
+				}()
+				e.CommitDelta(0, 0, 2, delta)
+			}()
+			if sh, _ := e.Completed(0, 0); sh.Iteration != 1 || e.BytesReceived() != moved {
+				t.Errorf("rejected delta changed state: newest %d, traffic %v → %v", sh.Iteration, moved, e.BytesReceived())
+			}
+		})
+	}
 }
 
 func TestRefreshRestampsWithoutBytes(t *testing.T) {

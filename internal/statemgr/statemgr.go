@@ -102,42 +102,51 @@ func ckptKey(owner int, generation int64) string {
 	return fmt.Sprintf("owner/%04d/gen%d", owner, generation%2)
 }
 
+// Replicate writes owner's live shard, serialized, into holder's CPU
+// store as the replica for iteration and returns its content
+// fingerprint for the version tracker to record. The encoding is
+// deterministic, so every holder of one iteration's shard stores
+// bit-identical bytes.
+func (m *Manager) Replicate(holder, owner int, iteration int64) (uint32, error) {
+	state := m.live[owner]
+	if state.Iteration != iteration {
+		return 0, fmt.Errorf("statemgr: machine %d live state at iteration %d, checkpointing %d",
+			owner, state.Iteration, iteration)
+	}
+	var buf bytes.Buffer
+	buf.Grow(int(tensor.EncodedSize(state)))
+	if err := tensor.Encode(&buf, state); err != nil {
+		return 0, err
+	}
+	if err := m.cpu[holder].Put(storage.Object{
+		Key:       ckptKey(owner, iteration),
+		Bytes:     float64(buf.Len()),
+		Iteration: iteration,
+		Shard:     owner,
+		Payload:   mustDecode(buf.Bytes()),
+	}); err != nil {
+		return 0, err
+	}
+	return state.Fingerprint(), nil
+}
+
 // Checkpoint replicates every healthy machine's live shard into the CPU
-// stores of its replica set and registers the commit with the version
-// tracker. The shard is serialized once and the same bytes land on every
-// holder, so all replicas are bit-identical.
+// stores of its healthy replica holders and commits each replica in the
+// version tracker — a standalone driver for callers without a control
+// plane (the agent commits from its strategy's plan through Replicate).
 func (m *Manager) Checkpoint(tracker *ckpt.Engine, iteration int64, healthy func(int) bool) error {
 	for owner := range m.live {
 		if healthy != nil && !healthy(owner) {
 			continue
 		}
-		state := m.live[owner]
-		if state.Iteration != iteration {
-			return fmt.Errorf("statemgr: machine %d live state at iteration %d, checkpointing %d",
-				owner, state.Iteration, iteration)
-		}
-		var buf bytes.Buffer
-		buf.Grow(int(tensor.EncodedSize(state)))
-		if err := tensor.Encode(&buf, state); err != nil {
-			return err
-		}
-		encoded := buf.Bytes()
-		fp := state.Fingerprint()
 		for _, holder := range m.placement.Replicas(owner) {
 			if healthy != nil && !healthy(holder) {
 				continue
 			}
-			if err := m.cpu[holder].Put(storage.Object{
-				Key:       ckptKey(owner, iteration),
-				Bytes:     float64(len(encoded)),
-				Iteration: iteration,
-				Shard:     owner,
-				Payload:   mustDecode(encoded),
-			}); err != nil {
+			fp, err := m.Replicate(holder, owner, iteration)
+			if err != nil {
 				return err
 			}
-			tracker.Begin(holder, owner, iteration)
-			tracker.Receive(holder, owner, iteration, tracker.ShardBytes())
 			tracker.Commit(holder, owner, iteration, fp)
 		}
 	}
@@ -229,18 +238,7 @@ func (m *Manager) Recover(tracker *ckpt.Engine, plan []ckpt.Retrieval, version i
 		m.live[r.Rank] = state
 		// A machine that fetched from a peer reseeds its own local copy.
 		if r.Source == ckpt.SourceRemoteCPU {
-			var buf bytes.Buffer
-			buf.Grow(int(tensor.EncodedSize(state)))
-			if err := tensor.Encode(&buf, state); err != nil {
-				return err
-			}
-			if err := m.cpu[r.Rank].Put(storage.Object{
-				Key:       ckptKey(r.Rank, version),
-				Bytes:     float64(buf.Len()),
-				Iteration: version,
-				Shard:     r.Rank,
-				Payload:   state.Clone(),
-			}); err != nil {
+			if _, err := m.Replicate(r.Rank, r.Rank, version); err != nil {
 				return err
 			}
 		}

@@ -61,14 +61,15 @@ type Env struct {
 type CommitKind int
 
 const (
-	// CommitFull moves the whole shard: Begin + Receive(shard) + Commit.
+	// CommitFull moves the whole shard (ckpt.Engine.Commit).
 	CommitFull CommitKind = iota
 	// CommitDelta moves only Bytes of delta on top of the holder's
 	// previous committed copy; the result is a full logical copy at the
-	// new iteration.
+	// new iteration (ckpt.Engine.CommitDelta).
 	CommitDelta
 	// CommitRefresh moves nothing: the shard did not change, so the
-	// holder's existing bytes ARE the new version and are re-stamped.
+	// holder's existing bytes ARE the new version and are re-stamped
+	// (ckpt.Engine.Refresh).
 	CommitRefresh
 )
 

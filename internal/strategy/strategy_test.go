@@ -32,13 +32,9 @@ func applyPlan(ck *ckpt.Engine, plan CommitPlan, iter int64) {
 	for _, c := range plan.Commits {
 		switch c.Kind {
 		case CommitFull:
-			ck.Begin(c.Holder, c.Owner, iter)
-			ck.Receive(c.Holder, c.Owner, iter, ck.ShardBytes())
 			ck.Commit(c.Holder, c.Owner, iter, 0)
 		case CommitDelta:
-			ck.BeginDelta(c.Holder, c.Owner, iter, c.Bytes)
-			ck.Receive(c.Holder, c.Owner, iter, c.Bytes)
-			ck.Commit(c.Holder, c.Owner, iter, 0)
+			ck.CommitDelta(c.Holder, c.Owner, iter, c.Bytes)
 		case CommitRefresh:
 			ck.Refresh(c.Holder, c.Owner, iter)
 		}
