@@ -38,9 +38,10 @@ go test -run='^$' -bench=. -benchtime=1x -benchmem ./...
 #   campaign hot path: a warm AppendGenerate into a buffer with room
 #     allocates nothing (pooled generator, no per-schedule seeding
 #     garbage), a warm one-worker smoke campaign stays within its
-#     per-variation allocation budget (pooled schedule buffers), and so
-#     does a warm observed chaos campaign (per-run registries recycled
-#     by the streaming rollup, chaos merged into a pooled buffer);
+#     per-variation allocation budget of 7.5 (pooled schedule buffers,
+#     run records written in place), and a warm observed chaos campaign
+#     within 8 (per-run registries recycled by the streaming rollup,
+#     chaos merged into a pooled buffer);
 #   campaign report: a warm ComputeHash on an observed report encodes
 #     into a pooled buffer and allocates only its hex digest (≤ 2
 #     allocs, under 1 KiB per call);

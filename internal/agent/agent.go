@@ -9,8 +9,10 @@ package agent
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
+	"gemini/internal/baselines"
 	"gemini/internal/ckpt"
 	"gemini/internal/cloud"
 	"gemini/internal/cluster"
@@ -61,36 +63,57 @@ type Options struct {
 	RetryMax int
 }
 
-// DefaultOptions mirrors the paper's measured values.
+// DefaultOptions mirrors the paper's measured values. Detection,
+// warm-up and the remote store's bandwidth are Fig. 14's constants,
+// declared once in baselines.
 func DefaultOptions(iterTime simclock.Duration) Options {
 	return Options{
 		HeartbeatInterval:        5 * simclock.Second,
-		LeaseTTL:                 15 * simclock.Second,
+		LeaseTTL:                 baselines.DetectionTime,
 		CheckInterval:            5 * simclock.Second,
 		IterationTime:            iterTime,
 		RetrievalPeerBandwidth:   400e9 / 8,
-		RetrievalRemoteBandwidth: 20e9 / 8,
+		RetrievalRemoteBandwidth: baselines.DefaultRemoteBandwidth,
 		SerializeTime:            162 * simclock.Second,
-		WarmupTime:               4 * simclock.Minute,
+		WarmupTime:               baselines.RestartWarmup,
 		RetryBase:                2 * simclock.Second,
 		RetryMax:                 4,
 	}
 }
 
+// validate rejects a non-positive interval, iteration time or
+// bandwidth, a negative cost or retry parameter, and any NaN or
+// infinite value, naming the offending field.
 func (o Options) validate() error {
-	switch {
-	case o.HeartbeatInterval <= 0 || o.LeaseTTL <= 0 || o.CheckInterval <= 0:
-		return fmt.Errorf("agent: heartbeat/lease/check intervals must be positive")
-	case o.LeaseTTL <= o.HeartbeatInterval:
-		return fmt.Errorf("agent: lease TTL %v must exceed heartbeat interval %v", o.LeaseTTL, o.HeartbeatInterval)
-	case o.IterationTime <= 0:
-		return fmt.Errorf("agent: iteration time must be positive")
-	case o.RetrievalPeerBandwidth <= 0 || o.RetrievalRemoteBandwidth <= 0:
-		return fmt.Errorf("agent: retrieval bandwidths must be positive")
-	case o.SerializeTime < 0 || o.WarmupTime < 0:
-		return fmt.Errorf("agent: negative recovery costs")
-	case o.RetryBase < 0 || o.RetryMax < 0:
-		return fmt.Errorf("agent: negative retry parameters")
+	for _, f := range []struct {
+		name string
+		v    float64
+		zero bool // zero is allowed
+	}{
+		{"HeartbeatInterval", float64(o.HeartbeatInterval), false},
+		{"LeaseTTL", float64(o.LeaseTTL), false},
+		{"CheckInterval", float64(o.CheckInterval), false},
+		{"IterationTime", float64(o.IterationTime), false},
+		{"RetrievalPeerBandwidth", o.RetrievalPeerBandwidth, false},
+		{"RetrievalRemoteBandwidth", o.RetrievalRemoteBandwidth, false},
+		{"SerializeTime", float64(o.SerializeTime), true},
+		{"WarmupTime", float64(o.WarmupTime), true},
+		{"RetryBase", float64(o.RetryBase), true},
+	} {
+		switch {
+		case math.IsInf(f.v, 0) || math.IsNaN(f.v):
+			return fmt.Errorf("agent: %s must be finite, got %v", f.name, f.v)
+		case f.zero && !(f.v >= 0):
+			return fmt.Errorf("agent: %s must be ≥ 0, got %v", f.name, f.v)
+		case !f.zero && !(f.v > 0):
+			return fmt.Errorf("agent: %s must be positive, got %v", f.name, f.v)
+		}
+	}
+	if o.RetryMax < 0 {
+		return fmt.Errorf("agent: RetryMax must be ≥ 0, got %d", o.RetryMax)
+	}
+	if !(o.LeaseTTL > o.HeartbeatInterval) {
+		return fmt.Errorf("agent: LeaseTTL %v must exceed HeartbeatInterval %v", o.LeaseTTL, o.HeartbeatInterval)
 	}
 	return nil
 }
@@ -172,7 +195,7 @@ type System struct {
 	// per-failure Eq. 1 wasted-time ledger. recoveryStart anchors the
 	// TRecovery measurement of the recovery in flight.
 	health        *healthMonitor
-	wastedEvents  []WastedEvent
+	wastedEvents  []strategy.Outcome
 	recoveryStart simclock.Time
 
 	// Structured tracing (nil = disabled): recovery phases and iterations

@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -409,5 +410,38 @@ func TestInjectFailureIdempotent(t *testing.T) {
 	f.engine.Run(simclock.Time(30 * iterTime))
 	if f.sys.Recoveries() != 1 {
 		t.Fatalf("%d recoveries after duplicate injection, want 1", f.sys.Recoveries())
+	}
+}
+
+// TestOptionsRejectNonFinite: a NaN fails every ordered comparison, so
+// a bound written as "reject if out of range" lets it through, and an
+// infinite duration or bandwidth passes a positivity check. NewSystem
+// must reject each of them with an error naming the field.
+func TestOptionsRejectNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(o *Options, v float64)
+	}{
+		{"HeartbeatInterval", func(o *Options, v float64) { o.HeartbeatInterval = simclock.Duration(v) }},
+		{"LeaseTTL", func(o *Options, v float64) { o.LeaseTTL = simclock.Duration(v) }},
+		{"CheckInterval", func(o *Options, v float64) { o.CheckInterval = simclock.Duration(v) }},
+		{"IterationTime", func(o *Options, v float64) { o.IterationTime = simclock.Duration(v) }},
+		{"RetrievalPeerBandwidth", func(o *Options, v float64) { o.RetrievalPeerBandwidth = v }},
+		{"RetrievalRemoteBandwidth", func(o *Options, v float64) { o.RetrievalRemoteBandwidth = v }},
+		{"SerializeTime", func(o *Options, v float64) { o.SerializeTime = simclock.Duration(v) }},
+		{"WarmupTime", func(o *Options, v float64) { o.WarmupTime = simclock.Duration(v) }},
+		{"RetryBase", func(o *Options, v float64) { o.RetryBase = simclock.Duration(v) }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+			opts := DefaultOptions(iterTime)
+			f.set(&opts, v)
+			engine := simclock.NewEngine()
+			_, err := NewSystem(engine, cluster.MustNew(4, cluster.MustInstance("p4d.24xlarge")),
+				ckpt.MustNewEngine(placement.MustMixed(4, 2), 75e9), cloud.MustNewOperator(engine, cloud.DefaultConfig()), opts)
+			if err == nil || !strings.Contains(err.Error(), f.name) {
+				t.Errorf("%s = %v: NewSystem error %v, want one naming %s", f.name, v, err, f.name)
+			}
+		}
 	}
 }

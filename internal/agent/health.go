@@ -15,30 +15,6 @@ import (
 	"gemini/internal/trace"
 )
 
-// WastedEvent is one failure's Eq. 1 accounting: the wall-clock window
-// from detection to resumption (TRecovery) plus the recomputation debt
-// of rolling back to the recovered version (TLost).
-type WastedEvent struct {
-	// Detected is when the root agent began recovery; Resumed is when
-	// training restarted.
-	Detected, Resumed simclock.Time
-	// Ranks are the machines the root declared failed.
-	Ranks []int
-	// Source is where the checkpoint came from: local, peer, or remote.
-	Source string
-	// Version is the iteration training resumed from.
-	Version int64
-	// LostIterations is how many committed iterations the rollback
-	// discarded (Eq. 1's lost progress).
-	LostIterations int64
-	// TLost is the recomputation cost of those iterations; TRecovery is
-	// the detection-to-resumption downtime.
-	TLost, TRecovery simclock.Duration
-}
-
-// Wasted returns the event's total Eq. 1 wasted time.
-func (ev WastedEvent) Wasted() simclock.Duration { return ev.TLost + ev.TRecovery }
-
 // healthMonitor holds the control plane's registered instruments.
 type healthMonitor struct {
 	iteration   *metrics.Gauge
@@ -83,7 +59,7 @@ func (s *System) SetMetrics(reg *metrics.Registry) {
 
 // WastedEvents returns the per-failure Eq. 1 records in completion
 // order. Recorded whether or not a metrics registry is attached.
-func (s *System) WastedEvents() []WastedEvent { return s.wastedEvents }
+func (s *System) WastedEvents() []strategy.Outcome { return s.wastedEvents }
 
 // observeHealth refreshes the coverage and staleness gauges from the
 // checkpoint engine's placement state. Called at every gauge-moving
@@ -133,12 +109,12 @@ func (s *System) observeHealth() {
 	}
 }
 
-// recordRecovery appends the failure's WastedEvent and feeds the wasted-
-// time histograms. Called once per completed recovery, just before
-// training resumes.
-func (s *System) recordRecovery(failed []int, source string, version, lostIters int64) {
+// recordRecovery appends the failure's Eq. 1 record, feeds the wasted-
+// time histograms, and returns the record. Called once per completed
+// recovery, just before training resumes.
+func (s *System) recordRecovery(failed []int, source string, version, lostIters int64, hardware bool) strategy.Outcome {
 	now := s.engine.Now()
-	ev := WastedEvent{
+	ev := strategy.Outcome{
 		Detected:       s.recoveryStart,
 		Resumed:        now,
 		Ranks:          append([]int(nil), failed...),
@@ -147,6 +123,7 @@ func (s *System) recordRecovery(failed []int, source string, version, lostIters 
 		LostIterations: lostIters,
 		TLost:          simclock.Duration(lostIters) * s.opts.IterationTime,
 		TRecovery:      now.Sub(s.recoveryStart),
+		Hardware:       hardware,
 	}
 	s.wastedEvents = append(s.wastedEvents, ev)
 	if h := s.health; h != nil {
@@ -160,4 +137,5 @@ func (s *System) recordRecovery(failed []int, source string, version, lostIters 
 		s.rootTrack.InstantArgs(trace.CatAgent, "wasted-time",
 			"source="+source+" t_lost="+ev.TLost.String()+" t_recovery="+ev.TRecovery.String())
 	}
+	return ev
 }

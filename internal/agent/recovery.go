@@ -414,17 +414,7 @@ func (s *System) attemptRetrieval(failed []int, hardware map[int]bool, attempt i
 			s.heartbeat(restarted)
 			s.recovering = false
 			s.recoveries++
-			s.recordRecovery(failed, source, version, lostIters)
-			ev := s.wastedEvents[len(s.wastedEvents)-1]
-			s.strategy.OnRecovered(strategy.Outcome{
-				At:             ev.Resumed,
-				Source:         ev.Source,
-				Version:        ev.Version,
-				LostIterations: ev.LostIterations,
-				TLost:          ev.TLost,
-				TRecovery:      ev.TRecovery,
-				Hardware:       len(hardware) > 0,
-			})
+			s.strategy.OnRecovered(s.recordRecovery(failed, source, version, lostIters, len(hardware) > 0))
 			s.observeHealth()
 			s.log.Add("root-agent", "recovery-complete", "resumed at iteration %d", version)
 			s.rootTrack.End() // closes the "recovery" span from beginRecovery

@@ -1,6 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§7) plus the two catalog tables. Each experiment returns
-// structured rows and renders a text table, so the same code backs both
+// its table rendered as text, so the same code backs both
 // cmd/benchtables and the root bench_test.go benchmarks.
 package experiments
 

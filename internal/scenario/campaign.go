@@ -177,18 +177,6 @@ func toStats(s metrics.Summary) Stats {
 	return Stats{Mean: s.Mean, Min: s.Min, Max: s.Max, P50: s.P50, P90: s.P90, P99: s.P99, StdDev: s.StdDev}
 }
 
-// variationResult is one variation's per-spec outcomes, in spec order.
-type variationResult struct {
-	ratio  []float64
-	wasted []simclock.Duration
-	fails  []int
-	local  []int
-	peer   []int
-	remote []int
-	// records is populated only under RecordRuns.
-	records []RunRecord
-}
-
 // scheduleBufs is a pair of failure-schedule buffers: the background
 // draw and, when the scenario has chaos, the merged schedule.
 type scheduleBufs struct{ base, merged failure.Schedule }
@@ -216,13 +204,12 @@ var registries = sync.Pool{New: func() any { return metrics.NewRegistry() }}
 // rollup streams per-run registries into the campaign's deterministic
 // aggregates. Variations finish in any order; their registries are
 // merged strictly in (variation, spec) order as the completed prefix
-// grows, by one worker at a time and outside the slot lock, then reset
-// and recycled. The merge order, and so every rendering of the
-// aggregates, is the same at any worker count.
+// grows, by one worker at a time and outside the lock, then reset and
+// recycled. The merge order, and so every rendering of the aggregates,
+// is the same at any worker count.
 type rollup struct {
-	mu    sync.Mutex
-	slots []variationResult
-	done  []bool
+	mu   sync.Mutex
+	done []bool
 	// regs holds run (v, si)'s registry at v*len(specs)+si.
 	regs []*metrics.Registry
 	// next is the first variation not yet merged; merging is set while
@@ -235,16 +222,15 @@ type rollup struct {
 	specs []*metrics.Registry
 }
 
-// store files variation v's result and reports whether the caller
-// became the merger and must drain: never without registries, and only
-// for v == next, the one variation that can extend the prefix (a merger
-// that stopped did so because next had not finished).
-func (r *rollup) store(v int, vr variationResult) bool {
+// store marks variation v's registries filed and reports whether the
+// caller became the merger and must drain: only for v == next, the one
+// variation that can extend the prefix (a merger that stopped did so
+// because next had not finished).
+func (r *rollup) store(v int) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.slots[v] = vr
 	r.done[v] = true
-	if r.regs == nil || r.merging || v != r.next {
+	if r.merging || v != r.next {
 		return false
 	}
 	r.merging = true
@@ -283,8 +269,9 @@ func (c *Compiled) runConfig(spec baselines.Spec, fs failure.Schedule) (runsim.C
 
 // RunCampaign expands the compiled scenario into its seeded variations,
 // fans them across workers, and aggregates. Variation v uses failure
-// seed Seed+v; results are collected into slot v and reduced in
-// variation order, so the report does not depend on the worker count.
+// seed Seed+v and writes its runs' records at v*len(specs); the records
+// are reduced in variation order, so the report does not depend on the
+// worker count.
 func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Report, error) {
 	s := c.Scenario
 	variations := s.Variations
@@ -303,12 +290,11 @@ func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Repor
 	simPerRun := s.Horizon.Seconds() * float64(nspecs)
 	opts.Progress.Begin(variations, simPerRun)
 
-	roll := &rollup{
-		slots: make([]variationResult, variations),
-		done:  make([]bool, variations),
-		specs: make([]*metrics.Registry, nspecs),
-	}
+	// runs holds run (v, si)'s record at v*nspecs+si.
+	runs := make([]RunRecord, variations*nspecs)
+	roll := &rollup{specs: make([]*metrics.Registry, nspecs)}
 	if collectRegs {
+		roll.done = make([]bool, variations)
 		roll.regs = make([]*metrics.Registry, variations*nspecs)
 	}
 	if opts.Aggregate {
@@ -324,17 +310,6 @@ func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Repor
 		fs, err := c.appendFailureSchedule(&bufs.scheduleBufs, v)
 		if err != nil {
 			return err
-		}
-		vr := variationResult{
-			ratio:  make([]float64, nspecs),
-			wasted: make([]simclock.Duration, nspecs),
-			fails:  make([]int, nspecs),
-			local:  make([]int, nspecs),
-			peer:   make([]int, nspecs),
-			remote: make([]int, nspecs),
-		}
-		if opts.RecordRuns {
-			vr.records = make([]RunRecord, nspecs)
 		}
 		// Every spec walks the variation's schedule in one RunAll, which
 		// shares each failure group's scan across the specs.
@@ -366,16 +341,8 @@ func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Repor
 		}
 		fails := 0
 		for si, res := range out {
-			vr.ratio[si] = res.EffectiveRatio
-			vr.wasted[si] = res.TotalWasted
-			vr.fails[si] = res.Failures
+			runs[v*nspecs+si] = makeRecord(v, c.Specs[si].Name, res)
 			fails += res.Failures
-			vr.local[si] = res.FromLocal
-			vr.peer[si] = res.FromPeer
-			vr.remote[si] = res.FromRemote
-			if opts.RecordRuns {
-				vr.records[si] = makeRecord(v, c.Specs[si].Name, res)
-			}
 			if collectRegs {
 				reg := cfgs[si].Obs.Metrics
 				roll.regs[v*nspecs+si] = reg
@@ -384,8 +351,8 @@ func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Repor
 			res.Release()
 			out[si] = nil
 		}
-		merge := roll.store(v, vr)
-		// RunDone follows the store into slot v and never fires for a
+		merge := collectRegs && roll.store(v)
+		// RunDone follows the variation's records and never fires for a
 		// failed variation.
 		opts.Progress.RunDone(fails, simPerRun)
 		if merge {
@@ -416,18 +383,18 @@ func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Repor
 		rep.FailuresPerDay = s.Failures.PerDay
 	}
 
-	slots := roll.slots
 	ratios := make([]float64, variations)
 	wastedH := make([]float64, variations)
 	for si, spec := range c.Specs {
 		sr := SpecReport{Name: spec.Name}
-		for v := range slots {
-			ratios[v] = slots[v].ratio[si]
-			wastedH[v] = slots[v].wasted[si].Seconds() / 3600
-			sr.Failures += slots[v].fails[si]
-			sr.FromLocal += slots[v].local[si]
-			sr.FromPeer += slots[v].peer[si]
-			sr.FromRemote += slots[v].remote[si]
+		for v := range variations {
+			r := &runs[v*nspecs+si]
+			ratios[v] = r.EffectiveRatio
+			wastedH[v] = r.WastedSeconds / 3600
+			sr.Failures += r.Failures
+			sr.FromLocal += r.FromLocal
+			sr.FromPeer += r.FromPeer
+			sr.FromRemote += r.FromRemote
 		}
 		sr.EffectiveRatio = toStats(metrics.Summarize(ratios))
 		sr.WastedHours = toStats(metrics.Summarize(wastedH))
@@ -437,10 +404,7 @@ func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Repor
 		rep.Specs = append(rep.Specs, sr)
 	}
 	if opts.RecordRuns {
-		rep.Runs = make([]RunRecord, 0, variations*nspecs)
-		for v := range slots {
-			rep.Runs = append(rep.Runs, slots[v].records...)
-		}
+		rep.Runs = runs
 	}
 	if opts.Aggregate {
 		rep.agg = roll.agg

@@ -76,7 +76,7 @@ func (s *Scenario) Compile() (*Compiled, error) {
 		Instance:        instance,
 		Machines:        s.Job.Machines,
 		Replicas:        s.Job.Replicas,
-		RemoteBandwidth: s.Job.RemoteGbps,
+		RemoteBandwidth: s.Job.RemoteGbps * 1e9 / 8,
 		Parallelism:     parallelismByName(s.Job.Parallelism),
 	})
 	if err != nil {

@@ -59,7 +59,8 @@ type JobConfig struct {
 	Machines int
 	// Replicas is the checkpoint replica count m (default 2).
 	Replicas int
-	// RemoteGbps is the persistent store bandwidth (0 = default).
+	// RemoteGbps is the persistent store's aggregate bandwidth in
+	// gigabits per second (0 = the paper's 20 Gbps FSx default).
 	RemoteGbps float64
 	// Parallelism is zero-3, data-parallel, or pipeline-parallel.
 	Parallelism string

@@ -706,3 +706,29 @@ func TestParallelismReachesSpecs(t *testing.T) {
 		t.Errorf("pipeline GEMINI interval %v != iteration %v", pipe.Specs[0].Interval, pipe.Job.Timeline.Iteration)
 	}
 }
+
+// job.remote_gbps is in gigabits per second: the paper's 20 Gbps FSx
+// bandwidth, stated explicitly, compiles to the same specs as the
+// default it stands for.
+func TestRemoteGbpsIsGigabits(t *testing.T) {
+	compile := func(src string) *Compiled {
+		t.Helper()
+		s, err := Parse([]byte(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := s.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	def := compile(smallYAML)
+	fsx := compile(strings.Replace(smallYAML, "replicas: 2", "replicas: 2\n  remote_gbps: 20", 1))
+	if fsx.Scenario.Job.RemoteGbps != 20 {
+		t.Fatalf("remote_gbps parsed as %v, want 20", fsx.Scenario.Job.RemoteGbps)
+	}
+	if !reflect.DeepEqual(fsx.Specs, def.Specs) {
+		t.Errorf("remote_gbps: 20 compiles to\n%+v\nwant the default's\n%+v", fsx.Specs, def.Specs)
+	}
+}

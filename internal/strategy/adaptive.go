@@ -8,8 +8,8 @@ import (
 
 // Adaptive is a Chameleon-style meta-strategy: it runs one of the fixed
 // policies at a time and re-evaluates the choice at every iteration
-// boundary from the observed recovery stream — the same WastedEvent
-// signal the health monitor exports. The decision rule over the last
+// boundary from the observed recovery stream — the same Outcome
+// records the control plane keeps. The decision rule over the last
 // Window recoveries:
 //
 //   - failures are rare (observed MTBF ≥ QuietMTBF) → sparse: minimize
@@ -81,7 +81,7 @@ func (a *Adaptive) signals() (mtbf simclock.Duration, hwFrac float64, ok bool) {
 	if len(w) < 2 {
 		return 0, 0, false
 	}
-	span := w[len(w)-1].At.Sub(w[0].At)
+	span := w[len(w)-1].Resumed.Sub(w[0].Resumed)
 	mtbf = span / simclock.Duration(len(w)-1)
 	hw := 0
 	for _, o := range w {

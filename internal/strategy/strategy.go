@@ -151,21 +151,32 @@ type Recovery struct {
 	ReplayTime simclock.Duration
 }
 
-// Outcome reports one completed recovery back to the strategy.
+// Outcome is one completed recovery's Eq. 1 accounting: the wall-clock
+// window from detection to resumption (TRecovery) plus the
+// recomputation debt of rolling back to the recovered version (TLost).
+// The control plane records it and reports it back to the strategy.
 type Outcome struct {
-	// At is the resume time (recovery completion).
-	At simclock.Time
+	// Detected is when the root agent began recovery; Resumed is when
+	// training restarted.
+	Detected, Resumed simclock.Time
+	// Ranks are the machines the root declared failed.
+	Ranks []int
 	// Source is the tier recovery read from: gpu, local, peer, remote.
 	Source string
 	// Version is the iteration training resumed from.
 	Version int64
-	// LostIterations is the rolled-back progress.
+	// LostIterations is how many committed iterations the rollback
+	// discarded (Eq. 1's lost progress).
 	LostIterations int64
-	// TLost and TRecovery are the Eq. 1 terms.
+	// TLost is the recomputation cost of those iterations; TRecovery is
+	// the detection-to-resumption downtime.
 	TLost, TRecovery simclock.Duration
 	// Hardware says the wave included at least one machine replacement.
 	Hardware bool
 }
+
+// Wasted returns the recovery's total Eq. 1 wasted time.
+func (o Outcome) Wasted() simclock.Duration { return o.TLost + o.TRecovery }
 
 // Strategy owns checkpoint placement/cadence, commit behavior, and the
 // recovery-source policy for one run. Implementations must be

@@ -257,7 +257,7 @@ func TestAdaptiveDecisionRule(t *testing.T) {
 	at := simclock.Time(0)
 	for i := 0; i < 4; i++ {
 		at = at.Add(2 * simclock.Minute)
-		a.OnRecovered(Outcome{At: at, Source: "local", Hardware: false})
+		a.OnRecovered(Outcome{Resumed: at, Source: "local", Hardware: false})
 	}
 	a.PlanCommit(10, allHealthy)
 	if a.Active() != "tiered" {
@@ -270,7 +270,7 @@ func TestAdaptiveDecisionRule(t *testing.T) {
 	// Hardware takes over the window → gemini.
 	for i := 0; i < 8; i++ {
 		at = at.Add(2 * simclock.Minute)
-		a.OnRecovered(Outcome{At: at, Source: "peer", Hardware: true})
+		a.OnRecovered(Outcome{Resumed: at, Source: "peer", Hardware: true})
 	}
 	a.PlanCommit(20, allHealthy)
 	if a.Active() != "gemini" {
@@ -280,7 +280,7 @@ func TestAdaptiveDecisionRule(t *testing.T) {
 	// Failures spread out far beyond QuietMTBF → sparse.
 	for i := 0; i < 8; i++ {
 		at = at.Add(10 * simclock.Hour)
-		a.OnRecovered(Outcome{At: at, Source: "local", Hardware: false})
+		a.OnRecovered(Outcome{Resumed: at, Source: "local", Hardware: false})
 	}
 	a.PlanCommit(30, allHealthy)
 	if a.Active() != "sparse" {
