@@ -1,11 +1,14 @@
 #!/bin/sh
-# CI gate: build, vet, the full test suite under the race detector, and
-# a one-iteration benchmark smoke run (benchmarks are part of the paper
-# reproduction — they must at least still execute).
+# CI gate: build, vet, gofmt, the full test suite under the race
+# detector, and a one-iteration benchmark smoke run (benchmarks are part
+# of the paper reproduction — they must at least still execute).
 set -eux
 
 go build ./...
 go vet ./...
+# Formatting gate over tracked Go files only, so the benchmark build's
+# module cache under .bench_build/ stays out of it.
+test -z "$(gofmt -l $(git ls-files '*.go'))"
 go test -race ./...
 go test -run='^$' -bench=. -benchtime=1x -benchmem ./...
 

@@ -268,8 +268,6 @@ func (s *System) bindStrategy() {
 		Ckpt:          s.ckpt,
 		Placement:     s.placement,
 		IterationTime: s.opts.IterationTime,
-		Now:           s.engine.Now,
-		RemoteEvery:   s.remoteEvery,
 		Emit:          s.emitStrategyEvent,
 	})
 }

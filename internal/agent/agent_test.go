@@ -11,6 +11,7 @@ import (
 	"gemini/internal/failure"
 	"gemini/internal/placement"
 	"gemini/internal/simclock"
+	"gemini/internal/strategy"
 	"gemini/internal/trace"
 )
 
@@ -353,6 +354,30 @@ func TestOptionsValidation(t *testing.T) {
 		}
 	}()
 	sys.SetRemoteEvery(0)
+}
+
+// The remote persistent tier's cadence belongs to the agent, not the
+// strategy: every strategy's healthy run commits the whole model to the
+// remote tier once per SetRemoteEvery iterations, and never otherwise.
+func TestRemoteCadenceIsStrategyIndependent(t *testing.T) {
+	const n, every = 16, 7
+	for _, name := range strategy.Names() {
+		t.Run(name, func(t *testing.T) {
+			f := newFixture(t, n, 2, cloud.DefaultConfig())
+			f.sys.SetStrategy(strategy.MustNew(name))
+			f.sys.SetRemoteEvery(every)
+			f.sys.Start()
+			f.engine.Run(simclock.Time(50*iterTime + 5))
+			iters := f.sys.Iteration()
+			if iters != 50 {
+				t.Fatalf("iteration %d after 50 iteration times, want 50", iters)
+			}
+			want := float64(iters/every) * n * f.ck.ShardBytes()
+			if got := f.sys.Traffic().Remote; got != want {
+				t.Fatalf("remote bytes %v, want ⌊%d/%d⌋·%d·shard = %v", got, iters, every, n, want)
+			}
+		})
+	}
 }
 
 func TestLongevityManyRandomFailures(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 	"gemini/internal/trace"
 )
 
-// RemoteEveryIterations is how often the remote persistent tier gets a
+// defaultRemoteEvery is how often the remote persistent tier gets a
 // checkpoint, in iterations. With 62-second iterations, 174 iterations ≈
 // 3 hours, matching the Strawman cadence GEMINI keeps for non-recovery
 // purposes (§7.1). Configured on the system via SetRemoteEvery.
@@ -34,9 +34,10 @@ func (s *System) scheduleIteration() {
 	})
 }
 
-// completeIteration advances training by one iteration and commits the
+// completeIteration advances training by one iteration, commits the
 // checkpoint work the installed strategy planned for it in the
-// bookkeeping engine. (The traffic side of checkpointing is exercised
+// bookkeeping engine, and feeds the remote persistent tier on its
+// cadence. (The traffic side of checkpointing is exercised
 // by the training executor; the control plane tracks versions and
 // placement.)
 func (s *System) completeIteration() {
@@ -46,8 +47,7 @@ func (s *System) completeIteration() {
 	if s.data != nil {
 		s.data.Step(iter, healthy)
 	}
-	plan := s.strategy.PlanCommit(iter, healthy)
-	for _, c := range plan.Commits {
+	for _, c := range s.strategy.PlanCommit(iter, healthy) {
 		switch c.Kind {
 		case strategy.CommitFull:
 			s.commitFull(c.Holder, c.Owner, iter)
@@ -59,10 +59,11 @@ func (s *System) completeIteration() {
 			panic(fmt.Sprintf("agent: unknown commit kind %d", c.Kind))
 		}
 	}
-	// The remote persistent tier commits on its own cadence; the commit is
-	// recorded so recovery reads what was actually written, not what the
-	// current cadence implies (SetRemoteEvery may have changed it since).
-	if plan.Remote {
+	// The remote persistent tier commits on its own cadence, the same for
+	// every strategy; the commit is recorded so recovery reads what was
+	// actually written, not what the current cadence implies
+	// (SetRemoteEvery may have changed it since).
+	if iter%s.remoteEvery() == 0 {
 		if s.data != nil {
 			if err := s.data.CheckpointRemote(iter); err != nil {
 				panic(fmt.Sprintf("agent: remote checkpoint: %v", err))
@@ -171,7 +172,7 @@ func (s *System) beginRecovery(failed []int) {
 	// unless the strategy's fast tier makes the stall unnecessary (the
 	// tiered strategy's GPU snapshots are already materialized).
 	serialize := simclock.Duration(0)
-	if s.strategy.SerializeNeeded(failed, hardware) {
+	if s.strategy.SerializeNeeded(len(hardware) > 0) {
 		serialize = s.opts.SerializeTime
 	}
 	serStart := s.engine.Now()
@@ -244,12 +245,10 @@ func (s *System) attemptRetrieval(failed []int, hardware map[int]bool, attempt i
 	avail := func(rank int) bool { return !hardware[rank] && !s.partitioned[rank] }
 
 	rec := s.strategy.PlanRecovery(strategy.RecoveryContext{
-		Failed:        failed,
-		Hardware:      hardware,
+		Hardware:      len(hardware) > 0,
 		Reachable:     avail,
 		Surviving:     func(rank int) bool { return !hardware[rank] },
 		RemoteVersion: s.lastRemoteIteration(),
-		Attempt:       attempt,
 	})
 	if rec.Tier == strategy.TierRemote && rec.Retryable && attempt < s.opts.RetryMax {
 		// Retry only helps when the blocker is reachability: if the data

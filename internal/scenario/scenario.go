@@ -149,11 +149,18 @@ const (
 	MaxVariations = 1_000_000
 )
 
-// scenarioKinds is the chaos vocabulary the compiler accepts.
-var scenarioKinds = map[string]bool{
-	"crash": true, "correlated-crash": true, "partition": true,
-	"straggler": true, "kv-outage": true, "lease-jitter": true,
-	"region-outage": true, "provider-outage": true,
+// chaosFields is the chaos vocabulary the compiler accepts: for each
+// kind, the fields besides at and kind that its compiled events read.
+// The binder rejects any other field on an entry of that kind.
+var chaosFields = map[string][]string{
+	"crash":            {"rank", "ranks", "state"},
+	"correlated-crash": {"rank", "ranks", "state"},
+	"partition":        {"rank", "ranks", "duration"},
+	"straggler":        {"rank", "ranks", "duration", "factor"},
+	"kv-outage":        {"duration"},
+	"lease-jitter":     {"jitter"},
+	"region-outage":    {"region", "state", "max_ranks"},
+	"provider-outage":  {"provider", "state", "max_ranks"},
 }
 
 var parallelisms = map[string]bool{
@@ -363,7 +370,7 @@ func (c ChaosConfig) validate(i int, horizon simclock.Duration, fleet *FleetConf
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("scenario: chaos[%d] (%s): %s", i, c.Kind, fmt.Sprintf(format, args...))
 	}
-	if !scenarioKinds[c.Kind] {
+	if _, ok := chaosFields[c.Kind]; !ok {
 		return fmt.Errorf("scenario: chaos[%d] kind %q unknown", i, c.Kind)
 	}
 	// An event at or past the horizon would never fire, yet would still
@@ -885,9 +892,35 @@ func bindChaos(root *node, into *[]ChaosConfig) error {
 		if err := n.finish(); err != nil {
 			return err
 		}
+		if err := c.checkFields(n); err != nil {
+			return err
+		}
 		*into = append(*into, c)
 	}
 	return nil
+}
+
+// checkFields rejects a set field the entry's kind never reads, and an
+// explicit negative rank (the binder's -1 default means "unset", so one
+// would otherwise vanish). An unknown kind is left to Validate.
+func (c ChaosConfig) checkFields(n *node) error {
+	if v, ok := n.m["rank"]; ok && v != nil && c.Rank < 0 {
+		return fmt.Errorf("scenario: %s.rank must be ≥ 0, got %d", n.path, c.Rank)
+	}
+	fields, ok := chaosFields[c.Kind]
+	if !ok {
+		return nil
+	}
+	stray := "" // the alphabetically first, so the error is deterministic
+	for key, v := range n.m {
+		if v != nil && key != "at" && key != "kind" && !slices.Contains(fields, key) && (stray == "" || key < stray) {
+			stray = key
+		}
+	}
+	if stray == "" {
+		return nil
+	}
+	return fmt.Errorf("scenario: %s.%s does not apply to %s", n.path, stray, c.Kind)
 }
 
 func bindRun(root *node, r *RunConfig) error {

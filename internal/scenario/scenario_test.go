@@ -354,6 +354,21 @@ func TestChaosValidation(t *testing.T) {
 		{"at +Inf", "  - at: +Inf\n    kind: kv-outage\n    duration: 1m\n", "chaos[0].at"},
 		{"negative at", "  - at: -1h\n    kind: kv-outage\n    duration: 1m\n", "chaos[0].at"},
 		{"second entry past horizon", "  - at: 1h\n    kind: kv-outage\n    duration: 1m\n  - at: 5d\n    kind: kv-outage\n    duration: 1m\n", "chaos[1].at"},
+		// A field the kind never reads is rejected by its path, not ignored.
+		{"crash with duration", "  - at: 1h\n    kind: crash\n    rank: 1\n    state: software\n    duration: 5m\n", "chaos[0].duration does not apply to crash"},
+		{"crash with factor", "  - at: 1h\n    kind: crash\n    rank: 1\n    state: software\n    factor: 0.5\n", "chaos[0].factor does not apply to crash"},
+		{"crash with jitter", "  - at: 1h\n    kind: crash\n    rank: 1\n    state: software\n    jitter: 3s\n", "chaos[0].jitter does not apply to crash"},
+		{"crash with max_ranks", "  - at: 1h\n    kind: crash\n    rank: 1\n    state: software\n    max_ranks: 2\n", "chaos[0].max_ranks does not apply to crash"},
+		{"kv-outage with ranks", "  - at: 1h\n    kind: kv-outage\n    ranks: [1, 2]\n    duration: 1m\n", "chaos[0].ranks does not apply to kv-outage"},
+		{"lease-jitter with duration", "  - at: 1h\n    kind: lease-jitter\n    jitter: 3s\n    duration: 5m\n", "chaos[0].duration does not apply to lease-jitter"},
+		{"partition with state", "  - at: 1h\n    kind: partition\n    ranks: [1, 2]\n    duration: 5m\n    state: hardware\n", "chaos[0].state does not apply to partition"},
+		{"straggler with jitter", "  - at: 1h\n    kind: straggler\n    ranks: [1]\n    factor: 0.5\n    duration: 5m\n    jitter: 3s\n", "chaos[0].jitter does not apply to straggler"},
+		{"region-outage with ranks", "  - at: 1h\n    kind: region-outage\n    region: eu\n    state: hardware\n    ranks: [1]\n", "chaos[0].ranks does not apply to region-outage"},
+		{"second entry with stray field", "  - at: 1h\n    kind: kv-outage\n    duration: 1m\n  - at: 2h\n    kind: lease-jitter\n    jitter: 3s\n    region: eu\n", "chaos[1].region does not apply to lease-jitter"},
+		// The binder's -1 means "unset", so an explicit negative rank
+		// must fail rather than vanish beside ranks.
+		{"negative rank beside ranks", "  - at: 1h\n    kind: crash\n    rank: -3\n    ranks: [1]\n    state: software\n", "chaos[0].rank must be ≥ 0, got -3"},
+		{"negative rank alone", "  - at: 1h\n    kind: crash\n    rank: -1\n    state: software\n", "chaos[0].rank must be ≥ 0, got -1"},
 	}
 	for _, tc := range cases {
 		s, err := Parse([]byte(withChaos(tc.entry)))

@@ -10,10 +10,11 @@ import (
 // policies at a time and re-evaluates the choice at every iteration
 // boundary from the observed recovery stream — the same Outcome
 // records the control plane keeps. The decision rule over the last
-// Window recoveries:
+// adaptiveWindow recoveries:
 //
-//   - failures are rare (observed MTBF ≥ QuietMTBF) → sparse: minimize
-//     steady-state replication traffic, recovery is an edge case;
+//   - failures are rare (observed MTBF ≥ adaptiveQuietIters iterations)
+//     → sparse: minimize steady-state replication traffic, recovery is
+//     an edge case;
 //   - failures are frequent and mostly software → tiered: the GPU tier
 //     turns the dominant failure mode into zero-loss, no-stall restarts;
 //   - failures are frequent and hardware-heavy → gemini: full CPU
@@ -25,25 +26,36 @@ import (
 // strategy.switches counter tick.
 type Adaptive struct {
 	env Env
-	// Window is how many recent recoveries the rule looks at.
-	Window int
-	// QuietMTBF is the observed-MTBF threshold separating "failures are
-	// an edge case" from "failures are the workload". Zero means 200
-	// iterations' worth, resolved at Bind.
-	QuietMTBF simclock.Duration
-
-	subs   []Strategy
+	// subs holds the sub-strategies at the adaptive* indices.
+	subs   [3]Strategy
 	active int
 	obs    []Outcome
 }
 
+const (
+	// adaptiveWindow is how many recent recoveries the rule looks at.
+	adaptiveWindow = 8
+	// adaptiveQuietIters is the observed-MTBF threshold, in iterations,
+	// separating "failures are an edge case" from "failures are the
+	// workload".
+	adaptiveQuietIters = 200
+)
+
+// Sub-strategy indices into Adaptive.subs.
+const (
+	adaptiveGemini = iota
+	adaptiveTiered
+	adaptiveSparse
+)
+
 // NewAdaptive returns the registry's "adaptive" strategy, starting on
 // gemini until observations argue otherwise.
 func NewAdaptive() *Adaptive {
-	return &Adaptive{
-		Window: 8,
-		subs:   []Strategy{NewGemini(), NewTiered(), NewSparse()},
-	}
+	return &Adaptive{subs: [3]Strategy{
+		adaptiveGemini: NewGemini(),
+		adaptiveTiered: NewTiered(),
+		adaptiveSparse: NewSparse(),
+	}}
 }
 
 // Name implements Strategy.
@@ -55,9 +67,6 @@ func (a *Adaptive) Active() string { return a.subs[a.active].Name() }
 // Bind implements Strategy.
 func (a *Adaptive) Bind(env Env) {
 	a.env = env
-	if a.QuietMTBF == 0 {
-		a.QuietMTBF = simclock.Duration(200) * env.IterationTime
-	}
 	for _, sub := range a.subs {
 		sub.Bind(env)
 	}
@@ -66,12 +75,12 @@ func (a *Adaptive) Bind(env Env) {
 // OnActivate implements Strategy.
 func (a *Adaptive) OnActivate(iteration int64) { a.subs[a.active].OnActivate(iteration) }
 
-// window returns the last Window observations.
+// window returns the last adaptiveWindow observations.
 func (a *Adaptive) window() []Outcome {
-	if len(a.obs) <= a.Window {
+	if len(a.obs) <= adaptiveWindow {
 		return a.obs
 	}
-	return a.obs[len(a.obs)-a.Window:]
+	return a.obs[len(a.obs)-adaptiveWindow:]
 }
 
 // signals computes the decision inputs over the window: observed mean
@@ -100,27 +109,18 @@ func (a *Adaptive) decide() int {
 		return a.active
 	}
 	switch {
-	case mtbf >= a.QuietMTBF:
-		return a.index("sparse")
+	case mtbf >= adaptiveQuietIters*a.env.IterationTime:
+		return adaptiveSparse
 	case hwFrac < 0.5:
-		return a.index("tiered")
+		return adaptiveTiered
 	default:
-		return a.index("gemini")
+		return adaptiveGemini
 	}
-}
-
-func (a *Adaptive) index(name string) int {
-	for i, sub := range a.subs {
-		if sub.Name() == name {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("strategy: adaptive has no sub-strategy %q", name))
 }
 
 // PlanCommit re-evaluates the policy choice (iteration boundaries are
 // the only switch points — never mid-recovery) and delegates.
-func (a *Adaptive) PlanCommit(iteration int64, healthy func(int) bool) CommitPlan {
+func (a *Adaptive) PlanCommit(iteration int64, healthy func(int) bool) []Commit {
 	if want := a.decide(); want != a.active {
 		mtbf, hwFrac, _ := a.signals()
 		from, to := a.subs[a.active].Name(), a.subs[want].Name()
@@ -133,8 +133,8 @@ func (a *Adaptive) PlanCommit(iteration int64, healthy func(int) bool) CommitPla
 }
 
 // SerializeNeeded delegates to the policy in force.
-func (a *Adaptive) SerializeNeeded(failed []int, hardware map[int]bool) bool {
-	return a.subs[a.active].SerializeNeeded(failed, hardware)
+func (a *Adaptive) SerializeNeeded(hardware bool) bool {
+	return a.subs[a.active].SerializeNeeded(hardware)
 }
 
 // PlanRecovery delegates to the policy in force.
@@ -153,8 +153,8 @@ func (a *Adaptive) OnFailure(rank int, hardware bool) {
 // OnRecovered records the observation and fans out.
 func (a *Adaptive) OnRecovered(outcome Outcome) {
 	a.obs = append(a.obs, outcome)
-	if len(a.obs) > 4*a.Window {
-		a.obs = append(a.obs[:0:0], a.obs[len(a.obs)-a.Window:]...)
+	if len(a.obs) > 4*adaptiveWindow {
+		a.obs = append(a.obs[:0:0], a.obs[len(a.obs)-adaptiveWindow:]...)
 	}
 	for _, sub := range a.subs {
 		sub.OnRecovered(outcome)

@@ -1,11 +1,8 @@
 package strategy
 
-import "fmt"
-
 // Gemini is the paper's checkpoint scheme, extracted verbatim from the
 // pre-seam agent loop: every iteration, each healthy owner replicates
-// its full shard to each healthy placement holder; the remote
-// persistent tier commits on the system cadence; recovery prefers a
+// its full shard to each healthy placement holder; recovery prefers a
 // consistent CPU-memory version (local or peer retrieval) and falls
 // back to the remote store, retrying first when the blocker is
 // reachability rather than data loss. Its decisions are pinned
@@ -33,41 +30,16 @@ func (g *Gemini) OnActivate(int64) {}
 // PlanCommit replicates every healthy owner's full shard to each of its
 // healthy holders, in owner-major placement order — the exact call
 // sequence of the original loop.
-func (g *Gemini) PlanCommit(iteration int64, healthy func(int) bool) CommitPlan {
-	plan := CommitPlan{Remote: iteration%g.env.RemoteEvery() == 0}
-	for owner := 0; owner < g.env.Placement.N; owner++ {
-		if !healthy(owner) {
-			continue
-		}
-		for _, holder := range g.env.Placement.Replicas(owner) {
-			if !healthy(holder) {
-				continue
-			}
-			plan.Commits = append(plan.Commits, Commit{Holder: holder, Owner: owner, Kind: CommitFull})
-		}
-	}
-	return plan
+func (g *Gemini) PlanCommit(_ int64, healthy func(int) bool) []Commit {
+	return replicate(g.env.Placement, healthy)
 }
 
 // SerializeNeeded implements Strategy: GEMINI always serializes the
 // resident CPU-memory checkpoints before touching them (§6.2 step 2).
-func (g *Gemini) SerializeNeeded([]int, map[int]bool) bool { return true }
+func (g *Gemini) SerializeNeeded(bool) bool { return true }
 
-// PlanRecovery walks the §3.1 storage hierarchy: a consistent version
-// among reachable CPU memories wins; otherwise fall back to the remote
-// store, retryable iff the data still survives beyond the partition.
-func (g *Gemini) PlanRecovery(ctx RecoveryContext) Recovery {
-	version, ok := g.env.Ckpt.ConsistentVersion(ctx.Reachable)
-	if !ok {
-		_, healable := g.env.Ckpt.ConsistentVersion(ctx.Surviving)
-		return Recovery{Tier: TierRemote, Version: ctx.RemoteVersion, Retryable: healable}
-	}
-	plan, err := g.env.Ckpt.PlanRecovery(version, ctx.Reachable)
-	if err != nil {
-		panic(fmt.Sprintf("strategy: consistent version %d but no plan: %v", version, err))
-	}
-	return Recovery{Tier: TierMemory, Version: version, Plan: plan}
-}
+// PlanRecovery walks the §3.1 storage hierarchy (memoryLadder).
+func (g *Gemini) PlanRecovery(ctx RecoveryContext) Recovery { return memoryLadder(g.env, ctx) }
 
 // OnFailure implements Strategy.
 func (g *Gemini) OnFailure(int, bool) {}

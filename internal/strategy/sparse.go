@@ -1,38 +1,37 @@
 package strategy
 
-import (
-	"fmt"
-
-	"gemini/internal/simclock"
-)
+import "gemini/internal/simclock"
 
 // Sparse replicates deltas instead of full shards — the MoE-style
 // observation that between consecutive iterations only the touched
 // experts' parameters and their optimizer states actually change. Each
-// iteration, a deterministic 1/TouchPeriod of the owners are "touched"
-// and ship a DeltaFraction-sized delta on top of the holder's previous
-// committed copy; untouched owners re-stamp the holder's existing bytes
-// at the new iteration for free (CommitRefresh). A holder whose copy
-// fell behind the previous iteration (fresh replacement, post-recovery
-// gap) takes a full resync. Recovery uses GEMINI's ladder but pays a
-// fixed delta-replay cost on top of retrieval — the price of
-// reconstructing a full state from base + deltas.
+// iteration, a deterministic 1/sparseTouchPeriod of the owners are
+// "touched" and ship a sparseDeltaFraction-sized delta on top of the
+// holder's previous committed copy; untouched owners re-stamp the
+// holder's existing bytes at the new iteration for free
+// (CommitRefresh). A holder whose copy fell behind the previous
+// iteration (fresh replacement, post-recovery gap) takes a full resync.
+// Recovery uses GEMINI's ladder but pays a fixed delta-replay cost on
+// top of retrieval — the price of reconstructing a full state from
+// base + deltas.
 type Sparse struct {
 	env Env
-	// TouchPeriod is the expert-touch cadence: owner o is touched when
-	// (iteration + o) % TouchPeriod == 0, so touches stagger across the
-	// cluster instead of bursting.
-	TouchPeriod int64
-	// DeltaFraction is a delta's size as a fraction of the full shard.
-	DeltaFraction float64
-	// Replay is the delta-replay cost added to every recovery.
-	Replay simclock.Duration
 }
 
+const (
+	// sparseTouchPeriod is the expert-touch cadence: owner o is touched
+	// when (iteration + o) % sparseTouchPeriod == 0, so touches stagger
+	// across the cluster instead of bursting.
+	sparseTouchPeriod = 4
+	// sparseDeltaFraction is a delta's size as a fraction of the full
+	// shard.
+	sparseDeltaFraction = 0.25
+	// sparseReplay is the delta-replay cost added to every recovery.
+	sparseReplay = 30 * simclock.Second
+)
+
 // NewSparse returns the registry's "sparse" strategy.
-func NewSparse() *Sparse {
-	return &Sparse{TouchPeriod: 4, DeltaFraction: 0.25, Replay: 30 * simclock.Second}
-}
+func NewSparse() *Sparse { return &Sparse{} }
 
 // Name implements Strategy.
 func (s *Sparse) Name() string { return "sparse" }
@@ -50,35 +49,25 @@ func (s *Sparse) OnActivate(int64) {}
 
 // touched says whether owner's experts changed this iteration.
 func (s *Sparse) touched(owner int, iteration int64) bool {
-	return (iteration+int64(owner))%s.TouchPeriod == 0
+	return (iteration+int64(owner))%sparseTouchPeriod == 0
 }
 
 // PlanCommit ships deltas for touched owners, re-stamps untouched ones,
 // and full-resyncs holders whose committed copy lags more than one
 // iteration (deltas only apply on top of the immediately previous
 // version).
-func (s *Sparse) PlanCommit(iteration int64, healthy func(int) bool) CommitPlan {
-	plan := CommitPlan{Remote: iteration%s.env.RemoteEvery() == 0}
-	for owner := 0; owner < s.env.Placement.N; owner++ {
-		if !healthy(owner) {
-			continue
+func (s *Sparse) PlanCommit(iteration int64, healthy func(int) bool) []Commit {
+	plan := replicate(s.env.Placement, healthy)
+	for i := range plan {
+		c := &plan[i]
+		if newest, ok := s.env.Ckpt.Completed(c.Holder, c.Owner); !ok || newest.Iteration < iteration-1 {
+			continue // no base to build on: keep the full resync
 		}
-		for _, holder := range s.env.Placement.Replicas(owner) {
-			if !healthy(holder) {
-				continue
-			}
-			c := Commit{Holder: holder, Owner: owner}
-			newest, ok := s.env.Ckpt.Completed(holder, owner)
-			switch {
-			case !ok || newest.Iteration < iteration-1:
-				c.Kind = CommitFull
-			case s.touched(owner, iteration):
-				c.Kind = CommitDelta
-				c.Bytes = s.DeltaFraction * s.env.Ckpt.ShardBytes()
-			default:
-				c.Kind = CommitRefresh
-			}
-			plan.Commits = append(plan.Commits, c)
+		if s.touched(c.Owner, iteration) {
+			c.Kind = CommitDelta
+			c.Bytes = sparseDeltaFraction * s.env.Ckpt.ShardBytes()
+		} else {
+			c.Kind = CommitRefresh
 		}
 	}
 	return plan
@@ -86,21 +75,14 @@ func (s *Sparse) PlanCommit(iteration int64, healthy func(int) bool) CommitPlan 
 
 // SerializeNeeded implements Strategy: the in-memory base+delta chain
 // must be serialized before recovery touches it, same as GEMINI.
-func (s *Sparse) SerializeNeeded([]int, map[int]bool) bool { return true }
+func (s *Sparse) SerializeNeeded(bool) bool { return true }
 
 // PlanRecovery walks GEMINI's ladder and charges the delta-replay cost
 // on whichever tier serves the recovery.
 func (s *Sparse) PlanRecovery(ctx RecoveryContext) Recovery {
-	version, ok := s.env.Ckpt.ConsistentVersion(ctx.Reachable)
-	if !ok {
-		_, healable := s.env.Ckpt.ConsistentVersion(ctx.Surviving)
-		return Recovery{Tier: TierRemote, Version: ctx.RemoteVersion, Retryable: healable, ReplayTime: s.Replay}
-	}
-	plan, err := s.env.Ckpt.PlanRecovery(version, ctx.Reachable)
-	if err != nil {
-		panic(fmt.Sprintf("strategy: consistent version %d but no plan: %v", version, err))
-	}
-	return Recovery{Tier: TierMemory, Version: version, Plan: plan, ReplayTime: s.Replay}
+	rec := memoryLadder(s.env, ctx)
+	rec.ReplayTime = sparseReplay
+	return rec
 }
 
 // OnFailure implements Strategy.

@@ -1,11 +1,12 @@
 // Package strategy is the pluggable checkpoint-policy seam of the
 // recovery control plane. A Strategy owns the decisions the agent loop
-// used to hard-wire to GEMINI's scheme: where and how often checkpoint
-// shards are placed (the per-iteration commit plan), how the remote
-// persistent tier is fed, whether a failure needs the serialize stall,
-// and which storage tier a recovery reads from. The agent keeps the
-// mechanism — leases, detection, retries, event scheduling, rollback —
-// and asks the installed strategy for policy at each decision point.
+// used to hard-wire to GEMINI's scheme: which (holder, owner) pairs
+// commit each iteration and how (the per-iteration commit plan),
+// whether a failure needs the serialize stall, and which storage tier a
+// recovery reads from. The agent keeps the mechanism — leases,
+// detection, retries, event scheduling, rollback, and the remote
+// persistent tier's cadence — and asks the installed strategy for
+// policy at each decision point.
 //
 // Four strategies ship in the registry:
 //
@@ -29,7 +30,6 @@ package strategy
 
 import (
 	"fmt"
-	"sort"
 
 	"gemini/internal/ckpt"
 	"gemini/internal/placement"
@@ -48,11 +48,6 @@ type Env struct {
 	// IterationTime is the training iteration duration — the unit
 	// cadences and MTBF thresholds scale with.
 	IterationTime simclock.Duration
-	// Now reads the simulation clock.
-	Now func() simclock.Time
-	// RemoteEvery returns the remote persistent tier's cadence in
-	// iterations (the system's SetRemoteEvery value).
-	RemoteEvery func() int64
 	// Emit records a strategy-level event. Never nil once bound.
 	Emit func(event, detail string)
 }
@@ -80,14 +75,6 @@ type Commit struct {
 	// Bytes is the network traffic of a CommitDelta; ignored for
 	// CommitFull (the full shard size) and CommitRefresh (zero).
 	Bytes float64
-}
-
-// CommitPlan is the replication work for one completed iteration.
-type CommitPlan struct {
-	// Commits execute in order against the checkpoint engine.
-	Commits []Commit
-	// Remote commits this iteration to the remote persistent tier.
-	Remote bool
 }
 
 // Tier is the storage tier a recovery reads from.
@@ -120,10 +107,8 @@ func (t Tier) String() string {
 // RecoveryContext is what the agent knows when it asks for a recovery
 // decision.
 type RecoveryContext struct {
-	// Failed are the ranks the root declared failed; Hardware flags the
-	// subset needing machine replacement.
-	Failed   []int
-	Hardware map[int]bool
+	// Hardware says at least one failed rank needs machine replacement.
+	Hardware bool
 	// Reachable reports ranks whose CPU memory survived AND can serve
 	// fetches right now (not partitioned away).
 	Reachable func(int) bool
@@ -133,8 +118,6 @@ type RecoveryContext struct {
 	// RemoteVersion is the newest iteration actually committed to the
 	// remote persistent tier.
 	RemoteVersion int64
-	// Attempt counts retrieval attempts for this recovery, from 0.
-	Attempt int
 }
 
 // Recovery is a strategy's recovery-source decision.
@@ -193,11 +176,13 @@ type Strategy interface {
 	// at the given iteration (adaptive switches); tier state that decays
 	// while dormant (GPU buffers) resets here.
 	OnActivate(iteration int64)
-	// PlanCommit returns the replication work for a completed iteration.
-	PlanCommit(iteration int64, healthy func(int) bool) CommitPlan
-	// SerializeNeeded says whether this failure needs the pre-recovery
-	// serialize stall (torch.save of the in-memory checkpoints).
-	SerializeNeeded(failed []int, hardware map[int]bool) bool
+	// PlanCommit returns the replication work for a completed iteration;
+	// the commits execute in order against the checkpoint engine.
+	PlanCommit(iteration int64, healthy func(int) bool) []Commit
+	// SerializeNeeded says whether a failure wave needs the pre-recovery
+	// serialize stall (torch.save of the in-memory checkpoints); hardware
+	// says the wave includes a machine replacement.
+	SerializeNeeded(hardware bool) bool
 	// PlanRecovery chooses the recovery tier, version, and plan.
 	PlanRecovery(ctx RecoveryContext) Recovery
 	// OnFailure reports a machine failure the instant it happens
@@ -209,29 +194,61 @@ type Strategy interface {
 	OnRecovered(outcome Outcome)
 }
 
-// registry of named strategy factories. Factories return fresh,
-// unbound instances — strategies are stateful and single-run.
-var registry = map[string]func() Strategy{}
+// replicate returns a CommitFull for every (holder, owner) pair whose
+// ranks are both healthy, in owner-major placement order — GEMINI's
+// per-iteration replication walk, which every strategy starts from.
+func replicate(p *placement.Placement, healthy func(int) bool) []Commit {
+	var plan []Commit
+	for owner := 0; owner < p.N; owner++ {
+		if !healthy(owner) {
+			continue
+		}
+		for _, holder := range p.Replicas(owner) {
+			if healthy(holder) {
+				plan = append(plan, Commit{Holder: holder, Owner: owner, Kind: CommitFull})
+			}
+		}
+	}
+	return plan
+}
 
-// register adds a named strategy factory. Registering a duplicate name
-// panics — names are a public API surface.
-func register(name string, factory func() Strategy) {
-	if name == "" || factory == nil {
-		panic("strategy: register needs a name and a factory")
+// memoryLadder walks the §3.1 storage hierarchy below the GPU: a
+// consistent version among reachable CPU memories wins; otherwise fall
+// back to the remote store, retryable iff the data still survives
+// beyond the partition.
+func memoryLadder(env Env, ctx RecoveryContext) Recovery {
+	version, ok := env.Ckpt.ConsistentVersion(ctx.Reachable)
+	if !ok {
+		_, healable := env.Ckpt.ConsistentVersion(ctx.Surviving)
+		return Recovery{Tier: TierRemote, Version: ctx.RemoteVersion, Retryable: healable}
 	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("strategy: duplicate registration of %q", name))
+	plan, err := env.Ckpt.PlanRecovery(version, ctx.Reachable)
+	if err != nil {
+		panic(fmt.Sprintf("strategy: consistent version %d but no plan: %v", version, err))
 	}
-	registry[name] = factory
+	return Recovery{Tier: TierMemory, Version: version, Plan: plan}
+}
+
+// registry lists the named strategy factories, sorted by name: a
+// strategy's index here is its stable numeric encoding (Index).
+// Factories return fresh, unbound instances — strategies are stateful
+// and single-run.
+var registry = [...]struct {
+	name string
+	new  func() Strategy
+}{
+	{"adaptive", func() Strategy { return NewAdaptive() }},
+	{"gemini", func() Strategy { return NewGemini() }},
+	{"sparse", func() Strategy { return NewSparse() }},
+	{"tiered", func() Strategy { return NewTiered() }},
 }
 
 // New returns a fresh instance of the named strategy.
 func New(name string) (Strategy, error) {
-	f, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("strategy: unknown strategy %q (registered: %v)", name, Names())
+	if i := Index(name); i >= 0 {
+		return registry[i].new(), nil
 	}
-	return f(), nil
+	return nil, fmt.Errorf("strategy: unknown strategy %q (registered: %v)", name, Names())
 }
 
 // MustNew is New for known-good names.
@@ -245,28 +262,20 @@ func MustNew(name string) Strategy {
 
 // Names returns the registered strategy names, sorted.
 func Names() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
+	out := make([]string, len(registry))
+	for i, r := range registry {
+		out[i] = r.name
 	}
-	sort.Strings(out)
 	return out
 }
 
 // Index returns the name's position in Names(), or -1 — the stable
 // numeric encoding behind the strategy.active gauge.
 func Index(name string) int {
-	for i, n := range Names() {
-		if n == name {
+	for i, r := range registry {
+		if r.name == name {
 			return i
 		}
 	}
 	return -1
-}
-
-func init() {
-	register("gemini", func() Strategy { return NewGemini() })
-	register("tiered", func() Strategy { return NewTiered() })
-	register("sparse", func() Strategy { return NewSparse() })
-	register("adaptive", func() Strategy { return NewAdaptive() })
 }

@@ -11,25 +11,22 @@ import (
 
 // testEnv builds a bound Env over a fresh n-machine engine with m
 // replicas and unit-free shard size.
-func testEnv(t *testing.T, n, m int, remoteEvery int64) (Env, *ckpt.Engine) {
+func testEnv(t *testing.T, n, m int) (Env, *ckpt.Engine) {
 	t.Helper()
 	p := placement.MustMixed(n, m)
 	ck := ckpt.MustNewEngine(p, 100)
-	var now simclock.Time
 	return Env{
 		Ckpt:          ck,
 		Placement:     p,
 		IterationTime: 60 * simclock.Second,
-		Now:           func() simclock.Time { return now },
-		RemoteEvery:   func() int64 { return remoteEvery },
 		Emit:          func(event, detail string) {},
 	}, ck
 }
 
 // applyPlan executes a commit plan against the engine the way the agent
 // does.
-func applyPlan(ck *ckpt.Engine, plan CommitPlan, iter int64) {
-	for _, c := range plan.Commits {
+func applyPlan(ck *ckpt.Engine, plan []Commit, iter int64) {
+	for _, c := range plan {
 		switch c.Kind {
 		case CommitFull:
 			ck.Commit(c.Holder, c.Owner, iter, 0)
@@ -73,38 +70,42 @@ func TestRegistryNamesAndLookup(t *testing.T) {
 	}
 }
 
-func TestGeminiPlanCommitMatchesPlacementOrder(t *testing.T) {
-	env, _ := testEnv(t, 4, 2, 10)
-	g := NewGemini()
-	g.Bind(env)
-
-	plan := g.PlanCommit(1, allHealthy)
-	var want []Commit
-	for owner := 0; owner < 4; owner++ {
-		for _, holder := range env.Placement.Replicas(owner) {
-			want = append(want, Commit{Holder: holder, Owner: owner, Kind: CommitFull})
-		}
-	}
-	if !reflect.DeepEqual(plan.Commits, want) {
-		t.Fatalf("commit order diverged from placement order:\n got %v\nwant %v", plan.Commits, want)
-	}
-	if plan.Remote {
-		t.Error("iteration 1 committed remote; cadence is 10")
-	}
-	if p := g.PlanCommit(10, allHealthy); !p.Remote {
-		t.Error("iteration 10 skipped the remote cadence")
-	}
-	// Unhealthy ranks drop out both as owners and as holders.
-	plan = g.PlanCommit(2, func(rank int) bool { return rank != 0 })
-	for _, c := range plan.Commits {
-		if c.Holder == 0 || c.Owner == 0 {
-			t.Fatalf("commit %v involves the unhealthy rank", c)
+// Every strategy's replication walk — gemini each iteration, tiered on
+// its CPU grid, sparse on its first (all-full) round — commits full
+// shards in owner-major placement order, and an unhealthy rank drops out
+// both as owner and as holder.
+func TestPlanCommitMatchesPlacementOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		iter int64
+	}{
+		{"gemini", 1},
+		{"tiered", tieredCPUEvery},
+		{"sparse", 1},
+	} {
+		for _, down := range []int{-1, 1} {
+			env, _ := testEnv(t, 4, 2)
+			s := MustNew(tc.name)
+			s.Bind(env)
+			healthy := func(rank int) bool { return rank != down }
+			var want []Commit
+			for owner := 0; owner < 4; owner++ {
+				for _, holder := range env.Placement.Replicas(owner) {
+					if owner != down && holder != down {
+						want = append(want, Commit{Holder: holder, Owner: owner, Kind: CommitFull})
+					}
+				}
+			}
+			if got := s.PlanCommit(tc.iter, healthy); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s at iteration %d with rank %d down: commit order diverged from placement order:\n got %v\nwant %v",
+					tc.name, tc.iter, down, got, want)
+			}
 		}
 	}
 }
 
 func TestGeminiRecoveryLadder(t *testing.T) {
-	env, ck := testEnv(t, 4, 2, 10)
+	env, ck := testEnv(t, 4, 2)
 	g := NewGemini()
 	g.Bind(env)
 	applyPlan(ck, g.PlanCommit(1, allHealthy), 1)
@@ -127,29 +128,29 @@ func TestGeminiRecoveryLadder(t *testing.T) {
 }
 
 func TestTieredGPUFastPath(t *testing.T) {
-	env, ck := testEnv(t, 4, 2, 100)
+	env, ck := testEnv(t, 4, 2)
 	tr := NewTiered()
 	tr.Bind(env)
 
 	// Iterations 1..7: GPU snapshots only, no CPU traffic.
-	for iter := int64(1); iter < 8; iter++ {
+	for iter := int64(1); iter < tieredCPUEvery; iter++ {
 		plan := tr.PlanCommit(iter, allHealthy)
-		if len(plan.Commits) != 0 {
-			t.Fatalf("iteration %d: tiered committed to CPU off the cadence: %v", iter, plan.Commits)
+		if len(plan) != 0 {
+			t.Fatalf("iteration %d: tiered committed to CPU off the cadence: %v", iter, plan)
 		}
 		applyPlan(ck, plan, iter)
 	}
 	// A software failure now: GPU tier serves, serialize is skipped.
-	if tr.SerializeNeeded([]int{2}, map[int]bool{}) {
+	if tr.SerializeNeeded(false) {
 		t.Error("software failure with resident GPU snapshots still wants the serialize stall")
 	}
-	rec := tr.PlanRecovery(RecoveryContext{Failed: []int{2}, Hardware: map[int]bool{}, Reachable: allHealthy, Surviving: allHealthy})
+	rec := tr.PlanRecovery(RecoveryContext{Reachable: allHealthy, Surviving: allHealthy})
 	if rec.Tier != TierGPU || rec.Version != 7 {
 		t.Fatalf("want GPU-tier recovery at iteration 7, got %+v", rec)
 	}
 	// Iteration 8 is on the CPU cadence.
 	plan := tr.PlanCommit(8, allHealthy)
-	if len(plan.Commits) == 0 {
+	if len(plan) == 0 {
 		t.Fatal("iteration 8: tiered skipped its CPU cadence")
 	}
 	applyPlan(ck, plan, 8)
@@ -157,12 +158,11 @@ func TestTieredGPUFastPath(t *testing.T) {
 	// A hardware failure wipes rank 1's GPU buffers: serialize returns,
 	// recovery falls to the CPU tier.
 	tr.OnFailure(1, true)
-	hw := map[int]bool{1: true}
-	if !tr.SerializeNeeded([]int{1}, hw) {
+	if !tr.SerializeNeeded(true) {
 		t.Error("hardware failure skipped the serialize stall")
 	}
 	surviving := func(rank int) bool { return rank != 1 }
-	rec = tr.PlanRecovery(RecoveryContext{Failed: []int{1}, Hardware: hw, Reachable: surviving, Surviving: surviving})
+	rec = tr.PlanRecovery(RecoveryContext{Hardware: true, Reachable: surviving, Surviving: surviving})
 	if rec.Tier != TierMemory || rec.Version != 8 {
 		t.Fatalf("want CPU-tier recovery at iteration 8, got %+v", rec)
 	}
@@ -175,19 +175,19 @@ func TestTieredGPUFastPath(t *testing.T) {
 	// OnActivate resets the tier outright (adaptive switched in).
 	tr.PlanCommit(9, allHealthy)
 	tr.OnActivate(9)
-	if tr.SerializeNeeded(nil, map[int]bool{}) == false {
+	if !tr.SerializeNeeded(false) {
 		t.Error("freshly activated tiered trusted stale GPU buffers")
 	}
 }
 
 func TestSparseDeltaRefreshAndResync(t *testing.T) {
-	env, ck := testEnv(t, 4, 2, 100)
+	env, ck := testEnv(t, 4, 2)
 	sp := NewSparse()
 	sp.Bind(env)
 
 	// First iteration: no committed copies anywhere → all full.
 	plan := sp.PlanCommit(1, allHealthy)
-	for _, c := range plan.Commits {
+	for _, c := range plan {
 		if c.Kind != CommitFull {
 			t.Fatalf("iteration 1 commit %v should be full (no base)", c)
 		}
@@ -197,17 +197,17 @@ func TestSparseDeltaRefreshAndResync(t *testing.T) {
 	// Steady state: touched owners delta, the rest refresh.
 	plan = sp.PlanCommit(2, allHealthy)
 	kinds := map[CommitKind]int{}
-	for _, c := range plan.Commits {
+	for _, c := range plan {
 		kinds[c.Kind]++
-		wantTouched := (2+int64(c.Owner))%sp.TouchPeriod == 0
+		wantTouched := (2+int64(c.Owner))%sparseTouchPeriod == 0
 		if wantTouched && c.Kind != CommitDelta {
 			t.Fatalf("touched owner %d got %v, want delta", c.Owner, c.Kind)
 		}
 		if !wantTouched && c.Kind != CommitRefresh {
 			t.Fatalf("untouched owner %d got %v, want refresh", c.Owner, c.Kind)
 		}
-		if c.Kind == CommitDelta && c.Bytes != sp.DeltaFraction*ck.ShardBytes() {
-			t.Fatalf("delta bytes %v, want %v", c.Bytes, sp.DeltaFraction*ck.ShardBytes())
+		if c.Kind == CommitDelta && c.Bytes != sparseDeltaFraction*ck.ShardBytes() {
+			t.Fatalf("delta bytes %v, want %v", c.Bytes, sparseDeltaFraction*ck.ShardBytes())
 		}
 	}
 	if kinds[CommitFull] != 0 || kinds[CommitDelta] == 0 || kinds[CommitRefresh] == 0 {
@@ -221,7 +221,7 @@ func TestSparseDeltaRefreshAndResync(t *testing.T) {
 	// A holder that missed a round (gap) takes a full resync.
 	ck.Wipe(0)
 	plan = sp.PlanCommit(3, allHealthy)
-	for _, c := range plan.Commits {
+	for _, c := range plan {
 		if c.Holder == 0 && c.Kind != CommitFull {
 			t.Fatalf("wiped holder 0 got %v for owner %d, want full resync", c.Kind, c.Owner)
 		}
@@ -229,18 +229,18 @@ func TestSparseDeltaRefreshAndResync(t *testing.T) {
 
 	// Recovery charges the delta-replay cost on every tier.
 	rec := sp.PlanRecovery(RecoveryContext{Reachable: allHealthy, Surviving: allHealthy})
-	if rec.ReplayTime != sp.Replay {
-		t.Errorf("memory-tier replay %v, want %v", rec.ReplayTime, sp.Replay)
+	if rec.ReplayTime != sparseReplay {
+		t.Errorf("memory-tier replay %v, want %v", rec.ReplayTime, sparseReplay)
 	}
 	none := func(int) bool { return false }
 	rec = sp.PlanRecovery(RecoveryContext{Reachable: none, Surviving: none})
-	if rec.ReplayTime != sp.Replay {
-		t.Errorf("remote-tier replay %v, want %v", rec.ReplayTime, sp.Replay)
+	if rec.ReplayTime != sparseReplay {
+		t.Errorf("remote-tier replay %v, want %v", rec.ReplayTime, sparseReplay)
 	}
 }
 
 func TestAdaptiveDecisionRule(t *testing.T) {
-	env, _ := testEnv(t, 4, 2, 100)
+	env, _ := testEnv(t, 4, 2)
 	var switches []string
 	env.Emit = func(event, detail string) {
 		if event == "strategy-switch" {
@@ -277,7 +277,7 @@ func TestAdaptiveDecisionRule(t *testing.T) {
 		t.Fatalf("hardware-heavy burst selected %q, want gemini", a.Active())
 	}
 
-	// Failures spread out far beyond QuietMTBF → sparse.
+	// Failures spread out far beyond the quiet-MTBF threshold → sparse.
 	for i := 0; i < 8; i++ {
 		at = at.Add(10 * simclock.Hour)
 		a.OnRecovered(Outcome{Resumed: at, Source: "local", Hardware: false})
@@ -292,16 +292,16 @@ func TestAdaptiveDecisionRule(t *testing.T) {
 }
 
 func TestAdaptiveDelegatesToActive(t *testing.T) {
-	env, ck := testEnv(t, 4, 2, 100)
+	env, ck := testEnv(t, 4, 2)
 	a := NewAdaptive()
 	a.Bind(env)
 	// On gemini: full commits every iteration.
 	plan := a.PlanCommit(1, allHealthy)
-	if len(plan.Commits) == 0 || plan.Commits[0].Kind != CommitFull {
-		t.Fatalf("adaptive-on-gemini plan %v, want full commits", plan.Commits)
+	if len(plan) == 0 || plan[0].Kind != CommitFull {
+		t.Fatalf("adaptive-on-gemini plan %v, want full commits", plan)
 	}
 	applyPlan(ck, plan, 1)
-	if !a.SerializeNeeded([]int{0}, map[int]bool{}) {
+	if !a.SerializeNeeded(false) {
 		t.Error("adaptive-on-gemini skipped the serialize stall")
 	}
 	rec := a.PlanRecovery(RecoveryContext{Reachable: allHealthy, Surviving: allHealthy})

@@ -1,31 +1,30 @@
 package strategy
 
-import "fmt"
-
 // Tiered is a TierCheck-style checkpoint ladder. The fastest tier is a
 // per-iteration GPU-buffer snapshot: the checkpoint daemon pins a copy
 // of each rank's shard in spare GPU memory every iteration, so a pure
 // software failure (process crash — the machine and its device memory
 // survive) resumes from the very last iteration with no network
 // retrieval and no serialize stall. The middle tier is GEMINI-style
-// CPU-memory replication, but at a coarser cadence (every CPUEvery
-// iterations) since the GPU tier absorbs the common case; hardware
-// failures lose the machine's GPU buffers and pay up to CPUEvery-1
-// iterations of staleness. The remote persistent tier is unchanged.
+// CPU-memory replication, but at a coarser cadence (every
+// tieredCPUEvery iterations) since the GPU tier absorbs the common case;
+// hardware failures lose the machine's GPU buffers and pay up to
+// tieredCPUEvery-1 iterations of staleness. The remote persistent tier
+// is unchanged.
 type Tiered struct {
 	env Env
-	// CPUEvery is the CPU-memory replication cadence in iterations.
-	CPUEvery int64
 	// gpu holds each rank's newest GPU-buffer snapshot iteration.
 	// Hardware failures delete the rank's entry (device memory is gone);
 	// replacements re-enter on their next completed iteration.
 	gpu map[int]int64
 }
 
+// tieredCPUEvery is the tiered strategy's CPU-memory replication
+// cadence in iterations.
+const tieredCPUEvery = 8
+
 // NewTiered returns the registry's "tiered" strategy.
-func NewTiered() *Tiered {
-	return &Tiered{CPUEvery: 8, gpu: map[int]int64{}}
-}
+func NewTiered() *Tiered { return &Tiered{gpu: map[int]int64{}} }
 
 // Name implements Strategy.
 func (t *Tiered) Name() string { return "tiered" }
@@ -42,29 +41,18 @@ func (t *Tiered) Bind(env Env) { t.env = env }
 func (t *Tiered) OnActivate(int64) { t.gpu = map[int]int64{} }
 
 // PlanCommit snapshots every healthy rank into its GPU buffer (free —
-// device-local copy) and replicates to CPU memory on the CPUEvery grid.
-func (t *Tiered) PlanCommit(iteration int64, healthy func(int) bool) CommitPlan {
+// device-local copy) and replicates to CPU memory on the tieredCPUEvery
+// grid.
+func (t *Tiered) PlanCommit(iteration int64, healthy func(int) bool) []Commit {
 	for rank := 0; rank < t.env.Placement.N; rank++ {
 		if healthy(rank) {
 			t.gpu[rank] = iteration
 		}
 	}
-	plan := CommitPlan{Remote: iteration%t.env.RemoteEvery() == 0}
-	if iteration%t.CPUEvery != 0 {
-		return plan
+	if iteration%tieredCPUEvery != 0 {
+		return nil
 	}
-	for owner := 0; owner < t.env.Placement.N; owner++ {
-		if !healthy(owner) {
-			continue
-		}
-		for _, holder := range t.env.Placement.Replicas(owner) {
-			if !healthy(holder) {
-				continue
-			}
-			plan.Commits = append(plan.Commits, Commit{Holder: holder, Owner: owner, Kind: CommitFull})
-		}
-	}
-	return plan
+	return replicate(t.env.Placement, healthy)
 }
 
 // gpuVersion reports the iteration the GPU tier can resume from: every
@@ -90,8 +78,8 @@ func (t *Tiered) gpuVersion() (int64, bool) {
 // SerializeNeeded skips the serialize stall when the GPU tier will
 // serve the recovery: the snapshots are already materialized in device
 // memory, there is nothing to torch.save.
-func (t *Tiered) SerializeNeeded(failed []int, hardware map[int]bool) bool {
-	if len(hardware) > 0 {
+func (t *Tiered) SerializeNeeded(hardware bool) bool {
+	if hardware {
 		return true
 	}
 	_, ok := t.gpuVersion()
@@ -101,21 +89,12 @@ func (t *Tiered) SerializeNeeded(failed []int, hardware map[int]bool) bool {
 // PlanRecovery prefers the GPU tier for pure software failures, then
 // falls down the GEMINI ladder: consistent CPU memory, then remote.
 func (t *Tiered) PlanRecovery(ctx RecoveryContext) Recovery {
-	if len(ctx.Hardware) == 0 {
+	if !ctx.Hardware {
 		if version, ok := t.gpuVersion(); ok {
 			return Recovery{Tier: TierGPU, Version: version}
 		}
 	}
-	version, ok := t.env.Ckpt.ConsistentVersion(ctx.Reachable)
-	if !ok {
-		_, healable := t.env.Ckpt.ConsistentVersion(ctx.Surviving)
-		return Recovery{Tier: TierRemote, Version: ctx.RemoteVersion, Retryable: healable}
-	}
-	plan, err := t.env.Ckpt.PlanRecovery(version, ctx.Reachable)
-	if err != nil {
-		panic(fmt.Sprintf("strategy: consistent version %d but no plan: %v", version, err))
-	}
-	return Recovery{Tier: TierMemory, Version: version, Plan: plan}
+	return memoryLadder(t.env, ctx)
 }
 
 // OnFailure wipes the rank's GPU buffer on hardware failure — device
