@@ -70,10 +70,15 @@ const (
 // bucket counts for approximate quantiles (≤ one octave of error,
 // clamped to the observed [min, max]). Zero and negative observations
 // land in the lowest bucket; NaN observations are ignored. Nil no-ops.
+//
+// Every nonzero bucket lies in [lo, hi), so Merge and reset touch only
+// the buckets a histogram occupies rather than all 96; the range is
+// empty (lo = hi = 0) exactly when count is 0.
 type Histogram struct {
 	count    uint64
 	sum      float64
 	min, max float64
+	lo, hi   int
 	buckets  [histBuckets]uint64
 }
 
@@ -109,9 +114,28 @@ func (h *Histogram) Observe(v float64) {
 	if h.count == 0 || v > h.max {
 		h.max = v
 	}
+	i := bucketIndex(v)
+	h.occupy(i, i+1)
 	h.count++
 	h.sum += v
-	h.buckets[bucketIndex(v)]++
+	h.buckets[i]++
+}
+
+// occupy widens the occupied range to cover [lo, hi). It must run
+// before count grows, while an empty histogram still reads as empty.
+func (h *Histogram) occupy(lo, hi int) {
+	if h.count == 0 {
+		h.lo, h.hi = lo, hi
+		return
+	}
+	h.lo = min(h.lo, lo)
+	h.hi = max(h.hi, hi)
+}
+
+// reset empties h, clearing only its occupied buckets.
+func (h *Histogram) reset() {
+	clear(h.buckets[h.lo:h.hi])
+	h.count, h.sum, h.min, h.max, h.lo, h.hi = 0, 0, 0, 0, 0, 0
 }
 
 // Count returns the number of non-NaN observations.
@@ -147,11 +171,11 @@ func (h *Histogram) Max() float64 {
 }
 
 // Merge folds src's observations into h: counts, sums and bucket
-// counts add; min/max combine. Merging the same histograms in
-// the same order always produces the identical result, which is what
-// makes campaign rollups worker-count independent (the campaign merges
-// per-run histograms in variation order as that prefix completes).
-// Nil receiver or nil src no-ops.
+// counts add over src's occupied range; min/max combine. Merging the
+// same histograms in the same order always produces the identical
+// result, which is what makes campaign rollups worker-count
+// independent (the campaign merges per-run histograms in variation
+// order as that prefix completes). Nil receiver or nil src no-ops.
 func (h *Histogram) Merge(src *Histogram) {
 	if h == nil || src == nil || src.count == 0 {
 		return
@@ -162,10 +186,11 @@ func (h *Histogram) Merge(src *Histogram) {
 	if h.count == 0 || src.max > h.max {
 		h.max = src.max
 	}
+	h.occupy(src.lo, src.hi)
 	h.count += src.count
 	h.sum += src.sum
-	for i, n := range src.buckets {
-		h.buckets[i] += n
+	for i := src.lo; i < src.hi; i++ {
+		h.buckets[i] += src.buckets[i]
 	}
 }
 
@@ -216,10 +241,27 @@ type instrument struct {
 	h    *Histogram
 }
 
+// merge folds src, an instrument of the same kind, into in.
+func (in instrument) merge(src instrument) {
+	switch src.kind {
+	case kindCounter:
+		in.c.Add(src.c.Value())
+	case kindGauge:
+		in.g.Set(src.g.Value())
+	case kindHistogram:
+		in.h.Merge(src.h)
+	}
+}
+
 // Registry holds named instruments in registration order.
 type Registry struct {
 	order []instrument
 	index map[string]int
+	// next is the slot after the one resolve last returned; Reset
+	// rewinds it. A recycled registry is re-resolved in registration
+	// order, so resolve tries it before hashing. Because resolve writes
+	// it, even resolving names is not safe from two goroutines at once.
+	next int
 }
 
 // NewRegistry creates an empty registry.
@@ -227,20 +269,44 @@ func NewRegistry() *Registry {
 	return &Registry{index: make(map[string]int)}
 }
 
-func (r *Registry) lookup(name string, kind instrumentKind) (instrument, bool) {
-	if i, ok := r.index[name]; ok {
-		in := r.order[i]
-		if in.kind != kind {
-			panic(fmt.Sprintf("metrics: %q already registered with a different type", name))
-		}
-		return in, true
+// resolve returns the named instrument's slot, registering one of the
+// given kind on first use; a name registered with another kind panics.
+func (r *Registry) resolve(name string, kind instrumentKind) int {
+	i := r.next
+	if i >= len(r.order) || r.order[i].name != name || r.order[i].kind != kind {
+		i = r.slot(name, kind)
 	}
-	return instrument{}, false
+	r.next = i + 1
+	return i
 }
 
-func (r *Registry) add(in instrument) {
-	r.index[in.name] = len(r.order)
+// slot is resolve's path when the slot after the last one resolved
+// does not hold name: it finds name by hashing or registers it.
+func (r *Registry) slot(name string, kind instrumentKind) int {
+	i, ok := r.index[name]
+	if !ok {
+		return r.register(name, kind)
+	}
+	if r.order[i].kind != kind {
+		panic(fmt.Sprintf("metrics: %q already registered with a different type", name))
+	}
+	return i
+}
+
+// register appends a new instrument and returns its slot.
+func (r *Registry) register(name string, kind instrumentKind) int {
+	in := instrument{name: name, kind: kind}
+	switch kind {
+	case kindCounter:
+		in.c = &CounterVar{}
+	case kindGauge:
+		in.g = &Gauge{}
+	case kindHistogram:
+		in.h = &Histogram{}
+	}
+	r.index[name] = len(r.order)
 	r.order = append(r.order, in)
+	return len(r.order) - 1
 }
 
 // Counter returns the named counter, registering it on first use.
@@ -249,12 +315,7 @@ func (r *Registry) Counter(name string) *CounterVar {
 	if r == nil {
 		return nil
 	}
-	if in, ok := r.lookup(name, kindCounter); ok {
-		return in.c
-	}
-	c := &CounterVar{}
-	r.add(instrument{name: name, kind: kindCounter, c: c})
-	return c
+	return r.order[r.resolve(name, kindCounter)].c
 }
 
 // Gauge returns the named gauge, registering it on first use.
@@ -262,12 +323,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	if in, ok := r.lookup(name, kindGauge); ok {
-		return in.g
-	}
-	g := &Gauge{}
-	r.add(instrument{name: name, kind: kindGauge, g: g})
-	return g
+	return r.order[r.resolve(name, kindGauge)].g
 }
 
 // Histogram returns the named histogram, registering it on first use.
@@ -275,12 +331,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	if in, ok := r.lookup(name, kindHistogram); ok {
-		return in.h
-	}
-	h := &Histogram{}
-	r.add(instrument{name: name, kind: kindHistogram, h: h})
-	return h
+	return r.order[r.resolve(name, kindHistogram)].h
 }
 
 // Reset zeroes every instrument and keeps its registrations, so a
@@ -292,6 +343,7 @@ func (r *Registry) Reset() {
 	if r == nil {
 		return
 	}
+	r.next = 0
 	for _, in := range r.order {
 		switch in.kind {
 		case kindCounter:
@@ -299,7 +351,7 @@ func (r *Registry) Reset() {
 		case kindGauge:
 			*in.g = Gauge{}
 		case kindHistogram:
-			*in.h = Histogram{}
+			in.h.reset()
 		}
 	}
 }
@@ -311,19 +363,18 @@ func (r *Registry) Reset() {
 // are byte-identical — the determinism contract campaign aggregation
 // relies on. A name registered with different kinds panics, same as
 // the accessors. Nil receiver or nil src no-ops.
+//
+// Merge resolves src's instruments in src order from r's first slot,
+// so where r registered the same names in the same order — a rollup
+// and the recycled per-run registries it merges — every instrument
+// resolves to r's next slot without hashing.
 func (r *Registry) Merge(src *Registry) {
 	if r == nil || src == nil {
 		return
 	}
+	r.next = 0
 	for _, in := range src.order {
-		switch in.kind {
-		case kindCounter:
-			r.Counter(in.name).Add(in.c.Value())
-		case kindGauge:
-			r.Gauge(in.name).Set(in.g.Value())
-		case kindHistogram:
-			r.Histogram(in.name).Merge(in.h)
-		}
+		r.order[r.resolve(in.name, in.kind)].merge(in)
 	}
 }
 

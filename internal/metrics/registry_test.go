@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -413,6 +414,105 @@ func TestRegistryMergeSemantics(t *testing.T) {
 	nilR.Visit(func(string, *CounterVar, *Gauge, *Histogram) {
 		t.Fatal("nil registry visited an instrument")
 	})
+
+	// Merge resolves each source instrument from the destination's next
+	// slot before hashing. Whether or not the two line up, it must equal
+	// resolving every source instrument by name, and merging the
+	// destination and then the sources into a fresh registry.
+	byName := func(dst, src *Registry) {
+		src.Visit(func(name string, c *CounterVar, g *Gauge, h *Histogram) {
+			switch {
+			case c != nil:
+				dst.Counter(name).Add(c.Value())
+			case g != nil:
+				dst.Gauge(name).Set(g.Value())
+			default:
+				dst.Histogram(name).Merge(h)
+			}
+		})
+	}
+	// build registers "kind:name" instruments in order, with values
+	// drawn from seed.
+	build := func(seed float64, insts ...string) *Registry {
+		r := NewRegistry()
+		for i, spec := range insts {
+			kind, name, _ := strings.Cut(spec, ":")
+			v := seed + float64(i)
+			switch kind {
+			case "c":
+				r.Counter(name).Add(v)
+			case "g":
+				r.Gauge(name).Set(v / 4)
+			case "h":
+				h := r.Histogram(name)
+				for j := 0.0; j < v; j++ {
+					h.Observe(v*j + 0.5)
+				}
+			}
+		}
+		return r
+	}
+	render := func(r *Registry) string {
+		var buf strings.Builder
+		if err := WriteProm(&buf, r); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	for _, tc := range []struct {
+		name      string
+		dst       []string
+		srcs      [][]string
+		wantPanic bool
+	}{
+		{name: "identical order", dst: []string{"c:a", "g:b", "h:c"},
+			srcs: [][]string{{"c:a", "g:b", "h:c"}, {"c:a", "g:b", "h:c"}}},
+		{name: "destination with extra instruments first", dst: []string{"c:x", "h:y", "c:a", "g:b", "h:c"},
+			srcs: [][]string{{"c:a", "g:b", "h:c"}, {"c:a", "g:b", "h:c"}}},
+		{name: "source in a different order", dst: []string{"c:a", "g:b", "h:c"},
+			srcs: [][]string{{"h:c", "c:a", "g:b"}, {"g:b", "h:c", "c:a"}}},
+		{name: "aligned prefix then a new name", dst: []string{"c:a", "g:b"},
+			srcs: [][]string{{"c:a", "g:b", "h:new", "c:a2"}, {"c:a", "g:b", "h:new", "c:a2"}}},
+		{name: "aligned prefix then a name registered elsewhere", dst: []string{"c:a", "g:b", "h:c"},
+			srcs: [][]string{{"c:a", "h:c", "g:b"}}},
+		{name: "a name aligned with a different kind", dst: []string{"c:a", "c:x"},
+			srcs: [][]string{{"c:a", "h:x"}}, wantPanic: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sliced, named, fresh := build(2, tc.dst...), build(2, tc.dst...), NewRegistry()
+			if tc.wantPanic {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("kind clash on an aligned name did not panic")
+					}
+				}()
+				for k, insts := range tc.srcs {
+					sliced.Merge(build(float64(3+k), insts...))
+				}
+				return
+			}
+			fresh.Merge(build(2, tc.dst...))
+			for k, insts := range tc.srcs {
+				src := build(float64(3+k), insts...)
+				sliced.Merge(src)
+				byName(named, src)
+				fresh.Merge(src)
+			}
+			want := render(named)
+			if got := render(sliced); got != want {
+				t.Errorf("Merge renders differently from a by-name merge:\n%s\nvs:\n%s", got, want)
+			}
+			if got := render(fresh); got != want {
+				t.Errorf("merging into a fresh registry renders differently:\n%s\nvs:\n%s", got, want)
+			}
+			if got, want := sliced.Snapshot(), named.Snapshot(); !reflect.DeepEqual(got, want) {
+				t.Errorf("Merge snapshot %v, by-name snapshot %v", got, want)
+			}
+			if got, want := fresh.Snapshot(), named.Snapshot(); !reflect.DeepEqual(got, want) {
+				t.Errorf("fresh-registry snapshot %v, by-name snapshot %v", got, want)
+			}
+		})
+	}
 }
 
 func TestRegistryMergeKindClashPanics(t *testing.T) {
@@ -491,6 +591,47 @@ func TestRegistryResetMergesLikeFresh(t *testing.T) {
 
 	var nilR *Registry
 	nilR.Reset()
+}
+
+// The rollup's steady state allocates nothing: a warm merge of a run's
+// registry into an aggregate that lines up with it, the Reset that
+// recycles the run's registry, and re-resolving runsim's ten run.*
+// names on the reset registry.
+func TestRegistryMergeAllocsZero(t *testing.T) {
+	counters := []string{"run.failures", "run.recoveries", "run.from_local", "run.from_peer", "run.from_remote"}
+	histograms := []string{"run.wasted_seconds", "run.lost_seconds", "run.downtime_seconds", "run.effective_ratio", "run.stall_seconds"}
+	run := NewRegistry()
+	fill := func() {
+		for i, name := range counters {
+			run.Counter(name).Add(float64(i))
+		}
+		for i, name := range histograms {
+			h := run.Histogram(name)
+			h.Observe(float64(i) + 0.5)
+			h.Observe(float64(1000 * i))
+		}
+	}
+	fill()
+	agg := NewRegistry()
+	agg.Merge(run)
+	run.Reset()
+	if n := testing.AllocsPerRun(100, func() {
+		fill()
+		agg.Merge(run)
+		run.Reset()
+	}); n != 0 {
+		t.Fatalf("a warm aligned Merge and Reset allocate %.1f/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, name := range counters {
+			run.Counter(name)
+		}
+		for _, name := range histograms {
+			run.Histogram(name)
+		}
+	}); n != 0 {
+		t.Fatalf("re-resolving the run.* names on a reset registry allocates %.1f/op, want 0", n)
+	}
 }
 
 // bucketIndex reads the exponent bits; it must place every value where

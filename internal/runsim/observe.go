@@ -40,9 +40,11 @@ type Observer struct {
 }
 
 // runTaps holds the resolved per-run instruments. Resolving them once
-// up front keeps the walk free of map lookups. on is false for the zero
-// Observer, and the walk then skips every tap call; the calls below
-// also no-op without allocating on a nil instrument.
+// up front keeps the walk free of map lookups, and the counters land
+// once per run, at finish; only the histograms, the track and the
+// series are tapped per recovery. on is false for the zero Observer,
+// and the walk then skips every tap call; the calls below also no-op
+// without allocating on a nil instrument.
 type runTaps struct {
 	on    bool
 	track *trace.Track
@@ -79,25 +81,15 @@ func (o Observer) taps() runTaps {
 	}
 }
 
+// failure marks one injected failure on the run's track. The walk
+// calls it only while the track is enabled.
 func (t *runTaps) failure(ev failure.Event) {
-	t.failures.Add(1)
-	if t.track.Enabled() {
-		t.track.InstantArgsAt("failure", ev.Kind.String(), ev.At,
-			fmt.Sprintf("rank=%d", ev.Rank))
-	}
+	t.track.InstantArgsAt("failure", ev.Kind.String(), ev.At,
+		fmt.Sprintf("rank=%d", ev.Rank))
 }
 
 func (t *runTaps) recovery(src baselines.RecoverySource, start, resume simclock.Time,
 	rollback float64, down simclock.Duration, progress float64) {
-	t.recoveries.Add(1)
-	switch src {
-	case baselines.FromLocal:
-		t.fromLocal.Add(1)
-	case baselines.FromPeer:
-		t.fromPeer.Add(1)
-	default:
-		t.fromRemote.Add(1)
-	}
 	wasted := rollback + down.Seconds()
 	t.wastedH.Observe(wasted)
 	t.lostH.Observe(rollback)
@@ -112,10 +104,17 @@ func (t *runTaps) recovery(src baselines.RecoverySource, start, resume simclock.
 	t.ratioSeries.Append(resume, progress/float64(resume))
 }
 
-// finish lands the whole-run outcomes. They are histograms with a
+// finish lands the whole-run outcomes. The counters land once, from
+// the result: adding n equals adding 1 n times exactly for any count
+// below 2^53. The effective ratio and stall are histograms with a
 // single observation (not gauges) so that merging many runs' registries
 // yields their cross-run distribution instead of last-merged-wins.
 func (t *runTaps) finish(res *Result) {
+	t.failures.Add(float64(res.Failures))
+	t.recoveries.Add(float64(res.FromLocal + res.FromPeer + res.FromRemote))
+	t.fromLocal.Add(float64(res.FromLocal))
+	t.fromPeer.Add(float64(res.FromPeer))
+	t.fromRemote.Add(float64(res.FromRemote))
 	t.ratioH.Observe(res.EffectiveRatio)
 	t.stallH.Observe(res.StallTime.Seconds())
 }

@@ -180,7 +180,7 @@ func (w *walker) walk(events failure.Schedule, p *pass) {
 		}
 		for r := range runs {
 			rs := &runs[r]
-			if rs.taps.on {
+			if rs.taps.track.Enabled() {
 				for _, ev := range events[i:j] {
 					rs.taps.failure(ev)
 				}
