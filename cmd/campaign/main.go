@@ -105,8 +105,7 @@ func run(path string, o options) error {
 		return err
 	}
 	if o.validate {
-		fmt.Printf("%s: ok (%d machines, %d variations, %d chaos events, specs %s)\n",
-			path, s.Job.Machines, s.Variations, len(c.Chaos), strings.Join(s.Run.Specs, ","))
+		printValidation(os.Stdout, path, c)
 		return nil
 	}
 
@@ -160,6 +159,24 @@ func run(path string, o options) error {
 	return nil
 }
 
+// printValidation writes what -validate reports about a compiled
+// scenario: its shape, then the scale model behind its results — the
+// derived iteration time, the share of it that is ring-collective
+// startup latency, and each spec's checkpoint interval and completion
+// lag.
+func printValidation(w io.Writer, path string, c *scenario.Compiled) {
+	s, job := c.Scenario, c.Job
+	fmt.Fprintf(w, "%s: ok (%d machines, %d variations, %d chaos events, specs %s)\n",
+		path, s.Job.Machines, s.Variations, len(c.Chaos), strings.Join(s.Run.Specs, ","))
+	fmt.Fprintf(w, "iteration: %.1f s (%s, %d × %s), %.1f%% ring-collective startup latency\n",
+		job.Timeline.Iteration.Seconds(), job.Spec.Parallelism, job.Spec.Machines, job.Spec.Instance,
+		100*job.RingLatencyShare())
+	for _, spec := range c.Specs {
+		fmt.Fprintf(w, "  %-10s checkpoint interval %.1f s, completion lag %.1f s\n",
+			spec.Name, spec.Interval.Seconds(), spec.CompletionLag.Seconds())
+	}
+}
+
 // streamProgress prints one stderr line per second until stopped.
 func streamProgress(p *obs.Progress) (stop func()) {
 	done := make(chan struct{})
@@ -191,51 +208,58 @@ func writeReports(s *scenario.Scenario, rep *scenario.Report, o options) error {
 	if htmlOut == "" {
 		htmlOut = s.Report.HTML
 	}
+	var outs []output
 	if jsonOut != "" {
 		data, err := rep.JSON()
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(jsonOut, append(data, '\n'), 0o644); err != nil {
+		// JSON returns an exact-size slice, so appending the newline
+		// would copy the whole report; write the two instead.
+		outs = append(outs, output{jsonOut, 0o644, func(w io.Writer) error {
+			if _, err := w.Write(data); err != nil {
+				return err
+			}
+			_, err := io.WriteString(w, "\n")
 			return err
-		}
-		if !o.quiet {
-			fmt.Printf("wrote %s\n", jsonOut)
-		}
+		}})
 	}
 	if htmlOut != "" {
-		f, err := os.Create(htmlOut)
-		if err != nil {
-			return err
-		}
-		if err := scenario.WriteHTML(f, rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if !o.quiet {
-			fmt.Printf("wrote %s\n", htmlOut)
-		}
+		outs = append(outs, output{htmlOut, 0o666, func(w io.Writer) error { return scenario.WriteHTML(w, rep) }})
 	}
 	if o.promOut != "" {
-		f, err := os.Create(o.promOut)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteAggregatedProm(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		outs = append(outs, output{o.promOut, 0o666, rep.WriteAggregatedProm})
+	}
+	for _, out := range outs {
+		if err := out.create(); err != nil {
 			return err
 		}
 		if !o.quiet {
-			fmt.Printf("wrote %s\n", o.promOut)
+			fmt.Printf("wrote %s\n", out.path)
 		}
 	}
 	return nil
+}
+
+// output is a file, the permissions it is created with (before the
+// umask), and the function that writes its contents.
+type output struct {
+	path  string
+	perm  os.FileMode
+	write func(w io.Writer) error
+}
+
+// create creates (or truncates) the file and writes it.
+func (out output) create() error {
+	f, err := os.OpenFile(out.path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, out.perm)
+	if err != nil {
+		return err
+	}
+	if err := out.write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // flightRecord replays the worst runs with full observability and lands
@@ -252,23 +276,12 @@ func flightRecord(c *scenario.Compiled, rep *scenario.Report, o options) error {
 			return err
 		}
 		base := filepath.Join(o.flightDir, fmt.Sprintf("outlier-%d", k))
-		for _, out := range []struct {
-			path  string
-			write func(w io.Writer) error
-		}{
-			{base + ".trace.json", fr.WriteTrace},
-			{base + ".timeline.csv", fr.WriteTimeline},
-			{base + ".prom", fr.WriteProm},
+		for _, out := range []output{
+			{base + ".trace.json", 0o666, fr.WriteTrace},
+			{base + ".timeline.csv", 0o666, fr.WriteTimeline},
+			{base + ".prom", 0o666, fr.WriteProm},
 		} {
-			f, err := os.Create(out.path)
-			if err != nil {
-				return err
-			}
-			if err := out.write(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if err := out.create(); err != nil {
 				return err
 			}
 		}

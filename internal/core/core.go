@@ -19,6 +19,7 @@ import (
 	"gemini/internal/derive"
 	"gemini/internal/failure"
 	"gemini/internal/metrics"
+	"gemini/internal/netsim"
 	"gemini/internal/placement"
 	"gemini/internal/profile"
 	"gemini/internal/runsim"
@@ -160,6 +161,31 @@ func (j *Job) StrawmanSpec() baselines.Spec { return j.specStrawman }
 
 // HighFreqSpec returns the saturate-the-remote-store baseline.
 func (j *Job) HighFreqSpec() baselines.Spec { return j.specHighFreq }
+
+// RingLatencyShare is the share of one iteration that is ring-collective
+// startup latency. Each ring collective over N machines pays (N − 1)·α
+// of it: once for a ZeRO-3 all-gather or reduce-scatter, twice for a
+// data-parallel all-reduce. Pipeline stages exchange their boundaries
+// point to point, with no ring, so the share is 0 there.
+func (j *Job) RingLatencyShare() float64 {
+	kind := netsim.AllGather
+	switch j.Spec.Parallelism {
+	case training.DataParallel:
+		kind = netsim.AllReduce
+	case training.PipelineParallel:
+		return 0
+	}
+	tl := j.Timeline
+	collectives := 0
+	for _, op := range tl.Ops {
+		if op.Kind == training.OpAllGather || op.Kind == training.OpReduceScatter {
+			collectives++
+		}
+	}
+	// A zero-byte ring collective costs exactly its startup steps.
+	ring := netsim.CollectiveTime(kind, tl.Config.Machines, 0, 1, tl.Config.Calib.CollectiveAlpha)
+	return float64(collectives) * ring.Seconds() / tl.Iteration.Seconds()
+}
 
 // RecoveryProbability returns the probability that GEMINI recovers from
 // CPU memory when k machines fail simultaneously, by exact enumeration

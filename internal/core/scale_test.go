@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"gemini/internal/netsim"
 	"gemini/internal/training"
 )
 
@@ -25,7 +24,8 @@ func TestZeRO3IterationScaleModel(t *testing.T) {
 		{1000, 419.7},
 		{10000, 3767.6},
 	} {
-		tl := MustNewJob(JobSpec{Model: "GPT-2 100B", Instance: "p4d.24xlarge", Machines: tc.machines}).Timeline
+		job := MustNewJob(JobSpec{Model: "GPT-2 100B", Instance: "p4d.24xlarge", Machines: tc.machines})
+		tl := job.Timeline
 		it := tl.Iteration.Seconds()
 		if math.Abs(it-tc.iteration) > 0.05 {
 			t.Errorf("N=%d: iteration %.4f s, want %.1f s", tc.machines, it, tc.iteration)
@@ -40,14 +40,41 @@ func TestZeRO3IterationScaleModel(t *testing.T) {
 			t.Errorf("N=%d: %d collectives per iteration, want 3 × %d layers = %d",
 				tc.machines, collectives, tl.Config.Model.Layers, want)
 		}
-		// A zero-byte ring collective costs exactly its (N − 1)·α steps.
-		ring := netsim.CollectiveTime(netsim.AllGather, tc.machines, 0, 1, tl.Config.Calib.CollectiveAlpha)
-		latency := float64(collectives) * ring.Seconds()
-		share := latency / it
+		share := job.RingLatencyShare()
+		latency := share * it
 		t.Logf("N=%d: iteration %.1f s, ring latency %.1f s (%.1f%%)", tc.machines, it, latency, 100*share)
 		if tc.machines >= 1000 && share < 0.85 {
 			t.Errorf("N=%d: ring latency %.1f s is %.1f%% of the %.1f s iteration, want at least 85%%",
 				tc.machines, latency, 100*share, it)
 		}
+	}
+}
+
+// RingLatencyShare prices each parallelism's ring collectives: ZeRO-3
+// runs 3 × layers all-gathers and reduce-scatters of (N − 1)·α each, a
+// data-parallel job one all-reduce of 2(N − 1)·α per layer, and a
+// pipeline exchanges its boundaries point to point with no ring.
+func TestRingLatencyShareByParallelism(t *testing.T) {
+	for _, tc := range []struct {
+		parallelism training.Parallelism
+		rings       func(layers int) float64 // (N − 1)·α startups per iteration
+	}{
+		{training.ZeRO3, func(layers int) float64 { return 3 * float64(layers) }},
+		{training.DataParallel, func(layers int) float64 { return 2 * float64(layers) }},
+		{training.PipelineParallel, func(int) float64 { return 0 }},
+	} {
+		t.Run(tc.parallelism.String(), func(t *testing.T) {
+			job := MustNewJob(JobSpec{Model: "GPT-2 40B", Instance: "p3dn.24xlarge", Machines: 16, Parallelism: tc.parallelism})
+			cfg := job.Timeline.Config
+			want := tc.rings(cfg.Model.Layers) * float64(cfg.Machines-1) * cfg.Calib.CollectiveAlpha.Seconds() /
+				job.Timeline.Iteration.Seconds()
+			got := job.RingLatencyShare()
+			if math.Abs(got-want) > 1e-12 {
+				t.Fatalf("share %.6f, want %.6f", got, want)
+			}
+			if tc.parallelism != training.PipelineParallel && !(got > 0) {
+				t.Fatalf("share %v, want a positive ring latency", got)
+			}
+		})
 	}
 }

@@ -115,3 +115,50 @@ func TestReportHashAllocs(t *testing.T) {
 		t.Fatalf("warm ComputeHash allocates %.0f B per call, want < %d", perCall, maxBytes)
 	}
 }
+
+// A warm ComputeHash at two workers encodes the run records in
+// parallel chunks: the pooled encoding keeps every chunk's buffer, so a
+// call allocates only the fan-out's bookkeeping (goroutines, wait
+// group) and the hex digest, under 4 KiB, and no more for a report of
+// twelve chunks than for one of three (an allocation per chunk would
+// add nine). The gate sets GOMAXPROCS to exactly two and restores it:
+// ComputeHash fans out to GOMAXPROCS workers, and a wider host would
+// start more goroutines for twelve chunks than for three. It also
+// warms the pool before measuring, because sync.Pool keeps one private
+// encoding per P that other Ps cannot take. testing.AllocsPerRun pins
+// GOMAXPROCS to 1 and would never leave the inline path, so this gate
+// reads runtime.MemStats itself. Gated in ci.sh.
+func TestReportHashAllocsParallel(t *testing.T) {
+	const (
+		maxBytes = 4096
+		calls    = 100
+		workers  = 2
+	)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+	perCall := func(chunks int) (bytes, allocs float64) {
+		rep := &Report{Scenario: "chunks", Specs: []SpecReport{{Name: "gemini"}}, Runs: runRecords(chunks * runChunk)}
+		rep.Hash = rep.ComputeHash()
+		runtime.GC()
+		for i := 0; i < calls; i++ {
+			if rep.ComputeHash() != rep.Hash {
+				t.Fatal("hash does not verify")
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			rep.ComputeHash()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / calls, float64(after.Mallocs-before.Mallocs) / calls
+	}
+	smallB, smallN := perCall(3)
+	largeB, largeN := perCall(12)
+	t.Logf("3 chunks: %.0f B in %.1f allocations per ComputeHash; 12 chunks: %.0f B in %.1f", smallB, smallN, largeB, largeN)
+	if smallB >= maxBytes || largeB >= maxBytes {
+		t.Fatalf("warm parallel ComputeHash allocates %.0f B (3 chunks) and %.0f B (12 chunks) per call, want < %d", smallB, largeB, maxBytes)
+	}
+	if largeN > smallN+1 {
+		t.Fatalf("warm parallel ComputeHash makes %.1f allocations at 12 chunks, %.1f at 3: allocations grow with the chunk count", largeN, smallN)
+	}
+}

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -414,37 +413,33 @@ func RunCampaign(ctx context.Context, c *Compiled, opts CampaignOptions) (*Repor
 		}
 		rep.Aggregates = ar
 	}
-	rep.Hash = rep.ComputeHash()
+	rep.Hash = rep.computeHash(opts.Workers)
 	return rep, nil
 }
 
 // ComputeHash returns the SHA-256 hex digest of the report marshalled
-// with the Hash field empty. Verification: recompute and compare.
-func (r *Report) ComputeHash() string {
-	clone := *r
-	clone.Hash = ""
-	buf := encodeBufs.Get().(*[]byte)
-	defer encodeBufs.Put(buf)
-	data, err := clone.encode((*buf)[:0], false)
-	*buf = data
+// with the Hash field empty. Verification: recompute and compare. It
+// re-encodes every byte from the report's fields, its run records on
+// parallel.Workers() workers.
+func (r *Report) ComputeHash() string { return r.computeHash(parallel.Workers()) }
+
+func (r *Report) computeHash(workers int) string {
+	enc, err := r.encode(workers, false, "")
 	if err != nil {
 		// Report marshalling cannot fail: all fields are plain data.
 		panic(fmt.Sprintf("scenario: report marshal: %v", err))
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+	defer enc.release()
+	return hex.EncodeToString(enc.digest())
 }
 
-// JSON marshals the report indented, ready to write to disk.
+// JSON marshals the report indented, ready to write to disk, into one
+// exact-size slice.
 func (r *Report) JSON() ([]byte, error) {
-	buf := encodeBufs.Get().(*[]byte)
-	defer encodeBufs.Put(buf)
-	data, err := r.encode((*buf)[:0], true)
-	*buf = data
+	enc, err := r.encode(parallel.Workers(), true, r.Hash)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, len(data))
-	copy(out, data)
-	return out, nil
+	defer enc.release()
+	return enc.appendTo(make([]byte, 0, enc.size())), nil
 }

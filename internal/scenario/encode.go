@@ -9,25 +9,71 @@ package scenario
 // the bytes of json.Marshal or json.MarshalIndent(r, "", "  ");
 // encode_test.go holds it to encoding/json on every field, edge value
 // and fuzz input.
+//
+// The run records, nearly all of those bytes, are encoded in chunks of
+// runChunk across workers. A record's bytes depend only on its nesting
+// depth and on whether it is the array's first member, so each chunk
+// can be written on its own and the chunks joined in order give the
+// serial bytes at any worker count.
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"hash"
 	"math"
 	"reflect"
 	"strconv"
 	"sync"
+
+	"gemini/internal/parallel"
 )
 
-// encodeBufs recycles encode's output buffers: a report with run
-// records is around a megabyte, and growing it from nil on every call
-// would allocate several times that.
-var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+// runChunk is how many run records one chunk of the encoding holds.
+const runChunk = 256
 
-// encode appends the report's JSON to dst: json.Marshal's bytes, or
-// json.MarshalIndent's with a two-space indent. Like json.Marshal it
-// fails on NaN and infinite floats.
-func (r *Report) encode(dst []byte, indent bool) ([]byte, error) {
-	e := encoder{b: dst, indent: indent}
+// encoding is a report's JSON in document order: head (every member
+// before the run records), one buffer per chunk of run records, and
+// tail (the runs array's close, the hash and the report's close).
+// Encodings and their buffers are pooled: a report with run records is
+// around a megabyte, and growing it from nil on every call would
+// allocate several times that.
+type encoding struct {
+	head, tail []byte
+	// chunks and errs hold chunk i's bytes and first error at i, for
+	// i < n; buffers past n are kept for reuse.
+	chunks [][]byte
+	errs   []error
+	n      int
+
+	// The records being encoded and the encoder state each chunk starts
+	// from, set for one encode.
+	runs   []RunRecord
+	indent bool
+	depth  int
+	// encodeChunk bound once, so encode hands parallel.ForEach no fresh
+	// closure.
+	chunk func(i int)
+
+	// The hasher and digest buffer digest reuses.
+	sha hash.Hash
+	sum []byte
+}
+
+var encodings = sync.Pool{New: func() any {
+	enc := &encoding{sha: sha256.New()}
+	enc.chunk = enc.encodeChunk
+	return enc
+}}
+
+// encode encodes the report — json.Marshal's bytes, or
+// json.MarshalIndent's with a two-space indent — with hashField in
+// place of r.Hash, its run records in chunks spread over workers
+// (≤ 0 means parallel.Workers()). Like json.Marshal it fails on NaN and
+// infinite floats, with the first error in document order. The caller
+// releases the encoding once done with its bytes.
+func (r *Report) encode(workers int, indent bool, hashField string) (*encoding, error) {
+	enc := encodings.Get().(*encoding)
+	e := encoder{b: enc.head[:0], indent: indent}
 	e.open('{')
 	e.key("scenario")
 	e.string(r.Scenario)
@@ -90,17 +136,89 @@ func (r *Report) encode(dst []byte, indent bool) ([]byte, error) {
 	if len(r.Runs) > 0 {
 		e.key("runs")
 		e.open('[')
-		for i := range r.Runs {
-			e.member()
-			e.runRecord(&r.Runs[i])
-		}
+	}
+	enc.head = e.b
+	err := e.err
+
+	enc.n = (len(r.Runs) + runChunk - 1) / runChunk
+	for len(enc.chunks) < enc.n {
+		enc.chunks = append(enc.chunks, nil)
+		enc.errs = append(enc.errs, nil)
+	}
+	enc.runs, enc.indent, enc.depth = r.Runs, indent, e.depth
+	parallel.ForEach(workers, enc.n, enc.chunk)
+	enc.runs = nil
+	for i := 0; err == nil && i < enc.n; i++ {
+		err = enc.errs[i]
+	}
+	clear(enc.errs)
+
+	// The tail continues the head's encoder: the runs array, if any,
+	// has members.
+	e.b, e.first = enc.tail[:0], false
+	if len(r.Runs) > 0 {
 		e.close(']')
 	}
 	e.key("hash")
-	e.string(r.Hash)
+	e.string(hashField)
 	e.close('}')
-	return e.b, e.err
+	enc.tail = e.b
+	if err == nil {
+		err = e.err
+	}
+	if err != nil {
+		enc.release()
+		return nil, err
+	}
+	return enc, nil
 }
+
+// encodeChunk writes chunk i of the run records into its buffer.
+func (enc *encoding) encodeChunk(i int) {
+	runs := enc.runs[i*runChunk : min((i+1)*runChunk, len(enc.runs))]
+	e := encoder{b: enc.chunks[i][:0], indent: enc.indent, depth: enc.depth, first: i == 0}
+	for j := range runs {
+		e.member()
+		e.runRecord(&runs[j])
+	}
+	enc.chunks[i], enc.errs[i] = e.b, e.err
+}
+
+// size is the encoding's length in bytes.
+func (enc *encoding) size() int {
+	n := len(enc.head) + len(enc.tail)
+	for _, c := range enc.chunks[:enc.n] {
+		n += len(c)
+	}
+	return n
+}
+
+// appendTo appends the encoding to dst.
+func (enc *encoding) appendTo(dst []byte) []byte {
+	dst = append(dst, enc.head...)
+	for _, c := range enc.chunks[:enc.n] {
+		dst = append(dst, c...)
+	}
+	return append(dst, enc.tail...)
+}
+
+// digest returns the encoding's SHA-256, fed part by part rather than
+// copied into one buffer first. The digest lives in the encoding until
+// it is released.
+func (enc *encoding) digest() []byte {
+	// A hash.Hash's Write never returns an error.
+	enc.sha.Reset()
+	enc.sha.Write(enc.head)
+	for _, c := range enc.chunks[:enc.n] {
+		enc.sha.Write(c)
+	}
+	enc.sha.Write(enc.tail)
+	enc.sum = enc.sha.Sum(enc.sum[:0])
+	return enc.sum
+}
+
+// release returns the encoding and its buffers to the pool.
+func (enc *encoding) release() { encodings.Put(enc) }
 
 func (e *encoder) specReport(s *SpecReport) {
 	e.open('{')
