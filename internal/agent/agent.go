@@ -43,17 +43,6 @@ type Options struct {
 	CheckInterval simclock.Duration
 	// IterationTime advances the training loop.
 	IterationTime simclock.Duration
-	// RetrievalPeerBandwidth is the inter-machine bandwidth for peer
-	// checkpoint retrieval.
-	RetrievalPeerBandwidth float64
-	// RetrievalRemoteBandwidth is the remote persistent store bandwidth
-	// (aggregate) for fallback retrieval.
-	RetrievalRemoteBandwidth float64
-	// SerializeTime stalls all machines to torch.save the in-memory
-	// checkpoints before recovery (§7.3: 162 s).
-	SerializeTime simclock.Duration
-	// WarmupTime is the framework restart time before training resumes.
-	WarmupTime simclock.Duration
 	// RetryBase is the first retry delay when no consistent checkpoint
 	// version is reachable (e.g. the peers holding it are partitioned
 	// away); subsequent retries back off exponentially.
@@ -63,27 +52,23 @@ type Options struct {
 	RetryMax int
 }
 
-// DefaultOptions mirrors the paper's measured values. Detection,
-// warm-up and the remote store's bandwidth are Fig. 14's constants,
-// declared once in baselines.
+// DefaultOptions mirrors the paper's measured values. The lease TTL is
+// Fig. 14's detection constant, declared once in baselines; every other
+// recovery cost comes from the job's spec (NewSystem).
 func DefaultOptions(iterTime simclock.Duration) Options {
 	return Options{
-		HeartbeatInterval:        5 * simclock.Second,
-		LeaseTTL:                 baselines.DetectionTime,
-		CheckInterval:            5 * simclock.Second,
-		IterationTime:            iterTime,
-		RetrievalPeerBandwidth:   400e9 / 8,
-		RetrievalRemoteBandwidth: baselines.DefaultRemoteBandwidth,
-		SerializeTime:            162 * simclock.Second,
-		WarmupTime:               baselines.RestartWarmup,
-		RetryBase:                2 * simclock.Second,
-		RetryMax:                 4,
+		HeartbeatInterval: 5 * simclock.Second,
+		LeaseTTL:          baselines.DetectionTime,
+		CheckInterval:     5 * simclock.Second,
+		IterationTime:     iterTime,
+		RetryBase:         2 * simclock.Second,
+		RetryMax:          4,
 	}
 }
 
-// validate rejects a non-positive interval, iteration time or
-// bandwidth, a negative cost or retry parameter, and any NaN or
-// infinite value, naming the offending field.
+// validate rejects a non-positive interval or iteration time, a
+// negative retry parameter, and any NaN or infinite value, naming the
+// offending field.
 func (o Options) validate() error {
 	for _, f := range []struct {
 		name string
@@ -94,10 +79,6 @@ func (o Options) validate() error {
 		{"LeaseTTL", float64(o.LeaseTTL), false},
 		{"CheckInterval", float64(o.CheckInterval), false},
 		{"IterationTime", float64(o.IterationTime), false},
-		{"RetrievalPeerBandwidth", o.RetrievalPeerBandwidth, false},
-		{"RetrievalRemoteBandwidth", o.RetrievalRemoteBandwidth, false},
-		{"SerializeTime", float64(o.SerializeTime), true},
-		{"WarmupTime", float64(o.WarmupTime), true},
 		{"RetryBase", float64(o.RetryBase), true},
 	} {
 		switch {
@@ -144,6 +125,7 @@ type System struct {
 	ckpt      *ckpt.Engine
 	operator  *cloud.Operator
 	placement *placement.Placement
+	spec      baselines.Spec
 	opts      Options
 	log       *trace.Log
 
@@ -167,7 +149,9 @@ type System struct {
 	// table against the store.
 	onPoll func()
 
-	iteration        int64
+	iteration int64
+	// remoteEveryIters is the remote tier's cadence in iterations:
+	// ⌈RemoteInterval / IterationTime⌉ unless SetRemoteEvery changed it.
 	remoteEveryIters int64
 	// lastRemoteCommitted is the newest iteration actually written to the
 	// remote persistent tier — recorded at commit time, so recovery never
@@ -210,29 +194,40 @@ type System struct {
 	stragglers  map[int]float64
 }
 
-// NewSystem builds the control plane for an n-machine cluster.
+// NewSystem builds the control plane for an n-machine cluster. spec is
+// the job's GEMINI spec: the recovery-phase kernel prices every
+// recovery's serialize, retrieve and warm-up phases from it, and its
+// RemoteInterval sets the default remote cadence.
 func NewSystem(engine *simclock.Engine, cl *cluster.Cluster, ck *ckpt.Engine,
-	op *cloud.Operator, opts Options) (*System, error) {
+	spec baselines.Spec, op *cloud.Operator, opts Options) (*System, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	if !spec.UsesCPUMemory {
+		return nil, fmt.Errorf("agent: spec %s has no CPU-memory tier to recover from", spec.Name)
 	}
 	if cl.Size() != ck.Placement().N {
 		return nil, fmt.Errorf("agent: cluster size %d != placement size %d", cl.Size(), ck.Placement().N)
 	}
 	s := &System{
-		engine:      engine,
-		store:       kvstore.New(engine.Now),
-		cluster:     cl,
-		ckpt:        ck,
-		operator:    op,
-		placement:   ck.Placement(),
-		opts:        opts,
-		log:         trace.NewLog(engine.Now),
-		rootRank:    -1,
-		present:     make([]bool, cl.Size()),
-		missing:     cl.Size(),
-		partitioned: make(map[int]bool),
-		stragglers:  make(map[int]float64),
+		engine:           engine,
+		store:            kvstore.New(engine.Now),
+		cluster:          cl,
+		ckpt:             ck,
+		operator:         op,
+		placement:        ck.Placement(),
+		spec:             spec,
+		opts:             opts,
+		remoteEveryIters: int64(math.Ceil(float64(spec.RemoteInterval / opts.IterationTime))),
+		log:              trace.NewLog(engine.Now),
+		rootRank:         -1,
+		present:          make([]bool, cl.Size()),
+		missing:          cl.Size(),
+		partitioned:      make(map[int]bool),
+		stragglers:       make(map[int]float64),
 	}
 	s.store.Watch(hbPrefix, s.trackHeartbeat)
 	el, err := kvstore.NewElection(s.store, leaderKey)

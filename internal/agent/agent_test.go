@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"gemini/internal/baselines"
 	"gemini/internal/ckpt"
 	"gemini/internal/cloud"
 	"gemini/internal/cluster"
@@ -12,6 +13,7 @@ import (
 	"gemini/internal/placement"
 	"gemini/internal/simclock"
 	"gemini/internal/strategy"
+	"gemini/internal/tensor"
 	"gemini/internal/trace"
 )
 
@@ -26,17 +28,44 @@ type fixture struct {
 	log    *trace.Log
 }
 
-func newFixture(t testing.TB, n, m int, cloudCfg cloud.Config) *fixture {
+// testSpec is the GEMINI spec an n-machine fixture with the given shard
+// size recovers under. It charges what baselines.Gemini charges a p4d
+// job with such shards: two generations serialized, a local reload, a
+// shard over a peer's NIC, and n shards through the remote store.
+func testSpec(n int, shard float64) baselines.Spec {
+	costs := tensor.DefaultCostModel()
+	return baselines.Spec{
+		Name:                "GEMINI",
+		Interval:            iterTime,
+		CompletionLag:       iterTime,
+		SerializeOnRecovery: simclock.Duration(2 * shard / costs.SerializeBytesPerSec),
+		RetrievalLocal:      simclock.Duration(shard/costs.DeserializeBytesPerSec) / 8,
+		RetrievalPeer:       simclock.Duration(shard / cluster.MustInstance("p4d.24xlarge").NetworkBytesPerSec),
+		RetrievalRemote:     simclock.Duration(float64(n) * shard / baselines.DefaultRemoteBandwidth),
+		UsesCPUMemory:       true,
+		RemoteInterval:      baselines.RemoteCheckpointInterval,
+	}
+}
+
+// newSpecFixture builds an n-machine, m-replica p4d system with
+// shard-byte shards, recovering under spec(n, shard).
+func newSpecFixture(t testing.TB, n, m int, shard float64, spec func(int, float64) baselines.Spec,
+	opts Options, cloudCfg cloud.Config) *fixture {
 	t.Helper()
 	engine := simclock.NewEngine()
 	clus := cluster.MustNew(n, cluster.MustInstance("p4d.24xlarge"))
-	ck := ckpt.MustNewEngine(placement.MustMixed(n, m), 75e9)
+	ck := ckpt.MustNewEngine(placement.MustMixed(n, m), shard)
 	op := cloud.MustNewOperator(engine, cloudCfg)
-	sys, err := NewSystem(engine, clus, ck, op, DefaultOptions(iterTime))
+	sys, err := NewSystem(engine, clus, ck, spec(n, shard), op, opts)
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
 	return &fixture{engine: engine, clus: clus, ck: ck, op: op, sys: sys, log: sys.Log()}
+}
+
+func newFixture(t testing.TB, n, m int, cloudCfg cloud.Config) *fixture {
+	t.Helper()
+	return newSpecFixture(t, n, m, 75e9, testSpec, DefaultOptions(iterTime), cloudCfg)
 }
 
 func allHealthy(f *fixture) func(int) bool {
@@ -327,24 +356,21 @@ func TestOptionsValidation(t *testing.T) {
 		func(o *Options) { o.LeaseTTL = o.HeartbeatInterval },
 		func(o *Options) { o.CheckInterval = -1 },
 		func(o *Options) { o.IterationTime = 0 },
-		func(o *Options) { o.RetrievalPeerBandwidth = 0 },
-		func(o *Options) { o.RetrievalRemoteBandwidth = 0 },
-		func(o *Options) { o.SerializeTime = -1 },
-		func(o *Options) { o.WarmupTime = -1 },
 	}
+	spec := testSpec(4, 1)
 	for i, mutate := range bad {
 		opts := DefaultOptions(iterTime)
 		mutate(&opts)
-		if _, err := NewSystem(engine, clus, ck, op, opts); err == nil {
+		if _, err := NewSystem(engine, clus, ck, spec, op, opts); err == nil {
 			t.Errorf("bad options %d accepted", i)
 		}
 	}
 	// Mismatched sizes rejected.
 	small := ckpt.MustNewEngine(placement.MustMixed(3, 1), 1)
-	if _, err := NewSystem(engine, clus, small, op, DefaultOptions(iterTime)); err == nil {
+	if _, err := NewSystem(engine, clus, small, spec, op, DefaultOptions(iterTime)); err == nil {
 		t.Error("mismatched cluster/placement accepted")
 	}
-	sys, err := NewSystem(engine, clus, ck, op, DefaultOptions(iterTime))
+	sys, err := NewSystem(engine, clus, ck, spec, op, DefaultOptions(iterTime))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,10 +477,6 @@ func TestOptionsRejectNonFinite(t *testing.T) {
 		{"LeaseTTL", func(o *Options, v float64) { o.LeaseTTL = simclock.Duration(v) }},
 		{"CheckInterval", func(o *Options, v float64) { o.CheckInterval = simclock.Duration(v) }},
 		{"IterationTime", func(o *Options, v float64) { o.IterationTime = simclock.Duration(v) }},
-		{"RetrievalPeerBandwidth", func(o *Options, v float64) { o.RetrievalPeerBandwidth = v }},
-		{"RetrievalRemoteBandwidth", func(o *Options, v float64) { o.RetrievalRemoteBandwidth = v }},
-		{"SerializeTime", func(o *Options, v float64) { o.SerializeTime = simclock.Duration(v) }},
-		{"WarmupTime", func(o *Options, v float64) { o.WarmupTime = simclock.Duration(v) }},
 		{"RetryBase", func(o *Options, v float64) { o.RetryBase = simclock.Duration(v) }},
 	}
 	for _, f := range fields {
@@ -463,10 +485,81 @@ func TestOptionsRejectNonFinite(t *testing.T) {
 			f.set(&opts, v)
 			engine := simclock.NewEngine()
 			_, err := NewSystem(engine, cluster.MustNew(4, cluster.MustInstance("p4d.24xlarge")),
-				ckpt.MustNewEngine(placement.MustMixed(4, 2), 75e9), cloud.MustNewOperator(engine, cloud.DefaultConfig()), opts)
+				ckpt.MustNewEngine(placement.MustMixed(4, 2), 75e9), testSpec(4, 75e9),
+				cloud.MustNewOperator(engine, cloud.DefaultConfig()), opts)
 			if err == nil || !strings.Contains(err.Error(), f.name) {
 				t.Errorf("%s = %v: NewSystem error %v, want one naming %s", f.name, v, err, f.name)
 			}
 		}
+	}
+}
+
+// NewSystem prices recoveries from the job's GEMINI spec, so it
+// rejects a spec that fails Spec.Validate, and one without a CPU-memory
+// tier, with an error naming the problem.
+func TestNewSystemRejectsBadSpec(t *testing.T) {
+	for _, c := range []struct {
+		want string
+		set  func(s *baselines.Spec)
+	}{
+		{"serialize-on-recovery stall", func(s *baselines.Spec) { s.SerializeOnRecovery = -1 }},
+		{"local retrieval time", func(s *baselines.Spec) { s.RetrievalLocal = simclock.Duration(math.Inf(1)) }},
+		{"peer retrieval time", func(s *baselines.Spec) { s.RetrievalPeer = simclock.Duration(math.NaN()) }},
+		{"remote interval", func(s *baselines.Spec) { s.RemoteInterval = 0 }},
+		{"no CPU-memory tier", func(s *baselines.Spec) { s.UsesCPUMemory = false }},
+	} {
+		spec := testSpec(4, 75e9)
+		c.set(&spec)
+		engine := simclock.NewEngine()
+		_, err := NewSystem(engine, cluster.MustNew(4, cluster.MustInstance("p4d.24xlarge")),
+			ckpt.MustNewEngine(placement.MustMixed(4, 2), 75e9), spec,
+			cloud.MustNewOperator(engine, cloud.DefaultConfig()), DefaultOptions(iterTime))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: NewSystem error %v, want one naming it", c.want, err)
+		}
+	}
+}
+
+// The control plane takes its recovery costs and its remote cadence
+// from the job's spec: the kernel's phases price a local recovery, and
+// the remote tier commits every ⌈RemoteInterval / iteration⌉
+// iterations, whatever the iteration time.
+func TestRecoveryFollowsSpec(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		iter simclock.Duration
+		run  func(t *testing.T, f *fixture)
+	}{
+		{"local recovery pays serialize, local retrieval and warm-up", iterTime, func(t *testing.T, f *fixture) {
+			f.engine.At(simclock.Time(5*iterTime+10), func() { f.sys.InjectFailure(2, cluster.SoftwareFailed) })
+			f.engine.Run(simclock.Time(30 * iterTime))
+			evs := f.sys.WastedEvents()
+			if len(evs) != 1 || evs[0].Source != "local" {
+				t.Fatalf("recoveries %+v, want one from local memory", evs)
+			}
+			ph := f.sys.spec.Phases(baselines.FromLocal, 0)
+			if want := ph.Serialize + ph.Retrieve + baselines.RestartWarmup; evs[0].TRecovery != want {
+				t.Fatalf("TRecovery %v, want serialize %v + local retrieval %v + warm-up %v = %v",
+					evs[0].TRecovery, ph.Serialize, ph.Retrieve, baselines.RestartWarmup, want)
+			}
+		}},
+		{"remote cadence follows the iteration time", 73.1 * simclock.Second, func(t *testing.T, f *fixture) {
+			const first = 148 // ⌈3 h / 73.1 s⌉
+			f.engine.Run(simclock.Time((first - 0.5) * 73.1 * simclock.Second))
+			if got := f.sys.lastRemoteIteration(); got != 0 {
+				t.Fatalf("remote commit at iteration %d, before ⌈3 h / 73.1 s⌉ = %d", got, first)
+			}
+			f.engine.Run(simclock.Time((first + 0.5) * 73.1 * simclock.Second))
+			if got := f.sys.lastRemoteIteration(); got != first {
+				t.Fatalf("newest remote commit at iteration %d, want %d", got, first)
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			opts := DefaultOptions(c.iter)
+			f := newSpecFixture(t, 4, 2, 75e9, testSpec, opts, cloud.DefaultConfig())
+			f.sys.Start()
+			c.run(t, f)
+		})
 	}
 }

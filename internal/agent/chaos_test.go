@@ -6,35 +6,30 @@ import (
 	"strings"
 	"testing"
 
-	"gemini/internal/ckpt"
+	"gemini/internal/baselines"
 	"gemini/internal/cloud"
 	"gemini/internal/cluster"
-	"gemini/internal/placement"
 	"gemini/internal/simclock"
 )
 
-// chaosOpts keeps chaos scenarios fast: short serialize/warmup, standby
-// replacements, and a small retry budget.
+// chaosOpts gives chaos scenarios a small retry budget.
 func chaosOpts() Options {
 	o := DefaultOptions(iterTime)
-	o.SerializeTime = 10 * simclock.Second
-	o.WarmupTime = 30 * simclock.Second
 	o.RetryBase = 2 * simclock.Second
 	o.RetryMax = 3
 	return o
 }
 
+// chaosSpec keeps chaos scenarios fast: a short serialize stall.
+func chaosSpec(n int, shard float64) baselines.Spec {
+	s := testSpec(n, shard)
+	s.SerializeOnRecovery = 10 * simclock.Second
+	return s
+}
+
 func newChaosFixture(t *testing.T, n, m int, opts Options, cloudCfg cloud.Config) *fixture {
 	t.Helper()
-	engine := simclock.NewEngine()
-	clus := cluster.MustNew(n, cluster.MustInstance("p4d.24xlarge"))
-	ck := ckpt.MustNewEngine(placement.MustMixed(n, m), 75e9)
-	op := cloud.MustNewOperator(engine, cloudCfg)
-	sys, err := NewSystem(engine, clus, ck, op, opts)
-	if err != nil {
-		t.Fatalf("NewSystem: %v", err)
-	}
-	return &fixture{engine: engine, clus: clus, ck: ck, op: op, sys: sys, log: sys.Log()}
+	return newSpecFixture(t, n, m, 75e9, chaosSpec, opts, cloudCfg)
 }
 
 // A hardware failure whose only surviving replica holder is partitioned

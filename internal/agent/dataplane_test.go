@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"gemini/internal/baselines"
 	"gemini/internal/ckpt"
 	"gemini/internal/cloud"
 	"gemini/internal/cluster"
@@ -22,27 +23,20 @@ const dpShard = 4096
 
 func newDataPlaneFixture(t *testing.T, n, m int) *fixture {
 	t.Helper()
-	return newDPShardFixture(t, n, m, DefaultOptions(iterTime), cloud.DefaultConfig(), true)
+	return newDPShardFixture(t, n, m, testSpec, DefaultOptions(iterTime), cloud.DefaultConfig(), true)
 }
 
 // newDPShardFixture builds a system whose checkpoint engine tracks
 // dpShard-byte shards, with the data plane attached when dataPlane is
 // set, so runs with and without it are otherwise identical.
-func newDPShardFixture(t *testing.T, n, m int, opts Options, cloudCfg cloud.Config, dataPlane bool) *fixture {
+func newDPShardFixture(t *testing.T, n, m int, spec func(int, float64) baselines.Spec,
+	opts Options, cloudCfg cloud.Config, dataPlane bool) *fixture {
 	t.Helper()
-	engine := simclock.NewEngine()
-	clus := cluster.MustNew(n, cluster.MustInstance("p4d.24xlarge"))
-	p := placement.MustMixed(n, m)
-	ck := ckpt.MustNewEngine(p, dpShard)
-	op := cloud.MustNewOperator(engine, cloudCfg)
-	sys, err := NewSystem(engine, clus, ck, op, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newSpecFixture(t, n, m, dpShard, spec, opts, cloudCfg)
 	if dataPlane {
-		sys.SetDataPlane(statemgr.MustNew(p, dpShard, 77))
+		f.sys.SetDataPlane(statemgr.MustNew(f.ck.Placement(), dpShard, 77))
 	}
-	return &fixture{engine: engine, clus: clus, ck: ck, op: op, sys: sys, log: sys.Log()}
+	return f
 }
 
 // runUntilRecovered steps the run until its first recovery completes —
@@ -127,7 +121,7 @@ func TestDataPlaneReseededReplicasCarryFingerprints(t *testing.T) {
 func TestDataPlaneLeavesDecisionsUnchanged(t *testing.T) {
 	sc := outcomeScenarios()[0]
 	run := func(dataPlane bool) *fixture {
-		f := newDPShardFixture(t, 16, 2, sc.opts, sc.cloud, dataPlane)
+		f := newDPShardFixture(t, 16, 2, sc.spec, sc.opts, sc.cloud, dataPlane)
 		f.sys.SetRemoteEvery(10)
 		sc.arm(f)
 		f.sys.Start()

@@ -3,6 +3,7 @@ package agent
 import (
 	"testing"
 
+	"gemini/internal/baselines"
 	"gemini/internal/ckpt"
 	"gemini/internal/cloud"
 	"gemini/internal/cluster"
@@ -132,9 +133,10 @@ func TestWastedEventAccounting(t *testing.T) {
 	if ev.TRecovery != ev.Resumed.Sub(ev.Detected) {
 		t.Fatalf("TRecovery=%v, want Resumed-Detected=%v", ev.TRecovery, ev.Resumed.Sub(ev.Detected))
 	}
-	// Downtime covers at least serialize + warmup.
-	if ev.TRecovery < f.sys.opts.SerializeTime+f.sys.opts.WarmupTime {
-		t.Fatalf("TRecovery=%v below serialize+warmup floor", ev.TRecovery)
+	// Downtime covers at least the kernel's serialize, retrieve and
+	// warm-up phases.
+	if ph := f.sys.spec.Phases(baselines.FromRemote, 0); ev.TRecovery < ph.Serialize+ph.Retrieve+ph.Warmup {
+		t.Fatalf("TRecovery=%v below the serialize+retrieve+warmup floor %v", ev.TRecovery, ph.Serialize+ph.Retrieve+ph.Warmup)
 	}
 	if ev.Wasted() != ev.TLost+ev.TRecovery {
 		t.Fatalf("Wasted()=%v, want TLost+TRecovery=%v", ev.Wasted(), ev.TLost+ev.TRecovery)
@@ -235,7 +237,7 @@ func benchFixture(b *testing.B, engine *simclock.Engine) *System {
 	clus := cluster.MustNew(4, cluster.MustInstance("p4d.24xlarge"))
 	ck := ckpt.MustNewEngine(placement.MustMixed(4, 2), 75e9)
 	op := cloud.MustNewOperator(engine, cloud.DefaultConfig())
-	sys, err := NewSystem(engine, clus, ck, op, DefaultOptions(iterTime))
+	sys, err := NewSystem(engine, clus, ck, testSpec(4, 75e9), op, DefaultOptions(iterTime))
 	if err != nil {
 		b.Fatal(err)
 	}

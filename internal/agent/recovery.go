@@ -5,18 +5,13 @@ import (
 	"sort"
 	"strconv"
 
+	"gemini/internal/baselines"
 	"gemini/internal/ckpt"
 	"gemini/internal/cluster"
 	"gemini/internal/simclock"
 	"gemini/internal/strategy"
 	"gemini/internal/trace"
 )
-
-// defaultRemoteEvery is how often the remote persistent tier gets a
-// checkpoint, in iterations. With 62-second iterations, 174 iterations ≈
-// 3 hours, matching the Strawman cadence GEMINI keeps for non-recovery
-// purposes (§7.1). Configured on the system via SetRemoteEvery.
-const defaultRemoteEvery = 174
 
 // scheduleIteration arms the next training-iteration completion.
 func (s *System) scheduleIteration() {
@@ -63,7 +58,7 @@ func (s *System) completeIteration() {
 	// every strategy; the commit is recorded so recovery reads what was
 	// actually written, not what the current cadence implies
 	// (SetRemoteEvery may have changed it since).
-	if iter%s.remoteEvery() == 0 {
+	if iter%s.remoteEveryIters == 0 {
 		if s.data != nil {
 			if err := s.data.CheckpointRemote(iter); err != nil {
 				panic(fmt.Sprintf("agent: remote checkpoint: %v", err))
@@ -94,15 +89,9 @@ func (s *System) commitFull(holder, owner int, iteration int64) {
 	s.ckpt.Commit(holder, owner, iteration, fp)
 }
 
-// remoteEvery returns the remote-tier cadence in iterations.
-func (s *System) remoteEvery() int64 {
-	if s.remoteEveryIters > 0 {
-		return s.remoteEveryIters
-	}
-	return defaultRemoteEvery
-}
-
-// SetRemoteEvery overrides the remote persistent checkpoint cadence.
+// SetRemoteEvery overrides the remote persistent checkpoint cadence,
+// which defaults to the spec's RemoteInterval rounded up to whole
+// iterations.
 func (s *System) SetRemoteEvery(iterations int64) {
 	if iterations < 1 {
 		panic(fmt.Sprintf("agent: remote cadence %d must be ≥ 1", iterations))
@@ -170,10 +159,11 @@ func (s *System) beginRecovery(failed []int) {
 
 	// Step 2: serialize resident checkpoints on all alive machines —
 	// unless the strategy's fast tier makes the stall unnecessary (the
-	// tiered strategy's GPU snapshots are already materialized).
+	// tiered strategy's GPU snapshots are already materialized). The
+	// kernel's serialize phase does not depend on the recovery source.
 	serialize := simclock.Duration(0)
 	if s.strategy.SerializeNeeded(len(hardware) > 0) {
-		serialize = s.opts.SerializeTime
+		serialize = s.spec.Phases(baselines.FromLocal, 0).Serialize
 	}
 	serStart := s.engine.Now()
 	s.engine.After(serialize, func() {
@@ -265,6 +255,9 @@ func (s *System) attemptRetrieval(failed []int, hardware map[int]bool, attempt i
 		})
 		return
 	}
+	// The kernel prices retrieval and warm-up (the same for every
+	// source); detection and replacement emerge from the leases and the
+	// cloud operator instead.
 	version := rec.Version
 	var retrieval simclock.Duration
 	var source string
@@ -288,27 +281,26 @@ func (s *System) attemptRetrieval(failed []int, hardware map[int]bool, attempt i
 			}
 		}
 		plan = active
-		// Peer fetches run in parallel; a peer serving several fetches
-		// serializes them on its NIC, and a straggling peer serves them at
-		// a fraction of its bandwidth.
+		// Peer fetches run in parallel, one shard at the kernel's peer
+		// retrieval time; a peer serving several fetches serializes them
+		// on its NIC, and a straggling peer serves them at a fraction of
+		// its bandwidth.
 		perPeer := make(map[int]int)
-		anyPeer := false
 		for _, r := range plan {
 			if r.Source == ckpt.SourceRemoteCPU {
 				perPeer[r.Peer]++
-				anyPeer = true
 			}
-		}
-		for peer, c := range perPeer {
-			t := simclock.Duration(float64(c) * s.ckpt.ShardBytes() / (s.opts.RetrievalPeerBandwidth * s.stragglerFactor(peer)))
-			if t > retrieval {
-				retrieval = t
-			}
-			s.retrievedBytes += float64(c) * s.ckpt.ShardBytes()
 		}
 		source = "local"
-		if anyPeer {
+		retrieval = s.spec.Phases(baselines.FromLocal, 0).Retrieve
+		if len(perPeer) > 0 {
 			source = "peer"
+			retrieval = 0
+			shard := s.spec.Phases(baselines.FromPeer, 0).Retrieve
+			for peer, c := range perPeer {
+				retrieval = max(retrieval, simclock.Duration(float64(c)*float64(shard)/s.stragglerFactor(peer)))
+				s.retrievedBytes += float64(c) * s.ckpt.ShardBytes()
+			}
 		}
 		// Some survivors may hold generations newer than the common
 		// version (staggered commits); drop them so the cluster resumes
@@ -340,9 +332,8 @@ func (s *System) attemptRetrieval(failed []int, hardware map[int]bool, attempt i
 		if s.data != nil {
 			version = s.data.RemoteIteration()
 		}
-		total := float64(s.placement.N) * s.ckpt.ShardBytes()
-		retrieval = simclock.Duration(total / s.opts.RetrievalRemoteBandwidth)
-		s.retrievedBytes += total
+		retrieval = s.spec.Phases(baselines.FromRemote, 0).Retrieve
+		s.retrievedBytes += float64(s.placement.N) * s.ckpt.ShardBytes()
 		source = "remote"
 		// The survivors' CPU-memory checkpoints are inconsistent with the
 		// remote version; drop anything newer and reseed local replicas.
@@ -378,7 +369,7 @@ func (s *System) attemptRetrieval(failed []int, hardware map[int]bool, attempt i
 		}
 		s.log.Add("root-agent", "retrieved", "version %d from %s in %v", version, source, retrieval)
 		wuStart := s.engine.Now()
-		s.engine.After(s.opts.WarmupTime, func() {
+		s.engine.After(s.spec.Phases(baselines.FromLocal, 0).Warmup, func() {
 			s.rootTrack.Span(trace.CatAgent, "warmup", wuStart, s.engine.Now())
 			// Roll back any progress past the recovered version and
 			// restart agents on the failed machines.

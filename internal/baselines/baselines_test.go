@@ -147,11 +147,11 @@ func TestRecoveryDowntimeAnchors(t *testing.T) {
 	// §7.3: total recovery overhead ≈7 min for software failures and
 	// ≈12 min for hardware failures (without standby machines).
 	_, _, gem := allSpecs(t)
-	soft := gem.RecoveryDowntime(FromLocal, 0)
+	soft := gem.Phases(FromLocal, 0).Total()
 	if m := soft.Seconds() / 60; m < 6 || m > 8.5 {
 		t.Fatalf("software recovery downtime %.1f min, want ≈7 min", m)
 	}
-	hw := gem.RecoveryDowntime(FromPeer, 330*simclock.Second) // 5.5 min replacement
+	hw := gem.Phases(FromPeer, 330*simclock.Second).Total() // 5.5 min replacement
 	if m := hw.Seconds() / 60; m < 11 || m > 14 {
 		t.Fatalf("hardware recovery downtime %.1f min, want ≈12 min", m)
 	}

@@ -74,15 +74,28 @@ func (s Spec) AverageWasted(src RecoverySource) simclock.Duration {
 	return s.WastedModel(src).Average()
 }
 
-// RecoveryDowntime is the non-Equation-1 overhead of one recovery
-// (§7.3 / Fig. 14): detection, serialization of the in-memory
-// checkpoints, machine replacement when hardware failed, and the
-// framework restart warmup. replacementDelay is zero for software
-// failures or when a standby machine absorbs the replacement.
-func (s Spec) RecoveryDowntime(src RecoverySource, replacementDelay simclock.Duration) simclock.Duration {
-	d := DetectionTime + s.Retrieval(src) + replacementDelay + RestartWarmup
+// Phases is one recovery's Fig. 14 timeline (§7.3): the overhead a
+// failure costs beyond Eq. 1's lost time, phase by phase.
+type Phases struct {
+	Detect, Serialize, Replace, Retrieve, Warmup simclock.Duration
+}
+
+// Total is the recovery's downtime: its phases back to back. The order
+// of the sum is fixed, because runsim's pinned results depend on its
+// rounding.
+func (p Phases) Total() simclock.Duration {
+	return p.Detect + p.Retrieve + p.Replace + p.Warmup + p.Serialize
+}
+
+// Phases prices one recovery from src: detection, serialization of the
+// in-memory checkpoints (CPU-memory solutions only), machine
+// replacement when hardware failed, retrieval, and the framework
+// restart warm-up. replacementDelay is zero for software failures or
+// when a standby machine absorbs the replacement.
+func (s Spec) Phases(src RecoverySource, replacementDelay simclock.Duration) Phases {
+	p := Phases{Detect: DetectionTime, Replace: replacementDelay, Retrieve: s.Retrieval(src), Warmup: RestartWarmup}
 	if s.UsesCPUMemory {
-		d += s.SerializeOnRecovery
+		p.Serialize = s.SerializeOnRecovery
 	}
-	return d
+	return p
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gemini/internal/agent"
+	"gemini/internal/baselines"
 	"gemini/internal/ckpt"
 	"gemini/internal/cloud"
 	"gemini/internal/cluster"
@@ -19,15 +20,25 @@ const iterTime = 60 * simclock.Second
 func newSystem(t *testing.T, n, m int) (*simclock.Engine, *agent.System, *trace.Log) {
 	t.Helper()
 	engine := simclock.NewEngine()
-	clus := cluster.MustNew(n, cluster.MustInstance("p4d.24xlarge"))
+	p4d := cluster.MustInstance("p4d.24xlarge")
+	clus := cluster.MustNew(n, p4d)
 	ck := ckpt.MustNewEngine(placement.MustMixed(n, m), 75e9)
 	op := cloud.MustNewOperator(engine, cloud.Config{Standby: n, StandbyActivation: 10 * simclock.Second})
+	// A short serialize stall keeps the scenarios fast.
+	spec := baselines.Spec{
+		Name:                "GEMINI",
+		Interval:            iterTime,
+		CompletionLag:       iterTime,
+		SerializeOnRecovery: 10 * simclock.Second,
+		RetrievalPeer:       simclock.Duration(ck.ShardBytes() / p4d.NetworkBytesPerSec),
+		RetrievalRemote:     simclock.Duration(float64(n) * ck.ShardBytes() / baselines.DefaultRemoteBandwidth),
+		UsesCPUMemory:       true,
+		RemoteInterval:      baselines.RemoteCheckpointInterval,
+	}
 	opts := agent.DefaultOptions(iterTime)
-	opts.SerializeTime = 10 * simclock.Second
-	opts.WarmupTime = 30 * simclock.Second
 	opts.RetryBase = 2 * simclock.Second
 	opts.RetryMax = 3
-	sys, err := agent.NewSystem(engine, clus, ck, op, opts)
+	sys, err := agent.NewSystem(engine, clus, ck, spec, op, opts)
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}

@@ -37,23 +37,22 @@ const (
 	gapWholeIterations = "lost: the agent counts whole committed iterations, runsim the in-flight phase plus the completion lag"
 	gapRemoteGrid      = "lost: the agent's remote commits fall on an iteration grid, runsim's on an uptime grid"
 	gapDetection       = "down: the agent's TRecovery starts at detection, runsim's downtime includes DetectionTime"
-	gapLocalRetrieval  = "down: the agent reloads local memory for free, runsim charges RetrievalLocal"
 )
 
 var knownRecoveryGaps = map[string]struct {
 	lost, down simclock.Duration
 	reasons    []string
 }{
-	"16 #0": {-99.220 * simclock.Second, -21.25 * simclock.Second, []string{gapWholeIterations, gapDetection, gapLocalRetrieval}},
-	"16 #1": {-40.499 * simclock.Second, -15 * simclock.Second, []string{gapWholeIterations, gapDetection}},
+	"16 #0": {-99.220 * simclock.Second, -15 * simclock.Second, []string{gapWholeIterations, gapDetection}},
+	"16 #1": {-100.829 * simclock.Second, -15 * simclock.Second, []string{gapWholeIterations, gapDetection}},
 	"16 #2": {129.476 * simclock.Second, -15 * simclock.Second, []string{gapRemoteGrid, gapDetection}},
 	"16 #3": {-64.343 * simclock.Second, -15 * simclock.Second, []string{gapWholeIterations, gapDetection}},
-	"16 #4": {-60.330 * simclock.Second, -21.25 * simclock.Second, []string{gapWholeIterations, gapDetection, gapLocalRetrieval}},
-	"64 #0": {-93.808 * simclock.Second, -16.5625 * simclock.Second, []string{gapWholeIterations, gapDetection, gapLocalRetrieval}},
+	"16 #4": {-60.330 * simclock.Second, -15 * simclock.Second, []string{gapWholeIterations, gapDetection}},
+	"64 #0": {-93.808 * simclock.Second, -15 * simclock.Second, []string{gapWholeIterations, gapDetection}},
 	"64 #1": {-129.642 * simclock.Second, -15 * simclock.Second, []string{gapWholeIterations, gapDetection}},
 	"64 #2": {93.727 * simclock.Second, -15 * simclock.Second, []string{gapRemoteGrid, gapDetection}},
 	"64 #3": {-83.478 * simclock.Second, -15 * simclock.Second, []string{gapWholeIterations, gapDetection}},
-	"64 #4": {-73.123 * simclock.Second, -16.5625 * simclock.Second, []string{gapWholeIterations, gapDetection, gapLocalRetrieval}},
+	"64 #4": {-73.123 * simclock.Second, -15 * simclock.Second, []string{gapWholeIterations, gapDetection}},
 }
 
 // recoveryRecord is one recovery as either simulator reports it: its

@@ -277,7 +277,8 @@ func (j *Job) SimulateRun(spec baselines.Spec, machines int, fs failure.Schedule
 }
 
 // RecoverySystem assembles the live agent-based control plane for the
-// job on a fresh simulation engine. The spec's checkpoint strategy is
+// job on a fresh simulation engine, its recoveries priced from the
+// job's GEMINI spec. The spec's checkpoint strategy is
 // instantiated fresh and installed, its tracer and metrics registry are
 // attached, and if the spec carries a fault schedule it is armed
 // against the system before the engine runs.
@@ -295,11 +296,7 @@ func (j *Job) RecoverySystem(cloudCfg cloud.Config) (*simclock.Engine, *agent.Sy
 	if err != nil {
 		return nil, nil, err
 	}
-	opts := agent.DefaultOptions(j.Timeline.Iteration)
-	opts.RetrievalPeerBandwidth = j.Config.Instance.NetworkBytesPerSec
-	opts.RetrievalRemoteBandwidth = j.Spec.RemoteBandwidth
-	opts.SerializeTime = j.specGemini.SerializeOnRecovery
-	sys, err := agent.NewSystem(engine, clus, ck, op, opts)
+	sys, err := agent.NewSystem(engine, clus, ck, j.GeminiSpec(), op, agent.DefaultOptions(j.Timeline.Iteration))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -119,7 +119,7 @@ func TestObserverCountersPerRunInRunAll(t *testing.T) {
 	for _, delay := range []simclock.Duration{0, 20 * simclock.Minute} {
 		for _, spec := range []baselines.Spec{straw, high, gem} {
 			for src := baselines.FromLocal; src <= baselines.FromRemote; src++ {
-				if down := spec.RecoveryDowntime(src, 0); down <= 120*simclock.Second {
+				if down := spec.Phases(src, 0).Total(); down <= 120*simclock.Second {
 					t.Fatalf("%s recovers from %v in %v; the hour+120 s failure would not land during a recovery", spec.Name, src, down)
 				}
 			}

@@ -43,7 +43,7 @@ func referenceRun(cfg Config) Result {
 	for i := 0; i < len(events) && events[i].At < horizon; {
 		window := cfg.SimultaneityWindow
 		if window == 0 {
-			window = s.RecoveryDowntime(baselines.FromPeer, cfg.ReplacementDelay)
+			window = s.Phases(baselines.FromPeer, cfg.ReplacementDelay).Total()
 		}
 		j := events.GroupEnd(i, window)
 		hwFailed := map[int]bool{}
@@ -89,7 +89,7 @@ func referenceRun(cfg Config) Result {
 		if hardware {
 			replacement = cfg.ReplacementDelay
 		}
-		down := s.RecoveryDowntime(src, replacement)
+		down := s.Phases(src, replacement).Total()
 		wasted := simclock.Duration(rollback) + down
 		res.TotalWasted += wasted
 		res.TotalLost += simclock.Duration(rollback)

@@ -601,7 +601,7 @@ func TestAppendedFailureNeverRaisesRatio(t *testing.T) {
 			for _, spec := range []baselines.Spec{straw, high, gem} {
 				var maxDown simclock.Duration
 				for _, src := range []baselines.RecoverySource{baselines.FromLocal, baselines.FromPeer, baselines.FromRemote} {
-					maxDown = max(maxDown, spec.RecoveryDowntime(src, delay))
+					maxDown = max(maxDown, spec.Phases(src, delay).Total())
 				}
 				earliest := last.Add(window + simclock.Duration(len(fs))*maxDown)
 				if earliest >= simclock.Time(horizon) {

@@ -60,7 +60,7 @@ type runState struct {
 	// interval, lag and remoteInterval are the spec's Interval,
 	// CompletionLag and RemoteInterval.
 	interval, lag, remoteInterval simclock.Duration
-	// down is the spec's RecoveryDowntime by (source, hardware): the
+	// down is the spec's recovery downtime (Phases.Total) by (source, hardware): the
 	// replacement delay is paid when the group held a hardware failure.
 	down [3][2]simclock.Duration
 	// recoveries counts recoveries by source.
@@ -82,7 +82,7 @@ func (w *walker) plan(cfgs []Config, out []*Result) {
 		c := &cfgs[k]
 		window := c.SimultaneityWindow
 		if window == 0 {
-			window = c.Spec.RecoveryDowntime(baselines.FromPeer, c.ReplacementDelay)
+			window = c.Spec.Phases(baselines.FromPeer, c.ReplacementDelay).Total()
 		}
 		key := passKey{simclock.Time(c.Horizon), c.ReplacementDelay, window}
 		q := 0
@@ -139,8 +139,8 @@ func newRunState(c *Config, out []*Result, k int) runState {
 		taps:       c.Obs.taps(),
 	}
 	for src := baselines.FromLocal; src <= baselines.FromRemote; src++ {
-		rs.down[src][0] = s.RecoveryDowntime(src, 0)
-		rs.down[src][1] = s.RecoveryDowntime(src, c.ReplacementDelay)
+		rs.down[src][0] = s.Phases(src, 0).Total()
+		rs.down[src][1] = s.Phases(src, c.ReplacementDelay).Total()
 	}
 	// Wasted-sample backing from the pool, pre-sized to the worst case
 	// (one recovery per failure event).
