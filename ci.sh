@@ -105,6 +105,10 @@ TRACE_OUT="$(mktemp -t geminitrace.XXXXXX.json)"
 go run ./cmd/geminisim -days 1 -trace "$TRACE_OUT" > /dev/null
 go run ./cmd/tracelint -min-categories 4 -min-events 1000 "$TRACE_OUT"
 rm -f "$TRACE_OUT"
+# The agent's checked-in golden trace must keep all three control-plane
+# subsystems (agent, chaos and kvstore), so a regenerated golden that
+# lost one of them fails here.
+go run ./cmd/tracelint -min-categories 3 internal/agent/testdata/golden_trace.json
 
 # Health-monitor export gates: the -metrics Prometheus exposition must
 # validate with enough metric families, and the -timeline CSV must be a

@@ -14,7 +14,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 
 	"gemini"
 )
@@ -68,8 +67,8 @@ func main() {
 	engine.Run(gemini.Time(60 * iter))
 
 	fmt.Println("== control-plane event trace ==")
-	if _, err := sys.Log().WriteTo(os.Stdout); err != nil {
-		log.Fatal(err)
+	for _, ev := range sys.Log().Instants() {
+		fmt.Printf("%12s  %-8s %-20s %s\n", ev.At, ev.Cat, ev.Name, ev.Args)
 	}
 
 	fmt.Printf("\ntraining survived %d recoveries; now at iteration %d, root is rank %d\n",
@@ -80,7 +79,7 @@ func main() {
 	if len(sys.Log().Filter("fallback-remote")) == 0 {
 		log.Fatal("phase 1 should have exhausted peer retries and fallen back to remote")
 	}
-	if last, ok := sys.Log().Last("retrieved"); !ok || last.Detail == "" {
+	if last, ok := sys.Log().Last("retrieved"); !ok || last.Args == "" {
 		log.Fatal("no retrieval recorded")
 	}
 

@@ -10,7 +10,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 
 	"gemini"
 )
@@ -58,8 +57,8 @@ func main() {
 	engine.Run(130 * iter)
 
 	fmt.Println("\n== control-plane event trace ==")
-	if _, err := sys.Log().WriteTo(os.Stdout); err != nil {
-		log.Fatal(err)
+	for _, ev := range sys.Log().Instants() {
+		fmt.Printf("%12s  %-8s %-20s %s\n", ev.At, ev.Cat, ev.Name, ev.Args)
 	}
 
 	fmt.Printf("\ntraining resumed through %d recoveries; now at iteration %d, root is rank %d\n",

@@ -207,7 +207,7 @@ func DefaultCloudConfig() CloudConfig { return cloud.DefaultConfig() }
 //	engine, sys, _ := job.RecoverySystem(gemini.DefaultCloudConfig())
 //	sys.Start()
 //	engine.Run(2 * gemini.Hour)
-//	_ = sys.Log() // the trace records every injection and recovery step
+//	_ = sys.Log() // one instant per injection and recovery step
 type (
 	// FaultSchedule is a sorted, validated chaos schedule.
 	FaultSchedule = chaos.Schedule

@@ -127,7 +127,10 @@ type System struct {
 	placement *placement.Placement
 	spec      baselines.Spec
 	opts      Options
-	log       *trace.Log
+	// events is the control plane's one event log: every injection,
+	// election and recovery step, written once as an instant. It lives
+	// on the attached tracer, or on a private one when none is.
+	events *trace.Track
 
 	workers  []*worker
 	election *kvstore.Election
@@ -182,11 +185,9 @@ type System struct {
 	wastedEvents  []strategy.Outcome
 	recoveryStart simclock.Time
 
-	// Structured tracing (nil = disabled): recovery phases and iterations
-	// on rootTrack, injections on chaosTrack, elections on kvTrack.
-	rootTrack  *trace.Track
-	chaosTrack *trace.Track
-	kvTrack    *trace.Track
+	// Structured tracing (nil = disabled): recovery phases, iterations
+	// and health samples on rootTrack.
+	rootTrack *trace.Track
 
 	// Chaos state: ranks cut off from the network (heartbeats and peer
 	// retrieval both fail) and per-rank bandwidth factors for stragglers.
@@ -222,7 +223,7 @@ func NewSystem(engine *simclock.Engine, cl *cluster.Cluster, ck *ckpt.Engine,
 		spec:             spec,
 		opts:             opts,
 		remoteEveryIters: int64(math.Ceil(float64(spec.RemoteInterval / opts.IterationTime))),
-		log:              trace.NewLog(engine.Now),
+		events:           trace.NewTracer(engine.Now).Track("control-plane", "events"),
 		rootRank:         -1,
 		present:          make([]bool, cl.Size()),
 		missing:          cl.Size(),
@@ -268,32 +269,36 @@ func (s *System) bindStrategy() {
 }
 
 // emitStrategyEvent lands a strategy-level event (adaptive switches) in
-// the run log, the trace, and the metrics registry.
+// the event log and the metrics registry.
 func (s *System) emitStrategyEvent(event, detail string) {
-	s.log.Add("strategy", event, "%s", detail)
-	if s.rootTrack.Enabled() {
-		s.rootTrack.InstantArgs(trace.CatAgent, event, detail)
-	}
+	s.events.InstantArgs(trace.CatAgent, event, detail)
 	if h := s.health; h != nil && event == "strategy-switch" {
 		h.stratSwitches.Inc()
 	}
 }
 
-// Log returns the system's event log.
-func (s *System) Log() *trace.Log { return s.log }
+// event records one control-plane event on the event log: cat is the
+// subsystem it belongs to, and the detail follows Sprintf rules.
+func (s *System) event(cat, name, format string, args ...any) {
+	s.events.InstantArgs(cat, name, fmt.Sprintf(format, args...))
+}
+
+// Log returns the system's event log, the "control-plane/events" track:
+// one instant per event, oldest first, its Args the event's detail.
+func (s *System) Log() *trace.Track { return s.events }
 
 // SetTracer attaches a structured tracer: recovery phases (§6.2 steps
 // 1–5) and control-plane iterations land on a "control-plane/root-agent"
-// track, chaos injections and kvstore elections on their own tracks.
-// Call before Start; a nil tracer leaves tracing disabled and free.
+// track, and the event log moves onto the tracer's
+// "control-plane/events" track. Call before Start; a nil tracer leaves
+// tracing disabled and free.
 func (s *System) SetTracer(tr *trace.Tracer) {
 	if tr == nil {
 		return
 	}
 	tr.SetNow(s.engine.Now)
 	s.rootTrack = tr.Track("control-plane", "root-agent")
-	s.chaosTrack = tr.Track("control-plane", "chaos")
-	s.kvTrack = tr.Track("control-plane", "kvstore")
+	s.events = tr.Track("control-plane", "events")
 }
 
 // SetDataPlane attaches a byte-level checkpoint data plane: every
@@ -341,7 +346,7 @@ func (s *System) Start() {
 	s.training = true
 	s.scheduleIteration()
 	s.scheduleSweep()
-	s.log.Add("system", "started", "%d machines, m=%d", s.cluster.Size(), s.placement.M)
+	s.event(trace.CatAgent, "started", "%d machines, m=%d", s.cluster.Size(), s.placement.M)
 }
 
 // scheduleSweep keeps lease expiry timely: the store expires lazily, so
@@ -511,10 +516,7 @@ func (s *System) promoteRoot() {
 		}
 		if won {
 			s.rootRank = rank
-			s.log.Add("root-agent", "elected", "rank %d is root", rank)
-			if s.kvTrack.Enabled() {
-				s.kvTrack.InstantArgs(trace.CatKVStore, "elected", fmt.Sprintf("rank=%d", rank))
-			}
+			s.event(trace.CatKVStore, "elected", "rank %d is root", rank)
 			break
 		}
 	}
@@ -549,10 +551,7 @@ func (s *System) InjectFailure(rank int, kind cluster.MachineState) {
 	// A store outage loses the detector's report; beginRecovery falls
 	// back to the cluster's own state to classify the failure.
 	_, _ = s.store.Put(failurePrefix+strconv.Itoa(rank), kind.String(), 0)
-	s.log.Add("injector", "failure", "rank %d: %v", rank, kind)
-	if s.chaosTrack.Enabled() {
-		s.chaosTrack.InstantArgs(trace.CatChaos, "failure", fmt.Sprintf("rank=%d kind=%v", rank, kind))
-	}
+	s.event(trace.CatChaos, "failure", "rank %d: %v", rank, kind)
 	// Coverage degrades the instant the machine (and, for hardware, its
 	// CPU memory) is gone — not at the next iteration boundary.
 	s.observeHealth()
@@ -630,11 +629,7 @@ func (s *System) watchRootFailover() {
 			s.rootRank = -1
 			s.promoteRoot()
 			if s.rootRank >= 0 && s.rootRank != prevRoot {
-				s.log.Add("root-agent", "failover", "root moved %d → %d", prevRoot, s.rootRank)
-				if s.kvTrack.Enabled() {
-					s.kvTrack.InstantArgs(trace.CatKVStore, "failover",
-						fmt.Sprintf("from=%d to=%d", prevRoot, s.rootRank))
-				}
+				s.event(trace.CatKVStore, "failover", "root moved %d → %d", prevRoot, s.rootRank)
 				// The new root immediately checks cluster health: the old
 				// root's machine is typically the failed one.
 				s.rootCheck()

@@ -25,8 +25,11 @@ type fixture struct {
 	ck     *ckpt.Engine
 	op     *cloud.Operator
 	sys    *System
-	log    *trace.Log
 }
+
+// log is the system's event log. SetTracer moves it onto the tracer,
+// so the fixture reads it through the system instead of keeping it.
+func (f *fixture) log() *trace.Track { return f.sys.Log() }
 
 // testSpec is the GEMINI spec an n-machine fixture with the given shard
 // size recovers under. It charges what baselines.Gemini charges a p4d
@@ -60,7 +63,7 @@ func newSpecFixture(t testing.TB, n, m int, shard float64, spec func(int, float6
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
-	return &fixture{engine: engine, clus: clus, ck: ck, op: op, sys: sys, log: sys.Log()}
+	return &fixture{engine: engine, clus: clus, ck: ck, op: op, sys: sys}
 }
 
 func newFixture(t testing.TB, n, m int, cloudCfg cloud.Config) *fixture {
@@ -102,7 +105,7 @@ func TestSoftwareFailureRecoversFromLocal(t *testing.T) {
 		t.Fatalf("%d recoveries, want 1", f.sys.Recoveries())
 	}
 	// Detection happened within lease TTL + check interval.
-	det, ok := f.log.Last("failure-detected")
+	det, ok := f.log().Last("failure-detected")
 	if !ok {
 		t.Fatal("no detection event")
 	}
@@ -111,20 +114,20 @@ func TestSoftwareFailureRecoversFromLocal(t *testing.T) {
 		t.Fatalf("detection lag %v exceeds lease TTL + checks", lag)
 	}
 	// Recovery resumed at iteration 5 (the last committed checkpoint).
-	rec, ok := f.log.Last("recovery-complete")
+	rec, ok := f.log().Last("recovery-complete")
 	if !ok {
 		t.Fatal("no recovery-complete event")
 	}
-	if !strings.Contains(rec.Detail, "iteration 5") {
-		t.Fatalf("recovery detail %q, want resume at iteration 5", rec.Detail)
+	if !strings.Contains(rec.Args, "iteration 5") {
+		t.Fatalf("recovery detail %q, want resume at iteration 5", rec.Args)
 	}
 	// Software recovery retrieves locally — no replacement events.
-	if evs := f.log.Filter("replaced"); len(evs) != 0 {
+	if evs := f.log().Filter("replaced"); len(evs) != 0 {
 		t.Fatalf("software failure triggered %d replacements", len(evs))
 	}
-	ret, _ := f.log.Last("retrieved")
-	if !strings.Contains(ret.Detail, "from local") {
-		t.Fatalf("retrieval detail %q, want local source", ret.Detail)
+	ret, _ := f.log().Last("retrieved")
+	if !strings.Contains(ret.Args, "from local") {
+		t.Fatalf("retrieval detail %q, want local source", ret.Args)
 	}
 	// Total downtime ≈ detection + serialization + warmup ≈ 7 minutes.
 	down := rec.At.Sub(det.At)
@@ -150,20 +153,20 @@ func TestHardwareFailureReplacesAndFetchesFromPeer(t *testing.T) {
 	if f.sys.Recoveries() != 1 {
 		t.Fatalf("%d recoveries, want 1", f.sys.Recoveries())
 	}
-	if evs := f.log.Filter("replaced"); len(evs) != 1 {
+	if evs := f.log().Filter("replaced"); len(evs) != 1 {
 		t.Fatalf("%d replacement events, want 1", len(evs))
 	}
 	if f.clus.Machine(1).Incarnation != 1 {
 		t.Fatalf("replacement incarnation %d, want 1", f.clus.Machine(1).Incarnation)
 	}
-	ret, _ := f.log.Last("retrieved")
-	if !strings.Contains(ret.Detail, "from peer") {
-		t.Fatalf("retrieval detail %q, want peer source", ret.Detail)
+	ret, _ := f.log().Last("retrieved")
+	if !strings.Contains(ret.Args, "from peer") {
+		t.Fatalf("retrieval detail %q, want peer source", ret.Args)
 	}
 	// Hardware recovery ≈ 12 min: detection + serialize + replace (4–7m)
 	// + retrieval + warmup.
-	det, _ := f.log.Last("failure-detected")
-	rec, _ := f.log.Last("recovery-complete")
+	det, _ := f.log().Last("failure-detected")
+	rec, _ := f.log().Last("recovery-complete")
 	down := rec.At.Sub(det.At)
 	if down < 10*simclock.Minute || down > 15*simclock.Minute {
 		t.Fatalf("hardware recovery took %v, want ≈12 min (§7.3)", down)
@@ -191,10 +194,10 @@ func TestStandbyMachinesShortenHardwareRecovery(t *testing.T) {
 		})
 		f.engine.Run(simclock.Time(40 * iterTime))
 	}
-	detS, _ := slow.log.Last("failure-detected")
-	recS, _ := slow.log.Last("recovery-complete")
-	detF, _ := fast.log.Last("failure-detected")
-	recF, _ := fast.log.Last("recovery-complete")
+	detS, _ := slow.log().Last("failure-detected")
+	recS, _ := slow.log().Last("recovery-complete")
+	detF, _ := fast.log().Last("failure-detected")
+	recF, _ := fast.log().Last("recovery-complete")
 	slowDown := recS.At.Sub(detS.At)
 	fastDown := recF.At.Sub(detF.At)
 	if fastDown >= slowDown {
@@ -219,13 +222,13 @@ func TestWholeGroupLossFallsBackToRemote(t *testing.T) {
 	if f.sys.Recoveries() != 1 {
 		t.Fatalf("%d recoveries, want 1", f.sys.Recoveries())
 	}
-	ret, _ := f.log.Last("retrieved")
-	if !strings.Contains(ret.Detail, "from remote") {
-		t.Fatalf("retrieval detail %q, want remote fallback", ret.Detail)
+	ret, _ := f.log().Last("retrieved")
+	if !strings.Contains(ret.Args, "from remote") {
+		t.Fatalf("retrieval detail %q, want remote fallback", ret.Args)
 	}
-	rec, _ := f.log.Last("recovery-complete")
-	if !strings.Contains(rec.Detail, "iteration 20") {
-		t.Fatalf("recovery detail %q, want rollback to remote iteration 20", rec.Detail)
+	rec, _ := f.log().Last("recovery-complete")
+	if !strings.Contains(rec.Args, "iteration 20") {
+		t.Fatalf("recovery detail %q, want rollback to remote iteration 20", rec.Args)
 	}
 	// All machines reseeded; training resumes consistently.
 	v, ok := f.ck.ConsistentVersion(allHealthy(f))
@@ -242,9 +245,9 @@ func TestCrossGroupSimultaneousFailuresStayInCPUMemory(t *testing.T) {
 		f.sys.InjectFailure(2, cluster.HardwareFailed) // group {2,3}
 	})
 	f.engine.Run(simclock.Time(60 * iterTime))
-	ret, _ := f.log.Last("retrieved")
-	if !strings.Contains(ret.Detail, "from peer") {
-		t.Fatalf("retrieval detail %q, want peer recovery for cross-group failures", ret.Detail)
+	ret, _ := f.log().Last("retrieved")
+	if !strings.Contains(ret.Args, "from peer") {
+		t.Fatalf("retrieval detail %q, want peer recovery for cross-group failures", ret.Args)
 	}
 }
 
@@ -261,7 +264,7 @@ func TestRootFailurePromotesNewRoot(t *testing.T) {
 	if f.sys.RootRank() == 0 {
 		t.Fatal("root rank still 0 after root machine death")
 	}
-	if evs := f.log.Filter("failover"); len(evs) == 0 {
+	if evs := f.log().Filter("failover"); len(evs) == 0 {
 		t.Fatal("no failover event recorded")
 	}
 	if f.sys.Recoveries() != 1 {
@@ -337,11 +340,11 @@ func TestSimultaneousFailuresGroupIntoOneRecovery(t *testing.T) {
 	if f.sys.Recoveries() != 1 {
 		t.Fatalf("%d recoveries, want 1 grouped recovery", f.sys.Recoveries())
 	}
-	if evs := f.log.Filter("replaced"); len(evs) != 2 {
+	if evs := f.log().Filter("replaced"); len(evs) != 2 {
 		t.Fatalf("%d replacements, want 2", len(evs))
 	}
-	det := f.log.Filter("failure-detected")
-	if len(det) != 1 || !strings.Contains(det[0].Detail, "hardware: 2") {
+	det := f.log().Filter("failure-detected")
+	if len(det) != 1 || !strings.Contains(det[0].Args, "hardware: 2") {
 		t.Fatalf("detection events %+v, want one covering both", det)
 	}
 }

@@ -28,10 +28,7 @@ func (s *System) StartPartition(ranks ...int) {
 		s.checkRank(rank)
 		s.partitioned[rank] = true
 	}
-	s.log.Add("injector", "partition", "ranks %v isolated", ranks)
-	if s.chaosTrack.Enabled() {
-		s.chaosTrack.InstantArgs(trace.CatChaos, "partition", fmt.Sprintf("ranks=%v", ranks))
-	}
+	s.event(trace.CatChaos, "partition", "ranks %v isolated", ranks)
 	s.scheduleSweep()
 }
 
@@ -46,10 +43,7 @@ func (s *System) HealPartition() {
 	}
 	sort.Ints(healed)
 	s.partitioned = make(map[int]bool)
-	s.log.Add("injector", "partition-heal", "ranks %v reconnected", healed)
-	if s.chaosTrack.Enabled() {
-		s.chaosTrack.InstantArgs(trace.CatChaos, "partition-heal", fmt.Sprintf("ranks=%v", healed))
-	}
+	s.event(trace.CatChaos, "partition-heal", "ranks %v reconnected", healed)
 	var rejoined []*worker
 	for _, rank := range healed {
 		w := s.workers[rank]
@@ -87,14 +81,11 @@ func (s *System) SetStraggler(rank int, factor float64) {
 	}
 	if factor == 1 {
 		delete(s.stragglers, rank)
-		s.log.Add("injector", "straggler-end", "rank %d restored to full bandwidth", rank)
+		s.event(trace.CatChaos, "straggler-end", "rank %d restored to full bandwidth", rank)
 		return
 	}
 	s.stragglers[rank] = factor
-	s.log.Add("injector", "straggler", "rank %d degraded to %.0f%% bandwidth", rank, factor*100)
-	if s.chaosTrack.Enabled() {
-		s.chaosTrack.InstantArgs(trace.CatChaos, "straggler", fmt.Sprintf("rank=%d factor=%v", rank, factor))
-	}
+	s.event(trace.CatChaos, "straggler", "rank %d degraded to %.0f%% bandwidth", rank, factor*100)
 }
 
 // stragglerFactor returns a rank's current bandwidth scale.
@@ -116,13 +107,11 @@ func (s *System) SetKVAvailable(up bool) {
 	if !up {
 		s.store.SetAvailable(false)
 		s.sweepEv.Cancel()
-		s.log.Add("injector", "kv-outage", "key-value store unavailable")
-		s.chaosTrack.Instant(trace.CatChaos, "kv-outage")
+		s.events.InstantArgs(trace.CatChaos, "kv-outage", "key-value store unavailable")
 		return
 	}
 	s.store.SetAvailable(true)
-	s.log.Add("injector", "kv-restore", "key-value store available again")
-	s.chaosTrack.Instant(trace.CatChaos, "kv-restore")
+	s.events.InstantArgs(trace.CatChaos, "kv-restore", "key-value store available again")
 	s.scheduleSweep()
 }
 
@@ -131,8 +120,7 @@ func (s *System) SetKVAvailable(up bool) {
 // the agents and the store.
 func (s *System) SetLeaseJitter(max simclock.Duration) {
 	s.store.SetLeaseJitter(max, 1)
-	s.log.Add("injector", "lease-jitter", "lease expiries jittered by up to %v", max)
-	s.chaosTrack.Instant(trace.CatChaos, "lease-jitter")
+	s.event(trace.CatChaos, "lease-jitter", "lease expiries jittered by up to %v", max)
 }
 
 // InjectCorrelated fails several machines at the same instant with the
@@ -140,7 +128,7 @@ func (s *System) SetLeaseJitter(max simclock.Duration) {
 func (s *System) InjectCorrelated(kind cluster.MachineState, ranks ...int) {
 	sorted := append([]int(nil), ranks...)
 	sort.Ints(sorted)
-	s.log.Add("injector", "correlated-failure", "ranks %v: %v", sorted, kind)
+	s.event(trace.CatChaos, "correlated-failure", "ranks %v: %v", sorted, kind)
 	for _, rank := range sorted {
 		s.InjectFailure(rank, kind)
 	}

@@ -52,18 +52,18 @@ func TestRetryBackoffThenPeerAfterHeal(t *testing.T) {
 	if f.sys.Recoveries() != 1 {
 		t.Fatalf("%d recoveries, want 1", f.sys.Recoveries())
 	}
-	retries := f.log.Filter("retry-backoff")
+	retries := f.log().Filter("retry-backoff")
 	if len(retries) == 0 || len(retries) > 3 {
 		t.Fatalf("%d retry-backoff events, want 1..3", len(retries))
 	}
-	if evs := f.log.Filter("fallback-remote"); len(evs) != 0 {
+	if evs := f.log().Filter("fallback-remote"); len(evs) != 0 {
 		t.Fatal("fell back to remote despite the heal")
 	}
-	ret, ok := f.log.Last("retrieved")
-	if !ok || !strings.Contains(ret.Detail, "from peer") {
+	ret, ok := f.log().Last("retrieved")
+	if !ok || !strings.Contains(ret.Args, "from peer") {
 		t.Fatalf("retrieval %+v, want peer source", ret)
 	}
-	if evs := f.log.Filter("partition-heal"); len(evs) != 1 {
+	if evs := f.log().Filter("partition-heal"); len(evs) != 1 {
 		t.Fatalf("%d partition-heal events, want 1", len(evs))
 	}
 	// Everyone is back: training advances and the healed rank is healthy.
@@ -90,21 +90,21 @@ func TestRetryExhaustionFallsBackToRemote(t *testing.T) {
 	if f.sys.Recoveries() != 1 {
 		t.Fatalf("%d recoveries, want 1", f.sys.Recoveries())
 	}
-	if got := len(f.log.Filter("retry-backoff")); got != 3 {
+	if got := len(f.log().Filter("retry-backoff")); got != 3 {
 		t.Fatalf("%d retry-backoff events, want RetryMax=3", got)
 	}
-	fb := f.log.Filter("fallback-remote")
+	fb := f.log().Filter("fallback-remote")
 	if len(fb) != 1 {
 		t.Fatalf("%d fallback-remote events, want 1", len(fb))
 	}
-	ret, ok := f.log.Last("retrieved")
-	if !ok || !strings.Contains(ret.Detail, "from remote") {
+	ret, ok := f.log().Last("retrieved")
+	if !ok || !strings.Contains(ret.Args, "from remote") {
 		t.Fatalf("retrieval %+v, want remote source", ret)
 	}
 	// Rolled back to the last remote checkpoint (multiple of 2).
-	rec, _ := f.log.Last("recovery-complete")
-	if !strings.Contains(rec.Detail, "iteration 2") {
-		t.Fatalf("recovery detail %q, want resume at remote iteration 2", rec.Detail)
+	rec, _ := f.log().Last("recovery-complete")
+	if !strings.Contains(rec.Args, "iteration 2") {
+		t.Fatalf("recovery detail %q, want resume at remote iteration 2", rec.Args)
 	}
 }
 
@@ -118,12 +118,12 @@ func TestRootPartitionFailsOver(t *testing.T) {
 	f.engine.At(at.Add(5*simclock.Minute), func() { f.sys.HealPartition() })
 	f.engine.Run(simclock.Time(20 * iterTime))
 
-	fo, ok := f.log.Last("failover")
+	fo, ok := f.log().Last("failover")
 	if !ok {
 		t.Fatal("no failover event after root partition")
 	}
-	if !strings.Contains(fo.Detail, "0 → 1") {
-		t.Fatalf("failover detail %q, want root moving 0 → 1", fo.Detail)
+	if !strings.Contains(fo.Args, "0 → 1") {
+		t.Fatalf("failover detail %q, want root moving 0 → 1", fo.Args)
 	}
 	if f.sys.RootRank() != 1 {
 		t.Fatalf("root rank %d after failover, want 1", f.sys.RootRank())
@@ -146,10 +146,10 @@ func TestRootLeaseOutlivesPartition(t *testing.T) {
 	f.engine.At(at.Add(30*simclock.Second), func() { f.sys.HealPartition() })
 	f.engine.Run(simclock.Time(10 * iterTime))
 
-	if evs := f.log.Filter("failover"); len(evs) != 0 {
+	if evs := f.log().Filter("failover"); len(evs) != 0 {
 		t.Fatalf("%d failovers for a sub-TTL partition, want 0", len(evs))
 	}
-	if evs := f.log.Filter("failure-detected"); len(evs) != 0 {
+	if evs := f.log().Filter("failure-detected"); len(evs) != 0 {
 		t.Fatalf("%d detections for a sub-TTL partition, want 0", len(evs))
 	}
 	if f.sys.Recoveries() != 0 {
@@ -174,7 +174,7 @@ func TestKVOutageFreezesDetection(t *testing.T) {
 	f.engine.At(at.Add(2*simclock.Minute), func() { f.sys.SetKVAvailable(true) })
 	f.engine.Run(simclock.Time(10 * iterTime))
 
-	if evs := f.log.Filter("failure-detected"); len(evs) != 0 {
+	if evs := f.log().Filter("failure-detected"); len(evs) != 0 {
 		t.Fatalf("%d detections during/after the outage, want 0", len(evs))
 	}
 	if f.sys.Recoveries() != 0 {
@@ -183,8 +183,8 @@ func TestKVOutageFreezesDetection(t *testing.T) {
 	if got := f.sys.Iteration(); got != 10 {
 		t.Fatalf("iteration %d, want 10 (training unaffected by control-plane outage)", got)
 	}
-	outage := f.log.Filter("kv-outage")
-	restore := f.log.Filter("kv-restore")
+	outage := f.log().Filter("kv-outage")
+	restore := f.log().Filter("kv-restore")
 	if len(outage) != 1 || len(restore) != 1 {
 		t.Fatalf("outage/restore events %d/%d, want 1/1", len(outage), len(restore))
 	}
@@ -207,7 +207,7 @@ func TestFailureDuringKVOutageRecoversAfterRestore(t *testing.T) {
 	if f.sys.Recoveries() != 1 {
 		t.Fatalf("%d recoveries, want 1", f.sys.Recoveries())
 	}
-	det, ok := f.log.Last("failure-detected")
+	det, ok := f.log().Last("failure-detected")
 	if !ok {
 		t.Fatal("failure never detected")
 	}
@@ -215,7 +215,7 @@ func TestFailureDuringKVOutageRecoversAfterRestore(t *testing.T) {
 		t.Fatalf("detection at %v, before the store was restored at %v", det.At, at.Add(2*simclock.Minute))
 	}
 	// Hardware classification survived the lost report: a replacement ran.
-	if evs := f.log.Filter("replaced"); len(evs) != 1 {
+	if evs := f.log().Filter("replaced"); len(evs) != 1 {
 		t.Fatalf("%d replacements, want 1 (classification fell back to cluster state)", len(evs))
 	}
 }
@@ -235,12 +235,12 @@ func TestStragglerSlowsPeerRetrieval(t *testing.T) {
 		if f.sys.Recoveries() != 1 {
 			t.Fatalf("%d recoveries, want 1", f.sys.Recoveries())
 		}
-		ret, ok := f.log.Last("retrieved")
-		if !ok || !strings.Contains(ret.Detail, "from peer") {
+		ret, ok := f.log().Last("retrieved")
+		if !ok || !strings.Contains(ret.Args, "from peer") {
 			t.Fatalf("retrieval %+v, want peer source", ret)
 		}
-		det, _ := f.log.Last("failure-detected")
-		rec, _ := f.log.Last("recovery-complete")
+		det, _ := f.log().Last("failure-detected")
+		rec, _ := f.log().Last("recovery-complete")
 		return rec.At.Sub(det.At)
 	}
 	full := recoveryTime(1)
@@ -291,18 +291,18 @@ func TestCorrelatedGroupFailure(t *testing.T) {
 	})
 	f.engine.Run(simclock.Time(30 * iterTime))
 
-	if evs := f.log.Filter("correlated-failure"); len(evs) != 1 {
+	if evs := f.log().Filter("correlated-failure"); len(evs) != 1 {
 		t.Fatalf("%d correlated-failure events, want 1", len(evs))
 	}
 	if f.sys.Recoveries() != 1 {
 		t.Fatalf("%d recoveries, want 1", f.sys.Recoveries())
 	}
-	ret, _ := f.log.Last("retrieved")
-	if !strings.Contains(ret.Detail, "from remote") {
-		t.Fatalf("retrieval %q, want remote (whole group lost)", ret.Detail)
+	ret, _ := f.log().Last("retrieved")
+	if !strings.Contains(ret.Args, "from remote") {
+		t.Fatalf("retrieval %q, want remote (whole group lost)", ret.Args)
 	}
 	// No retries: the group's data is gone, waiting cannot bring it back.
-	if evs := f.log.Filter("retry-backoff"); len(evs) != 0 {
+	if evs := f.log().Filter("retry-backoff"); len(evs) != 0 {
 		t.Fatalf("%d pointless retries for an unrecoverable group", len(evs))
 	}
 }
@@ -318,8 +318,8 @@ func TestReplacementOrderDeterministic(t *testing.T) {
 		})
 		f.engine.Run(simclock.Time(40 * iterTime))
 		var out []string
-		for _, ev := range f.log.Filter("replaced") {
-			out = append(out, ev.Detail)
+		for _, ev := range f.log().Filter("replaced") {
+			out = append(out, ev.Args)
 		}
 		return out
 	}

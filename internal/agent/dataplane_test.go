@@ -132,7 +132,7 @@ func TestDataPlaneLeavesDecisionsUnchanged(t *testing.T) {
 	if plain.sys.Recoveries() == 0 {
 		t.Fatal("the ladder ran no recovery")
 	}
-	if !reflect.DeepEqual(plain.log.Events(), data.log.Events()) {
+	if !reflect.DeepEqual(plain.log().Instants(), data.log().Instants()) {
 		t.Error("run logs differ with the data plane attached")
 	}
 	if !reflect.DeepEqual(plain.sys.WastedEvents(), data.sys.WastedEvents()) {
@@ -205,7 +205,7 @@ func TestDataPlaneGroupLossRemoteFallbackVerifiesBytes(t *testing.T) {
 	if f.sys.Recoveries() != 1 {
 		t.Fatalf("%d recoveries, want 1", f.sys.Recoveries())
 	}
-	rec, ok := f.log.Last("recovery-complete")
+	rec, ok := f.log().Last("recovery-complete")
 	if !ok {
 		t.Fatal("no recovery")
 	}

@@ -157,7 +157,7 @@ func TestWastedEventAccounting(t *testing.T) {
 func TestMonitoringDoesNotPerturbDeterminism(t *testing.T) {
 	for _, name := range strategy.Names() {
 		t.Run(name, func(t *testing.T) {
-			run := func(monitored bool) []trace.Event {
+			run := func(monitored bool) []trace.Instant {
 				f := newFixture(t, 4, 2, cloud.DefaultConfig())
 				f.sys.SetStrategy(strategy.MustNew(name))
 				f.sys.SetRemoteEvery(10)
@@ -181,7 +181,7 @@ func TestMonitoringDoesNotPerturbDeterminism(t *testing.T) {
 					f.sys.InjectFailure(3, cluster.HardwareFailed)
 				})
 				f.engine.Run(simclock.Time(55 * iterTime))
-				return f.log.Events()
+				return f.log().Instants()
 			}
 			plain, repeat, monitored := run(false), run(false), run(true)
 			if len(plain) != len(repeat) || len(plain) != len(monitored) {
@@ -196,7 +196,7 @@ func TestMonitoringDoesNotPerturbDeterminism(t *testing.T) {
 				if plain[i] != monitored[i] {
 					t.Fatalf("event %d differs:\n  plain:     %+v\n  monitored: %+v", i, plain[i], monitored[i])
 				}
-				if plain[i].Kind == "strategy-switch" {
+				if plain[i].Name == "strategy-switch" {
 					switched = true
 				}
 			}

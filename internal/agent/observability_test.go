@@ -40,16 +40,16 @@ func TestSetRemoteEveryMidRunUsesCommittedVersion(t *testing.T) {
 	if f.sys.Recoveries() != 1 {
 		t.Fatalf("%d recoveries, want 1", f.sys.Recoveries())
 	}
-	ret, _ := f.log.Last("retrieved")
-	if !strings.Contains(ret.Detail, "from remote") {
-		t.Fatalf("retrieval detail %q, want remote fallback", ret.Detail)
+	ret, _ := f.log().Last("retrieved")
+	if !strings.Contains(ret.Args, "from remote") {
+		t.Fatalf("retrieval detail %q, want remote fallback", ret.Args)
 	}
-	rec, _ := f.log.Last("recovery-complete")
-	if strings.Contains(rec.Detail, "iteration 21") {
-		t.Fatalf("recovery claims the phantom cadence-derived version: %q", rec.Detail)
+	rec, _ := f.log().Last("recovery-complete")
+	if strings.Contains(rec.Args, "iteration 21") {
+		t.Fatalf("recovery claims the phantom cadence-derived version: %q", rec.Args)
 	}
-	if !strings.Contains(rec.Detail, "iteration 20") {
-		t.Fatalf("recovery detail %q, want the committed remote iteration 20", rec.Detail)
+	if !strings.Contains(rec.Args, "iteration 20") {
+		t.Fatalf("recovery detail %q, want the committed remote iteration 20", rec.Args)
 	}
 }
 
@@ -108,25 +108,15 @@ func TestRecoveryPhasesTraced(t *testing.T) {
 		t.Fatalf("retrieve span args %q missing source", rtv.Args)
 	}
 
-	chaosTk := tr.Track("control-plane", "chaos")
-	var sawFailure bool
-	for _, in := range chaosTk.Instants() {
-		if in.Name == "failure" && in.Cat == trace.CatChaos {
-			sawFailure = true
+	// The event log lives on the tracer, each event with its subsystem.
+	events := tr.Track("control-plane", "events")
+	if events != f.sys.Log() {
+		t.Fatal("the event log is not the tracer's control-plane/events track")
+	}
+	for name, cat := range map[string]string{"failure": trace.CatChaos, "elected": trace.CatKVStore, "retrieved": trace.CatAgent} {
+		if in, ok := events.Last(name); !ok || in.Cat != cat {
+			t.Errorf("no %s %q instant on the events track (got %+v)", cat, name, events.Instants())
 		}
-	}
-	if !sawFailure {
-		t.Fatalf("no chaos failure instant (got %+v)", chaosTk.Instants())
-	}
-	kvTk := tr.Track("control-plane", "kvstore")
-	var sawElected bool
-	for _, in := range kvTk.Instants() {
-		if in.Name == "elected" && in.Cat == trace.CatKVStore {
-			sawElected = true
-		}
-	}
-	if !sawElected {
-		t.Fatalf("no kvstore election instant (got %+v)", kvTk.Instants())
 	}
 }
 
@@ -180,29 +170,43 @@ func TestGoldenTraceJSON(t *testing.T) {
 }
 
 // A traced run must replay bit-identically to an untraced one: tracing
-// only observes, never schedules.
+// only observes, never schedules. Its event log is the untraced run's,
+// event for event, and each event is recorded once: no other track of
+// the tracer holds an instant named after one.
 func TestTracingDoesNotPerturbDeterminism(t *testing.T) {
-	run := func(withTracer bool) []trace.Event {
+	run := func(tr *trace.Tracer) []trace.Instant {
 		f := newFixture(t, 4, 2, cloud.DefaultConfig())
 		f.sys.SetRemoteEvery(10)
-		if withTracer {
-			f.sys.SetTracer(trace.NewTracer(nil))
-		}
+		f.sys.SetTracer(tr)
 		f.sys.Start()
 		f.engine.At(simclock.Time(5*iterTime+10), func() {
 			f.sys.InjectFailure(1, cluster.SoftwareFailed)
 			f.sys.InjectFailure(2, cluster.HardwareFailed)
 		})
 		f.engine.Run(simclock.Time(30 * iterTime))
-		return f.log.Events()
+		return f.log().Instants()
 	}
-	plain, traced := run(false), run(true)
+	tr := trace.NewTracer(nil)
+	plain, traced := run(nil), run(tr)
 	if len(plain) != len(traced) {
 		t.Fatalf("event counts differ: %d vs %d", len(plain), len(traced))
 	}
+	logged := make(map[string]bool)
 	for i := range plain {
 		if plain[i] != traced[i] {
 			t.Fatalf("event %d differs:\n  plain:  %+v\n  traced: %+v", i, plain[i], traced[i])
+		}
+		logged[plain[i].Name] = true
+	}
+	events := tr.Track("control-plane", "events")
+	for _, tk := range tr.Tracks() {
+		if tk == events {
+			continue
+		}
+		for _, in := range tk.Instants() {
+			if logged[in.Name] {
+				t.Errorf("track %s/%s records event %q again: %+v", tk.Process, tk.Thread, in.Name, in)
+			}
 		}
 	}
 }

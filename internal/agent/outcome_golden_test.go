@@ -113,7 +113,7 @@ func outcomeScenarios() []outcomeScenario {
 func g(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 
 // writeOutcome runs one scenario under one strategy and appends every
-// simulated result to buf: the trace log, the Eq. 1 ledger, the final
+// simulated result to buf: the event log, the Eq. 1 ledger, the final
 // iteration, revision and traffic, and the full KV event stream.
 // A non-nil onPoll is installed as the system's root-poll hook.
 func writeOutcome(t *testing.T, buf *bytes.Buffer, sc outcomeScenario, name string, onPoll func(*System)) {
@@ -146,8 +146,8 @@ func writeOutcome(t *testing.T, buf *bytes.Buffer, sc outcomeScenario, name stri
 		fmt.Fprintf(buf, "wasted %s %s %v %s %d %d %s %s\n", g(float64(ev.Detected)), g(float64(ev.Resumed)),
 			ev.Ranks, ev.Source, ev.Version, ev.LostIterations, g(float64(ev.TLost)), g(float64(ev.TRecovery)))
 	}
-	for _, ev := range f.log.Events() {
-		fmt.Fprintf(buf, "log %s %s %s %s\n", g(float64(ev.At)), ev.Subject, ev.Kind, ev.Detail)
+	for _, ev := range f.log().Instants() {
+		fmt.Fprintf(buf, "log %s %s %s %s\n", g(float64(ev.At)), ev.Cat, ev.Name, ev.Args)
 	}
 	buf.Write(kv.Bytes())
 }

@@ -150,7 +150,7 @@ func (s *System) beginRecovery(failed []int) {
 		}
 		s.store.Delete(failurePrefix + strconv.Itoa(rank))
 	}
-	s.log.Add("root-agent", "failure-detected", "ranks %v (hardware: %d)", failed, len(hardware))
+	s.event(trace.CatAgent, "failure-detected", "ranks %v (hardware: %d)", failed, len(hardware))
 	if s.rootTrack.Enabled() {
 		// Step 1: the whole recovery is one span; phases nest inside it.
 		s.rootTrack.BeginArgs(trace.CatAgent, "recovery",
@@ -169,10 +169,9 @@ func (s *System) beginRecovery(failed []int) {
 	s.engine.After(serialize, func() {
 		if serialize > 0 {
 			s.rootTrack.Span(trace.CatAgent, "serialize", serStart, s.engine.Now())
-			s.log.Add("root-agent", "serialized", "in-memory checkpoints saved in %v", serialize)
+			s.event(trace.CatAgent, "serialized", "in-memory checkpoints saved in %v", serialize)
 		} else {
-			s.log.Add("root-agent", "serialize-skipped", "fast-tier snapshots already materialized")
-			s.rootTrack.Instant(trace.CatAgent, "serialize-skipped")
+			s.events.InstantArgs(trace.CatAgent, "serialize-skipped", "fast-tier snapshots already materialized")
 		}
 		// Software-failed machines restart in place regardless of whether
 		// hardware replacements are also in flight (a mixed failure must
@@ -210,7 +209,7 @@ func (s *System) beginRecovery(failed []int) {
 			pending++
 			s.operator.RequestReplacement(rank, func(delay simclock.Duration) {
 				s.cluster.Replace(rank)
-				s.log.Add("root-agent", "replaced", "rank %d after %v", rank, delay)
+				s.event(trace.CatAgent, "replaced", "rank %d after %v", rank, delay)
 				pending--
 				proceed()
 			})
@@ -246,10 +245,9 @@ func (s *System) attemptRetrieval(failed []int, hardware map[int]bool, attempt i
 		// still beat the remote fallback. If the shards are truly gone
 		// (whole replica group wiped), go remote immediately.
 		delay := s.opts.RetryBase * simclock.Duration(int64(1)<<uint(attempt))
-		s.log.Add("root-agent", "retry-backoff",
+		s.event(trace.CatAgent, "retry-backoff",
 			"no reachable consistent version (attempt %d/%d); retrying in %v",
 			attempt+1, s.opts.RetryMax, delay)
-		s.rootTrack.Instant(trace.CatAgent, "retry-backoff")
 		s.engine.After(delay, func() {
 			s.attemptRetrieval(failed, hardware, attempt+1)
 		})
@@ -326,7 +324,7 @@ func (s *System) attemptRetrieval(failed []int, hardware map[int]bool, attempt i
 		// unreachable through every retry) — everyone reloads the newest
 		// remote checkpoint through the store's aggregate bandwidth.
 		if attempt > 0 {
-			s.log.Add("root-agent", "fallback-remote",
+			s.event(trace.CatAgent, "fallback-remote",
 				"peer retrieval exhausted after %d attempts; falling back to persistent storage", attempt)
 		}
 		if s.data != nil {
@@ -367,7 +365,7 @@ func (s *System) attemptRetrieval(failed []int, hardware map[int]bool, attempt i
 			s.rootTrack.SpanArgs(trace.CatAgent, "retrieve", rtvStart, s.engine.Now(),
 				fmt.Sprintf("source=%s version=%d", source, version))
 		}
-		s.log.Add("root-agent", "retrieved", "version %d from %s in %v", version, source, retrieval)
+		s.event(trace.CatAgent, "retrieved", "version %d from %s in %v", version, source, retrieval)
 		wuStart := s.engine.Now()
 		s.engine.After(s.spec.Phases(baselines.FromLocal, 0).Warmup, func() {
 			s.rootTrack.Span(trace.CatAgent, "warmup", wuStart, s.engine.Now())
@@ -406,7 +404,7 @@ func (s *System) attemptRetrieval(failed []int, hardware map[int]bool, attempt i
 			s.recoveries++
 			s.strategy.OnRecovered(s.recordRecovery(failed, source, version, lostIters, len(hardware) > 0))
 			s.observeHealth()
-			s.log.Add("root-agent", "recovery-complete", "resumed at iteration %d", version)
+			s.event(trace.CatAgent, "recovery-complete", "resumed at iteration %d", version)
 			s.rootTrack.End() // closes the "recovery" span from beginRecovery
 			// The root itself may have been among the failed; ensure a
 			// root exists and training restarts.

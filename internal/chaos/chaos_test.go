@@ -17,7 +17,7 @@ import (
 
 const iterTime = 60 * simclock.Second
 
-func newSystem(t *testing.T, n, m int) (*simclock.Engine, *agent.System, *trace.Log) {
+func newSystem(t *testing.T, n, m int) (*simclock.Engine, *agent.System, *trace.Track) {
 	t.Helper()
 	engine := simclock.NewEngine()
 	p4d := cluster.MustInstance("p4d.24xlarge")
@@ -47,10 +47,10 @@ func newSystem(t *testing.T, n, m int) (*simclock.Engine, *agent.System, *trace.
 
 // kindsInOrder returns, for each requested kind, the index of its first
 // occurrence in the log, asserting presence.
-func firstIndex(t *testing.T, log *trace.Log, kind string) int {
+func firstIndex(t *testing.T, log *trace.Track, kind string) int {
 	t.Helper()
-	for i, ev := range log.Events() {
-		if ev.Kind == kind {
+	for i, ev := range log.Instants() {
+		if ev.Name == kind {
 			return i
 		}
 	}
@@ -99,9 +99,9 @@ func TestPartitionPlusCorrelatedFailureFallsBackToRemote(t *testing.T) {
 	if got := len(log.Filter("retry-backoff")); got != 3 {
 		t.Fatalf("%d retry-backoff events, want RetryMax=3", got)
 	}
-	ret := log.Events()[iRetr]
-	if !strings.Contains(ret.Detail, "from remote") {
-		t.Fatalf("retrieved %q, want remote source", ret.Detail)
+	ret := log.Instants()[iRetr]
+	if !strings.Contains(ret.Args, "from remote") {
+		t.Fatalf("retrieved %q, want remote source", ret.Args)
 	}
 	heal := log.Filter("partition-heal")
 	if len(heal) != 1 {
@@ -137,7 +137,7 @@ func TestPartitionHealDuringBackoffUsesPeers(t *testing.T) {
 		t.Fatal("fell back to remote despite the heal")
 	}
 	ret, ok := log.Last("retrieved")
-	if !ok || !strings.Contains(ret.Detail, "from peer") {
+	if !ok || !strings.Contains(ret.Args, "from peer") {
 		t.Fatalf("retrieved %+v, want peer source", ret)
 	}
 }

@@ -36,6 +36,7 @@ const recoveryTolerance = simclock.Millisecond
 const (
 	gapWholeIterations = "lost: the agent counts whole committed iterations, runsim the in-flight phase plus the completion lag"
 	gapRemoteGrid      = "lost: the agent's remote commits fall on an iteration grid, runsim's on an uptime grid"
+	gapCarriedOver     = "lost: neither simulator has a remote checkpoint yet, so both roll back to the start and the earlier recoveries' gaps carry over into the progress lost"
 	gapDetection       = "down: the agent's TRecovery starts at detection, runsim's downtime includes DetectionTime"
 )
 
@@ -45,14 +46,16 @@ var knownRecoveryGaps = map[string]struct {
 }{
 	"16 #0": {-99.220 * simclock.Second, -15 * simclock.Second, []string{gapWholeIterations, gapDetection}},
 	"16 #1": {-100.829 * simclock.Second, -15 * simclock.Second, []string{gapWholeIterations, gapDetection}},
-	"16 #2": {129.476 * simclock.Second, -15 * simclock.Second, []string{gapRemoteGrid, gapDetection}},
+	"16 #2": {129.476 * simclock.Second, -15 * simclock.Second, []string{gapCarriedOver, gapDetection}},
 	"16 #3": {-64.343 * simclock.Second, -15 * simclock.Second, []string{gapWholeIterations, gapDetection}},
 	"16 #4": {-60.330 * simclock.Second, -15 * simclock.Second, []string{gapWholeIterations, gapDetection}},
+	"16 #5": {2329.132 * simclock.Second, -15 * simclock.Second, []string{gapRemoteGrid, gapDetection}},
 	"64 #0": {-93.808 * simclock.Second, -15 * simclock.Second, []string{gapWholeIterations, gapDetection}},
 	"64 #1": {-129.642 * simclock.Second, -15 * simclock.Second, []string{gapWholeIterations, gapDetection}},
-	"64 #2": {93.727 * simclock.Second, -15 * simclock.Second, []string{gapRemoteGrid, gapDetection}},
+	"64 #2": {93.727 * simclock.Second, -15 * simclock.Second, []string{gapCarriedOver, gapDetection}},
 	"64 #3": {-83.478 * simclock.Second, -15 * simclock.Second, []string{gapWholeIterations, gapDetection}},
 	"64 #4": {-73.123 * simclock.Second, -15 * simclock.Second, []string{gapWholeIterations, gapDetection}},
+	"64 #5": {1399.165 * simclock.Second, -15 * simclock.Second, []string{gapRemoteGrid, gapDetection}},
 }
 
 // recoveryRecord is one recovery as either simulator reports it: its
@@ -65,11 +68,14 @@ type recoveryRecord struct {
 
 // agreeSchedule draws a seeded crash-only schedule for job: a software
 // crash, a hardware crash, the hardware loss of one rank's whole
-// replica group, and a hardware crash followed, 5–8 minutes later, by a
+// replica group, a hardware crash followed, 5–8 minutes later, by a
 // software crash of another rank that lands during the first one's
-// recovery. The crashes are 40 iterations apart, so every other
-// recovery ends before the next crash lands. It returns the schedule
-// and the time of the crash that lands during a recovery.
+// recovery, and at iteration 400 the loss of a second whole group. The
+// crashes are at least 40 iterations apart, so every other recovery
+// ends before the next crash lands. The first group loss comes before
+// either simulator's first remote checkpoint, the second after it. It
+// returns the schedule and the time of the crash that lands during a
+// recovery.
 func agreeSchedule(j *Job, seed int64) (chaos.Schedule, simclock.Time) {
 	n := j.Spec.Machines
 	rng := rand.New(rand.NewSource(seed))
@@ -81,14 +87,16 @@ func agreeSchedule(j *Job, seed int64) (chaos.Schedule, simclock.Time) {
 	during := (hw + 1 + rng.Intn(n-1)) % n
 	hwAt := at(140)
 	landsAt := hwAt.Add(simclock.Duration(5+3*rng.Float64()) * simclock.Minute)
-	sched := chaos.NewBuilder().
+	b := chaos.NewBuilder().
 		Crash(at(20), rng.Intn(n), cluster.SoftwareFailed).
 		Crash(at(60), rng.Intn(n), cluster.HardwareFailed).
 		CrashGroup(at(100), cluster.HardwareFailed, group...).
 		Crash(hwAt, hw, cluster.HardwareFailed).
-		Crash(landsAt, during, cluster.SoftwareFailed).
-		MustBuild(n)
-	return sched, landsAt
+		Crash(landsAt, during, cluster.SoftwareFailed)
+	// The second group loss draws after every other draw, so the
+	// recoveries before it keep their times and ranks.
+	late := j.Placement.Replicas(rng.Intn(n))
+	return b.CrashGroup(at(400), cluster.HardwareFailed, late...).MustBuild(n), landsAt
 }
 
 func TestRunsimAgreesWithControlPlane(t *testing.T) {
@@ -103,7 +111,7 @@ func TestRunsimAgreesWithControlPlane(t *testing.T) {
 		// so runsim, like the agent, recovers from it on its own.
 		window = 10 * simclock.Second
 	)
-	wantSources := []string{"local", "peer", "remote", "peer", "local"}
+	wantSources := []string{"local", "peer", "remote", "peer", "local", "remote"}
 	seen := map[string]bool{}
 	for _, n := range []int{16, 64} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
@@ -112,7 +120,7 @@ func TestRunsimAgreesWithControlPlane(t *testing.T) {
 				t.Fatal(err)
 			}
 			sched, landsAt := agreeSchedule(j, int64(n))
-			horizon := 220 * j.Timeline.Iteration
+			horizon := 440 * j.Timeline.Iteration
 
 			// runsim: sources and downtimes from the run/recovery spans,
 			// lost time from the cumulative wasted timeline.
@@ -149,6 +157,11 @@ func TestRunsimAgreesWithControlPlane(t *testing.T) {
 			var ctl []recoveryRecord
 			for _, o := range sys.WastedEvents() {
 				ctl = append(ctl, recoveryRecord{o.Source, o.TLost, o.TRecovery, o.Detected, o.Resumed})
+			}
+			// The second group loss must find a remote checkpoint to roll
+			// back to, or it would not exercise the remote grid.
+			if evs := sys.WastedEvents(); len(evs) == len(wantSources) && evs[5].Version == 0 {
+				t.Fatalf("recovery 5 at %v rolled back to iteration 0: no remote checkpoint yet", evs[5].Detected)
 			}
 
 			source := func(rs []recoveryRecord) []string {

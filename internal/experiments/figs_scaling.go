@@ -37,9 +37,9 @@ func Fig14() (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "iteration time %.1f s; failure injected during iteration 4\n\n", iter.Seconds())
 	var prev simclock.Time
-	for _, ev := range sys.Log().Events() {
+	for _, ev := range sys.Log().Instants() {
 		fmt.Fprintf(&b, "%10.1fs  (+%6.1fs)  %-12s %-18s %s\n",
-			float64(ev.At), float64(ev.At.Sub(prev)), ev.Subject, ev.Kind, ev.Detail)
+			float64(ev.At), float64(ev.At.Sub(prev)), ev.Cat, ev.Name, ev.Args)
 		prev = ev.At
 	}
 	return b.String(), nil

@@ -1,17 +1,18 @@
-package trace
-
-// This file is the structured half of the observability layer: where Log
-// records printf events for tests and humans, the Tracer records spans
-// (begin/end with nesting), instants, and counter samples on named tracks
-// — enough structure for the Perfetto exporter to render one simulated
-// run as a timeline. Tracing is strictly an observer: it reads the clock
-// and appends records, never schedules events, so a traced run replays
-// bit-identically to an untraced one.
+// Package trace is the simulator's structured observability layer. A
+// Tracer records spans (begin/end with nesting), instants, and counter
+// samples on named tracks — enough structure for the Perfetto exporter
+// to render one simulated run as a timeline, and for tests and tools to
+// read a subsystem's event record back as instants. It deliberately has
+// no levels or sinks: the simulator is deterministic, so the trace is a
+// complete, replayable account. Tracing is strictly an observer: it
+// reads the clock and appends records, never schedules events, so a
+// traced run replays bit-identically to an untraced one.
 //
 // The disabled path is free: a nil *Tracer yields nil *Track handles, and
 // every Track method no-ops on a nil receiver without allocating. Hot
 // paths therefore call tracing hooks unconditionally with already-built
 // arguments; anything that needs formatting checks Enabled() first.
+package trace
 
 import (
 	"fmt"
@@ -247,6 +248,28 @@ func (tk *Track) Instants() []Instant {
 		return nil
 	}
 	return tk.instants
+}
+
+// Filter returns the recorded instants with the given name, in order.
+func (tk *Track) Filter(name string) []Instant {
+	var out []Instant
+	for _, in := range tk.Instants() {
+		if in.Name == name {
+			out = append(out, in)
+		}
+	}
+	return out
+}
+
+// Last returns the most recent instant with the given name, if any.
+func (tk *Track) Last(name string) (Instant, bool) {
+	ins := tk.Instants()
+	for i := len(ins) - 1; i >= 0; i-- {
+		if ins[i].Name == name {
+			return ins[i], true
+		}
+	}
+	return Instant{}, false
 }
 
 // Samples returns the recorded counter samples in order.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -201,15 +202,51 @@ func TestSamplesExportAsCounters(t *testing.T) {
 	}
 }
 
-func TestLogUncappedUnchanged(t *testing.T) {
-	l := NewLog(nil)
+func TestTrackFilterAndLast(t *testing.T) {
+	now := simclock.Time(0)
+	tk := NewTracer(func() simclock.Time { return now }).Track("control-plane", "events")
+	tk.InstantArgs(CatAgent, "start", "begin 1")
+	now = 5
+	tk.InstantArgs(CatChaos, "step", "middle")
+	now = 9
+	tk.InstantArgs(CatAgent, "start", "begin 2")
+	if len(tk.Instants()) != 3 {
+		t.Fatalf("len %d, want 3", len(tk.Instants()))
+	}
+	starts := tk.Filter("start")
+	if len(starts) != 2 || starts[0].Args != "begin 1" || starts[1].Args != "begin 2" {
+		t.Fatalf("Filter = %+v", starts)
+	}
+	if got := tk.Filter("absent"); got != nil {
+		t.Fatalf("Filter invented %+v", got)
+	}
+	last, ok := tk.Last("start")
+	if !ok || last.At != 9 || last.Args != "begin 2" {
+		t.Fatalf("Last = %+v %v", last, ok)
+	}
+	if _, ok := tk.Last("absent"); ok {
+		t.Fatal("Last invented an instant")
+	}
+
+	// A nil track has nothing to filter and no last instant.
+	var nilTk *Track
+	if got := nilTk.Filter("start"); got != nil {
+		t.Fatalf("nil track Filter = %+v", got)
+	}
+	if in, ok := nilTk.Last("start"); ok || in != (Instant{}) {
+		t.Fatalf("nil track Last = %+v %v", in, ok)
+	}
+}
+
+func TestTrackInstantsUncapped(t *testing.T) {
+	tk := NewTracer(nil).Track("control-plane", "events")
 	for i := 0; i < 100; i++ {
-		l.Add("s", "tick", "n=%d", i)
+		tk.InstantArgs(CatAgent, "tick", fmt.Sprintf("n=%d", i))
 	}
-	if len(l.Events()) != 100 {
-		t.Fatalf("log dropped events: Len=%d, want 100", len(l.Events()))
+	if len(tk.Instants()) != 100 {
+		t.Fatalf("track dropped instants: Len=%d, want 100", len(tk.Instants()))
 	}
-	if evs := l.Events(); evs[0].Detail != "n=0" || evs[99].Detail != "n=99" {
-		t.Fatalf("Events out of order: first %+v, last %+v", evs[0], evs[99])
+	if ins := tk.Instants(); ins[0].Args != "n=0" || ins[99].Args != "n=99" {
+		t.Fatalf("Instants out of order: first %+v, last %+v", ins[0], ins[99])
 	}
 }
