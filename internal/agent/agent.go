@@ -190,8 +190,9 @@ type System struct {
 	rootTrack *trace.Track
 
 	// Chaos state: ranks cut off from the network (heartbeats and peer
-	// retrieval both fail) and per-rank bandwidth factors for stragglers.
-	partitioned map[int]bool
+	// retrieval both fail), indexed by rank, and per-rank bandwidth
+	// factors for stragglers.
+	partitioned []bool
 	stragglers  map[int]float64
 }
 
@@ -227,7 +228,7 @@ func NewSystem(engine *simclock.Engine, cl *cluster.Cluster, ck *ckpt.Engine,
 		rootRank:         -1,
 		present:          make([]bool, cl.Size()),
 		missing:          cl.Size(),
-		partitioned:      make(map[int]bool),
+		partitioned:      make([]bool, cl.Size()),
 		stragglers:       make(map[int]float64),
 	}
 	s.store.Watch(hbPrefix, s.trackHeartbeat)

@@ -37,12 +37,13 @@ func (s *System) StartPartition(ranks ...int) {
 // machines failed while unreachable rejoin through the normal recovery
 // path.
 func (s *System) HealPartition() {
-	healed := make([]int, 0, len(s.partitioned))
-	for rank := range s.partitioned {
-		healed = append(healed, rank)
+	var healed []int
+	for rank, cut := range s.partitioned {
+		if cut {
+			healed = append(healed, rank)
+			s.partitioned[rank] = false
+		}
 	}
-	sort.Ints(healed)
-	s.partitioned = make(map[int]bool)
 	s.event(trace.CatChaos, "partition-heal", "ranks %v reconnected", healed)
 	var rejoined []*worker
 	for _, rank := range healed {

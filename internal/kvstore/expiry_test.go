@@ -183,8 +183,9 @@ func (r *refStore) delete(key string) bool {
 	return true
 }
 
-// checkIndex requires the expiry index to be a valid heap over exactly
-// the live leases, with every lease's index naming its slot.
+// checkIndex requires the expiry set to hold every live lease in
+// exactly one slot, each lease's index naming its slot, and, when the
+// cached earliest deadline is fresh, that it equals the linear minimum.
 func checkIndex(s *Store) error {
 	live := 0
 	for i, l := range s.leases {
@@ -199,13 +200,20 @@ func checkIndex(s *Store) error {
 			return fmt.Errorf("lease %d: index %d does not hold it", l.id, l.index)
 		}
 	}
+	// Each live lease names one slot that holds it, so equal counts
+	// leave no slot for a duplicate or an expired lease.
 	if live != len(s.expiry) {
 		return fmt.Errorf("%d live leases, %d expiry slots", live, len(s.expiry))
 	}
-	for i := 1; i < len(s.expiry); i++ {
-		if p := (i - 1) / 2; s.expiry[p].expires > s.expiry[i].expires {
-			return fmt.Errorf("slot %d (%v) is later than its child %d (%v)", p, s.expiry[p].expires, i, s.expiry[i].expires)
-		}
+	if s.stale {
+		return nil
+	}
+	earliest := simclock.Forever
+	for _, sl := range s.expiry {
+		earliest = min(earliest, sl.expires)
+	}
+	if s.earliest != earliest {
+		return fmt.Errorf("cached earliest deadline %v, linear minimum %v", s.earliest, earliest)
 	}
 	return nil
 }
@@ -213,15 +221,20 @@ func checkIndex(s *Store) error {
 // TestLeaseIndexMatchesLinearScan drives the store and the linear-scan
 // model through the same seeded operation sequences and requires the
 // same NextExpiry, revision and event stream after every step, and a
-// valid expiry index. Times and TTLs come from small sets, so many
-// leases fall due at one instant and the id tie-break decides the
-// delete order; fractional steps make the outage shift round. Batch
-// renewals mix live ids with zero, unknown and expired ones, in lists
-// short and long enough to take both of the index's repair paths.
+// valid expiry set. Times and TTLs come from small sets, so many leases
+// fall due at one instant and the id tie-break decides the delete order;
+// fractional steps make the outage shift round. Batch renewals mix live
+// ids with zero, unknown and expired ones. Besides the random mix, each
+// sequence aims at the cases that move the cached earliest deadline:
+// renewing the earliest lease alone, a batch that names one lease
+// twice, two renewals of one lease at one instant, a sweep that expires
+// every lease followed by a grant, and a whole outage. The test fails if
+// some case never came up, so a change to the mix cannot drop one.
 func TestLeaseIndexMatchesLinearScan(t *testing.T) {
 	steps := []simclock.Duration{0, 0.1, 1.0 / 3, 0.5, 1, 2.5, 5}
 	ttls := []simclock.Duration{1, 2, 3, 5, 7.5}
 	jitters := []simclock.Duration{0, 0.7, 2}
+	covered := map[string]int{}
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		clk := &fakeClock{}
@@ -240,9 +253,32 @@ func TestLeaseIndexMatchesLinearScan(t *testing.T) {
 			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 			return ids[rng.Intn(len(ids))]
 		}
+		// earliestLease is the model's lease with the earliest deadline,
+		// the lowest id among ties, or 0 when none is live.
+		earliestLease := func() LeaseID {
+			var best *refLease
+			for _, l := range ref.leases {
+				if best == nil || l.expires < best.expires || (l.expires == best.expires && l.id < best.id) {
+					best = l
+				}
+			}
+			if best == nil {
+				return 0
+			}
+			return best.id
+		}
+		renewBatch := func(ids []LeaseID) string {
+			op := fmt.Sprintf("KeepAliveAll(%v)", ids)
+			n, err := s.KeepAliveAll(ids)
+			want := ref.keepAliveAll(ids)
+			if n != want || (err == nil) != (n == len(ids)) {
+				t.Fatalf("seed %d %s: renewed %d (err %v), want %d", seed, op, n, err, want)
+			}
+			return op
+		}
 		for step := 0; step < 400; step++ {
 			var op string
-			switch rng.Intn(11) {
+			switch rng.Intn(16) {
 			case 0, 1:
 				d := steps[rng.Intn(len(steps))]
 				op = fmt.Sprintf("advance %v", d)
@@ -304,11 +340,89 @@ func TestLeaseIndexMatchesLinearScan(t *testing.T) {
 						ids[i] = liveLease()
 					}
 				}
-				op = fmt.Sprintf("KeepAliveAll(%v)", ids)
-				n, err := s.KeepAliveAll(ids)
-				want := ref.keepAliveAll(ids)
-				if n != want || (err == nil) != (n == len(ids)) {
-					t.Fatalf("seed %d step %d %s: renewed %d (err %v), want %d", seed, step, op, n, err, want)
+				op = renewBatch(ids)
+			case 11:
+				// The earliest lease renewed alone moves the cached
+				// minimum's own slot.
+				id := earliestLease()
+				if id == 0 || ref.down {
+					continue
+				}
+				covered["earliest alone"]++
+				op = fmt.Sprintf("KeepAlive(earliest %d)", id)
+				if err := s.KeepAlive(id); (err == nil) != ref.keepAlive(id) {
+					t.Fatalf("seed %d step %d %s: err %v disagrees with the model", seed, step, op, err)
+				}
+			case 12:
+				// A batch that names a lease twice renews it twice, the
+				// earliest lease among the candidates.
+				id := liveLease()
+				ids := []LeaseID{id, liveLease(), id}
+				if e := earliestLease(); e != 0 && rng.Intn(2) == 0 {
+					ids = append(ids, e, e)
+				}
+				if _, ok := ref.leases[id]; ok && !ref.down {
+					covered["batch with duplicates"]++
+				}
+				op = renewBatch(ids)
+			case 13:
+				// Two renewals of one lease at one instant: with jitter
+				// the second deadline may land before the first.
+				id := liveLease()
+				l := ref.leases[id]
+				if l == nil || ref.down {
+					continue
+				}
+				first := s.KeepAlive(id)
+				if (first == nil) != ref.keepAlive(id) {
+					t.Fatalf("seed %d step %d: first renewal of %d disagrees with the model", seed, step, id)
+				}
+				before := l.expires
+				op = fmt.Sprintf("KeepAlive(%d) twice", id)
+				if err := s.KeepAlive(id); (err == nil) != ref.keepAlive(id) {
+					t.Fatalf("seed %d step %d %s: err %v disagrees with the model", seed, step, op, err)
+				}
+				if l.expires < before {
+					covered["same-instant renewal moved earlier"]++
+				}
+			case 14:
+				// Jump past every deadline so one sweep expires every
+				// lease, then grant into the emptied set.
+				if len(ref.leases) == 0 || ref.down {
+					continue
+				}
+				for _, l := range ref.leases {
+					if l.expires > clk.t {
+						clk.t = l.expires
+					}
+				}
+				s.Sweep()
+				ref.sweep()
+				if len(s.expiry) != 0 || s.NextExpiry() != simclock.Forever {
+					t.Fatalf("seed %d step %d: %d leases outlived a sweep past every deadline", seed, step, len(s.expiry))
+				}
+				covered["sweep of every lease"]++
+				ttl := ttls[rng.Intn(len(ttls))]
+				op = fmt.Sprintf("sweep all, Grant(%v)", ttl)
+				id, err := s.Grant(ttl)
+				wantID, ok := ref.grant(ttl)
+				if id != wantID || (err == nil) != ok {
+					t.Fatalf("seed %d step %d %s: got %d/%v, want %d/%v", seed, step, op, id, err, wantID, ok)
+				}
+			case 15:
+				// A whole outage: down, time passes, restored.
+				if ref.down {
+					continue
+				}
+				d := steps[rng.Intn(len(steps))]
+				op = fmt.Sprintf("outage of %v", d)
+				s.SetAvailable(false)
+				ref.setAvailable(false)
+				clk.t = clk.t.Add(d)
+				s.SetAvailable(true)
+				ref.setAvailable(true)
+				if len(ref.leases) > 0 {
+					covered["outage and restore"]++
 				}
 			}
 			if got, want := s.NextExpiry(), ref.nextExpiry(); got != want {
@@ -325,13 +439,20 @@ func TestLeaseIndexMatchesLinearScan(t *testing.T) {
 			}
 		}
 	}
+	for _, c := range []string{"earliest alone", "batch with duplicates", "same-instant renewal moved earlier", "sweep of every lease", "outage and restore"} {
+		if covered[c] == 0 {
+			t.Errorf("no sequence covered %q", c)
+		}
+	}
+	t.Logf("cases covered: %v", covered)
 }
 
-// TestOutageShiftKeepsHeapOrder: restoring the store adds the pause to
-// every inline deadline, and rounded addition is monotone, so the index
-// stays a heap with no repair. Deadlines spread over many magnitudes
-// and a fractional pause make the additions round, some into ties.
-func TestOutageShiftKeepsHeapOrder(t *testing.T) {
+// TestOutageShiftMovesEveryDeadline: restoring the store adds the pause
+// to every inline deadline and marks the cached earliest deadline stale,
+// so the next reader finds the shifted minimum. Deadlines spread over
+// many magnitudes and a fractional pause make the additions round, some
+// into ties.
+func TestOutageShiftMovesEveryDeadline(t *testing.T) {
 	clk := &fakeClock{}
 	s := New(clk.now)
 	s.SetLeaseJitter(0.7, 3)
@@ -343,8 +464,10 @@ func TestOutageShiftKeepsHeapOrder(t *testing.T) {
 		}
 	}
 	before := make(map[LeaseID]simclock.Time, len(s.expiry))
+	earliest := simclock.Forever
 	for _, sl := range s.expiry {
 		before[sl.l.id] = sl.expires
+		earliest = min(earliest, sl.expires)
 	}
 	s.SetAvailable(false)
 	clk.t = clk.t.Add(1.0 / 3)
@@ -357,6 +480,9 @@ func TestOutageShiftKeepsHeapOrder(t *testing.T) {
 		if want := before[sl.l.id].Add(pause); sl.expires != want {
 			t.Fatalf("lease %d: deadline %v after the outage, want %v", sl.l.id, sl.expires, want)
 		}
+	}
+	if got, want := s.NextExpiry(), earliest.Add(pause); got != want {
+		t.Fatalf("NextExpiry after the outage = %v, want %v", got, want)
 	}
 }
 
@@ -408,5 +534,49 @@ func TestSimultaneousExpiryDeletesInLeaseOrder(t *testing.T) {
 	}
 	if got := s.NextExpiry(); got != simclock.Forever {
 		t.Fatalf("NextExpiry after the sweep = %v, want Forever", got)
+	}
+}
+
+// BenchmarkKeepAliveAllCohorts renews n leases in cohorts of k, the way
+// the agent's heartbeat cohorts do: one op is one cohort's tick, which
+// renews its k leases with one KeepAliveAll and then reads NextExpiry
+// to rearm the sweep. The cohorts tick in turn, evenly spaced over the
+// heartbeat interval, so the ticking cohort always holds the earliest
+// deadline, and k < n is the fragmented shape that restarts and healed
+// partitions leave behind.
+func BenchmarkKeepAliveAllCohorts(b *testing.B) {
+	const interval, ttl = simclock.Duration(1), simclock.Duration(3)
+	for _, n := range []int{16, 128, 1024} {
+		for _, k := range []int{4, 16, n} {
+			if k == n && k == 16 {
+				continue // the same shape as k = 16
+			}
+			b.Run(fmt.Sprintf("n=%d/cohort=%d", n, k), func(b *testing.B) {
+				clk := &fakeClock{}
+				s := New(clk.now)
+				ids := make([]LeaseID, n)
+				for i := range ids {
+					id, err := s.Grant(ttl)
+					if err != nil {
+						b.Fatal(err)
+					}
+					ids[i] = id
+				}
+				cohorts := n / k
+				step := interval / simclock.Duration(cohorts)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					clk.t = clk.t.Add(step)
+					c := i % cohorts
+					if m, err := s.KeepAliveAll(ids[c*k : (c+1)*k]); err != nil || m != k {
+						b.Fatalf("renewed %d of %d: %v", m, k, err)
+					}
+					if s.NextExpiry() == simclock.Forever {
+						b.Fatal("no lease left")
+					}
+				}
+			})
+		}
 	}
 }

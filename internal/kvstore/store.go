@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 	"strings"
 
@@ -79,94 +78,13 @@ type lease struct {
 	index int // slot in Store.expiry
 }
 
-// leaseSlot is one entry of the expiry index. The slot holds the
-// lease's deadline itself, so a sift compares deadlines without loading
-// the leases; it is the only copy of the deadline.
+// leaseSlot is one entry of the expiry set. The slot holds the lease's
+// deadline itself, so a scan for the earliest deadline reads one flat
+// slice without loading the leases; it is the only copy of the
+// deadline.
 type leaseSlot struct {
 	expires simclock.Time
 	l       *lease
-}
-
-// leaseHeap is the expiry index: a min-heap of every live lease by
-// deadline, so the next deadline is the root and a sweep with nothing
-// due costs one comparison. Every lease's index is its slot. Ties are
-// left in any order: a sweep re-sorts what it pops by id.
-type leaseHeap []leaseSlot
-
-func (h *leaseHeap) push(sl leaseSlot) {
-	sl.l.index = len(*h)
-	*h = append(*h, sl)
-	h.up(sl.l.index)
-}
-
-// pop removes and returns the lease with the earliest deadline.
-func (h *leaseHeap) pop() *lease {
-	old := *h
-	n := len(old) - 1
-	l := old[0].l
-	old[0] = old[n]
-	old[0].l.index = 0
-	old[n] = leaseSlot{}
-	*h = old[:n]
-	if n > 0 {
-		h.down(0)
-	}
-	return l
-}
-
-// fix restores heap order after the deadline at slot i changed.
-func (h leaseHeap) fix(i int) {
-	if !h.down(i) {
-		h.up(i)
-	}
-}
-
-// heapify restores heap order after any number of deadlines changed in
-// place, bottom-up in O(n).
-func (h leaseHeap) heapify() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
-func (h leaseHeap) up(i int) {
-	sl := h[i]
-	for i > 0 {
-		p := (i - 1) / 2
-		if sl.expires >= h[p].expires {
-			break
-		}
-		h[i] = h[p]
-		h[i].l.index = i
-		i = p
-	}
-	h[i] = sl
-	sl.l.index = i
-}
-
-// down sifts the slot at i toward the leaves and reports whether it
-// moved.
-func (h leaseHeap) down(i int) bool {
-	sl := h[i]
-	start, n := i, len(h)
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && h[r].expires < h[c].expires {
-			c = r
-		}
-		if h[c].expires >= sl.expires {
-			break
-		}
-		h[i] = h[c]
-		h[i].l.index = i
-		i = c
-	}
-	h[i] = sl
-	sl.l.index = i
-	return i > start
 }
 
 // Store is a revisioned, lease-aware key-value store.
@@ -174,10 +92,16 @@ type Store struct {
 	now       func() simclock.Time
 	rev       int64
 	data      map[string]Entry
-	leases    []*lease  // by id - 1; nil once expired
-	expiry    leaseHeap // the live leases, by deadline
+	leases    []*lease    // by id - 1; nil once expired
+	expiry    []leaseSlot // the live leases, in no order
 	nextLease LeaseID
 	watchers  []*watcher
+
+	// earliest is the smallest deadline in expiry (Forever when it is
+	// empty) unless stale is set; a renewal that moves the slot holding
+	// it later sets stale, and the next reader rescans.
+	earliest simclock.Time
+	stale    bool
 
 	// Watch events are queued as operations produce them and delivered
 	// once the operation is done, so callbacks may call back into the
@@ -204,8 +128,9 @@ func New(now func() simclock.Time) *Store {
 		now = func() simclock.Time { return 0 }
 	}
 	return &Store{
-		now:  now,
-		data: make(map[string]Entry),
+		now:      now,
+		data:     make(map[string]Entry),
+		earliest: simclock.Forever,
 	}
 }
 
@@ -226,11 +151,10 @@ func (s *Store) SetAvailable(up bool) {
 	}
 	pause := s.now().Sub(s.downSince)
 	s.down = false
-	// Rounded addition is monotone, so shifting every deadline by the
-	// same pause keeps the expiry index in heap order.
 	for i := range s.expiry {
 		s.expiry[i].expires = s.expiry[i].expires.Add(pause)
 	}
+	s.stale = true
 	s.expire()
 }
 
@@ -266,20 +190,59 @@ func (s *Store) nextJitter() simclock.Duration {
 	return simclock.Duration(float64(s.jitterMax) * frac)
 }
 
+// minExpiry returns the earliest deadline in the expiry set, rescanning
+// the set only when a renewal moved the slot that held the cached one.
+func (s *Store) minExpiry() simclock.Time {
+	if s.stale {
+		earliest := simclock.Forever
+		for _, sl := range s.expiry {
+			if sl.expires < earliest {
+				earliest = sl.expires
+			}
+		}
+		s.earliest, s.stale = earliest, false
+	}
+	return s.earliest
+}
+
+// setExpiry writes a lease's new deadline into its slot and keeps the
+// cached earliest deadline exact, or marks it stale when the slot that
+// held it moved later.
+func (s *Store) setExpiry(l *lease, t simclock.Time) {
+	sl := &s.expiry[l.index]
+	if t < s.earliest {
+		s.earliest = t
+	} else if sl.expires == s.earliest && t != s.earliest {
+		s.stale = true
+	}
+	sl.expires = t
+}
+
 // expire expires leases due at the current instant, deleting their
 // keys and queueing delete events.
 func (s *Store) expire() {
-	if s.down || len(s.expiry) == 0 {
+	if s.down || s.minExpiry() > s.now() {
 		return
 	}
+	// One pass moves the due leases out and the rest down, and finds the
+	// earliest deadline among those that stay.
 	t := s.now()
-	if s.expiry[0].expires > t {
-		return
-	}
 	var expired []*lease
-	for len(s.expiry) > 0 && s.expiry[0].expires <= t {
-		expired = append(expired, s.expiry.pop())
+	kept, earliest := 0, simclock.Forever
+	for _, sl := range s.expiry {
+		if sl.expires <= t {
+			expired = append(expired, sl.l)
+			continue
+		}
+		sl.l.index = kept
+		s.expiry[kept] = sl
+		kept++
+		if sl.expires < earliest {
+			earliest = sl.expires
+		}
 	}
+	clear(s.expiry[kept:])
+	s.expiry, s.earliest = s.expiry[:kept], earliest
 	// Deterministic order for event delivery: by id, whatever the deadlines.
 	sort.Slice(expired, func(i, j int) bool { return expired[i].id < expired[j].id })
 	for _, l := range expired {
@@ -444,7 +407,9 @@ func (s *Store) Grant(ttl simclock.Duration) (LeaseID, error) {
 	id := s.nextLease
 	l := &lease{id: id, ttl: ttl, keys: make(map[string]bool)}
 	s.leases = append(s.leases, l)
-	s.expiry.push(leaseSlot{expires: s.now().Add(ttl + s.nextJitter()), l: l})
+	l.index = len(s.expiry)
+	s.expiry = append(s.expiry, leaseSlot{expires: simclock.Forever, l: l})
+	s.setExpiry(l, s.now().Add(ttl+s.nextJitter()))
 	return id, nil
 }
 
@@ -469,8 +434,7 @@ func (s *Store) KeepAlive(id LeaseID) error {
 // short, the error KeepAlive(ids[n]) returns. It is exactly that run of
 // KeepAlives: they share one instant, and once the first has expired
 // what was due nothing else falls due, so the batch checks the store,
-// expires and flushes once, draws the jitter in list order, and repairs
-// the expiry index once.
+// expires and flushes once, and draws the jitter in list order.
 func (s *Store) KeepAliveAll(ids []LeaseID) (int, error) {
 	if len(ids) == 0 {
 		return 0, nil
@@ -481,24 +445,13 @@ func (s *Store) KeepAliveAll(ids []LeaseID) (int, error) {
 	}
 	s.expire()
 	now := s.now()
-	// Repairing k renewed slots of n costs up to k·log₂n steps as sifts,
-	// one per renewal, and O(n) as one bottom-up heapify after the loop.
-	// A sift repairs one changed slot at a time, so the choice is made
-	// before the first renewal, from the k requested.
-	heapify := len(ids)*bits.Len(uint(len(s.expiry))) >= len(s.expiry)
 	n := 0
 	for ; n < len(ids); n++ {
 		l := s.live(ids[n])
 		if l == nil {
 			break
 		}
-		s.expiry[l.index].expires = now.Add(l.ttl + s.nextJitter())
-		if !heapify {
-			s.expiry.fix(l.index)
-		}
-	}
-	if heapify && n > 0 {
-		s.expiry.heapify()
+		s.setExpiry(l, now.Add(l.ttl+s.nextJitter()))
 	}
 	if n < len(ids) {
 		return n, fmt.Errorf("kvstore: lease %d not found (expired?)", ids[n])
@@ -509,10 +462,10 @@ func (s *Store) KeepAliveAll(ids []LeaseID) (int, error) {
 // NextExpiry returns the earliest lease expiry time, or simclock.Forever
 // when no leases exist. Simulation drivers schedule a sweep then.
 func (s *Store) NextExpiry() simclock.Time {
-	if s.down || len(s.expiry) == 0 {
+	if s.down {
 		return simclock.Forever
 	}
-	return s.expiry[0].expires
+	return s.minExpiry()
 }
 
 // Sweep expires due leases eagerly (delivering watch events); drivers

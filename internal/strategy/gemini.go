@@ -9,7 +9,8 @@ package strategy
 // bit-identical to the hard-wired path by the golden-trace and
 // determinism tests.
 type Gemini struct {
-	env Env
+	env  Env
+	plan []Commit
 }
 
 // NewGemini returns the registry's "gemini" strategy.
@@ -31,7 +32,8 @@ func (g *Gemini) OnActivate(int64) {}
 // healthy holders, in owner-major placement order — the exact call
 // sequence of the original loop.
 func (g *Gemini) PlanCommit(_ int64, healthy func(int) bool) []Commit {
-	return replicate(g.env.Placement, healthy)
+	g.plan = replicate(g.plan[:0], g.env.Placement, healthy)
+	return g.plan
 }
 
 // SerializeNeeded implements Strategy: GEMINI always serializes the

@@ -15,7 +15,8 @@ import "gemini/internal/simclock"
 // top of retrieval — the price of reconstructing a full state from
 // base + deltas.
 type Sparse struct {
-	env Env
+	env  Env
+	plan []Commit
 }
 
 const (
@@ -57,9 +58,9 @@ func (s *Sparse) touched(owner int, iteration int64) bool {
 // iteration (deltas only apply on top of the immediately previous
 // version).
 func (s *Sparse) PlanCommit(iteration int64, healthy func(int) bool) []Commit {
-	plan := replicate(s.env.Placement, healthy)
-	for i := range plan {
-		c := &plan[i]
+	s.plan = replicate(s.plan[:0], s.env.Placement, healthy)
+	for i := range s.plan {
+		c := &s.plan[i]
 		if newest, ok := s.env.Ckpt.Completed(c.Holder, c.Owner); !ok || newest.Iteration < iteration-1 {
 			continue // no base to build on: keep the full resync
 		}
@@ -70,7 +71,7 @@ func (s *Sparse) PlanCommit(iteration int64, healthy func(int) bool) []Commit {
 			c.Kind = CommitRefresh
 		}
 	}
-	return plan
+	return s.plan
 }
 
 // SerializeNeeded implements Strategy: the in-memory base+delta chain

@@ -177,7 +177,9 @@ type Strategy interface {
 	// while dormant (GPU buffers) resets here.
 	OnActivate(iteration int64)
 	// PlanCommit returns the replication work for a completed iteration;
-	// the commits execute in order against the checkpoint engine.
+	// the commits execute in order against the checkpoint engine. The
+	// plan lives in a buffer the strategy reuses, so it is valid only
+	// until the next PlanCommit call.
 	PlanCommit(iteration int64, healthy func(int) bool) []Commit
 	// SerializeNeeded says whether a failure wave needs the pre-recovery
 	// serialize stall (torch.save of the in-memory checkpoints); hardware
@@ -194,22 +196,22 @@ type Strategy interface {
 	OnRecovered(outcome Outcome)
 }
 
-// replicate returns a CommitFull for every (holder, owner) pair whose
-// ranks are both healthy, in owner-major placement order — GEMINI's
-// per-iteration replication walk, which every strategy starts from.
-func replicate(p *placement.Placement, healthy func(int) bool) []Commit {
-	var plan []Commit
+// replicate appends to dst a CommitFull for every (holder, owner) pair
+// whose ranks are both healthy, in owner-major placement order —
+// GEMINI's per-iteration replication walk, which every strategy starts
+// from. Strategies pass their own plan buffer, emptied, as dst.
+func replicate(dst []Commit, p *placement.Placement, healthy func(int) bool) []Commit {
 	for owner := 0; owner < p.N; owner++ {
 		if !healthy(owner) {
 			continue
 		}
 		for _, holder := range p.Replicas(owner) {
 			if healthy(holder) {
-				plan = append(plan, Commit{Holder: holder, Owner: owner, Kind: CommitFull})
+				dst = append(dst, Commit{Holder: holder, Owner: owner, Kind: CommitFull})
 			}
 		}
 	}
-	return plan
+	return dst
 }
 
 // memoryLadder walks the §3.1 storage hierarchy below the GPU: a

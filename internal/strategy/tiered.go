@@ -1,5 +1,7 @@
 package strategy
 
+import "slices"
+
 // Tiered is a TierCheck-style checkpoint ladder. The fastest tier is a
 // per-iteration GPU-buffer snapshot: the checkpoint daemon pins a copy
 // of each rank's shard in spare GPU memory every iteration, so a pure
@@ -13,18 +15,23 @@ package strategy
 // is unchanged.
 type Tiered struct {
 	env Env
-	// gpu holds each rank's newest GPU-buffer snapshot iteration.
-	// Hardware failures delete the rank's entry (device memory is gone);
-	// replacements re-enter on their next completed iteration.
-	gpu map[int]int64
+	// gpu holds each rank's newest GPU-buffer snapshot iteration, or
+	// noSnapshot. Hardware failures clear the rank's entry (device
+	// memory is gone); replacements re-enter on their next completed
+	// iteration.
+	gpu  []int64
+	plan []Commit
 }
+
+// noSnapshot marks a rank whose GPU buffer holds nothing usable.
+const noSnapshot = -1
 
 // tieredCPUEvery is the tiered strategy's CPU-memory replication
 // cadence in iterations.
 const tieredCPUEvery = 8
 
 // NewTiered returns the registry's "tiered" strategy.
-func NewTiered() *Tiered { return &Tiered{gpu: map[int]int64{}} }
+func NewTiered() *Tiered { return &Tiered{} }
 
 // Name implements Strategy.
 func (t *Tiered) Name() string { return "tiered" }
@@ -32,19 +39,26 @@ func (t *Tiered) Name() string { return "tiered" }
 // Active implements Strategy.
 func (t *Tiered) Active() string { return "tiered" }
 
-// Bind implements Strategy.
-func (t *Tiered) Bind(env Env) { t.env = env }
+// Bind implements Strategy; every GPU buffer starts empty.
+func (t *Tiered) Bind(env Env) {
+	t.env = env
+	t.gpu = slices.Repeat([]int64{noSnapshot}, env.Placement.N)
+}
 
 // OnActivate drops stale GPU snapshots: while dormant (adaptive ran a
 // different policy) the daemon was not refreshing the buffers, so
 // whatever they hold is unusable.
-func (t *Tiered) OnActivate(int64) { t.gpu = map[int]int64{} }
+func (t *Tiered) OnActivate(int64) {
+	for rank := range t.gpu {
+		t.gpu[rank] = noSnapshot
+	}
+}
 
 // PlanCommit snapshots every healthy rank into its GPU buffer (free —
 // device-local copy) and replicates to CPU memory on the tieredCPUEvery
 // grid.
 func (t *Tiered) PlanCommit(iteration int64, healthy func(int) bool) []Commit {
-	for rank := 0; rank < t.env.Placement.N; rank++ {
+	for rank := range t.gpu {
 		if healthy(rank) {
 			t.gpu[rank] = iteration
 		}
@@ -52,7 +66,8 @@ func (t *Tiered) PlanCommit(iteration int64, healthy func(int) bool) []Commit {
 	if iteration%tieredCPUEvery != 0 {
 		return nil
 	}
-	return replicate(t.env.Placement, healthy)
+	t.plan = replicate(t.plan[:0], t.env.Placement, healthy)
+	return t.plan
 }
 
 // gpuVersion reports the iteration the GPU tier can resume from: every
@@ -61,9 +76,8 @@ func (t *Tiered) PlanCommit(iteration int64, healthy func(int) bool) []Commit {
 // completed iteration).
 func (t *Tiered) gpuVersion() (int64, bool) {
 	var version int64
-	for rank := 0; rank < t.env.Placement.N; rank++ {
-		v, ok := t.gpu[rank]
-		if !ok {
+	for rank, v := range t.gpu {
+		if v == noSnapshot {
 			return 0, false
 		}
 		if rank == 0 {
@@ -72,7 +86,7 @@ func (t *Tiered) gpuVersion() (int64, bool) {
 			return 0, false
 		}
 	}
-	return version, t.env.Placement.N > 0
+	return version, len(t.gpu) > 0
 }
 
 // SerializeNeeded skips the serialize stall when the GPU tier will
@@ -101,7 +115,7 @@ func (t *Tiered) PlanRecovery(ctx RecoveryContext) Recovery {
 // memory dies with the machine, and the replacement arrives empty.
 func (t *Tiered) OnFailure(rank int, hardware bool) {
 	if hardware {
-		delete(t.gpu, rank)
+		t.gpu[rank] = noSnapshot
 	}
 }
 
@@ -111,7 +125,7 @@ func (t *Tiered) OnFailure(rank int, hardware bool) {
 func (t *Tiered) OnRecovered(outcome Outcome) {
 	for rank, v := range t.gpu {
 		if v > outcome.Version {
-			delete(t.gpu, rank)
+			t.gpu[rank] = noSnapshot
 		}
 	}
 }
