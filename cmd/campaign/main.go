@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"gemini"
+	"gemini/internal/baselines"
 	"gemini/internal/obs"
 	"gemini/internal/scenario"
 )
@@ -163,7 +164,8 @@ func run(path string, o options) error {
 // scenario: its shape, then the scale model behind its results — the
 // derived iteration time, the share of it that is ring-collective
 // startup latency, and each spec's checkpoint interval and completion
-// lag.
+// lag, plus the remote tier's for a CPU-memory spec, which rolls back to
+// it when a whole replica group is lost.
 func printValidation(w io.Writer, path string, c *scenario.Compiled) {
 	s, job := c.Scenario, c.Job
 	fmt.Fprintf(w, "%s: ok (%d machines, %d variations, %d chaos events, specs %s)\n",
@@ -174,6 +176,11 @@ func printValidation(w io.Writer, path string, c *scenario.Compiled) {
 	for _, spec := range c.Specs {
 		fmt.Fprintf(w, "  %-10s checkpoint interval %.1f s, completion lag %.1f s\n",
 			spec.Name, spec.Interval.Seconds(), spec.CompletionLag.Seconds())
+		if spec.UsesCPUMemory {
+			m := spec.WastedModel(baselines.FromRemote)
+			fmt.Fprintf(w, "  %-10s remote tier interval %.1f s, completion lag %.1f s\n",
+				"", m.Interval.Seconds(), m.CheckpointTime.Seconds())
+		}
 	}
 }
 

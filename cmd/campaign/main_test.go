@@ -27,7 +27,8 @@ func compile(t *testing.T, path string) (*scenario.Scenario, *scenario.Compiled)
 // -validate prints the scale model behind the smoke scenario: GPT-2
 // 100B under ZeRO-3 on 1000 p4d machines derives a 419.7 s iteration,
 // most of it ring-collective startup latency, and GEMINI checkpoints
-// every iteration with one iteration of completion lag.
+// every iteration with one iteration of completion lag, and to its
+// remote tier every 3 h, complete after the 480 s push.
 func TestValidatePrintsScaleModel(t *testing.T) {
 	const path = "../../examples/scenarios/smoke-1k.yaml"
 	_, c := compile(t, path)
@@ -36,7 +37,8 @@ func TestValidatePrintsScaleModel(t *testing.T) {
 	t.Log(out.String())
 	for _, want := range []string{
 		"iteration: 419.7 s (zero-3, 1000 × p4d.24xlarge), 88.5% ring-collective startup latency\n",
-		"GEMINI     checkpoint interval 419.7 s, completion lag 419.7 s\n",
+		"GEMINI     checkpoint interval 419.7 s, completion lag 419.7 s\n" +
+			"             remote tier interval 10800.0 s, completion lag 480.0 s\n",
 		"Strawman   checkpoint interval 10800.0 s, completion lag 480.0 s\n",
 	} {
 		if !strings.Contains(out.String(), want) {

@@ -41,8 +41,6 @@ type Options struct {
 	LeaseTTL simclock.Duration
 	// CheckInterval is the root agent's health-poll period.
 	CheckInterval simclock.Duration
-	// IterationTime advances the training loop.
-	IterationTime simclock.Duration
 	// RetryBase is the first retry delay when no consistent checkpoint
 	// version is reachable (e.g. the peers holding it are partitioned
 	// away); subsequent retries back off exponentially.
@@ -53,22 +51,21 @@ type Options struct {
 }
 
 // DefaultOptions mirrors the paper's measured values. The lease TTL is
-// Fig. 14's detection constant, declared once in baselines; every other
-// recovery cost comes from the job's spec (NewSystem).
-func DefaultOptions(iterTime simclock.Duration) Options {
+// Fig. 14's detection constant, declared once in baselines; the
+// iteration time and every recovery cost come from the job's spec
+// (NewSystem).
+func DefaultOptions() Options {
 	return Options{
 		HeartbeatInterval: 5 * simclock.Second,
 		LeaseTTL:          baselines.DetectionTime,
 		CheckInterval:     5 * simclock.Second,
-		IterationTime:     iterTime,
 		RetryBase:         2 * simclock.Second,
 		RetryMax:          4,
 	}
 }
 
-// validate rejects a non-positive interval or iteration time, a
-// negative retry parameter, and any NaN or infinite value, naming the
-// offending field.
+// validate rejects a non-positive interval, a negative retry
+// parameter, and any NaN or infinite value, naming the offending field.
 func (o Options) validate() error {
 	for _, f := range []struct {
 		name string
@@ -78,7 +75,6 @@ func (o Options) validate() error {
 		{"HeartbeatInterval", float64(o.HeartbeatInterval), false},
 		{"LeaseTTL", float64(o.LeaseTTL), false},
 		{"CheckInterval", float64(o.CheckInterval), false},
-		{"IterationTime", float64(o.IterationTime), false},
 		{"RetryBase", float64(o.RetryBase), true},
 	} {
 		switch {
@@ -153,8 +149,9 @@ type System struct {
 	onPoll func()
 
 	iteration int64
-	// remoteEveryIters is the remote tier's cadence in iterations:
-	// ⌈RemoteInterval / IterationTime⌉ unless SetRemoteEvery changed it.
+	// remoteEveryIters is the remote tier's cadence in iterations: its
+	// WastedModel interval over the spec's Interval, rounded up, unless
+	// SetRemoteEvery changed it.
 	remoteEveryIters int64
 	// lastRemoteCommitted is the newest iteration actually written to the
 	// remote persistent tier — recorded at commit time, so recovery never
@@ -197,9 +194,11 @@ type System struct {
 }
 
 // NewSystem builds the control plane for an n-machine cluster. spec is
-// the job's GEMINI spec: the recovery-phase kernel prices every
-// recovery's serialize, retrieve and warm-up phases from it, and its
-// RemoteInterval sets the default remote cadence.
+// the job's GEMINI spec. Its Interval is the training iteration, since
+// the CPU-memory tier checkpoints every iteration, and
+// ⌈RemoteInterval / Interval⌉ is the default remote cadence; the
+// recovery-phase kernel prices every recovery's serialize, retrieve and
+// warm-up phases from it.
 func NewSystem(engine *simclock.Engine, cl *cluster.Cluster, ck *ckpt.Engine,
 	spec baselines.Spec, op *cloud.Operator, opts Options) (*System, error) {
 	if err := opts.validate(); err != nil {
@@ -223,7 +222,7 @@ func NewSystem(engine *simclock.Engine, cl *cluster.Cluster, ck *ckpt.Engine,
 		placement:        ck.Placement(),
 		spec:             spec,
 		opts:             opts,
-		remoteEveryIters: int64(math.Ceil(float64(spec.RemoteInterval / opts.IterationTime))),
+		remoteEveryIters: int64(math.Ceil(float64(spec.WastedModel(baselines.FromRemote).Interval / spec.Interval))),
 		events:           trace.NewTracer(engine.Now).Track("control-plane", "events"),
 		rootRank:         -1,
 		present:          make([]bool, cl.Size()),
@@ -264,7 +263,7 @@ func (s *System) bindStrategy() {
 	s.strategy.Bind(strategy.Env{
 		Ckpt:          s.ckpt,
 		Placement:     s.placement,
-		IterationTime: s.opts.IterationTime,
+		IterationTime: s.spec.Interval,
 		Emit:          s.emitStrategyEvent,
 	})
 }

@@ -68,7 +68,7 @@ func newSpecFixture(t testing.TB, n, m int, shard float64, spec func(int, float6
 
 func newFixture(t testing.TB, n, m int, cloudCfg cloud.Config) *fixture {
 	t.Helper()
-	return newSpecFixture(t, n, m, 75e9, testSpec, DefaultOptions(iterTime), cloudCfg)
+	return newSpecFixture(t, n, m, 75e9, testSpec, DefaultOptions(), cloudCfg)
 }
 
 func allHealthy(f *fixture) func(int) bool {
@@ -358,11 +358,10 @@ func TestOptionsValidation(t *testing.T) {
 		func(o *Options) { o.HeartbeatInterval = 0 },
 		func(o *Options) { o.LeaseTTL = o.HeartbeatInterval },
 		func(o *Options) { o.CheckInterval = -1 },
-		func(o *Options) { o.IterationTime = 0 },
 	}
 	spec := testSpec(4, 1)
 	for i, mutate := range bad {
-		opts := DefaultOptions(iterTime)
+		opts := DefaultOptions()
 		mutate(&opts)
 		if _, err := NewSystem(engine, clus, ck, spec, op, opts); err == nil {
 			t.Errorf("bad options %d accepted", i)
@@ -370,10 +369,10 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	// Mismatched sizes rejected.
 	small := ckpt.MustNewEngine(placement.MustMixed(3, 1), 1)
-	if _, err := NewSystem(engine, clus, small, spec, op, DefaultOptions(iterTime)); err == nil {
+	if _, err := NewSystem(engine, clus, small, spec, op, DefaultOptions()); err == nil {
 		t.Error("mismatched cluster/placement accepted")
 	}
-	sys, err := NewSystem(engine, clus, ck, spec, op, DefaultOptions(iterTime))
+	sys, err := NewSystem(engine, clus, ck, spec, op, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,12 +478,11 @@ func TestOptionsRejectNonFinite(t *testing.T) {
 		{"HeartbeatInterval", func(o *Options, v float64) { o.HeartbeatInterval = simclock.Duration(v) }},
 		{"LeaseTTL", func(o *Options, v float64) { o.LeaseTTL = simclock.Duration(v) }},
 		{"CheckInterval", func(o *Options, v float64) { o.CheckInterval = simclock.Duration(v) }},
-		{"IterationTime", func(o *Options, v float64) { o.IterationTime = simclock.Duration(v) }},
 		{"RetryBase", func(o *Options, v float64) { o.RetryBase = simclock.Duration(v) }},
 	}
 	for _, f := range fields {
 		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
-			opts := DefaultOptions(iterTime)
+			opts := DefaultOptions()
 			f.set(&opts, v)
 			engine := simclock.NewEngine()
 			_, err := NewSystem(engine, cluster.MustNew(4, cluster.MustInstance("p4d.24xlarge")),
@@ -505,6 +503,7 @@ func TestNewSystemRejectsBadSpec(t *testing.T) {
 		want string
 		set  func(s *baselines.Spec)
 	}{
+		{"GEMINI interval", func(s *baselines.Spec) { s.Interval = simclock.Duration(math.NaN()) }},
 		{"serialize-on-recovery stall", func(s *baselines.Spec) { s.SerializeOnRecovery = -1 }},
 		{"local retrieval time", func(s *baselines.Spec) { s.RetrievalLocal = simclock.Duration(math.Inf(1)) }},
 		{"peer retrieval time", func(s *baselines.Spec) { s.RetrievalPeer = simclock.Duration(math.NaN()) }},
@@ -516,17 +515,17 @@ func TestNewSystemRejectsBadSpec(t *testing.T) {
 		engine := simclock.NewEngine()
 		_, err := NewSystem(engine, cluster.MustNew(4, cluster.MustInstance("p4d.24xlarge")),
 			ckpt.MustNewEngine(placement.MustMixed(4, 2), 75e9), spec,
-			cloud.MustNewOperator(engine, cloud.DefaultConfig()), DefaultOptions(iterTime))
+			cloud.MustNewOperator(engine, cloud.DefaultConfig()), DefaultOptions())
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: NewSystem error %v, want one naming it", c.want, err)
 		}
 	}
 }
 
-// The control plane takes its recovery costs and its remote cadence
-// from the job's spec: the kernel's phases price a local recovery, and
-// the remote tier commits every ⌈RemoteInterval / iteration⌉
-// iterations, whatever the iteration time.
+// The control plane takes its recovery costs, its iteration and its
+// remote cadence from the job's spec: the kernel's phases price a local
+// recovery, and the remote tier commits every ⌈RemoteInterval /
+// Interval⌉ iterations, whatever the spec's interval.
 func TestRecoveryFollowsSpec(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -549,18 +548,22 @@ func TestRecoveryFollowsSpec(t *testing.T) {
 		{"remote cadence follows the iteration time", 73.1 * simclock.Second, func(t *testing.T, f *fixture) {
 			const first = 148 // ⌈3 h / 73.1 s⌉
 			f.engine.Run(simclock.Time((first - 0.5) * 73.1 * simclock.Second))
-			if got := f.sys.lastRemoteIteration(); got != 0 {
+			if got := f.sys.lastRemoteCommitted; got != 0 {
 				t.Fatalf("remote commit at iteration %d, before ⌈3 h / 73.1 s⌉ = %d", got, first)
 			}
 			f.engine.Run(simclock.Time((first + 0.5) * 73.1 * simclock.Second))
-			if got := f.sys.lastRemoteIteration(); got != first {
+			if got := f.sys.lastRemoteCommitted; got != first {
 				t.Fatalf("newest remote commit at iteration %d, want %d", got, first)
 			}
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			opts := DefaultOptions(c.iter)
-			f := newSpecFixture(t, 4, 2, 75e9, testSpec, opts, cloud.DefaultConfig())
+			spec := func(n int, shard float64) baselines.Spec {
+				s := testSpec(n, shard)
+				s.Interval, s.CompletionLag = c.iter, c.iter
+				return s
+			}
+			f := newSpecFixture(t, 4, 2, 75e9, spec, DefaultOptions(), cloud.DefaultConfig())
 			f.sys.Start()
 			c.run(t, f)
 		})

@@ -14,7 +14,7 @@ import (
 
 // chaosOpts gives chaos scenarios a small retry budget.
 func chaosOpts() Options {
-	o := DefaultOptions(iterTime)
+	o := DefaultOptions()
 	o.RetryBase = 2 * simclock.Second
 	o.RetryMax = 3
 	return o

@@ -23,7 +23,7 @@ const dpShard = 4096
 
 func newDataPlaneFixture(t *testing.T, n, m int) *fixture {
 	t.Helper()
-	return newDPShardFixture(t, n, m, testSpec, DefaultOptions(iterTime), cloud.DefaultConfig(), true)
+	return newDPShardFixture(t, n, m, testSpec, DefaultOptions(), cloud.DefaultConfig(), true)
 }
 
 // newDPShardFixture builds a system whose checkpoint engine tracks

@@ -89,7 +89,7 @@ func (s *System) observeHealth() {
 			staleLocal = stale
 		}
 	}
-	staleRemote := s.iteration - s.lastRemoteIteration()
+	staleRemote := s.iteration - s.lastRemoteCommitted
 	if staleRemote < 0 {
 		staleRemote = 0
 	}
@@ -121,7 +121,7 @@ func (s *System) recordRecovery(failed []int, source string, version, lostIters 
 		Source:         source,
 		Version:        version,
 		LostIterations: lostIters,
-		TLost:          simclock.Duration(lostIters) * s.opts.IterationTime,
+		TLost:          simclock.Duration(lostIters) * s.spec.Interval,
 		TRecovery:      now.Sub(s.recoveryStart),
 		Hardware:       hardware,
 	}

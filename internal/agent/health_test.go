@@ -237,7 +237,7 @@ func benchFixture(b *testing.B, engine *simclock.Engine) *System {
 	clus := cluster.MustNew(4, cluster.MustInstance("p4d.24xlarge"))
 	ck := ckpt.MustNewEngine(placement.MustMixed(4, 2), 75e9)
 	op := cloud.MustNewOperator(engine, cloud.DefaultConfig())
-	sys, err := NewSystem(engine, clus, ck, testSpec(4, 75e9), op, DefaultOptions(iterTime))
+	sys, err := NewSystem(engine, clus, ck, testSpec(4, 75e9), op, DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}

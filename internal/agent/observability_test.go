@@ -16,7 +16,7 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// Pins the lastRemoteIteration bugfix: the remote-fallback version must
+// Pins the lastRemoteCommitted bugfix: the remote-fallback version must
 // be the iteration actually committed to the remote tier, not one derived
 // from the cadence in force at recovery time. Before the fix, shrinking
 // the cadence mid-run made recovery claim a remote checkpoint (here 21)

@@ -47,7 +47,7 @@ func outcomeScenarios() []outcomeScenario {
 			// One of each fault kind, rung by rung, under lease jitter:
 			// software, hardware and correlated crashes, a partition, a
 			// straggler whose replica peer crashes, a KV outage.
-			name: "ladder", spec: testSpec, opts: DefaultOptions(iterTime), cloud: cloud.DefaultConfig(),
+			name: "ladder", spec: testSpec, opts: DefaultOptions(), cloud: cloud.DefaultConfig(),
 			horizon: simclock.Time(200 * iterTime),
 			arm: func(f *fixture) {
 				f.at(0.5, func() { f.sys.SetLeaseJitter(3 * simclock.Second) })
@@ -68,7 +68,7 @@ func outcomeScenarios() []outcomeScenario {
 			// The root is partitioned away and fails over; a machine that
 			// crashes while partitioned rejoins through HealPartition; the
 			// new root dies; a crash lands inside a KV outage.
-			name: "root", spec: testSpec, opts: DefaultOptions(iterTime), cloud: cloud.DefaultConfig(),
+			name: "root", spec: testSpec, opts: DefaultOptions(), cloud: cloud.DefaultConfig(),
 			horizon: simclock.Time(180 * iterTime),
 			arm: func(f *fixture) {
 				f.at(1.5, func() { f.sys.SetLeaseJitter(2 * simclock.Second) })

@@ -19,7 +19,7 @@ func (s *System) scheduleIteration() {
 		return
 	}
 	start := s.engine.Now()
-	s.iterEv = s.engine.After(s.opts.IterationTime, func() {
+	s.iterEv = s.engine.After(s.spec.Interval, func() {
 		s.completeIteration()
 		if s.rootTrack.Enabled() {
 			s.rootTrack.SpanArgs(trace.CatAgent, "iteration", start, s.engine.Now(),
@@ -97,14 +97,6 @@ func (s *System) SetRemoteEvery(iterations int64) {
 		panic(fmt.Sprintf("agent: remote cadence %d must be ≥ 1", iterations))
 	}
 	s.remoteEveryIters = iterations
-}
-
-// lastRemoteIteration returns the newest iteration actually committed to
-// the remote persistent store. Deriving it from the current cadence
-// would be wrong: after SetRemoteEvery mid-run it could name an
-// iteration no commit ever covered.
-func (s *System) lastRemoteIteration() int64 {
-	return s.lastRemoteCommitted
 }
 
 // Traffic is the run's cumulative checkpoint byte movement, split by
@@ -237,7 +229,7 @@ func (s *System) attemptRetrieval(failed []int, hardware map[int]bool, attempt i
 		Hardware:      len(hardware) > 0,
 		Reachable:     avail,
 		Surviving:     func(rank int) bool { return !hardware[rank] },
-		RemoteVersion: s.lastRemoteIteration(),
+		RemoteVersion: s.lastRemoteCommitted,
 	})
 	if rec.Tier == strategy.TierRemote && rec.Retryable && attempt < s.opts.RetryMax {
 		// Retry only helps when the blocker is reachability: if the data

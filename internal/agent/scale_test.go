@@ -26,7 +26,7 @@ func healthyRun(tb testing.TB, machines int, horizon simclock.Duration) (fired i
 // grow with the machines (about 74 k at 16, 557 k at 128 in 6 hours).
 func TestHeartbeatEventsScaleWithCohorts(t *testing.T) {
 	const horizon = 6 * simclock.Hour
-	opts := DefaultOptions(iterTime)
+	opts := DefaultOptions()
 	bound := int(2*horizon/opts.HeartbeatInterval) + 16
 	var overhead [2]int
 	for i, machines := range []int{16, 128} {

@@ -51,9 +51,14 @@ func (s Spec) Retrieval(src RecoverySource) simclock.Duration {
 	}
 }
 
-// WastedModel returns the Equation 1 model for a recovery source. When a
-// CPU-memory solution falls back to the remote tier, the effective
-// checkpoint interval is the remote cadence, not the per-iteration one.
+// WastedModel returns the Equation 1 model for a recovery source: the
+// interval and completion lag (CheckpointTime) of the checkpoint tier
+// the recovery reads. It is the one definition of a tier's cadence.
+// Eq. 1 prices from it, runsim rolls every recovery back by it, and the
+// agent's default remote cadence is the remote tier's interval in whole
+// iterations. When a CPU-memory solution falls back to the remote tier,
+// the interval is the remote cadence, not the per-iteration one, and the
+// lag is the remote push.
 func (s Spec) WastedModel(src RecoverySource) metrics.WastedTimeModel {
 	interval := s.Interval
 	lag := s.CompletionLag

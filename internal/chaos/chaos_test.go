@@ -35,7 +35,7 @@ func newSystem(t *testing.T, n, m int) (*simclock.Engine, *agent.System, *trace.
 		UsesCPUMemory:       true,
 		RemoteInterval:      baselines.RemoteCheckpointInterval,
 	}
-	opts := agent.DefaultOptions(iterTime)
+	opts := agent.DefaultOptions()
 	opts.RetryBase = 2 * simclock.Second
 	opts.RetryMax = 3
 	sys, err := agent.NewSystem(engine, clus, ck, spec, op, opts)

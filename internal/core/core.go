@@ -296,7 +296,7 @@ func (j *Job) RecoverySystem(cloudCfg cloud.Config) (*simclock.Engine, *agent.Sy
 	if err != nil {
 		return nil, nil, err
 	}
-	sys, err := agent.NewSystem(engine, clus, ck, j.GeminiSpec(), op, agent.DefaultOptions(j.Timeline.Iteration))
+	sys, err := agent.NewSystem(engine, clus, ck, j.GeminiSpec(), op, agent.DefaultOptions())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -12,28 +12,21 @@ import (
 	"gemini/internal/simclock"
 )
 
-// referenceRun is the walk as first written: the remote-checkpoint grid
-// stepped for every solution, the default window recomputed per group,
-// no pools and no taps. Run must reproduce it bit for bit.
+// referenceRun is the walk written out plainly: the default window
+// recomputed per group, each recovery's tier spelled out from the spec's
+// fields, no pools and no taps. Run must reproduce it bit for bit.
 func referenceRun(cfg Config) Result {
 	s := cfg.Spec
 	period := s.Interval + s.PerCheckpointStall
 	phi := float64(s.Interval / period)
 	var res Result
-	var progress, lastRemoteProgress float64
+	var progress float64
 	var resume simclock.Time
-	nextRemote := simclock.Time(s.RemoteInterval)
 	horizon := simclock.Time(cfg.Horizon)
 	recoveries := 0
 	advanceUptime := func(until simclock.Time) {
 		if until <= resume {
 			return
-		}
-		for nextRemote < until {
-			if nextRemote >= resume {
-				lastRemoteProgress = progress + float64(nextRemote.Sub(resume))*phi
-			}
-			nextRemote = nextRemote.Add(s.RemoteInterval)
 		}
 		up := until.Sub(resume)
 		progress += float64(up) * phi
@@ -77,12 +70,14 @@ func referenceRun(cfg Config) Result {
 		default:
 			res.FromRemote++
 		}
-		var rollback float64
-		if !s.UsesCPUMemory || src != baselines.FromRemote {
-			rollback = lostSinceCheckpoint(progress, s.Interval, s.CompletionLag, phi)
-		} else {
-			rollback = progress - lastRemoteProgress
+		// A CPU-memory solution that lost a whole group reads its remote
+		// tier, which checkpoints every RemoteInterval and completes after
+		// the remote push.
+		interval, lag := s.Interval, s.CompletionLag
+		if s.UsesCPUMemory && src == baselines.FromRemote {
+			interval, lag = s.RemoteInterval, s.RetrievalRemote
 		}
+		rollback := lostSinceCheckpoint(progress, interval, lag, phi)
 		rollback = min(max(rollback, 0), progress)
 		progress -= rollback
 		replacement := simclock.Duration(0)
@@ -149,6 +144,6 @@ func TestRunMatchesReferenceWalk(t *testing.T) {
 		}
 	}
 	if fromRemote == 0 {
-		t.Fatal("no CPU-memory run fell back to the remote tier; the remote-grid path went unchecked")
+		t.Fatal("no CPU-memory run fell back to the remote tier; the remote-tier rollback went unchecked")
 	}
 }

@@ -189,11 +189,11 @@ func RunAll(cfgs []Config, out []*Result) error {
 	return nil
 }
 
-// lostSinceCheckpoint estimates the progress rolled back when recovering
-// from the per-interval checkpoint tier: on average half an interval of
-// progress plus the completion lag (the Equation 1 structure), bounded by
-// the current progress. The deterministic walk uses the progress phase
-// within the interval instead of the expectation.
+// lostSinceCheckpoint is the progress rolled back when recovering from a
+// checkpoint tier with the given interval and completion lag: the
+// progress phase within the interval plus the lag's worth of progress.
+// Over a uniformly placed failure that is Equation 1's half an interval
+// plus the lag; the walk bounds it by the current progress.
 func lostSinceCheckpoint(progress float64, interval, lag simclock.Duration, phi float64) float64 {
 	if interval <= 0 {
 		return 0

@@ -210,6 +210,102 @@ func TestWholeGroupLossFallsBackToRemote(t *testing.T) {
 		t.Fatalf("cross-group loss recovered %d/%d/%d, want one peer recovery",
 			res.FromLocal, res.FromPeer, res.FromRemote)
 	}
+
+	// A group loss more than one RemoteInterval of progress into the run,
+	// after a hardware recovery whose replacement took four hours, rolls
+	// back by Eq. 1 on the remote tier: the progress since the newest
+	// RemoteInterval of progress, plus the remote push lag. A grid of
+	// wall-clock instants would instead roll back to the last one that
+	// came while training was up.
+	at := simclock.Time(12 * simclock.Hour)
+	cfg.ReplacementDelay = 4 * simclock.Hour
+	cfg.SimultaneityWindow = 10 * simclock.Second
+	cfg.Failures = failure.Schedule{
+		{At: simclock.Time(2 * simclock.Hour), Rank: 4, Kind: cluster.HardwareFailed},
+		{At: at, Rank: 0, Kind: cluster.HardwareFailed},
+		{At: at.Add(simclock.Second), Rank: 1, Kind: cluster.HardwareFailed},
+	}
+	before := cfg
+	before.Failures, before.Horizon = cfg.Failures[:1], simclock.Duration(at)
+	pre := MustRun(before)
+	progress := pre.EffectiveRatio * float64(at)
+	if progress <= float64(gem.RemoteInterval) {
+		t.Fatalf("progress %.0f s at the group loss is within the first RemoteInterval %v", progress, gem.RemoteInterval)
+	}
+	res = MustRun(cfg)
+	if res.FromPeer != 1 || res.FromRemote != 1 {
+		t.Fatalf("hardware then group loss recovered %d/%d/%d, want one peer and one remote recovery",
+			res.FromLocal, res.FromPeer, res.FromRemote)
+	}
+	phi := float64(gem.Interval / (gem.Interval + gem.PerCheckpointStall))
+	want := lostSinceCheckpoint(progress, gem.RemoteInterval, gem.RetrievalRemote, phi)
+	if got := float64(res.TotalLost - pre.TotalLost); math.Abs(got-want) > 1e-6 {
+		t.Fatalf("group loss at %.0f s of progress lost %.3f s, want %.3f s (Eq. 1 on the remote tier)", progress, got, want)
+	}
+}
+
+// Every recovery rolls back by Eq. 1 on the tier it reads. Over
+// isolated failures at uniformly random instants, none clamped by the
+// progress made so far, the mean lost time is the tier's Interval/2 plus
+// its completion lag (CheckpointTime) times φ, for each solution and
+// each recovery source it can reach.
+func TestLostTimeMatchesEq1(t *testing.T) {
+	const machines, runs = 16, 2000
+	straw, high, gem := specs(t, machines)
+	pl := placement.MustMixed(machines, 2) // group {0,1}
+	sw, hw := cluster.SoftwareFailed, cluster.HardwareFailed
+	rng := rand.New(rand.NewSource(40))
+	for _, c := range []struct {
+		spec  baselines.Spec
+		src   baselines.RecoverySource
+		kind  cluster.MachineState
+		ranks []int
+	}{
+		{straw, baselines.FromRemote, sw, []int{0}},
+		{high, baselines.FromRemote, sw, []int{0}},
+		{gem, baselines.FromLocal, sw, []int{0}},
+		{gem, baselines.FromPeer, hw, []int{0}},
+		{gem, baselines.FromRemote, hw, []int{0, 1}},
+	} {
+		name := fmt.Sprintf("%s/%s", c.spec.Name, c.src)
+		m := c.spec.WastedModel(c.src)
+		phi := float64(c.spec.Interval / (c.spec.Interval + c.spec.PerCheckpointStall))
+		// The failures land over a window one Interval of progress long,
+		// so their phase in the interval is uniform, and after one
+		// Interval plus the lag of progress, so no rollback is clamped.
+		start := float64(m.Interval+m.CheckpointTime) / phi
+		span := float64(m.Interval) / phi
+		var sum, sumSq float64
+		for range runs {
+			at := simclock.Time(start + rng.Float64()*span)
+			fs := make(failure.Schedule, len(c.ranks))
+			for i, r := range c.ranks {
+				fs[i] = failure.Event{At: at, Rank: r, Kind: c.kind}
+			}
+			cfg := Config{Spec: c.spec, Machines: machines, Failures: fs, Horizon: simclock.Duration(at) + simclock.Day}
+			if c.spec.UsesCPUMemory {
+				cfg.Placement = pl
+			}
+			res := MustRun(cfg)
+			checkEq1(t, name, res)
+			if got := [...]int{res.FromLocal, res.FromPeer, res.FromRemote}; got[c.src] != 1 {
+				t.Fatalf("%s: recovered %v times from local/peer/remote", name, got)
+			}
+			lost := float64(res.TotalLost)
+			if lost >= float64(at)*phi {
+				t.Fatalf("%s: failure at %v rolled back all %.0f s of progress", name, at, lost)
+			}
+			sum += lost
+			sumSq += lost * lost
+			res.Release()
+		}
+		mean := sum / runs
+		se := math.Sqrt((sumSq-runs*mean*mean)/(runs-1)) / math.Sqrt(runs)
+		want := float64(m.Interval)/2 + float64(m.CheckpointTime)*phi
+		if math.Abs(mean-want) > 4*se {
+			t.Errorf("%s: mean lost %.1f s over %d failures, Eq. 1 says %.1f s (standard error %.1f s)", name, mean, runs, want, se)
+		}
+	}
 }
 
 func TestReplacementDelayHurts(t *testing.T) {

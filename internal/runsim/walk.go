@@ -6,6 +6,7 @@ import (
 	"gemini/internal/baselines"
 	"gemini/internal/cluster"
 	"gemini/internal/failure"
+	"gemini/internal/metrics"
 	"gemini/internal/placement"
 	"gemini/internal/simclock"
 )
@@ -49,7 +50,7 @@ type pass struct {
 }
 
 // runState is one run's side of a pass: its spec's constants, resolved
-// once, and its own progress, remote grid, result and taps.
+// once, and its own progress, result and taps.
 type runState struct {
 	res *Result
 	cpu bool
@@ -57,20 +58,20 @@ type runState struct {
 	place *placement.Placement
 	// phi is the productive fraction of uptime, stallFrac 1 − phi.
 	phi, stallFrac float64
-	// interval, lag and remoteInterval are the spec's Interval,
-	// CompletionLag and RemoteInterval.
-	interval, lag, remoteInterval simclock.Duration
+	// tier is each recovery source's Eq. 1 model, the spec's
+	// WastedModel: the Interval and completion lag (CheckpointTime) of
+	// the checkpoint tier the recovery reads.
+	tier [3]metrics.WastedTimeModel
 	// down is the spec's recovery downtime (Phases.Total) by (source, hardware): the
 	// replacement delay is paid when the group held a hardware failure.
 	down [3][2]simclock.Duration
 	// recoveries counts recoveries by source.
 	recoveries [3]int
 
-	progress           float64 // seconds of productive training achieved
-	lastRemoteProgress float64 // progress the newest remote checkpoint captured
-	resume, nextRemote simclock.Time
-	stall              simclock.Duration // the result's StallTime
-	taps               runTaps
+	progress float64 // seconds of productive training achieved
+	resume   simclock.Time
+	stall    simclock.Duration // the result's StallTime
+	taps     runTaps
 }
 
 // plan groups the configs into passes and sets up each run's state and
@@ -125,20 +126,15 @@ func newRunState(c *Config, out []*Result, k int) runState {
 	period := s.Interval + s.PerCheckpointStall
 	phi := float64(s.Interval / period)
 	rs := runState{
-		res:            &Result{},
-		cpu:            s.UsesCPUMemory,
-		place:          c.Placement,
-		phi:            phi,
-		stallFrac:      1 - phi,
-		interval:       s.Interval,
-		lag:            s.CompletionLag,
-		remoteInterval: s.RemoteInterval,
-		// Remote checkpoints fire on the RemoteInterval grid while
-		// training is up.
-		nextRemote: simclock.Time(s.RemoteInterval),
-		taps:       c.Obs.taps(),
+		res:       &Result{},
+		cpu:       s.UsesCPUMemory,
+		place:     c.Placement,
+		phi:       phi,
+		stallFrac: 1 - phi,
+		taps:      c.Obs.taps(),
 	}
 	for src := baselines.FromLocal; src <= baselines.FromRemote; src++ {
+		rs.tier[src] = s.WastedModel(src)
 		rs.down[src][0] = s.Phases(src, 0).Total()
 		rs.down[src][1] = s.Phases(src, c.ReplacementDelay).Total()
 	}
@@ -217,27 +213,9 @@ func (w *walker) walk(events failure.Schedule, p *pass) {
 // advance accrues progress over [resume, until), which must be
 // nonempty.
 func (rs *runState) advance(until simclock.Time) {
-	if rs.cpu {
-		rs.stepRemoteGrid(until)
-	}
 	up := float64(until.Sub(rs.resume))
 	rs.progress += up * rs.phi
 	rs.stall += simclock.Duration(up * rs.stallFrac)
-}
-
-// stepRemoteGrid fires the remote-tier checkpoints due before until.
-// Only a CPU-memory solution ever rolls back to lastRemoteProgress (its
-// FromRemote branch in recover), so advance steps the grid for those
-// alone; the progress and stall arithmetic is the same either way. It
-// is a function of its own so that advance stays small enough to
-// inline.
-func (rs *runState) stepRemoteGrid(until simclock.Time) {
-	for rs.nextRemote < until {
-		if rs.nextRemote >= rs.resume {
-			rs.lastRemoteProgress = rs.progress + float64(rs.nextRemote.Sub(rs.resume))*rs.phi
-		}
-		rs.nextRemote = rs.nextRemote.Add(rs.remoteInterval)
-	}
 }
 
 // recover handles one failure group of the given size that started at
@@ -253,16 +231,11 @@ func (rs *runState) recover(at simclock.Time, failures, hw int, src baselines.Re
 	}
 	rs.recoveries[src]++
 
-	// Roll back progress to the newest usable checkpoint: the CPU tier's
-	// (or a remote-storage solution's own) lags CompletionLag behind and
-	// captures progress on the Interval grid; a CPU-memory solution that
-	// lost a whole replica group falls back to its remote checkpoint.
-	var rollback float64
-	if rs.cpu && src == baselines.FromRemote {
-		rollback = rs.progress - rs.lastRemoteProgress
-	} else {
-		rollback = lostSinceCheckpoint(rs.progress, rs.interval, rs.lag, rs.phi)
-	}
+	// Roll back progress to the newest checkpoint of the tier the
+	// recovery reads (Eq. 1): it captured progress on the tier's
+	// interval grid and completes the tier's lag later.
+	t := &rs.tier[src]
+	rollback := lostSinceCheckpoint(rs.progress, t.Interval, t.CheckpointTime, rs.phi)
 	if rollback < 0 {
 		rollback = 0
 	}

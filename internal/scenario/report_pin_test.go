@@ -17,7 +17,7 @@ func TestObservedReportPinned(t *testing.T) {
 		path, hash, jsonSum string
 	}{
 		{"../../examples/scenarios/smoke-1k.yaml", "cda908f930a51d4f07c1332402c7f0e14990c85bf684c7f4d60019961299a452", "bd9c93624dd42dcae85bd8758db69bcfc6b410a3eb947f121961c22ba036ec9c"},
-		{"../../examples/scenarios/chaos-10k.yaml", "5fb2f9c786fd4c92f6e578f170ca717aea2a88552fbb2088f2d34ff84545ffc3", "0d19bc52ea3a20e4f52b569b65fabc7895d91baf51ea64be20e94e07a29f2f90"},
+		{"../../examples/scenarios/chaos-10k.yaml", "f00bb3db3330ffc8d57274a18e5489ab10b62f7701a0a1063b4269d3bf86fc8d", "97881ace75e982b0536e9f200ff56cfb894496ec8232c597abfd233620334821"},
 	} {
 		s, err := Load(tc.path)
 		if err != nil {
