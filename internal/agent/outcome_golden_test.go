@@ -114,7 +114,8 @@ func g(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 
 // writeOutcome runs one scenario under one strategy and appends every
 // simulated result to buf: the event log, the Eq. 1 ledger, the final
-// iteration, revision and traffic, and the full KV event stream.
+// iteration, revision and traffic, and the full KV event stream. After
+// every event it checks that no rank trains on a failed machine.
 // A non-nil onPoll is installed as the system's root-poll hook.
 func writeOutcome(t *testing.T, buf *bytes.Buffer, sc outcomeScenario, name string, onPoll func(*System)) {
 	t.Helper()
@@ -135,6 +136,13 @@ func writeOutcome(t *testing.T, buf *bytes.Buffer, sc outcomeScenario, name stri
 	})
 	sc.arm(f)
 	f.sys.Start()
+	// Step event by event, so that no rank is found training on a failed
+	// machine at any instant, then let Run move the clock to the horizon.
+	for f.engine.PeekTime() <= sc.horizon && f.engine.Step() {
+		if stuck := f.sys.StuckRanks(); f.sys.Training() && len(stuck) > 0 {
+			t.Fatalf("%s %s at %v: ranks %v train on failed machines", sc.name, name, f.engine.Now(), stuck)
+		}
+	}
 	f.engine.Run(sc.horizon)
 
 	tr := f.sys.Traffic()
