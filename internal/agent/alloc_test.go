@@ -15,8 +15,8 @@ import (
 // heartbeat on a healthy 16-machine cluster. It runs the same windows at
 // two heartbeat intervals: the root health checks and iteration commits
 // are the same in both, so the difference divided by the extra renewals
-// is the cost of a heartbeat alone — a lease renewal plus its share of
-// rearming the cohort's ticker and the lease sweep.
+// is the cost of a heartbeat alone: the cohort's share of a silent
+// tick, one Renew of its held leases.
 func TestHeartbeatSteadyStateAllocs(t *testing.T) {
 	const (
 		machines = 16
@@ -73,5 +73,36 @@ func TestRootCheckAllocsZero(t *testing.T) {
 	}
 	if allocs != 1 {
 		t.Fatalf("%v allocations listing one missing rank, want 1", allocs)
+	}
+}
+
+// TestHeldCohortAllocsZero: on a warm 16-machine cluster whose cohort
+// holds its leases, a member's failure settles the hold and holds the
+// other fifteen, its return holds all sixteen again, and a silent tick
+// renews them. The whole cycle allocates nothing.
+func TestHeldCohortAllocsZero(t *testing.T) {
+	f := newFixture(t, 16, 2, cloud.DefaultConfig())
+	f.sys.Start()
+	f.engine.Run(simclock.Time(2 * iterTime))
+	w, c := f.sys.workers[5], f.sys.cohorts[5]
+	now := f.engine.Now()
+	cycle := func() {
+		w.alive = false
+		f.sys.hold(c)
+		if f.sys.store.NextExpiry() == simclock.Forever {
+			t.Fatal("rank 5's lease did not leave the hold")
+		}
+		w.alive = true
+		f.sys.hold(c)
+		if !c.hold.Renew(now) {
+			t.Fatal("the re-held cohort's tick is not silent")
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("%v allocations per fail, settle and re-hold cycle, want 0", allocs)
+	}
+	if next := f.sys.store.NextExpiry(); next != simclock.Forever {
+		t.Fatalf("a lease outside the hold expires at %v after the cycle, want none", next)
 	}
 }

@@ -27,6 +27,9 @@ func (s *System) StartPartition(ranks ...int) {
 	for _, rank := range ranks {
 		s.checkRank(rank)
 		s.partitioned[rank] = true
+		if w := s.workers[rank]; w != nil && w.alive {
+			s.hold(s.cohorts[rank])
+		}
 	}
 	s.event(trace.CatChaos, "partition", "ranks %v isolated", ranks)
 	s.scheduleSweep()
@@ -55,7 +58,7 @@ func (s *System) HealPartition() {
 			// The process survived the partition: its next heartbeat is
 			// due within HeartbeatInterval, but re-publishing now closes
 			// the window where the root would re-detect it as failed.
-			s.refreshLease(w)
+			s.rejoin(w)
 		case !s.recovering && s.cluster.Machine(rank).Healthy():
 			// It was declared failed and replaced/restarted while
 			// unreachable, and no recovery is in flight: rejoin.

@@ -390,6 +390,9 @@ func TestBeatRegrantsTheMemberItStopsAt(t *testing.T) {
 	cut, lapsed := f.sys.workers[1], f.sys.workers[2]
 	cutLease := cut.lease
 	lapsed.lease = 0 // lost to an outage: the next tick must re-grant
+	// A lease that changes goes back to the cohort's hold, as every
+	// path that changes one does; a zero lease leaves the cohort unheld.
+	f.sys.hold(f.sys.cohorts[lapsed.rank])
 	before := f.sys.workers[3].lease
 	f.engine.Run(simclock.Time(f.sys.opts.HeartbeatInterval))
 	if cut.lease != cutLease {

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -74,8 +75,8 @@ type watcher struct {
 type lease struct {
 	id    LeaseID
 	ttl   simclock.Duration
-	keys  map[string]bool
-	index int // slot in Store.expiry
+	keys  []string // attached keys, in no order
+	index int      // slot in Store.expiry; while held, -1 minus its place in the hold
 }
 
 // leaseSlot is one entry of the expiry set. The slot holds the lease's
@@ -96,6 +97,7 @@ type Store struct {
 	expiry    []leaseSlot // the live leases, in no order
 	nextLease LeaseID
 	watchers  []*watcher
+	holds     []*Hold // the holds in force, in no order
 
 	// earliest is the smallest deadline in expiry (Forever when it is
 	// empty) unless stale is set; a renewal that moves the slot holding
@@ -117,8 +119,12 @@ type Store struct {
 	downSince simclock.Time
 	// jitterMax > 0 adds a deterministic pseudo-random extension of up to
 	// jitterMax to every lease expiry computed by Grant and KeepAlive.
-	jitterMax   simclock.Duration
-	jitterState uint64
+	// The n-th draw since SetLeaseJitter mixes jitterSeed + n·γ
+	// (SplitMix64, whose state is a Weyl counter), so draws counts them
+	// and any draw's value is computed in O(1).
+	jitterMax  simclock.Duration
+	jitterSeed uint64
+	draws      uint64
 }
 
 // New creates a store whose lease clock is supplied by now. A nil now
@@ -145,6 +151,11 @@ func (s *Store) SetAvailable(up bool) {
 		return
 	}
 	if !up {
+		// Nobody renews during the outage, so each held lease keeps the
+		// deadline of its last renewal, and shifts with the rest.
+		for len(s.holds) > 0 {
+			s.holds[0].Settle()
+		}
 		s.down = true
 		s.downSince = s.now()
 		return
@@ -172,17 +183,30 @@ func (s *Store) SetLeaseJitter(max simclock.Duration, seed int64) {
 	if !(max >= 0) || math.IsInf(float64(max), 1) {
 		panic(fmt.Sprintf("kvstore: lease jitter must be finite and non-negative, got %v", max))
 	}
+	// Held leases' grid renewals so far drew from the old stream: fix
+	// their deadlines before it goes.
+	for _, h := range s.holds {
+		h.reanchor()
+	}
 	s.jitterMax = max
-	s.jitterState = uint64(seed)
+	s.jitterSeed, s.draws = uint64(seed), 0
 }
 
-// nextJitter draws the next jitter amount (SplitMix64).
+// nextJitter draws the next jitter amount.
 func (s *Store) nextJitter() simclock.Duration {
 	if s.jitterMax <= 0 {
 		return 0
 	}
-	s.jitterState += 0x9E3779B97F4A7C15
-	z := s.jitterState
+	s.draws++
+	return s.jitterAt(s.draws)
+}
+
+// jitterAt is the n-th jitter draw of the current stream (SplitMix64).
+func (s *Store) jitterAt(n uint64) simclock.Duration {
+	if s.jitterMax <= 0 {
+		return 0
+	}
+	z := s.jitterSeed + n*0x9E3779B97F4A7C15
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	z ^= z >> 31
@@ -243,16 +267,14 @@ func (s *Store) expire() {
 	}
 	clear(s.expiry[kept:])
 	s.expiry, s.earliest = s.expiry[:kept], earliest
-	// Deterministic order for event delivery: by id, whatever the deadlines.
+	// Deterministic order for event delivery: by id, whatever the
+	// deadlines. Slots are not in id order: a settled hold appends its
+	// leases at the end.
 	sort.Slice(expired, func(i, j int) bool { return expired[i].id < expired[j].id })
 	for _, l := range expired {
 		s.leases[l.id-1] = nil
-		keys := make([]string, 0, len(l.keys))
-		for k := range l.keys {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		sort.Strings(l.keys)
+		for _, k := range l.keys {
 			if e, ok := s.data[k]; ok && e.Lease == l.id {
 				delete(s.data, k)
 				s.rev++
@@ -320,14 +342,14 @@ func (s *Store) put(key, value string, leaseID LeaseID) (int64, error) {
 	}
 	if old, ok := s.data[key]; ok && old.Lease != 0 && old.Lease != leaseID {
 		if prev := s.live(old.Lease); prev != nil {
-			delete(prev.keys, key)
+			prev.detach(key)
 		}
 	}
 	s.rev++
 	e := Entry{Key: key, Value: value, Rev: s.rev, Lease: leaseID}
 	s.data[key] = e
-	if l != nil {
-		l.keys[key] = true
+	if l != nil && !slices.Contains(l.keys, key) {
+		l.keys = append(l.keys, key)
 	}
 	s.notify(Event{Type: EventPut, Entry: e})
 	return s.rev, nil
@@ -357,7 +379,7 @@ func (s *Store) Delete(key string) bool {
 	}
 	if e.Lease != 0 {
 		if l := s.live(e.Lease); l != nil {
-			delete(l.keys, key)
+			l.detach(key)
 		}
 	}
 	delete(s.data, key)
@@ -405,12 +427,21 @@ func (s *Store) Grant(ttl simclock.Duration) (LeaseID, error) {
 	s.expire()
 	s.nextLease++
 	id := s.nextLease
-	l := &lease{id: id, ttl: ttl, keys: make(map[string]bool)}
+	l := &lease{id: id, ttl: ttl}
 	s.leases = append(s.leases, l)
 	l.index = len(s.expiry)
 	s.expiry = append(s.expiry, leaseSlot{expires: simclock.Forever, l: l})
 	s.setExpiry(l, s.now().Add(ttl+s.nextJitter()))
 	return id, nil
+}
+
+// detach removes key from the lease's keys, if it is there.
+func (l *lease) detach(key string) {
+	if i := slices.Index(l.keys, key); i >= 0 {
+		last := len(l.keys) - 1
+		l.keys[i] = l.keys[last]
+		l.keys = l.keys[:last]
+	}
 }
 
 // live returns the unexpired lease with the given id, or nil.
@@ -451,7 +482,15 @@ func (s *Store) KeepAliveAll(ids []LeaseID) (int, error) {
 		if l == nil {
 			break
 		}
-		s.setExpiry(l, now.Add(l.ttl+s.nextJitter()))
+		t := now.Add(l.ttl + s.nextJitter())
+		if l.index < 0 {
+			// A renewal off the hold's grid: the lease stays held, and
+			// this deadline stands until the next grid renewal.
+			h, hl := s.holdOf(l)
+			hl.anchor, hl.tick = t, h.ticks
+			continue
+		}
+		s.setExpiry(l, t)
 	}
 	if n < len(ids) {
 		return n, fmt.Errorf("kvstore: lease %d not found (expired?)", ids[n])
@@ -459,8 +498,9 @@ func (s *Store) KeepAliveAll(ids []LeaseID) (int, error) {
 	return n, nil
 }
 
-// NextExpiry returns the earliest lease expiry time, or simclock.Forever
-// when no leases exist. Simulation drivers schedule a sweep then.
+// NextExpiry returns the earliest expiry time of a lease that is not
+// held, or simclock.Forever when there is none. Simulation drivers
+// schedule a sweep then.
 func (s *Store) NextExpiry() simclock.Time {
 	if s.down {
 		return simclock.Forever
