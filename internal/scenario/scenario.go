@@ -137,8 +137,9 @@ type ReportConfig struct {
 }
 
 // Size limits, so that one scenario line cannot tie up a campaign for
-// hours (runsim's remote-checkpoint grid walks the horizon linearly) or
-// allocate per-machine and per-variation state without bound.
+// hours (a variation's failure schedule, and the walk over it, grow
+// with the horizon times the machine count) or allocate per-machine
+// and per-variation state without bound.
 const (
 	// MaxHorizon caps the simulated duration of one variation.
 	MaxHorizon = 3650 * simclock.Day
