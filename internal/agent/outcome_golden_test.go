@@ -18,14 +18,15 @@ import (
 )
 
 // outcomeScenario is one fault schedule of the control-plane outcome
-// golden, run on 16 machines under every strategy.
+// golden, run on its machines under every strategy.
 type outcomeScenario struct {
-	name    string
-	spec    func(n int, shard float64) baselines.Spec
-	opts    Options
-	cloud   cloud.Config
-	horizon simclock.Time
-	arm     func(f *fixture)
+	name     string
+	machines int
+	spec     func(n int, shard float64) baselines.Spec
+	opts     Options
+	cloud    cloud.Config
+	horizon  simclock.Time
+	arm      func(f *fixture)
 }
 
 // alignedSpec is chaosSpec with a whole-heartbeat local reload, so a
@@ -47,7 +48,7 @@ func outcomeScenarios() []outcomeScenario {
 			// One of each fault kind, rung by rung, under lease jitter:
 			// software, hardware and correlated crashes, a partition, a
 			// straggler whose replica peer crashes, a KV outage.
-			name: "ladder", spec: testSpec, opts: DefaultOptions(), cloud: cloud.DefaultConfig(),
+			name: "ladder", machines: 16, spec: testSpec, opts: DefaultOptions(), cloud: cloud.DefaultConfig(),
 			horizon: simclock.Time(200 * iterTime),
 			arm: func(f *fixture) {
 				f.at(0.5, func() { f.sys.SetLeaseJitter(3 * simclock.Second) })
@@ -68,7 +69,7 @@ func outcomeScenarios() []outcomeScenario {
 			// The root is partitioned away and fails over; a machine that
 			// crashes while partitioned rejoins through HealPartition; the
 			// new root dies; a crash lands inside a KV outage.
-			name: "root", spec: testSpec, opts: DefaultOptions(), cloud: cloud.DefaultConfig(),
+			name: "root", machines: 16, spec: testSpec, opts: DefaultOptions(), cloud: cloud.DefaultConfig(),
 			horizon: simclock.Time(180 * iterTime),
 			arm: func(f *fixture) {
 				f.at(1.5, func() { f.sys.SetLeaseJitter(2 * simclock.Second) })
@@ -95,7 +96,7 @@ func outcomeScenarios() []outcomeScenario {
 		{
 			// Integral costs and instants, so restarted workers share the
 			// first workers' heartbeat phase and fire at the same instants.
-			name: "aligned", spec: alignedSpec, opts: chaosOpts(), cloud: cloud.Config{Standby: 2, StandbyActivation: 10 * simclock.Second},
+			name: "aligned", machines: 16, spec: alignedSpec, opts: chaosOpts(), cloud: cloud.Config{Standby: 2, StandbyActivation: 10 * simclock.Second},
 			horizon: simclock.Time(60 * iterTime),
 			arm: func(f *fixture) {
 				f.engine.At(300, func() { f.sys.InjectFailure(3, cluster.SoftwareFailed) })
@@ -119,7 +120,7 @@ func g(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 // A non-nil onPoll is installed as the system's root-poll hook.
 func writeOutcome(t *testing.T, buf *bytes.Buffer, sc outcomeScenario, name string, onPoll func(*System)) {
 	t.Helper()
-	f := newSpecFixture(t, 16, 2, 75e9, sc.spec, sc.opts, sc.cloud)
+	f := newSpecFixture(t, sc.machines, 2, 75e9, sc.spec, sc.opts, sc.cloud)
 	if onPoll != nil {
 		f.sys.onPoll = func() { onPoll(f.sys) }
 	}
