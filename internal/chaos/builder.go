@@ -14,56 +14,61 @@ import (
 //		CrashGroup(190, cluster.HardwareFailed, 2, 4).
 //		Build(16)
 type Builder struct {
-	events Schedule
+	events  Schedule
+	entries int // calls so far: the next call's Event.Entry
 }
 
 // NewBuilder returns an empty schedule builder.
 func NewBuilder() *Builder { return &Builder{} }
 
+// add appends the events of one call, marking them as its entry.
+func (b *Builder) add(evs ...Event) *Builder {
+	for _, ev := range evs {
+		ev.Entry = b.entries
+		b.events = append(b.events, ev)
+	}
+	b.entries++
+	return b
+}
+
 // Crash fails one machine at the given time.
 func (b *Builder) Crash(at simclock.Time, rank int, state cluster.MachineState) *Builder {
-	b.events = append(b.events, Event{At: at, Kind: KindCrash, Ranks: []int{rank}, Machine: state})
-	return b
+	return b.add(Event{At: at, Kind: KindCrash, Ranks: []int{rank}, Machine: state})
 }
 
 // CrashGroup fails several machines together at the given time — a
 // correlated failure of a rack or placement group.
 func (b *Builder) CrashGroup(at simclock.Time, state cluster.MachineState, ranks ...int) *Builder {
-	b.events = append(b.events, Event{At: at, Kind: KindCorrelatedCrash, Ranks: append([]int(nil), ranks...), Machine: state})
-	return b
+	return b.add(Event{At: at, Kind: KindCorrelatedCrash, Ranks: append([]int(nil), ranks...), Machine: state})
 }
 
 // Partition isolates ranks from the rest of the cluster at the given
 // time and heals after healAfter.
 func (b *Builder) Partition(at simclock.Time, healAfter simclock.Duration, ranks ...int) *Builder {
-	b.events = append(b.events,
+	return b.add(
 		Event{At: at, Kind: KindPartitionStart, Ranks: append([]int(nil), ranks...)},
 		Event{At: at.Add(healAfter), Kind: KindPartitionHeal})
-	return b
 }
 
 // Straggler degrades a rank to factor of its bandwidth for the given
 // duration.
 func (b *Builder) Straggler(at simclock.Time, dur simclock.Duration, rank int, factor float64) *Builder {
-	b.events = append(b.events,
+	return b.add(
 		Event{At: at, Kind: KindStragglerStart, Ranks: []int{rank}, Factor: factor},
 		Event{At: at.Add(dur), Kind: KindStragglerEnd, Ranks: []int{rank}})
-	return b
 }
 
 // KVOutage takes the key-value store down for the given duration.
 func (b *Builder) KVOutage(at simclock.Time, dur simclock.Duration) *Builder {
-	b.events = append(b.events,
+	return b.add(
 		Event{At: at, Kind: KindKVOutage},
 		Event{At: at.Add(dur), Kind: KindKVRestore})
-	return b
 }
 
 // LeaseJitter enables lease-expiry jitter of up to max from the given
 // time onward.
 func (b *Builder) LeaseJitter(at simclock.Time, max simclock.Duration) *Builder {
-	b.events = append(b.events, Event{At: at, Kind: KindLeaseJitter, Jitter: max})
-	return b
+	return b.add(Event{At: at, Kind: KindLeaseJitter, Jitter: max})
 }
 
 // Build sorts the schedule deterministically and validates it against a

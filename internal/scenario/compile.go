@@ -237,27 +237,27 @@ func compileChaos(s *Scenario, fleet *FleetAssignment) (chaos.Schedule, error) {
 		switch cc.Kind {
 		case "crash":
 			sched = append(sched, chaos.Event{
-				At: at, Kind: chaos.KindCrash, Ranks: targetRanks(cc), Machine: machineState(cc.State),
+				Entry: i, At: at, Kind: chaos.KindCrash, Ranks: targetRanks(cc), Machine: machineState(cc.State),
 			})
 		case "correlated-crash":
 			sched = append(sched, chaos.Event{
-				At: at, Kind: chaos.KindCorrelatedCrash, Ranks: targetRanks(cc), Machine: machineState(cc.State),
+				Entry: i, At: at, Kind: chaos.KindCorrelatedCrash, Ranks: targetRanks(cc), Machine: machineState(cc.State),
 			})
 		case "partition":
 			sched = append(sched,
-				chaos.Event{At: at, Kind: chaos.KindPartitionStart, Ranks: targetRanks(cc)},
-				chaos.Event{At: at.Add(cc.Duration), Kind: chaos.KindPartitionHeal})
+				chaos.Event{Entry: i, At: at, Kind: chaos.KindPartitionStart, Ranks: targetRanks(cc)},
+				chaos.Event{Entry: i, At: at.Add(cc.Duration), Kind: chaos.KindPartitionHeal})
 		case "straggler":
 			ranks := targetRanks(cc)
 			sched = append(sched,
-				chaos.Event{At: at, Kind: chaos.KindStragglerStart, Ranks: ranks, Factor: cc.Factor},
-				chaos.Event{At: at.Add(cc.Duration), Kind: chaos.KindStragglerEnd, Ranks: ranks})
+				chaos.Event{Entry: i, At: at, Kind: chaos.KindStragglerStart, Ranks: ranks, Factor: cc.Factor},
+				chaos.Event{Entry: i, At: at.Add(cc.Duration), Kind: chaos.KindStragglerEnd, Ranks: ranks})
 		case "kv-outage":
 			sched = append(sched,
-				chaos.Event{At: at, Kind: chaos.KindKVOutage},
-				chaos.Event{At: at.Add(cc.Duration), Kind: chaos.KindKVRestore})
+				chaos.Event{Entry: i, At: at, Kind: chaos.KindKVOutage},
+				chaos.Event{Entry: i, At: at.Add(cc.Duration), Kind: chaos.KindKVRestore})
 		case "lease-jitter":
-			sched = append(sched, chaos.Event{At: at, Kind: chaos.KindLeaseJitter, Jitter: cc.Jitter})
+			sched = append(sched, chaos.Event{Entry: i, At: at, Kind: chaos.KindLeaseJitter, Jitter: cc.Jitter})
 		case "region-outage", "provider-outage":
 			if fleet == nil {
 				return nil, fmt.Errorf("scenario: chaos[%d] (%s) needs a fleet section", i, cc.Kind)
@@ -276,7 +276,7 @@ func compileChaos(s *Scenario, fleet *FleetAssignment) (chaos.Schedule, error) {
 			if len(ranks) == 1 {
 				kind = chaos.KindCrash
 			}
-			sched = append(sched, chaos.Event{At: at, Kind: kind, Ranks: ranks, Machine: machineState(cc.State)})
+			sched = append(sched, chaos.Event{Entry: i, At: at, Kind: kind, Ranks: ranks, Machine: machineState(cc.State)})
 		}
 	}
 	return sched, nil

@@ -243,7 +243,7 @@ func (s *Scenario) Validate() error {
 		return err
 	}
 	for i, c := range s.Chaos {
-		if err := c.validate(i, s.Horizon, s.Fleet); err != nil {
+		if err := c.validate(i, s.Horizon, s.Job.Machines, s.Fleet); err != nil {
 			return err
 		}
 	}
@@ -367,7 +367,7 @@ func (f FailureConfig) validate() error {
 	return nil
 }
 
-func (c ChaosConfig) validate(i int, horizon simclock.Duration, fleet *FleetConfig) error {
+func (c ChaosConfig) validate(i int, horizon simclock.Duration, machines int, fleet *FleetConfig) error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("scenario: chaos[%d] (%s): %s", i, c.Kind, fmt.Sprintf(format, args...))
 	}
@@ -381,6 +381,14 @@ func (c ChaosConfig) validate(i int, horizon simclock.Duration, fleet *FleetConf
 	}
 	if c.MaxRanks < 0 {
 		return bad("max_ranks must be ≥ 0, got %d", c.MaxRanks)
+	}
+	if c.Rank >= machines {
+		return fmt.Errorf("scenario: chaos[%d].rank %d out of range [0,%d) (job.machines)", i, c.Rank, machines)
+	}
+	for j, r := range c.Ranks {
+		if r < 0 || r >= machines {
+			return fmt.Errorf("scenario: chaos[%d].ranks[%d] %d out of range [0,%d) (job.machines)", i, j, r, machines)
+		}
 	}
 	targets := len(c.Ranks)
 	if c.Rank >= 0 {

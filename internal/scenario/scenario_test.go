@@ -346,7 +346,9 @@ func TestChaosValidation(t *testing.T) {
 		{"partition needs duration", "  - at: 1h\n    kind: partition\n    ranks: [1, 2]\n", "duration"},
 		{"straggler factor", "  - at: 1h\n    kind: straggler\n    ranks: [1]\n    factor: 2\n    duration: 5m\n", "factor"},
 		{"region without fleet", "  - at: 1h\n    kind: region-outage\n    region: mars\n    state: hardware\n", "not in the fleet"},
-		{"rank out of range compiles", "  - at: 1h\n    kind: crash\n    rank: 99\n    state: software\n", ""},
+		{"rank out of range", "  - at: 1h\n    kind: crash\n    rank: 99\n    state: software\n", "chaos[0].rank 99 out of range [0,16)"},
+		{"ranks entry out of range", "  - at: 1h\n    kind: partition\n    ranks: [1, 16]\n    duration: 5m\n", "chaos[0].ranks[1] 16 out of range [0,16)"},
+		{"negative ranks entry", "  - at: 1h\n    kind: straggler\n    ranks: [-2]\n    factor: 0.5\n    duration: 5m\n", "chaos[0].ranks[0] -2 out of range"},
 		// An event at or past the horizon would never fire but would
 		// still count in chaos_events; the negated check rejects +Inf too.
 		{"at past horizon", "  - at: 3d\n    kind: crash\n    rank: 1\n    state: software\n", "chaos[0].at must be in [0, horizon 48.00h), got 72.00h"},
@@ -371,25 +373,86 @@ func TestChaosValidation(t *testing.T) {
 		{"negative rank alone", "  - at: 1h\n    kind: crash\n    rank: -1\n    state: software\n", "chaos[0].rank must be ≥ 0, got -1"},
 	}
 	for _, tc := range cases {
-		s, err := Parse([]byte(withChaos(tc.entry)))
-		if tc.want == "" {
-			// Passes validation (rank bounds need the cluster size) but
-			// must fail at compile, where chaos.Validate(n) sees n.
-			if err != nil {
-				t.Errorf("%s: parse failed early: %v", tc.name, err)
-				continue
-			}
-			if _, err := s.Compile(); err == nil || !strings.Contains(err.Error(), "out of range") {
-				t.Errorf("%s: compile error %v, want rank-out-of-range", tc.name, err)
-			}
-			continue
-		}
+		_, err := Parse([]byte(withChaos(tc.entry)))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.want)
 		}
 	}
 	if _, err := Parse([]byte(withChaos("  - at: 47h59m\n    kind: crash\n    rank: 1\n    state: software\n"))); err != nil {
 		t.Errorf("chaos event just before the horizon rejected: %v", err)
+	}
+}
+
+// TestChaosErrorsNameTheirEntry: Compile sorts the chaos events by
+// time before validating the windows, so an error must name the
+// chaos[i] entry the event came from, not its place in the sorted
+// schedule. A rank beyond job.machines fails at Parse, naming the
+// field.
+func TestChaosErrorsNameTheirEntry(t *testing.T) {
+	cases := []struct {
+		name, entries, want string
+		atParse             bool
+	}{
+		{"nested partition", `  - at: 2h
+    kind: crash
+    rank: 1
+    state: software
+  - at: 1h
+    kind: partition
+    ranks: [2]
+    duration: 2h
+  - at: 90m
+    kind: partition
+    ranks: [3]
+    duration: 10m
+`, "chaos[2] (partition-start): opens a partition inside another partition window", false},
+		{"overlapping stragglers", `  - at: 3h
+    kind: crash
+    rank: 1
+    state: software
+  - at: 2h
+    kind: straggler
+    rank: 4
+    factor: 0.5
+    duration: 1h
+  - at: 150m
+    kind: straggler
+    rank: 4
+    factor: 0.5
+    duration: 1h
+`, "chaos[2] (straggler-start): degrades rank 4 inside another straggler window", false},
+		{"overlapping kv outages", `  - at: 3h
+    kind: crash
+    rank: 1
+    state: software
+  - at: 2h
+    kind: kv-outage
+    duration: 1h
+  - at: 150m
+    kind: kv-outage
+    duration: 1h
+`, "chaos[2] (kv-outage): opens a KV outage inside another outage window", false},
+		{"rank beyond the cluster", `  - at: 2h
+    kind: kv-outage
+    duration: 1h
+  - at: 1h
+    kind: crash
+    rank: 99
+    state: software
+`, "chaos[1].rank 99 out of range [0,16)", true},
+	}
+	for _, tc := range cases {
+		s, err := Parse([]byte(smallYAML + "\nchaos:\n" + tc.entries))
+		if !tc.atParse {
+			if err != nil {
+				t.Errorf("%s: parse failed early: %v", tc.name, err)
+				continue
+			}
+			_, err = s.Compile()
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.want)
+		}
 	}
 }
 
