@@ -151,10 +151,9 @@ type System struct {
 	// of the store.
 	present []bool
 	missing int
-	// renewIDs and renewAt are a cohort tick's scratch: the leases it
-	// renews, in start order, and their members' places in the cohort.
+	// renewIDs is hold's scratch: the leases a cohort holds, in start
+	// order.
 	renewIDs []kvstore.LeaseID
-	renewAt  []int
 	// onPoll, when set, runs in every root poll that reads the presence
 	// table, just after the poll's sweep. Tests use it to check the
 	// table against the store.
@@ -430,17 +429,11 @@ func (s *System) heartbeat(batch []*worker) {
 }
 
 // beat is one tick of a cohort: it drops members whose machines died,
-// renews the rest, and stops the ticker once nobody is left.
-//
-// The renewals go to the store as one KeepAliveAll, which renews in
-// start order and stops at the first lease it cannot renew. That
-// member re-grants its lease, as refreshLease would after the failed
-// KeepAlive, and the batch resumes with the next member, so the store
-// sees the same operations in the same order as one refreshLease per
-// member.
+// renews the rest in start order through refreshLease, re-granting a
+// lease that lapsed, and stops the ticker once nobody is left.
 func (s *System) beat(c *cohort) {
 	c.hold.Settle()
-	ids, at := s.renewIDs[:0], s.renewAt[:0]
+	renewed := false
 	live := c.members[:0]
 	for _, w := range c.members {
 		if !w.alive {
@@ -450,20 +443,13 @@ func (s *System) beat(c *cohort) {
 		// its lease expires and the root declares it failed — exactly
 		// the ambiguity real partitions create.
 		if !s.partitioned[w.rank] {
-			ids = append(ids, w.lease)
-			at = append(at, len(live))
+			s.refreshLease(w)
+			renewed = true
 		}
 		live = append(live, w)
 	}
 	clear(c.members[len(live):])
 	c.members = live
-	for i := 0; i < len(ids); i++ {
-		n, _ := s.store.KeepAliveAll(ids[i:])
-		if i += n; i < len(ids) {
-			s.grantLease(live[at[i]])
-		}
-	}
-	s.renewIDs, s.renewAt = ids[:0], at[:0]
 	if len(live) == 0 {
 		c.ticker.Stop()
 		return
@@ -471,7 +457,7 @@ func (s *System) beat(c *cohort) {
 	s.hold(c)
 	// A tick that renewed nobody leaves the sweep alone, as the
 	// per-worker tickers of partitioned members did.
-	if len(ids) > 0 {
+	if renewed {
 		s.scheduleSweep()
 	}
 }

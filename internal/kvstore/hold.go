@@ -11,7 +11,7 @@ import (
 // and a renewal that lands before the deadline changes nothing anyone
 // can observe. So a heartbeat cohort whose members are alive and
 // reachable hands its leases to a Hold, and each tick of its heartbeat
-// is one O(1) Renew instead of a KeepAliveAll.
+// is one O(1) Renew instead of a KeepAlive per lease.
 //
 // A held lease is out of the expiry set: its TTL exceeds the grid's
 // period, so it can never fall due before its next renewal, and neither
@@ -28,7 +28,7 @@ import (
 //
 // Settling is exact. The lease's deadline is its last grid instant plus
 // its TTL and that renewal's jitter draw, the same float operations
-// KeepAliveAll makes. The draw is found in O(1): a grid renewal draws
+// KeepAlive makes. The draw is found in O(1): a grid renewal draws
 // one value per lease, in the order the leases were held, so Renew only
 // notes where its draws start and moves the stream's draw count on.
 type Hold struct {
@@ -52,7 +52,7 @@ type heldLease struct {
 // Hold hands the leases ids to h, in the order its grid renews them,
 // first settling whatever h held. It reports false, holding nothing,
 // when the store is down or a lease is not live, is held elsewhere or
-// is due now: such a batch must be renewed with KeepAliveAll. The
+// is due now: such leases must be renewed with KeepAlive. The
 // caller must Renew h at intervals shorter than every lease's TTL, the
 // first no later than one interval from now.
 func (s *Store) Hold(h *Hold, ids []LeaseID) bool {
@@ -109,10 +109,10 @@ func (s *Store) removeSlot(l *lease) {
 }
 
 // Renew is one grid renewal of every held lease at t, the store's
-// current time. It is exactly KeepAliveAll of the held leases, in the
-// order they were held, when that call would only renew: it reports
+// current time. It is exactly a KeepAlive of each held lease, in the
+// order they were held, when those calls would only renew: it reports
 // false, changing nothing, when h is not held, or when the store is
-// down or a lease outside the hold is due at t, so that the call would
+// down or a lease outside the hold is due at t, so that the calls would
 // fail or expire the lease first. A hold of no leases renews nothing
 // and calls nothing, so it is always silent.
 func (h *Hold) Renew(t simclock.Time) bool {
