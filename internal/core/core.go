@@ -314,7 +314,7 @@ func (j *Job) RecoverySystem(cloudCfg cloud.Config) (*simclock.Engine, *agent.Sy
 		sys.SetMetrics(j.Spec.Metrics)
 	}
 	if len(j.Spec.Faults) > 0 {
-		chaos.Arm(engine, sys, j.Spec.Faults)
+		sys.Arm(j.Spec.Faults)
 	}
 	return engine, sys, nil
 }
