@@ -6,6 +6,13 @@ set -eux
 
 go build ./...
 go vet ./...
+# Dependency direction: chaos builds and validates fault schedules and
+# the agent arms them (agent.System.Arm), so chaos must never import the
+# agent back.
+if go list -deps ./internal/chaos | grep -qx 'gemini/internal/agent'; then
+	echo "internal/chaos depends on internal/agent" >&2
+	exit 1
+fi
 # Formatting gate over tracked Go files only, so the benchmark build's
 # module cache under .bench_build/ stays out of it.
 test -z "$(gofmt -l $(git ls-files '*.go'))"
