@@ -9,7 +9,8 @@ import (
 )
 
 // FuzzParseScenario feeds arbitrary bytes to the YAML subset and the
-// binder. Parse must never panic, and any scenario it accepts with at
+// binder. Parse must never panic, must reject an input with the same
+// error every time it parses it, and any scenario it accepts with at
 // most 1,024 machines must Compile without panicking (an error is fine).
 // Every accepted input must also bind to the same scenario when spelled
 // as JSON: its decoded tree, marshalled, must parse to a deeply equal
@@ -24,9 +25,13 @@ func FuzzParseScenario(f *testing.F) {
 		f.Add(src)
 	}
 	f.Add([]byte(smallYAML + "fleet:\n  regions:\n    us-east-1: inf\n    us-west-2: 1\n"))
+	f.Add([]byte(smallYAML + "fleet:\n  regions:\n    c: z\n    a: inf\n    b: y\n"))
 	f.Fuzz(func(t *testing.T, src []byte) {
 		s, err := Parse(src)
 		if err != nil {
+			if _, again := Parse(src); again == nil || again.Error() != err.Error() {
+				t.Fatalf("second parse of a rejected input: %v, first: %v", again, err)
+			}
 			return
 		}
 		if utf8.Valid(src) {
