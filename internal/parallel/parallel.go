@@ -24,76 +24,42 @@ import (
 func Workers() int { return runtime.GOMAXPROCS(0) }
 
 // ForEach runs fn(0) … fn(n-1) across at most workers goroutines and
-// waits for all of them. workers ≤ 0 means Workers(). With one worker
-// (or n ≤ 1) it runs inline on the calling goroutine — no goroutines,
-// no allocations. A panic in any fn is re-raised on the caller.
+// waits for all of them: ForEachErr with no context and no error.
+// workers ≤ 0 means Workers(). With one worker (or n ≤ 1) it runs
+// inline on the calling goroutine — no goroutines, and no allocations,
+// since only the pooled path wraps fn. A panic in any fn is re-raised on
+// the caller.
 func ForEach(workers, n int, fn func(i int)) {
-	if n <= 0 {
+	if width(workers, n) > 1 {
+		ForEachErr(context.Background(), workers, n, func(i int) error { fn(i); return nil })
 		return
 	}
-	if workers <= 0 {
-		workers = Workers()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		panicMu sync.Mutex
-		panicV  any
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicV == nil {
-						panicV = r
-					}
-					// Poison the counter so remaining workers drain.
-					next.Store(int64(n))
-					panicMu.Unlock()
-				}
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	if panicV != nil {
-		panic(panicV)
+	for i := 0; i < n; i++ {
+		fn(i)
 	}
 }
 
-// ForEachErr is ForEach with context cancellation and error propagation:
-// it stops handing out new indices once the context is done or any fn
-// has failed, waits for in-flight calls, and returns the error of the
-// lowest-numbered failing index (so the reported error is deterministic
-// regardless of scheduling), or the context's error if it fired first.
+// width is the number of workers that run n indices: workers (or
+// Workers() when workers ≤ 0), at most n.
+func width(workers, n int) int {
+	if workers <= 0 {
+		workers = Workers()
+	}
+	return min(workers, n)
+}
+
+// ForEachErr runs fn(0) … fn(n-1) across at most workers goroutines
+// (≤ 0 means Workers(); one runs inline). It stops handing out new
+// indices once the context is done or any fn has failed or panicked,
+// waits for in-flight calls, and then re-raises the first panic on the
+// caller, or returns the error of the lowest-numbered failing index (so
+// the reported error is deterministic regardless of scheduling), or the
+// context's error if it fired first.
 func ForEachErr(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
-	if workers <= 0 {
-		workers = Workers()
-	}
-	if workers > n {
-		workers = n
-	}
+	workers = width(workers, n)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
@@ -105,42 +71,58 @@ func ForEachErr(ctx context.Context, workers, n int, fn func(i int) error) error
 		}
 		return nil
 	}
-	var (
+	// One shared struct, so the workers' state is one allocation.
+	var st struct {
 		next   atomic.Int64
 		halted atomic.Bool
 		wg     sync.WaitGroup
 		mu     sync.Mutex
-		errIdx = -1
-		errV   error
-	)
-	wg.Add(workers)
+		errIdx int
+		err    error
+		panicV any
+	}
+	st.errIdx = -1
+	st.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
-			defer wg.Done()
-			for !halted.Load() {
+			defer st.wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					st.mu.Lock()
+					if st.panicV == nil {
+						st.panicV = r
+					}
+					st.mu.Unlock()
+					st.halted.Store(true)
+				}
+			}()
+			for !st.halted.Load() {
 				if ctx.Err() != nil {
-					halted.Store(true)
+					st.halted.Store(true)
 					return
 				}
-				i := int(next.Add(1)) - 1
+				i := int(st.next.Add(1)) - 1
 				if i >= n {
 					return
 				}
 				if err := fn(i); err != nil {
-					mu.Lock()
-					if errIdx < 0 || i < errIdx {
-						errIdx, errV = i, err
+					st.mu.Lock()
+					if st.errIdx < 0 || i < st.errIdx {
+						st.errIdx, st.err = i, err
 					}
-					mu.Unlock()
-					halted.Store(true)
+					st.mu.Unlock()
+					st.halted.Store(true)
 					return
 				}
 			}
 		}()
 	}
-	wg.Wait()
-	if errV != nil {
-		return errV
+	st.wg.Wait()
+	if st.panicV != nil {
+		panic(st.panicV)
+	}
+	if st.err != nil {
+		return st.err
 	}
 	return ctx.Err()
 }

@@ -42,6 +42,27 @@ func TestForEachPanicPropagates(t *testing.T) {
 	})
 }
 
+// A panicking fn at several workers reaches the caller, which can
+// recover it, instead of killing the process from a worker goroutine.
+func TestForEachErrPanicPropagates(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Fatalf("workers=%d: recovered %v, want boom", workers, r)
+				}
+			}()
+			ForEachErr(context.Background(), workers, 100, func(i int) error {
+				if i == 37 {
+					panic("boom")
+				}
+				return nil
+			})
+			t.Fatalf("workers=%d: ForEachErr returned", workers)
+		}()
+	}
+}
+
 func TestForEachErrLowestIndexWins(t *testing.T) {
 	errLow := errors.New("low")
 	errHigh := errors.New("high")
