@@ -313,7 +313,6 @@ func BenchmarkAblationPlacementStrategies(b *testing.B) {
 func BenchmarkAblationPipelineDepth(b *testing.B) {
 	job := core.MustNewJob(JobSpec{Model: "GPT-2 40B", Instance: "p3dn.24xlarge", Machines: 16})
 	for _, p := range []int{1, 2, 4, 8} {
-		p := p
 		b.Run(benchName("p", p), func(b *testing.B) {
 			var overhead float64
 			for i := 0; i < b.N; i++ {
@@ -332,7 +331,6 @@ func BenchmarkAblationPipelineDepth(b *testing.B) {
 // probability at k=3 against the checkpoint traffic volume.
 func BenchmarkAblationReplicaCount(b *testing.B) {
 	for _, m := range []int{1, 2, 3, 4} {
-		m := m
 		b.Run(benchName("m", m), func(b *testing.B) {
 			var prob float64
 			for i := 0; i < b.N; i++ {
@@ -349,7 +347,6 @@ func BenchmarkAblationReplicaCount(b *testing.B) {
 func BenchmarkAblationGamma(b *testing.B) {
 	job := core.MustNewJob(JobSpec{Model: "GPT-2 100B", Instance: "p4d.24xlarge", Machines: 16})
 	for _, gamma := range []float64{0.5, 0.7, 0.9, 1.0} {
-		gamma := gamma
 		b.Run(benchName("gamma-x100", int(gamma*100)), func(b *testing.B) {
 			var fits float64
 			for i := 0; i < b.N; i++ {

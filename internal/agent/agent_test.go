@@ -285,7 +285,6 @@ func TestSequentialFailuresAllRecover(t *testing.T) {
 	for i, kind := range kinds {
 		rank := (i*2 + 1) % 6
 		at := simclock.Time((10 + 40*i)) * simclock.Time(iterTime)
-		kind := kind
 		f.engine.At(at+10, func() { f.sys.InjectFailure(rank, kind) })
 	}
 	f.engine.Run(simclock.Time(140 * iterTime))
@@ -426,7 +425,6 @@ func TestLongevityManyRandomFailures(t *testing.T) {
 		t.Fatalf("schedule too light for a longevity test: %d events", len(schedule))
 	}
 	for _, ev := range schedule {
-		ev := ev
 		f.engine.At(ev.At, func() { f.sys.InjectFailure(ev.Rank, ev.Kind) })
 	}
 	f.engine.Run(simclock.Time(horizon))

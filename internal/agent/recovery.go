@@ -198,7 +198,6 @@ func (s *System) beginRecovery(failed []int) {
 		}
 		sort.Ints(ranks)
 		for _, rank := range ranks {
-			rank := rank
 			pending++
 			s.operator.RequestReplacement(rank, func(delay simclock.Duration) {
 				s.cluster.Replace(rank)

@@ -54,7 +54,6 @@ func TestDerivationCacheRaceHammer(t *testing.T) {
 	}
 	// Direct resolvers: tight loops over a mix of hot and distinct keys.
 	for g := 0; g < 4; g++ {
-		g := g
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

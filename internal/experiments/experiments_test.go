@@ -13,7 +13,6 @@ import (
 
 func TestAllExperimentsRun(t *testing.T) {
 	for _, e := range All() {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			out, err := e.Run()
 			if err != nil {
@@ -28,7 +27,6 @@ func TestAllExperimentsRun(t *testing.T) {
 
 func TestAblationsRun(t *testing.T) {
 	for _, e := range Ablations() {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			out, err := e.Run()
 			if err != nil {

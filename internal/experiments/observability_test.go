@@ -22,7 +22,6 @@ func TestRunAllPerRunSinksUnderRace(t *testing.T) {
 	tracers := make([]*trace.Tracer, runs)
 	regs := make([]*metrics.Registry, runs)
 	for i := range exps {
-		i := i
 		tr := trace.NewTracer(nil)
 		reg := metrics.NewRegistry()
 		tracers[i], regs[i] = tr, reg

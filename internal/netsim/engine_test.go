@@ -58,7 +58,6 @@ func TestSameInstantCompletionsFireInStartOrder(t *testing.T) {
 	e, f := newTestFabric(t, 5, Config{EgressBytesPerSec: 100})
 	var order []int
 	for i := 0; i < 4; i++ {
-		i := i
 		f.StartFlow(0, i+1, 1000, "eq", func(*Flow) { order = append(order, i) })
 	}
 	e.RunAll()

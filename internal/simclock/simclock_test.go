@@ -15,7 +15,6 @@ func TestEngineFiresInTimeOrder(t *testing.T) {
 	var got []Time
 	times := []Time{5, 1, 3, 2, 4}
 	for _, at := range times {
-		at := at
 		e.At(at, func() { got = append(got, at) })
 	}
 	if n := e.RunAll(); n != len(times) {
@@ -35,7 +34,6 @@ func TestEngineTieBreaksBySchedulingOrder(t *testing.T) {
 	e := NewEngine()
 	var got []int
 	for i := 0; i < 10; i++ {
-		i := i
 		e.At(7, func() { got = append(got, i) })
 	}
 	e.RunAll()
@@ -153,7 +151,6 @@ func TestRunBoundedByHorizon(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
 	for _, at := range []Time{1, 2, 3, 4, 5} {
-		at := at
 		e.At(at, func() { fired = append(fired, at) })
 	}
 	n := e.Run(3)
