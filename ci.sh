@@ -87,6 +87,12 @@ fi
 # without panicking (a non-finite weight once hung Compile).
 go test -run='^$' -fuzz=FuzzParseScenario -fuzztime=10s ./internal/scenario
 
+# Generated-chaos fuzz: any seed's schedule of the six builder kinds, on
+# 16 machines under every strategy, must never leave a rank training on
+# a failed machine, must leave well-formed Eq. 1 records, and must rerun
+# byte-identically.
+go test -run='^$' -fuzz=FuzzGeneratedChaos -fuzztime=10s ./internal/agent
+
 # Trace linter fuzz: arbitrary bytes through trace.Lint must never panic
 # and must lint the same way twice; a traced executor run's export seeds
 # the corpus and must lint clean.

@@ -198,7 +198,7 @@ func runHealth(job *gemini.Job, reg *gemini.MetricsRegistry, tr *gemini.Tracer, 
 		return err
 	}
 	spec := job.Spec
-	spec.Faults, spec.Metrics = sched, reg
+	spec.Faults, spec.Metrics, spec.Tracer = sched, reg, tr
 	monitored, err := gemini.NewJob(spec)
 	if err != nil {
 		return err
@@ -207,11 +207,6 @@ func runHealth(job *gemini.Job, reg *gemini.MetricsRegistry, tr *gemini.Tracer, 
 	if err != nil {
 		return err
 	}
-	// The tracer joins after the registry: attaching the registry
-	// samples the health gauges, and into a tracer already attached
-	// those samples would add three counter events at time 0 that a
-	// tracer-only run does not have.
-	sys.SetTracer(tr)
 	sys.SetRemoteEvery(10)
 	rec := gemini.NewMetricsRecorder(reg, 4096)
 	rec.Watch("health.iteration", "health.replica_coverage", "health.min_replicas",

@@ -604,7 +604,7 @@ func (s *System) InjectFailure(rank int, kind cluster.MachineState) {
 	s.event(trace.CatChaos, "failure", "rank %d: %v", rank, kind)
 	// Coverage degrades the instant the machine (and, for hardware, its
 	// CPU memory) is gone — not at the next iteration boundary.
-	s.observeHealth()
+	s.observeHealth(s.rootTrack)
 	s.scheduleSweep()
 }
 

@@ -54,7 +54,9 @@ func (s *System) SetMetrics(reg *metrics.Registry) {
 		stratSwitches: reg.Counter("strategy.switches"),
 		stratActive:   reg.Gauge("strategy.active"),
 	}
-	s.observeHealth()
+	// Seed the gauges, sampling into no track: attaching a registry
+	// writes nothing to an attached tracer.
+	s.observeHealth(nil)
 }
 
 // WastedEvents returns the per-failure Eq. 1 records in completion
@@ -62,11 +64,12 @@ func (s *System) SetMetrics(reg *metrics.Registry) {
 func (s *System) WastedEvents() []strategy.Outcome { return s.wastedEvents }
 
 // observeHealth refreshes the coverage and staleness gauges from the
-// checkpoint engine's placement state. Called at every gauge-moving
+// checkpoint engine's placement state, and samples them on track when
+// it is enabled. Called, with the root track, at every gauge-moving
 // control-plane transition: iteration completion, failure injection,
 // recovery completion. Reads state only — never schedules events.
-func (s *System) observeHealth() {
-	if s.health == nil && !s.rootTrack.Enabled() {
+func (s *System) observeHealth(track *trace.Track) {
+	if s.health == nil && !track.Enabled() {
 		return
 	}
 	alive := func(rank int) bool { return s.cluster.Machine(rank).Healthy() }
@@ -102,10 +105,10 @@ func (s *System) observeHealth() {
 		h.staleRemote.Set(float64(staleRemote))
 		h.stratActive.Set(float64(strategy.Index(s.strategy.Active())))
 	}
-	if s.rootTrack.Enabled() {
-		s.rootTrack.Sample("replica_coverage", coverage)
-		s.rootTrack.Sample("min_replicas", float64(minReplicas))
-		s.rootTrack.Sample("ckpt_staleness_local", float64(staleLocal))
+	if track.Enabled() {
+		track.Sample("replica_coverage", coverage)
+		track.Sample("min_replicas", float64(minReplicas))
+		track.Sample("ckpt_staleness_local", float64(staleLocal))
 	}
 }
 

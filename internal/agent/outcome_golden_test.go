@@ -116,7 +116,9 @@ func g(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 // writeOutcome runs one scenario under one strategy and appends every
 // simulated result to buf: the event log, the Eq. 1 ledger, the final
 // iteration, revision and traffic, and the full KV event stream. After
-// every event it checks that no rank trains on a failed machine.
+// every event it checks that no rank trains on a failed machine, and at
+// the end that every Eq. 1 record is well formed: detected no later than
+// resumed, T_recovery the span between them, and no negative term.
 // A non-nil onPoll is installed as the system's root-poll hook.
 func writeOutcome(t *testing.T, buf *bytes.Buffer, sc outcomeScenario, name string, onPoll func(*System)) {
 	t.Helper()
@@ -152,6 +154,9 @@ func writeOutcome(t *testing.T, buf *bytes.Buffer, sc outcomeScenario, name stri
 		f.sys.Iteration(), f.sys.Store().Rev(), f.sys.Recoveries(), f.sys.Training(), f.sys.RootRank())
 	fmt.Fprintf(buf, "traffic %s %s %s\n", g(tr.Replication), g(tr.Retrieval), g(tr.Remote))
 	for _, ev := range f.sys.WastedEvents() {
+		if !(ev.Detected <= ev.Resumed && ev.TRecovery == ev.Resumed.Sub(ev.Detected) && ev.TLost >= 0 && ev.LostIterations >= 0) {
+			t.Fatalf("%s %s: ill-formed recovery record %+v", sc.name, name, ev)
+		}
 		fmt.Fprintf(buf, "wasted %s %s %v %s %d %d %s %s\n", g(float64(ev.Detected)), g(float64(ev.Resumed)),
 			ev.Ranks, ev.Source, ev.Version, ev.LostIterations, g(float64(ev.TLost)), g(float64(ev.TRecovery)))
 	}

@@ -71,7 +71,7 @@ func (s *System) completeIteration() {
 	// Best-effort: during a store outage the committed-iteration key lags
 	// behind; recovery reads versions from the checkpoint engine, not here.
 	_, _ = s.store.Put(iterationKey, strconv.FormatInt(iter, 10), 0)
-	s.observeHealth()
+	s.observeHealth(s.rootTrack)
 }
 
 // commitFull commits owner's whole shard at iteration on holder. With a
@@ -404,7 +404,7 @@ func (s *System) attemptRetrieval(failed []int, hardware map[int]bool, attempt i
 			s.recovering = false
 			s.recoveries++
 			s.strategy.OnRecovered(s.recordRecovery(failed, source, version, lostIters, len(hardware) > 0))
-			s.observeHealth()
+			s.observeHealth(s.rootTrack)
 			s.event(trace.CatAgent, "recovery-complete", "resumed at iteration %d", version)
 			s.rootTrack.End() // closes the "recovery" span from beginRecovery
 			// The root itself may have been among the failed; ensure a

@@ -4,14 +4,17 @@
 // crashes, network partitions, stragglers, key-value store outages,
 // lease jitter — which the agent control plane arms as timed
 // injections (agent.System.Arm) and the long-run simulator lowers to
-// machine failures (Failures). The paper's fail-stop
-// independent model (§6) is the easy case; this package exists to
-// exercise the recovery paths that model hides.
+// machine failures (Failures). The paper's fail-stop independent model
+// (§6) is the easy case; this package exists to exercise the recovery
+// paths that model hides. The kind table states once what each kind
+// is, and AppendEntry lowers an authored entry for the Builder and the
+// scenario compiler alike.
 package chaos
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"gemini/internal/cluster"
@@ -46,31 +49,47 @@ const (
 	// KindCorrelatedCrash fails several machines at the same instant —
 	// a rack or placement group sharing a failure domain.
 	KindCorrelatedCrash
+	// NumKinds counts the kinds: the kind table has one row for each.
+	NumKinds
 )
 
-func (k Kind) String() string {
-	switch k {
-	case KindCrash:
-		return "crash"
-	case KindCorrelatedCrash:
-		return "correlated-crash"
-	case KindPartitionStart:
-		return "partition-start"
-	case KindPartitionHeal:
-		return "partition-heal"
-	case KindStragglerStart:
-		return "straggler-start"
-	case KindStragglerEnd:
-		return "straggler-end"
-	case KindKVOutage:
-		return "kv-outage"
-	case KindKVRestore:
-		return "kv-restore"
-	case KindLeaseJitter:
-		return "lease-jitter"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
+// kindSpec is one row of the kind table: a kind's name and what its events read.
+type kindSpec struct {
+	name     string
+	minRanks int  // the fewest target ranks; 0 for kinds that target none
+	kills    bool // carries a failure state and fails its ranks
+	factor   bool // carries a bandwidth factor in (0, 1]
+	jitter   bool // carries a finite, non-negative lease jitter
+	window   bool // opens a window that an event of kind closer ends
+	closer   Kind
+}
+
+// kinds is the kind table, read by String, Check, AppendEntry and Failures.
+var kinds = [NumKinds]kindSpec{
+	KindPartitionHeal:   {name: "partition-heal"},
+	KindKVRestore:       {name: "kv-restore"},
+	KindStragglerEnd:    {name: "straggler-end", minRanks: 1},
+	KindPartitionStart:  {name: "partition-start", minRanks: 1, window: true, closer: KindPartitionHeal},
+	KindKVOutage:        {name: "kv-outage", window: true, closer: KindKVRestore},
+	KindStragglerStart:  {name: "straggler-start", minRanks: 1, factor: true, window: true, closer: KindStragglerEnd},
+	KindLeaseJitter:     {name: "lease-jitter", jitter: true},
+	KindCrash:           {name: "crash", minRanks: 1, kills: true},
+	KindCorrelatedCrash: {name: "correlated-crash", minRanks: 2, kills: true},
+}
+
+// spec returns the kind's row; the zero row, unnamed, for an unknown kind.
+func (k Kind) spec() kindSpec {
+	if k < 0 || int(k) >= len(kinds) {
+		return kindSpec{}
 	}
+	return kinds[k]
+}
+
+func (k Kind) String() string {
+	if name := k.spec().name; name != "" {
+		return name
+	}
+	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // Event is one scheduled fault.
@@ -112,122 +131,138 @@ func firstRank(ev Event) int {
 	if len(ev.Ranks) == 0 {
 		return -1
 	}
-	min := ev.Ranks[0]
-	for _, r := range ev.Ranks {
-		if r < min {
-			min = r
-		}
-	}
-	return min
+	return slices.Min(ev.Ranks)
 }
 
-// Validate checks the schedule against a cluster of n machines: ordered
-// events, in-range ranks, sane parameters, and properly paired windows
-// (partition and KV-outage windows cannot nest or overlap, because heal
-// and restore apply to everything at once). An error names the entry
-// the offending event came from.
+// AppendEntry appends the events one authored entry lowers to, each
+// marked with entry: ev itself and, when ev opens a window, the closer
+// dur later, on ev's ranks if the closer takes ranks.
+func AppendEntry(s Schedule, entry int, ev Event, dur simclock.Duration) Schedule {
+	ev.Entry = entry
+	s = append(s, ev)
+	if spec := ev.Kind.spec(); spec.window {
+		end := Event{At: ev.At.Add(dur), Kind: spec.closer, Entry: entry}
+		if spec.closer.spec().minRanks > 0 {
+			end.Ranks = ev.Ranks
+		}
+		s = append(s, end)
+	}
+	return s
+}
+
+// Check validates one event alone against a cluster of n machines: a
+// known kind, a non-negative time, distinct in-range ranks, and the
+// parameters its kind's row names. An error names the event's entry.
+func (ev Event) Check(n int) error {
+	spec := ev.Kind.spec()
+	if spec.name == "" {
+		return ev.errorf("has unknown kind")
+	}
+	if ev.At < 0 {
+		return ev.errorf("at negative time %v", ev.At)
+	}
+	// Sorting a copy only when out of order keeps an outage's ascending
+	// ranks one pass.
+	sorted := ev.Ranks
+	if !slices.IsSorted(sorted) {
+		sorted = slices.Sorted(slices.Values(sorted))
+	}
+	for i, r := range sorted {
+		if r < 0 || r >= n {
+			return ev.errorf("rank %d out of range [0,%d)", r, n)
+		}
+		if i > 0 && r == sorted[i-1] {
+			return ev.errorf("names rank %d twice", r)
+		}
+	}
+	if len(ev.Ranks) < spec.minRanks {
+		return ev.errorf("needs ≥ %d ranks, got %d", spec.minRanks, len(ev.Ranks))
+	}
+	if spec.kills && ev.Machine != cluster.SoftwareFailed && ev.Machine != cluster.HardwareFailed {
+		return ev.errorf("has non-failure machine state %v", ev.Machine)
+	}
+	if spec.factor && !(ev.Factor > 0 && ev.Factor <= 1) {
+		return ev.errorf("factor %v out of (0,1]", ev.Factor)
+	}
+	if spec.jitter && (!(ev.Jitter >= 0) || math.IsInf(float64(ev.Jitter), 1)) {
+		return ev.errorf("jitter %v must be finite and non-negative", ev.Jitter)
+	}
+	return nil
+}
+
+// errorf returns an error about ev that names the entry it came from.
+func (ev Event) errorf(format string, args ...any) error {
+	return fmt.Errorf("chaos: chaos[%d] (%v): %s", ev.Entry, ev.Kind, fmt.Sprintf(format, args...))
+}
+
+// Validate checks the schedule against a cluster of n machines: every
+// event passes Check, in order, and windows pair up (partition and
+// KV-outage windows cannot nest or overlap, because heal and restore
+// apply to everything at once). An error names the offending entry.
 func (s Schedule) Validate(n int) error {
-	partitionOpen := false
-	kvDown := false
+	partitionOpen, kvDown := false, false
 	degraded := map[int]bool{}
 	for i, ev := range s {
-		bad := func(format string, args ...any) error {
-			return fmt.Errorf("chaos: chaos[%d] (%v): %s", ev.Entry, ev.Kind, fmt.Sprintf(format, args...))
-		}
-		if ev.At < 0 {
-			return bad("at negative time %v", ev.At)
+		if err := ev.Check(n); err != nil {
+			return err
 		}
 		if i > 0 && ev.At < s[i-1].At {
 			return fmt.Errorf("chaos: events out of order at %d (sort the schedule)", i)
 		}
-		for _, r := range ev.Ranks {
-			if r < 0 || r >= n {
-				return bad("rank %d out of range [0,%d)", r, n)
-			}
-		}
 		switch ev.Kind {
-		case KindCrash, KindCorrelatedCrash:
-			if len(ev.Ranks) == 0 {
-				return bad("has no target ranks")
-			}
-			if ev.Machine != cluster.SoftwareFailed && ev.Machine != cluster.HardwareFailed {
-				return bad("has non-failure machine state %v", ev.Machine)
-			}
-			if ev.Kind == KindCorrelatedCrash && len(ev.Ranks) < 2 {
-				return bad("correlated crash needs ≥ 2 ranks")
-			}
 		case KindPartitionStart:
-			if len(ev.Ranks) == 0 {
-				return bad("partition has no ranks")
-			}
 			if partitionOpen {
-				return bad("opens a partition inside another partition window")
+				return ev.errorf("opens a partition inside another partition window")
 			}
 			partitionOpen = true
 		case KindPartitionHeal:
 			if !partitionOpen {
-				return bad("heals with no open partition")
+				return ev.errorf("heals with no open partition")
 			}
 			partitionOpen = false
 		case KindStragglerStart:
-			if len(ev.Ranks) == 0 {
-				return bad("straggler has no ranks")
-			}
-			if !(ev.Factor > 0 && ev.Factor <= 1) {
-				return bad("straggler factor %v out of (0,1]", ev.Factor)
-			}
 			for _, r := range ev.Ranks {
 				if degraded[r] {
-					return bad("degrades rank %d inside another straggler window", r)
+					return ev.errorf("degrades rank %d inside another straggler window", r)
 				}
 				degraded[r] = true
 			}
 		case KindStragglerEnd:
-			if len(ev.Ranks) == 0 {
-				return bad("straggler end has no ranks")
-			}
 			// Ends sort before starts at the same instant, so a
 			// zero-duration straggler fails here instead of leaving its
 			// rank degraded forever.
 			for _, r := range ev.Ranks {
 				if !degraded[r] {
-					return bad("ends a straggler on rank %d that is not degraded", r)
+					return ev.errorf("ends a straggler on rank %d that is not degraded", r)
 				}
 				delete(degraded, r)
 			}
 		case KindKVOutage:
 			if kvDown {
-				return bad("opens a KV outage inside another outage window")
+				return ev.errorf("opens a KV outage inside another outage window")
 			}
 			kvDown = true
 		case KindKVRestore:
 			if !kvDown {
-				return bad("restores a store that is not down")
+				return ev.errorf("restores a store that is not down")
 			}
 			kvDown = false
-		case KindLeaseJitter:
-			if !(ev.Jitter >= 0) || math.IsInf(float64(ev.Jitter), 1) {
-				return bad("lease jitter %v must be finite and non-negative", ev.Jitter)
-			}
-		default:
-			return bad("has unknown kind")
 		}
 	}
 	return nil
 }
 
-// Failures lowers the machine-killing subset of the schedule — crashes
-// and correlated crashes — into a failure.Schedule for the long-run
-// simulator. Partitions, stragglers, KV outages, and lease jitter have
-// no analogue in runsim's §7.3 accounting and are dropped. The result
-// is ordered and deduplicated through failure.AppendMerge, so a rank
-// hit by a software and a hardware crash at the same instant collapses
-// to one hardware failure.
+// Failures lowers the kinds that kill machines — crashes and correlated
+// crashes — into a failure.Schedule for the long-run simulator.
+// Partitions, stragglers, KV outages, and lease jitter have no analogue
+// in runsim's §7.3 accounting and are dropped. The result is ordered
+// and deduplicated through failure.AppendMerge, so a rank hit by a
+// software and a hardware crash at the same instant collapses to one
+// hardware failure.
 func (s Schedule) Failures() failure.Schedule {
 	var out failure.Schedule
 	for _, ev := range s {
-		switch ev.Kind {
-		case KindCrash, KindCorrelatedCrash:
+		if ev.Kind.spec().kills {
 			for _, r := range ev.Ranks {
 				out = append(out, failure.Event{At: ev.At, Rank: r, Kind: ev.Machine})
 			}

@@ -188,9 +188,13 @@ func TestScheduleValidation(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	// Sequential (non-overlapping) windows are fine.
+	// Sequential (non-overlapping) windows are fine, and so are
+	// distinct ranks out of order.
 	if _, err := chaos.NewBuilder().Partition(0, 10, 1).Partition(20, 10, 2).KVOutage(40, 5).Build(4); err != nil {
 		t.Errorf("sequential windows rejected: %v", err)
+	}
+	if _, err := chaos.NewBuilder().CrashGroup(0, cluster.HardwareFailed, 3, 0, 2).Build(4); err != nil {
+		t.Errorf("distinct unsorted ranks rejected: %v", err)
 	}
 }
 
@@ -210,6 +214,14 @@ func TestValidateNamesTheEntry(t *testing.T) {
 			chaos.NewBuilder().KVOutage(3600, 3600).KVOutage(5400, 600).Crash(0, 1, cluster.SoftwareFailed)},
 		{"rank out of range", "chaos[1] (crash): rank 99 out of range [0,8)",
 			chaos.NewBuilder().KVOutage(3600, 600).Crash(0, 99, cluster.SoftwareFailed)},
+		// A repeated rank would turn a correlated crash into a failure
+		// of one machine, or a straggler into an overlap with itself.
+		{"repeated rank", "chaos[1] (correlated-crash): names rank 5 twice",
+			chaos.NewBuilder().KVOutage(0, 10).CrashGroup(100, cluster.HardwareFailed, 5, 5)},
+		{"repeated unsorted rank", "chaos[0] (correlated-crash): names rank 2 twice",
+			chaos.NewBuilder().CrashGroup(100, cluster.SoftwareFailed, 2, 6, 2)},
+		{"repeated partition rank", "chaos[0] (partition-start): names rank 1 twice",
+			chaos.NewBuilder().Partition(0, 10, 1, 3, 1)},
 	}
 	for _, tc := range cases {
 		if _, err := tc.b.Build(8); err == nil || !strings.Contains(err.Error(), tc.want) {

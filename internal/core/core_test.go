@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"strings"
@@ -218,6 +219,32 @@ func TestRecoverySystemEndToEnd(t *testing.T) {
 	}
 	if !sys.Training() {
 		t.Fatal("training did not resume")
+	}
+}
+
+// TestRecoverySystemMetricsLeaveTraceAlone: attaching a registry seeds
+// the health gauges but writes nothing to the trace, so a recovery
+// system with both sinks in its spec traces byte for byte what the same
+// run with only a tracer does.
+func TestRecoverySystemMetricsLeaveTraceAlone(t *testing.T) {
+	run := func(reg *metrics.Registry) []byte {
+		tr := trace.NewTracer(nil)
+		j := MustNewJob(JobSpec{Model: "GPT-2 100B", Instance: "p4d.24xlarge", Machines: 16, Tracer: tr, Metrics: reg})
+		engine, sys, err := j.RecoverySystem(cloud.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Start()
+		engine.Run(simclock.Time(5 * j.Timeline.Iteration))
+		var buf bytes.Buffer
+		if err := trace.WriteJSON(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	traced, both := run(nil), run(metrics.NewRegistry())
+	if !bytes.Equal(traced, both) {
+		t.Fatalf("attaching metrics changed the trace: %d bytes with a tracer alone, %d with metrics too", len(traced), len(both))
 	}
 }
 

@@ -221,42 +221,19 @@ func assignDimension(n int, ws []Weight, rng *rand.Rand) []string {
 }
 
 // compileChaos lowers the declarative chaos entries onto chaos.Schedule
-// events, resolving outage kinds through the fleet assignment.
+// events through chaos.AppendEntry, first resolving an outage kind
+// through the fleet assignment to a crash or a correlated crash.
 func compileChaos(s *Scenario, fleet *FleetAssignment) (chaos.Schedule, error) {
 	var sched chaos.Schedule
 	for i, cc := range s.Chaos {
-		at := simclock.Time(cc.At)
-		switch cc.Kind {
-		case "crash":
-			sched = append(sched, chaos.Event{
-				Entry: i, At: at, Kind: chaos.KindCrash, Ranks: targetRanks(cc), Machine: machineStates[cc.State],
-			})
-		case "correlated-crash":
-			sched = append(sched, chaos.Event{
-				Entry: i, At: at, Kind: chaos.KindCorrelatedCrash, Ranks: targetRanks(cc), Machine: machineStates[cc.State],
-			})
-		case "partition":
-			sched = append(sched,
-				chaos.Event{Entry: i, At: at, Kind: chaos.KindPartitionStart, Ranks: targetRanks(cc)},
-				chaos.Event{Entry: i, At: at.Add(cc.Duration), Kind: chaos.KindPartitionHeal})
-		case "straggler":
-			ranks := targetRanks(cc)
-			sched = append(sched,
-				chaos.Event{Entry: i, At: at, Kind: chaos.KindStragglerStart, Ranks: ranks, Factor: cc.Factor},
-				chaos.Event{Entry: i, At: at.Add(cc.Duration), Kind: chaos.KindStragglerEnd, Ranks: ranks})
-		case "kv-outage":
-			sched = append(sched,
-				chaos.Event{Entry: i, At: at, Kind: chaos.KindKVOutage},
-				chaos.Event{Entry: i, At: at.Add(cc.Duration), Kind: chaos.KindKVRestore})
-		case "lease-jitter":
-			sched = append(sched, chaos.Event{Entry: i, At: at, Kind: chaos.KindLeaseJitter, Jitter: cc.Jitter})
-		case "region-outage", "provider-outage":
+		ev := cc.event()
+		if field, name := cc.outage(); field != "" {
 			if fleet == nil {
 				return nil, fmt.Errorf("scenario: chaos[%d] (%s) needs a fleet section", i, cc.Kind)
 			}
-			name, ranks := cc.Region, fleet.RegionRanks(cc.Region)
-			if cc.Kind == "provider-outage" {
-				name, ranks = cc.Provider, fleet.ProviderRanks(cc.Provider)
+			ranks := fleet.RegionRanks(name)
+			if field == "provider" {
+				ranks = fleet.ProviderRanks(name)
 			}
 			if cc.MaxRanks > 0 && len(ranks) > cc.MaxRanks {
 				ranks = ranks[:cc.MaxRanks]
@@ -264,22 +241,24 @@ func compileChaos(s *Scenario, fleet *FleetAssignment) (chaos.Schedule, error) {
 			if len(ranks) == 0 {
 				return nil, fmt.Errorf("scenario: chaos[%d] (%s) %q resolves to no machines", i, cc.Kind, name)
 			}
-			kind := chaos.KindCorrelatedCrash
 			if len(ranks) == 1 {
-				kind = chaos.KindCrash
+				ev.Kind = chaos.KindCrash
 			}
-			sched = append(sched, chaos.Event{Entry: i, At: at, Kind: kind, Ranks: ranks, Machine: machineStates[cc.State]})
+			ev.Ranks = ranks
 		}
+		sched = chaos.AppendEntry(sched, i, ev, cc.Duration)
 	}
 	return sched, nil
 }
 
-// targetRanks merges the singular rank and plural ranks fields.
-func targetRanks(cc ChaosConfig) []int {
-	out := append([]int(nil), cc.Ranks...)
-	if cc.Rank >= 0 {
-		out = append(out, cc.Rank)
+// event is the entry's one event, or its window's opener, on the sorted
+// union of rank and ranks; an outage's ranks resolve in compileChaos.
+func (c ChaosConfig) event() chaos.Event {
+	ranks := append([]int(nil), c.Ranks...)
+	if c.Rank >= 0 {
+		ranks = append(ranks, c.Rank)
 	}
-	sort.Ints(out)
-	return out
+	sort.Ints(ranks)
+	return chaos.Event{At: simclock.Time(c.At), Kind: chaosFields[c.Kind].kind, Ranks: ranks,
+		Machine: machineStates[c.State], Factor: c.Factor, Jitter: c.Jitter}
 }

@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"gemini/internal/baselines"
+	"gemini/internal/chaos"
 	"gemini/internal/cluster"
 	"gemini/internal/core"
 	"gemini/internal/failure"
@@ -154,17 +155,21 @@ const (
 )
 
 // chaosFields is the chaos vocabulary the compiler accepts: for each
-// kind, the fields besides at and kind that its compiled events read.
-// The binder rejects any other field on an entry of that kind.
-var chaosFields = map[string][]string{
-	"crash":            {"rank", "ranks", "state"},
-	"correlated-crash": {"rank", "ranks", "state"},
-	"partition":        {"rank", "ranks", "duration"},
-	"straggler":        {"rank", "ranks", "duration", "factor"},
-	"kv-outage":        {"duration"},
-	"lease-jitter":     {"jitter"},
-	"region-outage":    {"region", "state", "max_ranks"},
-	"provider-outage":  {"provider", "state", "max_ranks"},
+// kind, the chaos.Kind it lowers to (an outage resolving to one rank
+// lowers to a crash) and the fields besides at and kind that its events
+// read. The binder rejects any other field on an entry of that kind.
+var chaosFields = map[string]struct {
+	kind   chaos.Kind
+	fields []string
+}{
+	"crash":            {chaos.KindCrash, []string{"rank", "ranks", "state"}},
+	"correlated-crash": {chaos.KindCorrelatedCrash, []string{"rank", "ranks", "state"}},
+	"partition":        {chaos.KindPartitionStart, []string{"rank", "ranks", "duration"}},
+	"straggler":        {chaos.KindStragglerStart, []string{"rank", "ranks", "duration", "factor"}},
+	"kv-outage":        {chaos.KindKVOutage, []string{"duration"}},
+	"lease-jitter":     {chaos.KindLeaseJitter, []string{"jitter"}},
+	"region-outage":    {chaos.KindCorrelatedCrash, []string{"region", "state", "max_ranks"}},
+	"provider-outage":  {chaos.KindCorrelatedCrash, []string{"provider", "state", "max_ranks"}},
 }
 
 // The scenario's other enum vocabularies, each read by both Validate
@@ -386,7 +391,8 @@ func (c ChaosConfig) validate(i int, horizon simclock.Duration, machines int, fl
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("scenario: chaos[%d] (%s): %s", i, c.Kind, fmt.Sprintf(format, args...))
 	}
-	if _, ok := chaosFields[c.Kind]; !ok {
+	kind, ok := chaosFields[c.Kind]
+	if !ok {
 		return fmt.Errorf("scenario: chaos[%d] kind %q unknown", i, c.Kind)
 	}
 	// An event at or past the horizon would never fire, yet would still
@@ -405,82 +411,50 @@ func (c ChaosConfig) validate(i int, horizon simclock.Duration, machines int, fl
 			return fmt.Errorf("scenario: chaos[%d].ranks[%d] %d out of range [0,%d) (job.machines)", i, j, r, machines)
 		}
 	}
-	targets := len(c.Ranks)
-	if c.Rank >= 0 {
-		targets++
-	}
-	needState := func() error {
-		if _, ok := machineStates[c.State]; !ok {
-			return bad("state must be software or hardware, got %q", c.State)
-		}
-		return nil
-	}
-	switch c.Kind {
-	case "crash":
-		if targets == 0 {
-			return bad("needs rank or ranks")
-		}
-		return needState()
-	case "correlated-crash":
-		if targets < 2 {
-			return bad("needs ≥ 2 ranks")
-		}
-		return needState()
-	case "partition":
-		if targets == 0 {
-			return bad("needs ranks")
-		}
-		if !(c.Duration > 0) {
-			return bad("needs a positive duration, got %v", c.Duration)
-		}
-	case "straggler":
-		if targets == 0 {
-			return bad("needs ranks")
-		}
-		if !(c.Factor > 0 && c.Factor <= 1) {
-			return bad("factor %v out of (0,1]", c.Factor)
-		}
-		if !(c.Duration > 0) {
-			return bad("needs a positive duration, got %v", c.Duration)
-		}
-	case "kv-outage":
-		if !(c.Duration > 0) {
-			return bad("needs a positive duration, got %v", c.Duration)
-		}
-	case "lease-jitter":
-		if !(c.Jitter >= 0) {
-			return bad("jitter must be ≥ 0, got %v", c.Jitter)
-		}
-	case "region-outage", "provider-outage":
-		name, field, group := c.Region, "region", []Weight(nil)
-		if c.Kind == "provider-outage" {
-			name, field = c.Provider, "provider"
-		}
+	field, name := c.outage()
+	if field != "" {
 		if name == "" {
 			return bad("needs %s", field)
 		}
+		var group []Weight
 		if fleet != nil {
-			if c.Kind == "region-outage" {
-				group = fleet.Regions
-			} else {
+			group = fleet.Regions
+			if field == "provider" {
 				group = fleet.Providers
 			}
 		}
-		if !hasWeight(group, name) {
+		if !slices.ContainsFunc(group, func(w Weight) bool { return w.Name == name }) {
 			return bad("%s %q is not in the fleet", field, name)
 		}
-		return needState()
+	}
+	if _, ok := machineStates[c.State]; !ok && slices.Contains(kind.fields, "state") {
+		return bad("state must be software or hardware, got %q", c.State)
+	}
+	if !(c.Duration > 0) && slices.Contains(kind.fields, "duration") {
+		return bad("needs a positive duration, got %v", c.Duration)
+	}
+	if field != "" {
+		return nil // an outage's ranks resolve at Compile
+	}
+	// Every rule of the kind itself is chaos.Event.Check's.
+	for _, ev := range chaos.AppendEntry(nil, i, c.event(), c.Duration) {
+		if err := ev.Check(machines); err != nil {
+			return fmt.Errorf("scenario: %w", err)
+		}
 	}
 	return nil
 }
 
-func hasWeight(ws []Weight, name string) bool {
-	for _, w := range ws {
-		if w.Name == name {
-			return true
-		}
+// outage returns the fleet field, region or provider, that names an
+// outage entry's domain, and its value; field is empty for other kinds.
+func (c ChaosConfig) outage() (field, name string) {
+	switch c.Kind {
+	case "region-outage":
+		return "region", c.Region
+	case "provider-outage":
+		return "provider", c.Provider
 	}
-	return false
+	return "", ""
 }
 
 func (r RunConfig) validate() error {
@@ -881,12 +855,12 @@ func (c ChaosConfig) checkFields(n *node) {
 		n.fail("scenario: %s.rank must be ≥ 0, got %d", n.path, c.Rank)
 		return
 	}
-	fields, ok := chaosFields[c.Kind]
+	kind, ok := chaosFields[c.Kind]
 	if !ok {
 		return
 	}
 	stray := func(k string) bool {
-		return n.m[k] != nil && k != "at" && k != "kind" && !slices.Contains(fields, k)
+		return n.m[k] != nil && k != "at" && k != "kind" && !slices.Contains(kind.fields, k)
 	}
 	if k, found := firstKey(n.m, stray); found {
 		n.fail("scenario: %s.%s does not apply to %s", n.path, k, c.Kind)

@@ -371,6 +371,13 @@ func TestChaosValidation(t *testing.T) {
 		// must fail rather than vanish beside ranks.
 		{"negative rank beside ranks", "  - at: 1h\n    kind: crash\n    rank: -3\n    ranks: [1]\n    state: software\n", "chaos[0].rank must be ≥ 0, got -3"},
 		{"negative rank alone", "  - at: 1h\n    kind: crash\n    rank: -1\n    state: software\n", "chaos[0].rank must be ≥ 0, got -1"},
+		// A repeated rank, within ranks or across rank and ranks, once
+		// compiled to a "correlated" failure of one machine, and a
+		// straggler on [1, 1] failed Compile as overlapping itself.
+		{"repeated correlated rank", "  - at: 1h\n    kind: correlated-crash\n    ranks: [5, 5]\n    state: software\n", "chaos[0] (correlated-crash): names rank 5 twice"},
+		{"rank repeated in ranks", "  - at: 1h\n    kind: correlated-crash\n    rank: 5\n    ranks: [5]\n    state: hardware\n", "chaos[0] (correlated-crash): names rank 5 twice"},
+		{"repeated straggler rank", "  - at: 1h\n    kind: kv-outage\n    duration: 1m\n  - at: 2h\n    kind: straggler\n    ranks: [1, 1]\n    factor: 0.5\n    duration: 5m\n", "chaos[1] (straggler-start): names rank 1 twice"},
+		{"repeated partition rank", "  - at: 1h\n    kind: partition\n    rank: 2\n    ranks: [2, 3]\n    duration: 5m\n", "chaos[0] (partition-start): names rank 2 twice"},
 	}
 	for _, tc := range cases {
 		_, err := Parse([]byte(withChaos(tc.entry)))
