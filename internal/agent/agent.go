@@ -171,8 +171,15 @@ type System struct {
 	lastRemoteCommitted int64
 	training            bool
 	recovering          bool
-	iterEv              simclock.EventID
-	data                *statemgr.Manager // optional byte-level data plane
+	// iterEv is the one training-iteration event, rearmed for every
+	// iteration; iterStart is when the pending iteration began.
+	iterEv    simclock.EventID
+	iterStart simclock.Time
+	// healthy reports whether a rank's machine is healthy: the
+	// predicate every iteration's commit plan and health sample read,
+	// bound once.
+	healthy func(rank int) bool
+	data    *statemgr.Manager // optional byte-level data plane
 
 	// strategy owns checkpoint placement/cadence and recovery-source
 	// policy; the system keeps the mechanism (leases, detection,
@@ -241,6 +248,7 @@ func NewSystem(engine *simclock.Engine, cl *cluster.Cluster, ck *ckpt.Engine,
 		partitioned:      make([]bool, cl.Size()),
 		stragglers:       make(map[int]float64),
 	}
+	s.healthy = s.machineHealthy
 	s.store.Watch(hbPrefix, s.trackHeartbeat)
 	el, err := kvstore.NewElection(s.store, leaderKey)
 	if err != nil {
@@ -251,6 +259,8 @@ func NewSystem(engine *simclock.Engine, cl *cluster.Cluster, ck *ckpt.Engine,
 	s.bindStrategy()
 	return s, nil
 }
+
+func (s *System) machineHealthy(rank int) bool { return s.cluster.Machine(rank).Healthy() }
 
 // SetStrategy installs a checkpoint strategy (a fresh, unbound instance
 // from the strategy registry). Call before Start; the default is the

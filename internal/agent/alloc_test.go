@@ -5,6 +5,7 @@
 package agent
 
 import (
+	"runtime"
 	"testing"
 
 	"gemini/internal/cloud"
@@ -104,5 +105,32 @@ func TestHeldCohortAllocsZero(t *testing.T) {
 	}
 	if next := f.sys.store.NextExpiry(); next != simclock.Forever {
 		t.Fatalf("a lease outside the hold expires at %v after the cycle, want none", next)
+	}
+}
+
+// TestHealthyIterationAllocs pins what one healthy iteration of a warm
+// 16-machine cluster allocates: a minute of simulated time past
+// iteration 100, holding one iteration event (its commit plan, the
+// checkpoint commits and the committed-iteration key), twelve root
+// polls and the cohort's silent heartbeats. The iteration event is
+// rearmed and its health predicate bound once, so what is left is the
+// committed-iteration string the store keeps.
+func TestHealthyIterationAllocs(t *testing.T) {
+	// Measured: 1 (4 when each iteration allocated a fresh event, its
+	// closure and a health-predicate closure).
+	const want = 1
+	f := newFixture(t, 16, 2, cloud.DefaultConfig())
+	f.sys.Start()
+	f.engine.Run(simclock.Time(100*iterTime + iterTime/2))
+	start := f.sys.Iteration()
+	runtime.GC()
+	allocs := testing.AllocsPerRun(20, func() {
+		f.engine.Run(f.engine.Now().Add(iterTime))
+	})
+	if got := f.sys.Iteration() - start; got != 21 || f.sys.Recoveries() != 0 {
+		t.Fatalf("healthy run: %d iterations and %d recoveries, want 21 and 0", got, f.sys.Recoveries())
+	}
+	if allocs != want {
+		t.Fatalf("%v allocations per healthy iteration, want %d", allocs, want)
 	}
 }

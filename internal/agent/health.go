@@ -72,8 +72,7 @@ func (s *System) observeHealth(track *trace.Track) {
 	if s.health == nil && !track.Enabled() {
 		return
 	}
-	alive := func(rank int) bool { return s.cluster.Machine(rank).Healthy() }
-	covered, minReplicas := s.ckpt.Coverage(alive)
+	covered, minReplicas := s.ckpt.Coverage(s.healthy)
 	coverage := float64(covered) / float64(s.placement.N)
 
 	// Local staleness: the worst owner's distance from its newest
@@ -82,7 +81,7 @@ func (s *System) observeHealth(track *trace.Track) {
 	var staleLocal int64
 	for owner := 0; owner < s.placement.N; owner++ {
 		stale := s.iteration
-		if v, ok := s.ckpt.NewestCommitted(owner, alive); ok {
+		if v, ok := s.ckpt.NewestCommitted(owner, s.healthy); ok {
 			stale = s.iteration - v
 		}
 		if stale < 0 {

@@ -13,20 +13,33 @@ import (
 	"gemini/internal/trace"
 )
 
-// scheduleIteration arms the next training-iteration completion.
+// scheduleIteration arms the next training-iteration completion. The
+// one iteration event is created on first use and rearmed after that:
+// it is never pending here, since it either just fired or recovery
+// canceled it, and a rearm takes the same sequence number a fresh event
+// would, so the firing order is the same.
 func (s *System) scheduleIteration() {
 	if !s.training || s.recovering {
 		return
 	}
-	start := s.engine.Now()
-	s.iterEv = s.engine.After(s.spec.Interval, func() {
-		s.completeIteration()
-		if s.rootTrack.Enabled() {
-			s.rootTrack.SpanArgs(trace.CatAgent, "iteration", start, s.engine.Now(),
-				fmt.Sprintf("iter=%d", s.iteration))
-		}
-		s.scheduleIteration()
-	})
+	s.iterStart = s.engine.Now()
+	at := s.iterStart.Add(s.spec.Interval)
+	if s.iterEv == (simclock.EventID{}) {
+		s.iterEv = s.engine.At(at, s.iterate)
+		return
+	}
+	s.engine.Rearm(s.iterEv, at)
+}
+
+// iterate is the iteration event: it completes the iteration armed at
+// iterStart and arms the next.
+func (s *System) iterate() {
+	s.completeIteration()
+	if s.rootTrack.Enabled() {
+		s.rootTrack.SpanArgs(trace.CatAgent, "iteration", s.iterStart, s.engine.Now(),
+			fmt.Sprintf("iter=%d", s.iteration))
+	}
+	s.scheduleIteration()
 }
 
 // completeIteration advances training by one iteration, commits the
@@ -38,11 +51,10 @@ func (s *System) scheduleIteration() {
 func (s *System) completeIteration() {
 	s.iteration++
 	iter := s.iteration
-	healthy := func(rank int) bool { return s.cluster.Machine(rank).Healthy() }
 	if s.data != nil {
-		s.data.Step(iter, healthy)
+		s.data.Step(iter, s.healthy)
 	}
-	for _, c := range s.strategy.PlanCommit(iter, healthy) {
+	for _, c := range s.strategy.PlanCommit(iter, s.healthy) {
 		switch c.Kind {
 		case strategy.CommitFull:
 			s.commitFull(c.Holder, c.Owner, iter)

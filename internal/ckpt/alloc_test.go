@@ -6,14 +6,29 @@ package ckpt
 
 import "testing"
 
-// Once every slot exists, a round of full commits, a round of deltas and
-// a round of refreshes allocate nothing: each commit rewrites the slot's
-// two resident generations in place.
+// A round of full commits, a round of deltas and a round of refreshes
+// allocate nothing, the very first round included: every slot lives in
+// the engine's flat table from construction, and each commit rewrites
+// its slot's two resident generations in place.
 func TestCommitRoundAllocsZero(t *testing.T) {
-	e := newEngine(t, 8, 2)
+	// AllocsPerRun makes one warm-up run before the measured ones, so
+	// every run gets a fresh engine for its first round.
+	const runs = 10
+	fresh := make([]*Engine, runs+1)
+	for i := range fresh {
+		fresh[i] = newEngine(t, 8, 2)
+	}
+	next := 0
+	first := testing.AllocsPerRun(runs, func() {
+		checkpointAll(fresh[next], 1)
+		next++
+	})
+	if first != 0 {
+		t.Fatalf("first commit round allocates %v times, want 0", first)
+	}
+	e := fresh[0]
 	p := e.Placement()
 	iter := int64(1)
-	checkpointAll(e, iter)
 	allocs := testing.AllocsPerRun(100, func() {
 		iter++
 		checkpointAll(e, iter)
@@ -32,5 +47,53 @@ func TestCommitRoundAllocsZero(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("commit round allocates %v times, want 0", allocs)
+	}
+}
+
+// The recovery queries read resident generations in place:
+// ConsistentVersion, NewestCommitted and Coverage allocate nothing, and
+// PlanRecovery allocates exactly the plan it returns. The engine has a
+// wiped machine and a staggered last round, so ConsistentVersion
+// rejects a candidate before it finds the answer, and the plan has both
+// local and peer retrievals.
+func TestRecoveryQueriesAllocsZero(t *testing.T) {
+	e, alive := benchEngine(64)
+	for _, owner := range []int{0, 1} {
+		for _, holder := range e.Placement().Replicas(owner) {
+			if holder != 0 {
+				e.Commit(holder, owner, 101, 0)
+			}
+		}
+	}
+	var v int64
+	var ok bool
+	queries := []struct {
+		name string
+		fn   func()
+	}{
+		{"ConsistentVersion", func() { v, ok = e.ConsistentVersion(alive) }},
+		{"ConsistentVersion(nil)", func() { v, ok = e.ConsistentVersion(nil) }},
+		{"NewestCommitted", func() {
+			for owner := range e.Placement().N {
+				e.NewestCommitted(owner, alive)
+			}
+		}},
+		{"Coverage", func() { e.Coverage(alive) }},
+	}
+	for _, q := range queries {
+		if allocs := testing.AllocsPerRun(100, q.fn); allocs != 0 {
+			t.Errorf("%s allocates %v times, want 0", q.name, allocs)
+		}
+	}
+	if !ok || v != 100 {
+		t.Fatalf("consistent version %d/%v, want 100/true", v, ok)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := e.PlanRecovery(v, alive); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("PlanRecovery allocates %v times, want 1 (the plan)", allocs)
 	}
 }

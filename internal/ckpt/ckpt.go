@@ -21,7 +21,6 @@ package ckpt
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"gemini/internal/placement"
 )
@@ -51,17 +50,22 @@ type slot struct {
 // newest returns the slot's newest committed generation.
 func (sl *slot) newest() (Shard, bool) { return sl.gens[0], sl.n > 0 }
 
+// has reports whether a resident generation captures iteration v.
+func (sl *slot) has(v int64) bool {
+	for _, sh := range sl.gens[:sl.n] {
+		if sh.Iteration == v {
+			return true
+		}
+	}
+	return false
+}
+
 // push commits sh as the newest generation; the old newest becomes the
 // previous one.
 func (sl *slot) push(sh Shard) {
 	sl.gens[1] = sl.gens[0]
 	sl.gens[0] = sh
 	sl.n = min(sl.n+1, 2)
-}
-
-// machineStore is the checkpoint area of one machine's CPU memory.
-type machineStore struct {
-	slots map[int]*slot // keyed by owner rank
 }
 
 // Source says where a shard can be retrieved from during recovery.
@@ -103,10 +107,17 @@ type Retrieval struct {
 }
 
 // Engine tracks checkpoint shard placement and versions for a cluster.
+//
+// Every (owner, holder) pair the placement allows has one slot, in one
+// flat table laid out like the placement's replica sets: slots[owner*m+j]
+// is the double buffer of owner's shard on Replicas(owner)[j]. The table
+// is allocated once, so a commit indexes it without hashing or
+// allocating, and the recovery queries read resident generations in
+// place.
 type Engine struct {
-	n         int
+	n, m      int
 	placement *placement.Placement
-	machines  []*machineStore
+	slots     []slot
 	shardSize float64
 	traffic   float64 // cumulative bytes committed
 }
@@ -120,11 +131,7 @@ func NewEngine(p *placement.Placement, shardBytes float64) (*Engine, error) {
 	if !(shardBytes >= 0 && shardBytes <= math.MaxFloat64) {
 		return nil, fmt.Errorf("ckpt: shard size %v must be finite and non-negative", shardBytes)
 	}
-	e := &Engine{n: p.N, placement: p, machines: make([]*machineStore, p.N), shardSize: shardBytes}
-	for i := range e.machines {
-		e.machines[i] = &machineStore{slots: make(map[int]*slot)}
-	}
-	return e, nil
+	return &Engine{n: p.N, m: p.M, placement: p, slots: make([]slot, p.N*p.M), shardSize: shardBytes}, nil
 }
 
 // MustNewEngine is NewEngine for known-good arguments.
@@ -142,28 +149,38 @@ func (e *Engine) Placement() *placement.Placement { return e.placement }
 // ShardBytes returns the per-machine shard size.
 func (e *Engine) ShardBytes() float64 { return e.shardSize }
 
-func (e *Engine) store(rank int) *machineStore {
+func (e *Engine) checkRank(rank int) {
 	if rank < 0 || rank >= e.n {
 		panic(fmt.Sprintf("ckpt: rank %d out of range [0,%d)", rank, e.n))
 	}
-	return e.machines[rank]
 }
 
-// slotFor returns holder's slot for owner's shard, creating it on first
-// use. It panics unless holder is in owner's replica set — misrouted
-// shards indicate an agent bug, not a runtime condition.
-func (e *Engine) slotFor(holder, owner int) *slot {
-	ms := e.store(holder)
-	if sl := ms.slots[owner]; sl != nil {
-		return sl
+// owned returns owner's slots, one per member of its replica set.
+func (e *Engine) owned(owner int) []slot { return e.slots[owner*e.m : (owner+1)*e.m] }
+
+// find returns holder's slot for owner's shard, or nil when holder is
+// not in owner's replica set or owner is out of range.
+func (e *Engine) find(holder, owner int) *slot {
+	e.checkRank(holder)
+	if owner < 0 || owner >= e.n {
+		return nil
 	}
-	for _, r := range e.placement.Replicas(owner) {
+	for j, r := range e.placement.Replicas(owner) {
 		if r == holder {
-			sl := &slot{}
-			ms.slots[owner] = sl
-			return sl
+			return &e.slots[owner*e.m+j]
 		}
 	}
+	return nil
+}
+
+// slotFor returns holder's slot for owner's shard. It panics unless
+// holder is in owner's replica set — misrouted shards indicate an agent
+// bug, not a runtime condition.
+func (e *Engine) slotFor(holder, owner int) *slot {
+	if sl := e.find(holder, owner); sl != nil {
+		return sl
+	}
+	e.placement.Replicas(owner) // an out-of-range owner panics here
 	panic(fmt.Sprintf("ckpt: machine %d is not a replica holder for rank %d", holder, owner))
 }
 
@@ -231,31 +248,21 @@ func (e *Engine) BytesReceived() float64 { return e.traffic }
 
 // Completed returns the newest committed shard of owner held by holder.
 func (e *Engine) Completed(holder, owner int) (Shard, bool) {
-	if sl := e.store(holder).slots[owner]; sl != nil {
+	if sl := e.find(holder, owner); sl != nil {
 		return sl.newest()
 	}
 	return Shard{}, false
 }
 
-// CompletedVersions returns every committed generation of owner's shard
-// resident on holder (at most two: newest and previous), newest first.
+// CompletedVersions returns a copy of every committed generation of
+// owner's shard resident on holder (at most two: newest and previous),
+// newest first, or nil when there is none.
 func (e *Engine) CompletedVersions(holder, owner int) []Shard {
-	sl := e.store(holder).slots[owner]
-	if sl == nil {
+	sl := e.find(holder, owner)
+	if sl == nil || sl.n == 0 {
 		return nil
 	}
 	return append([]Shard(nil), sl.gens[:sl.n]...)
-}
-
-// hasVersion reports whether holder has a committed copy of owner's shard
-// at exactly iteration v.
-func (e *Engine) hasVersion(holder, owner int, v int64) bool {
-	for _, sh := range e.CompletedVersions(holder, owner) {
-		if sh.Iteration == v {
-			return true
-		}
-	}
-	return false
 }
 
 // RollbackTo drops every shard generation newer than the given iteration
@@ -263,38 +270,42 @@ func (e *Engine) hasVersion(holder, owner int, v int64) bool {
 // version so the whole cluster's checkpoint state is consistent with the
 // resumed training position.
 func (e *Engine) RollbackTo(iteration int64) {
-	for _, ms := range e.machines {
-		for _, sl := range ms.slots {
-			kept := 0
-			for _, sh := range sl.gens[:sl.n] {
-				if sh.Iteration <= iteration {
-					sl.gens[kept] = sh
-					kept++
-				}
+	for i := range e.slots {
+		sl := &e.slots[i]
+		kept := 0
+		for _, sh := range sl.gens[:sl.n] {
+			if sh.Iteration <= iteration {
+				sl.gens[kept] = sh
+				kept++
 			}
-			sl.n = kept
 		}
+		sl.n = kept
 	}
 }
 
 // Wipe erases everything a machine held — both buffers of every slot.
 // Called when the machine hardware-fails or is replaced.
 func (e *Engine) Wipe(rank int) {
-	e.store(rank).slots = make(map[int]*slot)
+	e.checkRank(rank)
+	for owner := 0; owner < e.n; owner++ {
+		for j, holder := range e.placement.Replicas(owner) {
+			if holder == rank {
+				e.slots[owner*e.m+j] = slot{}
+			}
+		}
+	}
 }
 
-// holderIterations returns every committed generation of owner's shard on
-// alive holders, newest first.
-func (e *Engine) holderIterations(owner int, alive func(int) bool) []Shard {
-	var out []Shard
-	for _, holder := range e.placement.Replicas(owner) {
-		if alive != nil && !alive(holder) {
-			continue
+// reachable reports whether owner's shard at exactly iteration v is
+// resident on an alive holder.
+func (e *Engine) reachable(owner int, v int64, alive func(int) bool) bool {
+	slots := e.owned(owner)
+	for j, holder := range e.placement.Replicas(owner) {
+		if (alive == nil || alive(holder)) && slots[j].has(v) {
+			return true
 		}
-		out = append(out, e.CompletedVersions(holder, owner)...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Iteration > out[j].Iteration })
-	return out
+	return false
 }
 
 // ConsistentVersion returns the newest iteration v such that every rank's
@@ -302,25 +313,40 @@ func (e *Engine) holderIterations(owner int, alive func(int) bool) []Shard {
 // false when no common version exists — recovery must fall back to the
 // remote persistent store (§6.2 case 2: partial survivors at mixed
 // iterations are useless because all ranks must roll back together).
+//
+// A consistent version is in particular one of rank 0's reachable
+// generations, and rank 0 has at most two resident per holder, so there
+// are at most 2m candidates. They are tried newest first, each against
+// every other rank, and the first that every rank reaches is the
+// answer.
 func (e *Engine) ConsistentVersion(alive func(int) bool) (int64, bool) {
-	versions := make(map[int64]int) // iteration → ranks covered
-	for owner := 0; owner < e.n; owner++ {
-		seen := make(map[int64]bool)
-		for _, sh := range e.holderIterations(owner, alive) {
-			if !seen[sh.Iteration] {
-				seen[sh.Iteration] = true
-				versions[sh.Iteration]++
+	var below int64 // candidates tried so far are all ≥ below
+	for tried := false; ; tried = true {
+		// The newest of rank 0's reachable generations not yet tried.
+		v, found := int64(0), false
+		slots := e.owned(0)
+		for j, holder := range e.placement.Replicas(0) {
+			if alive != nil && !alive(holder) {
+				continue
+			}
+			for _, sh := range slots[j].gens[:slots[j].n] {
+				if (!tried || sh.Iteration < below) && (!found || sh.Iteration > v) {
+					v, found = sh.Iteration, true
+				}
 			}
 		}
-	}
-	best := int64(-1)
-	found := false
-	for v, covered := range versions {
-		if covered == e.n && (!found || v > best) {
-			best, found = v, true
+		if !found {
+			return -1, false
 		}
+		consistent := true
+		for owner := 1; owner < e.n && consistent; owner++ {
+			consistent = e.reachable(owner, v, alive)
+		}
+		if consistent {
+			return v, true
+		}
+		below = v
 	}
-	return best, found
 }
 
 // NewestCommitted returns the newest committed generation of owner's
@@ -331,14 +357,13 @@ func (e *Engine) ConsistentVersion(alive func(int) bool) (int64, bool) {
 func (e *Engine) NewestCommitted(owner int, alive func(int) bool) (int64, bool) {
 	best := int64(0)
 	found := false
-	for _, holder := range e.placement.Replicas(owner) {
+	slots := e.owned(owner)
+	for j, holder := range e.placement.Replicas(owner) {
 		if alive != nil && !alive(holder) {
 			continue
 		}
-		for _, sh := range e.CompletedVersions(holder, owner) {
-			if !found || sh.Iteration > best {
-				best, found = sh.Iteration, true
-			}
+		if sh, ok := slots[j].newest(); ok && (!found || sh.Iteration > best) {
+			best, found = sh.Iteration, true
 		}
 	}
 	return best, found
@@ -357,15 +382,13 @@ func (e *Engine) Coverage(alive func(int) bool) (covered, minReplicas int) {
 	for owner := 0; owner < e.n; owner++ {
 		holders := 0
 		hasData := false
-		for _, holder := range e.placement.Replicas(owner) {
+		slots := e.owned(owner)
+		for j, holder := range e.placement.Replicas(owner) {
 			if alive != nil && !alive(holder) {
 				continue
 			}
 			holders++
-			if !hasData {
-				sl := e.store(holder).slots[owner]
-				hasData = sl != nil && sl.n > 0
-			}
+			hasData = hasData || slots[j].n > 0
 		}
 		if hasData {
 			covered++
@@ -399,14 +422,15 @@ func (e *Engine) PlanRecovery(v int64, alive func(int) bool) ([]Retrieval, error
 
 // planRank resolves one rank's retrieval source for version v.
 func (e *Engine) planRank(rank int, v int64, alive func(int) bool) (Retrieval, error) {
-	if (alive == nil || alive(rank)) && e.hasVersion(rank, rank, v) {
+	if (alive == nil || alive(rank)) && e.slotFor(rank, rank).has(v) {
 		return Retrieval{Rank: rank, Source: SourceLocal}, nil
 	}
-	for _, holder := range e.placement.Replicas(rank) {
+	slots := e.owned(rank)
+	for j, holder := range e.placement.Replicas(rank) {
 		if holder == rank || (alive != nil && !alive(holder)) {
 			continue
 		}
-		if e.hasVersion(holder, rank, v) {
+		if slots[j].has(v) {
 			return Retrieval{Rank: rank, Source: SourceRemoteCPU, Peer: holder, Bytes: e.shardSize}, nil
 		}
 	}
