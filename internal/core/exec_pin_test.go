@@ -81,3 +81,38 @@ func TestExecutorOutputsPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestSchemeOutputsPinned pins the %+v of every §7.4 scheme's result on
+// both 16-machine testbeds, the Naive OOM and NoPipeline rows included,
+// and the ablation-pipeline sweep of GEMINI's sub-buffer count p on
+// GPT-2 40B / p3dn, so a rewrite of how a scheme is stated cannot move
+// a chunk, a buffer demand or an idle utilization unnoticed.
+func TestSchemeOutputsPinned(t *testing.T) {
+	schemes := []schedule.Scheme{schedule.SchemeBaseline, schedule.SchemeBlocking,
+		schedule.SchemeNaive, schedule.SchemeNoPipeline, schedule.SchemeGemini}
+	runs := sha256.New()
+	for _, spec := range []JobSpec{
+		{Model: "GPT-2 100B", Instance: "p4d.24xlarge", Machines: 16},
+		{Model: "GPT-2 40B", Instance: "p3dn.24xlarge", Machines: 16},
+	} {
+		j := MustNewJob(spec)
+		for _, s := range schemes {
+			res, err := j.ExecuteScheme(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(runs, "%s %s %+v\n", spec.Model, s, *res)
+		}
+	}
+	j := MustNewJob(JobSpec{Model: "GPT-2 40B", Instance: "p3dn.24xlarge", Machines: 16})
+	for _, p := range []int{1, 2, 4, 8, 16} {
+		res, err := j.ExecuteSchemeWithBuffers(schedule.SchemeGemini, schedule.DefaultBufferBytes, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(runs, "p=%d %+v\n", p, *res)
+	}
+	if got, want := hex.EncodeToString(runs.Sum(nil)), "3586589967b29285653cd840d98e2be059fbfc226e013af9019658ac48640aa6"; got != want {
+		t.Errorf("scheme result digest %s, want %s", got, want)
+	}
+}
