@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -82,6 +84,28 @@ func TestInstanceValidate(t *testing.T) {
 		mutate(&it)
 		if err := it.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
+		}
+	}
+}
+
+// Every float field fails Validate on NaN and ±Inf with an error naming
+// the field.
+func TestInstanceValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*InstanceType, float64)
+	}{
+		{"NetworkBytesPerSec", func(it *InstanceType, v float64) { it.NetworkBytesPerSec = v }},
+		{"GPUToCPUBytesPerSec", func(it *InstanceType, v float64) { it.GPUToCPUBytesPerSec = v }},
+		{"PeakFLOPsPerGPU", func(it *InstanceType, v float64) { it.PeakFLOPsPerGPU = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			it := MustInstance("p4d.24xlarge")
+			f.set(&it, v)
+			if err := it.Validate(); err == nil || !strings.Contains(err.Error(), f.name) {
+				t.Errorf("%s = %v: error %v, want one naming %s", f.name, v, err, f.name)
+			}
 		}
 	}
 }

@@ -4,7 +4,10 @@
 // drives failure recovery.
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // InstanceType describes a GPU machine model. Memory figures are Table 1
 // of the paper; bandwidth and compute figures come from §7.1 and public
@@ -32,7 +35,9 @@ const (
 	gbps = 1e9 / 8 // bytes/sec per Gbit/s
 )
 
-// Validate checks the instance description.
+// Validate checks the instance description. Every float check is
+// negated so that NaN, which compares false against everything, fails
+// it too; the MaxFloat64 bounds reject +Inf.
 func (it InstanceType) Validate() error {
 	switch {
 	case it.Name == "":
@@ -41,12 +46,12 @@ func (it InstanceType) Validate() error {
 		return fmt.Errorf("cluster: %s has %d GPUs", it.Name, it.GPUs)
 	case it.GPUMemBytes <= 0 || it.CPUMemBytes <= 0:
 		return fmt.Errorf("cluster: %s has nonpositive memory", it.Name)
-	case it.NetworkBytesPerSec <= 0:
-		return fmt.Errorf("cluster: %s has nonpositive network bandwidth", it.Name)
-	case it.GPUToCPUBytesPerSec <= 0:
-		return fmt.Errorf("cluster: %s has nonpositive copy bandwidth", it.Name)
-	case it.PeakFLOPsPerGPU <= 0:
-		return fmt.Errorf("cluster: %s has nonpositive peak FLOPs", it.Name)
+	case !(it.NetworkBytesPerSec > 0 && it.NetworkBytesPerSec <= math.MaxFloat64):
+		return fmt.Errorf("cluster: %s network bandwidth (NetworkBytesPerSec) must be positive and finite, got %v", it.Name, it.NetworkBytesPerSec)
+	case !(it.GPUToCPUBytesPerSec > 0 && it.GPUToCPUBytesPerSec <= math.MaxFloat64):
+		return fmt.Errorf("cluster: %s copy bandwidth (GPUToCPUBytesPerSec) must be positive and finite, got %v", it.Name, it.GPUToCPUBytesPerSec)
+	case !(it.PeakFLOPsPerGPU > 0 && it.PeakFLOPsPerGPU <= math.MaxFloat64):
+		return fmt.Errorf("cluster: %s peak FLOPs (PeakFLOPsPerGPU) must be positive and finite, got %v", it.Name, it.PeakFLOPsPerGPU)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ package training
 
 import (
 	"fmt"
+	"math"
 
 	"gemini/internal/cluster"
 	"gemini/internal/model"
@@ -40,17 +41,19 @@ type Calibration struct {
 	UpdatePhaseSecondsPerGB float64
 }
 
-// Validate checks calibration sanity.
+// Validate checks calibration sanity. Every check is negated so that
+// NaN, which compares false against everything, fails it too; the
+// MaxFloat64 bounds reject +Inf.
 func (c Calibration) Validate() error {
 	switch {
-	case c.MFU <= 0 || c.MFU > 1:
-		return fmt.Errorf("training: MFU %v out of (0,1]", c.MFU)
-	case c.CollectiveEfficiency <= 0 || c.CollectiveEfficiency > 1:
-		return fmt.Errorf("training: collective efficiency %v out of (0,1]", c.CollectiveEfficiency)
-	case c.CollectiveAlpha < 0:
-		return fmt.Errorf("training: negative collective alpha")
-	case c.UpdatePhaseSecondsPerGB < 0:
-		return fmt.Errorf("training: negative update phase cost")
+	case !(c.MFU > 0 && c.MFU <= 1):
+		return fmt.Errorf("training: MFU must be in (0,1], got %v", c.MFU)
+	case !(c.CollectiveEfficiency > 0 && c.CollectiveEfficiency <= 1):
+		return fmt.Errorf("training: CollectiveEfficiency must be in (0,1], got %v", c.CollectiveEfficiency)
+	case !(c.CollectiveAlpha >= 0 && c.CollectiveAlpha <= math.MaxFloat64):
+		return fmt.Errorf("training: CollectiveAlpha must be finite and non-negative, got %v", c.CollectiveAlpha)
+	case !(c.UpdatePhaseSecondsPerGB >= 0 && c.UpdatePhaseSecondsPerGB <= math.MaxFloat64):
+		return fmt.Errorf("training: UpdatePhaseSecondsPerGB must be finite and non-negative, got %v", c.UpdatePhaseSecondsPerGB)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package training
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"gemini/internal/cluster"
@@ -227,6 +228,29 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}()
 	MustBuildTimeline(bad)
+}
+
+// Every calibration float fails Validate on NaN and ±Inf with an error
+// naming the field.
+func TestCalibrationValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Calibration, float64)
+	}{
+		{"MFU", func(c *Calibration, v float64) { c.MFU = v }},
+		{"CollectiveEfficiency", func(c *Calibration, v float64) { c.CollectiveEfficiency = v }},
+		{"CollectiveAlpha", func(c *Calibration, v float64) { c.CollectiveAlpha = simclock.Duration(v) }},
+		{"UpdatePhaseSecondsPerGB", func(c *Calibration, v float64) { c.UpdatePhaseSecondsPerGB = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			c := cfg100B(t).Calib
+			f.set(&c, v)
+			if err := c.Validate(); err == nil || !strings.Contains(err.Error(), f.name) {
+				t.Errorf("%s = %v: error %v, want one naming %s", f.name, v, err, f.name)
+			}
+		}
+	}
 }
 
 func TestOpKindString(t *testing.T) {
