@@ -1,9 +1,9 @@
 // Package schedule implements GEMINI's checkpoint traffic scheduling
 // (§5): Algorithm 2, which partitions the m−1 remote checkpoint replicas
 // into chunks sized to the profiled network idle timespans and to the
-// reserved GPU buffer, and the alternative interleaving schemes the paper
-// ablates in §7.4 (blocking, naive interleave, interleave without
-// pipeline).
+// reserved GPU buffer, and names the interleaving schemes the paper
+// ablates in §7.4. What each scheme sends, when, and how much GPU buffer
+// it needs is stated once, in the training executor's chunk schedule.
 package schedule
 
 import (
@@ -264,94 +264,4 @@ func (s Scheme) String() string {
 	default:
 		return fmt.Sprintf("Scheme(%d)", int(s))
 	}
-}
-
-// SchemeAnalysis is the static cost analysis of one interleaving scheme:
-// the per-iteration overhead it adds on top of the baseline iteration
-// time, and the GPU memory it needs for checkpoint communication.
-type SchemeAnalysis struct {
-	Scheme Scheme
-	// IterationOverhead is added to the baseline iteration time.
-	IterationOverhead simclock.Duration
-	// RequiredBufferBytes is the GPU memory the scheme needs.
-	RequiredBufferBytes float64
-	// OOM reports that the required buffer exceeds the available GPU
-	// memory.
-	OOM bool
-}
-
-// AnalyzeScheme computes the static analysis for one scheme.
-// availGPUBytes is the free GPU memory for checkpoint buffers;
-// copyBandwidth is the GPU→CPU bandwidth on the receiver.
-func AnalyzeScheme(s Scheme, p Params, availGPUBytes, copyBandwidth float64) (SchemeAnalysis, error) {
-	if err := p.validate(); err != nil {
-		return SchemeAnalysis{}, err
-	}
-	if !(availGPUBytes >= 0 && availGPUBytes <= math.MaxFloat64) {
-		return SchemeAnalysis{}, fmt.Errorf("schedule: GPU budget must be finite and non-negative, got %v", availGPUBytes)
-	}
-	if !(copyBandwidth > 0 && copyBandwidth <= math.MaxFloat64) {
-		return SchemeAnalysis{}, fmt.Errorf("schedule: copy bandwidth must be positive and finite, got %v", copyBandwidth)
-	}
-	out := SchemeAnalysis{Scheme: s}
-	remote := float64(p.Replicas-1) * p.CheckpointBytes
-	copyTime := func(bytes float64) simclock.Duration {
-		return simclock.Duration(bytes / copyBandwidth)
-	}
-	switch s {
-	case SchemeBaseline:
-		return out, nil
-	case SchemeBlocking:
-		// Whole checkpoint streamed up front through the chunked buffer,
-		// unpipelined: transfer + receiver copy are serial with training.
-		out.RequiredBufferBytes = p.BufferBytes
-		out.IterationOverhead = p.transferTime(remote) + copyTime(remote)
-	case SchemeNaive:
-		// One partition per idle span: partition size is what the span
-		// can carry, so the buffer must hold the largest span's traffic.
-		var largest float64
-		for _, span := range p.Spans {
-			carry := math.Max(0, (simclock.Duration(p.Gamma)*span.Length-p.Alpha).Seconds()*p.BandwidthBytesPerSec)
-			largest = math.Max(largest, carry)
-		}
-		out.RequiredBufferBytes = largest
-		// Whatever the d spans cannot carry in d partitions overflows.
-		var carried float64
-		for _, span := range p.Spans {
-			carry := math.Max(0, (simclock.Duration(p.Gamma)*span.Length-p.Alpha).Seconds()*p.BandwidthBytesPerSec)
-			carried += math.Min(carry, largest)
-		}
-		if carried < remote {
-			out.IterationOverhead = p.transferTime(remote - carried)
-		}
-	case SchemeNoPipeline:
-		// Single buffer: each chunk costs f(size) + copy(size) of idle
-		// time because the copy blocks the next transfer. Effectively the
-		// usable idle bandwidth is halved (§7.4 measures +3.5%).
-		out.RequiredBufferBytes = p.BufferBytes
-		chunk := p.BufferBytes
-		perChunk := p.transferTime(chunk) + copyTime(chunk)
-		chunks := math.Ceil(remote / chunk)
-		need := simclock.Duration(chunks) * perChunk
-		avail := simclock.Duration(0)
-		for _, span := range p.Spans {
-			avail += simclock.Duration(p.Gamma) * span.Length
-		}
-		if need > avail {
-			out.IterationOverhead = need - avail
-		}
-	case SchemeGemini:
-		// Pipelined: copies overlap transfers, so only Algorithm 2's
-		// overflow (if any) costs iteration time.
-		out.RequiredBufferBytes = p.BufferBytes
-		plan, err := Partition(p)
-		if err != nil {
-			return SchemeAnalysis{}, err
-		}
-		out.IterationOverhead = plan.OverflowTime
-	default:
-		return SchemeAnalysis{}, fmt.Errorf("schedule: unknown scheme %d", int(s))
-	}
-	out.OOM = out.RequiredBufferBytes > availGPUBytes
-	return out, nil
 }

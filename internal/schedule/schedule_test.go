@@ -190,107 +190,25 @@ func TestPartitionValidation(t *testing.T) {
 	MustPartition(p)
 }
 
-func TestAnalyzeBaselineFree(t *testing.T) {
-	a, err := AnalyzeScheme(SchemeBaseline, baseParams(), 1000, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.IterationOverhead != 0 || a.RequiredBufferBytes != 0 || a.OOM {
-		t.Fatalf("baseline analysis %+v, want all zero", a)
-	}
-}
-
-func TestAnalyzeBlockingCostsFullTransfer(t *testing.T) {
-	p := baseParams()
-	a, err := AnalyzeScheme(SchemeBlocking, p, 1000, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 200 bytes at 100 B/s transfer + 200 bytes at 100 B/s copy = 4s.
-	if math.Abs(a.IterationOverhead.Seconds()-4) > 1e-9 {
-		t.Fatalf("blocking overhead %v, want 4s", a.IterationOverhead)
-	}
-	if a.RequiredBufferBytes != p.BufferBytes {
-		t.Fatalf("blocking buffer %v, want the chunked buffer %v", a.RequiredBufferBytes, p.BufferBytes)
-	}
-}
-
-func TestAnalyzeNaiveOOMsWhenSpansAreLarge(t *testing.T) {
-	p := baseParams()
-	p.Spans = []profile.Span{{Offset: 0, Length: 100}} // carries 10,000 bytes
-	a, err := AnalyzeScheme(SchemeNaive, p, 1000, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.OOM {
-		t.Fatalf("naive scheme should OOM: needs %v bytes with only 1000 available", a.RequiredBufferBytes)
-	}
-}
-
-func TestAnalyzeNoPipelineSlowerThanGemini(t *testing.T) {
-	p := baseParams()
-	p.CheckpointBytes = 300 // close to capacity so copies matter
-	noPipe, err := AnalyzeScheme(SchemeNoPipeline, p, 1000, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gem, err := AnalyzeScheme(SchemeGemini, p, 1000, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if noPipe.IterationOverhead <= gem.IterationOverhead {
-		t.Fatalf("no-pipeline overhead %v should exceed GEMINI %v", noPipe.IterationOverhead, gem.IterationOverhead)
-	}
-}
-
-func TestAnalyzeGeminiZeroOverheadWhenFits(t *testing.T) {
-	a, err := AnalyzeScheme(SchemeGemini, baseParams(), 1000, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.IterationOverhead != 0 || a.OOM {
-		t.Fatalf("GEMINI analysis %+v, want zero overhead", a)
-	}
-}
-
-func TestAnalyzeValidation(t *testing.T) {
-	if _, err := AnalyzeScheme(SchemeGemini, baseParams(), -1, 100); err == nil {
-		t.Error("negative GPU budget accepted")
-	}
-	if _, err := AnalyzeScheme(SchemeGemini, baseParams(), 100, 0); err == nil {
-		t.Error("zero copy bandwidth accepted")
-	}
-	if _, err := AnalyzeScheme(Scheme(42), baseParams(), 100, 100); err == nil {
-		t.Error("unknown scheme accepted")
-	}
-	p := baseParams()
-	p.Gamma = -1
-	if _, err := AnalyzeScheme(SchemeBaseline, p, 100, 100); err == nil {
-		t.Error("invalid params accepted")
-	}
-}
-
 // Every float parameter is checked with a negated comparison, so NaN
-// and ±Inf fail validation with an error naming the parameter.
-func TestAnalyzeRejectsNonFinite(t *testing.T) {
+// and ±Inf fail Partition with an error naming the parameter.
+func TestPartitionRejectsNonFinite(t *testing.T) {
 	cases := []struct {
 		name string
-		set  func(p *Params, budget, copyBW *float64, v float64)
+		set  func(p *Params, v float64)
 	}{
-		{"checkpoint size", func(p *Params, _, _ *float64, v float64) { p.CheckpointBytes = v }},
-		{"buffer size", func(p *Params, _, _ *float64, v float64) { p.BufferBytes = v }},
-		{"bandwidth", func(p *Params, _, _ *float64, v float64) { p.BandwidthBytesPerSec = v }},
-		{"alpha", func(p *Params, _, _ *float64, v float64) { p.Alpha = simclock.Duration(v) }},
-		{"gamma", func(p *Params, _, _ *float64, v float64) { p.Gamma = v }},
-		{"span 1 length", func(p *Params, _, _ *float64, v float64) { p.Spans[1].Length = simclock.Duration(v) }},
-		{"GPU budget", func(_ *Params, budget, _ *float64, v float64) { *budget = v }},
-		{"copy bandwidth", func(_ *Params, _, copyBW *float64, v float64) { *copyBW = v }},
+		{"checkpoint size", func(p *Params, v float64) { p.CheckpointBytes = v }},
+		{"buffer size", func(p *Params, v float64) { p.BufferBytes = v }},
+		{"bandwidth", func(p *Params, v float64) { p.BandwidthBytesPerSec = v }},
+		{"alpha", func(p *Params, v float64) { p.Alpha = simclock.Duration(v) }},
+		{"gamma", func(p *Params, v float64) { p.Gamma = v }},
+		{"span 1 length", func(p *Params, v float64) { p.Spans[1].Length = simclock.Duration(v) }},
 	}
 	for _, c := range cases {
 		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-			p, budget, copyBW := baseParams(), 1000.0, 100.0
-			c.set(&p, &budget, &copyBW, v)
-			_, err := AnalyzeScheme(SchemeGemini, p, budget, copyBW)
+			p := baseParams()
+			c.set(&p, v)
+			_, err := Partition(p)
 			if err == nil || !strings.Contains(err.Error(), c.name) {
 				t.Errorf("%s = %v: error %v, want one naming %s", c.name, v, err, c.name)
 			}
