@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -140,7 +141,7 @@ func TestFacadeNamesHaveCallers(t *testing.T) {
 // it stays unreached; an entry that names no exported internal func, or
 // one that is reached, fails the test.
 func TestInternalFuncsHaveCallers(t *testing.T) {
-	prog, err := loadProgram()
+	prog, err := programOnce()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,6 +230,107 @@ func TestInternalFuncsHaveCallers(t *testing.T) {
 		t.Fatalf("%d exported internal funcs have no non-test caller: %s", len(dead), strings.Join(dead, ", "))
 	}
 }
+
+// TestInternalFieldsHaveReaders keeps internal/ structs trimmed to what
+// the program reads. Every exported field of a struct type declared at
+// package level under internal/ must be read by the packages
+// TestInternalFuncsHaveCallers loads: an identifier resolves to the
+// field and is not the target of an assignment or an increment, nor a
+// composite literal's key. Fields with a json tag (read through
+// encoding/json) and embedded fields are skipped. Each keepFields entry
+// says why its field stays unread; an entry that names no such field,
+// or one that is read, fails the test.
+func TestInternalFieldsHaveReaders(t *testing.T) {
+	prog, err := programOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Exported fields by "<pkg>.<Type>.<Field>", and every identifier
+	// that only writes a field.
+	byKey := map[string]*types.Var{}
+	written := map[*ast.Ident]bool{}
+	target := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			written[sel.Sel] = true
+		}
+	}
+	for _, p := range prog {
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						target(lhs)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						written[id] = true
+					}
+				}
+				return true
+			})
+			if !strings.HasPrefix(p.dir, "internal/") {
+				continue
+			}
+			for _, d := range f.Decls {
+				gd, ok := d.(*ast.GenDecl)
+				if !ok || gd.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts := spec.(*ast.TypeSpec)
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					for _, field := range st.Fields.List {
+						if field.Tag != nil && strings.Contains(field.Tag.Value, `json:"`) {
+							continue
+						}
+						for _, name := range field.Names {
+							if name.IsExported() {
+								byKey[p.pkg.Name()+"."+ts.Name.Name+"."+name.Name] = p.info.Defs[name].(*types.Var)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	read := map[*types.Var]bool{}
+	for _, p := range prog {
+		for id, obj := range p.info.Uses {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && !written[id] {
+				read[v.Origin()] = true
+			}
+		}
+	}
+
+	for key := range keepFields {
+		if v, ok := byKey[key]; !ok {
+			t.Errorf("keepFields lists %s, which is not an exported internal field", key)
+		} else if read[v] {
+			t.Errorf("keepFields lists %s, which non-test code reads", key)
+		}
+	}
+	var dead []string
+	for key, v := range byKey {
+		if _, ok := keepFields[key]; !ok && !read[v] {
+			dead = append(dead, key)
+		}
+	}
+	sort.Strings(dead)
+	if len(dead) > 0 {
+		t.Fatalf("%d exported internal fields have no non-test reader: %s", len(dead), strings.Join(dead, ", "))
+	}
+}
+
+// programOnce loads the program once for the tests that walk it.
+var programOnce = sync.OnceValues(loadProgram)
 
 // srcPkg is one type-checked non-test package.
 type srcPkg struct {
@@ -442,4 +544,28 @@ var keepInternal = map[string]string{
 	"model.Sharding.ShardBytesPerGPU":               keepPaper,
 	"failure.Model.ExpectedSimultaneousProbability": keepPaper,
 	"schedule.AutoGamma":                            keepPaper,
+}
+
+// Reasons an exported internal field stays without a non-test reader.
+const (
+	keepDigest  = "read only through a pin's %+v or %#v digest"
+	keepAsserts = "outcome field the package's tests assert"
+)
+
+// keepFields lists exported internal fields that no non-test code
+// reads, each with the reason it stays.
+var keepFields = map[string]string{
+	"training.ExecResult.CheckpointWallTime": keepDigest,
+	"training.TimedOp.Bytes":                 keepDigest,
+	"profile.Profile.Discarded":              keepDigest,
+	"profile.Profile.IterationTime":          keepDigest,
+	"profile.Profile.Iterations":             keepDigest,
+
+	"ckpt.Retrieval.Bytes": keepAsserts,
+	"ckpt.Shard.Bytes":     keepAsserts,
+	"cluster.Machine.Rank": keepAsserts,
+	"metrics.Summary.N":    keepAsserts,
+
+	"cluster.Machine.Type":               "a rank slot's instance type, which a mixed fleet reads (ROADMAP item 15(b))",
+	"scenario.FleetAssignment.Instances": "waits on ROADMAP item 15(b): a reader or deletion",
 }

@@ -25,9 +25,9 @@ import (
 	"gemini/internal/placement"
 )
 
-// Shard identifies one machine's checkpoint shard at one iteration.
+// Shard is one generation of an owner's checkpoint shard in a slot: the
+// iteration it captures, its size and its checksum.
 type Shard struct {
-	Owner     int   // rank whose model states these are
 	Iteration int64 // training iteration the shard captures
 	Bytes     float64
 	// Fingerprint is the content checksum (tensor.State.Fingerprint) when
@@ -197,7 +197,7 @@ func (e *Engine) Commit(holder, owner int, iteration int64, fingerprint uint32) 
 			holder, iteration, sh.Iteration, owner))
 	}
 	e.traffic += e.shardSize
-	sl.push(Shard{Owner: owner, Iteration: iteration, Bytes: e.shardSize, Fingerprint: fingerprint})
+	sl.push(Shard{Iteration: iteration, Bytes: e.shardSize, Fingerprint: fingerprint})
 }
 
 // CommitDelta is Commit for a delta: only deltaBytes arrive, applied on
@@ -220,7 +220,7 @@ func (e *Engine) CommitDelta(holder, owner int, iteration int64, deltaBytes floa
 		panic(fmt.Sprintf("ckpt: delta size %v outside [0, shard %v]", deltaBytes, e.shardSize))
 	}
 	e.traffic += deltaBytes
-	sl.push(Shard{Owner: owner, Iteration: iteration, Bytes: e.shardSize})
+	sl.push(Shard{Iteration: iteration, Bytes: e.shardSize})
 }
 
 // Refresh re-stamps the holder's newest committed copy at a new, later

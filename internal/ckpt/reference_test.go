@@ -60,7 +60,7 @@ func (e *refEngine) Commit(holder, owner int, iteration int64, fingerprint uint3
 			holder, iteration, sh.Iteration, owner))
 	}
 	e.traffic += e.shardSize
-	sl.push(Shard{Owner: owner, Iteration: iteration, Bytes: e.shardSize, Fingerprint: fingerprint})
+	sl.push(Shard{Iteration: iteration, Bytes: e.shardSize, Fingerprint: fingerprint})
 }
 
 func (e *refEngine) CommitDelta(holder, owner int, iteration int64, deltaBytes float64) {
@@ -77,7 +77,7 @@ func (e *refEngine) CommitDelta(holder, owner int, iteration int64, deltaBytes f
 		panic(fmt.Sprintf("ckpt: delta size %v outside [0, shard %v]", deltaBytes, e.shardSize))
 	}
 	e.traffic += deltaBytes
-	sl.push(Shard{Owner: owner, Iteration: iteration, Bytes: e.shardSize})
+	sl.push(Shard{Iteration: iteration, Bytes: e.shardSize})
 }
 
 func (e *refEngine) Refresh(holder, owner int, iteration int64) {

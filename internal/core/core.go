@@ -26,7 +26,6 @@ import (
 	"gemini/internal/schedule"
 	"gemini/internal/simclock"
 	"gemini/internal/strategy"
-	"gemini/internal/tensor"
 	"gemini/internal/trace"
 	"gemini/internal/training"
 )
@@ -85,7 +84,6 @@ type Job struct {
 	Timeline  *training.Timeline
 	Profile   *profile.Profile
 	Plan      *schedule.Plan
-	Costs     tensor.CostModel
 
 	specGemini, specStrawman, specHighFreq baselines.Spec
 }
@@ -137,7 +135,6 @@ func newJob(spec JobSpec, art *derive.Artifacts) *Job {
 		Timeline:     art.Timeline,
 		Profile:      art.Profile,
 		Plan:         art.Plan,
-		Costs:        art.Costs,
 		specGemini:   art.Gemini,
 		specStrawman: art.Strawman,
 		specHighFreq: art.HighFreq,

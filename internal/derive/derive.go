@@ -46,13 +46,11 @@ type Key struct {
 // Artifacts is everything the pipeline derives from a Key. All fields
 // are shared and read-only; see the package comment for the contract.
 type Artifacts struct {
-	Key       Key
 	Config    training.Config
 	Placement *placement.Placement
 	Timeline  *training.Timeline
 	Profile   *profile.Profile
 	Plan      *schedule.Plan
-	Costs     tensor.CostModel
 
 	Gemini, Strawman, HighFreq baselines.Spec
 }
@@ -109,17 +107,18 @@ func Build(k Key) (*Artifacts, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &Artifacts{Key: k, Config: cfg, Placement: plc, Timeline: tl, Profile: prof, Plan: plan, Costs: tensor.DefaultCostModel()}
+	a := &Artifacts{Config: cfg, Placement: plc, Timeline: tl, Profile: prof, Plan: plan}
+	costs := tensor.DefaultCostModel()
 	// The specs take the parallelism-aware timeline built above: the
 	// checkpoint cadence and completion lag follow the job's actual
 	// iteration, not an assumed ZeRO-3 one.
-	if a.Gemini, err = baselines.Gemini(cfg, tl, k.Replicas, k.RemoteBandwidth, a.Costs); err != nil {
+	if a.Gemini, err = baselines.Gemini(cfg, tl, k.Replicas, k.RemoteBandwidth, costs); err != nil {
 		return nil, err
 	}
-	if a.Strawman, err = baselines.Strawman(cfg, k.RemoteBandwidth, a.Costs); err != nil {
+	if a.Strawman, err = baselines.Strawman(cfg, k.RemoteBandwidth, costs); err != nil {
 		return nil, err
 	}
-	if a.HighFreq, err = baselines.HighFreq(cfg, tl, k.RemoteBandwidth, a.Costs); err != nil {
+	if a.HighFreq, err = baselines.HighFreq(cfg, tl, k.RemoteBandwidth, costs); err != nil {
 		return nil, err
 	}
 	return a, nil

@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"gemini/internal/parallel"
 )
@@ -51,11 +50,10 @@ func ByID(id string) (Experiment, error) {
 
 // Result is the outcome of one experiment run.
 type Result struct {
-	ID      string
-	Title   string
-	Output  string
-	Err     error
-	Elapsed time.Duration
+	ID     string
+	Title  string
+	Output string
+	Err    error
 }
 
 // RunAll executes the experiments concurrently on up to workers
@@ -68,14 +66,12 @@ type Result struct {
 func RunAll(ctx context.Context, exps []Experiment, workers int) []Result {
 	out := make([]Result, len(exps))
 	parallel.ForEachErr(ctx, workers, len(exps), func(i int) error {
-		start := time.Now()
 		text, err := exps[i].Run()
 		out[i] = Result{
-			ID:      exps[i].ID,
-			Title:   exps[i].Title,
-			Output:  text,
-			Err:     err,
-			Elapsed: time.Since(start),
+			ID:     exps[i].ID,
+			Title:  exps[i].Title,
+			Output: text,
+			Err:    err,
 		}
 		return ctx.Err()
 	})

@@ -18,7 +18,6 @@ import (
 // expressed relative to the iteration start.
 type Op struct {
 	Start, End simclock.Duration
-	Label      string
 }
 
 // IterationTrace is the communication timeline of a single iteration.

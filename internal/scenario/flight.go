@@ -137,8 +137,6 @@ func Outliers(rep *Report, key string, k int) ([]RunRecord, error) {
 
 // FlightRun is one outlier re-executed with full observability.
 type FlightRun struct {
-	Record   RunRecord
-	Result   *runsim.Result
 	Tracer   *trace.Tracer
 	Registry *metrics.Registry
 	// Wasted and Ratio are the per-recovery timelines (cumulative
@@ -168,7 +166,6 @@ func (c *Compiled) Replay(rec RunRecord) (*FlightRun, error) {
 	}
 	capacity := len(fs) + 1 // ≤ one recovery per failure event
 	fr := &FlightRun{
-		Record:   rec,
 		Tracer:   trace.NewTracer(nil),
 		Registry: metrics.NewRegistry(),
 		Wasted:   metrics.NewSeries("wasted_seconds", capacity),
@@ -188,7 +185,6 @@ func (c *Compiled) Replay(rec RunRecord) (*FlightRun, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: flight replay: %w", err)
 	}
-	fr.Result = res
 	if got := makeRecord(rec.Variation, rec.Spec, res); got != rec {
 		return nil, fmt.Errorf("scenario: flight replay diverged from campaign record:\nrecorded %+v\nreplayed %+v", rec, got)
 	}

@@ -122,7 +122,6 @@ func (m *Manager) Replicate(holder, owner int, iteration int64) (uint32, error) 
 		Key:       ckptKey(owner, iteration),
 		Bytes:     float64(buf.Len()),
 		Iteration: iteration,
-		Shard:     owner,
 		Payload:   mustDecode(buf.Bytes()),
 	}); err != nil {
 		return 0, err

@@ -18,7 +18,6 @@ type Object struct {
 	Key       string
 	Bytes     float64
 	Iteration int64
-	Shard     int
 	Payload   *tensor.State
 }
 

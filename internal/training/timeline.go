@@ -244,7 +244,7 @@ func (tl *Timeline) CommOps() []TimedOp {
 func (tl *Timeline) Trace() profile.IterationTrace {
 	tr := profile.IterationTrace{Duration: tl.Iteration}
 	for _, op := range tl.CommOps() {
-		tr.Ops = append(tr.Ops, profile.Op{Start: op.Start, End: op.End, Label: op.Label})
+		tr.Ops = append(tr.Ops, profile.Op{Start: op.Start, End: op.End})
 	}
 	return tr
 }
