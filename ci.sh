@@ -102,6 +102,11 @@ go test -run='^$' -fuzz=FuzzGeneratedChaos -fuzztime=10s ./internal/agent
 # the corpus and must lint clean.
 go test -run='^$' -fuzz=FuzzLint -fuzztime=10s ./internal/trace
 
+# Executor options fuzz: any scheme value, buffer size, sub-buffer
+# count, gamma and GPU budget on a two-machine job must return an error
+# or a result, never panic, and must rerun to an equal result.
+go test -run='^$' -fuzz=FuzzExecuteOptions -fuzztime=10s ./internal/training
+
 # Exposition checker fuzz: arbitrary bytes through promcheck's parser
 # must never panic and must get the same verdict twice.
 go test -run='^$' -fuzz=FuzzCheckProm -fuzztime=10s ./cmd/promcheck
