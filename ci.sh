@@ -73,7 +73,7 @@ go test -run='^$' -bench=. -benchtime=1x -benchmem ./...
 #     ConsistentVersion, NewestCommitted and Coverage allocate nothing
 #     while PlanRecovery allocates only its plan.
 # A listed test that is renamed or deleted would match nothing and pass
-# silently, so the step fails unless exactly 26 tests report PASS.
+# silently, so the step fails unless exactly 28 tests report PASS.
 ALLOC_LOG="$(mktemp -t geminialloc.XXXXXX.log)"
 if ! go test -count=1 -v -run '^(TestSteadyStateFabricEventsDoNotAllocate|TestFlowLifecycleAllocsZero|TestExecuteIterationAllocs|TestTickerFiringAllocsZero|TestHeartbeatSteadyStateAllocs|TestHeldCohortAllocsZero|TestRootCheckAllocsZero|TestPlanCommitAllocsZero|TestMonteCarloShardSteadyStateAllocsZero|TestSurvivesFailedAllocsZero|TestProfileWithJitterAllocationFlat|TestBuildTimelineSteadyStateAllocs|TestDisabledTracingAllocsZero|TestHistogramObserveAllocsZero|TestRecorderSampleAllocsZero|TestRegistryMergeAllocsZero|TestNewJobWarmKeyAllocs|TestProgressAllocsZero|TestRunZeroObserverAllocs|TestAppendGenerateWarmAllocsZero|TestCampaignWarmAllocsPerVariation|TestObservedCampaignWarmAllocsPerVariation|TestReportHashAllocs|TestReportHashAllocsParallel|TestCodecAllocations|TestCommitRoundAllocsZero|TestHealthyIterationAllocs|TestRecoveryQueriesAllocsZero)$' ./... > "$ALLOC_LOG" 2>&1; then
 	cat "$ALLOC_LOG"

@@ -204,7 +204,7 @@ func (j *Job) ExecuteScheme(s schedule.Scheme) (*training.ExecResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return training.Execute(j.Config, opts)
+	return training.Execute(j.Timeline, j.Profile, opts)
 }
 
 // ExecuteSchemeWithBuffers is ExecuteScheme with an explicit reserved
@@ -216,18 +216,17 @@ func (j *Job) ExecuteSchemeWithBuffers(s schedule.Scheme, bufferBytes float64, p
 	}
 	opts.BufferBytes = bufferBytes
 	opts.BufferParts = parts
-	return training.Execute(j.Config, opts)
+	return training.Execute(j.Timeline, j.Profile, opts)
 }
 
-// execOptions is the one path into the executor: the ZeRO-3 guard, the
-// job's cached timeline and profile, and the spec's sinks.
+// execOptions is the one path into the executor: the ZeRO-3 guard and
+// the spec's sinks. The executor runs the job's cached timeline and
+// profile.
 func (j *Job) execOptions(s schedule.Scheme) (training.ExecOptions, error) {
 	if j.Spec.Parallelism != training.ZeRO3 {
 		return training.ExecOptions{}, fmt.Errorf("core: the interference executor supports ZeRO-3 only, job uses %v", j.Spec.Parallelism)
 	}
 	opts := training.DefaultExecOptions(j.Placement, s)
-	opts.Timeline = j.Timeline
-	opts.Profile = j.Profile
 	opts.Tracer = j.Spec.Tracer
 	opts.Metrics = j.Spec.Metrics
 	return opts, nil

@@ -57,7 +57,7 @@ func TestExecutorOutputsPinned(t *testing.T) {
 	if err := trace.WriteJSON(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())), "c16907c3a53ed7565cc211e2e0954d35ef877e8bcf77ec959e80024b62f2e311"; got != want {
+	if got, want := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())), "52d88ac00b0b2141b2cefcbae36382162a2911b6068229dd70afffca6d5344d5"; got != want {
 		t.Errorf("traced run's WriteJSON sha256 %s, want %s", got, want)
 	}
 

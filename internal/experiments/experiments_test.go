@@ -5,6 +5,9 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"gemini/internal/baselines"
+	"gemini/internal/model"
 )
 
 // Every experiment must run and produce a non-trivial table. Content
@@ -145,6 +148,60 @@ func TestFig9ShowsPaperNumbers(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("Fig 9 has no N=16 row:\n%s", out)
+	}
+}
+
+// Fig. 11's claims as relations: at N=16 GEMINI checkpoints at least
+// the paper's 65× faster than the remote baselines at 100 Gbps and more
+// than 250× faster at 400 Gbps, and the reduction grows with the machine
+// count and with the bandwidth.
+func TestFig11ReductionGrowsWithMachinesAndBandwidth(t *testing.T) {
+	m := model.MustByName("GPT-2 100B")
+	machines, gbits := []int{4, 8, 12, 16}, []float64{100, 200, 400}
+	r := make([][]float64, len(machines))
+	for i, n := range machines {
+		for _, gbit := range gbits {
+			x, err := checkpointReduction(m, n, gbit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r[i] = append(r[i], x)
+		}
+	}
+	for i := range machines {
+		for j := range gbits {
+			if i > 0 && !(r[i][j] > r[i-1][j]) {
+				t.Errorf("%v Gbps: reduction %.1f× at N=%d, not above %.1f× at N=%d",
+					gbits[j], r[i][j], machines[i], r[i-1][j], machines[i-1])
+			}
+			if j > 0 && !(r[i][j] > r[i][j-1]) {
+				t.Errorf("N=%d: reduction %.1f× at %v Gbps, not above %.1f× at %v Gbps",
+					machines[i], r[i][j], gbits[j], r[i][j-1], gbits[j-1])
+			}
+		}
+	}
+	n16 := r[len(machines)-1]
+	if n16[0] < 65 {
+		t.Errorf("N=16, 100 Gbps: reduction %.1f×, want at least the paper's 65×", n16[0])
+	}
+	if n16[2] <= 250 {
+		t.Errorf("N=16, 400 Gbps: reduction %.1f×, want above the paper's 250×", n16[2])
+	}
+}
+
+// Fig. 12's claims: GEMINI checkpoints about 8× as often as HighFreq
+// and more than 170× as often as Strawman.
+func TestFig12FrequencyRatios(t *testing.T) {
+	job, err := jobFor("GPT-2 100B", "p4d.24xlarge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gem := job.GeminiSpec()
+	if r := baselines.FrequencyRatio(gem, job.HighFreqSpec()); r < 7.5 || r > 8.5 {
+		t.Errorf("GEMINI checkpoints %.2f× as often as HighFreq, want about 8×", r)
+	}
+	if r := baselines.FrequencyRatio(gem, job.StrawmanSpec()); r <= 170 {
+		t.Errorf("GEMINI checkpoints %.1f× as often as Strawman, want more than 170×", r)
 	}
 }
 

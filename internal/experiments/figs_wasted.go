@@ -45,20 +45,30 @@ func Fig11() (string, error) {
 	for _, n := range []int{4, 8, 12, 16} {
 		cells := make([]string, 0, 3)
 		for _, gbit := range []float64{100, 200, 400} {
-			it := cluster.MustInstance("p4d.24xlarge")
-			it.NetworkBytesPerSec = gbit * 1e9 / 8
-			it.GPUToCPUBytesPerSec = it.NetworkBytesPerSec
-			cfg, err := training.NewConfig(m, it, n)
+			r, err := checkpointReduction(m, n, gbit)
 			if err != nil {
 				return "", err
 			}
-			remote := remoteCkptTime(cfg)
-			gem := training.StandaloneCheckpointTime(cfg, 2, schedule.DefaultBufferBytes, schedule.DefaultBufferParts)
-			cells = append(cells, fmtTimes(remote.Seconds()/gem.Seconds()))
+			cells = append(cells, fmtTimes(r))
 		}
 		t.addf("%d|%s|%s|%s", n, cells[0], cells[1], cells[2])
 	}
 	return t.String(), nil
+}
+
+// checkpointReduction is one Fig. 11 cell: the remote baselines'
+// checkpoint time over GEMINI's t_ckpt, for the model on n p4d machines
+// whose network and GPU→CPU copies both run at gbit Gbps.
+func checkpointReduction(m model.Config, n int, gbit float64) (float64, error) {
+	it := cluster.MustInstance("p4d.24xlarge")
+	it.NetworkBytesPerSec = gbit * 1e9 / 8
+	it.GPUToCPUBytesPerSec = it.NetworkBytesPerSec
+	cfg, err := training.NewConfig(m, it, n)
+	if err != nil {
+		return 0, err
+	}
+	gem := training.StandaloneCheckpointTime(cfg, 2, schedule.DefaultBufferBytes, schedule.DefaultBufferParts)
+	return remoteCkptTime(cfg).Seconds() / gem.Seconds(), nil
 }
 
 func remoteCkptTime(cfg training.Config) simclock.Duration {

@@ -34,11 +34,9 @@ import (
 
 // Config describes the fabric connecting training machines.
 type Config struct {
-	// EgressBytesPerSec is each machine's NIC send capacity.
+	// EgressBytesPerSec is each machine's NIC send capacity, and its
+	// receive capacity too.
 	EgressBytesPerSec float64
-	// IngressBytesPerSec is each machine's NIC receive capacity.
-	// Zero means "same as egress".
-	IngressBytesPerSec float64
 	// Alpha is the per-transfer startup latency (the α in f(s) = α + s/B).
 	Alpha simclock.Duration
 }
@@ -47,9 +45,6 @@ type Config struct {
 func (c Config) validate() error {
 	if !(c.EgressBytesPerSec > 0) {
 		return fmt.Errorf("netsim: egress bandwidth must be positive, got %v", c.EgressBytesPerSec)
-	}
-	if !(c.IngressBytesPerSec >= 0) {
-		return fmt.Errorf("netsim: ingress bandwidth must be nonnegative, got %v", c.IngressBytesPerSec)
 	}
 	if !(c.Alpha >= 0) {
 		return fmt.Errorf("netsim: alpha must be nonnegative, got %v", c.Alpha)
@@ -170,9 +165,6 @@ func (f *Flow) Release() {
 }
 
 type node struct {
-	egressCap  float64
-	ingressCap float64
-
 	// Persistent flow lists: every active flow sits in its source's out
 	// list and its destination's in list (swap-removed on finish).
 	out []*Flow
@@ -242,18 +234,12 @@ func NewFabric(engine *simclock.Engine, n int, cfg Config) (*Fabric, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("netsim: fabric needs at least one node, got %d", n)
 	}
-	if cfg.IngressBytesPerSec == 0 {
-		cfg.IngressBytesPerSec = cfg.EgressBytesPerSec
-	}
 	f := &Fabric{
 		engine:   engine,
 		cfg:      cfg,
 		nodes:    make([]node, n),
 		dirtyGen: 1,
 		visitGen: 1,
-	}
-	for i := range f.nodes {
-		f.nodes[i] = node{egressCap: cfg.EgressBytesPerSec, ingressCap: cfg.IngressBytesPerSec}
 	}
 	f.batchFn = f.startBatch
 	return f, nil
@@ -627,10 +613,11 @@ func (fb *Fabric) waterfill() {
 		fl.rate = 0
 		fl.frozen = false
 	}
+	// Each NIC sends and receives at its egress speed.
+	nic := fb.cfg.EgressBytesPerSec
 	for _, ni := range fb.compNodes {
 		n := &fb.nodes[ni]
-		n.egRem = n.egressCap
-		n.inRem = n.ingressCap
+		n.egRem, n.inRem = nic, nic
 		n.egN = int32(len(n.out))
 		n.inN = int32(len(n.in))
 	}

@@ -7,6 +7,7 @@ import (
 	"gemini/internal/cluster"
 	"gemini/internal/model"
 	"gemini/internal/placement"
+	"gemini/internal/profile"
 	"gemini/internal/schedule"
 	"gemini/internal/training"
 )
@@ -21,12 +22,25 @@ func cfg20Bp3dn(t *testing.T) training.Config {
 	return training.MustNewConfig(model.MustByName("GPT-2 20B"), cluster.MustInstance("p3dn.24xlarge"), 4)
 }
 
+// derived builds cfg's timeline and its default-window profile, the pair
+// the executor runs.
+func derived(t *testing.T, cfg training.Config) (*training.Timeline, *profile.Profile) {
+	t.Helper()
+	tl := training.MustBuildTimeline(cfg)
+	prof, err := tl.Profile(schedule.DefaultProfileWindow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tl, prof
+}
+
 func execScheme(t *testing.T, scheme schedule.Scheme) *training.ExecResult {
 	t.Helper()
 	cfg := cfg20Bp3dn(t)
+	tl, prof := derived(t, cfg)
 	opts := training.DefaultExecOptions(placement.MustMixed(cfg.Machines, 2), scheme)
 	opts.Iterations = 2
-	res, err := training.Execute(cfg, opts)
+	res, err := training.Execute(tl, prof, opts)
 	if err != nil {
 		t.Fatalf("Execute(%v): %v", scheme, err)
 	}
@@ -65,23 +79,24 @@ func TestAnalyzeGeminiZeroOverheadWhenFits(t *testing.T) {
 // invalid Algorithm 2 parameters fail Execute, Baseline included.
 func TestAnalyzeValidation(t *testing.T) {
 	cfg := cfg20Bp3dn(t)
+	tl, prof := derived(t, cfg)
 	pl := placement.MustMixed(cfg.Machines, 2)
 	opts := training.DefaultExecOptions(pl, schedule.SchemeGemini)
 	opts.GPUBudgetBytes = -1
-	if _, err := training.Execute(cfg, opts); err == nil || !strings.Contains(err.Error(), "GPU budget") {
+	if _, err := training.Execute(tl, prof, opts); err == nil || !strings.Contains(err.Error(), "GPU budget") {
 		t.Errorf("negative GPU budget: error %v", err)
 	}
-	slow := cfg
-	slow.Instance.GPUToCPUBytesPerSec = 0
-	if _, err := training.Execute(slow, training.DefaultExecOptions(pl, schedule.SchemeGemini)); err == nil || !strings.Contains(err.Error(), "copy bandwidth") {
+	slow := *tl
+	slow.Config.Instance.GPUToCPUBytesPerSec = 0
+	if _, err := training.Execute(&slow, prof, training.DefaultExecOptions(pl, schedule.SchemeGemini)); err == nil || !strings.Contains(err.Error(), "copy bandwidth") {
 		t.Errorf("zero copy bandwidth: error %v", err)
 	}
-	if _, err := training.Execute(cfg, training.DefaultExecOptions(pl, schedule.Scheme(42))); err == nil || !strings.Contains(err.Error(), "unknown scheme") {
+	if _, err := training.Execute(tl, prof, training.DefaultExecOptions(pl, schedule.Scheme(42))); err == nil || !strings.Contains(err.Error(), "unknown scheme") {
 		t.Errorf("unknown scheme: error %v", err)
 	}
 	opts = training.DefaultExecOptions(pl, schedule.SchemeBaseline)
 	opts.Gamma = -1
-	if _, err := training.Execute(cfg, opts); err == nil || !strings.Contains(err.Error(), "gamma") {
+	if _, err := training.Execute(tl, prof, opts); err == nil || !strings.Contains(err.Error(), "gamma") {
 		t.Errorf("invalid Algorithm 2 parameters under Baseline: error %v", err)
 	}
 }

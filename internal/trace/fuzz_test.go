@@ -20,12 +20,17 @@ import (
 // lint clean, and with a few hand-built defects.
 func FuzzLint(f *testing.F) {
 	cfg := training.MustNewConfig(model.MustByName("GPT-2 10B"), cluster.MustInstance("p4d.24xlarge"), 2)
+	tl := training.MustBuildTimeline(cfg)
+	prof, err := tl.Profile(schedule.DefaultProfileWindow)
+	if err != nil {
+		f.Fatal(err)
+	}
 	opts := training.DefaultExecOptions(placement.MustMixed(cfg.Machines, 2), schedule.SchemeGemini)
 	opts.Iterations = 1
 	// 16 GB chunks keep the export small (about 1,200 events).
 	opts.BufferBytes, opts.GPUBudgetBytes = 64e9, 64e9
 	opts.Tracer = trace.NewTracer(nil)
-	if _, err := training.Execute(cfg, opts); err != nil {
+	if _, err := training.Execute(tl, prof, opts); err != nil {
 		f.Fatal(err)
 	}
 	var buf bytes.Buffer

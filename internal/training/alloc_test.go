@@ -50,21 +50,16 @@ func TestProfileWithJitterAllocationFlat(t *testing.T) {
 // six iterations must allocate exactly as much as two.
 func TestExecuteIterationAllocs(t *testing.T) {
 	cfg := MustNewConfig(model.MustByName("GPT-2 100B"), cluster.MustInstance("p4d.24xlarge"), 16)
-	tl := MustBuildTimeline(cfg)
-	prof, err := tl.Profile(20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tl, prof := derived(t, cfg)
 	for _, scheme := range []schedule.Scheme{schedule.SchemeGemini, schedule.SchemeNoPipeline, schedule.SchemeBlocking} {
 		opts := DefaultExecOptions(placement.MustMixed(cfg.Machines, 2), scheme)
-		opts.Timeline, opts.Profile = tl, prof
 		allocsAt := func(iterations int) float64 {
 			opts.Iterations = iterations
 			// A collection inside the measured runs adds a few runtime
 			// allocations of its own; starting both measurements from
 			// a fresh collection puts any such cycle at the same point.
 			runtime.GC()
-			return testing.AllocsPerRun(3, func() { MustExecute(cfg, opts) })
+			return testing.AllocsPerRun(3, func() { MustExecute(tl, prof, opts) })
 		}
 		if small, large := allocsAt(2), allocsAt(6); large != small {
 			t.Errorf("%v: executor allocates %.0f times at 2 iterations and %.0f at 6, want 0 per extra iteration "+
@@ -76,7 +71,7 @@ func TestExecuteIterationAllocs(t *testing.T) {
 
 // TestBuildTimelineSteadyStateAllocs pins the timeline builders'
 // allocation count, which must not grow with the op count. ZeRO-3 shares
-// interned per-layer labels across timelines; the data-parallel and
+// interned step labels across timelines; the data-parallel and
 // pipeline builders format all their labels into one string. Each
 // builder allocates only the timeline, its pre-sized op slice and a few
 // scratch buffers. One fmt.Sprintf per label cost 239,271 allocations

@@ -12,6 +12,7 @@ import (
 
 	"gemini/internal/cluster"
 	"gemini/internal/model"
+	"gemini/internal/netsim"
 	"gemini/internal/simclock"
 )
 
@@ -136,10 +137,34 @@ func (c Config) ShardBytesPerMachine() float64 {
 	return c.Sharding().ShardBytesPerMachine(c.Model)
 }
 
-// collectiveBandwidth returns the effective per-machine bandwidth of
-// training collectives.
-func (c Config) collectiveBandwidth() float64 {
-	return c.Instance.NetworkBytesPerSec * c.Calib.CollectiveEfficiency
+// layerForward is one layer's forward compute per GPU: 2·P_layer·tokens
+// FLOPs at the calibrated rate.
+func (c Config) layerForward() simclock.Duration {
+	m := c.Model
+	tokens := float64(m.SeqLen * m.MicroBatch)
+	return simclock.Duration(2 * float64(m.NominalParams) / float64(m.Layers) * tokens /
+		(c.Instance.PeakFLOPsPerGPU * c.Calib.MFU))
+}
+
+// layerCompute is a ZeRO-3 layer's forward and backward compute. The
+// backward, with activation recomputation, costs 3× the forward: one
+// recompute forward plus the 2× backward.
+func (c Config) layerCompute() (fwd, bwd simclock.Duration) {
+	fwd = c.layerForward()
+	return fwd, 3 * fwd
+}
+
+// layerCollective is one layer's ring collective over the job's
+// machines, at the effective bandwidth of training collectives.
+func (c Config) layerCollective(kind netsim.CollectiveKind) simclock.Duration {
+	return netsim.CollectiveTime(kind, c.Machines, c.Model.LayerFP16Bytes(),
+		c.Instance.NetworkBytesPerSec*c.Calib.CollectiveEfficiency, c.Calib.CollectiveAlpha)
+}
+
+// updatePhase is the optimizer update that ends each iteration: no
+// network traffic, its length proportional to the machine's shard.
+func (c Config) updatePhase() simclock.Duration {
+	return simclock.Duration(c.ShardBytesPerMachine() / 1e9 * c.Calib.UpdatePhaseSecondsPerGB)
 }
 
 // GPUMemoryDemandBytes estimates per-GPU memory demand: the ZeRO-3 shard

@@ -17,7 +17,7 @@ func TestExecutorFullyDeterministic(t *testing.T) {
 	run := func() *ExecResult {
 		opts := DefaultExecOptions(placement.MustMixed(cfg.Machines, 2), schedule.SchemeGemini)
 		opts.Iterations = 2
-		res, err := Execute(cfg, opts)
+		res, err := execute(t, cfg, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

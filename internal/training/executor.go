@@ -3,8 +3,6 @@ package training
 import (
 	"fmt"
 	"math"
-	"strconv"
-	"sync"
 
 	"gemini/internal/metrics"
 	"gemini/internal/netsim"
@@ -33,8 +31,6 @@ type ExecOptions struct {
 	Gamma float64
 	// Iterations to execute (after one unmeasured warmup).
 	Iterations int
-	// ProfileWindow is the §5.4 online-profiling window.
-	ProfileWindow int
 	// Tracer, when non-nil, records the run's structured trace: iteration
 	// and compute spans on cluster tracks, every finished flow on its
 	// source machine's NIC track, copies on per-machine copier tracks.
@@ -44,15 +40,6 @@ type ExecOptions struct {
 	// the training.* namespace (iteration/checkpoint/idle histograms and
 	// the Algorithm 2 idle-utilization gauge). Nil disables them free.
 	Metrics *metrics.Registry
-	// Timeline, when non-nil, is used instead of rebuilding the iteration
-	// timeline from cfg. It must have been built from the same cfg (the
-	// derivation cache passes its shared, read-only copy). The executor
-	// never mutates it.
-	Timeline *Timeline
-	// Profile, when non-nil, is used instead of re-profiling Timeline.
-	// It must match Timeline and ProfileWindow; the executor never
-	// mutates it.
-	Profile *profile.Profile
 }
 
 // DefaultExecOptions returns the paper's implementation parameters.
@@ -65,7 +52,6 @@ func DefaultExecOptions(p *placement.Placement, scheme schedule.Scheme) ExecOpti
 		GPUBudgetBytes: schedule.DefaultGPUBudgetBytes,
 		Gamma:          schedule.DefaultGamma,
 		Iterations:     3,
-		ProfileWindow:  schedule.DefaultProfileWindow,
 	}
 }
 
@@ -111,12 +97,19 @@ func (r *ExecResult) Overhead() float64 {
 	return float64((r.IterationTime - r.BaselineIteration) / r.BaselineIteration)
 }
 
-// Execute runs the training job on the fluid network simulator with the
-// chosen checkpointing scheme and measures iteration time, checkpoint
-// completion time and residual network idle time. Training collectives
-// and checkpoint chunks share the machines' NICs, so interference (or its
-// absence) is an outcome, not an assumption.
-func Execute(cfg Config, opts ExecOptions) (*ExecResult, error) {
+// Execute runs the ZeRO-3 job of a BuildTimeline timeline on the fluid
+// network simulator with the chosen checkpointing scheme, placing
+// checkpoint chunks into the idle spans of prof, the timeline's §5.4
+// profile. It measures iteration time, checkpoint completion time and
+// residual network idle time. Training collectives and checkpoint chunks
+// share the machines' NICs, so interference (or its absence) is an
+// outcome, not an assumption. The executor never mutates tl or prof, so
+// the derivation cache's shared copies can be passed in.
+func Execute(tl *Timeline, prof *profile.Profile, opts ExecOptions) (*ExecResult, error) {
+	if tl == nil || prof == nil {
+		return nil, fmt.Errorf("training: executor needs a timeline and its profile")
+	}
+	cfg := tl.Config
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -129,25 +122,8 @@ func Execute(cfg Config, opts ExecOptions) (*ExecResult, error) {
 	if opts.Iterations < 1 {
 		return nil, fmt.Errorf("training: need at least one iteration, got %d", opts.Iterations)
 	}
-	if opts.ProfileWindow < 1 {
-		return nil, fmt.Errorf("training: need a positive profile window")
-	}
 	if !(opts.GPUBudgetBytes >= 0 && opts.GPUBudgetBytes <= math.MaxFloat64) {
 		return nil, fmt.Errorf("training: GPU budget must be finite and non-negative, got %v", opts.GPUBudgetBytes)
-	}
-
-	tl, prof := opts.Timeline, opts.Profile
-	if tl == nil {
-		var err error
-		if tl, err = BuildTimeline(cfg); err != nil {
-			return nil, err
-		}
-	}
-	if prof == nil {
-		var err error
-		if prof, err = tl.Profile(opts.ProfileWindow); err != nil {
-			return nil, err
-		}
 	}
 
 	shard := cfg.ShardBytesPerMachine()
@@ -224,8 +200,8 @@ func minFloat(a, b float64) float64 {
 }
 
 // MustExecute is Execute for known-good configurations.
-func MustExecute(cfg Config, opts ExecOptions) *ExecResult {
-	res, err := Execute(cfg, opts)
+func MustExecute(tl *Timeline, prof *profile.Profile, opts ExecOptions) *ExecResult {
+	res, err := Execute(tl, prof, opts)
 	if err != nil {
 		panic(err)
 	}
@@ -361,23 +337,6 @@ func lastOffset(params schedule.Params) simclock.Duration {
 	return last.Offset + last.Length
 }
 
-// agStepCache interns the executor's "ag<step>" collective labels, the
-// same way labelsFor interns the timeline's per-layer labels: they
-// depend only on the step index, so one slice serves every run.
-var (
-	agStepMu    sync.Mutex
-	agStepCache []string
-)
-
-func agStepLabels(n int) []string {
-	agStepMu.Lock()
-	defer agStepMu.Unlock()
-	for i := len(agStepCache); i < n; i++ {
-		agStepCache = append(agStepCache, "ag"+strconv.Itoa(i))
-	}
-	return agStepCache[:n:n]
-}
-
 // timer is one engine event reused for every firing: its callback is
 // bound once, and each arm rearms the same event instead of scheduling
 // a new one. The executor never arms a timer that is still pending.
@@ -416,13 +375,10 @@ type executor struct {
 	iterTrack *trace.Track // nil = untraced
 	compTrack *trace.Track
 
-	// The iteration graph, fixed for the run.
-	layers, steps    int
-	agBytes, rsBytes float64
-	computeDur       []simclock.Duration
-	updateDur        simclock.Duration
-	layerLbls        []layerLabels
-	agLbls           []string
+	// The iteration graph, fixed for the run: BuildTimeline's steps and costs.
+	labels              []stepLabels
+	fwd, bwd, updateDur simclock.Duration
+	agBytes, rsBytes    float64
 
 	// One iteration's progress: the comm channel's two queues and the
 	// collective in flight, the compute stream, and the update phase.
@@ -495,11 +451,8 @@ func (ex *executor) setup() {
 
 	// Effective ring-flow bytes: one uncontended flow per machine must
 	// take the collective's analytic time minus the startup latency.
-	L := cfg.Model.Layers
-	layerBytes := cfg.Model.LayerFP16Bytes()
 	effBytes := func(kind netsim.CollectiveKind) float64 {
-		t := netsim.CollectiveTime(kind, n, layerBytes, cfg.collectiveBandwidth(), cfg.Calib.CollectiveAlpha)
-		payload := (t - cfg.Calib.CollectiveAlpha).Seconds() * cfg.Instance.NetworkBytesPerSec
+		payload := (cfg.layerCollective(kind) - cfg.Calib.CollectiveAlpha).Seconds() * cfg.Instance.NetworkBytesPerSec
 		if payload < 0 {
 			payload = 0
 		}
@@ -508,23 +461,12 @@ func (ex *executor) setup() {
 	ex.agBytes = effBytes(netsim.AllGather)
 	ex.rsBytes = effBytes(netsim.ReduceScatter)
 
-	ex.layers, ex.steps = L, 2*L // compute/all-gather step count
-	tokens := float64(cfg.Model.SeqLen * cfg.Model.MicroBatch)
-	fwd := simclock.Duration(2 * float64(cfg.Model.NominalParams) / float64(L) * tokens /
-		(cfg.Instance.PeakFLOPsPerGPU * cfg.Calib.MFU))
-	ex.computeDur = make([]simclock.Duration, ex.steps)
-	for c := range ex.computeDur {
-		ex.computeDur[c] = fwd
-		if c >= L {
-			ex.computeDur[c] = 3 * fwd
-		}
-	}
-	ex.updateDur = simclock.Duration(ex.shard / 1e9 * cfg.Calib.UpdatePhaseSecondsPerGB)
-	ex.layerLbls = labelsFor(L)
-	ex.agLbls = agStepLabels(ex.steps)
-	ex.agDone = make([]bool, ex.steps)
-	ex.compStarted = make([]bool, ex.steps)
-	ex.compDone = make([]bool, ex.steps)
+	ex.labels = labelsFor(cfg.Model.Layers)
+	ex.fwd, ex.bwd = cfg.layerCompute()
+	ex.updateDur = cfg.updatePhase()
+	ex.agDone = make([]bool, len(ex.labels))
+	ex.compStarted = make([]bool, len(ex.labels))
+	ex.compDone = make([]bool, len(ex.labels))
 
 	ex.compute = timer{engine: ex.engine, fn: ex.computeDone}
 	ex.update = timer{engine: ex.engine, fn: ex.updateDone}
@@ -623,17 +565,18 @@ func (ex *executor) pump() {
 	if ex.gateClosed {
 		return
 	}
-	L, steps := ex.layers, ex.steps
+	steps := len(ex.labels)
+	L := steps / 2
 	if !ex.commInFlight {
 		switch {
 		case ex.rsNext < L && ex.compDone[L+ex.rsNext]:
-			l := ex.rsNext
+			c := L + ex.rsNext
 			ex.rsNext++
-			ex.startCollective(ex.layerLbls[l].rsLabel, ex.rsBytes, -1)
+			ex.startCollective(ex.labels[c].reduceScatter, ex.rsBytes, -1)
 		case ex.agNext < steps && (ex.agNext < prefetchDepth || ex.compStarted[ex.agNext-prefetchDepth]):
 			c := ex.agNext
 			ex.agNext++
-			ex.startCollective(ex.agLbls[c], ex.agBytes, c)
+			ex.startCollective(ex.labels[c].allGather, ex.agBytes, c)
 		}
 	}
 	// Compute stream.
@@ -643,7 +586,11 @@ func (ex *executor) pump() {
 		ex.compBusy = true
 		ex.compStarted[c] = true
 		ex.compStep, ex.compStart = c, ex.engine.Now()
-		ex.compute.at(ex.engine.Now().Add(ex.computeDur[c]))
+		d := ex.fwd
+		if c >= L {
+			d = ex.bwd
+		}
+		ex.compute.at(ex.engine.Now().Add(d))
 	}
 	// Update phase once both streams drain.
 	if !ex.updateStarted && ex.compNext == steps && !ex.compBusy &&
@@ -689,15 +636,7 @@ func (ex *executor) computeDone() {
 	c := ex.compStep
 	ex.compBusy = false
 	ex.compDone[c] = true
-	if ex.compTrack.Enabled() {
-		var name string
-		if c < ex.layers {
-			name = ex.layerLbls[c].fwd
-		} else {
-			name = ex.layerLbls[c-ex.layers].bwd
-		}
-		ex.compTrack.Span(trace.CatTraining, name, ex.compStart, ex.engine.Now())
-	}
+	ex.compTrack.Span(trace.CatTraining, ex.labels[c].compute, ex.compStart, ex.engine.Now())
 	ex.pump()
 }
 

@@ -10,18 +10,38 @@ import (
 	"gemini/internal/placement"
 	"gemini/internal/profile"
 	"gemini/internal/schedule"
+	"gemini/internal/trace"
 )
 
 // Executor tests reproduce the §7.4 ablation (Figure 16) on GPT-2 40B /
 // 16× p3dn and the §7.2 no-overhead result (Figure 7) on GPT-2 100B /
 // 16× p4d.
 
+// derived builds cfg's timeline and its default-window profile: what the
+// derivation cache hands the executor.
+func derived(t testing.TB, cfg Config) (*Timeline, *profile.Profile) {
+	t.Helper()
+	tl := MustBuildTimeline(cfg)
+	prof, err := tl.Profile(schedule.DefaultProfileWindow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tl, prof
+}
+
+// execute runs the executor on cfg's derived timeline and profile.
+func execute(t testing.TB, cfg Config, opts ExecOptions) (*ExecResult, error) {
+	t.Helper()
+	tl, prof := derived(t, cfg)
+	return Execute(tl, prof, opts)
+}
+
 func exec40B(t *testing.T, scheme schedule.Scheme) *ExecResult {
 	t.Helper()
 	cfg := cfg40Bp3dn(t)
 	opts := DefaultExecOptions(placement.MustMixed(cfg.Machines, 2), scheme)
 	opts.Iterations = 2
-	res, err := Execute(cfg, opts)
+	res, err := execute(t, cfg, opts)
 	if err != nil {
 		t.Fatalf("Execute(%v): %v", scheme, err)
 	}
@@ -100,7 +120,7 @@ func TestExecutorGemini100BNoOverheadAndFastCheckpoint(t *testing.T) {
 	cfg := cfg100B(t)
 	opts := DefaultExecOptions(placement.MustMixed(cfg.Machines, 2), schedule.SchemeGemini)
 	opts.Iterations = 2
-	res, err := Execute(cfg, opts)
+	res, err := execute(t, cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,31 +138,34 @@ func TestExecutorGemini100BNoOverheadAndFastCheckpoint(t *testing.T) {
 
 func TestExecutorValidation(t *testing.T) {
 	cfg := cfg40Bp3dn(t)
-	if _, err := Execute(cfg, ExecOptions{}); err == nil {
+	tl, prof := derived(t, cfg)
+	good := DefaultExecOptions(placement.MustMixed(cfg.Machines, 2), schedule.SchemeGemini)
+	if _, err := Execute(nil, prof, good); err == nil {
+		t.Error("missing timeline accepted")
+	}
+	if _, err := Execute(tl, nil, good); err == nil {
+		t.Error("missing profile accepted")
+	}
+	if _, err := Execute(tl, prof, ExecOptions{}); err == nil {
 		t.Error("missing placement accepted")
 	}
 	opts := DefaultExecOptions(placement.MustMixed(8, 2), schedule.SchemeGemini)
-	if _, err := Execute(cfg, opts); err == nil {
+	if _, err := Execute(tl, prof, opts); err == nil {
 		t.Error("mismatched placement size accepted")
 	}
-	opts = DefaultExecOptions(placement.MustMixed(cfg.Machines, 2), schedule.SchemeGemini)
+	opts = good
 	opts.Iterations = 0
-	if _, err := Execute(cfg, opts); err == nil {
+	if _, err := Execute(tl, prof, opts); err == nil {
 		t.Error("zero iterations accepted")
-	}
-	opts = DefaultExecOptions(placement.MustMixed(cfg.Machines, 2), schedule.SchemeGemini)
-	opts.ProfileWindow = 0
-	if _, err := Execute(cfg, opts); err == nil {
-		t.Error("zero profile window accepted")
 	}
 	opts = DefaultExecOptions(placement.MustMixed(cfg.Machines, 2), schedule.SchemeBlocking)
 	opts.BufferBytes = 1e3 // 3e10-byte shards in 250-byte chunks
-	if _, err := Execute(cfg, opts); err == nil || !strings.Contains(err.Error(), "buffer size") {
+	if _, err := Execute(tl, prof, opts); err == nil || !strings.Contains(err.Error(), "buffer size") {
 		t.Errorf("buffer cut into more than maxChunks chunks: error %v", err)
 	}
-	bad := cfg
-	bad.Machines = 0
-	if _, err := Execute(bad, DefaultExecOptions(placement.MustMixed(16, 2), schedule.SchemeGemini)); err == nil {
+	bad := *tl
+	bad.Config.Machines = 0
+	if _, err := Execute(&bad, prof, good); err == nil {
 		t.Error("invalid config accepted")
 	}
 	defer func() {
@@ -150,7 +173,7 @@ func TestExecutorValidation(t *testing.T) {
 			t.Error("MustExecute on invalid input did not panic")
 		}
 	}()
-	MustExecute(bad, DefaultExecOptions(placement.MustMixed(16, 2), schedule.SchemeGemini))
+	MustExecute(&bad, prof, good)
 }
 
 // A NaN or infinite float option fails Execute with an error that names
@@ -159,6 +182,7 @@ func TestExecutorValidation(t *testing.T) {
 // budget once let Naive run where it must report OOM).
 func TestExecutorRejectsNonFiniteOptions(t *testing.T) {
 	cfg := cfg40Bp3dn(t)
+	tl, prof := derived(t, cfg)
 	fields := []struct {
 		name string // what the error must mention
 		set  func(*ExecOptions, float64)
@@ -181,7 +205,7 @@ func TestExecutorRejectsNonFiniteOptions(t *testing.T) {
 							t.Errorf("%s = %v under %v: panic %v", f.name, v, scheme, r)
 						}
 					}()
-					res, err := Execute(cfg, opts)
+					res, err := Execute(tl, prof, opts)
 					if err == nil || !strings.Contains(err.Error(), f.name) {
 						t.Errorf("%s = %v under %v: result %+v, error %v; want an error naming %s",
 							f.name, v, scheme, res, err, f.name)
@@ -192,17 +216,19 @@ func TestExecutorRejectsNonFiniteOptions(t *testing.T) {
 	}
 }
 
-// A zero, NaN or infinite GPU→CPU copy bandwidth fails Execute with an
-// error naming it under every scheme, Baseline included, before any
-// copier is built (netsim.MustNewCopier panics on it).
+// A zero, NaN or infinite GPU→CPU copy bandwidth in the timeline's
+// config fails Execute with an error naming it under every scheme,
+// Baseline included, before any copier is built (netsim.MustNewCopier
+// panics on it).
 func TestExecutorRejectsBadCopyBandwidth(t *testing.T) {
+	tl, prof := derived(t, cfg40Bp3dn(t))
 	schemes := []schedule.Scheme{schedule.SchemeBaseline, schedule.SchemeBlocking,
 		schedule.SchemeNaive, schedule.SchemeNoPipeline, schedule.SchemeGemini}
 	for _, v := range []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for _, scheme := range schemes {
-			cfg := cfg40Bp3dn(t)
-			cfg.Instance.GPUToCPUBytesPerSec = v
-			opts := DefaultExecOptions(placement.MustMixed(cfg.Machines, 2), scheme)
+			bad := *tl
+			bad.Config.Instance.GPUToCPUBytesPerSec = v
+			opts := DefaultExecOptions(placement.MustMixed(bad.Config.Machines, 2), scheme)
 			opts.Iterations = 1
 			func() {
 				defer func() {
@@ -210,7 +236,7 @@ func TestExecutorRejectsBadCopyBandwidth(t *testing.T) {
 						t.Errorf("copy bandwidth %v under %v: panic %v", v, scheme, r)
 					}
 				}()
-				res, err := Execute(cfg, opts)
+				res, err := Execute(&bad, prof, opts)
 				if err == nil || !strings.Contains(err.Error(), "copy bandwidth") {
 					t.Errorf("copy bandwidth %v under %v: result %+v, error %v; want an error naming the copy bandwidth",
 						v, scheme, res, err)
@@ -226,7 +252,7 @@ func TestExecutorThreeReplicas(t *testing.T) {
 	cfg := cfg100B(t)
 	opts := DefaultExecOptions(placement.MustMixed(cfg.Machines, 3), schedule.SchemeGemini)
 	opts.Iterations = 2
-	res, err := Execute(cfg, opts)
+	res, err := execute(t, cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +269,7 @@ func TestExecutorSingleReplicaLocalOnly(t *testing.T) {
 	cfg := cfg40Bp3dn(t)
 	opts := DefaultExecOptions(placement.MustMixed(cfg.Machines, 1), schedule.SchemeGemini)
 	opts.Iterations = 1
-	res, err := Execute(cfg, opts)
+	res, err := execute(t, cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +290,7 @@ func TestExecutorMetricsAndIdleUtilization(t *testing.T) {
 		opts := DefaultExecOptions(placement.MustMixed(cfg.Machines, 2), scheme)
 		opts.Iterations = 2
 		opts.Metrics = metrics.NewRegistry()
-		res, err := Execute(cfg, opts)
+		res, err := execute(t, cfg, opts)
 		if err != nil {
 			t.Fatalf("Execute(%v): %v", scheme, err)
 		}
@@ -440,5 +466,74 @@ func TestIdleUtilizationMatchesPlan(t *testing.T) {
 		if bytes > 200 && got >= 1 {
 			t.Errorf("%.0f checkpoint bytes: utilization %v, want an overflowing plan", bytes, got)
 		}
+	}
+}
+
+// The executor runs BuildTimeline's steps, so its trace names every
+// collective and compute step as the timeline does: all-gathers
+// ag-fwd<l> and ag-bwd<l>, and backward step c as layer 2L−1−c. The
+// executor's comm queue may order a ready reduce-scatter differently
+// against the all-gathers, so each comm kind is compared on its own.
+func TestExecutorStepLabelsMatchTimeline(t *testing.T) {
+	for _, cfg := range []Config{cfg100B(t), cfg40Bp3dn(t)} {
+		tl, prof := derived(t, cfg)
+		opts := DefaultExecOptions(placement.MustMixed(cfg.Machines, 2), schedule.SchemeBaseline)
+		opts.Iterations = 1
+		opts.Tracer = trace.NewTracer(nil)
+		if _, err := Execute(tl, prof, opts); err != nil {
+			t.Fatal(err)
+		}
+		// Every executed iteration, the warmup included, repeats the
+		// timeline's labels.
+		var ag, rs, compute []string
+		for iter := 0; iter <= opts.Iterations; iter++ {
+			for _, op := range tl.Ops {
+				switch op.Kind {
+				case OpAllGather:
+					ag = append(ag, op.Label)
+				case OpReduceScatter:
+					rs = append(rs, op.Label)
+				default:
+					compute = append(compute, op.Label)
+				}
+			}
+		}
+		nics := 0
+		for _, tk := range opts.Tracer.Tracks() {
+			var names, nicAG, nicRS []string
+			for _, sp := range tk.Spans() {
+				names = append(names, sp.Name)
+				if strings.HasPrefix(sp.Name, "rs-") {
+					nicRS = append(nicRS, sp.Name)
+				} else {
+					nicAG = append(nicAG, sp.Name)
+				}
+			}
+			track := cfg.Model.Name() + " " + tk.Process + "/" + tk.Thread
+			switch {
+			case tk.Thread == "nic":
+				nics++
+				sameLabels(t, track+" all-gathers", nicAG, ag)
+				sameLabels(t, track+" reduce-scatters", nicRS, rs)
+			case tk.Process == "cluster" && tk.Thread == "compute":
+				sameLabels(t, track, names, compute)
+			}
+		}
+		if nics != cfg.Machines {
+			t.Fatalf("%s: %d NIC tracks, want %d", cfg.Model.Name(), nics, cfg.Machines)
+		}
+	}
+}
+
+// sameLabels fails at the first label where got and want part.
+func sameLabels(t *testing.T, what string, got, want []string) {
+	t.Helper()
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			t.Fatalf("%s: label %d is %s, want %s", what, i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d labels, want %d", what, len(got), len(want))
 	}
 }

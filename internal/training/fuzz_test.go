@@ -40,12 +40,11 @@ func FuzzExecuteOptions(f *testing.F) {
 		opts.BufferBytes, opts.BufferParts = bufferBytes, bufferParts
 		opts.Gamma, opts.GPUBudgetBytes = gamma, budget
 		opts.Iterations = 1
-		opts.Timeline, opts.Profile = tl, prof
-		res, err := Execute(cfg, opts)
+		res, err := Execute(tl, prof, opts)
 		if (res == nil) == (err == nil) {
 			t.Fatalf("Execute returned result %+v and error %v; want exactly one", res, err)
 		}
-		again, errAgain := Execute(cfg, opts)
+		again, errAgain := Execute(tl, prof, opts)
 		if !reflect.DeepEqual(res, again) || (err == nil) != (errAgain == nil) ||
 			(err != nil && err.Error() != errAgain.Error()) {
 			t.Fatalf("Execute is not deterministic: %+v, %v then %+v, %v", res, err, again, errAgain)

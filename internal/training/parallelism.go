@@ -66,15 +66,10 @@ func buildDataParallelTimeline(cfg Config) (*Timeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := cfg.Model
-	L := m.Layers
-	layerBytes := m.LayerFP16Bytes()
-	arTime := netsim.CollectiveTime(netsim.AllReduce, cfg.Machines, layerBytes,
-		cfg.collectiveBandwidth(), cfg.Calib.CollectiveAlpha)
-
-	tokens := float64(m.SeqLen * m.MicroBatch)
-	gpuRate := cfg.Instance.PeakFLOPsPerGPU * cfg.Calib.MFU
-	fwd := simclock.Duration(2 * float64(m.NominalParams) / float64(L) * tokens / gpuRate)
+	L := cfg.Model.Layers
+	layerBytes := cfg.Model.LayerFP16Bytes()
+	arTime := cfg.layerCollective(netsim.AllReduce)
+	fwd := cfg.layerForward()
 	bwd := 2 * fwd // no recomputation: replicas hold activations
 
 	// L forward computes, L backward computes and L all-reduces, then the
@@ -99,7 +94,7 @@ func buildDataParallelTimeline(cfg Config) (*Timeline, error) {
 		commFree = start + arTime
 	}
 	updStart := maxDur(compFree, commFree)
-	upd := simclock.Duration(cfg.ShardBytesPerMachine() / 1e9 * cfg.Calib.UpdatePhaseSecondsPerGB)
+	upd := cfg.updatePhase()
 	tl.Ops = append(tl.Ops, TimedOp{Kind: OpUpdate, Start: updStart, End: updStart + upd, Label: "update"})
 	tl.Iteration = updStart + upd
 	return tl, nil
@@ -149,7 +144,7 @@ func buildPipelineTimeline(cfg Config) (*Timeline, error) {
 	}
 	// Drain bubble, then the optimizer update.
 	t += simclock.Duration(stages-1) * (stageBwd + sendTime)
-	upd := simclock.Duration(cfg.ShardBytesPerMachine() / 1e9 * cfg.Calib.UpdatePhaseSecondsPerGB)
+	upd := cfg.updatePhase()
 	tl.Ops = append(tl.Ops, TimedOp{Kind: OpUpdate, Start: t, End: t + upd, Label: "update"})
 	tl.Iteration = t + upd
 	return tl, nil

@@ -62,85 +62,62 @@ type Timeline struct {
 // past compute — ZeRO-3's parameter prefetch window.
 const prefetchDepth = 2
 
-// layerLabels holds the interned label strings for one layer's timeline
-// ops. Labels depend only on the layer index, never on the config, so
-// they are built once per distinct layer depth and shared by every
-// timeline — repeated BuildTimeline calls (config sweeps, placement
-// tables, stress campaigns) allocate no label strings.
-type layerLabels struct {
-	fwd, agFwd          string
-	bwd, agBwd, rsLabel string
+// stepLabels holds the interned labels of one of a ZeRO-3 iteration's
+// 2L compute steps: its compute, the parameter all-gather it waits for,
+// and, for a backward step, its layer's gradient reduce-scatter.
+type stepLabels struct {
+	compute, allGather string
+	reduceScatter      string // empty for a forward step
 }
 
 var (
 	labelMu    sync.Mutex
-	labelCache []layerLabels
+	labelCache = map[int][]stepLabels{}
 )
 
-// labelsFor returns interned labels for layers 0..layers-1. The returned
+// labelsFor returns the step labels of a layers-deep iteration in step
+// order: forward through layers 0..L−1, then backward through layers
+// L−1..0, so step c is layer c forward and layer 2L−1−c backward.
+// Labels depend only on the depth, never on the config, so they are
+// built once per distinct depth and shared by every timeline and
+// executor run — repeated BuildTimeline calls (config sweeps, placement
+// tables, stress campaigns) allocate no label strings. The returned
 // slice is a read-only snapshot; strings are immutable and safe to share
 // across goroutines.
-func labelsFor(layers int) []layerLabels {
+func labelsFor(layers int) []stepLabels {
 	labelMu.Lock()
 	defer labelMu.Unlock()
-	for l := len(labelCache); l < layers; l++ {
-		n := strconv.Itoa(l)
-		labelCache = append(labelCache, layerLabels{
-			fwd: "fwd" + n, agFwd: "ag-fwd" + n,
-			bwd: "bwd" + n, agBwd: "ag-bwd" + n, rsLabel: "rs-bwd" + n,
-		})
+	steps, ok := labelCache[layers]
+	if !ok {
+		steps = make([]stepLabels, 2*layers)
+		for l := 0; l < layers; l++ {
+			n := strconv.Itoa(l)
+			steps[l] = stepLabels{compute: "fwd" + n, allGather: "ag-fwd" + n}
+			steps[2*layers-1-l] = stepLabels{compute: "bwd" + n, allGather: "ag-bwd" + n, reduceScatter: "rs-bwd" + n}
+		}
+		labelCache[layers] = steps
 	}
-	return labelCache[:layers:layers]
+	return steps
 }
 
-// BuildTimeline derives the iteration timeline: L forward steps (param
-// all-gather then compute), L backward steps (all-gather for activation
-// recomputation, 3× compute, then gradient reduce-scatter), and the
-// communication-free optimizer update at the end.
+// BuildTimeline derives the iteration timeline: labelsFor's 2L steps,
+// each a parameter all-gather then compute, a backward step's gradient
+// reduce-scatter after it, and the communication-free optimizer update
+// at the end.
 func BuildTimeline(cfg Config) (*Timeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := cfg.Model
-	layers := m.Layers
-	layerBytes := m.LayerFP16Bytes()
-	collBW := cfg.collectiveBandwidth()
-	alpha := cfg.Calib.CollectiveAlpha
-
-	agTime := netsim.CollectiveTime(netsim.AllGather, cfg.Machines, layerBytes, collBW, alpha)
-	rsTime := netsim.CollectiveTime(netsim.ReduceScatter, cfg.Machines, layerBytes, collBW, alpha)
-
-	// Per-GPU compute: 2·P_layer·tokens forward; backward with activation
-	// recomputation costs 3× that (one recompute forward + 2× backward).
-	tokens := float64(m.SeqLen * m.MicroBatch)
-	flopsPerLayerFwd := 2 * float64(m.NominalParams) / float64(layers) * tokens
-	gpuRate := cfg.Instance.PeakFLOPsPerGPU * cfg.Calib.MFU
-	fwdCompute := simclock.Duration(flopsPerLayerFwd / gpuRate)
-	bwdCompute := 3 * fwdCompute
-
-	updTime := simclock.Duration(cfg.ShardBytesPerMachine() / 1e9 * cfg.Calib.UpdatePhaseSecondsPerGB)
+	layers := cfg.Model.Layers
+	layerBytes := cfg.Model.LayerFP16Bytes()
+	agTime := cfg.layerCollective(netsim.AllGather)
+	rsTime := cfg.layerCollective(netsim.ReduceScatter)
+	fwd, bwd := cfg.layerCompute()
 
 	// 2L all-gathers + 2L computes + L reduce-scatters + 1 update.
 	tl := &Timeline{Config: cfg, Ops: make([]TimedOp, 0, 5*layers+1)}
 	var commFree, compFree simclock.Duration
 	compStarts := make([]simclock.Duration, 0, 2*layers)
-
-	labels := labelsFor(layers)
-	type step struct {
-		label   string            // interned compute label
-		agLabel string            // interned all-gather label
-		rsLabel string            // interned reduce-scatter label (backward only)
-		comm    simclock.Duration // pre-compute all-gather
-		compute simclock.Duration
-		post    simclock.Duration // post-compute reduce-scatter (backward only)
-	}
-	steps := make([]step, 0, 2*layers)
-	for l := 0; l < layers; l++ {
-		steps = append(steps, step{label: labels[l].fwd, agLabel: labels[l].agFwd, comm: agTime, compute: fwdCompute})
-	}
-	for l := layers - 1; l >= 0; l-- {
-		steps = append(steps, step{label: labels[l].bwd, agLabel: labels[l].agBwd, rsLabel: labels[l].rsLabel, comm: agTime, compute: bwdCompute, post: rsTime})
-	}
 
 	// Reduce-scatters become ready as their layer's backward compute
 	// finishes; they are queued on the comm stream in order, interleaved
@@ -171,7 +148,7 @@ func BuildTimeline(cfg Config) (*Timeline, error) {
 		}
 	}
 
-	for i, st := range steps {
+	for i, st := range labelsFor(layers) {
 		// Prefetch limit: the all-gather of step i may not start before
 		// compute of step i−prefetchDepth has started.
 		var gate simclock.Duration
@@ -180,18 +157,23 @@ func BuildTimeline(cfg Config) (*Timeline, error) {
 		}
 		flushRS(maxDur(commFree, gate))
 		agStart := maxDur(commFree, gate)
-		agEnd := agStart + st.comm
-		tl.Ops = append(tl.Ops, TimedOp{Kind: OpAllGather, Start: agStart, End: agEnd, Label: st.agLabel, Bytes: layerBytes})
+		agEnd := agStart + agTime
+		tl.Ops = append(tl.Ops, TimedOp{Kind: OpAllGather, Start: agStart, End: agEnd, Label: st.allGather, Bytes: layerBytes})
 		commFree = agEnd
 
+		compute := fwd
+		if i >= layers {
+			compute = bwd
+		}
 		compStart := maxDur(compFree, agEnd)
-		compEnd := compStart + st.compute
-		tl.Ops = append(tl.Ops, TimedOp{Kind: OpCompute, Start: compStart, End: compEnd, Label: st.label})
+		compEnd := compStart + compute
+		tl.Ops = append(tl.Ops, TimedOp{Kind: OpCompute, Start: compStart, End: compEnd, Label: st.compute})
 		compStarts = append(compStarts, compStart)
 		compFree = compEnd
 
-		if st.post > 0 {
-			rsQueue = append(rsQueue, pendingRS{ready: compEnd, label: st.rsLabel})
+		// A lone machine has nothing to reduce.
+		if i >= layers && rsTime > 0 {
+			rsQueue = append(rsQueue, pendingRS{ready: compEnd, label: st.reduceScatter})
 		}
 	}
 	flushRS(-1)
@@ -199,7 +181,7 @@ func BuildTimeline(cfg Config) (*Timeline, error) {
 	// Optimizer update needs all gradients reduced: start after both
 	// streams drain.
 	updStart := maxDur(compFree, commFree)
-	updEnd := updStart + updTime
+	updEnd := updStart + cfg.updatePhase()
 	tl.Ops = append(tl.Ops, TimedOp{Kind: OpUpdate, Start: updStart, End: updEnd, Label: "update"})
 	tl.Iteration = updEnd
 	return tl, nil

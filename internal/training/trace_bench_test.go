@@ -15,6 +15,7 @@ import (
 // training, the fabric, and the copiers; EXPERIMENTS.md quotes it.
 func benchExecute(b *testing.B, traced bool) {
 	cfg := MustNewConfig(model.MustByName("GPT-2 40B"), cluster.MustInstance("p3dn.24xlarge"), 16)
+	tl, prof := derived(b, cfg)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		opts := DefaultExecOptions(placement.MustMixed(cfg.Machines, 2), schedule.SchemeGemini)
@@ -22,7 +23,7 @@ func benchExecute(b *testing.B, traced bool) {
 		if traced {
 			opts.Tracer = trace.NewTracer(nil)
 		}
-		if _, err := Execute(cfg, opts); err != nil {
+		if _, err := Execute(tl, prof, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
