@@ -562,6 +562,7 @@ var keepFields = map[string]string{
 	"profile.Profile.Iterations":             keepDigest,
 
 	"ckpt.Retrieval.Bytes": keepAsserts,
+	"netsim.Copy.Bytes":    keepAsserts,
 	"ckpt.Shard.Bytes":     keepAsserts,
 	"cluster.Machine.Rank": keepAsserts,
 	"metrics.Summary.N":    keepAsserts,

@@ -63,7 +63,8 @@ func TestSteadyStateFabricEventsDoNotAllocate(t *testing.T) {
 // TestFlowLifecycleAllocsZero pins flow and copy recycling: once a
 // fabric and a copier hold released objects, StartFlow → complete →
 // Release and Submit → complete → Release reuse the objects and their
-// events, so a whole lifecycle allocates nothing.
+// events, so a whole lifecycle allocates nothing, a run of pieces
+// included.
 func TestFlowLifecycleAllocsZero(t *testing.T) {
 	e := simclock.NewEngine()
 	f := MustNewFabric(e, 4, Config{EgressBytesPerSec: 1e9, Alpha: 1e-6})
@@ -73,8 +74,8 @@ func TestFlowLifecycleAllocsZero(t *testing.T) {
 	cycle := func() {
 		f.StartFlow(0, 1, 1e6, "flow", releaseFlow)
 		f.StartFlow(2, 1, 1e6, "flow", releaseFlow)
-		c.Submit(1e6, "copy", releaseCopy)
-		c.Submit(1e6, "copy", releaseCopy)
+		c.Submit(1e6, 1e6, "copy", releaseCopy)
+		c.Submit(3e6, 1e6, "run", releaseCopy)
 		e.RunAll()
 	}
 	cycle()

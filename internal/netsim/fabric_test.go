@@ -185,9 +185,10 @@ func TestRejectsNaNAndInfInputs(t *testing.T) {
 		want string // must appear in the panic or error
 		call func(e *simclock.Engine, f *Fabric, c *Copier) error
 	}{
-		{"Submit NaN", "NaN", func(_ *simclock.Engine, _ *Fabric, c *Copier) error { c.Submit(nan, "x", nil); return nil }},
-		{"Submit +Inf", "+Inf", func(_ *simclock.Engine, _ *Fabric, c *Copier) error { c.Submit(inf, "x", nil); return nil }},
-		{"Submit -Inf", "-Inf", func(_ *simclock.Engine, _ *Fabric, c *Copier) error { c.Submit(-inf, "x", nil); return nil }},
+		{"Submit NaN", "NaN", func(_ *simclock.Engine, _ *Fabric, c *Copier) error { c.Submit(nan, 1, "x", nil); return nil }},
+		{"Submit +Inf", "+Inf", func(_ *simclock.Engine, _ *Fabric, c *Copier) error { c.Submit(inf, 1, "x", nil); return nil }},
+		{"Submit -Inf", "-Inf", func(_ *simclock.Engine, _ *Fabric, c *Copier) error { c.Submit(-inf, 1, "x", nil); return nil }},
+		{"Submit NaN piece", "NaN", func(_ *simclock.Engine, _ *Fabric, c *Copier) error { c.Submit(1, nan, "x", nil); return nil }},
 		{"NewCopier NaN", "NaN", func(e *simclock.Engine, _ *Fabric, _ *Copier) error { _, err := NewCopier(e, nan); return err }},
 		{"StartFlow NaN", "NaN", func(_ *simclock.Engine, f *Fabric, _ *Copier) error { f.StartFlow(0, 1, nan, "x", nil); return nil }},
 		{"NewFabric NaN egress", "NaN", func(e *simclock.Engine, _ *Fabric, _ *Copier) error {

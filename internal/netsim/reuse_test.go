@@ -20,7 +20,7 @@ type reuseEvent struct {
 // cannot pass vacuously.
 type reuseTally struct {
 	flows, ringRuns, copies int
-	reused                  int // StartFlow/Submit results seen before
+	reused                  int // flows and copies seen before
 }
 
 type reuseRun struct {
@@ -34,7 +34,7 @@ type reuseRun struct {
 }
 
 // runReuseWorkload drives a seeded random mix of flow starts (zero-byte
-// ones included), ring runs and copies. With release set, every callback
+// ones included), ring runs and copy runs. With release set, every callback
 // releases its flow or copy; otherwise the workload's own handles are
 // never recycled (ring runs recycle theirs in both modes). Nothing the
 // simulation computes may depend on which.
@@ -46,6 +46,12 @@ func runReuseWorkload(seed int64, release bool) reuseRun {
 	c := MustNewCopier(e, 2000)
 	var run reuseRun
 	seen := map[any]bool{}
+	note := func(h any) {
+		if seen[h] {
+			run.tally.reused++
+		}
+		seen[h] = true
+	}
 
 	onFlow := func(fl *Flow) {
 		run.events = append(run.events, reuseEvent{fl.Label, fl.State(), e.Now(), fl.Remaining()})
@@ -54,6 +60,7 @@ func runReuseWorkload(seed int64, release bool) reuseRun {
 		}
 	}
 	onCopy := func(cp *Copy) {
+		note(cp)
 		run.events = append(run.events, reuseEvent{cp.Label, cp.State(), e.Now(), cp.Bytes})
 		if release {
 			cp.Release()
@@ -61,12 +68,6 @@ func runReuseWorkload(seed int64, release bool) reuseRun {
 	}
 	onRing := func(r *RingRun) {
 		run.events = append(run.events, reuseEvent{"ring", FlowDone, e.Now(), r.Elapsed().Seconds()})
-	}
-	note := func(h any) {
-		if seen[h] {
-			run.tally.reused++
-		}
-		seen[h] = true
 	}
 
 	at := simclock.Time(0)
@@ -91,7 +92,11 @@ func runReuseWorkload(seed int64, release bool) reuseRun {
 				}
 				run.tally.ringRuns++
 			default:
-				note(c.Submit(bytes, label, onCopy))
+				piece := bytes
+				if r%2 == 1 {
+					piece = float64(1 + r%300)
+				}
+				c.Submit(bytes, piece, label, onCopy)
 				run.tally.copies++
 			}
 		})
@@ -184,19 +189,20 @@ func TestFlowReleaseContract(t *testing.T) {
 func TestCopyReleaseContract(t *testing.T) {
 	e := simclock.NewEngine()
 	c := MustNewCopier(e, 100)
-	first := c.Submit(100, "a", nil)
-	second := c.Submit(100, "b", nil)
-	mustPanic(t, "Release of an in-flight copy", first.Release)
-	mustPanic(t, "Release of a queued copy", second.Release)
+	var done []*Copy
+	keep := func(cp *Copy) { done = append(done, cp) }
+	c.Submit(100, 100, "a", keep)
+	mustPanic(t, "Release of an in-flight copy", c.cur.Release)
 	e.RunAll()
+	first := done[0]
 	first.Release()
 	mustPanic(t, "second Release", first.Release)
-	again := c.Submit(300, "c", nil)
-	if again != first || again.Label != "c" || again.Bytes != 300 || again.State() != FlowActive {
-		t.Fatalf("Submit did not reuse the released copy: %+v", again)
+	c.Submit(300, 300, "c", keep)
+	if c.cur != first || first.Label != "c" || first.Bytes != 300 || first.State() != FlowActive {
+		t.Fatalf("the next piece did not reuse the released copy: %+v", c.cur)
 	}
 	e.RunAll()
-	if e.Now() != 5 || again.State() != FlowDone {
-		t.Fatalf("reused copy ended %v at %v, want done at 5", again.State(), e.Now())
+	if e.Now() != 4 || len(done) != 2 || done[1] != first || first.State() != FlowDone {
+		t.Fatalf("reused copy ended %v at %v, want done at 4", first.State(), e.Now())
 	}
 }

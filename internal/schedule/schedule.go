@@ -57,7 +57,9 @@ type Params struct {
 	Gamma float64
 }
 
-func (p Params) validate() error {
+// Validate reports the first parameter Algorithm 2 cannot run with.
+// Partition calls it; so does every scheme that does not build a plan.
+func (p Params) Validate() error {
 	// Every check is negated so that NaN, which compares false against
 	// everything, fails it too; the MaxFloat64 bounds reject ±Inf.
 	switch {
@@ -155,7 +157,7 @@ func (pl *Plan) IdleUtilization() float64 {
 // size R/p, and spills whatever remains into a virtual unbounded span
 // after the last profiled one.
 func Partition(p Params) (*Plan, error) {
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	plan := &Plan{Fits: true}
@@ -164,6 +166,12 @@ func Partition(p Params) (*Plan, error) {
 		return plan, nil
 	}
 	maxChunk := p.BufferBytes / float64(p.BufferParts)
+	// Each replica's bytes are cut into segments by span ends, and a
+	// segment into full chunks and one partial: at most ⌊(m−1)·C/(R/p)⌋
+	// full chunks plus one partial per replica and per span.
+	if n := math.Floor(float64(remoteReplicas)*p.CheckpointBytes/maxChunk) + float64(remoteReplicas+len(p.Spans)); n <= maxPlanHint {
+		plan.Chunks = make([]Chunk, 0, int(n))
+	}
 	replica := 0
 	remainSize := p.CheckpointBytes
 
@@ -217,6 +225,10 @@ func Partition(p Params) (*Plan, error) {
 	}
 	return plan, nil
 }
+
+// maxPlanHint bounds the chunk capacity Partition reserves up front; a
+// larger plan grows as it is built.
+const maxPlanHint = 1 << 20
 
 // MustPartition is Partition for known-good parameters.
 func MustPartition(p Params) *Plan {

@@ -69,6 +69,30 @@ func TestExecuteIterationAllocs(t *testing.T) {
 	}
 }
 
+// TestExecuteAllocsFlatInChunks pins the executor's per-chunk cost on
+// the Fig. 7 run: a machine's local shard is one copier run whose pieces
+// take released copies as they start, and only GEMINI and NoPipeline
+// build Algorithm 2's plan, so cutting the buffer into 16 parts instead
+// of 4 (4× the chunks) must not add a single allocation. Queuing one
+// copy object per local chunk cost about 300 allocations per machine.
+func TestExecuteAllocsFlatInChunks(t *testing.T) {
+	cfg := MustNewConfig(model.MustByName("GPT-2 100B"), cluster.MustInstance("p4d.24xlarge"), 16)
+	tl, prof := derived(t, cfg)
+	for _, scheme := range []schedule.Scheme{schedule.SchemeGemini, schedule.SchemeBlocking} {
+		opts := DefaultExecOptions(placement.MustMixed(cfg.Machines, 2), scheme)
+		opts.Iterations = 1
+		allocsAt := func(parts int) float64 {
+			opts.BufferParts = parts
+			runtime.GC()
+			return testing.AllocsPerRun(3, func() { MustExecute(tl, prof, opts) })
+		}
+		if coarse, fine := allocsAt(4), allocsAt(16); fine != coarse {
+			t.Errorf("%v: executor allocates %.0f times at 4 buffer parts and %.0f at 16, want equal "+
+				"(a copy queued per chunk, or a job list grown per chunk?)", scheme, coarse, fine)
+		}
+	}
+}
+
 // TestBuildTimelineSteadyStateAllocs pins the timeline builders'
 // allocation count, which must not grow with the op count. ZeRO-3 shares
 // interned step labels across timelines; the data-parallel and

@@ -231,10 +231,17 @@ type chunkSchedule struct {
 
 // buildChunkJobs is the one statement of each interleaving scheme: it
 // turns the scheme and Algorithm 2's parameters into the chunk schedule
-// the executor runs. Partition runs once for every scheme, so bad
-// parameters fail here whichever scheme reads its plan.
+// the executor runs. Only the schemes that read Algorithm 2's plan build
+// it; every other scheme checks the same parameters, so bad ones fail
+// here with the same error whichever scheme runs.
 func buildChunkJobs(scheme schedule.Scheme, params schedule.Params) (chunkSchedule, error) {
-	plan, err := schedule.Partition(params)
+	var plan *schedule.Plan
+	var err error
+	if scheme == schedule.SchemeNoPipeline || scheme == schedule.SchemeGemini {
+		plan, err = schedule.Partition(params)
+	} else {
+		err = params.Validate()
+	}
 	if err != nil {
 		return chunkSchedule{}, err
 	}
@@ -247,6 +254,7 @@ func buildChunkJobs(scheme schedule.Scheme, params schedule.Params) (chunkSchedu
 		// Replicas streamed up front through the chunked buffer without
 		// pipelining; training gated behind the full checkpoint.
 		chunk := params.BufferBytes / float64(params.BufferParts)
+		cs.jobs = make([]chunkJob, 0, remote*netsim.Pieces(params.CheckpointBytes, chunk))
 		for r := 0; r < remote; r++ {
 			remain := params.CheckpointBytes
 			for remain > 0 {
@@ -288,6 +296,7 @@ func buildChunkJobs(scheme schedule.Scheme, params schedule.Params) (chunkSchedu
 			remainPerReplica = params.CheckpointBytes
 		}
 	case schedule.SchemeNoPipeline, schedule.SchemeGemini:
+		cs.jobs = make([]chunkJob, 0, len(plan.Chunks))
 		for _, c := range plan.Chunks {
 			nb := lastOffset(params)
 			if c.Span < len(params.Spans) {
@@ -395,13 +404,16 @@ type executor struct {
 	updateStarted                 bool
 	updStart                      simclock.Time
 
-	// One iteration's checkpoint.
-	iterStart  simclock.Time
-	ckptStart  simclock.Time
-	ckptSeen   bool
-	ckptDone   simclock.Time
-	copiedLeft float64
-	gateClosed bool
+	// One iteration's checkpoint. Every machine copies its local shard
+	// in localPieces copies and receives len(jobs) remote chunks, one
+	// copy each; copiesLeft counts the cluster's outstanding copies.
+	iterStart   simclock.Time
+	ckptStart   simclock.Time
+	ckptSeen    bool
+	ckptDone    simclock.Time
+	localPieces int
+	copiesLeft  int
+	gateClosed  bool
 
 	// Bound once per run by setup.
 	compute, update timer
@@ -475,6 +487,7 @@ func (ex *executor) setup() {
 	if !ex.enabled {
 		return
 	}
+	ex.localPieces = netsim.Pieces(ex.shard, ex.chunkSize())
 	ex.senders = make([]sender, n)
 	for m := range ex.senders {
 		s := &ex.senders[m]
@@ -644,18 +657,18 @@ func (ex *executor) updateDone() {
 	ex.compTrack.Span(trace.CatTraining, "update", ex.updStart, ex.engine.Now())
 }
 
-// startCheckpoint arms each machine's sender for the iteration. Bytes to
-// copy GPU→CPU across the cluster: every machine copies its own shard
-// locally plus every received remote chunk.
+// chunkSize is R/p, the size of one sub-buffer.
+func (ex *executor) chunkSize() float64 {
+	return ex.opts.BufferBytes / float64(ex.opts.BufferParts)
+}
+
+// startCheckpoint arms each machine's sender for the iteration. An empty
+// shard leaves nothing to checkpoint.
 func (ex *executor) startCheckpoint() {
-	if !ex.enabled {
+	if !ex.enabled || ex.shard == 0 {
 		return
 	}
-	remoteBytes := float64(ex.opts.Placement.M-1) * ex.shard
-	ex.copiedLeft = float64(ex.cfg.Machines) * (ex.shard + remoteBytes)
-	if ex.copiedLeft == 0 {
-		return
-	}
+	ex.copiesLeft = ex.cfg.Machines * (ex.localPieces + len(ex.jobs))
 	for m := range ex.senders {
 		s := &ex.senders[m]
 		s.next = 0
@@ -673,9 +686,9 @@ func (ex *executor) markActivity() {
 // copied accounts a finished copy and releases it to its copier; the
 // last one completes the checkpoint and opens a blocking scheme's gate.
 func (ex *executor) copied(cp *netsim.Copy) {
-	ex.copiedLeft -= cp.Bytes
+	ex.copiesLeft--
 	cp.Release()
-	if ex.copiedLeft < 1e-6 {
+	if ex.copiesLeft == 0 {
 		ex.ckptDone = ex.engine.Now()
 		if ex.gateClosed {
 			ex.gateClosed = false
@@ -684,22 +697,13 @@ func (ex *executor) copied(cp *netsim.Copy) {
 	}
 }
 
-// begin submits the machine's local shard copy, partitioned like the
-// remote chunks (§5.3 "Move checkpoints from GPU to local CPU"), then
-// sends its first chunk. One event per machine carries every local
-// chunk: nothing it schedules can fire before the next machine's begin.
+// begin submits the machine's local shard copy as one run of R/p pieces,
+// partitioned like the remote chunks (§5.3 "Move checkpoints from GPU to
+// local CPU"), then sends its first chunk.
 func (s *sender) begin() {
 	ex := s.ex
 	ex.markActivity()
-	chunkSize := ex.opts.BufferBytes / float64(ex.opts.BufferParts)
-	for remain := ex.shard; remain > 0; {
-		sz := chunkSize
-		if sz > remain {
-			sz = remain
-		}
-		remain -= sz
-		ex.copiers[s.machine].Submit(sz, "local-ckpt", ex.localCopied)
-	}
+	ex.copiers[s.machine].Submit(ex.shard, ex.chunkSize(), "local-ckpt", ex.localCopied)
 	if len(s.peers) > 0 {
 		s.sendNext()
 	}
@@ -724,7 +728,7 @@ func (s *sender) sendNext() {
 func (s *sender) chunkSent(fl *netsim.Flow) {
 	dst, bytes := fl.Dst, fl.Bytes()
 	fl.Release()
-	s.ex.copiers[dst].Submit(bytes, "remote-ckpt", s.copyDone)
+	s.ex.copiers[dst].Submit(bytes, bytes, "remote-ckpt", s.copyDone)
 	if s.ex.pipelined {
 		s.sendNext()
 	}

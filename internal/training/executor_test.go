@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"gemini/internal/cluster"
 	"gemini/internal/metrics"
+	"gemini/internal/model"
 	"gemini/internal/placement"
 	"gemini/internal/profile"
 	"gemini/internal/schedule"
@@ -278,6 +280,31 @@ func TestExecutorSingleReplicaLocalOnly(t *testing.T) {
 	}
 	if res.CheckpointTime <= 0 {
 		t.Fatal("local copies should still be measured as checkpoint time")
+	}
+}
+
+// A checkpoint completes when its last copy does, however the copied
+// bytes round. These two shapes left a float residue of about 3e-5
+// bytes when completion was a byte total counted down to under 1e-6,
+// so no iteration's checkpoint ever completed and CheckpointWallTime
+// read 0.
+func TestExecutorCheckpointCompletesDespiteRounding(t *testing.T) {
+	p3dn := cluster.MustInstance("p3dn.24xlarge")
+	for _, tc := range []struct {
+		model    string
+		replicas int
+	}{{"GPT-2 20B", 2}, {"GPT-2 10B", 3}} {
+		cfg := MustNewConfig(model.MustByName(tc.model), p3dn, 4)
+		opts := DefaultExecOptions(placement.MustMixed(cfg.Machines, tc.replicas), schedule.SchemeGemini)
+		opts.Iterations = 2
+		res, err := execute(t, cfg, opts)
+		if err != nil {
+			t.Fatalf("%s, m=%d: %v", tc.model, tc.replicas, err)
+		}
+		if res.OOM || res.CheckpointWallTime <= 0 {
+			t.Errorf("%s / 4 × p3dn, m=%d: OOM %v, checkpoint wall time %v; want a completed checkpoint",
+				tc.model, tc.replicas, res.OOM, res.CheckpointWallTime)
+		}
 	}
 }
 

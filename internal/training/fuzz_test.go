@@ -14,7 +14,9 @@ import (
 // FuzzExecuteOptions runs the executor on a small job (GPT-2 10B on
 // 2 × p4d, one measured iteration) under any scheme value, buffer size,
 // sub-buffer count, γ and GPU budget. Every input must return an error
-// or a result, never panic, and must rerun to an equal result.
+// or a result, never panic, and must rerun to an equal result. A scheme
+// that moves checkpoint bytes and does not OOM must complete its
+// checkpoint, so its wall time is positive.
 func FuzzExecuteOptions(f *testing.F) {
 	cfg := MustNewConfig(model.MustByName("GPT-2 10B"), cluster.MustInstance("p4d.24xlarge"), 2)
 	tl := MustBuildTimeline(cfg)
@@ -35,6 +37,9 @@ func FuzzExecuteOptions(f *testing.F) {
 	f.Add(int(schedule.SchemeGemini), 1e9, 4, math.Inf(1), 1e9) // bad γ
 	f.Add(int(schedule.SchemeNaive), 1e9, 4, 0.9, math.Inf(-1)) // bad budget
 	f.Add(7, 1e9, 4, 0.9, 1e9)                                  // unknown scheme
+	// Copied bytes that once summed to a residue above the old 1e-6
+	// completion threshold, so the checkpoint never completed.
+	f.Add(int(schedule.SchemeNaive), 1.000000007e9, 35, 0.1111111111111111, 1e15)
 	f.Fuzz(func(t *testing.T, scheme int, bufferBytes float64, bufferParts int, gamma, budget float64) {
 		opts := DefaultExecOptions(pl, schedule.Scheme(scheme))
 		opts.BufferBytes, opts.BufferParts = bufferBytes, bufferParts
@@ -48,6 +53,9 @@ func FuzzExecuteOptions(f *testing.F) {
 		if !reflect.DeepEqual(res, again) || (err == nil) != (errAgain == nil) ||
 			(err != nil && err.Error() != errAgain.Error()) {
 			t.Fatalf("Execute is not deterministic: %+v, %v then %+v, %v", res, err, again, errAgain)
+		}
+		if err == nil && !res.OOM && opts.Scheme != schedule.SchemeBaseline && !(res.CheckpointWallTime > 0) {
+			t.Fatalf("%v moved checkpoint bytes but reports checkpoint wall time %v", opts.Scheme, res.CheckpointWallTime)
 		}
 	})
 }
