@@ -15,6 +15,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -70,16 +71,7 @@ func main() {
 		}
 	}
 
-	failed := false
-	for _, r := range experiments.RunAll(context.Background(), run, *workers) {
-		fmt.Printf("== %s — %s ==\n", r.ID, r.Title)
-		if r.Err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", r.ID, r.Err)
-			failed = true
-			continue
-		}
-		fmt.Println(r.Output)
-	}
+	failed := render(os.Stdout, os.Stderr, run, *workers)
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
@@ -99,4 +91,20 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// render runs the experiments on up to workers at once and prints each
+// one's header and output to out in the order given, its error to errw
+// instead. It reports whether any experiment failed.
+func render(out, errw io.Writer, run []experiments.Experiment, workers int) (failed bool) {
+	for _, r := range experiments.RunAll(context.Background(), run, workers) {
+		fmt.Fprintf(out, "== %s — %s ==\n", r.ID, r.Title)
+		if r.Err != nil {
+			fmt.Fprintf(errw, "%s: %v\n", r.ID, r.Err)
+			failed = true
+			continue
+		}
+		fmt.Fprintln(out, r.Output)
+	}
+	return failed
 }
