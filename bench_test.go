@@ -185,25 +185,8 @@ func BenchmarkFig14RecoveryTimeline(b *testing.B) {
 // BenchmarkFig15aFailureRates runs the failure-rate sweep.
 func BenchmarkFig15aFailureRates(b *testing.B) { benchExperiment(b, "fig15a") }
 
-// BenchmarkFig15bScaling runs the cluster-size sweep and reports GEMINI's
-// ratio at 1000 instances (paper: ≈0.91).
-func BenchmarkFig15bScaling(b *testing.B) {
-	job := core.MustNewJob(JobSpec{Model: "GPT-2 100B", Instance: "p4d.24xlarge", Machines: 16})
-	horizon := 10 * Day
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		fs, err := FixedFailureRate(1000, 15, 0, horizon)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := job.SimulateRun(job.GeminiSpec(), 1000, fs, horizon, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = res.EffectiveRatio
-	}
-	b.ReportMetric(ratio, "effective-ratio")
-}
+// BenchmarkFig15bScaling runs the cluster-size sweep.
+func BenchmarkFig15bScaling(b *testing.B) { benchExperiment(b, "fig15b") }
 
 // BenchmarkFig16Interleaving runs the §7.4 scheme ablation and reports
 // the blocking scheme's overhead (paper: ≈10%).
@@ -239,7 +222,7 @@ func BenchmarkCampaign1000(b *testing.B) {
 	}
 	const runs = 1000
 	horizon := 10 * Day
-	schedules := make([]FailureSchedule, runs)
+	schedules := make([]failure.Schedule, runs)
 	model := failure.OPTModel()
 	for r := range schedules {
 		fs, err := model.Generate(16, horizon, int64(r+1))
@@ -248,14 +231,18 @@ func BenchmarkCampaign1000(b *testing.B) {
 		}
 		schedules[r] = fs
 	}
-	warm := func(spec JobSpec, fs FailureSchedule) (*runsim.Result, error) {
+	warm := func(spec JobSpec, fs failure.Schedule) (*runsim.Result, error) {
 		job, err := NewJob(spec)
 		if err != nil {
 			return nil, err
 		}
-		return job.SimulateRun(job.GeminiSpec(), spec.Machines, fs, horizon, 0)
+		cfg, err := job.RunConfig(job.GeminiSpec(), spec.Machines, fs, horizon, 0, 0)
+		if err != nil {
+			return nil, err
+		}
+		return runsim.Run(cfg)
 	}
-	cold := func(spec JobSpec, fs FailureSchedule) (*runsim.Result, error) {
+	cold := func(spec JobSpec, fs failure.Schedule) (*runsim.Result, error) {
 		art, err := derive.Build(spec.CacheKey())
 		if err != nil {
 			return nil, err
@@ -263,7 +250,7 @@ func BenchmarkCampaign1000(b *testing.B) {
 		return runsim.Run(runsim.Config{Spec: art.Gemini, Placement: art.Placement,
 			Machines: spec.Machines, Failures: fs, Horizon: horizon})
 	}
-	campaign := func(b *testing.B, run func(JobSpec, FailureSchedule) (*runsim.Result, error)) {
+	campaign := func(b *testing.B, run func(JobSpec, failure.Schedule) (*runsim.Result, error)) {
 		var sum float64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -374,29 +361,8 @@ func BenchmarkAblationGamma(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationStandbyMachines quantifies the standby-pool ablation.
-func BenchmarkAblationStandbyMachines(b *testing.B) {
-	job := core.MustNewJob(JobSpec{Model: "GPT-2 100B", Instance: "p4d.24xlarge", Machines: 16})
-	horizon := 5 * Day
-	fs, err := FixedFailureRate(16, 6, 1, horizon)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var standby, onDemand float64
-	for i := 0; i < b.N; i++ {
-		a, err := job.SimulateRun(job.GeminiSpec(), 16, fs, horizon, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		c, err := job.SimulateRun(job.GeminiSpec(), 16, fs, horizon, Duration(5.5*60))
-		if err != nil {
-			b.Fatal(err)
-		}
-		standby, onDemand = a.EffectiveRatio, c.EffectiveRatio
-	}
-	b.ReportMetric(standby, "standby-ratio")
-	b.ReportMetric(onDemand, "ondemand-ratio")
-}
+// BenchmarkAblationStandbyMachines runs the standby-pool ablation.
+func BenchmarkAblationStandbyMachines(b *testing.B) { benchExperiment(b, "ablation-standby") }
 
 func benchName(prefix string, v int) string {
 	const digits = "0123456789"

@@ -49,7 +49,6 @@ import (
 	"gemini/internal/cluster"
 	"gemini/internal/core"
 	"gemini/internal/derive"
-	"gemini/internal/failure"
 	"gemini/internal/metrics"
 	"gemini/internal/obs"
 	"gemini/internal/placement"
@@ -149,16 +148,6 @@ const (
 	SchemeGemini     = schedule.SchemeGemini
 )
 
-// Checkpointing solutions (§7.1) and failure economics (§7.3).
-type (
-	// Spec describes one checkpointing solution's behavior.
-	Spec = baselines.Spec
-	// FailureSchedule is a time-ordered list of injected failures.
-	FailureSchedule = failure.Schedule
-	// FailureModel is a stochastic per-instance failure-rate model.
-	FailureModel = failure.Model
-)
-
 // Failure kinds (§6.1).
 const (
 	SoftwareFailure = cluster.SoftwareFailed
@@ -174,16 +163,6 @@ const (
 	FromPeerCPU          RecoverySource = baselines.FromPeer
 	FromPersistentRemote RecoverySource = baselines.FromRemote
 )
-
-// OPTFailureModel is the OPT-175B logbook rate: 1.5% of instances fail
-// per day.
-func OPTFailureModel() FailureModel { return failure.OPTModel() }
-
-// FixedFailureRate builds a deterministic failure schedule: n machines,
-// a daily failure rate, a hardware fraction, over a horizon.
-func FixedFailureRate(n int, failuresPerDay, hwFraction float64, horizon Duration) (FailureSchedule, error) {
-	return failure.FixedRate(n, failuresPerDay, hwFraction, horizon)
-}
 
 // CloudConfig configures the machine-replacement operator.
 type CloudConfig = cloud.Config

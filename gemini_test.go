@@ -176,18 +176,7 @@ func TestRackAwarePlacementExposed(t *testing.T) {
 	}
 }
 
-func TestFailureHelpersExposed(t *testing.T) {
-	fs, err := FixedFailureRate(16, 4, 0.5, Day)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fs) != 4 {
-		t.Fatalf("%d failures, want 4", len(fs))
-	}
-	m := OPTFailureModel()
-	if m.PerInstancePerDay != 0.015 {
-		t.Fatal("OPT model rate wrong")
-	}
+func TestCloudConfigExposed(t *testing.T) {
 	cc := DefaultCloudConfig()
 	if cc.ProvisionMin != 4*Minute {
 		t.Fatal("cloud config wrong")

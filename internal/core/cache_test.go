@@ -80,11 +80,11 @@ func TestCachedRunsBitIdenticalToUncached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := cached.SimulateRun(cached.GeminiSpec(), 16, fs, horizon, 0)
+	sc, err := simulateRun(cached, cached.GeminiSpec(), 16, fs, horizon, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := private.SimulateRun(private.GeminiSpec(), 16, fs, horizon, 0)
+	sp, err := simulateRun(private, private.GeminiSpec(), 16, fs, horizon, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestRunDoesNotMutateSharedArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := job.SimulateRun(job.GeminiSpec(), 16, fs, horizon, 0); err != nil {
+	if _, err := simulateRun(job, job.GeminiSpec(), 16, fs, horizon, 0); err != nil {
 		t.Fatal(err)
 	}
 	engine, sys, err := job.RecoverySystem(cloud.DefaultConfig())

@@ -260,18 +260,6 @@ func (j *Job) RunConfig(spec baselines.Spec, machines int, fs failure.Schedule,
 	return cfg, nil
 }
 
-// SimulateRun plays a failure schedule over a cluster of the given size
-// against a solution spec and returns the effective-training-time
-// accounting of §7.3.
-func (j *Job) SimulateRun(spec baselines.Spec, machines int, fs failure.Schedule,
-	horizon, replacementDelay simclock.Duration) (*runsim.Result, error) {
-	cfg, err := j.RunConfig(spec, machines, fs, horizon, replacementDelay, 0)
-	if err != nil {
-		return nil, err
-	}
-	return runsim.Run(cfg)
-}
-
 // RecoverySystem assembles the live agent-based control plane for the
 // job on a fresh simulation engine, its recoveries priced from the
 // job's GEMINI spec. The spec's checkpoint strategy is

@@ -12,6 +12,7 @@ import (
 	"gemini/internal/cluster"
 	"gemini/internal/failure"
 	"gemini/internal/metrics"
+	"gemini/internal/runsim"
 	"gemini/internal/schedule"
 	"gemini/internal/simclock"
 	"gemini/internal/trace"
@@ -25,6 +26,17 @@ func paperJob(t *testing.T) *Job {
 		t.Fatalf("NewJob: %v", err)
 	}
 	return j
+}
+
+// simulateRun plays a failure schedule over a cluster of the given
+// size against a solution spec: the job's run config, walked alone.
+func simulateRun(j *Job, spec baselines.Spec, machines int, fs failure.Schedule,
+	horizon, replacementDelay simclock.Duration) (*runsim.Result, error) {
+	cfg, err := j.RunConfig(spec, machines, fs, horizon, replacementDelay, 0)
+	if err != nil {
+		return nil, err
+	}
+	return runsim.Run(cfg)
 }
 
 func TestNewJobDerivesEverything(t *testing.T) {
@@ -132,7 +144,7 @@ func TestSimulateRunScaled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := j.SimulateRun(j.GeminiSpec(), 100, fs, horizon, 0)
+	res, err := simulateRun(j, j.GeminiSpec(), 100, fs, horizon, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +153,7 @@ func TestSimulateRunScaled(t *testing.T) {
 	}
 	// A failure rank ≥ the job's own 16 machines proves the placement
 	// really was rebuilt at the scaled size.
-	if _, err := j.SimulateRun(j.GeminiSpec(), 16, fs, horizon, 0); err == nil {
+	if _, err := simulateRun(j, j.GeminiSpec(), 16, fs, horizon, 0); err == nil {
 		t.Fatal("unscaled run should reject ranks beyond the testbed size")
 	}
 }
@@ -153,11 +165,11 @@ func TestSimulateRunThroughJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gem, err := j.SimulateRun(j.GeminiSpec(), 16, fs, horizon, 0)
+	gem, err := simulateRun(j, j.GeminiSpec(), 16, fs, horizon, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	straw, err := j.SimulateRun(j.StrawmanSpec(), 16, fs, horizon, 0)
+	straw, err := simulateRun(j, j.StrawmanSpec(), 16, fs, horizon, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

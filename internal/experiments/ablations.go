@@ -4,6 +4,7 @@ import (
 	"gemini/internal/core"
 	"gemini/internal/failure"
 	"gemini/internal/placement"
+	"gemini/internal/runsim"
 	"gemini/internal/schedule"
 	"gemini/internal/simclock"
 	"gemini/internal/training"
@@ -115,31 +116,39 @@ func AblationGamma() (string, error) {
 }
 
 // AblationStandby compares standby-pool and on-demand replacement under
-// hardware-failure load.
+// hardware-failure load: both replacement delays walk one schedule in
+// one runsim.RunAll.
 func AblationStandby() (string, error) {
 	job, err := jobFor("GPT-2 100B", "p4d.24xlarge")
 	if err != nil {
 		return "", err
 	}
 	horizon := 10 * simclock.Day
-	t := newTable("Replacement", "Effective ratio", "Mean wasted", "p99 wasted")
-	for _, row := range []struct {
+	fs, err := failure.FixedRate(testbedMachines, 4, 1.0, horizon)
+	if err != nil {
+		return "", err
+	}
+	rows := []struct {
 		name  string
 		delay simclock.Duration
 	}{
 		{"standby pool (instant)", 0},
 		{"on-demand ASG (5.5 min)", simclock.Duration(5.5 * 60)},
-	} {
-		fs, err := failure.FixedRate(16, 4, 1.0, horizon)
-		if err != nil {
+	}
+	cfgs := make([]runsim.Config, len(rows))
+	for i, row := range rows {
+		if cfgs[i], err = job.RunConfig(job.GeminiSpec(), testbedMachines, fs, horizon, row.delay, 0); err != nil {
 			return "", err
 		}
-		res, err := job.SimulateRun(job.GeminiSpec(), testbedMachines, fs, horizon, row.delay)
-		if err != nil {
-			return "", err
-		}
-		sum := res.WastedSummary()
-		t.addf("%s|%.4f|%.1f min|%.1f min", row.name, res.EffectiveRatio, sum.Mean/60, sum.P99/60)
+	}
+	out := make([]*runsim.Result, len(rows))
+	if err := runsim.RunAll(cfgs, out); err != nil {
+		return "", err
+	}
+	t := newTable("Replacement", "Effective ratio", "Mean wasted", "p99 wasted")
+	for i, row := range rows {
+		sum := out[i].WastedSummary()
+		t.addf("%s|%.4f|%.1f min|%.1f min", row.name, out[i].EffectiveRatio, sum.Mean/60, sum.P99/60)
 	}
 	return t.String(), nil
 }

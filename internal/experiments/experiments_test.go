@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gemini/internal/baselines"
+	"gemini/internal/failure"
 	"gemini/internal/model"
 )
 
@@ -186,6 +187,82 @@ func TestFig11ReductionGrowsWithMachinesAndBandwidth(t *testing.T) {
 	}
 	if n16[2] <= 250 {
 		t.Errorf("N=16, 400 Gbps: reduction %.1f×, want above the paper's 250×", n16[2])
+	}
+}
+
+// Fig. 10's claims as relations: GEMINI wastes more than 13× less time
+// per failure than HighFreq on the two peer-recovery rows (one and two
+// replaced instances in different groups) and more than 12× less on the
+// software-failure row, while losing a whole group costs it exactly
+// Strawman's remote recovery.
+func TestFig10GeminiBeatsHighFreqUnlessAGroupIsLost(t *testing.T) {
+	job, err := jobFor("GPT-2 100B", "p4d.24xlarge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	straw, high, gem := job.StrawmanSpec(), job.HighFreqSpec(), job.GeminiSpec()
+	highFreq := high.AverageWasted(baselines.FromRemote).Seconds()
+	if r := highFreq / gem.AverageWasted(baselines.FromPeer).Seconds(); !(r > 13) {
+		t.Errorf("peer rows: HighFreq wastes %.2f× GEMINI's time, want above 13×", r)
+	}
+	if r := highFreq / gem.AverageWasted(baselines.FromLocal).Seconds(); !(r > 12) {
+		t.Errorf("software-failure row: HighFreq wastes %.2f× GEMINI's time, want above 12×", r)
+	}
+	if g, s := gem.AverageWasted(baselines.FromRemote), straw.AverageWasted(baselines.FromRemote); g != s {
+		t.Errorf("same-group row: GEMINI wastes %v, want Strawman's %v", g, s)
+	}
+}
+
+// Fig. 15a's claims as relations: GEMINI's effective ratio is at least
+// each baseline's at every failure rate and does not rise with the
+// rate; at 8 failures a day GEMINI keeps at least 0.95 while Strawman
+// falls below 0.5.
+func TestFig15aGeminiLeadsAtEveryFailureRate(t *testing.T) {
+	var prev [3]float64
+	for i, perDay := range fig15aRates {
+		r, err := simulateRatios(testbedMachines, perDay, fig15Horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		straw, high, gem := r[0], r[1], r[2]
+		if gem < straw || gem < high {
+			t.Errorf("%v/day: GEMINI %.3f below a baseline (Strawman %.3f, HighFreq %.3f)", perDay, gem, straw, high)
+		}
+		if i > 0 && gem > prev[2] {
+			t.Errorf("%v/day: GEMINI %.3f above its %.3f at %v/day", perDay, gem, prev[2], fig15aRates[i-1])
+		}
+		prev = r
+	}
+	if last := fig15aRates[len(fig15aRates)-1]; last != 8 {
+		t.Fatalf("Fig. 15a sweep ends at %v/day, want 8", last)
+	}
+	if prev[2] < 0.95 || prev[0] >= 0.5 {
+		t.Errorf("8/day: GEMINI %.3f (want ≥ 0.95), Strawman %.3f (want < 0.5)", prev[2], prev[0])
+	}
+}
+
+// Fig. 15b's claims as relations: GEMINI's effective ratio does not rise
+// with the cluster size; at 1000 instances it keeps at least 0.91 and
+// 1.3× HighFreq's while Strawman falls below 0.2.
+func TestFig15bGeminiHoldsUpAtScale(t *testing.T) {
+	rate := failure.OPTModel()
+	var prev [3]float64
+	for i, n := range fig15bSizes {
+		r, err := simulateRatios(n, rate.ClusterFailuresPerDay(n), fig15Horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && r[2] > prev[2] {
+			t.Errorf("%d instances: GEMINI %.3f above its %.3f at %d", n, r[2], prev[2], fig15bSizes[i-1])
+		}
+		prev = r
+	}
+	if last := fig15bSizes[len(fig15bSizes)-1]; last != 1000 {
+		t.Fatalf("Fig. 15b sweep ends at %d instances, want 1000", last)
+	}
+	straw, high, gem := prev[0], prev[1], prev[2]
+	if gem < 0.91 || gem < 1.3*high || straw >= 0.2 {
+		t.Errorf("1000 instances: GEMINI %.3f (want ≥ 0.91 and ≥ 1.3× HighFreq %.3f), Strawman %.3f (want < 0.2)", gem, high, straw)
 	}
 }
 

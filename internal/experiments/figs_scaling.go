@@ -8,6 +8,7 @@ import (
 	"gemini/internal/cloud"
 	"gemini/internal/cluster"
 	"gemini/internal/failure"
+	"gemini/internal/runsim"
 	"gemini/internal/simclock"
 )
 
@@ -48,9 +49,10 @@ func Fig14() (string, error) {
 // simulateRatios returns the effective ratios of Strawman, HighFreq and
 // GEMINI on n machines, each averaged over several Poisson failure
 // schedules (fixed seeds, so output stays deterministic) to avoid phase
-// aliasing between failure spacing and checkpoint intervals. The specs
-// keep the 16-machine testbed overheads at every n, per the paper's
-// methodology.
+// aliasing between failure spacing and checkpoint intervals. Each seed's
+// schedule is drawn once and the three solutions walk it in one
+// runsim.RunAll. The specs keep the 16-machine testbed overheads at
+// every n, per the paper's methodology.
 func simulateRatios(n int, failuresPerDay float64, horizon simclock.Duration) ([3]float64, error) {
 	const seeds = 5
 	var sums [3]float64
@@ -60,16 +62,22 @@ func simulateRatios(n int, failuresPerDay float64, horizon simclock.Duration) ([
 	}
 	specs := [3]baselines.Spec{job.StrawmanSpec(), job.HighFreqSpec(), job.GeminiSpec()}
 	m := failure.Model{PerInstancePerDay: failuresPerDay / float64(n)}
+	var cfgs [3]runsim.Config
+	var out [3]*runsim.Result
 	for seed := int64(1); seed <= seeds; seed++ {
 		fs, err := m.Generate(n, horizon, seed)
 		if err != nil {
 			return sums, err
 		}
 		for i, spec := range specs {
-			res, err := job.SimulateRun(spec, n, fs, horizon, 0)
-			if err != nil {
+			if cfgs[i], err = job.RunConfig(spec, n, fs, horizon, 0, 0); err != nil {
 				return sums, err
 			}
+		}
+		if err := runsim.RunAll(cfgs[:], out[:]); err != nil {
+			return sums, err
+		}
+		for i, res := range out {
 			sums[i] += res.EffectiveRatio
 		}
 	}
@@ -79,12 +87,22 @@ func simulateRatios(n int, failuresPerDay float64, horizon simclock.Duration) ([
 	return sums, nil
 }
 
+// The Fig. 15 sweeps, each over a ten-day horizon: cluster failures per
+// day at the testbed size (15a), and cluster sizes at the OPT-175B rate
+// (15b).
+var (
+	fig15aRates = []float64{0, 2, 4, 6, 8}
+	fig15bSizes = []int{16, 100, 200, 400, 600, 800, 1000}
+)
+
+const fig15Horizon = 10 * simclock.Day
+
 // Fig15a sweeps the failure rate (software failures, standby machines
 // assumed for hardware per §7.3) at 16 instances.
 func Fig15a() (string, error) {
 	t := newTable("Failures/day", "Strawman", "HighFreq", "GEMINI")
-	for _, perDay := range []float64{0, 2, 4, 6, 8} {
-		r, err := simulateRatios(testbedMachines, perDay, 10*simclock.Day)
+	for _, perDay := range fig15aRates {
+		r, err := simulateRatios(testbedMachines, perDay, fig15Horizon)
 		if err != nil {
 			return "", err
 		}
@@ -98,9 +116,9 @@ func Fig15a() (string, error) {
 func Fig15b() (string, error) {
 	rate := failure.OPTModel()
 	t := newTable("Instances", "Failures/day", "Strawman", "HighFreq", "GEMINI")
-	for _, n := range []int{16, 100, 200, 400, 600, 800, 1000} {
+	for _, n := range fig15bSizes {
 		perDay := rate.ClusterFailuresPerDay(n)
-		r, err := simulateRatios(n, perDay, 10*simclock.Day)
+		r, err := simulateRatios(n, perDay, fig15Horizon)
 		if err != nil {
 			return "", err
 		}

@@ -98,9 +98,6 @@ func referenceRun(cfg Config) Result {
 		advanceUptime(horizon)
 	}
 	res.EffectiveRatio = progress / float64(cfg.Horizon)
-	if recoveries > 0 {
-		res.MeanWasted = res.TotalWasted / simclock.Duration(recoveries)
-	}
 	return res
 }
 

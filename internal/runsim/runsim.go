@@ -98,8 +98,6 @@ type Result struct {
 	// TotalLost and TotalDowntime split TotalWasted into Eq. 1's two
 	// terms: rolled-back progress vs detection-to-resumption downtime.
 	TotalLost, TotalDowntime simclock.Duration
-	// MeanWasted is TotalWasted over the number of recoveries.
-	MeanWasted simclock.Duration
 	// StallTime is the cumulative per-checkpoint serialization stall.
 	StallTime simclock.Duration
 	// WastedSamples holds the per-recovery wasted time in seconds, in

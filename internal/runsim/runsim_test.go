@@ -334,7 +334,7 @@ func TestResultAccounting(t *testing.T) {
 	if res.Failures != len(fs) {
 		t.Fatalf("processed %d failures, schedule has %d", res.Failures, len(fs))
 	}
-	if res.TotalWasted <= 0 || res.MeanWasted <= 0 {
+	if res.TotalWasted <= 0 || len(res.WastedSamples) == 0 {
 		t.Fatal("wasted-time accounting empty")
 	}
 	if res.EffectiveRatio <= 0 || res.EffectiveRatio >= 1 {
@@ -357,9 +357,11 @@ func TestWastedSamplesDistribution(t *testing.T) {
 	if sum.Min <= 0 || sum.Max < sum.Min {
 		t.Fatalf("degenerate summary %+v", sum)
 	}
-	// The mean of the samples must reconcile with MeanWasted.
-	if diff := sum.Mean - res.MeanWasted.Seconds(); diff > 1 || diff < -1 {
-		t.Fatalf("sample mean %.1f disagrees with MeanWasted %v", sum.Mean, res.MeanWasted)
+	// The mean of the samples must reconcile with TotalWasted spread
+	// over the recoveries.
+	mean := res.TotalWasted.Seconds() / float64(res.FromLocal+res.FromPeer+res.FromRemote)
+	if diff := sum.Mean - mean; diff > 1 || diff < -1 {
+		t.Fatalf("sample mean %.1f disagrees with TotalWasted %v over the recoveries", sum.Mean, res.TotalWasted)
 	}
 }
 

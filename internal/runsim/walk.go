@@ -268,9 +268,6 @@ func (rs *runState) finish(horizon simclock.Time) {
 	res.FromLocal = rs.recoveries[baselines.FromLocal]
 	res.FromPeer = rs.recoveries[baselines.FromPeer]
 	res.FromRemote = rs.recoveries[baselines.FromRemote]
-	if n := res.FromLocal + res.FromPeer + res.FromRemote; n > 0 {
-		res.MeanWasted = res.TotalWasted / simclock.Duration(n)
-	}
 	if rs.taps.on {
 		rs.taps.finish(res)
 	}
